@@ -22,21 +22,15 @@ from .engine import (
     EventMachine,
     EventStep,
     EventTrace,
-    Exhaustive,
     FirstDeclared,
     Seeded,
     SetupError,
     SimulationError,
     Trace,
     build_plan,
-    enabled,
     enumerate_ts,
-    eval_guard,
-    fire,
-    match_input,
     run_ed,
     run_ts,
-    step_ed,
     step_ts,
 )
 from .ir import export_ir
@@ -51,9 +45,7 @@ from .resolution import (
     ResolvedModel,
     STRING,
     SeqType,
-    infer_target,
     resolve,
-    substitute_generics,
     type_of,
 )
 

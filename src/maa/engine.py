@@ -9,6 +9,13 @@ one.  Unread messages are lost at the end of their cycle.
 Event-driven runs consume one scripted event at a time, run-to-completion: the
 matching transition may emit finite sequences of events per output port.
 
+Both engines and the enumerator run one executable form of each automaton,
+built once per plan or machine by :func:`lower`: its transitions grouped by
+source state in declaration order, each with the in-ports its guard reads and
+the in-ports it reads overall.  :meth:`LoweredAutomaton.enabled` is the one
+query for enabled transitions, and :func:`apply_outputs` evaluates every
+output block, initial or not, under either profile.
+
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
 expands every choice point and returns the exact reachable trace set, serving
@@ -41,6 +48,7 @@ from .syntax import (
     ERef,
     EUnary,
     Expr,
+    InitialDecl,
     IntLit,
     Match,
     NameValue,
@@ -140,20 +148,11 @@ class Seeded:
     seed: int
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    """Marker policy: expand all choices (only valid with enumerate_ts)."""
-
-    bound: int = 1024
-
-
-Policy = Union[FirstDeclared, Seeded, Exhaustive]
+Policy = Union[FirstDeclared, Seeded]
 
 
 class _Chooser:
     def __init__(self, policy: Policy):
-        if isinstance(policy, Exhaustive):
-            raise SetupError("the exhaustive policy is only usable via enumerate_ts")
         self._rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
 
     def pick(self, options: list):
@@ -257,17 +256,6 @@ def _term_value(term: ValueTerm, inputs: dict[str, Slot], variables: dict[str, V
     raise SimulationError(f"cannot evaluate {term!r} as a single value")
 
 
-def eval_guard(guard: Expr, inputs: dict[str, Slot], variables: dict[str, Value]) -> bool:
-    """Evaluate a guard; any reference to an absent port makes it false."""
-    for ref in _expr_refs(guard):
-        if ref.name in inputs and inputs[ref.name] is ABSENT:
-            return False
-    result = _eval_expr(guard, inputs, variables)
-    if not isinstance(result, bool):
-        raise SimulationError("guard did not evaluate to a Boolean")
-    return result
-
-
 def _eval_expr(expr: Expr, inputs, variables):
     if isinstance(expr, ELit):
         return expr.value
@@ -323,22 +311,94 @@ def _expr_refs(expr: Expr):
 
 
 # ---------------------------------------------------------------------------
-# Transition matching and firing
+# Executable form of an automaton
 # ---------------------------------------------------------------------------
 
-def match_input(t: Transition, inputs: dict[str, Slot], variables: dict[str, Value]) -> bool:
-    """Whether every entry of the transition's input block is satisfied.
+class LoweredTransition:
+    """A transition with the in-ports it reads computed once.
 
-    Omitted ports and variables impose no constraint.  An absent port satisfies
-    only the ``--`` alternative.
+    ``guard_ports`` are the in-ports its guard reads: the guard is false while
+    any of them is absent.  ``reads`` adds the in-ports its input block
+    matches; under the event-driven profile a transition reacts only to events
+    on the one port it reads.
     """
-    for match in t.input or []:
-        if not _match_satisfied(match, inputs, variables):
-            return False
-    return True
+
+    __slots__ = ("transition", "target", "guard", "guard_ports", "reads",
+                 "matches", "assigns")
+
+    def __init__(self, transition: Transition, guard_ports: frozenset[str],
+                 reads: frozenset[str]):
+        self.transition = transition
+        self.target = transition.target
+        self.guard = transition.guard.expr if transition.guard is not None else None
+        self.guard_ports = guard_ports
+        self.reads = reads
+        self.matches: list[Match] = transition.input or []
+        self.assigns: list[Assignment] = transition.output or []
+
+
+@dataclass
+class LoweredAutomaton:
+    """The executable form of an automaton; :func:`lower` builds it."""
+
+    start: Optional[str]  # first declared state, entered when no initial is declared
+    initials: list[InitialDecl]
+    by_state: dict[str, list[LoweredTransition]]
+
+    def enabled(self, state: Optional[str], inputs: dict[str, Slot],
+                variables: dict[str, Value],
+                event_port: Optional[str] = None) -> list[LoweredTransition]:
+        """Enabled transitions out of ``state``, in declaration order.
+
+        ``inputs`` holds every in-port.  With ``event_port``, only transitions
+        that read exactly that port qualify (the event-driven profile).
+        """
+        result = []
+        for t in self.by_state.get(state, ()):
+            if event_port is not None and (len(t.reads) != 1 or event_port not in t.reads):
+                continue
+            if t.guard is not None:
+                if any(inputs[port] is ABSENT for port in t.guard_ports):
+                    continue
+                holds = _eval_expr(t.guard, inputs, variables)
+                if not isinstance(holds, bool):
+                    raise SimulationError("guard did not evaluate to a Boolean")
+                if not holds:
+                    continue
+            if all(_match_satisfied(m, inputs, variables) for m in t.matches):
+                result.append(t)
+        return result
+
+
+def lower(rc: ResolvedComponent) -> LoweredAutomaton:
+    """The executable form of the one automaton of an atomic component.
+
+    A component without an automaton has no states and never fires.
+    Transitions that read equal port sets share one set object.
+    """
+    automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [])
+    in_ports = set(rc.in_ports)
+    shared: dict[frozenset[str], frozenset[str]] = {}
+
+    def share(ports: set[str]) -> frozenset[str]:
+        frozen = frozenset(ports)
+        return shared.setdefault(frozen, frozen)
+
+    by_state: dict[str, list[LoweredTransition]] = {}
+    for t in automaton.transitions:
+        guard_ports = set()
+        if t.guard is not None:
+            guard_ports = {ref.name for ref in _expr_refs(t.guard.expr) if ref.name in in_ports}
+        reads = guard_ports | {m.resolved_target for m in t.input or []
+                               if m.resolved_target in in_ports}
+        by_state.setdefault(t.source, []).append(
+            LoweredTransition(t, share(guard_ports), share(reads)))
+    start = automaton.states[0].name if automaton.states else None
+    return LoweredAutomaton(start, automaton.initials, by_state)
 
 
 def _match_satisfied(match: Match, inputs, variables) -> bool:
+    """Whether one input-block entry holds; an absent port satisfies only ``--``."""
     target = match.resolved_target
     if target is None:
         raise SimulationError(f"input target could not be resolved at {match.loc}")
@@ -356,36 +416,19 @@ def _match_satisfied(match: Match, inputs, variables) -> bool:
     return False
 
 
-def enabled(automaton: Automaton, state: ComponentState,
-            inputs: dict[str, Slot]) -> list[Transition]:
-    """Enabled transitions in declaration order."""
-    result = []
-    for t in automaton.transitions:
-        if t.source != state.state:
-            continue
-        if t.guard is not None and not eval_guard(t.guard.expr, inputs, state.variables):
-            continue
-        if not match_input(t, inputs, state.variables):
-            continue
-        result.append(t)
-    return result
-
-
-def _assignment_choices(assigns: list[Assignment]) -> list[list[ValueTerm]]:
-    """All alternative selections, as one list of picked terms per combination."""
-    pools = [a.alternatives for a in assigns]
-    return [list(combo) for combo in itertools.product(*pools)]
-
-
-def _apply_output(assigns: list[Assignment], picks: list[ValueTerm],
+def apply_outputs(assigns: list[Assignment], picks: list[ValueTerm],
                   inputs: dict[str, Slot], variables: dict[str, Value],
-                  port_dir: dict[str, str]):
-    """Evaluate one selection of alternatives; returns (port outputs, new vars).
+                  port_dir: dict[str, str]) -> tuple[list[tuple[str, object]], dict[str, Value]]:
+    """Evaluate an output block with one picked alternative per assignment.
 
-    Port outputs map to a value, ABSENT, or a list (sequence); variables not
-    assigned keep their values; all right-hand sides read the pre-state.
+    Returns the (out-port, value) pairs sent, in assignment order, and the
+    variables afterwards.  A value is a message, ABSENT for ``--``, or a list
+    for a sequence.  Every right-hand side reads the pre-state; variables not
+    assigned keep their values.  Forwarding an absent message, giving a
+    variable ``--`` or a sequence, and assigning to anything but an out-port or
+    a variable are runtime errors.
     """
-    outputs: dict[str, object] = {}
+    outputs: list[tuple[str, object]] = []
     new_vars = dict(variables)
     for assign, pick in zip(assigns, picks):
         target = assign.resolved_target
@@ -393,18 +436,19 @@ def _apply_output(assigns: list[Assignment], picks: list[ValueTerm],
             raise SimulationError(f"output target could not be resolved at {assign.loc}")
         if isinstance(pick, SequenceValue):
             value: object = [_forwarded(e, inputs, variables) for e in pick.elements]
+        elif isinstance(pick, NoData):
+            value = ABSENT
         else:
-            value = _term_value(pick, inputs, variables)
-            if isinstance(pick, NameValue) and value is ABSENT:
-                raise SimulationError(
-                    f"forwarding absent message from port '{pick.name}'")
-        if port_dir.get(target) is not None:
-            outputs[target] = value
-        else:
+            value = _forwarded(pick, inputs, variables)
+        if port_dir.get(target) == "out":
+            outputs.append((target, value))
+        elif target in variables:
             if value is ABSENT or isinstance(value, list):
                 raise SimulationError(
                     f"variable '{target}' cannot take an absent value or sequence")
             new_vars[target] = value
+        else:
+            raise SimulationError(f"'{target}' is neither an out-port nor a variable")
     return outputs, new_vars
 
 
@@ -416,30 +460,6 @@ def _forwarded(term: ValueTerm, inputs, variables) -> Value:
     return value
 
 
-def fire(t: Transition, inputs: dict[str, Slot], variables: dict[str, Value],
-         policy: Policy, rng: Optional[_Chooser] = None,
-         out_ports: Optional[list[str]] = None,
-         port_dir: Optional[dict[str, str]] = None):
-    """Execute one enabled transition; returns (port outputs, new variables).
-
-    Each assignment selects one alternative per policy.  When ``out_ports`` is
-    given, unassigned ports are filled with ABSENT.
-    """
-    chooser = rng or _Chooser(policy)
-    assigns = t.output or []
-    picks = [chooser.pick(a.alternatives) for a in assigns]
-    if port_dir is None:
-        # standalone use: anything that is not a known variable is a port
-        port_dir = {a.resolved_target: "out" for a in assigns
-                    if a.resolved_target is not None
-                    and a.resolved_target not in variables}
-    outputs, new_vars = _apply_output(assigns, picks, inputs, variables, port_dir)
-    if out_ports is not None:
-        for port in out_ports:
-            outputs.setdefault(port, ABSENT)
-    return outputs, new_vars
-
-
 # ---------------------------------------------------------------------------
 # Instantiation (composition flattening)
 # ---------------------------------------------------------------------------
@@ -449,12 +469,8 @@ class AtomicInstance:
     path: str  # "" for an atomic main component
     rc: ResolvedComponent
     subst: dict[str, TypeRef]
-    automaton: Optional[Automaton]
+    behaviour: LoweredAutomaton
     in_sources: dict[str, tuple] = field(default_factory=dict)
-
-    @property
-    def label(self) -> str:
-        return self.path or self.rc.ast.name
 
 
 @dataclass
@@ -464,15 +480,12 @@ class SystemPlan:
     instances: list[AtomicInstance]
     out_sources: dict[str, tuple]
 
-    def instance(self, path: str) -> AtomicInstance:
-        for inst in self.instances:
-            if inst.path == path:
-                return inst
-        raise KeyError(path)
-
 
 def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
-    """Flatten the (possibly hierarchical) main component to atomic instances."""
+    """Flatten the (possibly hierarchical) main component to atomic instances.
+
+    Each component's automaton is lowered once, however many instances it has.
+    """
     if main not in model.components:
         raise SetupError(f"unknown main component '{main}'")
     root = model.components[main]
@@ -480,6 +493,7 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     instances: list[AtomicInstance] = []
     edges: dict[tuple[str, str], tuple[str, str]] = {}
     atomic_paths: set[str] = set()
+    lowered: dict[str, LoweredAutomaton] = {}
 
     def expand(rc: ResolvedComponent, path: str, subst: dict[str, TypeRef]):
         if not rc.ast.subcomponents:
@@ -487,8 +501,9 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
                 raise SetupError(
                     f"component '{rc.qname}' has several automata; "
                     "simulation needs at most one")
-            automaton = rc.ast.automata[0] if rc.ast.automata else None
-            instances.append(AtomicInstance(path, rc, subst, automaton))
+            if rc.qname not in lowered:
+                lowered[rc.qname] = lower(rc)
+            instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
             atomic_paths.add(path)
             return
         if rc.ast.automata:
@@ -571,6 +586,41 @@ def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
 
 
 # ---------------------------------------------------------------------------
+# Initial states, under either profile
+# ---------------------------------------------------------------------------
+
+def _pick_initial(inst: AtomicInstance, chooser: _Chooser) -> tuple:
+    """One initial declaration and one alternative per assignment of its output."""
+    if not inst.behaviour.initials:
+        return None, []
+    initial = chooser.pick(inst.behaviour.initials)
+    return initial, [chooser.pick(a.alternatives) for a in initial.output or []]
+
+
+def _start(inst: AtomicInstance, model: ResolvedModel, initial: Optional[InitialDecl],
+           picks) -> tuple[ComponentState, list[tuple[str, object]]]:
+    """State and initial outputs after one chosen initial declaration."""
+    variables: dict[str, Value] = {}
+    for var in inst.rc.ast.variables:
+        if var.initial is not None:
+            value = _term_value(var.initial, {}, variables)
+            if value is ABSENT:
+                raise SimulationError(f"variable '{var.name}' initialized to an absent value")
+            variables[var.name] = value
+        else:
+            variables[var.name] = default_value(
+                inst.rc.var_type.get(var.name), inst.subst, model)
+    if initial is None:
+        # no initial declaration (a convention warning): start at the first
+        # declared state with no initial output
+        return ComponentState(inst.behaviour.start, variables), []
+    inputs = {port: ABSENT for port in inst.rc.in_ports}
+    outputs, variables = apply_outputs(initial.output or [], picks, inputs, variables,
+                                       inst.rc.port_dir)
+    return ComponentState(initial.state, variables), outputs
+
+
+# ---------------------------------------------------------------------------
 # Time-synchronous engine
 # ---------------------------------------------------------------------------
 
@@ -579,62 +629,33 @@ class TSState:
     components: dict[str, ComponentState]
     pending: dict[str, dict[str, Slot]]
 
-    def copy(self) -> "TSState":
-        return TSState(
-            {k: v.copy() for k, v in self.components.items()},
-            {k: dict(v) for k, v in self.pending.items()},
-        )
 
-
-def _initial_component_state(inst: AtomicInstance, model: ResolvedModel,
-                             initial, picks) -> tuple[ComponentState, dict[str, Slot]]:
-    """State and pending outputs after processing one chosen initial entry."""
-    variables: dict[str, Value] = {}
-    for var in inst.rc.ast.variables:
-        declared = inst.rc.var_type.get(var.name)
-        if var.initial is not None:
-            value = _term_value(var.initial, {}, variables)
-            if value is ABSENT:
-                raise SimulationError(f"variable '{var.name}' initialized to an absent value")
-            variables[var.name] = value
-        else:
-            variables[var.name] = default_value(declared, inst.subst, model)
-
+def _pending(inst: AtomicInstance, outputs: list[tuple[str, object]],
+             cycle: Optional[int]) -> dict[str, Slot]:
+    """What an instance sends for the next cycle: one message or ABSENT per out-port."""
     pending = {port: ABSENT for port in inst.rc.out_ports}
-    if inst.automaton is None:
-        return ComponentState(None, variables), pending
-
-    if initial is None:
-        # no initial declaration (a convention warning): start at the first
-        # declared state with no initial output
-        start = inst.automaton.states[0].name if inst.automaton.states else None
-        return ComponentState(start, variables), pending
-
-    state = ComponentState(initial.state, variables)
-    assigns = initial.output or []
-    inputs = {port: ABSENT for port in inst.rc.in_ports}
-    outputs, new_vars = _apply_output(assigns, picks, inputs, variables, inst.rc.port_dir)
-    for port, value in outputs.items():
+    for port, value in outputs:
         if isinstance(value, list):
+            what = (f"initial output on port '{port}' is a sequence" if cycle is None
+                    else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
-                f"initial output on port '{port}' is a sequence; "
-                "the time-synchronous profile allows one message per port")
+                f"{what}; the time-synchronous profile allows one message per port", cycle)
         pending[port] = value
-    state.variables = new_vars
-    return state, pending
+    return pending
+
+
+def _start_ts(inst: AtomicInstance, model: ResolvedModel, initial: Optional[InitialDecl],
+              picks) -> tuple[ComponentState, dict[str, Slot]]:
+    cs, outputs = _start(inst, model, initial, picks)
+    return cs, _pending(inst, outputs, None)
 
 
 def _init_ts(plan: SystemPlan, chooser: _Chooser) -> TSState:
     components: dict[str, ComponentState] = {}
     pending: dict[str, dict[str, Slot]] = {}
     for inst in plan.instances:
-        initial = None
-        if inst.automaton is not None and inst.automaton.initials:
-            initial = chooser.pick(inst.automaton.initials)
-        picks = [chooser.pick(a.alternatives) for a in (initial.output or [])] if initial else []
-        state, pend = _initial_component_state(inst, plan.model, initial, picks)
-        components[inst.path] = state
-        pending[inst.path] = pend
+        components[inst.path], pending[inst.path] = _start_ts(
+            inst, plan.model, *_pick_initial(inst, chooser))
     return TSState(components, pending)
 
 
@@ -664,42 +685,39 @@ def _observe(plan: SystemPlan, state: TSState, external: dict[str, Slot]) -> dic
     return observed
 
 
+def _fire_ts(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot],
+             chosen: LoweredTransition, picks, cycle: Optional[int]):
+    """Successor state and pending outputs of one instance firing ``chosen``."""
+    try:
+        outputs, variables = apply_outputs(chosen.assigns, picks, inputs, cs.variables,
+                                           inst.rc.port_dir)
+    except SimulationError as exc:
+        raise SimulationError(exc.message, cycle) from None
+    return ComponentState(chosen.target, variables), _pending(inst, outputs, cycle)
+
+
+def _idle(inst: AtomicInstance, cs: ComponentState):
+    """Idle completion: state and variables unchanged, nothing emitted."""
+    return cs.copy(), {port: ABSENT for port in inst.rc.out_ports}
+
+
 def step_ts(plan: SystemPlan, state: TSState, external: dict[str, Slot],
-            policy: Policy, chooser: Optional[_Chooser] = None,
-            cycle: Optional[int] = None) -> tuple[TSState, dict[str, Slot]]:
+            chooser: _Chooser, cycle: Optional[int] = None) -> tuple[TSState, dict[str, Slot]]:
     """One global cycle; returns the successor state and the observed outputs."""
-    chooser = chooser or _Chooser(policy)
     observed = _observe(plan, state, external)
     new_components: dict[str, ComponentState] = {}
     new_pending: dict[str, dict[str, Slot]] = {}
     for inst in plan.instances:
         cs = state.components[inst.path]
         inputs = _instance_inputs(plan, state, inst, external)
-        blank = {port: ABSENT for port in inst.rc.out_ports}
-        if inst.automaton is None:
-            new_components[inst.path] = cs.copy()
-            new_pending[inst.path] = blank
-            continue
-        options = enabled(inst.automaton, cs, inputs)
-        if not options:
-            # idle completion: state and variables unchanged, nothing emitted
-            new_components[inst.path] = cs.copy()
-            new_pending[inst.path] = blank
-            continue
-        transition = chooser.pick(options)
-        try:
-            outputs, new_vars = fire(transition, inputs, cs.variables, policy,
-                                     rng=chooser, port_dir=inst.rc.port_dir)
-        except SimulationError as exc:
-            raise SimulationError(exc.message, cycle) from None
-        for port, value in outputs.items():
-            if isinstance(value, list):
-                raise SimulationError(
-                    f"transition emitted a sequence on port '{port}'; the "
-                    "time-synchronous profile allows one message per port", cycle)
-            blank[port] = value
-        new_components[inst.path] = ComponentState(transition.target, new_vars)
-        new_pending[inst.path] = blank
+        options = inst.behaviour.enabled(cs.state, inputs, cs.variables)
+        if options:
+            chosen = chooser.pick(options)
+            picks = [chooser.pick(a.alternatives) for a in chosen.assigns]
+            successor = _fire_ts(inst, cs, inputs, chosen, picks, cycle)
+        else:
+            successor = _idle(inst, cs)
+        new_components[inst.path], new_pending[inst.path] = successor
     return TSState(new_components, new_pending), observed
 
 
@@ -730,7 +748,7 @@ def run_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
     records: list[CycleRecord] = []
     for index in range(1, n_cycles + 1):
         external = rows[index - 1]
-        state, observed = step_ts(plan, state, external, policy, chooser, cycle=index)
+        state, observed = step_ts(plan, state, external, chooser, cycle=index)
         records.append(CycleRecord(
             index, dict(external), observed,
             {inst.path: state.components[inst.path].copy() for inst in plan.instances},
@@ -742,12 +760,18 @@ def run_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
 # Exhaustive enumeration (oracle)
 # ---------------------------------------------------------------------------
 
+def _all_picks(assigns: list[Assignment]):
+    """Every selection of one alternative per assignment."""
+    return itertools.product(*(a.alternatives for a in assigns))
+
+
 def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
                  n_cycles: int, bound: int = 1024) -> list[Trace]:
     """Every trace reachable by some resolution of all choice points.
 
     Deduplicated; raises :class:`EnumerationOverflow` when more than ``bound``
-    distinct traces would be produced.
+    distinct traces would be produced.  The search is depth-first over an
+    explicit stack, so its depth is not limited by the run's length.
     """
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
@@ -755,89 +779,65 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
         raise SetupError("the enumeration bound must be at least 1")
     plan = build_plan(model, main)
     rows = _normalize_stimulus(plan, stimulus, n_cycles)
+    instances = plan.instances
 
-    results: dict[tuple, Trace] = {}
-
-    def add(trace: Trace):
-        key = trace.key()
-        if key not in results:
-            if len(results) >= bound:
-                raise EnumerationOverflow(
-                    f"more than {bound} distinct traces; raise the bound")
-            results[key] = trace
-
-    def initial_states() -> list[TSState]:
-        per_instance: list[list[tuple[ComponentState, dict[str, Slot]]]] = []
-        for inst in plan.instances:
-            options: list[tuple[ComponentState, dict[str, Slot]]] = []
-            if inst.automaton is not None and inst.automaton.initials:
-                for initial in inst.automaton.initials:
-                    for picks in _assignment_choices(initial.output or []):
-                        options.append(
-                            _initial_component_state(inst, plan.model, initial, picks))
-            else:
-                options.append(_initial_component_state(inst, plan.model, None, []))
-            per_instance.append(options)
-        states = []
-        for combo in itertools.product(*per_instance):
-            states.append(TSState(
-                {inst.path: cs.copy() for inst, (cs, _) in zip(plan.instances, combo)},
-                {inst.path: dict(pend) for inst, (_, pend) in zip(plan.instances, combo)},
-            ))
-        return states
-
-    def instance_successors(inst: AtomicInstance, cs: ComponentState,
-                            inputs: dict[str, Slot], cycle: int):
-        blank = {port: ABSENT for port in inst.rc.out_ports}
-        if inst.automaton is None:
-            return [(cs.copy(), blank)]
-        options = enabled(inst.automaton, cs, inputs)
+    def successors(inst: AtomicInstance, cs: ComponentState,
+                   inputs: dict[str, Slot], cycle: int) -> list:
+        options = inst.behaviour.enabled(cs.state, inputs, cs.variables)
         if not options:
-            return [(cs.copy(), blank)]
-        successors = []
-        for transition in options:
-            assigns = transition.output or []
-            for picks in _assignment_choices(assigns):
-                try:
-                    outputs, new_vars = _apply_output(
-                        assigns, picks, inputs, cs.variables, inst.rc.port_dir)
-                except SimulationError as exc:
-                    raise SimulationError(exc.message, cycle) from None
-                pend = dict(blank)
-                for port, value in outputs.items():
-                    if isinstance(value, list):
-                        raise SimulationError(
-                            f"transition emitted a sequence on port '{port}'", cycle)
-                    pend[port] = value
-                successors.append((ComponentState(transition.target, new_vars), pend))
-        return successors
+            return [_idle(inst, cs)]
+        return [_fire_ts(inst, cs, inputs, chosen, picks, cycle)
+                for chosen in options for picks in _all_picks(chosen.assigns)]
 
-    def explore(state: TSState, index: int, prefix: list[CycleRecord]):
+    per_instance = []
+    for inst in instances:
+        if inst.behaviour.initials:
+            per_instance.append([_start_ts(inst, plan.model, initial, picks)
+                                 for initial in inst.behaviour.initials
+                                 for picks in _all_picks(initial.output or [])])
+        else:
+            per_instance.append([_start_ts(inst, plan.model, None, ())])
+
+    # A node is (state, cycle, prefix); a prefix is None or (record, parent prefix).
+    stack = [(TSState({inst.path: cs for inst, (cs, _) in zip(instances, combo)},
+                      {inst.path: pend for inst, (_, pend) in zip(instances, combo)}), 1, None)
+             for combo in itertools.product(*per_instance)]
+    stack.reverse()
+    results: dict[tuple, Trace] = {}
+    while stack:
+        state, index, prefix = stack.pop()
         if index > n_cycles:
-            add(Trace([CycleRecord(r.index, dict(r.inputs), dict(r.outputs),
-                                   {k: v.copy() for k, v in r.states.items()})
-                       for r in prefix]))
-            return
+            records: list[CycleRecord] = []
+            while prefix is not None:
+                record, prefix = prefix
+                records.append(record)
+            records.reverse()
+            key = Trace(records).key()
+            if key not in results:
+                if len(results) >= bound:
+                    raise EnumerationOverflow(
+                        f"more than {bound} distinct traces; raise the bound")
+                results[key] = Trace([CycleRecord(r.index, dict(r.inputs), dict(r.outputs),
+                                                  {k: v.copy() for k, v in r.states.items()})
+                                      for r in records])
+            continue
         external = rows[index - 1]
         observed = _observe(plan, state, external)
-        per_instance = []
-        for inst in plan.instances:
-            inputs = _instance_inputs(plan, state, inst, external)
-            per_instance.append(instance_successors(
-                inst, state.components[inst.path], inputs, index))
+        per_instance = [successors(inst, state.components[inst.path],
+                                   _instance_inputs(plan, state, inst, external), index)
+                        for inst in instances]
+        children = []
         for combo in itertools.product(*per_instance):
-            next_state = TSState(
-                {inst.path: cs for inst, (cs, _) in zip(plan.instances, combo)},
-                {inst.path: pend for inst, (_, pend) in zip(plan.instances, combo)},
-            )
             record = CycleRecord(
                 index, dict(external), dict(observed),
-                {inst.path: cs.copy() for inst, (cs, _) in zip(plan.instances, combo)},
+                {inst.path: cs.copy() for inst, (cs, _) in zip(instances, combo)},
             )
-            explore(next_state, index + 1, prefix + [record])
-
-    for start in initial_states():
-        explore(start, 1, [])
+            next_state = TSState(
+                {inst.path: cs for inst, (cs, _) in zip(instances, combo)},
+                {inst.path: pend for inst, (_, pend) in zip(instances, combo)},
+            )
+            children.append((next_state, index + 1, (record, prefix)))
+        stack.extend(reversed(children))
 
     return sorted(results.values(), key=Trace.key)
 
@@ -846,58 +846,10 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
 # Event-driven engine
 # ---------------------------------------------------------------------------
 
-def _transition_read_ports(rc: ResolvedComponent, t: Transition) -> set[str]:
-    ports: set[str] = set()
-    if t.guard is not None:
-        for ref in _expr_refs(t.guard.expr):
-            if rc.port_dir.get(ref.name) == "in":
-                ports.add(ref.name)
-    for match in t.input or []:
-        target = match.resolved_target
-        if target is not None and rc.port_dir.get(target) == "in":
-            ports.add(target)
-    return ports
-
-
-def _ed_matches(rc: ResolvedComponent, t: Transition, cs: ComponentState,
-                event: Event) -> bool:
-    if t.source != cs.state:
-        return False
-    if _transition_read_ports(rc, t) != {event.port}:
-        return False
-    inputs = {port: ABSENT for port in rc.in_ports}
-    inputs[event.port] = event.value
-    if t.guard is not None and not eval_guard(t.guard.expr, inputs, cs.variables):
-        return False
-    return match_input(t, inputs, cs.variables)
-
-
-def _ed_emissions(rc: ResolvedComponent, t: Transition, cs: ComponentState,
-                  event: Event, chooser: _Chooser):
-    inputs = {port: ABSENT for port in rc.in_ports}
-    inputs[event.port] = event.value
-    emissions: list[tuple[str, list[Value]]] = []
-    new_vars = dict(cs.variables)
-    for assign in t.output or []:
-        target = assign.resolved_target
-        if target is None:
-            raise SimulationError(f"output target could not be resolved at {assign.loc}")
-        pick = chooser.pick(assign.alternatives)
-        if rc.port_dir.get(target) == "out":
-            if isinstance(pick, SequenceValue):
-                values = [_forwarded(e, inputs, cs.variables) for e in pick.elements]
-            elif isinstance(pick, NoData):
-                values = []
-            else:
-                values = [_forwarded(pick, inputs, cs.variables)]
-            emissions.append((target, values))
-        else:
-            value = _term_value(pick, inputs, cs.variables)
-            if value is ABSENT or isinstance(pick, SequenceValue):
-                raise SimulationError(
-                    f"variable '{target}' cannot take an absent value or sequence")
-            new_vars[target] = value
-    return emissions, new_vars
+def _emissions(outputs: list[tuple[str, object]]) -> list[tuple[str, list[Value]]]:
+    """Outputs as event sequences: ``--`` sends none, a single value one."""
+    return [(port, value if isinstance(value, list) else [] if value is ABSENT else [value])
+            for port, value in outputs]
 
 
 class EventMachine:
@@ -913,62 +865,29 @@ class EventMachine:
             raise SetupError(f"component '{rc.qname}' has several automata")
         self.model = model
         self.rc = rc
-        self.automaton = rc.ast.automata[0] if rc.ast.automata else None
-        self.policy = policy
+        self.instance = AtomicInstance("", rc, {}, lower(rc))
         self.chooser = _Chooser(policy)
+        self._silent = {port: ABSENT for port in rc.in_ports}
 
     def initial(self) -> tuple[ComponentState, list[tuple[str, list[Value]]]]:
-        variables: dict[str, Value] = {}
-        for var in self.rc.ast.variables:
-            if var.initial is not None:
-                variables[var.name] = _term_value(var.initial, {}, variables)
-            else:
-                variables[var.name] = default_value(
-                    self.rc.var_type.get(var.name), {}, self.model)
-        if self.automaton is None:
-            return ComponentState(None, variables), []
-        if not self.automaton.initials:
-            start = self.automaton.states[0].name if self.automaton.states else None
-            return ComponentState(start, variables), []
-        initial = self.chooser.pick(self.automaton.initials)
-        cs = ComponentState(initial.state, variables)
-        emissions: list[tuple[str, list[Value]]] = []
-        inputs = {port: ABSENT for port in self.rc.in_ports}
-        for assign in initial.output or []:
-            target = assign.resolved_target
-            if target is None:
-                raise SimulationError(f"output target could not be resolved at {assign.loc}")
-            pick = self.chooser.pick(assign.alternatives)
-            if self.rc.port_dir.get(target) == "out":
-                if isinstance(pick, SequenceValue):
-                    values = [_forwarded(e, inputs, variables) for e in pick.elements]
-                elif isinstance(pick, NoData):
-                    values = []
-                else:
-                    values = [_forwarded(pick, inputs, variables)]
-                emissions.append((target, values))
-            else:
-                cs.variables[target] = _term_value(pick, inputs, variables)
-        return cs, emissions
+        cs, outputs = _start(self.instance, self.model,
+                             *_pick_initial(self.instance, self.chooser))
+        return cs, _emissions(outputs)
 
     def step(self, cs: ComponentState, event: Event) -> tuple[ComponentState, list]:
         """Consume one event; unmatched events are dropped without effect."""
-        if event.port not in self.rc.in_ports:
+        if event.port not in self._silent:
             raise SetupError(f"'{event.port}' is not an in-port of '{self.rc.qname}'")
-        if self.automaton is None:
-            return cs.copy(), []
-        options = [t for t in self.automaton.transitions
-                   if _ed_matches(self.rc, t, cs, event)]
+        inputs = dict(self._silent)
+        inputs[event.port] = event.value
+        options = self.instance.behaviour.enabled(cs.state, inputs, cs.variables, event.port)
         if not options:
             return cs.copy(), []
-        transition = self.chooser.pick(options)
-        emissions, new_vars = _ed_emissions(self.rc, transition, cs, event, self.chooser)
-        return ComponentState(transition.target, new_vars), emissions
-
-
-def step_ed(machine: EventMachine, cs: ComponentState, event: Event):
-    """One event-driven step; see :meth:`EventMachine.step`."""
-    return machine.step(cs, event)
+        chosen = self.chooser.pick(options)
+        picks = [self.chooser.pick(a.alternatives) for a in chosen.assigns]
+        outputs, variables = apply_outputs(chosen.assigns, picks, inputs, cs.variables,
+                                           self.rc.port_dir)
+        return ComponentState(chosen.target, variables), _emissions(outputs)
 
 
 def run_ed(model: ResolvedModel, main: str, script: list[Event],

@@ -13,7 +13,6 @@ here under the code ``R0``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -407,26 +406,6 @@ class Inference:
     candidates: tuple[str, ...] = ()
 
 
-def infer_target(term: ValueTerm, candidates: list[tuple[str, Optional[TypeRef]]],
-                 env: ResolvedComponent, kinds: Optional[dict[str, str]] = None) -> Inference:
-    """Type-based name omission: find the unique candidate admitting the term.
-
-    ``candidates`` are (name, declared type) pairs drawn from the correct
-    direction set by the caller; ``kinds`` optionally maps candidate names to
-    "in"/"out"/"var" (defaults to port semantics).
-    """
-    admitting = []
-    for name, declared in candidates:
-        kind = (kinds or {}).get(name, "in")
-        if admits(kind, declared, term, env):
-            admitting.append(name)
-    if len(admitting) == 1:
-        return Inference("ok", admitting[0], tuple(admitting))
-    if not admitting:
-        return Inference("none", None)
-    return Inference("ambiguous", None, tuple(admitting))
-
-
 def match_candidates(rc: ResolvedComponent) -> tuple[list[tuple[str, Optional[TypeRef]]], dict[str, str]]:
     """Inference candidates for input blocks: in-ports and variables."""
     cands = [(p, rc.port_type.get(p)) for p in rc.in_ports]
@@ -522,29 +501,6 @@ def substitute_type(ref: Optional[TypeRef], bindings: dict[str, TypeRef]) -> Opt
     if isinstance(ref, ParamType) and ref.name in bindings:
         return bindings[ref.name]
     return ref
-
-
-def substitute_generics(ct: ComponentType, bindings: dict[str, TypeRef]) -> ComponentType:
-    """A copy of the component with every type parameter occurrence replaced.
-
-    The result has no generic parameters; missing bindings leave occurrences in
-    place (reported as R0 by resolution).  Idempotent on its own output.
-    """
-    def type_text(ref: TypeRef) -> str:
-        if isinstance(ref, EnumType):
-            return ref.qname
-        return str(ref)
-
-    result = copy.deepcopy(ct)
-    names = {param: type_text(ref) for param, ref in bindings.items()}
-    for port in result.ports:
-        port.type_name = names.get(port.type_name, port.type_name)
-    for var in result.variables:
-        var.type_name = names.get(var.type_name, var.type_name)
-    for sub in result.subcomponents:
-        sub.type_args = [names.get(a, a) for a in sub.type_args]
-    result.generic_params = []
-    return result
 
 
 def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,

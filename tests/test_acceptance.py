@@ -14,8 +14,8 @@ from maa.engine import (
     ABSENT,
     FirstDeclared,
     Seeded,
-    enabled,
     enumerate_ts,
+    lower,
     run_ed,
     run_ts,
     Event,
@@ -191,19 +191,19 @@ def test_criterion_5_property_suite(follow_model):
     while cycles_checked < 200:
         model, gmain = random_model(rng)
         rc = model.components[gmain]
-        auto = rc.ast.automata[0]
+        behaviour = lower(rc)
         trace = run_ts(model, gmain, random_stimulus(rng, 10), 10, FirstDeclared())
         _assert_single_messages(trace)
         for t in range(2, 10):
             pre = trace.records[t - 2].states[""]
             post = trace.records[t - 1].states[""]
             inputs = trace.records[t - 1].inputs
-            options = enabled(auto, pre, inputs)
+            options = behaviour.enabled(pre.state, inputs, pre.variables)
             if not options:
                 assert post.state == pre.state and post.variables == pre.variables
                 assert all(v is ABSENT for v in trace.records[t].outputs.values())
             else:
-                assigned = {a.resolved_target for a in (options[0].output or [])}
+                assigned = {a.resolved_target for a in options[0].assigns}
                 for name, value in pre.variables.items():
                     if name not in assigned:
                         assert post.variables[name] == value

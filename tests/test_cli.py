@@ -161,6 +161,16 @@ def test_sim_ts_enumerate_output(capsys, tmp_path):
     assert len(blocks) == 2
 
 
+def test_sim_ts_enumerate_long_run(capsys, tmp_path):
+    model = tmp_path / "loop.maa"
+    model.write_text("component C { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S / o = 1; } }", encoding="utf-8")
+    code, out, _ = run(capsys, "sim-ts", str(model), "--main", "C", "--cycles", "1500",
+                       "--enumerate")
+    assert code == 0
+    assert out.endswith("\n1500\t--\t1\tS\ntraces: 1\n")
+
+
 def test_sim_ts_composed_golden_file(capsys):
     code, out, _ = run(capsys, "sim-ts", *PIPELINE, "--main", "pipeline.Pipeline",
                        "--stimulus", str(MODELS / "pipeline" / "stimulus.tsv"),

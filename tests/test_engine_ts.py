@@ -1,4 +1,4 @@
-"""Time-synchronous engine: guards, matching, firing, runs, enumeration."""
+"""Time-synchronous engine: guards, matching, output blocks, runs, enumeration."""
 
 from __future__ import annotations
 
@@ -6,18 +6,17 @@ import pytest
 
 from maa.engine import (
     ABSENT,
-    ComponentState,
     EnumerationOverflow,
     EnumValue,
+    Event,
     FirstDeclared,
     Seeded,
     SetupError,
     SimulationError,
-    enabled,
+    apply_outputs,
     enumerate_ts,
-    eval_guard,
-    fire,
-    match_input,
+    lower,
+    run_ed,
     run_ts,
 )
 from maa.parser import parse_component_file
@@ -65,82 +64,117 @@ def follow(follow_model):
     return follow_model.components["robot.FollowTheLeaderOnline"]
 
 
+def enabled_in(rc, state, inputs):
+    """Transitions of rc's automaton enabled in ``state``, as AST nodes, by the
+    executable form's query; ports missing from ``inputs`` are absent."""
+    inputs = {port: ABSENT for port in rc.in_ports} | inputs
+    return [t.transition for t in lower(rc).enabled(state, inputs, {})]
+
+
+def is_enabled(rc, index, inputs):
+    """Whether transition ``index`` is enabled from its own source state."""
+    trans = rc.ast.automata[0].transitions[index]
+    return any(t is trans for t in enabled_in(rc, trans.source, inputs))
+
+
+def fire_first(rc, trans, inputs, variables):
+    """apply_outputs on each assignment's first alternative, as the
+    first-declared policy picks; out-ports not sent read absent."""
+    assigns = trans.output or []
+    sent, new_vars = apply_outputs(assigns, [a.alternatives[0] for a in assigns],
+                                   inputs, variables, rc.port_dir)
+    return {port: ABSENT for port in rc.out_ports} | dict(sent), new_vars
+
+
 # ---------------------------------------------------------------------------
-# eval_guard
+# guards
 # ---------------------------------------------------------------------------
 
 def test_guard_comparison_true(bump):
-    guard = bump.ast.automata[0].transitions[0].guard.expr
-    assert eval_guard(guard, {"distance": 3, "signal": ABSENT}, {}) is True
-    assert eval_guard(guard, {"distance": 7, "signal": ABSENT}, {}) is False
+    assert is_enabled(bump, 0, {"distance": 3, "signal": ABSENT}) is True
+    assert is_enabled(bump, 0, {"distance": 7, "signal": ABSENT}) is False
 
 
 def test_guard_absent_port_is_false(bump):
-    guard = bump.ast.automata[0].transitions[0].guard.expr
-    assert eval_guard(guard, {"distance": ABSENT, "signal": True}, {}) is False
+    assert is_enabled(bump, 0, {"distance": ABSENT, "signal": True}) is False
 
 
 def test_guard_string_conjunction():
     model = small_model(
         'component C { port in String cmd, out Integer o; automaton {'
         ' state S; initial S; S [cmd != "SAVE" && cmd != "SEND"] / o = 0; } }')
-    guard = model.components["C"].ast.automata[0].transitions[0].guard.expr
-    assert eval_guard(guard, {"cmd": "SAVE"}, {}) is False
-    assert eval_guard(guard, {"cmd": "OTHER"}, {}) is True
+    rc = model.components["C"]
+    assert is_enabled(rc, 0, {"cmd": "SAVE"}) is False
+    assert is_enabled(rc, 0, {"cmd": "OTHER"}) is True
 
 
 def test_guard_negation_of_absent_is_still_false():
     model = small_model(
         "component C { port in Integer a, out Integer o; automaton {"
         " state S; initial S; S [!(a < 5)] / o = 0; } }")
-    guard = model.components["C"].ast.automata[0].transitions[0].guard.expr
-    assert eval_guard(guard, {"a": ABSENT}, {}) is False
-    assert eval_guard(guard, {"a": 9}, {}) is True
+    rc = model.components["C"]
+    assert is_enabled(rc, 0, {"a": ABSENT}) is False
+    assert is_enabled(rc, 0, {"a": 9}) is True
+
+
+def test_lowering_shares_equal_port_sets():
+    model = small_model(
+        "component C { port in Integer a, in Integer b, out Integer o; automaton {"
+        " state S, T; initial S; S [a > 0] b = 1 / o = 1; T [a < 0] b = 2 / o = 2;"
+        " S [b > 0] / o = 3; } }")
+    rc = model.components["C"]
+    lowered = lower(rc)
+    first, third = lowered.by_state["S"]
+    (second,) = lowered.by_state["T"]
+    assert first.guard_ports == {"a"} and first.reads == {"a", "b"}
+    assert first.guard_ports is second.guard_ports
+    assert first.reads is second.reads
+    assert third.guard_ports is third.reads
 
 
 # ---------------------------------------------------------------------------
-# match_input / enabled
+# input blocks and the enabled query
 # ---------------------------------------------------------------------------
 
 def test_match_both_ports(follow):
-    trans = follow.ast.automata[0].transitions[0]  # inLane = true, dist = TOO_FAR
-    assert match_input(trans, {"inLane": True, "dist": dist("TOO_FAR")}, {}) is True
-    assert match_input(trans, {"inLane": True, "dist": ABSENT}, {}) is False
-    assert match_input(trans, {"inLane": False, "dist": dist("TOO_FAR")}, {}) is False
+    # transition 0: inLane = true, dist = TOO_FAR
+    assert is_enabled(follow, 0, {"inLane": True, "dist": dist("TOO_FAR")}) is True
+    assert is_enabled(follow, 0, {"inLane": True, "dist": ABSENT}) is False
+    assert is_enabled(follow, 0, {"inLane": False, "dist": dist("TOO_FAR")}) is False
 
 
 def test_empty_input_block_matches_everything(bump):
-    trans = bump.ast.automata[0].transitions[0]  # guard only
-    assert match_input(trans, {"distance": ABSENT, "signal": ABSENT}, {}) is True
+    assert bump.ast.automata[0].transitions[0].input is None  # guard only
+    # an absent signal constrains nothing when no input block reads it
+    assert is_enabled(bump, 0, {"distance": 3, "signal": ABSENT}) is True
 
 
 def test_absent_satisfies_only_nodata():
     model = small_model(
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S p = -- / o = 0; S p = 1 / o = 1; } }")
-    a = model.components["C"].ast.automata[0]
-    nodata_t, one_t = a.transitions
-    assert match_input(nodata_t, {"p": ABSENT}, {}) is True
-    assert match_input(nodata_t, {"p": 1}, {}) is False
-    assert match_input(one_t, {"p": ABSENT}, {}) is False
-    assert match_input(one_t, {"p": 1}, {}) is True
+    rc = model.components["C"]
+    nodata_t, one_t = 0, 1
+    assert is_enabled(rc, nodata_t, {"p": ABSENT}) is True
+    assert is_enabled(rc, nodata_t, {"p": 1}) is False
+    assert is_enabled(rc, one_t, {"p": ABSENT}) is False
+    assert is_enabled(rc, one_t, {"p": 1}) is True
 
 
 def test_nameref_alternative_compares_current_values():
     model = small_model(
         "component C { port in Integer a, in Integer b, out Integer o; automaton {"
         " state S; initial S; S a = b / o = 0; } }")
-    trans = model.components["C"].ast.automata[0].transitions[0]
-    assert match_input(trans, {"a": 4, "b": 4}, {}) is True
-    assert match_input(trans, {"a": 4, "b": 5}, {}) is False
+    rc = model.components["C"]
+    assert is_enabled(rc, 0, {"a": 4, "b": 4}) is True
+    assert is_enabled(rc, 0, {"a": 4, "b": 5}) is False
 
 
 def test_enabled_declaration_order(follow):
     auto = follow.ast.automata[0]
-    state = ComponentState("Following", {})
-    hits = enabled(auto, state, {"inLane": True, "dist": dist("TOO_FAR")})
+    hits = enabled_in(follow, "Following", {"inLane": True, "dist": dist("TOO_FAR")})
     assert hits == [auto.transitions[0]]
-    none = enabled(auto, state, {"inLane": True, "dist": ABSENT})
+    none = enabled_in(follow, "Following", {"inLane": True, "dist": ABSENT})
     assert none == []
 
 
@@ -148,20 +182,19 @@ def test_enabled_keeps_order_for_dual_loops():
     model = small_model(
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S / o = 1; S / o = 2; } }")
-    auto = model.components["C"].ast.automata[0]
-    hits = enabled(auto, ComponentState("S", {}), {"p": ABSENT})
+    rc = model.components["C"]
+    auto = rc.ast.automata[0]
+    hits = enabled_in(rc, "S", {"p": ABSENT})
     assert hits == auto.transitions
 
 
 # ---------------------------------------------------------------------------
-# fire
+# output blocks
 # ---------------------------------------------------------------------------
 
 def test_fire_bump_control_line_25(bump):
     trans = bump.ast.automata[0].transitions[2]  # Backing -> Rotating
-    outputs, new_vars = fire(trans, {"distance": ABSENT, "signal": True}, {},
-                             FirstDeclared(), out_ports=bump.out_ports,
-                             port_dir=bump.port_dir)
+    outputs, new_vars = fire_first(bump, trans, {"distance": ABSENT, "signal": True}, {})
     assert outputs["left"] == motor("FORWARD")
     assert outputs["cmd"] == EnumValue(TIMER, "SINGLE_DELAY")
     assert outputs["right"] is ABSENT
@@ -171,8 +204,7 @@ def test_fire_bump_control_line_25(bump):
 def test_fire_arbiter_forwards(arbiter_model):
     rc = arbiter_model.components["Arbiter"]
     trans = rc.ast.automata[0].transitions[0]  # mode = true / in1
-    outputs, _ = fire(trans, {"mode": True, "in1": 5, "in2": 7}, {},
-                      FirstDeclared(), out_ports=rc.out_ports, port_dir=rc.port_dir)
+    outputs, _ = fire_first(rc, trans, {"mode": True, "in1": 5, "in2": 7}, {})
     assert outputs == {"res": 5}
 
 
@@ -182,8 +214,7 @@ def test_fire_empty_output_block():
         " automaton { state S; initial S; S p = 1; } }")
     rc = model.components["C"]
     trans = rc.ast.automata[0].transitions[0]
-    outputs, new_vars = fire(trans, {"p": 1}, {"v": 3}, FirstDeclared(),
-                             out_ports=rc.out_ports, port_dir=rc.port_dir)
+    outputs, new_vars = fire_first(rc, trans, {"p": 1}, {"v": 3})
     assert outputs == {"o": ABSENT}
     assert new_vars == {"v": 3}
 
@@ -194,8 +225,7 @@ def test_fire_variable_preserved_and_prestate_reads():
         " automaton { state S; initial S; S / {v = 9, o = v}; } }")
     rc = model.components["C"]
     trans = rc.ast.automata[0].transitions[0]
-    outputs, new_vars = fire(trans, {"p": ABSENT}, {"v": 2}, FirstDeclared(),
-                             out_ports=rc.out_ports, port_dir=rc.port_dir)
+    outputs, new_vars = fire_first(rc, trans, {"p": ABSENT}, {"v": 2})
     assert outputs["o"] == 2  # right-hand sides read the pre-state
     assert new_vars == {"v": 9}
 
@@ -204,8 +234,35 @@ def test_fire_forwarding_absent_is_runtime_error(arbiter_model):
     rc = arbiter_model.components["Arbiter"]
     trans = rc.ast.automata[0].transitions[0]
     with pytest.raises(SimulationError, match="absent"):
-        fire(trans, {"mode": True, "in1": ABSENT, "in2": 7}, {},
-             FirstDeclared(), out_ports=rc.out_ports, port_dir=rc.port_dir)
+        fire_first(rc, trans, {"mode": True, "in1": ABSENT, "in2": 7}, {})
+
+
+# Unchecked models whose output blocks or declarations cannot run: both
+# profiles apply them through apply_outputs and fail with the same message.
+UNCHECKED = {
+    "absent-initial-output-to-variable": (
+        "component C { port in Integer p, out Integer o; Integer v; automaton {"
+        " state S; initial S / v = --; S p = 1 / o = v; } }",
+        "variable 'v' cannot take an absent value or sequence"),
+    "absent-variable-initializer": (
+        "component C { port in Integer p, out Integer o; Integer v = --; automaton {"
+        " state S; initial S; S p = 1 / o = v; } }",
+        "variable 'v' initialized to an absent value"),
+    "assignment-to-in-port": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S p = 1 / p = 2; } }",
+        "'p' is neither an out-port nor a variable"),
+}
+
+
+@pytest.mark.parametrize("text, message", UNCHECKED.values(), ids=list(UNCHECKED))
+def test_both_profiles_reject_unrunnable_outputs_alike(text, message):
+    model = small_model(text)
+    with pytest.raises(SimulationError) as under_ts:
+        run_ts(model, "C", [{"p": 1}], 2)
+    with pytest.raises(SimulationError) as under_ed:
+        run_ed(model, "C", [Event("p", 1)])
+    assert under_ts.value.message == under_ed.value.message == message
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +562,25 @@ def test_step_ts_direct_use(follow_model):
     chooser = _Chooser(FirstDeclared())
     state = _init_ts(plan, chooser)
     state, observed = step_ts(plan, state, {"inLane": True, "dist": ABSENT},
-                              FirstDeclared(), chooser, cycle=1)
+                              chooser, cycle=1)
     assert observed["cmd"] == rmotor("SLOW_FORWARD")  # the initial output
     state, observed = step_ts(plan, state, {"inLane": True, "dist": dist("TOO_FAR")},
-                              FirstDeclared(), chooser, cycle=2)
+                              chooser, cycle=2)
     assert observed["cmd"] is ABSENT  # cycle-1 inputs matched nothing
     _state, observed = step_ts(plan, state, {"inLane": True, "dist": ABSENT},
-                               FirstDeclared(), chooser, cycle=3)
+                               chooser, cycle=3)
     assert observed["cmd"] == rmotor("FAST_FORWARD")  # reaction to cycle 2
 
 
-def test_exhaustive_policy_rejected_outside_enumeration(follow_model):
-    from maa.engine import Exhaustive
-    with pytest.raises(SetupError, match="enumerate"):
-        run_ts(follow_model, "robot.FollowTheLeaderOnline", [], 1, Exhaustive(8))
+def test_enumerate_long_run_has_no_depth_limit():
+    # one choice-free loop: the search goes 1500 cycles deep for one trace
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S / o = 1; } }")
+    traces = enumerate_ts(model, "C", [], 1500, bound=1)
+    assert len(traces) == 1
+    assert len(traces[0].records) == 1500
+    assert traces[0].key() == run_ts(model, "C", [], 1500).key()
 
 
 def test_enumerate_bound_must_be_positive(follow_model):

@@ -7,10 +7,10 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maa.engine import ABSENT, FirstDeclared, enabled, run_ts
+from maa.engine import ABSENT, FirstDeclared, lower, run_ts
 from maa.parser import parse_component_file
 from maa.printer import format_expr, format_value, pretty_print
-from maa.resolution import BOOLEAN, INTEGER, STRING, infer_target, resolve, type_of
+from maa.resolution import BOOLEAN, INTEGER, STRING, infer_block_target, resolve, type_of
 from maa.syntax import (
     BoolLit,
     CompilationUnit,
@@ -112,7 +112,7 @@ def test_infer_target_consistent_with_type_of(term, types):
     env_unit = parse_component_file("component E { }", "env")
     model, _ = resolve([env_unit], [])
     env = model.components["E"]
-    result = infer_target(term, candidates, env, kinds)
+    result = infer_block_target([term], candidates, kinds, env)
     term_type = type_of(term, env)
     admitting = [name for name, t in candidates if t == term_type]
     if result.status == "ok":
@@ -171,14 +171,14 @@ def test_idle_completion_and_variable_preservation_random():
     for _ in range(12):
         model, main = random_model(rng)
         rc = model.components[main]
-        auto = rc.ast.automata[0]
+        behaviour = lower(rc)
         stim = random_stimulus(rng, 10)
         trace = run_ts(model, main, stim, 10, FirstDeclared())
         for t in range(2, 10):
             pre = trace.records[t - 2].states[""]
             post = trace.records[t - 1].states[""]
             inputs = trace.records[t - 1].inputs
-            options = enabled(auto, pre, inputs)
+            options = behaviour.enabled(pre.state, inputs, pre.variables)
             if not options:
                 assert post.state == pre.state
                 assert post.variables == pre.variables
@@ -186,7 +186,7 @@ def test_idle_completion_and_variable_preservation_random():
                 assert all(v is ABSENT for v in nxt.values())
             else:
                 fired = options[0]
-                assigned = {a.resolved_target for a in (fired.output or [])}
+                assigned = {a.resolved_target for a in fired.assigns}
                 for name, value in pre.variables.items():
                     if name not in assigned:
                         assert post.variables[name] == value

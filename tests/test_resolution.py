@@ -12,9 +12,8 @@ from maa.resolution import (
     NODATA_TYPE,
     ParamType,
     SeqType,
-    infer_target,
+    infer_block_target,
     resolve,
-    substitute_generics,
     type_of,
 )
 from maa.syntax import (
@@ -87,7 +86,7 @@ def test_infer_target_boolean_to_signal(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
     candidates = [(p, rc.port_type[p]) for p in rc.in_ports]
     kinds = {p: "in" for p in rc.in_ports}
-    result = infer_target(BoolLit(True, None), candidates, rc, kinds)
+    result = infer_block_target([BoolLit(True, None)], candidates, kinds, rc)
     assert (result.status, result.name) == ("ok", "signal")
 
 
@@ -97,15 +96,15 @@ def test_infer_target_ambiguous_integer():
     rc = model.components["ZeroBuffer"]
     candidates = [("input", INTEGER), ("buffer", INTEGER)]
     kinds = {"input": "in", "buffer": "var"}
-    result = infer_target(IntLit(1, None), candidates, rc, kinds)
+    result = infer_block_target([IntLit(1, None)], candidates, kinds, rc)
     assert result.status == "ambiguous"
     assert set(result.candidates) == {"input", "buffer"}
 
 
 def test_infer_target_no_match(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    result = infer_target(StringLit("x", None), [("distance", INTEGER)], rc,
-                          {"distance": "in"})
+    result = infer_block_target([StringLit("x", None)], [("distance", INTEGER)],
+                                {"distance": "in"}, rc)
     assert result.status == "none"
 
 
@@ -132,35 +131,6 @@ def test_match_inference_in_corpus(bump_model):
     assert transitions[2].input[0].resolved_target == "signal"
     # SINGLE_DELAY goes to the only TimerCmd out-port
     assert transitions[2].output[1].resolved_target == "cmd"
-
-
-def test_substitute_generics_all_ports(arbiter_model):
-    rc = arbiter_model.components["Arbiter"]
-    ct = substitute_generics(rc.ast, {"T": BOOLEAN})
-    assert ct.generic_params == []
-    by_name = {p.name: p.type_name for p in ct.ports}
-    assert by_name == {"mode": "Boolean", "in1": "Boolean", "in2": "Boolean",
-                       "res": "Boolean"}
-
-
-def test_substitute_generics_identity(arbiter_model):
-    rc = arbiter_model.components["Arbiter"]
-    plain = parse_model(MODELS / "reference" / "IntegerBuffer3.maa")
-    same = substitute_generics(plain.component, {})
-    assert same == plain.component
-
-
-def test_substitute_generics_enum(arbiter_model, bump_model):
-    rc = arbiter_model.components["Arbiter"]
-    ct = substitute_generics(rc.ast, {"T": EnumType("bumperbot.types.MotorCmd")})
-    assert ct.ports[1].type_name == "bumperbot.types.MotorCmd"
-
-
-def test_substitute_generics_idempotent(arbiter_model):
-    rc = arbiter_model.components["Arbiter"]
-    once = substitute_generics(rc.ast, {"T": INTEGER})
-    twice = substitute_generics(once, {"T": INTEGER})
-    assert once == twice
 
 
 def test_generic_instantiation_in_pipeline(pipeline_model):
