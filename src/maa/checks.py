@@ -20,17 +20,14 @@ from dataclasses import dataclass
 from .diagnostics import Diagnostic, sort_diagnostics
 from .printer import format_value
 from .resolution import (
-    EnumType,
     BOOLEAN,
     INTEGER,
     ResolvedComponent,
     ResolvedModel,
     SeqType,
     STRING,
-    assign_candidates,
+    binding_type,
     conforms,
-    infer_block_target,
-    match_candidates,
     type_of,
 )
 from .syntax import (
@@ -46,6 +43,7 @@ from .syntax import (
     NoData,
     SequenceValue,
     Transition,
+    expr_refs,
 )
 
 PROFILES = ("generic", "ts", "ed")
@@ -185,12 +183,12 @@ class _Checker:
                           f"cannot assign a sequence to variable '{var.name}'")
                 continue
             if isinstance(term, NameValue):
-                binding = term.binding
+                binding = self.rc.binding(term.name)
                 if binding is None:
                     self.emit("R2", term.loc, f"name '{term.name}' is undefined")
                     continue
                 if binding[0] == "ambiguous-enum":
-                    self._ambiguous_enum(term)
+                    self._ambiguous_enum(term, binding)
                     continue
                 if binding[0] in ("in", "out"):
                     self.emit("R3", term.loc,
@@ -227,37 +225,20 @@ class _Checker:
         for assign in trans.output or []:
             self.check_assignment(assign)
         if self.profile == "ed":
-            ports = self.ports_read(trans)
+            _, ports = self.rc.ports_read(trans)
             if len(ports) > 1:
                 names = ", ".join(sorted(ports))
                 self.emit("S2ED", trans.loc,
                           f"transition reads more than one port ({names})")
 
-    def ports_read(self, trans: Transition) -> set[str]:
-        ports: set[str] = set()
-        if trans.guard is not None:
-            for ref in _expr_refs(trans.guard.expr):
-                if ref.binding is not None and ref.binding[0] == "in":
-                    ports.add(ref.name)
-        for match in trans.input or []:
-            target = match.resolved_target
-            if target is not None and self.rc.port_dir.get(target) == "in":
-                ports.add(target)
-        return ports
-
     # -- input blocks ---------------------------------------------------------
 
     def check_match(self, match: Match) -> None:
         unresolved = self._report_value_names(match.alternatives)
-        if match.target is not None and match.resolved_target is None:
-            self.emit("R2", match.target_loc, f"name '{match.target}' is undefined")
+        target = self._target(match, unresolved)
+        if target is None:
             return
-        if match.target is None and match.resolved_target is None:
-            if not unresolved:
-                self._report_inference(match.alternatives, match.loc, is_input=True)
-            return
-        target = match.resolved_target
-        kind, declared = self.rc.lookup(target)
+        kind, declared = self.rc.binding(target)
         if kind == "out":
             self.emit("T6", match.target_loc or match.loc,
                       f"cannot receive from output port '{target}'")
@@ -285,18 +266,13 @@ class _Checker:
         if initial_output and self.profile == "ts":
             for alt in assign.alternatives:
                 for ref in _value_refs(alt):
-                    if ref.binding is not None and ref.binding[0] in ("in", "out"):
+                    if ref.name in self.rc.port_dir:
                         self.emit("S2TS", ref.loc,
                                   f"port '{ref.name}' must not be used in an initial output")
-        if assign.target is not None and assign.resolved_target is None:
-            self.emit("R2", assign.target_loc, f"name '{assign.target}' is undefined")
+        target = self._target(assign, unresolved)
+        if target is None:
             return
-        if assign.target is None and assign.resolved_target is None:
-            if not unresolved:
-                self._report_inference(assign.alternatives, assign.loc, is_input=False)
-            return
-        target = assign.resolved_target
-        kind, declared = self.rc.lookup(target)
+        kind, declared = self.rc.binding(target)
         if kind == "in":
             self.emit("T6", assign.target_loc or assign.loc,
                       f"cannot send to input port '{target}'")
@@ -323,7 +299,7 @@ class _Checker:
     def _check_single_value(self, term, kind: str, declared, target: str,
                             input_side: bool) -> None:
         if isinstance(term, NameValue):
-            binding = term.binding
+            binding = self.rc.binding(term.name)
             if binding is None or binding[0] == "ambiguous-enum":
                 return  # reported by the name walk
             if binding[0] == "out":
@@ -350,45 +326,53 @@ class _Checker:
         found = False
         for alt in alternatives:
             for ref in _value_refs(alt):
-                if ref.binding is None:
+                binding = self.rc.binding(ref.name)
+                if binding is None:
                     self.emit("R2", ref.loc, f"name '{ref.name}' is undefined")
                     found = True
-                elif ref.binding[0] == "ambiguous-enum":
-                    self._ambiguous_enum(ref)
+                elif binding[0] == "ambiguous-enum":
+                    self._ambiguous_enum(ref, binding)
                     found = True
         return found
 
-    def _ambiguous_enum(self, ref) -> None:
-        enums = ", ".join(sorted(e.qname for e in ref.binding[1]))
+    def _ambiguous_enum(self, ref, binding) -> None:
+        enums = ", ".join(sorted(e.qname for e in binding[1]))
         self.emit("R0", ref.loc, f"enum literal '{ref.name}' is ambiguous ({enums})")
 
-    def _report_inference(self, alternatives, loc, is_input: bool) -> None:
-        if is_input:
-            cands, kinds = match_candidates(self.rc)
-        else:
-            cands, kinds = assign_candidates(self.rc)
-        result = infer_block_target(alternatives, cands, kinds, self.rc)
-        side = "input" if is_input else "output"
-        if result.status == "ambiguous":
-            names = ", ".join(result.candidates)
-            self.emit("T1", loc,
-                      f"{side} value matches more than one port or variable ({names}); "
-                      "name the intended target")
-        else:
-            self.emit("T1", loc, f"no port or variable of a matching type admits this {side} value")
+    def _target(self, entry, unresolved: bool):
+        """The entry's target; None after reporting why it has none.
+
+        An unnamed entry whose values hold unresolved names has already been
+        reported by the name walk.
+        """
+        result = self.rc.target(entry)
+        side = "input" if isinstance(entry, Match) else "output"
+        if result.name is None and entry.target is not None:
+            self.emit("R2", entry.target_loc, f"name '{entry.target}' is undefined")
+        elif result.name is None and not unresolved:
+            if result.status == "ambiguous":
+                names = ", ".join(result.candidates)
+                self.emit("T1", entry.loc,
+                          f"{side} value matches more than one port or variable ({names}); "
+                          "name the intended target")
+            else:
+                self.emit("T1", entry.loc,
+                          f"no port or variable of a matching type admits this {side} value")
+        return result.name
 
     # -- guards -------------------------------------------------------------
 
     def check_guard(self, guard) -> None:
         clean = True
-        for ref in _expr_refs(guard.expr):
-            if ref.binding is None:
+        for ref in expr_refs(guard.expr):
+            binding = self.rc.binding(ref.name)
+            if binding is None:
                 self.emit("R2", ref.loc, f"name '{ref.name}' is undefined")
                 clean = False
-            elif ref.binding[0] == "ambiguous-enum":
-                self._ambiguous_enum(ref)
+            elif binding[0] == "ambiguous-enum":
+                self._ambiguous_enum(ref, binding)
                 clean = False
-            elif ref.binding[0] == "out":
+            elif binding[0] == "out":
                 self.emit("T6", ref.loc,
                           f"cannot read output port '{ref.name}' in a guard")
                 clean = False
@@ -406,12 +390,7 @@ class _Checker:
                 return INTEGER
             return STRING
         if isinstance(expr, ERef):
-            binding = expr.binding
-            if binding is None or binding[0] == "ambiguous-enum":
-                return None
-            if binding[0] == "enum":
-                return EnumType(binding[1].qname)
-            return binding[1]
+            return binding_type(self.rc.binding(expr.name))
         if isinstance(expr, EUnary):
             t = self._expr_type(expr.operand)
             if t is None:
@@ -463,13 +442,3 @@ def _value_refs(term):
     elif isinstance(term, SequenceValue):
         for element in term.elements:
             yield from _value_refs(element)
-
-
-def _expr_refs(expr: Expr):
-    if isinstance(expr, ERef):
-        yield expr
-    elif isinstance(expr, EUnary):
-        yield from _expr_refs(expr.operand)
-    elif isinstance(expr, EBinary):
-        yield from _expr_refs(expr.left)
-        yield from _expr_refs(expr.right)

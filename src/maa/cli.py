@@ -25,7 +25,6 @@ from .engine import (
     SimulationError,
     Slot,
     Trace,
-    build_plan,
     enumerate_ts,
     format_value,
     run_ed,
@@ -283,24 +282,26 @@ def _cmd_sim_ts(args) -> int:
     if args.cycles < 1:
         raise _UsageError("--cycles must be at least 1")
 
-    paths = [inst.path for inst in build_plan(model, main).instances]
+    enumerate_all = args.enumerate_all or args.policy == "enumerate"
     try:
-        if args.enumerate_all or args.policy == "enumerate":
+        if enumerate_all:
             traces = enumerate_ts(model, main, stimulus, args.cycles, args.bound)
-            blocks = ["\n".join(_trace_lines(trace, paths, rc.in_ports, rc.out_ports))
-                      for trace in traces]
-            print("\n\n".join(blocks))
-            print(f"traces: {len(traces)}")
-            return EXIT_OK
-        trace = run_ts(model, main, stimulus, args.cycles, _policy_from(args))
-        print("\n".join(_trace_lines(trace, paths, rc.in_ports, rc.out_ports)))
-        return EXIT_OK
+        else:
+            traces = [run_ts(model, main, stimulus, args.cycles, _policy_from(args))]
     except EnumerationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except SimulationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    # every record's states are keyed by instance path, in plan order
+    paths = list(traces[0].records[0].states)
+    blocks = ["\n".join(_trace_lines(trace, paths, rc.in_ports, rc.out_ports))
+              for trace in traces]
+    print("\n\n".join(blocks))
+    if enumerate_all:
+        print(f"traces: {len(traces)}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

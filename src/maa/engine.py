@@ -10,11 +10,13 @@ Event-driven runs consume one scripted event at a time, run-to-completion: the
 matching transition may emit finite sequences of events per output port.
 
 Both engines and the enumerator run one executable form of each automaton,
-built once per plan or machine by :func:`lower`: its transitions grouped by
-source state in declaration order, each with the in-ports its guard reads and
-the in-ports it reads overall.  :meth:`LoweredAutomaton.enabled` is the one
-query for enabled transitions, and :func:`apply_outputs` evaluates every
-output block, initial or not, under either profile.
+built once per plan or machine by :func:`lower`, the only place the engine
+asks resolution what a name denotes: its transitions grouped by source state
+in declaration order, each with the in-ports its guard reads, the in-ports it
+reads overall, and the port or variable each entry targets; and the bare names
+that denote enum literals.  :meth:`LoweredAutomaton.enabled` is the one query
+for enabled transitions, and :meth:`LoweredAutomaton.apply_outputs` evaluates
+every output block, initial or not, under either profile.
 
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
@@ -27,8 +29,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
+from .diagnostics import SourceLoc
 from .resolution import (
     BOOLEAN,
     EnumType,
@@ -40,7 +43,6 @@ from .resolution import (
     substitute_type,
 )
 from .syntax import (
-    Assignment,
     Automaton,
     BoolLit,
     EBinary,
@@ -48,9 +50,7 @@ from .syntax import (
     ERef,
     EUnary,
     Expr,
-    InitialDecl,
     IntLit,
-    Match,
     NameValue,
     NoData,
     SequenceValue,
@@ -176,7 +176,9 @@ class ComponentState:
         return ComponentState(self.state, dict(self.variables))
 
     def freeze(self) -> tuple:
-        return (self.state, tuple(sorted(self.variables.items(), key=lambda kv: kv[0])))
+        return (self.state, tuple(sorted(
+            (k, (v.enum, v.literal) if isinstance(v, EnumValue) else v)
+            for k, v in self.variables.items())))
 
 
 @dataclass
@@ -195,8 +197,9 @@ class CycleRecord:
         )
 
 
-def _freeze_slot(v: Slot):
-    return "--" if v is ABSENT else (type(v).__name__, str(v))
+def _freeze_slot(v: Slot) -> tuple:
+    """Sortable form of a slot; absence sorts before every value."""
+    return () if v is ABSENT else (type(v).__name__, str(v))
 
 
 @dataclass
@@ -234,8 +237,12 @@ class EventTrace:
 # Term evaluation
 # ---------------------------------------------------------------------------
 
-def _term_value(term: ValueTerm, inputs: dict[str, Slot], variables: dict[str, Value]) -> Slot:
-    """Value denoted by a single (non-sequence) term in the current context."""
+def _term_value(term: ValueTerm, inputs: dict[str, Slot], variables: dict[str, Value],
+                enums: dict[str, EnumValue]) -> Slot:
+    """Value denoted by a single (non-sequence) term in the current context.
+
+    ``enums`` maps the bare names that denote enum literals to their values.
+    """
     if isinstance(term, IntLit):
         return term.value
     if isinstance(term, BoolLit):
@@ -245,9 +252,8 @@ def _term_value(term: ValueTerm, inputs: dict[str, Slot], variables: dict[str, V
     if isinstance(term, NoData):
         return ABSENT
     if isinstance(term, NameValue):
-        binding = term.binding
-        if binding is not None and binding[0] == "enum":
-            return EnumValue(binding[1].qname, term.name)
+        if term.name in enums:
+            return enums[term.name]
         if term.name in inputs:
             return inputs[term.name]
         if term.name in variables:
@@ -256,28 +262,27 @@ def _term_value(term: ValueTerm, inputs: dict[str, Slot], variables: dict[str, V
     raise SimulationError(f"cannot evaluate {term!r} as a single value")
 
 
-def _eval_expr(expr: Expr, inputs, variables):
+def _eval_expr(expr: Expr, inputs, variables, enums):
     if isinstance(expr, ELit):
         return expr.value
     if isinstance(expr, ERef):
-        binding = expr.binding
-        if binding is not None and binding[0] == "enum":
-            return EnumValue(binding[1].qname, expr.name)
+        if expr.name in enums:
+            return enums[expr.name]
         if expr.name in inputs:
             return inputs[expr.name]
         if expr.name in variables:
             return variables[expr.name]
         raise SimulationError(f"unresolved name '{expr.name}' in guard")
     if isinstance(expr, EUnary):
-        v = _eval_expr(expr.operand, inputs, variables)
+        v = _eval_expr(expr.operand, inputs, variables, enums)
         return (not v) if expr.op == "!" else -v
     if isinstance(expr, EBinary):
-        left = _eval_expr(expr.left, inputs, variables)
+        left = _eval_expr(expr.left, inputs, variables, enums)
         if expr.op == "&&":
-            return bool(left) and bool(_eval_expr(expr.right, inputs, variables))
+            return bool(left) and bool(_eval_expr(expr.right, inputs, variables, enums))
         if expr.op == "||":
-            return bool(left) or bool(_eval_expr(expr.right, inputs, variables))
-        right = _eval_expr(expr.right, inputs, variables)
+            return bool(left) or bool(_eval_expr(expr.right, inputs, variables, enums))
+        right = _eval_expr(expr.right, inputs, variables, enums)
         if expr.op == "==":
             return values_equal(left, right)
         if expr.op == "!=":
@@ -299,23 +304,32 @@ def _eval_expr(expr: Expr, inputs, variables):
     raise SimulationError(f"cannot evaluate expression {expr!r}")
 
 
-def _expr_refs(expr: Expr):
-    if isinstance(expr, ERef):
-        if expr.binding is None or expr.binding[0] != "enum":
-            yield expr
-    elif isinstance(expr, EUnary):
-        yield from _expr_refs(expr.operand)
-    elif isinstance(expr, EBinary):
-        yield from _expr_refs(expr.left)
-        yield from _expr_refs(expr.right)
-
-
 # ---------------------------------------------------------------------------
 # Executable form of an automaton
 # ---------------------------------------------------------------------------
 
+class LoweredEntry:
+    """An input- or output-block entry with the port or variable it targets,
+    None when it has none (``check`` reports that)."""
+
+    __slots__ = ("target", "alternatives", "loc")
+
+    def __init__(self, target: Optional[str], alternatives: list[ValueTerm], loc: SourceLoc):
+        self.target = target
+        self.alternatives = alternatives
+        self.loc = loc
+
+
+class LoweredInitial(NamedTuple):
+    """An initial declaration with its output block lowered."""
+
+    state: str
+    assigns: list[LoweredEntry]
+
+
 class LoweredTransition:
-    """A transition with the in-ports it reads computed once.
+    """A transition with the in-ports it reads and its entries' targets
+    computed once.
 
     ``guard_ports`` are the in-ports its guard reads: the guard is false while
     any of them is absent.  ``reads`` adds the in-ports its input block
@@ -327,14 +341,15 @@ class LoweredTransition:
                  "matches", "assigns")
 
     def __init__(self, transition: Transition, guard_ports: frozenset[str],
-                 reads: frozenset[str]):
+                 reads: frozenset[str], matches: list[LoweredEntry],
+                 assigns: list[LoweredEntry]):
         self.transition = transition
         self.target = transition.target
         self.guard = transition.guard.expr if transition.guard is not None else None
         self.guard_ports = guard_ports
         self.reads = reads
-        self.matches: list[Match] = transition.input or []
-        self.assigns: list[Assignment] = transition.output or []
+        self.matches = matches
+        self.assigns = assigns
 
 
 @dataclass
@@ -342,32 +357,78 @@ class LoweredAutomaton:
     """The executable form of an automaton; :func:`lower` builds it."""
 
     start: Optional[str]  # first declared state, entered when no initial is declared
-    initials: list[InitialDecl]
+    initials: list[LoweredInitial]
     by_state: dict[str, list[LoweredTransition]]
+    enums: dict[str, EnumValue]  # bare name -> the enum literal it denotes
+    port_dir: dict[str, str]
 
     def enabled(self, state: Optional[str], inputs: dict[str, Slot],
-                variables: dict[str, Value],
-                event_port: Optional[str] = None) -> list[LoweredTransition]:
+                variables: dict[str, Value], event_port: Optional[str] = None,
+                cycle: Optional[int] = None) -> list[LoweredTransition]:
         """Enabled transitions out of ``state``, in declaration order.
 
         ``inputs`` holds every in-port.  With ``event_port``, only transitions
-        that read exactly that port qualify (the event-driven profile).
+        that read exactly that port qualify (the event-driven profile).  A
+        guard or input block that cannot be evaluated raises
+        :class:`SimulationError`, naming ``cycle`` when given.
         """
         result = []
-        for t in self.by_state.get(state, ()):
-            if event_port is not None and (len(t.reads) != 1 or event_port not in t.reads):
-                continue
-            if t.guard is not None:
-                if any(inputs[port] is ABSENT for port in t.guard_ports):
+        try:
+            for t in self.by_state.get(state, ()):
+                if event_port is not None and (len(t.reads) != 1 or event_port not in t.reads):
                     continue
-                holds = _eval_expr(t.guard, inputs, variables)
-                if not isinstance(holds, bool):
-                    raise SimulationError("guard did not evaluate to a Boolean")
-                if not holds:
-                    continue
-            if all(_match_satisfied(m, inputs, variables) for m in t.matches):
-                result.append(t)
+                if t.guard is not None:
+                    if any(inputs[port] is ABSENT for port in t.guard_ports):
+                        continue
+                    try:
+                        holds = _eval_expr(t.guard, inputs, variables, self.enums)
+                    except TypeError as exc:
+                        raise SimulationError(f"guard cannot be evaluated: {exc}") from None
+                    if not isinstance(holds, bool):
+                        raise SimulationError("guard did not evaluate to a Boolean")
+                    if not holds:
+                        continue
+                if all(_match_satisfied(m, inputs, variables, self.enums) for m in t.matches):
+                    result.append(t)
+        except SimulationError as exc:
+            raise SimulationError(exc.message, cycle) from None
         return result
+
+    def apply_outputs(self, assigns: list[LoweredEntry], picks: list[ValueTerm],
+                      inputs: dict[str, Slot],
+                      variables: dict[str, Value]) -> tuple[list[tuple[str, object]], dict[str, Value]]:
+        """Evaluate an output block with one picked alternative per assignment.
+
+        Returns the (out-port, value) pairs sent, in assignment order, and the
+        variables afterwards.  A value is a message, ABSENT for ``--``, or a
+        list for a sequence.  Every right-hand side reads the pre-state;
+        variables not assigned keep their values.  Forwarding an absent
+        message, giving a variable ``--`` or a sequence, and assigning to
+        anything but an out-port or a variable are runtime errors.
+        """
+        outputs: list[tuple[str, object]] = []
+        new_vars = dict(variables)
+        for assign, pick in zip(assigns, picks):
+            target = assign.target
+            if target is None:
+                raise SimulationError(f"output target could not be resolved at {assign.loc}")
+            if isinstance(pick, SequenceValue):
+                value: object = [_forwarded(e, inputs, variables, self.enums)
+                                 for e in pick.elements]
+            elif isinstance(pick, NoData):
+                value = ABSENT
+            else:
+                value = _forwarded(pick, inputs, variables, self.enums)
+            if self.port_dir.get(target) == "out":
+                outputs.append((target, value))
+            elif target in variables:
+                if value is ABSENT or isinstance(value, list):
+                    raise SimulationError(
+                        f"variable '{target}' cannot take an absent value or sequence")
+                new_vars[target] = value
+            else:
+                raise SimulationError(f"'{target}' is neither an out-port nor a variable")
+        return outputs, new_vars
 
 
 def lower(rc: ResolvedComponent) -> LoweredAutomaton:
@@ -377,29 +438,30 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     Transitions that read equal port sets share one set object.
     """
     automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [])
-    in_ports = set(rc.in_ports)
     shared: dict[frozenset[str], frozenset[str]] = {}
 
     def share(ports: set[str]) -> frozenset[str]:
         frozen = frozenset(ports)
         return shared.setdefault(frozen, frozen)
 
+    def entries(block) -> list[LoweredEntry]:
+        return [LoweredEntry(rc.target(e).name, e.alternatives, e.loc) for e in block or []]
+
     by_state: dict[str, list[LoweredTransition]] = {}
     for t in automaton.transitions:
-        guard_ports = set()
-        if t.guard is not None:
-            guard_ports = {ref.name for ref in _expr_refs(t.guard.expr) if ref.name in in_ports}
-        reads = guard_ports | {m.resolved_target for m in t.input or []
-                               if m.resolved_target in in_ports}
-        by_state.setdefault(t.source, []).append(
-            LoweredTransition(t, share(guard_ports), share(reads)))
+        guard_ports, reads = rc.ports_read(t)
+        by_state.setdefault(t.source, []).append(LoweredTransition(
+            t, share(guard_ports), share(reads), entries(t.input), entries(t.output)))
+    initials = [LoweredInitial(i.state, entries(i.output)) for i in automaton.initials]
+    enums = {name: EnumValue(infos[0].qname, name) for name, infos in rc.literal_index.items()
+             if rc.binding(name)[0] == "enum"}
     start = automaton.states[0].name if automaton.states else None
-    return LoweredAutomaton(start, automaton.initials, by_state)
+    return LoweredAutomaton(start, initials, by_state, enums, rc.port_dir)
 
 
-def _match_satisfied(match: Match, inputs, variables) -> bool:
+def _match_satisfied(match: LoweredEntry, inputs, variables, enums) -> bool:
     """Whether one input-block entry holds; an absent port satisfies only ``--``."""
-    target = match.resolved_target
+    target = match.target
     if target is None:
         raise SimulationError(f"input target could not be resolved at {match.loc}")
     if target in inputs:
@@ -411,49 +473,13 @@ def _match_satisfied(match: Match, inputs, variables) -> bool:
     for alt in match.alternatives:
         if isinstance(alt, SequenceValue):
             continue  # a sequence never matches a single message
-        if values_equal(current, _term_value(alt, inputs, variables)):
+        if values_equal(current, _term_value(alt, inputs, variables, enums)):
             return True
     return False
 
 
-def apply_outputs(assigns: list[Assignment], picks: list[ValueTerm],
-                  inputs: dict[str, Slot], variables: dict[str, Value],
-                  port_dir: dict[str, str]) -> tuple[list[tuple[str, object]], dict[str, Value]]:
-    """Evaluate an output block with one picked alternative per assignment.
-
-    Returns the (out-port, value) pairs sent, in assignment order, and the
-    variables afterwards.  A value is a message, ABSENT for ``--``, or a list
-    for a sequence.  Every right-hand side reads the pre-state; variables not
-    assigned keep their values.  Forwarding an absent message, giving a
-    variable ``--`` or a sequence, and assigning to anything but an out-port or
-    a variable are runtime errors.
-    """
-    outputs: list[tuple[str, object]] = []
-    new_vars = dict(variables)
-    for assign, pick in zip(assigns, picks):
-        target = assign.resolved_target
-        if target is None:
-            raise SimulationError(f"output target could not be resolved at {assign.loc}")
-        if isinstance(pick, SequenceValue):
-            value: object = [_forwarded(e, inputs, variables) for e in pick.elements]
-        elif isinstance(pick, NoData):
-            value = ABSENT
-        else:
-            value = _forwarded(pick, inputs, variables)
-        if port_dir.get(target) == "out":
-            outputs.append((target, value))
-        elif target in variables:
-            if value is ABSENT or isinstance(value, list):
-                raise SimulationError(
-                    f"variable '{target}' cannot take an absent value or sequence")
-            new_vars[target] = value
-        else:
-            raise SimulationError(f"'{target}' is neither an out-port nor a variable")
-    return outputs, new_vars
-
-
-def _forwarded(term: ValueTerm, inputs, variables) -> Value:
-    value = _term_value(term, inputs, variables)
+def _forwarded(term: ValueTerm, inputs, variables, enums) -> Value:
+    value = _term_value(term, inputs, variables, enums)
     if value is ABSENT:
         name = term.name if isinstance(term, NameValue) else "--"
         raise SimulationError(f"forwarding absent message from port '{name}'")
@@ -594,16 +620,16 @@ def _pick_initial(inst: AtomicInstance, chooser: _Chooser) -> tuple:
     if not inst.behaviour.initials:
         return None, []
     initial = chooser.pick(inst.behaviour.initials)
-    return initial, [chooser.pick(a.alternatives) for a in initial.output or []]
+    return initial, [chooser.pick(a.alternatives) for a in initial.assigns]
 
 
-def _start(inst: AtomicInstance, model: ResolvedModel, initial: Optional[InitialDecl],
+def _start(inst: AtomicInstance, model: ResolvedModel, initial: Optional[LoweredInitial],
            picks) -> tuple[ComponentState, list[tuple[str, object]]]:
     """State and initial outputs after one chosen initial declaration."""
     variables: dict[str, Value] = {}
     for var in inst.rc.ast.variables:
         if var.initial is not None:
-            value = _term_value(var.initial, {}, variables)
+            value = _term_value(var.initial, {}, variables, inst.behaviour.enums)
             if value is ABSENT:
                 raise SimulationError(f"variable '{var.name}' initialized to an absent value")
             variables[var.name] = value
@@ -615,8 +641,8 @@ def _start(inst: AtomicInstance, model: ResolvedModel, initial: Optional[Initial
         # declared state with no initial output
         return ComponentState(inst.behaviour.start, variables), []
     inputs = {port: ABSENT for port in inst.rc.in_ports}
-    outputs, variables = apply_outputs(initial.output or [], picks, inputs, variables,
-                                       inst.rc.port_dir)
+    outputs, variables = inst.behaviour.apply_outputs(initial.assigns, picks, inputs,
+                                                      variables)
     return ComponentState(initial.state, variables), outputs
 
 
@@ -644,7 +670,7 @@ def _pending(inst: AtomicInstance, outputs: list[tuple[str, object]],
     return pending
 
 
-def _start_ts(inst: AtomicInstance, model: ResolvedModel, initial: Optional[InitialDecl],
+def _start_ts(inst: AtomicInstance, model: ResolvedModel, initial: Optional[LoweredInitial],
               picks) -> tuple[ComponentState, dict[str, Slot]]:
     cs, outputs = _start(inst, model, initial, picks)
     return cs, _pending(inst, outputs, None)
@@ -689,8 +715,8 @@ def _fire_ts(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot],
              chosen: LoweredTransition, picks, cycle: Optional[int]):
     """Successor state and pending outputs of one instance firing ``chosen``."""
     try:
-        outputs, variables = apply_outputs(chosen.assigns, picks, inputs, cs.variables,
-                                           inst.rc.port_dir)
+        outputs, variables = inst.behaviour.apply_outputs(chosen.assigns, picks, inputs,
+                                                          cs.variables)
     except SimulationError as exc:
         raise SimulationError(exc.message, cycle) from None
     return ComponentState(chosen.target, variables), _pending(inst, outputs, cycle)
@@ -710,7 +736,7 @@ def step_ts(plan: SystemPlan, state: TSState, external: dict[str, Slot],
     for inst in plan.instances:
         cs = state.components[inst.path]
         inputs = _instance_inputs(plan, state, inst, external)
-        options = inst.behaviour.enabled(cs.state, inputs, cs.variables)
+        options = inst.behaviour.enabled(cs.state, inputs, cs.variables, cycle=cycle)
         if options:
             chosen = chooser.pick(options)
             picks = [chooser.pick(a.alternatives) for a in chosen.assigns]
@@ -760,7 +786,7 @@ def run_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
 # Exhaustive enumeration (oracle)
 # ---------------------------------------------------------------------------
 
-def _all_picks(assigns: list[Assignment]):
+def _all_picks(assigns: list[LoweredEntry]):
     """Every selection of one alternative per assignment."""
     return itertools.product(*(a.alternatives for a in assigns))
 
@@ -783,7 +809,7 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
 
     def successors(inst: AtomicInstance, cs: ComponentState,
                    inputs: dict[str, Slot], cycle: int) -> list:
-        options = inst.behaviour.enabled(cs.state, inputs, cs.variables)
+        options = inst.behaviour.enabled(cs.state, inputs, cs.variables, cycle=cycle)
         if not options:
             return [_idle(inst, cs)]
         return [_fire_ts(inst, cs, inputs, chosen, picks, cycle)
@@ -794,7 +820,7 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
         if inst.behaviour.initials:
             per_instance.append([_start_ts(inst, plan.model, initial, picks)
                                  for initial in inst.behaviour.initials
-                                 for picks in _all_picks(initial.output or [])])
+                                 for picks in _all_picks(initial.assigns)])
         else:
             per_instance.append([_start_ts(inst, plan.model, None, ())])
 
@@ -880,13 +906,13 @@ class EventMachine:
             raise SetupError(f"'{event.port}' is not an in-port of '{self.rc.qname}'")
         inputs = dict(self._silent)
         inputs[event.port] = event.value
-        options = self.instance.behaviour.enabled(cs.state, inputs, cs.variables, event.port)
+        behaviour = self.instance.behaviour
+        options = behaviour.enabled(cs.state, inputs, cs.variables, event.port)
         if not options:
             return cs.copy(), []
         chosen = self.chooser.pick(options)
         picks = [self.chooser.pick(a.alternatives) for a in chosen.assigns]
-        outputs, variables = apply_outputs(chosen.assigns, picks, inputs, cs.variables,
-                                           self.rc.port_dir)
+        outputs, variables = behaviour.apply_outputs(chosen.assigns, picks, inputs, cs.variables)
         return ComponentState(chosen.target, variables), _emissions(outputs)
 
 

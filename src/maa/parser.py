@@ -48,6 +48,11 @@ from .syntax import (
 
 GUARD_KINDS = ("ocl", "java")
 
+# Parentheses and unary operators nested deeper than this in one expression
+# are a syntax error, so that no input exhausts the recursion of the parser
+# or of the tree walks after it.
+MAX_NESTING = 64
+
 
 class ParseError(Exception):
     def __init__(self, loc: SourceLoc, message: str):
@@ -79,6 +84,7 @@ class _Parser:
         self._toks = tokens
         self._pos = 0
         self._origin = origin
+        self._nesting = 0
 
     # -- token helpers ------------------------------------------------------
 
@@ -538,21 +544,28 @@ class _Parser:
             left = EBinary("*", left, self._unary_expr(), loc)
         return left
 
+    def _nest(self, tok: Token) -> None:
+        """Enter one level of nesting at ``tok``; the caller leaves it."""
+        if self._nesting == MAX_NESTING:
+            raise ParseError(tok.loc, f"expression nested more than {MAX_NESTING} levels deep")
+        self._nesting += 1
+
     def _unary_expr(self) -> Expr:
-        if self._at("!"):
-            loc = self._next().loc
-            return EUnary("!", self._unary_expr(), loc)
-        if self._at("-") and self._peek(1).kind != "INT":
-            loc = self._next().loc
-            return EUnary("-", self._unary_expr(), loc)
+        if self._at("!") or (self._at("-") and self._peek(1).kind != "INT"):
+            tok = self._next()
+            self._nest(tok)
+            expr = EUnary(tok.text, self._unary_expr(), tok.loc)
+            self._nesting -= 1
+            return expr
         return self._primary_expr()
 
     def _primary_expr(self) -> Expr:
         tok = self._peek()
         if self._at("("):
-            self._next()
+            self._nest(self._next())
             expr = self._expr()
             self._expect(")")
+            self._nesting -= 1
             return expr
         if tok.kind == "INT":
             self._next()

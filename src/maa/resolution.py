@@ -1,11 +1,14 @@
 """Name and type resolution across compilation units.
 
 Builds the symbol table (components and enums by qualified name), resolves
-imports, binds every bare name inside automata to a port, variable, or enum
-literal, performs type-based target inference for unnamed matches and
-assignments, and substitutes generic type parameters.
+imports, types every port and variable, and substitutes generic type
+parameters.  The parsed tree is only read: a :class:`ResolvedComponent`
+answers on demand what a bare name denotes (:meth:`~ResolvedComponent.binding`)
+and which port or variable an input or output entry targets, named or
+inferred from its type (:meth:`~ResolvedComponent.target`).  So one parsed
+unit can be resolved into any number of models.
 
-Resolution is total: unresolved names are annotated as such and reported later
+Resolution is total: unresolved names bind to nothing and are reported later
 by the well-formedness rules (R2 family); only structural failures that have no
 rule of their own (dangling imports, unknown types, bad wiring) are reported
 here under the code ``R0``.
@@ -14,27 +17,24 @@ here under the code ``R0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .diagnostics import Diagnostic, SourceLoc
 from .syntax import (
     Assignment,
-    Automaton,
     BoolLit,
     CompilationUnit,
     ComponentType,
-    ERef,
-    EBinary,
-    EUnary,
-    Expr,
     IntLit,
     Match,
     NameValue,
     NoData,
     SequenceValue,
     StringLit,
+    Transition,
     TypeDeclUnit,
     ValueTerm,
+    expr_refs,
 )
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,8 @@ class ResolvedSub:
 
 @dataclass
 class ResolvedComponent:
-    """One component with every name bound and every declaration typed."""
+    """One component with every declaration typed, and the one place that
+    answers what its names denote."""
 
     unit: CompilationUnit
     ast: ComponentType
@@ -137,13 +138,59 @@ class ResolvedComponent:
     def out_ports(self) -> list[str]:
         return [p.name for p in self.ast.ports if p.direction == "out"]
 
-    def lookup(self, name: str):
-        """Binding for a declared port or variable: ("in"|"out"|"var", type)."""
+    def binding(self, name: str):
+        """What a bare name denotes in this component.
+
+        ("in"|"out"|"var", type) for a declared port or variable, ("enum",
+        EnumInfo) for the literal of one visible enum, ("ambiguous-enum",
+        [EnumInfo, ...]) for a literal of several, or None.  Ports and
+        variables shadow enum literals.
+        """
         if name in self.port_dir:
             return (self.port_dir[name], self.port_type.get(name))
         if name in self.var_type:
             return ("var", self.var_type[name])
+        enums = self.literal_index.get(name, [])
+        if len(enums) == 1:
+            return ("enum", enums[0])
+        if enums:
+            return ("ambiguous-enum", enums)
         return None
+
+    def target(self, entry: Union[Match, Assignment]) -> Inference:
+        """The port or variable an input (Match) or output (Assignment) entry targets.
+
+        A named entry targets its name if a port or variable is declared so.
+        An unnamed one targets the only in-port (out-port for an output) or
+        variable that admits every alternative.
+        """
+        if entry.target is not None:
+            if entry.target in self.port_dir or entry.target in self.var_type:
+                return Inference("ok", entry.target, (entry.target,))
+            return Inference("none", None)
+        direction = "in" if isinstance(entry, Match) else "out"
+        ports = [p.name for p in self.ast.ports if p.direction == direction]
+        candidates = [(p, self.port_type.get(p)) for p in ports] + list(self.var_type.items())
+        kinds = {p: direction for p in ports} | {v: "var" for v in self.var_type}
+        return infer_block_target(entry.alternatives, candidates, kinds, self)
+
+    def ports_read(self, trans: Transition) -> tuple[set[str], set[str]]:
+        """The in-ports a transition's guard reads, and all the in-ports it
+        reads: those and the ones its input block matches.
+
+        The event-driven profile allows one (rule S2ED), and a transition
+        reacts only to events on that port.
+        """
+        guard: set[str] = set()
+        if trans.guard is not None:
+            guard = {ref.name for ref in expr_refs(trans.guard.expr)
+                     if self.port_dir.get(ref.name) == "in"}
+        reads = set(guard)
+        for match in trans.input or []:
+            name = self.target(match).name
+            if self.port_dir.get(name) == "in":
+                reads.add(name)
+        return guard, reads
 
 
 @dataclass
@@ -185,14 +232,10 @@ def resolve(units: list[CompilationUnit],
                       | {c.qname.rsplit(".", 1)[0] for c in model.components.values()
                          if "." in c.qname})
 
-    # Pass 1: per-component environments (imports, port/variable types, name
-    # bindings inside automata).
+    # Pass 1: per-component environments (imports, port and variable types).
     for rc in resolved:
         _resolve_imports(rc, model, known_packages, diags)
         _resolve_declarations(rc, model, diags)
-        for automaton in rc.ast.automata:
-            _bind_automaton(automaton, rc)
-            _infer_automaton_targets(automaton, rc)
 
     # Pass 2: structure (subcomponents, generics, connectors) needs the other
     # components' resolved interfaces.
@@ -277,63 +320,6 @@ def _resolve_declarations(rc: ResolvedComponent, model: ResolvedModel,
     for var in rc.ast.variables:
         if var.name not in rc.var_type:
             rc.var_type[var.name] = resolve_type(var.type_name, var.loc, "variable")
-    for var in rc.ast.variables:
-        if var.initial is not None:
-            _bind_value(var.initial, rc)
-
-
-def _bind_value(term: ValueTerm, rc: ResolvedComponent) -> None:
-    if isinstance(term, NameValue):
-        bound = rc.lookup(term.name)
-        if bound is not None:
-            term.binding = bound
-            return
-        enums = rc.literal_index.get(term.name, [])
-        if len(enums) == 1:
-            term.binding = ("enum", enums[0])
-        elif len(enums) > 1:
-            term.binding = ("ambiguous-enum", enums)
-        else:
-            term.binding = None
-    elif isinstance(term, SequenceValue):
-        for element in term.elements:
-            _bind_value(element, rc)
-
-
-def _bind_expr(expr: Expr, rc: ResolvedComponent) -> None:
-    if isinstance(expr, ERef):
-        bound = rc.lookup(expr.name)
-        if bound is not None:
-            expr.binding = bound
-            return
-        enums = rc.literal_index.get(expr.name, [])
-        if len(enums) == 1:
-            expr.binding = ("enum", enums[0])
-        elif len(enums) > 1:
-            expr.binding = ("ambiguous-enum", enums)
-        else:
-            expr.binding = None
-    elif isinstance(expr, EUnary):
-        _bind_expr(expr.operand, rc)
-    elif isinstance(expr, EBinary):
-        _bind_expr(expr.left, rc)
-        _bind_expr(expr.right, rc)
-
-
-def _bind_automaton(automaton: Automaton, rc: ResolvedComponent) -> None:
-    for init in automaton.initials:
-        for assign in init.output or []:
-            for alt in assign.alternatives:
-                _bind_value(alt, rc)
-    for trans in automaton.transitions:
-        if trans.guard is not None:
-            _bind_expr(trans.guard.expr, rc)
-        for match in trans.input or []:
-            for alt in match.alternatives:
-                _bind_value(alt, rc)
-        for assign in trans.output or []:
-            for alt in assign.alternatives:
-                _bind_value(alt, rc)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +342,7 @@ def type_of(term: ValueTerm, env: ResolvedComponent):
     if isinstance(term, NoData):
         return NODATA_TYPE
     if isinstance(term, NameValue):
-        if term.binding is None and term.name:
-            _bind_value(term, env)
-        binding = term.binding
-        if binding is None or binding[0] == "ambiguous-enum":
-            return None
-        if binding[0] == "enum":
-            return EnumType(binding[1].qname)
-        return binding[1]
+        return binding_type(env.binding(term.name))
     if isinstance(term, SequenceValue):
         if not term.elements:
             return SeqType(None)
@@ -375,6 +354,15 @@ def type_of(term: ValueTerm, env: ResolvedComponent):
             return SeqType(first)
         return None
     raise TypeError(f"not a value term: {term!r}")
+
+
+def binding_type(binding) -> Optional[TypeRef]:
+    """Type of what a name is bound to; None when it is unbound or ambiguous."""
+    if binding is None or binding[0] == "ambiguous-enum":
+        return None
+    if binding[0] == "enum":
+        return EnumType(binding[1].qname)
+    return binding[1]
 
 
 def admits(kind: str, declared: Optional[TypeRef], term: ValueTerm,
@@ -399,29 +387,10 @@ def admits(kind: str, declared: Optional[TypeRef], term: ValueTerm,
     return conforms(t, declared)
 
 
-@dataclass(frozen=True)
-class Inference:
+class Inference(NamedTuple):
     status: str  # "ok" | "ambiguous" | "none"
     name: Optional[str]
     candidates: tuple[str, ...] = ()
-
-
-def match_candidates(rc: ResolvedComponent) -> tuple[list[tuple[str, Optional[TypeRef]]], dict[str, str]]:
-    """Inference candidates for input blocks: in-ports and variables."""
-    cands = [(p, rc.port_type.get(p)) for p in rc.in_ports]
-    cands += [(v, rc.var_type[v]) for v in rc.var_type]
-    kinds = {p: "in" for p in rc.in_ports}
-    kinds.update({v: "var" for v in rc.var_type})
-    return cands, kinds
-
-
-def assign_candidates(rc: ResolvedComponent) -> tuple[list[tuple[str, Optional[TypeRef]]], dict[str, str]]:
-    """Inference candidates for output blocks: out-ports and variables."""
-    cands = [(p, rc.port_type.get(p)) for p in rc.out_ports]
-    cands += [(v, rc.var_type[v]) for v in rc.var_type]
-    kinds = {p: "out" for p in rc.out_ports}
-    kinds.update({v: "var" for v in rc.var_type})
-    return cands, kinds
 
 
 def infer_block_target(alternatives: list[ValueTerm],
@@ -438,36 +407,6 @@ def infer_block_target(alternatives: list[ValueTerm],
     if not admitting:
         return Inference("none", None)
     return Inference("ambiguous", None, tuple(admitting))
-
-
-def _infer_automaton_targets(automaton: Automaton, rc: ResolvedComponent) -> None:
-    in_cands, in_kinds = match_candidates(rc)
-    out_cands, out_kinds = assign_candidates(rc)
-
-    def resolve_match(match: Match):
-        if match.target is not None:
-            if rc.lookup(match.target) is not None:
-                match.resolved_target = match.target
-            return
-        result = infer_block_target(match.alternatives, in_cands, in_kinds, rc)
-        match.resolved_target = result.name
-
-    def resolve_assign(assign: Assignment):
-        if assign.target is not None:
-            if rc.lookup(assign.target) is not None:
-                assign.resolved_target = assign.target
-            return
-        result = infer_block_target(assign.alternatives, out_cands, out_kinds, rc)
-        assign.resolved_target = result.name
-
-    for init in automaton.initials:
-        for assign in init.output or []:
-            resolve_assign(assign)
-    for trans in automaton.transitions:
-        for match in trans.input or []:
-            resolve_match(match)
-        for assign in trans.output or []:
-            resolve_assign(assign)
 
 
 # ---------------------------------------------------------------------------

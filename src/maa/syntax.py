@@ -1,9 +1,10 @@
 """AST node types for model files, type-declaration files, and guard expressions.
 
 Location fields never take part in equality, so two parses of equivalent text
-compare equal structurally.  Fields written by the resolver (``binding``,
-``resolved_target``) are likewise excluded from comparison; they start out
-``None`` and are filled in by :mod:`maa.resolution`.
+compare equal structurally.  Nodes are never written after parsing: what a
+name denotes and which port or variable an entry targets are answered by
+:class:`maa.resolution.ResolvedComponent`, so one parsed unit can be resolved
+into any number of models.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ class StringLit:
 class NameValue:
     """A bare name in value position: a port/variable reference or an enum literal.
 
-    The parser cannot tell the two apart; the resolver records the outcome in
-    ``binding`` ("in", "out", "var", or ("enum", qualified-enum-name)).
+    The parser cannot tell the two apart; a resolved component's ``binding``
+    can.
     """
 
     name: str
     loc: SourceLoc = _loc()
-    binding: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -83,7 +83,6 @@ class ELit:
 class ERef:
     name: str
     loc: SourceLoc = _loc()
-    binding: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -123,7 +122,6 @@ class Match:
     alternatives: list[ValueTerm]
     loc: SourceLoc = _loc()
     target_loc: Optional[SourceLoc] = field(default=None, compare=False, repr=False)
-    resolved_target: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -134,7 +132,6 @@ class Assignment:
     alternatives: list[ValueTerm]
     loc: SourceLoc = _loc()
     target_loc: Optional[SourceLoc] = field(default=None, compare=False, repr=False)
-    resolved_target: Optional[str] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -259,6 +256,13 @@ class TypeDeclUnit:
     origin: str = field(compare=False, repr=False, default="<unknown>")
 
 
-def is_single_value(term: ValueTerm) -> bool:
-    """True for terms that denote a single message (not ``--``, not a sequence)."""
-    return not isinstance(term, (NoData, SequenceValue))
+def expr_refs(expr: Expr):
+    """Every name reference inside a guard expression, left to right."""
+    if isinstance(expr, ERef):
+        yield expr
+    elif isinstance(expr, EUnary):
+        yield from expr_refs(expr.operand)
+    elif isinstance(expr, EBinary):
+        yield from expr_refs(expr.left)
+        yield from expr_refs(expr.right)
+

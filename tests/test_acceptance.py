@@ -203,7 +203,7 @@ def test_criterion_5_property_suite(follow_model):
                 assert post.state == pre.state and post.variables == pre.variables
                 assert all(v is ABSENT for v in trace.records[t].outputs.values())
             else:
-                assigned = {a.resolved_target for a in options[0].assigns}
+                assigned = {a.target for a in options[0].assigns}
                 for name, value in pre.variables.items():
                     if name not in assigned:
                         assert post.variables[name] == value

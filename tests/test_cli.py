@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import maa.cli
+import maa.engine
 from maa.cli import main
+from maa.parser import MAX_NESTING
 
 from conftest import FIXTURES, MODELS
 
@@ -69,6 +74,24 @@ def test_check_parse_failure_syn(capsys):
         assert "SYN" in out
     finally:
         bad.unlink()
+
+
+DEEP_GUARDS = {
+    "parentheses": "(" * 3000 + "a > 0" + ")" * 3000,
+    "negations": "!" * 3000 + "(a > 0)",
+}
+
+
+@pytest.mark.parametrize("guard", DEEP_GUARDS.values(), ids=list(DEEP_GUARDS))
+def test_check_deep_guard_is_syn(capsys, tmp_path, guard):
+    model = tmp_path / "deep.maa"
+    model.write_text("component C { port in Integer a, out Integer o; automaton {"
+                     f" state S; initial S; S [{guard}] / o = 1; }} }}", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(model))
+    assert code == 1
+    assert out.count(" error SYN: ") == 1
+    assert f"nested more than {MAX_NESTING} levels" in out
+    assert err == ""
 
 
 def test_check_unreadable_file_exit_two(capsys):
@@ -159,6 +182,36 @@ def test_sim_ts_enumerate_output(capsys, tmp_path):
     count_line = blocks[-1].splitlines()[-1]
     assert count_line == "traces: 2"
     assert len(blocks) == 2
+
+
+def test_sim_ts_enumerate_sorts_absence_before_values(capsys, tmp_path):
+    model = tmp_path / "absent.maa"
+    model.write_text("component C { port out Integer o; automaton {"
+                     " state S; initial S; S / o = 1 | --; } }", encoding="utf-8")
+    code, out, _ = run(capsys, "sim-ts", str(model), "--main", "C", "--cycles", "2",
+                       "--enumerate")
+    assert code == 0
+    assert out.endswith("traces: 2\n")
+    # the trace holding -- in cycle 2 comes first
+    assert [block.splitlines()[2] for block in out.split("\n\n")] == ["2\t--\tS", "2\t1\tS"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--enumerate"]], ids=["run", "enumerate"])
+def test_sim_ts_builds_one_plan(capsys, monkeypatch, flags):
+    calls = []
+    build_plan = maa.engine.build_plan
+
+    def counting(*args):
+        calls.append(args)
+        return build_plan(*args)
+
+    monkeypatch.setattr(maa.engine, "build_plan", counting)
+    # and any call the CLI makes through a name of its own
+    monkeypatch.setattr(maa.cli, "build_plan", counting, raising=False)
+    code, _, _ = run(capsys, "sim-ts", *PIPELINE, "--main", "pipeline.Pipeline",
+                     "--cycles", "3", *flags)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_sim_ts_enumerate_long_run(capsys, tmp_path):

@@ -13,7 +13,6 @@ from maa.engine import (
     Seeded,
     SetupError,
     SimulationError,
-    apply_outputs,
     enumerate_ts,
     lower,
     run_ed,
@@ -78,11 +77,14 @@ def is_enabled(rc, index, inputs):
 
 
 def fire_first(rc, trans, inputs, variables):
-    """apply_outputs on each assignment's first alternative, as the
-    first-declared policy picks; out-ports not sent read absent."""
-    assigns = trans.output or []
-    sent, new_vars = apply_outputs(assigns, [a.alternatives[0] for a in assigns],
-                                   inputs, variables, rc.port_dir)
+    """apply_outputs of the lowered transition on each assignment's first
+    alternative, as the first-declared policy picks; out-ports not sent read
+    absent."""
+    behaviour = lower(rc)
+    (lowered,) = [t for t in behaviour.by_state[trans.source] if t.transition is trans]
+    assigns = lowered.assigns
+    sent, new_vars = behaviour.apply_outputs(assigns, [a.alternatives[0] for a in assigns],
+                                             inputs, variables)
     return {port: ABSENT for port in rc.out_ports} | dict(sent), new_vars
 
 
@@ -352,6 +354,19 @@ def test_emitting_sequence_in_ts_is_runtime_error():
         run_ts(model, "C", [], 1)
 
 
+def test_guard_type_error_names_its_cycle():
+    # unchecked: a is an Integer compared with a String
+    model = small_model(
+        'component C { port in Integer a, out Integer o; automaton {'
+        ' state S; initial S; S [a < "s"] / o = 1; } }')
+    with pytest.raises(SimulationError) as raised:
+        run_ts(model, "C", [{}, {"a": 1}], 2)
+    assert raised.value.cycle == 2
+    assert raised.value.message.startswith("guard cannot be evaluated: '<' not supported")
+    with pytest.raises(SimulationError, match="^guard cannot be evaluated"):
+        run_ed(model, "C", [Event("a", 1)])
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -570,6 +585,15 @@ def test_step_ts_direct_use(follow_model):
     _state, observed = step_ts(plan, state, {"inLane": True, "dist": ABSENT},
                                chooser, cycle=3)
     assert observed["cmd"] == rmotor("FAST_FORWARD")  # reaction to cycle 2
+
+
+def test_enumerate_sorts_traces_differing_in_an_enum_variable():
+    model = small_model(
+        "package p; import p.types.*; component C { port out Integer o; Cmd v;"
+        " automaton { state S; initial S / v = B | A; S / o = 1; } }",
+        ["package p.types; enum Cmd { A, B }"])
+    traces = enumerate_ts(model, "p.C", [], 2)
+    assert [t.records[0].states[""].variables["v"].literal for t in traces] == ["A", "B"]
 
 
 def test_enumerate_long_run_has_no_depth_limit():

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
-from maa.parser import parse_component_file, parse_types_file
+import json
+
+from maa.checks import check
+from maa.engine import ABSENT, run_ts
+from maa.ir import export_ir
+from maa.parser import MAX_NESTING, parse_component_file, parse_types_file
+from maa.resolution import resolve
 from maa.syntax import (
     CompilationUnit,
     IntLit,
@@ -129,6 +135,34 @@ def test_syntax_error_location():
     result = parse_component_file("component C {\n  port in Integer ,;\n}", "loc.maa")
     assert isinstance(result, list)
     assert (result[0].loc.line, result[0].code) == (2, "SYN")
+
+
+def _guarded(guard: str) -> str:
+    return ("component C { port in Integer a, out Integer o; automaton {"
+            f" state S; initial S; S [{guard}] / o = 1; }} }}")
+
+
+def test_nesting_beyond_limit_is_syn_at_offending_token():
+    for opener in ("(", "!"):
+        guard = opener * (MAX_NESTING + 1) + "a > 0" + ")" * (MAX_NESTING + 1) * (opener == "(")
+        text = _guarded(guard)
+        result = parse_component_file(text, "deep.maa")
+        assert isinstance(result, list) and [d.code for d in result] == ["SYN"]
+        # reported at the opener one past the limit
+        assert result[0].loc.column == text.index("[") + 2 + MAX_NESTING
+        assert f"nested more than {MAX_NESTING} levels deep" in result[0].message
+
+
+def test_guard_at_nesting_limit_runs_end_to_end():
+    # MAX_NESTING - 1 negations and one pair of parentheses: an odd number of
+    # negations, so the guard holds exactly when a <= 0
+    unit = parse_component_file(_guarded("!" * (MAX_NESTING - 1) + "(a > 0)"), "limit.maa")
+    assert isinstance(unit, CompilationUnit), unit
+    model, diags = resolve([unit], [])
+    assert diags == [] and check(model, "ts") == []
+    assert json.loads(export_ir(model))["components"][0]["name"] == "C"
+    trace = run_ts(model, "C", [{"a": 1}, {"a": -1}, {"a": 0}], 4)
+    assert trace.out_column("o") == [ABSENT, ABSENT, 1, 1]
 
 
 def test_automaton_statement_order_free():

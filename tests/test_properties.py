@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa.engine import ABSENT, FirstDeclared, lower, run_ts
+from maa.checks import check
+from maa.engine import ABSENT, FirstDeclared, Seeded, lower, run_ts
 from maa.parser import parse_component_file
 from maa.printer import format_expr, format_value, pretty_print
 from maa.resolution import BOOLEAN, INTEGER, STRING, infer_block_target, resolve, type_of
@@ -25,7 +27,7 @@ from maa.syntax import (
 )
 
 from conftest import CORPUS, parse_model
-from genmodels import random_model, random_stimulus
+from genmodels import random_component_text, random_model, random_stimulus
 
 # ---------------------------------------------------------------------------
 # value and expression round trips
@@ -124,6 +126,33 @@ def test_infer_target_consistent_with_type_of(term, types):
 
 
 # ---------------------------------------------------------------------------
+# the parsed tree is never written
+# ---------------------------------------------------------------------------
+
+def _fields(node):
+    """Every attribute of every node reachable from ``node``, as nested tuples."""
+    if isinstance(node, list):
+        return tuple(_fields(n) for n in node)
+    if hasattr(node, "__dict__"):
+        return (type(node).__name__, tuple((k, _fields(v)) for k, v in vars(node).items()))
+    return node
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pipeline_leaves_the_parsed_tree_unchanged(rng):
+    # the generator random_model parses, before anything reads the tree
+    unit = parse_component_file(random_component_text(rng), "gen.maa")
+    assert isinstance(unit, CompilationUnit), unit
+    pristine = copy.deepcopy(unit)
+    model, diags = resolve([unit], [])
+    assert [d for d in diags + check(model, "ts") if d.severity == "error"] == []
+    lower(model.components["Gen"])
+    run_ts(model, "Gen", random_stimulus(rng, 6), 6, Seeded(1))
+    assert _fields(unit) == _fields(pristine)
+
+
+# ---------------------------------------------------------------------------
 # location fidelity under token deletion
 # ---------------------------------------------------------------------------
 
@@ -186,7 +215,7 @@ def test_idle_completion_and_variable_preservation_random():
                 assert all(v is ABSENT for v in nxt.values())
             else:
                 fired = options[0]
-                assigned = {a.resolved_target for a in fired.assigns}
+                assigned = {a.target for a in fired.assigns}
                 for name, value in pre.variables.items():
                     if name not in assigned:
                         assert post.variables[name] == value

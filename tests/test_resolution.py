@@ -113,7 +113,7 @@ def test_sequence_infers_output_port():
     model, _ = resolve([unit], [])
     rc = model.components["Echo1"]
     trans = rc.ast.automata[0].transitions[0]
-    assert trans.output[0].resolved_target == "output"
+    assert rc.target(trans.output[0]).name == "output"
 
 
 def test_nodata_infers_only_ports():
@@ -121,16 +121,16 @@ def test_nodata_infers_only_ports():
     model, _ = resolve([unit], [])
     rc = model.components["IntegerDuplicator"]
     first = rc.ast.automata[0].transitions[0]
-    assert first.output[0].resolved_target == "output"
+    assert rc.target(first.output[0]).name == "output"
 
 
 def test_match_inference_in_corpus(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
     transitions = rc.ast.automata[0].transitions
     # {true} on the Backing -> Rotating transition reads port signal
-    assert transitions[2].input[0].resolved_target == "signal"
+    assert rc.target(transitions[2].input[0]).name == "signal"
     # SINGLE_DELAY goes to the only TimerCmd out-port
-    assert transitions[2].output[1].resolved_target == "cmd"
+    assert rc.target(transitions[2].output[1]).name == "cmd"
 
 
 def test_generic_instantiation_in_pipeline(pipeline_model):
@@ -198,3 +198,26 @@ def test_ambiguous_enum_literal_reported():
     model, rdiags = resolve([unit], [t1, t2])
     diags = rdiags + check(model, "generic")
     assert any(d.code == "R0" and "ambiguous" in d.message for d in diags)
+
+
+def test_one_unit_resolved_into_two_models():
+    # Resolution only reads the parsed tree: resolving the same unit without
+    # its types file leaves the first model's diagnostics and trace unchanged.
+    from maa.checks import check
+    from maa.engine import ABSENT, run_ts
+    from conftest import parse_types
+    unit = parse_model(MODELS / "robot" / "FollowTheLeaderOnline.maa")
+    types = parse_types(MODELS / "robot" / "enums.types")
+    m1, diags = resolve([unit], [types])
+    assert diags == []
+    stimulus = [{"inLane": True, "dist": ABSENT}] * 3
+
+    def observed():
+        trace = run_ts(m1, "robot.FollowTheLeaderOnline", stimulus, 3)
+        return [d.render() for d in check(m1, "ts")], trace.key()
+
+    before = observed()
+    m2, diags2 = resolve([unit], [])
+    assert diags2 and check(m2, "ts")
+    assert observed() == before
+    assert before[0] == []
