@@ -57,6 +57,7 @@ from .syntax import (
     StringLit,
     Transition,
     ValueTerm,
+    format_literal,
 )
 
 
@@ -124,12 +125,7 @@ def format_value(value: Slot) -> str:
         return "--"
     if isinstance(value, EnumValue):
         return value.literal
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return str(value)
+    return format_literal(value)
 
 
 # ---------------------------------------------------------------------------

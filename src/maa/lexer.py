@@ -3,11 +3,21 @@
 Both formats share one token set: names, integer and string literals, keywords,
 punctuation, ``--`` (absence), stereotype delimiters in both ``<<``/``>>`` and
 guillemet form, plus ``//`` and ``/* */`` comments.
+
+One compiled master regex with a named group per token kind is matched from
+each position to the next (the "Writing a Tokenizer" recipe of the ``re``
+documentation); the matches are consumed as they are found.  Three groups
+catch what cannot start a token: an unterminated block comment, an
+unterminated string and any other character, so every position matches and
+each lexical error is raised where the text goes wrong.  Line and column are
+counted from newline offsets; only skipped whitespace and block comments can
+contain a newline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .diagnostics import SourceLoc
 
@@ -26,6 +36,25 @@ _SYMBOLS = [
 
 _GUILLEMETS = {"«": "<<", "»": ">>"}
 
+# A string body: no quote, backslash or newline, except the escapes \" and \\.
+_STRING_BODY = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
+
+_TOKEN = re.compile("|".join([
+    r"(?P<SKIP>[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)",
+    r"(?P<OPEN_COMMENT>/\*)",
+    rf'(?P<STRING>{_STRING_BODY}")',
+    rf"(?P<OPEN_STRING>{_STRING_BODY})",
+    # \d is str.isdecimal, exactly the digits int() accepts
+    r"(?P<INT>\d+)",
+    # \w is str.isalnum or "_"; a name must also start with isalpha or "_"
+    r"(?P<NAME>\w+)",
+    "(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    "(?P<GUILLEMET>[«»])",
+    r"(?P<OTHER>(?s:.))",
+]))
+
+_ESCAPE = re.compile(r'\\(["\\])')
+
 
 class LexError(Exception):
     def __init__(self, loc: SourceLoc, message: str):
@@ -34,8 +63,7 @@ class LexError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, INT, STRING, KEYWORD, SYMBOL, EOF
     text: str
     value: object
@@ -45,93 +73,46 @@ class Token:
 def tokenize(text: str, origin: str) -> list[Token]:
     """Split source text into tokens; raises :class:`LexError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def loc() -> SourceLoc:
-        return SourceLoc(origin, line, col)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
+    line, line_start = 1, 0  # current line and the offset it starts at
+    for m in _TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "SKIP":
+            newlines = text.count("\n", start, m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
+            continue
+        loc = SourceLoc(origin, line, start - line_start + 1)
+        lexeme = m.group()
+        if kind == "NAME":
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                raise LexError(loc, f"unexpected character {lexeme[0]!r}")
+            if lexeme in KEYWORDS:
+                value = lexeme == "true" if lexeme in ("true", "false") else lexeme
+                tokens.append(Token("KEYWORD", lexeme, value, loc))
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if text.startswith("/*", i):
-            start = loc()
-            advance(2)
-            while i < n and not text.startswith("*/", i):
-                advance()
-            if i >= n:
-                raise LexError(start, "unterminated block comment")
-            advance(2)
-            continue
-        if ch == '"':
-            start = loc()
-            advance()
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise LexError(start, "unterminated string literal")
-                if text[i] == "\\":
-                    if i + 1 >= n or text[i + 1] not in ('"', "\\"):
-                        raise LexError(loc(), "unsupported escape sequence")
-                    buf.append(text[i + 1])
-                    advance(2)
-                else:
-                    buf.append(text[i])
-                    advance()
-            if i >= n:
-                raise LexError(start, "unterminated string literal")
-            advance()
-            tokens.append(Token("STRING", '"' + "".join(buf) + '"', "".join(buf), start))
-            continue
-        if ch.isdigit():
-            start = loc()
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            lit = text[i:j]
-            advance(j - i)
-            tokens.append(Token("INT", lit, int(lit), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = loc()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            advance(j - i)
-            kind = "KEYWORD" if name in KEYWORDS else "NAME"
-            value = name == "true" if name in ("true", "false") else name
-            tokens.append(Token(kind, name, value, start))
-            continue
-        if ch in _GUILLEMETS:
-            tokens.append(Token("SYMBOL", _GUILLEMETS[ch], _GUILLEMETS[ch], loc()))
-            advance()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("SYMBOL", sym, sym, loc()))
-                advance(len(sym))
-                break
+                tokens.append(Token("NAME", lexeme, lexeme, loc))
+        elif kind == "SYMBOL":
+            tokens.append(Token("SYMBOL", lexeme, lexeme, loc))
+        elif kind == "INT":
+            try:
+                tokens.append(Token("INT", lexeme, int(lexeme), loc))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise LexError(loc, "integer literal too long") from None
+        elif kind == "STRING":
+            value = _ESCAPE.sub(r"\1", lexeme[1:-1]) if "\\" in lexeme else lexeme[1:-1]
+            tokens.append(Token("STRING", f'"{value}"', value, loc))
+        elif kind == "GUILLEMET":
+            tokens.append(Token("SYMBOL", _GUILLEMETS[lexeme], _GUILLEMETS[lexeme], loc))
+        elif kind == "OPEN_STRING":
+            end = m.end()
+            if text.startswith("\\", end):
+                raise LexError(SourceLoc(origin, line, end - line_start + 1),
+                               "unsupported escape sequence")
+            raise LexError(loc, "unterminated string literal")
+        elif kind == "OPEN_COMMENT":
+            raise LexError(loc, "unterminated block comment")
         else:
-            raise LexError(loc(), f"unexpected character {ch!r}")
-
-    tokens.append(Token("EOF", "", None, loc()))
+            raise LexError(loc, f"unexpected character {lexeme!r}")
+    tokens.append(Token("EOF", "", None, SourceLoc(origin, line, len(text) - line_start + 1)))
     return tokens

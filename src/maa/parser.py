@@ -10,11 +10,14 @@ and are rejected later by the well-formedness rules anyway).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .diagnostics import Diagnostic, SourceLoc
+# Called through this module's attribute, so that wrapping ``parser.tokenize``
+# (as the benchmark does to time the lexer) takes effect.
 from .lexer import LexError, Token, tokenize
 from .syntax import (
+    PRECEDENCE,
     Assignment,
     Automaton,
     BoolLit,
@@ -49,9 +52,15 @@ from .syntax import (
 GUARD_KINDS = ("ocl", "java")
 
 # Parentheses and unary operators nested deeper than this in one expression
-# are a syntax error, so that no input exhausts the recursion of the parser
-# or of the tree walks after it.
+# are a syntax error, and so are more binary operators than this on one
+# root-to-leaf path of its tree, so that no input exhausts the recursion of
+# the parser or of the tree walks after it.
 MAX_NESTING = 64
+_TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
+
+_LITERAL_NODES = {bool: BoolLit, int: IntLit, str: StringLit}
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -82,21 +91,22 @@ def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnos
 class _Parser:
     def __init__(self, tokens: list[Token], origin: str):
         self._toks = tokens
-        self._pos = 0
+        self._pos = 0  # never past the EOF token, which is last
+        self._last = len(tokens) - 1
         self._origin = origin
         self._nesting = 0
 
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        return self._toks[min(self._pos + offset, len(self._toks) - 1)]
+        return self._toks[min(self._pos + offset, self._last)]
 
     def _at(self, text: str) -> bool:
-        tok = self._peek()
-        return tok.kind in ("SYMBOL", "KEYWORD") and tok.text == text
+        tok = self._toks[self._pos]
+        return tok.text == text and tok.kind in ("SYMBOL", "KEYWORD")
 
     def _at_kind(self, kind: str) -> bool:
-        return self._peek().kind == kind
+        return self._toks[self._pos].kind == kind
 
     def _next(self) -> Token:
         tok = self._toks[self._pos]
@@ -104,19 +114,34 @@ class _Parser:
             self._pos += 1
         return tok
 
+    def _accept(self, text: str) -> bool:
+        """Consume the next token if it is the symbol or keyword ``text``."""
+        if self._at(text):
+            self._next()
+            return True
+        return False
+
+    def _expected(self, what: str) -> ParseError:
+        tok = self._peek()
+        found = tok.text if tok.kind != "EOF" else "end of input"
+        return ParseError(tok.loc, f"expected {what}, found {found!r}")
+
     def _expect(self, text: str) -> Token:
         if not self._at(text):
-            tok = self._peek()
-            got = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(tok.loc, f"expected '{text}', found {got!r}")
+            raise self._expected(f"'{text}'")
         return self._next()
 
     def _expect_name(self, what: str = "name") -> Token:
         if not self._at_kind("NAME"):
-            tok = self._peek()
-            got = tok.text if tok.kind != "EOF" else "end of input"
-            raise ParseError(tok.loc, f"expected {what}, found {got!r}")
+            raise self._expected(what)
         return self._next()
+
+    def _list(self, item: Callable[[], T], sep: str = ",") -> list[T]:
+        """One or more ``item``s separated by ``sep``."""
+        items = [item()]
+        while self._accept(sep):
+            items.append(item())
+        return items
 
     def _qname(self) -> str:
         parts = [self._expect_name("qualified name").text]
@@ -129,16 +154,14 @@ class _Parser:
 
     def compilation_unit(self) -> CompilationUnit:
         package = ""
-        if self._at("package"):
-            self._next()
+        if self._accept("package"):
             package = self._qname()
             self._expect(";")
         imports = []
         while self._at("import"):
             loc = self._next().loc
             name = self._qname()
-            if self._at("."):
-                self._next()
+            if self._accept("."):
                 self._expect("*")
                 name += ".*"
             self._expect(";")
@@ -156,25 +179,22 @@ class _Parser:
         package = self._qname()
         self._expect(";")
         enums: list[EnumDecl] = []
-        seen: set[str] = set()
         while self._at("enum"):
             loc = self._next().loc
             name = self._expect_name("enum name").text
-            if name in seen:
+            if any(enum.name == name for enum in enums):
                 raise ParseError(loc, f"enum '{name}' declared twice")
-            seen.add(name)
             self._expect("{")
             literals: list[str] = []
+
+            def literal() -> None:
+                lit = self._expect_name("enum literal")
+                if lit.text in literals:
+                    raise ParseError(lit.loc, f"duplicate literal '{lit.text}' in enum '{name}'")
+                literals.append(lit.text)
+
             if not self._at("}"):
-                while True:
-                    lit = self._expect_name("enum literal")
-                    if lit.text in literals:
-                        raise ParseError(lit.loc, f"duplicate literal '{lit.text}' in enum '{name}'")
-                    literals.append(lit.text)
-                    if self._at(","):
-                        self._next()
-                        continue
-                    break
+                self._list(literal)
             self._expect("}")
             enums.append(EnumDecl(name, literals, loc))
         if not self._at_kind("EOF"):
@@ -188,12 +208,8 @@ class _Parser:
         loc = self._expect("component").loc
         name = self._expect_name("component name").text
         params: list[str] = []
-        if self._at("<"):
-            self._next()
-            params.append(self._expect_name("type parameter").text)
-            while self._at(","):
-                self._next()
-                params.append(self._expect_name("type parameter").text)
+        if self._accept("<"):
+            params = self._list(lambda: self._expect_name("type parameter").text)
             self._expect(">")
         self._expect("{")
         ports: list[PortDecl] = []
@@ -204,8 +220,9 @@ class _Parser:
         while not self._at("}"):
             if self._at_kind("EOF"):
                 raise ParseError(self._peek().loc, "unexpected end of input, missing '}'")
-            if self._at("port"):
-                ports.extend(self._port_section())
+            if self._accept("port"):
+                ports.extend(self._list(self._port))
+                self._expect(";")
             elif self._at("connect"):
                 connectors.append(self._connector())
             elif self._at("component"):
@@ -226,41 +243,25 @@ class _Parser:
         return (self._peek(1).kind == "NAME" and self._peek(2).text == ">>"
                 and self._peek(3).text == "automaton")
 
-    def _port_section(self) -> list[PortDecl]:
-        self._expect("port")
-        ports = []
-        while True:
-            if self._at("in") or self._at("out"):
-                direction = self._next().text
-            else:
-                tok = self._peek()
-                raise ParseError(tok.loc, f"expected 'in' or 'out', found {tok.text!r}")
-            type_name = self._qname()
-            name = self._expect_name("port name")
-            ports.append(PortDecl(direction, type_name, name.text, name.loc))
-            if self._at(","):
-                self._next()
-                continue
-            break
-        self._expect(";")
-        return ports
+    def _port(self) -> PortDecl:
+        if not (self._at("in") or self._at("out")):
+            tok = self._peek()
+            raise ParseError(tok.loc, f"expected 'in' or 'out', found {tok.text!r}")
+        direction = self._next().text
+        type_name = self._qname()
+        name = self._expect_name("port name")
+        return PortDecl(direction, type_name, name.text, name.loc)
 
     def _variable_decl(self) -> list[VariableDecl]:
-        if self._at("var"):
-            self._next()
+        self._accept("var")
         type_name = self._qname()
-        decls = []
-        while True:
+
+        def variable() -> VariableDecl:
             name = self._expect_name("variable name")
-            initial: Optional[ValueTerm] = None
-            if self._at("="):
-                self._next()
-                initial = self._opt_value_or_seq()
-            decls.append(VariableDecl(type_name, name.text, initial, name.loc))
-            if self._at(","):
-                self._next()
-                continue
-            break
+            initial = self._opt_value_or_seq() if self._accept("=") else None
+            return VariableDecl(type_name, name.text, initial, name.loc)
+
+        decls = self._list(variable)
         self._expect(";")
         return decls
 
@@ -268,12 +269,8 @@ class _Parser:
         loc = self._expect("component").loc
         type_name = self._qname()
         args: list[str] = []
-        if self._at("<"):
-            self._next()
-            args.append(self._qname())
-            while self._at(","):
-                self._next()
-                args.append(self._qname())
+        if self._accept("<"):
+            args = self._list(self._qname)
             self._expect(">")
         if self._at("{"):
             raise ParseError(self._peek().loc,
@@ -303,8 +300,7 @@ class _Parser:
 
     def _stereotypes(self) -> list[str]:
         stereos = []
-        while self._at("<<"):
-            self._next()
+        while self._accept("<<"):
             stereos.append(self._expect_name("stereotype name").text)
             self._expect(">>")
         return stereos
@@ -322,8 +318,9 @@ class _Parser:
         while not self._at("}"):
             if self._at_kind("EOF"):
                 raise ParseError(self._peek().loc, "unexpected end of input, missing '}'")
-            if self._at("state"):
-                states.extend(self._state_decl())
+            if self._accept("state"):
+                states.extend(self._list(self._state))
+                self._expect(";")
             elif self._at("initial"):
                 initials.extend(self._initial_decl())
             elif self._at_kind("NAME"):
@@ -334,49 +331,26 @@ class _Parser:
         self._expect("}")
         return Automaton(name, stereos, states, initials, transitions, loc)
 
-    def _state_decl(self) -> list[StateDecl]:
-        self._expect("state")
-        states = []
-        while True:
-            stereos = self._stereotypes()
-            name = self._expect_name("state name")
-            states.append(StateDecl(name.text, stereos, name.loc))
-            if self._at(","):
-                self._next()
-                continue
-            break
-        self._expect(";")
-        return states
+    def _state(self) -> StateDecl:
+        stereos = self._stereotypes()
+        name = self._expect_name("state name")
+        return StateDecl(name.text, stereos, name.loc)
 
     def _initial_decl(self) -> list[InitialDecl]:
-        loc = self._expect("initial").loc
-        names = [self._expect_name("state name")]
-        while self._at(","):
-            self._next()
-            names.append(self._expect_name("state name"))
-        output = None
-        if self._at("/"):
-            self._next()
-            output = self._output_block()
+        self._expect("initial")
+        names = self._list(lambda: self._expect_name("state name"))
+        output = self._block(Assignment) if self._accept("/") else None
         self._expect(";")
         return [InitialDecl(tok.text, output, tok.loc) for tok in names]
 
     def _transition(self) -> Transition:
         source = self._expect_name("state name")
-        target = source
-        if self._at("->"):
-            self._next()
-            target = self._expect_name("state name")
-        guard = None
-        if self._at("["):
-            guard = self._guard()
+        target = self._expect_name("state name") if self._accept("->") else source
+        guard = self._guard() if self._at("[") else None
         input_block = None
         if self._at("{") or self._starts_value():
-            input_block = self._input_block()
-        output_block = None
-        if self._at("/"):
-            self._next()
-            output_block = self._output_block()
+            input_block = self._block(Match)
+        output_block = self._block(Assignment) if self._accept("/") else None
         self._expect(";")
         return Transition(source.text, target.text, guard, input_block, output_block,
                           source.loc, source_loc=source.loc, target_loc=target.loc)
@@ -398,67 +372,28 @@ class _Parser:
                 raise ParseError(tok.loc, f"unsupported guard kind {tok.text!r}")
             kind = tok.text
             self._next()
-        expr = self._expr()
+        expr, _ = self._expr()
         self._expect("]")
         return Guard(kind, expr, loc)
 
-    def _input_block(self) -> list[Match]:
-        if self._at("{"):
-            self._next()
-            matches = self._match_list()
+    def _block(self, node: type[T]) -> list[T]:
+        """An input (``Match``) or output (``Assignment``) block, braces optional."""
+        braced = self._accept("{")
+        entries = self._list(lambda: self._entry(node))
+        if braced:
             self._expect("}")
-            return matches
-        return self._match_list()
+        return entries
 
-    def _match_list(self) -> list[Match]:
-        matches = [self._match()]
-        while self._at(","):
-            self._next()
-            matches.append(self._match())
-        return matches
-
-    def _match(self) -> Match:
-        target = None
-        target_loc = None
+    def _entry(self, node: type[T]) -> T:
+        """One ``name = alt | alt`` entry of a block; the name is optional."""
+        target = target_loc = None
         loc = self._peek().loc
         if self._at_kind("NAME") and self._peek(1).text == "=":
             tok = self._next()
             target, target_loc = tok.text, tok.loc
             self._next()
-        alts = [self._opt_value_or_seq()]
-        while self._at("|"):
-            self._next()
-            alts.append(self._opt_value_or_seq())
-        return Match(target, alts, loc, target_loc=target_loc)
-
-    def _output_block(self) -> list[Assignment]:
-        if self._at("{"):
-            self._next()
-            assigns = self._assignment_list()
-            self._expect("}")
-            return assigns
-        return self._assignment_list()
-
-    def _assignment_list(self) -> list[Assignment]:
-        assigns = [self._assignment()]
-        while self._at(","):
-            self._next()
-            assigns.append(self._assignment())
-        return assigns
-
-    def _assignment(self) -> Assignment:
-        target = None
-        target_loc = None
-        loc = self._peek().loc
-        if self._at_kind("NAME") and self._peek(1).text == "=":
-            tok = self._next()
-            target, target_loc = tok.text, tok.loc
-            self._next()
-        alts = [self._opt_value_or_seq()]
-        while self._at("|"):
-            self._next()
-            alts.append(self._opt_value_or_seq())
-        return Assignment(target, alts, loc, target_loc=target_loc)
+        alts = self._list(self._opt_value_or_seq, "|")
+        return node(target, alts, loc, target_loc=target_loc)
 
     # -- values -------------------------------------------------------------
 
@@ -471,117 +406,76 @@ class _Parser:
 
     def _sequence(self) -> SequenceValue:
         loc = self._expect("[").loc
-        elements: list[ValueTerm] = []
-        if not self._at("]"):
-            elements.append(self._value())
-            while self._at(","):
-                self._next()
-                elements.append(self._value())
+        elements = [] if self._at("]") else self._list(self._value)
         self._expect("]")
         return SequenceValue(elements, loc)
 
-    def _value(self) -> ValueTerm:
+    def _literal(self) -> Optional[tuple[object, SourceLoc]]:
+        """An integer, negative integer, string or Boolean literal as (value, loc)."""
         tok = self._peek()
-        if tok.kind == "INT":
+        if tok.kind in ("INT", "STRING") or tok.text in ("true", "false"):
             self._next()
-            return IntLit(tok.value, tok.loc)
-        if tok.kind == "SYMBOL" and tok.text == "-" and self._peek(1).kind == "INT":
+            return tok.value, tok.loc
+        if tok.text == "-" and self._peek(1).kind == "INT":
             self._next()
-            num = self._next()
-            return IntLit(-num.value, tok.loc)
-        if tok.kind == "STRING":
-            self._next()
-            return StringLit(tok.value, tok.loc)
-        if tok.kind == "KEYWORD" and tok.text in ("true", "false"):
-            self._next()
-            return BoolLit(tok.value, tok.loc)
-        if tok.kind == "NAME":
-            self._next()
+            return -self._next().value, tok.loc
+        return None
+
+    def _value(self) -> ValueTerm:
+        literal = self._literal()
+        if literal is not None:
+            return _LITERAL_NODES[type(literal[0])](*literal)
+        if self._at_kind("NAME"):
+            tok = self._next()
             return NameValue(tok.text, tok.loc)
-        got = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(tok.loc, f"expected a value, found {got!r}")
+        raise self._expected("a value")
 
     # -- guard expressions ---------------------------------------------------
-    # Precedence, loosest first: ||, &&, comparisons, + -, *, unary ! -.
 
-    def _expr(self) -> Expr:
-        return self._or_expr()
+    def _expr(self, min_prec: int = 1) -> tuple[Expr, int]:
+        """An expression whose binary operators bind at least ``min_prec``.
 
-    def _or_expr(self) -> Expr:
-        left = self._and_expr()
-        while self._at("||"):
-            loc = self._next().loc
-            left = EBinary("||", left, self._and_expr(), loc)
-        return left
-
-    def _and_expr(self) -> Expr:
-        left = self._cmp_expr()
-        while self._at("&&"):
-            loc = self._next().loc
-            left = EBinary("&&", left, self._cmp_expr(), loc)
-        return left
-
-    _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
-
-    def _cmp_expr(self) -> Expr:
-        left = self._add_expr()
-        while self._peek().kind == "SYMBOL" and self._peek().text in self._CMP_OPS:
+        Precedence climbing over ``PRECEDENCE``: every binary operator is
+        left-associative, so its right operand binds one level tighter.  Also
+        returns the expression's depth: the most binary operators on one
+        root-to-leaf path of its tree.
+        """
+        left, depth = self._unary_expr()
+        while PRECEDENCE.get(self._peek().text, 0) >= min_prec:
             op = self._next()
-            left = EBinary(op.text, left, self._add_expr(), op.loc)
-        return left
-
-    def _add_expr(self) -> Expr:
-        left = self._mul_expr()
-        while self._peek().kind == "SYMBOL" and self._peek().text in ("+", "-"):
-            op = self._next()
-            left = EBinary(op.text, left, self._mul_expr(), op.loc)
-        return left
-
-    def _mul_expr(self) -> Expr:
-        left = self._unary_expr()
-        while self._at("*"):
-            loc = self._next().loc
-            left = EBinary("*", left, self._unary_expr(), loc)
-        return left
+            right, right_depth = self._expr(PRECEDENCE[op.text] + 1)
+            depth = max(depth, right_depth) + 1
+            if depth > MAX_NESTING:
+                raise ParseError(op.loc, _TOO_DEEP)
+            left = EBinary(op.text, left, right, op.loc)
+        return left, depth
 
     def _nest(self, tok: Token) -> None:
         """Enter one level of nesting at ``tok``; the caller leaves it."""
         if self._nesting == MAX_NESTING:
-            raise ParseError(tok.loc, f"expression nested more than {MAX_NESTING} levels deep")
+            raise ParseError(tok.loc, _TOO_DEEP)
         self._nesting += 1
 
-    def _unary_expr(self) -> Expr:
+    def _unary_expr(self) -> tuple[Expr, int]:
         if self._at("!") or (self._at("-") and self._peek(1).kind != "INT"):
             tok = self._next()
             self._nest(tok)
-            expr = EUnary(tok.text, self._unary_expr(), tok.loc)
+            operand, depth = self._unary_expr()
             self._nesting -= 1
-            return expr
+            return EUnary(tok.text, operand, tok.loc), depth
         return self._primary_expr()
 
-    def _primary_expr(self) -> Expr:
-        tok = self._peek()
+    def _primary_expr(self) -> tuple[Expr, int]:
         if self._at("("):
             self._nest(self._next())
             expr = self._expr()
             self._expect(")")
             self._nesting -= 1
             return expr
-        if tok.kind == "INT":
-            self._next()
-            return ELit(tok.value, tok.loc)
-        if tok.kind == "SYMBOL" and tok.text == "-" and self._peek(1).kind == "INT":
-            self._next()
-            num = self._next()
-            return ELit(-num.value, tok.loc)
-        if tok.kind == "STRING":
-            self._next()
-            return ELit(tok.value, tok.loc)
-        if tok.kind == "KEYWORD" and tok.text in ("true", "false"):
-            self._next()
-            return ELit(tok.value, tok.loc)
-        if tok.kind == "NAME":
-            self._next()
-            return ERef(tok.text, tok.loc)
-        got = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(tok.loc, f"expected an expression, found {got!r}")
+        literal = self._literal()
+        if literal is not None:
+            return ELit(*literal), 0
+        if self._at_kind("NAME"):
+            tok = self._next()
+            return ERef(tok.text, tok.loc), 0
+        raise self._expected("an expression")

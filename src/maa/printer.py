@@ -8,7 +8,8 @@ structure: reparsing the output yields an AST equal to the input.
 from __future__ import annotations
 
 from .syntax import (
-    Assignment,
+    PRECEDENCE,
+    UNARY_PRECEDENCE,
     Automaton,
     BoolLit,
     CompilationUnit,
@@ -20,7 +21,6 @@ from .syntax import (
     Expr,
     Guard,
     IntLit,
-    Match,
     NameValue,
     NoData,
     SequenceValue,
@@ -28,10 +28,8 @@ from .syntax import (
     Transition,
     TypeDeclUnit,
     ValueTerm,
+    format_literal,
 )
-
-_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-               "+": 4, "-": 4, "*": 5}
 
 
 def pretty_print(unit: CompilationUnit) -> str:
@@ -90,7 +88,7 @@ def _automaton(auto: Automaton) -> list[str]:
         )
         out.append(f"    state {decls};")
     for init in auto.initials:
-        output = f" / {_assign_block(init.output)}" if init.output is not None else ""
+        output = f" / {_block(init.output)}" if init.output is not None else ""
         out.append(f"    initial {init.state}{output};")
     for trans in auto.transitions:
         out.append(f"    {_transition(trans)}")
@@ -103,10 +101,10 @@ def _transition(t: Transition) -> str:
     if t.guard is not None:
         parts.append(_guard(t.guard))
     if t.input is not None:
-        parts.append(_match_block(t.input))
+        parts.append(_block(t.input))
     text = " ".join(parts)
     if t.output is not None:
-        text += f" / {_assign_block(t.output)}"
+        text += f" / {_block(t.output)}"
     return text + ";"
 
 
@@ -115,27 +113,17 @@ def _guard(g: Guard) -> str:
     return f"[{kind}{format_expr(g.expr)}]"
 
 
-def _match_block(matches: list[Match]) -> str:
-    return "{" + ", ".join(_valuation(m.target, m.alternatives) for m in matches) + "}"
-
-
-def _assign_block(assigns: list[Assignment]) -> str:
-    return "{" + ", ".join(_valuation(a.target, a.alternatives) for a in assigns) + "}"
-
-
-def _valuation(target, alternatives) -> str:
-    alts = " | ".join(format_value(a) for a in alternatives)
-    return f"{target} = {alts}" if target is not None else alts
+def _block(entries) -> str:
+    """An input or output block: ``{name = alt | alt, ...}``, names optional."""
+    return "{" + ", ".join(
+        (f"{e.target} = " if e.target is not None else "")
+        + " | ".join(format_value(a) for a in e.alternatives)
+        for e in entries) + "}"
 
 
 def format_value(term: ValueTerm) -> str:
-    if isinstance(term, IntLit):
-        return str(term.value)
-    if isinstance(term, BoolLit):
-        return "true" if term.value else "false"
-    if isinstance(term, StringLit):
-        escaped = term.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+    if isinstance(term, (IntLit, BoolLit, StringLit)):
+        return format_literal(term.value)
     if isinstance(term, NameValue):
         return term.name
     if isinstance(term, NoData):
@@ -147,19 +135,17 @@ def format_value(term: ValueTerm) -> str:
 
 def format_expr(expr: Expr, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(expr, ELit):
-        if isinstance(expr.value, bool):
-            return "true" if expr.value else "false"
-        if isinstance(expr.value, str):
-            escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return str(expr.value)
+        return format_literal(expr.value)
     if isinstance(expr, ERef):
         return expr.name
     if isinstance(expr, EUnary):
-        inner = format_expr(expr.operand, 6)
+        inner = format_expr(expr.operand, UNARY_PRECEDENCE)
+        # "--" would lex as absence and "-1" as a negative literal
+        if expr.op == "-" and (inner[0] == "-" or inner[0].isdigit()):
+            inner = f"({inner})"
         return f"{expr.op}{inner}"
     if isinstance(expr, EBinary):
-        prec = _PRECEDENCE[expr.op]
+        prec = PRECEDENCE[expr.op]
         text = (f"{format_expr(expr.left, prec)} {expr.op} "
                 f"{format_expr(expr.right, prec, right=True)}")
         if prec < parent_prec or (prec == parent_prec and right):

@@ -102,6 +102,12 @@ class EBinary:
 
 Expr = Union[ELit, ERef, EUnary, EBinary]
 
+# How tightly each binary operator binds, loosest first; all of them are
+# left-associative.  Unary ``!`` and ``-`` bind tighter than any of them.
+PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+              "+": 4, "-": 4, "*": 5}
+UNARY_PRECEDENCE = 6
+
 
 @dataclass
 class Guard:
@@ -266,3 +272,15 @@ def expr_refs(expr: Expr):
         yield from expr_refs(expr.left)
         yield from expr_refs(expr.right)
 
+
+def format_literal(value) -> str:
+    """Source text of an Integer, Boolean or String value.
+
+    Strings are quoted with ``\\`` and ``"`` escaped, the only escapes the
+    lexer reads.
+    """
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return str(value)

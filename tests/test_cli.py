@@ -79,6 +79,7 @@ def test_check_parse_failure_syn(capsys):
 DEEP_GUARDS = {
     "parentheses": "(" * 3000 + "a > 0" + ")" * 3000,
     "negations": "!" * 3000 + "(a > 0)",
+    "binary chain": "a" + " + a" * 2999 + " > 0",
 }
 
 

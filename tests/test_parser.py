@@ -8,6 +8,7 @@ from maa.checks import check
 from maa.engine import ABSENT, run_ts
 from maa.ir import export_ir
 from maa.parser import MAX_NESTING, parse_component_file, parse_types_file
+from maa.printer import pretty_print
 from maa.resolution import resolve
 from maa.syntax import (
     CompilationUnit,
@@ -163,6 +164,46 @@ def test_guard_at_nesting_limit_runs_end_to_end():
     assert json.loads(export_ir(model))["components"][0]["name"] == "C"
     trace = run_ts(model, "C", [{"a": 1}, {"a": -1}, {"a": 0}], 4)
     assert trace.out_column("o") == [ABSENT, ABSENT, 1, 1]
+
+
+def _nth(text: str, sub: str, n: int) -> int:
+    """Offset of the ``n``-th occurrence of ``sub`` in ``text``, counted from 1."""
+    at = -1
+    for _ in range(n):
+        at = text.index(sub, at + 1)
+    return at
+
+
+def test_binary_chain_beyond_limit_is_syn_at_offending_operator():
+    # 2999 left-associative '+': reported at the one that makes the
+    # longest root-to-leaf path MAX_NESTING + 1 operators long
+    text = _guarded("a" + " + a" * 2999 + " > 0")
+    result = parse_component_file(text, "chain.maa")
+    assert isinstance(result, list) and [d.code for d in result] == ["SYN"]
+    assert result[0].loc.column == _nth(text, "+", MAX_NESTING + 1) + 1
+    assert f"nested more than {MAX_NESTING} levels deep" in result[0].message
+
+
+def test_binary_depth_counts_parenthesised_left_operand():
+    # each chain alone is within the limit; the path through both is not
+    inner, outer = 40, 30
+    text = _guarded("(" + "a" + " + a" * inner + ")" + " + a" * outer + " > 0")
+    result = parse_component_file(text, "paren.maa")
+    assert isinstance(result, list) and [d.code for d in result] == ["SYN"]
+    assert result[0].loc.column == _nth(text, "+", MAX_NESTING + 1) + 1
+
+
+def test_binary_chain_at_limit_runs_end_to_end():
+    # MAX_NESTING - 1 '+' and one '>': the guard holds exactly when a > 0
+    text = _guarded("a" + " + a" * (MAX_NESTING - 1) + " > 0")
+    unit = parse_component_file(text, "chain.maa")
+    assert isinstance(unit, CompilationUnit), unit
+    model, diags = resolve([unit], [])
+    assert diags == [] and check(model, "ts") == []
+    assert json.loads(export_ir(model))["components"][0]["name"] == "C"
+    trace = run_ts(model, "C", [{"a": 1}, {"a": -1}, {"a": 0}], 4)
+    assert trace.out_column("o") == [ABSENT, 1, ABSENT, ABSENT]
+    assert parse_component_file(pretty_print(unit), "printed.maa") == unit
 
 
 def test_automaton_statement_order_free():

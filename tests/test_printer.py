@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from maa.parser import parse_component_file
 from maa.printer import pretty_print
 from maa.syntax import CompilationUnit
@@ -67,3 +69,19 @@ def test_expression_parenthesization_round_trips():
             " S [ (a + b) * a - b <= 9 && !(c || a == b) ]; } }")
     unit = reparse(text)
     assert reparse(pretty_print(unit)) == unit
+
+
+@pytest.mark.parametrize("guard, printed", [
+    ("- -a > 0", "[-(-a) > 0]"),
+    ("-(-1) < a", "[-(-1) < a]"),
+    ("-(1) < a", "[-(1) < a]"),
+    ("-a < -1", "[-a < -1]"),
+])
+def test_unary_minus_round_trips(guard, printed):
+    # "--" lexes as absence and "-1" as a negative literal, so an operand of
+    # unary minus that prints starting with "-" or a digit is parenthesised
+    unit = reparse("component C { port in Integer a; automaton {"
+                   f" state S; initial S; S [{guard}]; }} }}")
+    text = pretty_print(unit)
+    assert printed in text
+    assert reparse(text) == unit

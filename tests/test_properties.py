@@ -65,7 +65,7 @@ _exprs = st.recursive(
         st.sampled_from("abcv").map(lambda n: ERef(n, None)),
     ),
     lambda inner: st.one_of(
-        st.tuples(st.sampled_from(["!",]), inner).map(
+        st.tuples(st.sampled_from(["!", "-"]), inner).map(
             lambda t: EUnary(t[0], t[1], None)),
         st.tuples(st.sampled_from(["&&", "||", "==", "!=", "<", "<=", ">", ">=",
                                    "+", "-", "*"]), inner, inner).map(
