@@ -31,7 +31,6 @@ from .engine import (
     enumerate_ts,
     run_ed,
     run_ts,
-    step_ts,
 )
 from .ir import export_ir
 from .parser import parse_component_file, parse_types_file

@@ -1,7 +1,8 @@
 """Command-line surface: check, sim-ts, sim-ed, export-ir.
 
 Exit codes: 0 clean or warnings only, 1 parse or well-formedness errors,
-2 I/O and usage errors, 3 runtime simulation errors.
+2 I/O and usage errors, 3 runtime simulation errors, 4 internal errors (a
+fault in maa itself, reported in one line on stderr, never as a traceback).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -55,6 +57,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Dropping the traceback frees the failed call's frames first, so that
+        # even a MemoryError leaves room to report itself.
+        exc.__traceback__ = None
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,6 +124,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read '{path}': {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read '{path}': not UTF-8 text (byte {exc.start})") from None
 
 
 def _load(paths: list[str], type_paths: list[str]):

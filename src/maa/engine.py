@@ -21,7 +21,10 @@ every output block, initial or not, under either profile.
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
 expands every choice point and returns the exact reachable trace set, serving
-as a brute-force oracle for the policy-driven engines.
+as a brute-force oracle for the policy-driven engines.  Both take the same
+time-synchronous step, :func:`_step`, over instances wired by index in
+:func:`build_plan`: a policy follows one branch of each choice point, the
+enumerator every branch.
 """
 
 from __future__ import annotations
@@ -152,24 +155,34 @@ class _Chooser:
         self._rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
 
     def pick(self, options: list):
-        if not options:
-            raise IndexError("no options to choose from")
         if self._rng is None or len(options) == 1:
             return options[0]
         return options[self._rng.randrange(len(options))]
+
+    def branches(self, options: list) -> list[tuple]:
+        """The one branch the policy takes: an option (a transition or an
+        initial declaration) and one alternative per entry of its output block."""
+        chosen = self.pick(options)
+        return [(chosen, [self.pick(a.alternatives) for a in chosen.assigns])]
+
+
+def _every_branch(options: list) -> list[tuple]:
+    """Every option with every selection of one alternative per output entry."""
+    return [(option, picks) for option in options
+            for picks in itertools.product(*(a.alternatives for a in option.assigns))]
 
 
 # ---------------------------------------------------------------------------
 # States and traces
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentState:
+    """One instance's state; never written once built, so records, successors
+    and event traces share it."""
+
     state: Optional[str]  # None for an automaton-less instance
     variables: dict[str, Value] = field(default_factory=dict)
-
-    def copy(self) -> "ComponentState":
-        return ComponentState(self.state, dict(self.variables))
 
     def freeze(self) -> tuple:
         return (self.state, tuple(sorted(
@@ -204,9 +217,6 @@ class Trace:
 
     def key(self) -> tuple:
         return tuple(r.freeze() for r in self.records)
-
-    def out_column(self, port: str) -> list[Slot]:
-        return [r.outputs[port] for r in self.records]
 
 
 @dataclass(frozen=True)
@@ -317,9 +327,10 @@ class LoweredEntry:
 
 
 class LoweredInitial(NamedTuple):
-    """An initial declaration with its output block lowered."""
+    """An initial declaration with its output block lowered; ``target`` is the
+    state it enters, named as a transition's is."""
 
-    state: str
+    target: str
     assigns: list[LoweredEntry]
 
 
@@ -486,13 +497,19 @@ def _forwarded(term: ValueTerm, inputs, variables, enums) -> Value:
 # Instantiation (composition flattening)
 # ---------------------------------------------------------------------------
 
+# A wire (port, source, source port) says what ``port`` reads each cycle:
+# ``source port`` of source 0, the external stimulus row, or of source i + 1,
+# what instance i sent in the previous cycle.  Source None is unconnected.
+Wire = tuple[str, Optional[int], Optional[str]]
+
+
 @dataclass
 class AtomicInstance:
     path: str  # "" for an atomic main component
     rc: ResolvedComponent
     subst: dict[str, TypeRef]
     behaviour: LoweredAutomaton
-    in_sources: dict[str, tuple] = field(default_factory=dict)
+    wires: list[Wire] = field(default_factory=list)  # one per in-port
 
 
 @dataclass
@@ -500,11 +517,12 @@ class SystemPlan:
     model: ResolvedModel
     main: ResolvedComponent
     instances: list[AtomicInstance]
-    out_sources: dict[str, tuple]
+    wires: list[Wire]  # one per out-port of the main component
 
 
 def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
-    """Flatten the (possibly hierarchical) main component to atomic instances.
+    """Flatten the (possibly hierarchical) main component to atomic instances,
+    wired by index.
 
     Each component's automaton is lowered once, however many instances it has.
     """
@@ -514,7 +532,6 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
     instances: list[AtomicInstance] = []
     edges: dict[tuple[str, str], tuple[str, str]] = {}
-    atomic_paths: set[str] = set()
     lowered: dict[str, LoweredAutomaton] = {}
 
     def expand(rc: ResolvedComponent, path: str, subst: dict[str, TypeRef]):
@@ -526,7 +543,6 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
             if rc.qname not in lowered:
                 lowered[rc.qname] = lower(rc)
             instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
-            atomic_paths.add(path)
             return
         if rc.ast.automata:
             raise SetupError(
@@ -555,38 +571,35 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
         return (inner, ref.port)
 
     expand(root, "", {})
+    source = {inst.path: k for k, inst in enumerate(instances, start=1)}
 
-    def follow(node: tuple[str, str], seen: set) -> tuple:
-        if node in seen:
-            raise SetupError(f"connector cycle through {node[1]!r}")
-        seen = seen | {node}
-        path, port = node
-        if path in atomic_paths and node not in edges:
-            inst = next(i for i in instances if i.path == path)
-            if inst.rc.port_dir.get(port) == "out":
-                return ("inst", path, port)
-        if path == "" and root.port_dir.get(port) == "in" and root.ast.subcomponents:
-            return ("ext", port)
-        if node in edges:
-            return follow(edges[node], seen)
-        return ("absent",)
+    def wire(port: str, node: tuple[str, str]) -> Wire:
+        """The wire of ``port``, which reads ``node``, followed along
+        connectors to an instance's out-port or an external in-port."""
+        seen = set()
+        while node not in seen:
+            seen.add(node)
+            path, name = node
+            if (path in source and node not in edges
+                    and instances[source[path] - 1].rc.port_dir.get(name) == "out"):
+                return (port, source[path], name)
+            if path == "" and root.port_dir.get(name) == "in":
+                return (port, 0, name)
+            if node not in edges:
+                return (port, None, None)
+            node = edges[node]
+        raise SetupError(f"connector cycle through {node[1]!r}")
 
-    is_composed = bool(root.ast.subcomponents)
     for inst in instances:
-        for port in inst.rc.in_ports:
-            if not is_composed:
-                inst.in_sources[port] = ("ext", port)
-            else:
-                inst.in_sources[port] = follow((inst.path, port), set())
+        inst.wires = [wire(port, (inst.path, port)) for port in inst.rc.in_ports]
+    return SystemPlan(model, root, instances,
+                      [wire(port, ("", port)) for port in root.out_ports])
 
-    out_sources: dict[str, tuple] = {}
-    for port in root.out_ports:
-        if not is_composed:
-            out_sources[port] = ("inst", "", port)
-        else:
-            out_sources[port] = follow(("", port), set())
 
-    return SystemPlan(model, root, instances, out_sources)
+def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
+    """What each wired port reads this cycle; absence is a missing message."""
+    return {port: ABSENT if k is None else sources[k].get(name, ABSENT)
+            for port, k, name in wires}
 
 
 def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
@@ -608,20 +621,24 @@ def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
 
 
 # ---------------------------------------------------------------------------
-# Initial states, under either profile
+# Firing, under either profile
 # ---------------------------------------------------------------------------
 
-def _pick_initial(inst: AtomicInstance, chooser: _Chooser) -> tuple:
-    """One initial declaration and one alternative per assignment of its output."""
-    if not inst.behaviour.initials:
-        return None, []
-    initial = chooser.pick(inst.behaviour.initials)
-    return initial, [chooser.pick(a.alternatives) for a in initial.assigns]
+def _fire(behaviour: LoweredAutomaton, variables: dict[str, Value], inputs: dict[str, Slot],
+          option: Union[LoweredTransition, LoweredInitial], picks,
+          cycle: Optional[int]) -> tuple[ComponentState, list]:
+    """The state entered and the outputs of taking ``option``, a transition or
+    an initial declaration, with one picked alternative per output entry."""
+    try:
+        outputs, variables = behaviour.apply_outputs(option.assigns, picks, inputs, variables)
+    except SimulationError as exc:
+        raise SimulationError(exc.message, cycle) from None
+    return ComponentState(option.target, variables), outputs
 
 
-def _start(inst: AtomicInstance, model: ResolvedModel, initial: Optional[LoweredInitial],
-           picks) -> tuple[ComponentState, list[tuple[str, object]]]:
-    """State and initial outputs after one chosen initial declaration."""
+def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
+    """Every (state, outputs) an instance may start with, one per branch of its
+    initial declarations."""
     variables: dict[str, Value] = {}
     for var in inst.rc.ast.variables:
         if var.initial is not None:
@@ -632,115 +649,73 @@ def _start(inst: AtomicInstance, model: ResolvedModel, initial: Optional[Lowered
         else:
             variables[var.name] = default_value(
                 inst.rc.var_type.get(var.name), inst.subst, model)
-    if initial is None:
+    if not inst.behaviour.initials:
         # no initial declaration (a convention warning): start at the first
         # declared state with no initial output
-        return ComponentState(inst.behaviour.start, variables), []
-    inputs = {port: ABSENT for port in inst.rc.in_ports}
-    outputs, variables = inst.behaviour.apply_outputs(initial.assigns, picks, inputs,
-                                                      variables)
-    return ComponentState(initial.state, variables), outputs
+        yield ComponentState(inst.behaviour.start, variables), []
+        return
+    inputs = dict.fromkeys(inst.rc.in_ports, ABSENT)
+    for initial, picks in branches(inst.behaviour.initials):
+        yield _fire(inst.behaviour, variables, inputs, initial, picks, None)
 
 
 # ---------------------------------------------------------------------------
 # Time-synchronous engine
 # ---------------------------------------------------------------------------
+#
+# A joint state is a tuple of (ComponentState, sent) pairs in plan order, where
+# ``sent`` maps each out-port the instance sent a message on in the last cycle
+# to that message.
 
-@dataclass
-class TSState:
-    components: dict[str, ComponentState]
-    pending: dict[str, dict[str, Slot]]
-
-
-def _pending(inst: AtomicInstance, outputs: list[tuple[str, object]],
-             cycle: Optional[int]) -> dict[str, Slot]:
-    """What an instance sends for the next cycle: one message or ABSENT per out-port."""
-    pending = {port: ABSENT for port in inst.rc.out_ports}
+def _sent(outputs: list[tuple[str, object]], cycle: Optional[int]) -> dict[str, Value]:
+    """The messages an instance sends for the next cycle, at most one per out-port."""
+    sent = {}
     for port, value in outputs:
         if isinstance(value, list):
             what = (f"initial output on port '{port}' is a sequence" if cycle is None
                     else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
                 f"{what}; the time-synchronous profile allows one message per port", cycle)
-        pending[port] = value
-    return pending
+        sent[port] = value
+    return {port: value for port, value in sent.items() if value is not ABSENT}
 
 
-def _start_ts(inst: AtomicInstance, model: ResolvedModel, initial: Optional[LoweredInitial],
-              picks) -> tuple[ComponentState, dict[str, Slot]]:
-    cs, outputs = _start(inst, model, initial, picks)
-    return cs, _pending(inst, outputs, None)
+def _initial_ts(plan: SystemPlan, branches) -> itertools.product:
+    """Every joint initial state that ``branches`` admits."""
+    return itertools.product(*(
+        [(cs, _sent(outputs, None)) for cs, outputs in _initial(inst, plan.model, branches)]
+        for inst in plan.instances))
 
 
-def _init_ts(plan: SystemPlan, chooser: _Chooser) -> TSState:
-    components: dict[str, ComponentState] = {}
-    pending: dict[str, dict[str, Slot]] = {}
-    for inst in plan.instances:
-        components[inst.path], pending[inst.path] = _start_ts(
-            inst, plan.model, *_pick_initial(inst, chooser))
-    return TSState(components, pending)
+def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
+          cycle: int) -> tuple[dict[str, Slot], itertools.product]:
+    """One global cycle: the outputs observed outside, and every successor
+    joint state that ``branches`` admits.
 
-
-def _instance_inputs(plan: SystemPlan, state: TSState, inst: AtomicInstance,
-                     external: dict[str, Slot]) -> dict[str, Slot]:
-    inputs: dict[str, Slot] = {}
-    for port in inst.rc.in_ports:
-        source = inst.in_sources[port]
-        if source[0] == "ext":
-            inputs[port] = external.get(source[1], ABSENT)
-        elif source[0] == "inst":
-            inputs[port] = state.pending[source[1]].get(source[2], ABSENT)
-        else:
-            inputs[port] = ABSENT
-    return inputs
-
-
-def _observe(plan: SystemPlan, state: TSState, external: dict[str, Slot]) -> dict[str, Slot]:
-    observed: dict[str, Slot] = {}
-    for port, source in plan.out_sources.items():
-        if source[0] == "inst":
-            observed[port] = state.pending[source[1]].get(source[2], ABSENT)
-        elif source[0] == "ext":
-            observed[port] = external.get(source[1], ABSENT)
-        else:
-            observed[port] = ABSENT
-    return observed
-
-
-def _fire_ts(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot],
-             chosen: LoweredTransition, picks, cycle: Optional[int]):
-    """Successor state and pending outputs of one instance firing ``chosen``."""
-    try:
-        outputs, variables = inst.behaviour.apply_outputs(chosen.assigns, picks, inputs,
-                                                          cs.variables)
-    except SimulationError as exc:
-        raise SimulationError(exc.message, cycle) from None
-    return ComponentState(chosen.target, variables), _pending(inst, outputs, cycle)
-
-
-def _idle(inst: AtomicInstance, cs: ComponentState):
-    """Idle completion: state and variables unchanged, nothing emitted."""
-    return cs.copy(), {port: ABSENT for port in inst.rc.out_ports}
-
-
-def step_ts(plan: SystemPlan, state: TSState, external: dict[str, Slot],
-            chooser: _Chooser, cycle: Optional[int] = None) -> tuple[TSState, dict[str, Slot]]:
-    """One global cycle; returns the successor state and the observed outputs."""
-    observed = _observe(plan, state, external)
-    new_components: dict[str, ComponentState] = {}
-    new_pending: dict[str, dict[str, Slot]] = {}
-    for inst in plan.instances:
-        cs = state.components[inst.path]
-        inputs = _instance_inputs(plan, state, inst, external)
+    Each instance reads what was sent in the previous cycle and fires one
+    enabled transition, or completes idle: unchanged and silent.
+    """
+    sources = (external, *(sent for _, sent in state))
+    per_instance = []
+    for inst, (cs, _) in zip(plan.instances, state):
+        inputs = _read(inst.wires, sources)
         options = inst.behaviour.enabled(cs.state, inputs, cs.variables, cycle=cycle)
-        if options:
-            chosen = chooser.pick(options)
-            picks = [chooser.pick(a.alternatives) for a in chosen.assigns]
-            successor = _fire_ts(inst, cs, inputs, chosen, picks, cycle)
-        else:
-            successor = _idle(inst, cs)
-        new_components[inst.path], new_pending[inst.path] = successor
-    return TSState(new_components, new_pending), observed
+        if not options:
+            per_instance.append([(cs, {})])
+            continue
+        successors = []
+        for option, picks in branches(options):
+            successor, outputs = _fire(inst.behaviour, cs.variables, inputs, option, picks,
+                                       cycle)
+            successors.append((successor, _sent(outputs, cycle)))
+        per_instance.append(successors)
+    return _read(plan.wires, sources), itertools.product(*per_instance)
+
+
+def _record(plan: SystemPlan, index: int, external: dict[str, Slot],
+            observed: dict[str, Slot], state: tuple) -> CycleRecord:
+    return CycleRecord(index, external, observed,
+                       {inst.path: cs for inst, (cs, _) in zip(plan.instances, state)})
 
 
 def _normalize_stimulus(plan: SystemPlan, stimulus: list[dict[str, Slot]],
@@ -765,27 +740,18 @@ def run_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
         raise SetupError("a run needs at least one cycle")
     plan = build_plan(model, main)
     rows = _normalize_stimulus(plan, stimulus, n_cycles)
-    chooser = _Chooser(policy)
-    state = _init_ts(plan, chooser)
+    branches = _Chooser(policy).branches
+    (state,) = _initial_ts(plan, branches)
     records: list[CycleRecord] = []
-    for index in range(1, n_cycles + 1):
-        external = rows[index - 1]
-        state, observed = step_ts(plan, state, external, chooser, cycle=index)
-        records.append(CycleRecord(
-            index, dict(external), observed,
-            {inst.path: state.components[inst.path].copy() for inst in plan.instances},
-        ))
+    for index, external in enumerate(rows, start=1):
+        observed, (state,) = _step(plan, state, external, branches, index)
+        records.append(_record(plan, index, external, observed, state))
     return Trace(records)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (oracle)
 # ---------------------------------------------------------------------------
-
-def _all_picks(assigns: list[LoweredEntry]):
-    """Every selection of one alternative per assignment."""
-    return itertools.product(*(a.alternatives for a in assigns))
-
 
 def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
                  n_cycles: int, bound: int = 1024) -> list[Trace]:
@@ -801,29 +767,10 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
         raise SetupError("the enumeration bound must be at least 1")
     plan = build_plan(model, main)
     rows = _normalize_stimulus(plan, stimulus, n_cycles)
-    instances = plan.instances
 
-    def successors(inst: AtomicInstance, cs: ComponentState,
-                   inputs: dict[str, Slot], cycle: int) -> list:
-        options = inst.behaviour.enabled(cs.state, inputs, cs.variables, cycle=cycle)
-        if not options:
-            return [_idle(inst, cs)]
-        return [_fire_ts(inst, cs, inputs, chosen, picks, cycle)
-                for chosen in options for picks in _all_picks(chosen.assigns)]
-
-    per_instance = []
-    for inst in instances:
-        if inst.behaviour.initials:
-            per_instance.append([_start_ts(inst, plan.model, initial, picks)
-                                 for initial in inst.behaviour.initials
-                                 for picks in _all_picks(initial.assigns)])
-        else:
-            per_instance.append([_start_ts(inst, plan.model, None, ())])
-
-    # A node is (state, cycle, prefix); a prefix is None or (record, parent prefix).
-    stack = [(TSState({inst.path: cs for inst, (cs, _) in zip(instances, combo)},
-                      {inst.path: pend for inst, (_, pend) in zip(instances, combo)}), 1, None)
-             for combo in itertools.product(*per_instance)]
+    # A node is (joint state, cycle, prefix); a prefix is None or (record,
+    # parent prefix), so traces with a common prefix share its records.
+    stack = [(state, 1, None) for state in _initial_ts(plan, _every_branch)]
     stack.reverse()
     results: dict[tuple, Trace] = {}
     while stack:
@@ -834,34 +781,20 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
                 record, prefix = prefix
                 records.append(record)
             records.reverse()
-            key = Trace(records).key()
+            trace = Trace(records)
+            key = trace.key()
             if key not in results:
                 if len(results) >= bound:
                     raise EnumerationOverflow(
                         f"more than {bound} distinct traces; raise the bound")
-                results[key] = Trace([CycleRecord(r.index, dict(r.inputs), dict(r.outputs),
-                                                  {k: v.copy() for k, v in r.states.items()})
-                                      for r in records])
+                results[key] = trace
             continue
         external = rows[index - 1]
-        observed = _observe(plan, state, external)
-        per_instance = [successors(inst, state.components[inst.path],
-                                   _instance_inputs(plan, state, inst, external), index)
-                        for inst in instances]
-        children = []
-        for combo in itertools.product(*per_instance):
-            record = CycleRecord(
-                index, dict(external), dict(observed),
-                {inst.path: cs.copy() for inst, (cs, _) in zip(instances, combo)},
-            )
-            next_state = TSState(
-                {inst.path: cs for inst, (cs, _) in zip(instances, combo)},
-                {inst.path: pend for inst, (_, pend) in zip(instances, combo)},
-            )
-            children.append((next_state, index + 1, (record, prefix)))
-        stack.extend(reversed(children))
-
-    return sorted(results.values(), key=Trace.key)
+        observed, successors = _step(plan, state, external, _every_branch, index)
+        stack.extend(reversed([
+            (successor, index + 1, (_record(plan, index, external, observed, successor), prefix))
+            for successor in successors]))
+    return [results[key] for key in sorted(results)]
 
 
 # ---------------------------------------------------------------------------
@@ -892,8 +825,7 @@ class EventMachine:
         self._silent = {port: ABSENT for port in rc.in_ports}
 
     def initial(self) -> tuple[ComponentState, list[tuple[str, list[Value]]]]:
-        cs, outputs = _start(self.instance, self.model,
-                             *_pick_initial(self.instance, self.chooser))
+        cs, outputs = next(_initial(self.instance, self.model, self.chooser.branches))
         return cs, _emissions(outputs)
 
     def step(self, cs: ComponentState, event: Event) -> tuple[ComponentState, list]:
@@ -905,11 +837,10 @@ class EventMachine:
         behaviour = self.instance.behaviour
         options = behaviour.enabled(cs.state, inputs, cs.variables, event.port)
         if not options:
-            return cs.copy(), []
-        chosen = self.chooser.pick(options)
-        picks = [self.chooser.pick(a.alternatives) for a in chosen.assigns]
-        outputs, variables = behaviour.apply_outputs(chosen.assigns, picks, inputs, cs.variables)
-        return ComponentState(chosen.target, variables), _emissions(outputs)
+            return cs, []
+        [(chosen, picks)] = self.chooser.branches(options)
+        cs, outputs = _fire(behaviour, cs.variables, inputs, chosen, picks, None)
+        return cs, _emissions(outputs)
 
 
 def run_ed(model: ResolvedModel, main: str, script: list[Event],
@@ -920,5 +851,5 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
     trace = EventTrace(cs.state, initial_emissions, [])
     for event in script:
         cs, emissions = machine.step(cs, event)
-        trace.steps.append(EventStep(event, emissions, cs.copy()))
+        trace.steps.append(EventStep(event, emissions, cs))
     return trace

@@ -245,8 +245,7 @@ class _Parser:
 
     def _port(self) -> PortDecl:
         if not (self._at("in") or self._at("out")):
-            tok = self._peek()
-            raise ParseError(tok.loc, f"expected 'in' or 'out', found {tok.text!r}")
+            raise self._expected("'in' or 'out'")
         direction = self._next().text
         type_name = self._qname()
         name = self._expect_name("port name")

@@ -129,14 +129,11 @@ class ResolvedComponent:
     visible_enums: dict[str, list[EnumInfo]] = field(default_factory=dict)
     literal_index: dict[str, list[EnumInfo]] = field(default_factory=dict)
     subcomponents: dict[str, ResolvedSub] = field(default_factory=dict)
-
-    @property
-    def in_ports(self) -> list[str]:
-        return [p.name for p in self.ast.ports if p.direction == "in"]
-
-    @property
-    def out_ports(self) -> list[str]:
-        return [p.name for p in self.ast.ports if p.direction == "out"]
+    in_ports: list[str] = field(default_factory=list)  # in declaration order
+    out_ports: list[str] = field(default_factory=list)
+    # id of an unnamed input or output entry -> (the entry, its target);
+    # holding the entry keeps its id from being reused
+    _targets: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def binding(self, name: str):
         """What a bare name denotes in this component.
@@ -162,17 +159,23 @@ class ResolvedComponent:
 
         A named entry targets its name if a port or variable is declared so.
         An unnamed one targets the only in-port (out-port for an output) or
-        variable that admits every alternative.
+        variable that admits every alternative; that is inferred once per
+        entry, since nothing writes the AST after parsing.
         """
         if entry.target is not None:
             if entry.target in self.port_dir or entry.target in self.var_type:
                 return Inference("ok", entry.target, (entry.target,))
             return Inference("none", None)
-        direction = "in" if isinstance(entry, Match) else "out"
-        ports = [p.name for p in self.ast.ports if p.direction == direction]
-        candidates = [(p, self.port_type.get(p)) for p in ports] + list(self.var_type.items())
-        kinds = {p: direction for p in ports} | {v: "var" for v in self.var_type}
-        return infer_block_target(entry.alternatives, candidates, kinds, self)
+        memo = self._targets.get(id(entry))
+        if memo is None:
+            direction = "in" if isinstance(entry, Match) else "out"
+            ports = self.in_ports if direction == "in" else self.out_ports
+            candidates = ([(p, self.port_type.get(p)) for p in ports]
+                          + list(self.var_type.items()))
+            kinds = {p: direction for p in ports} | {v: "var" for v in self.var_type}
+            memo = self._targets[id(entry)] = (
+                entry, infer_block_target(entry.alternatives, candidates, kinds, self))
+        return memo[1]
 
     def ports_read(self, trans: Transition) -> tuple[set[str], set[str]]:
         """The in-ports a transition's guard reads, and all the in-ports it
@@ -315,6 +318,7 @@ def _resolve_declarations(rc: ResolvedComponent, model: ResolvedModel,
 
     for port in rc.ast.ports:
         rc.port_dir[port.name] = port.direction
+        (rc.in_ports if port.direction == "in" else rc.out_ports).append(port.name)
         if port.name not in rc.port_type:
             rc.port_type[port.name] = resolve_type(port.type_name, port.loc, "port")
     for var in rc.ast.variables:

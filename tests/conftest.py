@@ -58,6 +58,11 @@ def check_files(paths, profile, type_paths=()):
     return rdiags + check(model, profile)
 
 
+def out_column(trace, port: str) -> list:
+    """The message (or ABSENT) observed on one out-port in each cycle of a trace."""
+    return [r.outputs[port] for r in trace.records]
+
+
 @pytest.fixture
 def bump_model():
     return load_model([MODELS / "bumperbot" / "BumpControl.maa"],

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,7 +14,7 @@ import maa.engine
 from maa.cli import main
 from maa.parser import MAX_NESTING
 
-from conftest import FIXTURES, MODELS
+from conftest import FIXTURES, MODELS, REPO_ROOT
 
 COCO = FIXTURES / "coco"
 BUMP = [str(MODELS / "bumperbot" / "BumpControl.maa"),
@@ -99,6 +102,53 @@ def test_check_unreadable_file_exit_two(capsys):
     code, _, err = run(capsys, "check", "no/such/file.maa")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "BAD"],
+    ["sim-ts", *FOLLOW, "--main", "robot.FollowTheLeaderOnline", "--cycles", "2",
+     "--stimulus", "BAD"],
+    ["sim-ed", *TOAST, "--main", "robot.ToastArmController", "--script", "BAD"],
+], ids=["model", "stimulus", "script"])
+def test_undecodable_file_is_a_usage_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, *(str(bad) if arg == "BAD" else arg for arg in command))
+    assert code == 2
+    assert err == f"error: cannot read '{bad}': not UTF-8 text (byte 0)\n"
+    assert "Traceback" not in err
+
+
+def test_internal_error_exit_four_in_one_line(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(maa.cli, "run_ts", broken)
+    code, out, err = run(capsys, "sim-ts", *PIPELINE, "--main", "pipeline.Pipeline",
+                         "--cycles", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: engine fault\n"
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exit_four_in_one_line(tmp_path):
+    # A run too long for its memory: the handler must report the MemoryError
+    # after the failed run's frames are freed, not die printing a traceback.
+    resource = pytest.importorskip("resource")
+    limit = 250 * 2**20
+    model = tmp_path / "B.maa"
+    model.write_text("component B { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S / o = 1; } }", encoding="utf-8")
+    child = subprocess.run(
+        [sys.executable, "-m", "maa.cli", "sim-ts", str(model), "--main", "B",
+         "--cycles", "100000000"],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), capture_output=True,
+        text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert child.returncode == 4, child.stderr[-2000:]
+    assert child.stderr.startswith("internal error: MemoryError")
+    assert len(child.stderr.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from maa.parser import parse_component_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
+from conftest import out_column
+
 MOTOR = "bumperbot.types.MotorCmd"
 TIMER = "bumperbot.types.TimerCmd"
 RMOTOR = "robot.MotorCmd"
@@ -288,7 +290,7 @@ FOLLOW_CMD = ["SLOW_FORWARD", "--", "--", "FAST_FORWARD", "FAST_FORWARD",
 
 def test_follow_the_leader_reference_trace(follow_model):
     trace = run_ts(follow_model, "robot.FollowTheLeaderOnline", FOLLOW_STIM, 8)
-    got = ["--" if v is ABSENT else v.literal for v in trace.out_column("cmd")]
+    got = ["--" if v is ABSENT else v.literal for v in out_column(trace, "cmd")]
     assert got == FOLLOW_CMD
 
 
@@ -377,7 +379,7 @@ PIPE_STIM = [{"mode": True}, {"mode": True}, {"mode": False},
 
 def test_pipeline_golden_trace(pipeline_model):
     trace = run_ts(pipeline_model, "pipeline.Pipeline", PIPE_STIM, 6)
-    got = ["--" if v is ABSENT else v for v in trace.out_column("result")]
+    got = ["--" if v is ABSENT else v for v in out_column(trace, "result")]
     assert got == ["--", "--", 1, 1, 2, 1]
 
 
@@ -388,7 +390,7 @@ def test_pipeline_per_component_delay(pipeline_model):
         stim = [{"mode": True}] * 6
         stim[flip_cycle - 1] = {"mode": False}
         trace = run_ts(pipeline_model, "pipeline.Pipeline", stim, 6)
-        column = trace.out_column("result")
+        column = out_column(trace, "result")
         assert column[flip_cycle + 1] == 2, f"flip at {flip_cycle}"
 
 
@@ -441,7 +443,7 @@ def test_two_stage_forwarder_hand_trace():
     model = chain_model()
     stim = [{"x": 1}, {"x": 2}, {"x": 3}, {"x": ABSENT}, {"x": 1}]
     trace = run_ts(model, "chain.Chain", stim, 6)
-    got = ["--" if v is ABSENT else v for v in trace.out_column("y")]
+    got = ["--" if v is ABSENT else v for v in out_column(trace, "y")]
     assert got == ["--", "--", 1, 2, 3, "--"]
 
 
@@ -490,7 +492,7 @@ component Top {
     assert diags == [], [d.render() for d in diags]
     stim = [{"m": True, "x": 5, "y": 7}, {"m": False, "x": 5, "y": 7}]
     trace = run_ts(model, "gw.Top", stim, 3)
-    got = ["--" if v is ABSENT else v for v in trace.out_column("z")]
+    got = ["--" if v is ABSENT else v for v in out_column(trace, "z")]
     # one atomic component in the path: input at t is visible at t + 1
     assert got == ["--", 5, 7]
 
@@ -508,7 +510,7 @@ component Nested {
     model = chain_model([nested])
     stim = [{"x": 1}, {"x": 2}, {"x": 3}, {"x": ABSENT}, {"x": 1}]
     trace = run_ts(model, "chain.Nested", stim, 6)
-    got = ["--" if v is ABSENT else v for v in trace.out_column("y")]
+    got = ["--" if v is ABSENT else v for v in out_column(trace, "y")]
     # boundary pass-through adds no delay of its own
     assert got == ["--", "--", 1, 2, 3, "--"]
     assert set(trace.records[0].states) == {"c.s1", "c.s2"}
@@ -546,7 +548,7 @@ def test_enumerate_dual_enabled_bound():
     traces = enumerate_ts(model, "C", [], 3, bound=64)
     # two enabled loops over 3 cycles: at most 8 runs, deduplicated by trace
     assert 1 <= len(traces) <= 8
-    runs = {tuple("--" if v is ABSENT else v for v in t.out_column("o")) for t in traces}
+    runs = {tuple("--" if v is ABSENT else v for v in out_column(t, "o")) for t in traces}
     # outputs of cycle k reflect the choice of cycle k-1; cycle 1 observes the
     # (empty) initial output, so 2 choices remain visible in a 3-cycle window
     assert runs == {("--", a, b) for a in (1, 2) for b in (1, 2)}
@@ -571,20 +573,15 @@ def test_policy_runs_contained_in_enumeration():
         assert run_ts(model, "C", stim, 4, Seeded(seed)).key() in keys
 
 
-def test_step_ts_direct_use(follow_model):
-    from maa.engine import build_plan, step_ts, _Chooser, _init_ts
-    plan = build_plan(follow_model, "robot.FollowTheLeaderOnline")
-    chooser = _Chooser(FirstDeclared())
-    state = _init_ts(plan, chooser)
-    state, observed = step_ts(plan, state, {"inLane": True, "dist": ABSENT},
-                              chooser, cycle=1)
-    assert observed["cmd"] == rmotor("SLOW_FORWARD")  # the initial output
-    state, observed = step_ts(plan, state, {"inLane": True, "dist": dist("TOO_FAR")},
-                              chooser, cycle=2)
-    assert observed["cmd"] is ABSENT  # cycle-1 inputs matched nothing
-    _state, observed = step_ts(plan, state, {"inLane": True, "dist": ABSENT},
-                               chooser, cycle=3)
-    assert observed["cmd"] == rmotor("FAST_FORWARD")  # reaction to cycle 2
+def test_outputs_observed_one_cycle_after_their_cause(follow_model):
+    trace = run_ts(follow_model, "robot.FollowTheLeaderOnline",
+                   [{"inLane": True, "dist": ABSENT},
+                    {"inLane": True, "dist": dist("TOO_FAR")},
+                    {"inLane": True, "dist": ABSENT}], 3)
+    observed = out_column(trace, "cmd")
+    assert observed[0] == rmotor("SLOW_FORWARD")  # the initial output
+    assert observed[1] is ABSENT  # cycle-1 inputs matched nothing
+    assert observed[2] == rmotor("FAST_FORWARD")  # reaction to cycle 2
 
 
 def test_enumerate_sorts_traces_differing_in_an_enum_variable():

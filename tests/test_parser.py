@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from maa.checks import check
 from maa.engine import ABSENT, run_ts
 from maa.ir import export_ir
@@ -19,7 +21,7 @@ from maa.syntax import (
     TypeDeclUnit,
 )
 
-from conftest import CORPUS, MODELS, parse_model
+from conftest import CORPUS, MODELS, out_column, parse_model
 
 
 def test_whole_corpus_parses_without_syn():
@@ -138,6 +140,15 @@ def test_syntax_error_location():
     assert (result[0].loc.line, result[0].code) == (2, "SYN")
 
 
+@pytest.mark.parametrize("text, found", [
+    ("component C { port", "'end of input'"),
+    ("component C { port Integer p; }", "'Integer'"),
+], ids=["end-of-input", "type-name"])
+def test_port_without_direction_names_what_was_found(text, found):
+    [diag] = parse_component_file(text, "p.maa")
+    assert diag.message == f"expected 'in' or 'out', found {found}"
+
+
 def _guarded(guard: str) -> str:
     return ("component C { port in Integer a, out Integer o; automaton {"
             f" state S; initial S; S [{guard}] / o = 1; }} }}")
@@ -163,7 +174,7 @@ def test_guard_at_nesting_limit_runs_end_to_end():
     assert diags == [] and check(model, "ts") == []
     assert json.loads(export_ir(model))["components"][0]["name"] == "C"
     trace = run_ts(model, "C", [{"a": 1}, {"a": -1}, {"a": 0}], 4)
-    assert trace.out_column("o") == [ABSENT, ABSENT, 1, 1]
+    assert out_column(trace, "o") == [ABSENT, ABSENT, 1, 1]
 
 
 def _nth(text: str, sub: str, n: int) -> int:
@@ -202,7 +213,7 @@ def test_binary_chain_at_limit_runs_end_to_end():
     assert diags == [] and check(model, "ts") == []
     assert json.loads(export_ir(model))["components"][0]["name"] == "C"
     trace = run_ts(model, "C", [{"a": 1}, {"a": -1}, {"a": 0}], 4)
-    assert trace.out_column("o") == [ABSENT, 1, ABSENT, ABSENT]
+    assert out_column(trace, "o") == [ABSENT, 1, ABSENT, ABSENT]
     assert parse_component_file(pretty_print(unit), "printed.maa") == unit
 
 

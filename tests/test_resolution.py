@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import maa.resolution
+from maa.checks import check
+from maa.engine import lower
 from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import (
     BOOLEAN,
@@ -221,3 +224,25 @@ def test_one_unit_resolved_into_two_models():
     assert diags2 and check(m2, "ts")
     assert observed() == before
     assert before[0] == []
+
+
+@pytest.mark.parametrize("run", [
+    lambda model: lower(model.components["C"]),
+    lambda model: check(model, "ed"),
+], ids=["lower", "check-ed"])
+def test_unnamed_entry_target_inferred_once(monkeypatch, run):
+    calls = []
+    infer = maa.resolution.infer_block_target
+
+    def counting(*args):
+        calls.append(args)
+        return infer(*args)
+
+    monkeypatch.setattr(maa.resolution, "infer_block_target", counting)
+    unit = parse_component_file(
+        "component C { port in Boolean b, out Integer o; automaton {"
+        " state S; initial S; S {true} / o = 1; } }", "c.maa")
+    model, diags = resolve([unit], [])
+    assert diags == [] and calls == []
+    run(model)
+    assert len(calls) == 1
