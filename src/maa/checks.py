@@ -25,8 +25,6 @@ from .resolution import (
     ResolvedComponent,
     ResolvedModel,
     SeqType,
-    STRING,
-    binding_type,
     conforms,
     type_of,
 )
@@ -39,7 +37,6 @@ from .syntax import (
     EUnary,
     Expr,
     Match,
-    NameValue,
     NoData,
     SequenceValue,
     Transition,
@@ -182,18 +179,12 @@ class _Checker:
                 self.emit("T5", term.loc,
                           f"cannot assign a sequence to variable '{var.name}'")
                 continue
-            if isinstance(term, NameValue):
-                binding = self.rc.binding(term.name)
-                if binding is None:
-                    self.emit("R2", term.loc, f"name '{term.name}' is undefined")
-                    continue
-                if binding[0] == "ambiguous-enum":
-                    self._ambiguous_enum(term, binding)
-                    continue
-                if binding[0] in ("in", "out"):
-                    self.emit("R3", term.loc,
-                              f"variable declaration of '{var.name}' references port '{term.name}'")
-                    continue
+            if self._report_names([term]):
+                continue
+            if isinstance(term, ERef) and self.rc.binding(term.name)[0] in ("in", "out"):
+                self.emit("R3", term.loc,
+                          f"variable declaration of '{var.name}' references port '{term.name}'")
+                continue
             if declared is None:
                 continue
             t = type_of(term, self.rc)
@@ -234,7 +225,7 @@ class _Checker:
     # -- input blocks ---------------------------------------------------------
 
     def check_match(self, match: Match) -> None:
-        unresolved = self._report_value_names(match.alternatives)
+        unresolved = self._report_names(match.alternatives)
         target = self._target(match, unresolved)
         if target is None:
             return
@@ -262,10 +253,10 @@ class _Checker:
     # -- output blocks ---------------------------------------------------------
 
     def check_assignment(self, assign: Assignment, initial_output: bool = False) -> None:
-        unresolved = self._report_value_names(assign.alternatives)
+        unresolved = self._report_names(assign.alternatives)
         if initial_output and self.profile == "ts":
             for alt in assign.alternatives:
-                for ref in _value_refs(alt):
+                for ref in expr_refs(alt):
                     if ref.name in self.rc.port_dir:
                         self.emit("S2TS", ref.loc,
                                   f"port '{ref.name}' must not be used in an initial output")
@@ -298,7 +289,7 @@ class _Checker:
 
     def _check_single_value(self, term, kind: str, declared, target: str,
                             input_side: bool) -> None:
-        if isinstance(term, NameValue):
+        if isinstance(term, ERef):
             binding = self.rc.binding(term.name)
             if binding is None or binding[0] == "ambiguous-enum":
                 return  # reported by the name walk
@@ -321,11 +312,12 @@ class _Checker:
         if t is None or isinstance(t, SeqType) or not conforms(t, declared):
             self.emit("T1", term.loc, f"'{format_value(term)}' is no {declared}")
 
-    def _report_value_names(self, alternatives) -> bool:
-        """R2/R0 for unresolved or ambiguous names; True if any was found."""
+    def _report_names(self, terms) -> bool:
+        """R2/R0 for unresolved or ambiguous names in value terms or guard
+        expressions; True if any was found."""
         found = False
-        for alt in alternatives:
-            for ref in _value_refs(alt):
+        for term in terms:
+            for ref in expr_refs(term):
                 binding = self.rc.binding(ref.name)
                 if binding is None:
                     self.emit("R2", ref.loc, f"name '{ref.name}' is undefined")
@@ -363,16 +355,10 @@ class _Checker:
     # -- guards -------------------------------------------------------------
 
     def check_guard(self, guard) -> None:
-        clean = True
+        clean = not self._report_names([guard.expr])
         for ref in expr_refs(guard.expr):
             binding = self.rc.binding(ref.name)
-            if binding is None:
-                self.emit("R2", ref.loc, f"name '{ref.name}' is undefined")
-                clean = False
-            elif binding[0] == "ambiguous-enum":
-                self._ambiguous_enum(ref, binding)
-                clean = False
-            elif binding[0] == "out":
+            if binding is not None and binding[0] == "out":
                 self.emit("T6", ref.loc,
                           f"cannot read output port '{ref.name}' in a guard")
                 clean = False
@@ -383,14 +369,8 @@ class _Checker:
 
     def _expr_type(self, expr: Expr):
         """Expression type, or None when a subterm already failed (reported)."""
-        if isinstance(expr, ELit):
-            if isinstance(expr.value, bool):
-                return BOOLEAN
-            if isinstance(expr.value, int):
-                return INTEGER
-            return STRING
-        if isinstance(expr, ERef):
-            return binding_type(self.rc.binding(expr.name))
+        if isinstance(expr, (ELit, ERef)):
+            return type_of(expr, self.rc)
         if isinstance(expr, EUnary):
             t = self._expr_type(expr.operand)
             if t is None:
@@ -434,11 +414,3 @@ class _Checker:
             self.emit(code, automaton.loc,
                       "multiple automata are not allowed in this profile")
 
-
-def _value_refs(term):
-    """All NameValue nodes inside a value term."""
-    if isinstance(term, NameValue):
-        yield term
-    elif isinstance(term, SequenceValue):
-        for element in term.elements:
-            yield from _value_refs(element)

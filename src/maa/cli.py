@@ -230,10 +230,12 @@ def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str,
         cells = line.split("\t")
         if header is None:
             header = [c.strip() for c in cells]
-            for name in header:
+            for i, name in enumerate(header):
                 if name not in rc.in_ports:
                     raise _UsageError(
                         f"{path}:{lineno}: '{name}' is not an in-port of '{main}'")
+                if name in header[:i]:
+                    raise _UsageError(f"{path}:{lineno}: column '{name}' appears twice")
             continue
         if len(cells) > len(header):
             raise _UsageError(f"{path}:{lineno}: more cells than header columns")

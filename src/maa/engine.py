@@ -47,17 +47,13 @@ from .resolution import (
 )
 from .syntax import (
     Automaton,
-    BoolLit,
     EBinary,
     ELit,
     ERef,
     EUnary,
     Expr,
-    IntLit,
-    NameValue,
     NoData,
     SequenceValue,
-    StringLit,
     Transition,
     ValueTerm,
     format_literal,
@@ -243,32 +239,15 @@ class EventTrace:
 # Term evaluation
 # ---------------------------------------------------------------------------
 
-def _term_value(term: ValueTerm, inputs: dict[str, Slot], variables: dict[str, Value],
-                enums: dict[str, EnumValue]) -> Slot:
-    """Value denoted by a single (non-sequence) term in the current context.
+def _eval_expr(expr: Union[Expr, ValueTerm], inputs: dict[str, Slot],
+               variables: dict[str, Value], enums: dict[str, EnumValue],
+               where: str = "in guard") -> Slot:
+    """Value of a guard expression or of a single (non-sequence) value term in
+    the current context.
 
-    ``enums`` maps the bare names that denote enum literals to their values.
+    ``enums`` maps the bare names that denote enum literals to their values;
+    ``where`` ends the message for a name that denotes nothing.
     """
-    if isinstance(term, IntLit):
-        return term.value
-    if isinstance(term, BoolLit):
-        return term.value
-    if isinstance(term, StringLit):
-        return term.value
-    if isinstance(term, NoData):
-        return ABSENT
-    if isinstance(term, NameValue):
-        if term.name in enums:
-            return enums[term.name]
-        if term.name in inputs:
-            return inputs[term.name]
-        if term.name in variables:
-            return variables[term.name]
-        raise SimulationError(f"unresolved name '{term.name}' at runtime")
-    raise SimulationError(f"cannot evaluate {term!r} as a single value")
-
-
-def _eval_expr(expr: Expr, inputs, variables, enums):
     if isinstance(expr, ELit):
         return expr.value
     if isinstance(expr, ERef):
@@ -278,7 +257,7 @@ def _eval_expr(expr: Expr, inputs, variables, enums):
             return inputs[expr.name]
         if expr.name in variables:
             return variables[expr.name]
-        raise SimulationError(f"unresolved name '{expr.name}' in guard")
+        raise SimulationError(f"unresolved name '{expr.name}' {where}")
     if isinstance(expr, EUnary):
         v = _eval_expr(expr.operand, inputs, variables, enums)
         return (not v) if expr.op == "!" else -v
@@ -307,7 +286,10 @@ def _eval_expr(expr: Expr, inputs, variables, enums):
             return left - right
         if expr.op == "*":
             return left * right
-    raise SimulationError(f"cannot evaluate expression {expr!r}")
+        raise SimulationError(f"cannot evaluate expression {expr!r}")
+    if isinstance(expr, NoData):
+        return ABSENT
+    raise SimulationError(f"cannot evaluate {expr!r} as a single value")
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +462,15 @@ def _match_satisfied(match: LoweredEntry, inputs, variables, enums) -> bool:
     for alt in match.alternatives:
         if isinstance(alt, SequenceValue):
             continue  # a sequence never matches a single message
-        if values_equal(current, _term_value(alt, inputs, variables, enums)):
+        if values_equal(current, _eval_expr(alt, inputs, variables, enums, "at runtime")):
             return True
     return False
 
 
 def _forwarded(term: ValueTerm, inputs, variables, enums) -> Value:
-    value = _term_value(term, inputs, variables, enums)
+    value = _eval_expr(term, inputs, variables, enums, "at runtime")
     if value is ABSENT:
-        name = term.name if isinstance(term, NameValue) else "--"
+        name = term.name if isinstance(term, ERef) else "--"
         raise SimulationError(f"forwarding absent message from port '{name}'")
     return value
 
@@ -642,7 +624,7 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
     variables: dict[str, Value] = {}
     for var in inst.rc.ast.variables:
         if var.initial is not None:
-            value = _term_value(var.initial, {}, variables, inst.behaviour.enums)
+            value = _eval_expr(var.initial, {}, variables, inst.behaviour.enums, "at runtime")
             if value is ABSENT:
                 raise SimulationError(f"variable '{var.name}' initialized to an absent value")
             variables[var.name] = value
@@ -768,8 +750,9 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
     plan = build_plan(model, main)
     rows = _normalize_stimulus(plan, stimulus, n_cycles)
 
-    # A node is (joint state, cycle, prefix); a prefix is None or (record,
-    # parent prefix), so traces with a common prefix share its records.
+    # A node is (joint state, cycle, prefix); a prefix is None or (record, its
+    # frozen form, parent prefix), so traces with a common prefix share its
+    # records, and each record is frozen once however many traces it starts.
     stack = [(state, 1, None) for state in _initial_ts(plan, _every_branch)]
     stack.reverse()
     results: dict[tuple, Trace] = {}
@@ -777,23 +760,27 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
         state, index, prefix = stack.pop()
         if index > n_cycles:
             records: list[CycleRecord] = []
+            frozen: list[tuple] = []
             while prefix is not None:
-                record, prefix = prefix
+                record, record_key, prefix = prefix
                 records.append(record)
-            records.reverse()
-            trace = Trace(records)
-            key = trace.key()
+                frozen.append(record_key)
+            frozen.reverse()
+            key = tuple(frozen)  # equals Trace(records).key()
             if key not in results:
                 if len(results) >= bound:
                     raise EnumerationOverflow(
                         f"more than {bound} distinct traces; raise the bound")
-                results[key] = trace
+                records.reverse()
+                results[key] = Trace(records)
             continue
         external = rows[index - 1]
         observed, successors = _step(plan, state, external, _every_branch, index)
-        stack.extend(reversed([
-            (successor, index + 1, (_record(plan, index, external, observed, successor), prefix))
-            for successor in successors]))
+        children = []
+        for successor in successors:
+            record = _record(plan, index, external, observed, successor)
+            children.append((successor, index + 1, (record, record.freeze(), prefix)))
+        stack.extend(reversed(children))
     return [results[key] for key in sorted(results)]
 
 

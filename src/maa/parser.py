@@ -10,7 +10,7 @@ and are rejected later by the well-formedness rules anyway).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 from .diagnostics import Diagnostic, SourceLoc
 # Called through this module's attribute, so that wrapping ``parser.tokenize``
@@ -20,7 +20,6 @@ from .syntax import (
     PRECEDENCE,
     Assignment,
     Automaton,
-    BoolLit,
     CompilationUnit,
     ComponentType,
     ConnectorDecl,
@@ -33,15 +32,12 @@ from .syntax import (
     Guard,
     ImportDecl,
     InitialDecl,
-    IntLit,
     Match,
-    NameValue,
     NoData,
     PortDecl,
     PortRef,
     SequenceValue,
     StateDecl,
-    StringLit,
     SubcomponentDecl,
     Transition,
     TypeDeclUnit,
@@ -57,8 +53,6 @@ GUARD_KINDS = ("ocl", "java")
 # the parser or of the tree walks after it.
 MAX_NESTING = 64
 _TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
-
-_LITERAL_NODES = {bool: BoolLit, int: IntLit, str: StringLit}
 
 T = TypeVar("T")
 
@@ -409,25 +403,20 @@ class _Parser:
         self._expect("]")
         return SequenceValue(elements, loc)
 
-    def _literal(self) -> Optional[tuple[object, SourceLoc]]:
-        """An integer, negative integer, string or Boolean literal as (value, loc)."""
+    def _value(self, what: str = "a value") -> Union[ELit, ERef]:
+        """A literal, a negative integer literal or a name: a single value of
+        a block, or a leaf of a guard."""
         tok = self._peek()
         if tok.kind in ("INT", "STRING") or tok.text in ("true", "false"):
             self._next()
-            return tok.value, tok.loc
+            return ELit(tok.value, tok.loc)
         if tok.text == "-" and self._peek(1).kind == "INT":
             self._next()
-            return -self._next().value, tok.loc
-        return None
-
-    def _value(self) -> ValueTerm:
-        literal = self._literal()
-        if literal is not None:
-            return _LITERAL_NODES[type(literal[0])](*literal)
-        if self._at_kind("NAME"):
-            tok = self._next()
-            return NameValue(tok.text, tok.loc)
-        raise self._expected("a value")
+            return ELit(-self._next().value, tok.loc)
+        if tok.kind == "NAME":
+            self._next()
+            return ERef(tok.text, tok.loc)
+        raise self._expected(what)
 
     # -- guard expressions ---------------------------------------------------
 
@@ -471,10 +460,4 @@ class _Parser:
             self._expect(")")
             self._nesting -= 1
             return expr
-        literal = self._literal()
-        if literal is not None:
-            return ELit(*literal), 0
-        if self._at_kind("NAME"):
-            tok = self._next()
-            return ERef(tok.text, tok.loc), 0
-        raise self._expected("an expression")
+        return self._value("an expression"), 0

@@ -11,7 +11,6 @@ from .syntax import (
     PRECEDENCE,
     UNARY_PRECEDENCE,
     Automaton,
-    BoolLit,
     CompilationUnit,
     ComponentType,
     EBinary,
@@ -20,11 +19,8 @@ from .syntax import (
     EUnary,
     Expr,
     Guard,
-    IntLit,
-    NameValue,
     NoData,
     SequenceValue,
-    StringLit,
     Transition,
     TypeDeclUnit,
     ValueTerm,
@@ -122,15 +118,11 @@ def _block(entries) -> str:
 
 
 def format_value(term: ValueTerm) -> str:
-    if isinstance(term, (IntLit, BoolLit, StringLit)):
-        return format_literal(term.value)
-    if isinstance(term, NameValue):
-        return term.name
     if isinstance(term, NoData):
         return "--"
     if isinstance(term, SequenceValue):
         return "[" + ", ".join(format_value(e) for e in term.elements) + "]"
-    raise TypeError(f"not a value term: {term!r}")
+    return format_expr(term)
 
 
 def format_expr(expr: Expr, parent_prec: int = 0, right: bool = False) -> str:

@@ -22,15 +22,13 @@ from typing import NamedTuple, Optional, Union
 from .diagnostics import Diagnostic, SourceLoc
 from .syntax import (
     Assignment,
-    BoolLit,
     CompilationUnit,
     ComponentType,
-    IntLit,
+    ELit,
+    ERef,
     Match,
-    NameValue,
     NoData,
     SequenceValue,
-    StringLit,
     Transition,
     TypeDeclUnit,
     ValueTerm,
@@ -71,6 +69,7 @@ INTEGER = BuiltinType("Integer")
 BOOLEAN = BuiltinType("Boolean")
 STRING = BuiltinType("String")
 BUILTINS = {"Integer": INTEGER, "Boolean": BOOLEAN, "String": STRING}
+_LITERAL_TYPES = {int: INTEGER, bool: BOOLEAN, str: STRING}
 
 
 @dataclass(frozen=True)
@@ -331,22 +330,24 @@ def _resolve_declarations(rc: ResolvedComponent, model: ResolvedModel,
 # ---------------------------------------------------------------------------
 
 def type_of(term: ValueTerm, env: ResolvedComponent):
-    """Type of a value term in a component's name environment.
+    """Type of a value term, or of a guard's literal or name, in a component's
+    name environment.
 
     Returns a :data:`TypeRef`, a :class:`SeqType`, :data:`NODATA_TYPE`, or
     ``None`` when the term is untypable (unresolved or ambiguous name,
     heterogeneous sequence).
     """
-    if isinstance(term, IntLit):
-        return INTEGER
-    if isinstance(term, BoolLit):
-        return BOOLEAN
-    if isinstance(term, StringLit):
-        return STRING
+    if isinstance(term, ELit):
+        return _LITERAL_TYPES[type(term.value)]
+    if isinstance(term, ERef):
+        binding = env.binding(term.name)
+        if binding is None or binding[0] == "ambiguous-enum":
+            return None
+        if binding[0] == "enum":
+            return EnumType(binding[1].qname)
+        return binding[1]
     if isinstance(term, NoData):
         return NODATA_TYPE
-    if isinstance(term, NameValue):
-        return binding_type(env.binding(term.name))
     if isinstance(term, SequenceValue):
         if not term.elements:
             return SeqType(None)
@@ -358,15 +359,6 @@ def type_of(term: ValueTerm, env: ResolvedComponent):
             return SeqType(first)
         return None
     raise TypeError(f"not a value term: {term!r}")
-
-
-def binding_type(binding) -> Optional[TypeRef]:
-    """Type of what a name is bound to; None when it is unbound or ambiguous."""
-    if binding is None or binding[0] == "ambiguous-enum":
-        return None
-    if binding[0] == "enum":
-        return EnumType(binding[1].qname)
-    return binding[1]
 
 
 def admits(kind: str, declared: Optional[TypeRef], term: ValueTerm,

@@ -1,5 +1,8 @@
 """AST node types for model files, type-declaration files, and guard expressions.
 
+A literal or a name is one node, :class:`ELit` or :class:`ERef`, and means the
+same in a guard as in an input or output block.
+
 Location fields never take part in equality, so two parses of equivalent text
 compare equal structurally.  Nodes are never written after parsing: what a
 name denotes and which port or variable an entry targets are answered by
@@ -20,30 +23,26 @@ def _loc():
 
 
 # ---------------------------------------------------------------------------
-# Values
+# Terms: the leaves of guard expressions and the values of blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IntLit:
-    value: int
+@dataclass(eq=False)
+class ELit:
+    """An Integer, Boolean or String literal; ``1`` and ``true`` differ."""
+
+    value: object  # int | bool | str
     loc: SourceLoc = _loc()
 
-
-@dataclass
-class BoolLit:
-    value: bool
-    loc: SourceLoc = _loc()
-
-
-@dataclass
-class StringLit:
-    value: str
-    loc: SourceLoc = _loc()
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ELit):
+            return NotImplemented
+        return type(self.value) is type(other.value) and self.value == other.value
 
 
 @dataclass
-class NameValue:
-    """A bare name in value position: a port/variable reference or an enum literal.
+class ERef:
+    """A bare name, in a guard or a block: a port/variable reference or an
+    enum literal.
 
     The parser cannot tell the two apart; a resolved component's ``binding``
     can.
@@ -66,24 +65,12 @@ class SequenceValue:
     loc: SourceLoc = _loc()
 
 
-ValueTerm = Union[IntLit, BoolLit, StringLit, NameValue, NoData, SequenceValue]
+ValueTerm = Union[ELit, ERef, NoData, SequenceValue]
 
 
 # ---------------------------------------------------------------------------
 # Guard expressions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ELit:
-    value: object  # int | bool | str
-    loc: SourceLoc = _loc()
-
-
-@dataclass
-class ERef:
-    name: str
-    loc: SourceLoc = _loc()
-
 
 @dataclass
 class EUnary:
@@ -262,15 +249,19 @@ class TypeDeclUnit:
     origin: str = field(compare=False, repr=False, default="<unknown>")
 
 
-def expr_refs(expr: Expr):
-    """Every name reference inside a guard expression, left to right."""
-    if isinstance(expr, ERef):
-        yield expr
-    elif isinstance(expr, EUnary):
-        yield from expr_refs(expr.operand)
-    elif isinstance(expr, EBinary):
-        yield from expr_refs(expr.left)
-        yield from expr_refs(expr.right)
+def expr_refs(term: Union[Expr, ValueTerm]):
+    """Every name reference inside a guard expression or a value term, left
+    to right."""
+    if isinstance(term, ERef):
+        yield term
+    elif isinstance(term, EUnary):
+        yield from expr_refs(term.operand)
+    elif isinstance(term, EBinary):
+        yield from expr_refs(term.left)
+        yield from expr_refs(term.right)
+    elif isinstance(term, SequenceValue):
+        for element in term.elements:
+            yield from expr_refs(element)
 
 
 def format_literal(value) -> str:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import maa.cli
 import maa.engine
@@ -328,6 +332,20 @@ def test_sim_ts_bad_stimulus_cell_usage_error(capsys, tmp_path):
     assert "not a Boolean" in err
 
 
+def test_sim_ts_duplicate_stimulus_column_usage_error(capsys, tmp_path):
+    # which of the two cells would p read?
+    model = tmp_path / "P.maa"
+    model.write_text("component P { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S p = 2 / o = 1; } }", encoding="utf-8")
+    stim = tmp_path / "dup.tsv"
+    stim.write_text("# twice\np\tp\n1\t2\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ts", str(model), "--main", "P",
+                         "--stimulus", str(stim), "--cycles", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {stim}:2: column 'p' appears twice\n"
+
+
 # ---------------------------------------------------------------------------
 # sim-ed
 # ---------------------------------------------------------------------------
@@ -424,3 +442,108 @@ def test_export_ir_resolution_error_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, "export-ir", str(bad))
     assert code == 1
     assert "R0" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argument vector ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+# Placeholders in an argument vector, replaced by files under tmp_path.
+STIM, SCRIPT, CHOICE, MISSING, DIRECTORY, OUT = (
+    "@stim", "@script", "@choice", "@missing", "@dir", "@out")
+# Two choices when p is 1, a runtime error (forwarding absent p) otherwise.
+CHOICE_MODEL = ("component Choice { port in Integer p, out Integer o; automaton {"
+                " state S; initial S; S p = 1 / o = 1 | 2; S / o = p; } }")
+
+# Model files with the main component they declare, and files that are no model.
+_MODELS = [(FOLLOW, "robot.FollowTheLeaderOnline"), (TOAST, "robot.ToastArmController"),
+           (BUMP, "bumperbot.BumpControl"), (PIPELINE, "pipeline.Pipeline"),
+           (PIPELINE, "Sink"), ([CHOICE], "Choice"), ([CHOICE], "Choice"),
+           (FOLLOW[:1], "robot.FollowTheLeaderOnline"),
+           ([MISSING], "C"), ([DIRECTORY], "C"), ([STIM], "C"), ([SCRIPT], "C")]
+_BAD_NUMBERS = ("0", "-1", "x", "", "1e3")
+
+
+def _flag(name, good, bad=()):
+    """An option with a good value three times in four, when there are bad ones."""
+    values = st.sampled_from(good)
+    if bad:
+        values = st.one_of(values, values, values, st.sampled_from(bad))
+    return st.tuples(st.just(name), values)
+
+
+_CYCLES = _flag("--cycles", ("1", "2", "3", "007"), _BAD_NUMBERS)
+_TYPES = _flag("--types", (FOLLOW[-1], BUMP[-1]), (MISSING, STIM))
+_FORCE = st.just(("--force",))
+_OPTIONAL = {
+    "check": [_TYPES, _flag("--profile", ("generic", "ts", "ed"), ("bogus",)),
+              _flag("--format", ("text", "json"), ("xml",))],
+    "sim-ts": [_TYPES, _flag("--stimulus", (STIM,), (MISSING, DIRECTORY, SCRIPT)),
+               _flag("--policy", ("first", "seeded", "enumerate"), ("x",)),
+               _flag("--seed", ("0", "5", "99999999999999999999"), _BAD_NUMBERS),
+               _flag("--bound", ("1", "2", "1024"), _BAD_NUMBERS),
+               st.just(("--enumerate",)), _FORCE],
+    "sim-ed": [_TYPES, _flag("--policy", ("first", "seeded"), ("enumerate",)),
+               _flag("--seed", ("0", "5"), ("x",)), _FORCE],
+    "export-ir": [_TYPES, _flag("--out", (OUT,), (DIRECTORY, MISSING + "/x.json"))],
+}
+_ANY_FLAG = st.one_of(*(flag for flags in _OPTIONAL.values() for flag in flags),
+                      _flag("--main", ("C",)), _CYCLES, _flag("--script", (SCRIPT,)),
+                      st.just(("--bogus",)), st.just(("--help",)))
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed vectors for one subcommand; some leave out a
+    required option, add another subcommand's option, or name no subcommand."""
+    command = draw(st.sampled_from([*_OPTIONAL, *_OPTIONAL, "bogus"]))
+    files, main_name = draw(st.sampled_from(_MODELS))
+    flags = draw(st.lists(st.one_of(*_OPTIONAL.get(command, [_ANY_FLAG])), max_size=4))
+    mostly = st.sampled_from([True] * 5 + [False])
+    if command in ("sim-ts", "sim-ed") and draw(mostly):
+        flags.append(draw(_flag("--main", (main_name,), ("Nope", ""))))
+    if command == "sim-ts" and draw(mostly):
+        flags.append(draw(_CYCLES))
+    if command == "sim-ed" and draw(mostly):
+        flags.append(draw(_flag("--script", (SCRIPT,), (MISSING, STIM))))
+    if not draw(mostly):
+        flags.append(draw(_ANY_FLAG))
+    flags = draw(st.permutations(flags))
+    return [command, *files, *(arg for flag in flags for arg in flag)]
+
+
+_PORTS = ["inLane", "dist", "req", "reset", "mode", "signal", "distance", "p", "nope", ""]
+_CELLS = ["true", "false", "--", "TOO_FAR", "DROP_TOAST", "PICK_UP_TOAST", "1", "-2",
+          '"s"', '"', "x", "", " "]
+_stimulus_texts = st.builds(
+    lambda header, rows: "\n".join(["\t".join(header), *("\t".join(r) for r in rows)]),
+    st.lists(st.sampled_from(_PORTS), min_size=1, max_size=3),
+    st.lists(st.lists(st.sampled_from(_CELLS + ["# note"]), max_size=4), max_size=4),
+)
+_script_texts = st.lists(
+    st.builds(lambda port, sep, value: port + sep + value,
+              st.sampled_from(_PORTS), st.sampled_from([" ", "\t", "", "  "]),
+              st.sampled_from(_CELLS + ["# note", "PICK_UP_TOAST extra"])),
+    max_size=5).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs(), stimulus=_stimulus_texts, script=_script_texts)
+def test_cli_fuzz_exit_codes(tmp_path, argv, stimulus, script):
+    files = {STIM: tmp_path / "stim.tsv", SCRIPT: tmp_path / "script.txt",
+             CHOICE: tmp_path / "Choice.maa", MISSING: tmp_path / "missing",
+             DIRECTORY: tmp_path, OUT: tmp_path / "out.json"}
+    files[STIM].write_text(stimulus, encoding="utf-8")
+    files[SCRIPT].write_text(script, encoding="utf-8")
+    files[CHOICE].write_text(CHOICE_MODEL, encoding="utf-8")
+    argv = [str(files[a]) if a in files
+            else a.replace(MISSING, str(files[MISSING])) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

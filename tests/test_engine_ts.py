@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from maa import engine
 from maa.engine import (
     ABSENT,
     EnumerationOverflow,
@@ -241,8 +242,8 @@ def test_fire_forwarding_absent_is_runtime_error(arbiter_model):
         fire_first(rc, trans, {"mode": True, "in1": ABSENT, "in2": 7}, {})
 
 
-# Unchecked models whose output blocks or declarations cannot run: both
-# profiles apply them through apply_outputs and fail with the same message.
+# Unchecked models whose guards, output blocks or declarations cannot run:
+# both profiles evaluate them alike and fail with the same message.
 UNCHECKED = {
     "absent-initial-output-to-variable": (
         "component C { port in Integer p, out Integer o; Integer v; automaton {"
@@ -256,6 +257,19 @@ UNCHECKED = {
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S p = 1 / p = 2; } }",
         "'p' is neither an out-port nor a variable"),
+    "undefined-name-in-guard": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S [x == 1] p = 1 / o = 1; } }",
+        "unresolved name 'x' in guard"),
+    "undefined-name-in-output": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S p = 1 / o = x; } }",
+        "unresolved name 'x' at runtime"),
+    "sequence-variable-initializer": (
+        "component C { port in Integer p, out Integer o; Integer v = [1, 2]; automaton {"
+        " state S; initial S; S p = 1 / o = v; } }",
+        "cannot evaluate SequenceValue(elements=[ELit(value=1), ELit(value=2)])"
+        " as a single value"),
 }
 
 
@@ -602,6 +616,33 @@ def test_enumerate_long_run_has_no_depth_limit():
     assert len(traces) == 1
     assert len(traces[0].records) == 1500
     assert traces[0].key() == run_ts(model, "C", [], 1500).key()
+
+
+def test_enumerate_freezes_each_record_once(monkeypatch):
+    # four enabled loops, two distinct outputs: 4 + 16 + 64 + 256 records
+    # are built for 16 distinct traces of 4 cycles
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S / o = 1; S / o = 2; S / o = 1; S / o = 2; } }")
+    counts = {"freeze": 0, "record": 0}
+    freeze, record = engine.CycleRecord.freeze, engine._record
+
+    def counting_freeze(self):
+        counts["freeze"] += 1
+        return freeze(self)
+
+    def counting_record(*args):
+        counts["record"] += 1
+        return record(*args)
+
+    monkeypatch.setattr(engine.CycleRecord, "freeze", counting_freeze)
+    monkeypatch.setattr(engine, "_record", counting_record)
+    traces = enumerate_ts(model, "C", [], 4, bound=64)
+    assert counts["record"] == 4 + 16 + 64 + 256
+    assert counts["freeze"] <= counts["record"]
+    monkeypatch.undo()
+    keys = [t.key() for t in traces]
+    assert len(keys) == 8 and keys == sorted(keys)
 
 
 def test_enumerate_bound_must_be_positive(follow_model):

@@ -14,10 +14,9 @@ from maa.printer import pretty_print
 from maa.resolution import resolve
 from maa.syntax import (
     CompilationUnit,
-    IntLit,
+    ELit,
     NoData,
     SequenceValue,
-    StringLit,
     TypeDeclUnit,
 )
 
@@ -102,20 +101,37 @@ def test_value_shapes():
     }"""
     unit = parse_component_file(text, "v")
     assert isinstance(unit, CompilationUnit)
-    assert unit.component.variables[0].initial == IntLit(-1, None)
+    assert unit.component.variables[0].initial == ELit(-1, None)
     trans = unit.component.automata[0].transitions[0]
-    assert trans.input[0].alternatives == [IntLit(0, None), IntLit(1, None), NoData(None)]
+    assert trans.input[0].alternatives == [ELit(0, None), ELit(1, None), NoData(None)]
     seq, neg, nodata = trans.output[0].alternatives
-    assert seq == SequenceValue([IntLit(2, None), IntLit(3, None)], None)
-    assert neg == IntLit(-4, None)
+    assert seq == SequenceValue([ELit(2, None), ELit(3, None)], None)
+    assert neg == ELit(-4, None)
     assert isinstance(nodata, NoData)
+
+
+def test_literals_of_different_types_differ():
+    def guard_and_value(lit):
+        unit = parse_component_file(
+            "component C { port in Integer p, out Integer q; automaton {"
+            f" state S; initial S; S [p == {lit}] / q = {lit}; }} }}", "l")
+        assert isinstance(unit, CompilationUnit), unit
+        trans = unit.component.automata[0].transitions[0]
+        return trans.guard.expr, trans.output[0].alternatives[0]
+
+    assert guard_and_value("1") == guard_and_value("1")
+    assert guard_and_value("1")[0] != guard_and_value("true")[0]
+    assert guard_and_value("0")[0] != guard_and_value("false")[0]
+    assert guard_and_value("1")[1] != guard_and_value("true")[1]
+    assert ELit(1, None) != ELit(True, None)
+    assert ELit(0, None) != ELit(False, None)
 
 
 def test_string_escapes():
     unit = parse_component_file(
         r'component C { String s = "a\"b\\c"; }', "s")
     assert isinstance(unit, CompilationUnit)
-    assert unit.component.variables[0].initial == StringLit('a"b\\c', None)
+    assert unit.component.variables[0].initial == ELit('a"b\\c', None)
 
 
 def test_unclosed_brace_reports_syn_at_end():

@@ -14,16 +14,13 @@ from maa.parser import parse_component_file
 from maa.printer import format_expr, format_value, pretty_print
 from maa.resolution import BOOLEAN, INTEGER, STRING, infer_block_target, resolve, type_of
 from maa.syntax import (
-    BoolLit,
     CompilationUnit,
     EBinary,
     ELit,
     ERef,
     EUnary,
-    IntLit,
     NoData,
     SequenceValue,
-    StringLit,
 )
 
 from conftest import CORPUS, parse_model
@@ -33,16 +30,19 @@ from genmodels import random_component_text, random_model, random_stimulus
 # value and expression round trips
 # ---------------------------------------------------------------------------
 
-_scalars = st.one_of(
-    st.integers(min_value=-10**6, max_value=10**6).map(lambda n: IntLit(n, None)),
-    st.booleans().map(lambda b: BoolLit(b, None)),
+# The leaves of both value terms and guard expressions.  ``0``/``false`` and
+# ``1``/``true`` are equal in Python but are different literals.
+_leaves = st.one_of(
+    st.sampled_from([0, 1, True, False]).map(lambda v: ELit(v, None)),
+    st.integers(min_value=-10**6, max_value=10**6).map(lambda n: ELit(n, None)),
     st.text(alphabet=st.characters(codec="ascii", exclude_characters="\n\r"),
-            max_size=12).map(lambda s: StringLit(s, None)),
+            max_size=12).map(lambda s: ELit(s, None)),
+    st.sampled_from("abcv").map(lambda n: ERef(n, None)),
 )
 _values = st.one_of(
-    _scalars,
+    _leaves,
     st.just(NoData(None)),
-    st.lists(_scalars, max_size=4).map(lambda xs: SequenceValue(xs, None)),
+    st.lists(_leaves, max_size=4).map(lambda xs: SequenceValue(xs, None)),
 )
 
 
@@ -59,11 +59,7 @@ def test_value_print_parse_round_trip(term):
 
 
 _exprs = st.recursive(
-    st.one_of(
-        st.integers(min_value=-100, max_value=100).map(lambda n: ELit(n, None)),
-        st.booleans().map(lambda b: ELit(b, None)),
-        st.sampled_from("abcv").map(lambda n: ERef(n, None)),
-    ),
+    _leaves,
     lambda inner: st.one_of(
         st.tuples(st.sampled_from(["!", "-"]), inner).map(
             lambda t: EUnary(t[0], t[1], None)),
@@ -105,7 +101,7 @@ _TYPE_POOL = (INTEGER, BOOLEAN, STRING)
 
 
 @given(
-    term=_scalars,
+    term=_leaves,
     types=st.lists(st.sampled_from(_TYPE_POOL), min_size=1, max_size=5),
 )
 def test_infer_target_consistent_with_type_of(term, types):

@@ -20,13 +20,11 @@ from maa.resolution import (
     type_of,
 )
 from maa.syntax import (
-    BoolLit,
     CompilationUnit,
-    IntLit,
-    NameValue,
+    ELit,
+    ERef,
     NoData,
     SequenceValue,
-    StringLit,
 )
 
 from conftest import MODELS, parse_model
@@ -48,13 +46,13 @@ def test_bump_control_port_types(bump_model):
 
 def test_enum_literal_typing(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    term = NameValue("FORWARD", None)
+    term = ERef("FORWARD", None)
     assert type_of(term, rc) == EnumType("bumperbot.types.MotorCmd")
 
 
 def test_sequence_typing(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    seq = SequenceValue([IntLit(3, None), IntLit(14, None)], None)
+    seq = SequenceValue([ELit(3, None), ELit(14, None)], None)
     assert type_of(seq, rc) == SeqType(INTEGER)
     empty = SequenceValue([], None)
     assert type_of(empty, rc) == SeqType(None)
@@ -66,7 +64,7 @@ def test_heterogeneous_sequence_untypable():
     model, diags = resolve([unit], [])
     assert diags == []
     rc = model.components["IntegerDuplicator"]
-    mixed = SequenceValue([StringLit("input is:", None), NameValue("speak", None)], None)
+    mixed = SequenceValue([ELit("input is:", None), ERef("speak", None)], None)
     assert type_of(mixed, rc) is None
 
 
@@ -89,7 +87,7 @@ def test_infer_target_boolean_to_signal(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
     candidates = [(p, rc.port_type[p]) for p in rc.in_ports]
     kinds = {p: "in" for p in rc.in_ports}
-    result = infer_block_target([BoolLit(True, None)], candidates, kinds, rc)
+    result = infer_block_target([ELit(True, None)], candidates, kinds, rc)
     assert (result.status, result.name) == ("ok", "signal")
 
 
@@ -99,14 +97,14 @@ def test_infer_target_ambiguous_integer():
     rc = model.components["ZeroBuffer"]
     candidates = [("input", INTEGER), ("buffer", INTEGER)]
     kinds = {"input": "in", "buffer": "var"}
-    result = infer_block_target([IntLit(1, None)], candidates, kinds, rc)
+    result = infer_block_target([ELit(1, None)], candidates, kinds, rc)
     assert result.status == "ambiguous"
     assert set(result.candidates) == {"input", "buffer"}
 
 
 def test_infer_target_no_match(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    result = infer_block_target([StringLit("x", None)], [("distance", INTEGER)],
+    result = infer_block_target([ELit("x", None)], [("distance", INTEGER)],
                                 {"distance": "in"}, rc)
     assert result.status == "none"
 
