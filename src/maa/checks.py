@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import Diagnostic, sort_diagnostics
+from .diagnostics import Diagnostic, severity_of, sort_diagnostics
 from .printer import format_value
 from .resolution import (
     BOOLEAN,
@@ -49,36 +49,39 @@ PROFILES = ("generic", "ts", "ed")
 @dataclass(frozen=True)
 class RuleInfo:
     code: str
-    severity: str
     profile: str  # "all", "ts", or "ed"
     description: str
 
+    @property
+    def severity(self) -> str:
+        return severity_of(self.code)
+
 
 _CATALOG = [
-    RuleInfo("U1", "error", "all", "Automata within a component have unique names"),
-    RuleInfo("U2", "error", "all", "State names are unique within an automaton"),
-    RuleInfo("U3", "error", "all", "Names of variables and ports are unique within a component"),
-    RuleInfo("C1", "warning", "all", "An automaton has at least one initial state"),
-    RuleInfo("C2", "warning", "all", "Names of variables and ports start with lowercase letters"),
-    RuleInfo("C3", "warning", "all", "Names of automata start with uppercase letters"),
-    RuleInfo("C4", "warning", "all", "Names of states start with uppercase letters"),
-    RuleInfo("R0", "error", "all", "Imports, types, and structure must resolve"),
-    RuleInfo("R1", "error", "all", "States referenced by a transition must be declared"),
-    RuleInfo("R2", "error", "all", "Ports and variables referenced on transitions must be declared"),
-    RuleInfo("R3", "error", "all", "Variable declarations may not reference ports"),
-    RuleInfo("T1", "error", "all", "Messages and values must conform to port and variable types"),
-    RuleInfo("T2", "error", "all", "Initial values of variables must conform to their types"),
-    RuleInfo("T3", "error", "all", "Referenced ports and variables must conform to the target type"),
-    RuleInfo("T4", "error", "all", "The absence value -- cannot be used with variables"),
-    RuleInfo("T5", "error", "all", "Sequences cannot be read from or assigned to variables"),
-    RuleInfo("T6", "error", "all", "The direction of ports has to be respected"),
-    RuleInfo("T7", "error", "all", "Output ports must not be used as part of messages"),
-    RuleInfo("S1TS", "error", "ts", "An atomic component contains at most one automaton"),
-    RuleInfo("S2TS", "error", "ts", "Ports must not be used in initial state outputs"),
-    RuleInfo("S3TS", "error", "ts", "At most one message per port is sent in a cycle"),
-    RuleInfo("S1ED", "error", "ed", "An atomic component contains at most one automaton"),
-    RuleInfo("S2ED", "error", "ed", "Transitions process one single message at a time"),
-    RuleInfo("S3ED", "error", "ed", "The -- symbol may not be used as input"),
+    RuleInfo("U1", "all", "Automata within a component have unique names"),
+    RuleInfo("U2", "all", "State names are unique within an automaton"),
+    RuleInfo("U3", "all", "Names of variables and ports are unique within a component"),
+    RuleInfo("C1", "all", "An automaton has at least one initial state"),
+    RuleInfo("C2", "all", "Names of variables and ports start with lowercase letters"),
+    RuleInfo("C3", "all", "Names of automata start with uppercase letters"),
+    RuleInfo("C4", "all", "Names of states start with uppercase letters"),
+    RuleInfo("R0", "all", "Imports, types, and structure must resolve"),
+    RuleInfo("R1", "all", "States referenced by a transition must be declared"),
+    RuleInfo("R2", "all", "Ports and variables referenced on transitions must be declared"),
+    RuleInfo("R3", "all", "Variable declarations may not reference ports"),
+    RuleInfo("T1", "all", "Messages and values must conform to port and variable types"),
+    RuleInfo("T2", "all", "Initial values of variables must conform to their types"),
+    RuleInfo("T3", "all", "Referenced ports and variables must conform to the target type"),
+    RuleInfo("T4", "all", "The absence value -- cannot be used with variables"),
+    RuleInfo("T5", "all", "Sequences cannot be read from or assigned to variables"),
+    RuleInfo("T6", "all", "The direction of ports has to be respected"),
+    RuleInfo("T7", "all", "Output ports must not be used as part of messages"),
+    RuleInfo("S1TS", "ts", "An atomic component contains at most one automaton"),
+    RuleInfo("S2TS", "ts", "Ports must not be used in initial state outputs"),
+    RuleInfo("S3TS", "ts", "At most one message per port is sent in a cycle"),
+    RuleInfo("S1ED", "ed", "An atomic component contains at most one automaton"),
+    RuleInfo("S2ED", "ed", "Transitions process one single message at a time"),
+    RuleInfo("S3ED", "ed", "The -- symbol may not be used as input"),
 ]
 
 
@@ -169,7 +172,7 @@ class _Checker:
         for var in self.rc.ast.variables:
             if var.initial is None:
                 continue
-            declared = self.rc.var_type.get(var.name)
+            kind, declared = self.rc.binding(var.name)
             term = var.initial
             if isinstance(term, NoData):
                 self.emit("T4", term.loc,
@@ -185,8 +188,8 @@ class _Checker:
                 self.emit("R3", term.loc,
                           f"variable declaration of '{var.name}' references port '{term.name}'")
                 continue
-            if declared is None:
-                continue
+            if kind != "var" or declared is None:
+                continue  # the name denotes a port (U3), or its type did not resolve
             t = type_of(term, self.rc)
             if t is None or not conforms(t, declared):
                 self.emit("T2", term.loc,
@@ -257,7 +260,7 @@ class _Checker:
         if initial_output and self.profile == "ts":
             for alt in assign.alternatives:
                 for ref in expr_refs(alt):
-                    if ref.name in self.rc.port_dir:
+                    if self.rc.kind(ref.name) in ("in", "out"):
                         self.emit("S2TS", ref.loc,
                                   f"port '{ref.name}' must not be used in an initial output")
         target = self._target(assign, unresolved)

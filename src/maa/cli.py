@@ -8,9 +8,10 @@ fault in maa itself, reported in one line on stderr, never as a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .checks import check
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors, sort_diagnostics
@@ -31,8 +32,10 @@ from .engine import (
     run_ed,
     run_ts,
 )
-from .parser import parse_component_file, parse_types_file
+from .lexer import LexError
+from .parser import ParseError, parse_component_file, parse_types_file, parse_value
 from .resolution import BuiltinType, EnumType, ResolvedModel, TypeRef, resolve
+from .syntax import ELit, ERef, NoData, ValueTerm
 from .ir import export_ir
 
 EXIT_OK = 0
@@ -193,38 +196,41 @@ def _cmd_check(args) -> int:
 # sim-ts
 # ---------------------------------------------------------------------------
 
+_CELL_TYPES = {"Integer": (int, "'{}' is not an Integer"),
+               "Boolean": (bool, "'{}' is not a Boolean"),
+               "String": (str, "String values must be double-quoted")}
+
+
 def _parse_cell(text: str, declared: Optional[TypeRef], model: ResolvedModel,
-                where: str) -> Slot:
+                where: str, read: Callable[[str], ValueTerm]) -> Slot:
+    """A cell or event value as a model file writes it: ``--`` or one literal
+    of the port's type.  ``read`` is :func:`parse_value`, cached: cells repeat."""
     text = text.strip()
-    if text == "--":
+    try:
+        term = read(text)
+    except (LexError, ParseError) as exc:
+        raise _UsageError(f"{where}: {exc.message}") from None
+    if isinstance(term, NoData):
         return ABSENT
     if isinstance(declared, BuiltinType):
-        if declared.name == "Integer":
-            try:
-                return int(text)
-            except ValueError:
-                raise _UsageError(f"{where}: '{text}' is not an Integer") from None
-        if declared.name == "Boolean":
-            if text in ("true", "false"):
-                return text == "true"
-            raise _UsageError(f"{where}: '{text}' is not a Boolean")
-        if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-            return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-        raise _UsageError(f"{where}: String values must be double-quoted")
+        python_type, mismatch = _CELL_TYPES[declared.name]
+        if isinstance(term, ELit) and type(term.value) is python_type:
+            return term.value
+        raise _UsageError(f"{where}: " + mismatch.format(text))
     if isinstance(declared, EnumType):
         enum = model.enums.get(declared.qname)
-        if enum is None or text not in enum.literals:
+        if enum is None or not isinstance(term, ERef) or term.name not in enum.literals:
             raise _UsageError(f"{where}: '{text}' is not a literal of {declared.qname}")
-        return EnumValue(declared.qname, text)
+        return EnumValue(declared.qname, term.name)
     raise _UsageError(f"{where}: port has no concrete type")
 
 
 def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str, Slot]]:
     rc = model.components[main]
-    lines = [line for line in _read(path).splitlines()]
+    read = functools.cache(parse_value)
     rows: list[dict[str, Slot]] = []
     header: Optional[list[str]] = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         cells = line.split("\t")
@@ -241,8 +247,8 @@ def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str,
             raise _UsageError(f"{path}:{lineno}: more cells than header columns")
         row: dict[str, Slot] = {}
         for name, cell in zip(header, cells):
-            row[name] = _parse_cell(cell, rc.port_type.get(name), model,
-                                    f"{path}:{lineno}")
+            row[name] = _parse_cell(cell, rc.binding(name)[1], model,
+                                    f"{path}:{lineno}", read)
         rows.append(row)
     return rows
 
@@ -322,6 +328,7 @@ def _cmd_sim_ts(args) -> int:
 
 def _load_script(path: str, model: ResolvedModel, main: str) -> list[Event]:
     rc = model.components[main]
+    read = functools.cache(parse_value)
     events: list[Event] = []
     for lineno, line in enumerate(_read(path).splitlines(), start=1):
         stripped = line.strip()
@@ -333,7 +340,7 @@ def _load_script(path: str, model: ResolvedModel, main: str) -> list[Event]:
         port, text = parts
         if port not in rc.in_ports:
             raise _UsageError(f"{path}:{lineno}: '{port}' is not an in-port of '{main}'")
-        value = _parse_cell(text, rc.port_type.get(port), model, f"{path}:{lineno}")
+        value = _parse_cell(text, rc.binding(port)[1], model, f"{path}:{lineno}", read)
         if value is ABSENT:
             raise _UsageError(f"{path}:{lineno}: events cannot carry '--'")
         events.append(Event(port, value))

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLoc:
+class SourceLoc(NamedTuple):
     """1-based position of a token in a model file."""
 
     file: str

@@ -34,7 +34,6 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .diagnostics import SourceLoc
 from .resolution import (
     BOOLEAN,
     EnumType,
@@ -297,15 +296,17 @@ def _eval_expr(expr: Union[Expr, ValueTerm], inputs: dict[str, Slot],
 # ---------------------------------------------------------------------------
 
 class LoweredEntry:
-    """An input- or output-block entry with the port or variable it targets,
-    None when it has none (``check`` reports that)."""
+    """An input- or output-block entry with the port or variable it targets
+    and that name's kind ("in", "out" or "var"), both None when it has none
+    (``check`` reports that)."""
 
-    __slots__ = ("target", "alternatives", "loc")
+    __slots__ = ("target", "kind", "alternatives", "loc")
 
-    def __init__(self, target: Optional[str], alternatives: list[ValueTerm], loc: SourceLoc):
-        self.target = target
-        self.alternatives = alternatives
-        self.loc = loc
+    def __init__(self, rc: ResolvedComponent, entry):
+        self.target = rc.target(entry).name
+        self.kind = rc.kind(self.target)
+        self.alternatives: list[ValueTerm] = entry.alternatives
+        self.loc = entry.loc
 
 
 class LoweredInitial(NamedTuple):
@@ -349,7 +350,6 @@ class LoweredAutomaton:
     initials: list[LoweredInitial]
     by_state: dict[str, list[LoweredTransition]]
     enums: dict[str, EnumValue]  # bare name -> the enum literal it denotes
-    port_dir: dict[str, str]
 
     def enabled(self, state: Optional[str], inputs: dict[str, Slot],
                 variables: dict[str, Value], event_port: Optional[str] = None,
@@ -408,9 +408,9 @@ class LoweredAutomaton:
                 value = ABSENT
             else:
                 value = _forwarded(pick, inputs, variables, self.enums)
-            if self.port_dir.get(target) == "out":
+            if assign.kind == "out":
                 outputs.append((target, value))
-            elif target in variables:
+            elif assign.kind == "var":
                 if value is ABSENT or isinstance(value, list):
                     raise SimulationError(
                         f"variable '{target}' cannot take an absent value or sequence")
@@ -434,7 +434,7 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
         return shared.setdefault(frozen, frozen)
 
     def entries(block) -> list[LoweredEntry]:
-        return [LoweredEntry(rc.target(e).name, e.alternatives, e.loc) for e in block or []]
+        return [LoweredEntry(rc, e) for e in block or []]
 
     by_state: dict[str, list[LoweredTransition]] = {}
     for t in automaton.transitions:
@@ -442,10 +442,10 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
         by_state.setdefault(t.source, []).append(LoweredTransition(
             t, share(guard_ports), share(reads), entries(t.input), entries(t.output)))
     initials = [LoweredInitial(i.state, entries(i.output)) for i in automaton.initials]
-    enums = {name: EnumValue(infos[0].qname, name) for name, infos in rc.literal_index.items()
-             if rc.binding(name)[0] == "enum"}
+    enums = {name: EnumValue(info.qname, name) for name, (kind, info) in rc.names.items()
+             if kind == "enum"}
     start = automaton.states[0].name if automaton.states else None
-    return LoweredAutomaton(start, initials, by_state, enums, rc.port_dir)
+    return LoweredAutomaton(start, initials, by_state, enums)
 
 
 def _match_satisfied(match: LoweredEntry, inputs, variables, enums) -> bool:
@@ -563,9 +563,9 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
             seen.add(node)
             path, name = node
             if (path in source and node not in edges
-                    and instances[source[path] - 1].rc.port_dir.get(name) == "out"):
+                    and instances[source[path] - 1].rc.kind(name) == "out"):
                 return (port, source[path], name)
-            if path == "" and root.port_dir.get(name) == "in":
+            if path == "" and root.kind(name) == "in":
                 return (port, 0, name)
             if node not in edges:
                 return (port, None, None)
@@ -623,14 +623,16 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
     initial declarations."""
     variables: dict[str, Value] = {}
     for var in inst.rc.ast.variables:
+        kind, declared = inst.rc.binding(var.name)
+        if kind != "var" or var.name in variables:
+            continue  # a port's, or a repeated, declaration of the name (U3)
         if var.initial is not None:
             value = _eval_expr(var.initial, {}, variables, inst.behaviour.enums, "at runtime")
             if value is ABSENT:
                 raise SimulationError(f"variable '{var.name}' initialized to an absent value")
             variables[var.name] = value
         else:
-            variables[var.name] = default_value(
-                inst.rc.var_type.get(var.name), inst.subst, model)
+            variables[var.name] = default_value(declared, inst.subst, model)
     if not inst.behaviour.initials:
         # no initial declaration (a convention warning): start at the first
         # declared state with no initial output

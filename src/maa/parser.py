@@ -82,6 +82,16 @@ def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnos
         return [Diagnostic.at("SYN", exc.loc, exc.message)]
 
 
+def parse_value(text: str) -> Union[ELit, ERef, NoData]:
+    """``--`` or one value as a block entry reads it, and nothing after it (a
+    stimulus cell or an event's value); raises LexError or ParseError."""
+    parser = _Parser(tokenize(text, ""), "")
+    term = NoData(parser._next().loc) if parser._at("--") else parser._value()
+    if not parser._at_kind("EOF"):
+        raise parser._expected("end of value")
+    return term
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], origin: str):
         self._toks = tokens

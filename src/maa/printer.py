@@ -22,7 +22,6 @@ from .syntax import (
     NoData,
     SequenceValue,
     Transition,
-    TypeDeclUnit,
     ValueTerm,
     format_literal,
 )
@@ -39,13 +38,6 @@ def pretty_print(unit: CompilationUnit) -> str:
     if unit.imports:
         out.append("")
     out.extend(_component(unit.component))
-    return "\n".join(out) + "\n"
-
-
-def print_types(unit: TypeDeclUnit) -> str:
-    out = [f"package {unit.package};", ""]
-    for enum in unit.enums:
-        out.append(f"enum {enum.name} {{ {', '.join(enum.literals)} }}")
     return "\n".join(out) + "\n"
 
 

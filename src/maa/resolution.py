@@ -1,12 +1,16 @@
 """Name and type resolution across compilation units.
 
-Builds the symbol table (components and enums by qualified name), resolves
-imports, types every port and variable, and substitutes generic type
-parameters.  The parsed tree is only read: a :class:`ResolvedComponent`
-answers on demand what a bare name denotes (:meth:`~ResolvedComponent.binding`)
-and which port or variable an input or output entry targets, named or
-inferred from its type (:meth:`~ResolvedComponent.target`).  So one parsed
-unit can be resolved into any number of models.
+Builds the symbol table (components and enums by qualified name), with one
+visibility rule (own package, star and single imports) for enums and
+components, and gives each component one name table
+(:attr:`ResolvedComponent.names`): what each bare name denotes, a typed port,
+a typed variable or a visible enum literal.  A name declared twice (rule U3)
+denotes its first declaration, ports before variables; both shadow enum
+literals.  The checker, the engine and the CLI read the table through
+:meth:`~ResolvedComponent.binding` and ask
+:meth:`~ResolvedComponent.target` which port or variable an input or output
+entry targets; none decides on its own what a name is.  The parsed tree is
+only read, so one parsed unit can be resolved into any number of models.
 
 Resolution is total: unresolved names bind to nothing and are reported later
 by the well-formedness rules (R2 family); only structural failures that have no
@@ -108,9 +112,6 @@ class ResolvedSub:
     instance: str
     target_qname: str
     arg_types: list[TypeRef]
-    port_dir: dict[str, str] = field(default_factory=dict)
-    port_type: dict[str, TypeRef] = field(default_factory=dict)
-    loc: Optional[SourceLoc] = None
 
 
 @dataclass
@@ -122,11 +123,9 @@ class ResolvedComponent:
     ast: ComponentType
     qname: str
     package: str
-    port_dir: dict[str, str] = field(default_factory=dict)
-    port_type: dict[str, Optional[TypeRef]] = field(default_factory=dict)
-    var_type: dict[str, Optional[TypeRef]] = field(default_factory=dict)
-    visible_enums: dict[str, list[EnumInfo]] = field(default_factory=dict)
-    literal_index: dict[str, list[EnumInfo]] = field(default_factory=dict)
+    # bare name -> what it denotes; see binding()
+    names: dict[str, tuple] = field(default_factory=dict)
+    visible_enums: dict[str, list[str]] = field(default_factory=dict)  # name -> qnames
     subcomponents: dict[str, ResolvedSub] = field(default_factory=dict)
     in_ports: list[str] = field(default_factory=list)  # in declaration order
     out_ports: list[str] = field(default_factory=list)
@@ -139,19 +138,15 @@ class ResolvedComponent:
 
         ("in"|"out"|"var", type) for a declared port or variable, ("enum",
         EnumInfo) for the literal of one visible enum, ("ambiguous-enum",
-        [EnumInfo, ...]) for a literal of several, or None.  Ports and
-        variables shadow enum literals.
+        [EnumInfo, ...]) for a literal of several, or None.  A name declared
+        twice denotes its first declaration, ports before variables; ports
+        and variables shadow enum literals.
         """
-        if name in self.port_dir:
-            return (self.port_dir[name], self.port_type.get(name))
-        if name in self.var_type:
-            return ("var", self.var_type[name])
-        enums = self.literal_index.get(name, [])
-        if len(enums) == 1:
-            return ("enum", enums[0])
-        if enums:
-            return ("ambiguous-enum", enums)
-        return None
+        return self.names.get(name)
+
+    def kind(self, name: str) -> Optional[str]:
+        """The first element of :meth:`binding`, or None."""
+        return self.names.get(name, (None,))[0]
 
     def target(self, entry: Union[Match, Assignment]) -> Inference:
         """The port or variable an input (Match) or output (Assignment) entry targets.
@@ -162,18 +157,16 @@ class ResolvedComponent:
         entry, since nothing writes the AST after parsing.
         """
         if entry.target is not None:
-            if entry.target in self.port_dir or entry.target in self.var_type:
+            if self.kind(entry.target) in ("in", "out", "var"):
                 return Inference("ok", entry.target, (entry.target,))
             return Inference("none", None)
         memo = self._targets.get(id(entry))
         if memo is None:
-            direction = "in" if isinstance(entry, Match) else "out"
-            ports = self.in_ports if direction == "in" else self.out_ports
-            candidates = ([(p, self.port_type.get(p)) for p in ports]
-                          + list(self.var_type.items()))
-            kinds = {p: direction for p in ports} | {v: "var" for v in self.var_type}
+            kinds = ("in" if isinstance(entry, Match) else "out", "var")
+            candidates = {name: denoted for name, denoted in self.names.items()
+                          if denoted[0] in kinds}
             memo = self._targets[id(entry)] = (
-                entry, infer_block_target(entry.alternatives, candidates, kinds, self))
+                entry, infer_block_target(entry.alternatives, candidates, self))
         return memo[1]
 
     def ports_read(self, trans: Transition) -> tuple[set[str], set[str]]:
@@ -186,11 +179,11 @@ class ResolvedComponent:
         guard: set[str] = set()
         if trans.guard is not None:
             guard = {ref.name for ref in expr_refs(trans.guard.expr)
-                     if self.port_dir.get(ref.name) == "in"}
+                     if self.kind(ref.name) == "in"}
         reads = set(guard)
         for match in trans.input or []:
             name = self.target(match).name
-            if self.port_dir.get(name) == "in":
+            if self.kind(name) == "in":
                 reads.add(name)
         return guard, reads
 
@@ -230,61 +223,81 @@ def resolve(units: list[CompilationUnit],
         model.components[qname] = rc
         resolved.append(rc)
 
-    known_packages = ({e.qname.rsplit(".", 1)[0] for e in model.enums.values() if "." in e.qname}
-                      | {c.qname.rsplit(".", 1)[0] for c in model.components.values()
-                         if "." in c.qname})
+    known_packages = {_package(q) for q in [*model.enums, *model.components] if "." in q}
 
-    # Pass 1: per-component environments (imports, port and variable types).
+    # Pass 1: per-component name tables (imports, port and variable types).
     for rc in resolved:
-        _resolve_imports(rc, model, known_packages, diags)
-        _resolve_declarations(rc, model, diags)
+        _resolve_names(rc, model, known_packages, diags)
 
     # Pass 2: structure (subcomponents, generics, connectors) needs the other
-    # components' resolved interfaces.
+    # components' name tables.
     for rc in resolved:
         _resolve_structure(rc, model, diags)
 
     return model, diags
 
 
-def _resolve_imports(rc: ResolvedComponent, model: ResolvedModel,
-                     known_packages: set[str], diags: list[Diagnostic]) -> None:
-    visible: dict[str, list[EnumInfo]] = {}
+def _package(qname: str) -> str:
+    return qname.rsplit(".", 1)[0] if "." in qname else ""
 
-    def add(enum: EnumInfo):
-        visible.setdefault(enum.name, [])
-        if enum not in visible[enum.name]:
-            visible[enum.name].append(enum)
 
-    for enum in model.enums.values():
-        pkg = enum.qname.rsplit(".", 1)[0] if "." in enum.qname else ""
-        if pkg == rc.package:
-            add(enum)
+def _visible(rc: ResolvedComponent, qnames) -> dict[str, list[str]]:
+    """Simple name -> the names among ``qnames`` visible in ``rc``: those of
+    its own package, of each star-imported package, and each single import."""
+    visible: dict[str, list[str]] = {}
+    for imp in [None, *rc.unit.imports]:
+        if imp is None or imp.name.endswith(".*"):
+            package = rc.package if imp is None else imp.name[:-2]
+            chosen = [q for q in qnames if _package(q) == package]
+        else:
+            chosen = [imp.name] if imp.name in qnames else []
+        for qname in chosen:
+            same = visible.setdefault(qname.rsplit(".", 1)[-1], [])
+            if qname not in same:
+                same.append(qname)
+    return visible
 
+
+def _resolve_names(rc: ResolvedComponent, model: ResolvedModel,
+                   known_packages: set[str], diags: list[Diagnostic]) -> None:
+    """Fill ``rc.names``: ports, then variables, then the visible enum
+    literals; the first declaration of a name wins."""
     for imp in rc.unit.imports:
         if imp.name.endswith(".*"):
-            pkg = imp.name[:-2]
-            if pkg not in known_packages:
-                diags.append(Diagnostic.at("R0", imp.loc, f"unresolved import '{imp.name}'"))
-                continue
-            for enum in model.enums.values():
-                if enum.qname.rsplit(".", 1)[0] == pkg:
-                    add(enum)
+            known = imp.name[:-2] in known_packages
         else:
-            if imp.name in model.enums:
-                add(model.enums[imp.name])
-            elif imp.name not in model.components:
-                diags.append(Diagnostic.at("R0", imp.loc, f"unresolved import '{imp.name}'"))
+            known = imp.name in model.enums or imp.name in model.components
+        if not known:
+            diags.append(Diagnostic.at("R0", imp.loc, f"unresolved import '{imp.name}'"))
+    rc.visible_enums = _visible(rc, model.enums)
 
-    rc.visible_enums = visible
-    index: dict[str, list[EnumInfo]] = {}
-    for enums in visible.values():
-        for enum in enums:
-            for lit in enum.literals:
-                index.setdefault(lit, [])
-                if enum not in index[lit]:
-                    index[lit].append(enum)
-    rc.literal_index = index
+    def resolve_type(name: str, loc: SourceLoc, what: str) -> Optional[TypeRef]:
+        ref = _resolve_type_name(rc, model, name)
+        if ref is not None:
+            return ref
+        candidates = rc.visible_enums.get(name, [])
+        if len(candidates) > 1:
+            names = ", ".join(sorted(candidates))
+            diags.append(Diagnostic.at("R0", loc, f"ambiguous type '{name}' ({names})"))
+        else:
+            diags.append(Diagnostic.at("R0", loc, f"unresolved {what} type '{name}'"))
+        return None
+
+    for port in rc.ast.ports:
+        if port.name not in rc.names:
+            rc.names[port.name] = (port.direction, resolve_type(port.type_name, port.loc, "port"))
+            (rc.in_ports if port.direction == "in" else rc.out_ports).append(port.name)
+    for var in rc.ast.variables:
+        if var.name not in rc.names:
+            rc.names[var.name] = ("var", resolve_type(var.type_name, var.loc, "variable"))
+    literals: dict[str, list[EnumInfo]] = {}
+    for qnames in rc.visible_enums.values():
+        for enum in (model.enums[q] for q in qnames):
+            for lit in dict.fromkeys(enum.literals):
+                literals.setdefault(lit, []).append(enum)
+    for lit, enums in literals.items():
+        if lit not in rc.names:
+            rc.names[lit] = ("enum", enums[0]) if len(enums) == 1 else ("ambiguous-enum", enums)
 
 
 def _resolve_type_name(rc: ResolvedComponent, model: ResolvedModel,
@@ -297,32 +310,8 @@ def _resolve_type_name(rc: ResolvedComponent, model: ResolvedModel,
         return EnumType(name) if name in model.enums else None
     candidates = rc.visible_enums.get(name, [])
     if len(candidates) == 1:
-        return EnumType(candidates[0].qname)
+        return EnumType(candidates[0])
     return None
-
-
-def _resolve_declarations(rc: ResolvedComponent, model: ResolvedModel,
-                          diags: list[Diagnostic]) -> None:
-    def resolve_type(name: str, loc: SourceLoc, what: str) -> Optional[TypeRef]:
-        ref = _resolve_type_name(rc, model, name)
-        if ref is not None:
-            return ref
-        candidates = rc.visible_enums.get(name, [])
-        if len(candidates) > 1:
-            names = ", ".join(sorted(e.qname for e in candidates))
-            diags.append(Diagnostic.at("R0", loc, f"ambiguous type '{name}' ({names})"))
-        else:
-            diags.append(Diagnostic.at("R0", loc, f"unresolved {what} type '{name}'"))
-        return None
-
-    for port in rc.ast.ports:
-        rc.port_dir[port.name] = port.direction
-        (rc.in_ports if port.direction == "in" else rc.out_ports).append(port.name)
-        if port.name not in rc.port_type:
-            rc.port_type[port.name] = resolve_type(port.type_name, port.loc, "port")
-    for var in rc.ast.variables:
-        if var.name not in rc.var_type:
-            rc.var_type[var.name] = resolve_type(var.type_name, var.loc, "variable")
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +378,15 @@ class Inference(NamedTuple):
     candidates: tuple[str, ...] = ()
 
 
-def infer_block_target(alternatives: list[ValueTerm],
-                       candidates: list[tuple[str, Optional[TypeRef]]],
-                       kinds: dict[str, str], env: ResolvedComponent) -> Inference:
-    """Inference over a whole alternative list: the target must admit them all."""
-    admitting = []
-    for name, declared in candidates:
-        kind = kinds.get(name, "in")
-        if all(admits(kind, declared, alt, env) for alt in alternatives):
-            admitting.append(name)
+def infer_block_target(alternatives: list[ValueTerm], candidates: dict[str, tuple],
+                       env: ResolvedComponent) -> Inference:
+    """Inference over a whole alternative list: the target must admit them all.
+
+    ``candidates`` maps each port or variable that may be the target to its
+    (kind, type), as :meth:`ResolvedComponent.binding` gives them.
+    """
+    admitting = [name for name, (kind, declared) in candidates.items()
+                 if all(admits(kind, declared, alt, env) for alt in alternatives)]
     if len(admitting) == 1:
         return Inference("ok", admitting[0], tuple(admitting))
     if not admitting:
@@ -408,29 +397,6 @@ def infer_block_target(alternatives: list[ValueTerm],
 # ---------------------------------------------------------------------------
 # Structure: subcomponents, generics, connectors
 # ---------------------------------------------------------------------------
-
-def _visible_components(rc: ResolvedComponent, model: ResolvedModel) -> dict[str, list[str]]:
-    visible: dict[str, list[str]] = {}
-
-    def add(qname: str):
-        simple = qname.rsplit(".", 1)[-1]
-        visible.setdefault(simple, [])
-        if qname not in visible[simple]:
-            visible[simple].append(qname)
-
-    for qname, comp in model.components.items():
-        if comp.package == rc.package:
-            add(qname)
-    for imp in rc.unit.imports:
-        if imp.name.endswith(".*"):
-            pkg = imp.name[:-2]
-            for qname, comp in model.components.items():
-                if comp.package == pkg:
-                    add(qname)
-        elif imp.name in model.components:
-            add(imp.name)
-    return visible
-
 
 def substitute_type(ref: Optional[TypeRef], bindings: dict[str, TypeRef]) -> Optional[TypeRef]:
     if isinstance(ref, ParamType) and ref.name in bindings:
@@ -446,7 +412,7 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,
             "R0", comp.loc,
             f"component '{comp.name}' mixes subcomponents and automaton behavior"))
 
-    visible = _visible_components(rc, model)
+    visible = _visible(rc, model.components)
     for sub in comp.subcomponents:
         if "." in sub.type_name:
             target = sub.type_name if sub.type_name in model.components else None
@@ -461,44 +427,31 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,
             diags.append(Diagnostic.at(
                 "R0", sub.loc, f"unresolved component type '{sub.type_name}'"))
             continue
-        target_rc = model.components[target]
-        params = target_rc.ast.generic_params
-        args: list[TypeRef] = []
-        ok = True
-        for arg in sub.type_args:
-            ref = _resolve_type_name(rc, model, arg)
+        params = model.components[target].ast.generic_params
+        args = [_resolve_type_name(rc, model, arg) for arg in sub.type_args]
+        for arg, ref in zip(sub.type_args, args):
             if ref is None:
                 diags.append(Diagnostic.at("R0", sub.loc, f"unresolved type argument '{arg}'"))
-                ok = False
-                continue
-            args.append(ref)
-        if len(sub.type_args) != len(params):
+        if len(args) != len(params):
             diags.append(Diagnostic.at(
                 "R0", sub.loc,
                 f"component '{sub.type_name}' expects {len(params)} type argument(s), "
-                f"got {len(sub.type_args)}"))
-            ok = False
-        if not ok:
+                f"got {len(args)}"))
+        if None in args or len(args) != len(params):
             continue
-        bindings = dict(zip(params, args))
-        resolved_sub = ResolvedSub(sub.instance, target, args, loc=sub.loc)
-        for port in target_rc.ast.ports:
-            resolved_sub.port_dir[port.name] = port.direction
-            resolved_sub.port_type[port.name] = substitute_type(
-                target_rc.port_type.get(port.name), bindings)
         if sub.instance in rc.subcomponents:
             diags.append(Diagnostic.at(
                 "R0", sub.loc, f"subcomponent instance '{sub.instance}' declared twice"))
             continue
-        rc.subcomponents[sub.instance] = resolved_sub
+        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args)
 
     fed: dict[tuple[Optional[str], str], SourceLoc] = {}
     for conn in comp.connectors:
-        src = _resolve_endpoint(rc, conn.source, diags, is_source=True)
-        dst = _resolve_endpoint(rc, conn.target, diags, is_source=False)
+        src = _resolve_endpoint(rc, model, conn.source, diags, is_source=True)
+        dst = _resolve_endpoint(rc, model, conn.target, diags, is_source=False)
         if src is None or dst is None:
             continue
-        src_type, dst_type = src[2], dst[2]
+        (src_type,), (dst_type,) = src, dst
         if src_type is not None and dst_type is not None and not conforms(src_type, dst_type):
             diags.append(Diagnostic.at(
                 "R0", conn.loc,
@@ -511,41 +464,34 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,
         fed[key] = conn.loc
 
 
-def _resolve_endpoint(rc: ResolvedComponent, ref, diags: list[Diagnostic],
-                      is_source: bool):
-    """Returns (instance, port, type) or None; checks existence and direction.
+def _resolve_endpoint(rc: ResolvedComponent, model: ResolvedModel, ref,
+                      diags: list[Diagnostic], is_source: bool):
+    """Returns (type,), the port's type with generics substituted, or None
+    after reporting why the port cannot be this end of a connector.
 
     A source must be an own in-port or a subcomponent out-port; a target must
     be an own out-port or a subcomponent in-port.
     """
+    expected = "in" if is_source == (ref.instance is None) else "out"
     if ref.instance is None:
-        direction = rc.port_dir.get(ref.port)
-        if direction is None:
-            diags.append(Diagnostic.at("R0", ref.loc, f"unknown port '{ref.port}'"))
+        owner, bindings = rc, {}
+        unknown, port = f"unknown port '{ref.port}'", f"own port '{ref.port}'"
+    else:
+        sub = rc.subcomponents.get(ref.instance)
+        if sub is None:
+            diags.append(Diagnostic.at("R0", ref.loc, f"unknown subcomponent '{ref.instance}'"))
             return None
-        expected = "in" if is_source else "out"
-        if direction != expected:
-            role = "source" if is_source else "target"
-            diags.append(Diagnostic.at(
-                "R0", ref.loc,
-                f"own port '{ref.port}' is '{direction}' and cannot be a connector {role}"))
-            return None
-        return (None, ref.port, rc.port_type.get(ref.port))
-    sub = rc.subcomponents.get(ref.instance)
-    if sub is None:
-        diags.append(Diagnostic.at("R0", ref.loc, f"unknown subcomponent '{ref.instance}'"))
+        owner = model.components[sub.target_qname]
+        bindings = dict(zip(owner.ast.generic_params, sub.arg_types))
+        unknown = f"subcomponent '{ref.instance}' has no port '{ref.port}'"
+        port = f"port '{ref.instance}.{ref.port}'"
+    direction, declared = owner.binding(ref.port) or (None, None)
+    if direction not in ("in", "out"):
+        diags.append(Diagnostic.at("R0", ref.loc, unknown))
         return None
-    direction = sub.port_dir.get(ref.port)
-    if direction is None:
-        diags.append(Diagnostic.at(
-            "R0", ref.loc, f"subcomponent '{ref.instance}' has no port '{ref.port}'"))
-        return None
-    expected = "out" if is_source else "in"
     if direction != expected:
         role = "source" if is_source else "target"
         diags.append(Diagnostic.at(
-            "R0", ref.loc,
-            f"port '{ref.instance}.{ref.port}' is '{direction}' and cannot be a "
-            f"connector {role}"))
+            "R0", ref.loc, f"{port} is '{direction}' and cannot be a connector {role}"))
         return None
-    return (ref.instance, ref.port, sub.port_type.get(ref.port))
+    return (substitute_type(declared, bindings),)

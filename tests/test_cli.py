@@ -332,6 +332,27 @@ def test_sim_ts_bad_stimulus_cell_usage_error(capsys, tmp_path):
     assert "not a Boolean" in err
 
 
+# Stimulus cells are read as values of a model file; each of these is an
+# error or a different token there.
+@pytest.mark.parametrize("cells, message", [
+    ('"a\\nb"\t1', "unsupported escape sequence"),
+    ('"x"y"\t1', "unterminated string literal"),
+    ('"a"\t1_000', "expected end of value, found '_000'"),
+    ('"a"\t+7', "expected a value, found '+'"),
+    ('"a"\t"5"', """'"5"' is not an Integer"""),
+    ("true\t5", "String values must be double-quoted"),
+], ids=["escape", "inner-quote", "underscore", "plus", "integer-type", "string-type"])
+def test_sim_ts_stimulus_cells_are_model_values(capsys, tmp_path, cells, message):
+    model = tmp_path / "M.maa"
+    model.write_text("component M { port in String s, in Integer n, out Integer o;"
+                     " automaton { state S; initial S; S / o = n; } }", encoding="utf-8")
+    stim = tmp_path / "stim.tsv"
+    stim.write_text(f"s\tn\n{cells}\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ts", str(model), "--main", "M",
+                         "--stimulus", str(stim), "--cycles", "1")
+    assert (code, out, err) == (2, "", f"error: {stim}:2: {message}\n")
+
+
 def test_sim_ts_duplicate_stimulus_column_usage_error(capsys, tmp_path):
     # which of the two cells would p read?
     model = tmp_path / "P.maa"

@@ -105,14 +105,13 @@ _TYPE_POOL = (INTEGER, BOOLEAN, STRING)
     types=st.lists(st.sampled_from(_TYPE_POOL), min_size=1, max_size=5),
 )
 def test_infer_target_consistent_with_type_of(term, types):
-    candidates = [(f"p{i}", t) for i, t in enumerate(types)]
-    kinds = {name: "in" for name, _ in candidates}
+    candidates = {f"p{i}": ("in", t) for i, t in enumerate(types)}
     env_unit = parse_component_file("component E { }", "env")
     model, _ = resolve([env_unit], [])
     env = model.components["E"]
-    result = infer_block_target([term], candidates, kinds, env)
+    result = infer_block_target([term], candidates, env)
     term_type = type_of(term, env)
-    admitting = [name for name, t in candidates if t == term_type]
+    admitting = [name for name, (_, t) in candidates.items() if t == term_type]
     if result.status == "ok":
         assert [result.name] == admitting
     elif result.status == "ambiguous":

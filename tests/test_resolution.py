@@ -6,6 +6,7 @@ import pytest
 
 import maa.resolution
 from maa.checks import check
+from maa.diagnostics import sort_diagnostics
 from maa.engine import lower
 from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import (
@@ -17,6 +18,7 @@ from maa.resolution import (
     SeqType,
     infer_block_target,
     resolve,
+    substitute_type,
     type_of,
 )
 from maa.syntax import (
@@ -38,10 +40,10 @@ def test_empty_model_resolves_clean():
 
 def test_bump_control_port_types(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    assert rc.port_type["left"] == EnumType("bumperbot.types.MotorCmd")
-    assert rc.port_type["cmd"] == EnumType("bumperbot.types.TimerCmd")
-    assert rc.port_type["distance"] == INTEGER
-    assert rc.port_type["signal"] == BOOLEAN
+    assert rc.binding("left") == ("out", EnumType("bumperbot.types.MotorCmd"))
+    assert rc.binding("cmd") == ("out", EnumType("bumperbot.types.TimerCmd"))
+    assert rc.binding("distance") == ("in", INTEGER)
+    assert rc.binding("signal") == ("in", BOOLEAN)
 
 
 def test_enum_literal_typing(bump_model):
@@ -85,9 +87,8 @@ def test_unresolved_port_type_reports_r0():
 
 def test_infer_target_boolean_to_signal(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    candidates = [(p, rc.port_type[p]) for p in rc.in_ports]
-    kinds = {p: "in" for p in rc.in_ports}
-    result = infer_block_target([ELit(True, None)], candidates, kinds, rc)
+    candidates = {p: rc.binding(p) for p in rc.in_ports}
+    result = infer_block_target([ELit(True, None)], candidates, rc)
     assert (result.status, result.name) == ("ok", "signal")
 
 
@@ -95,17 +96,15 @@ def test_infer_target_ambiguous_integer():
     unit = parse_model(MODELS / "reference" / "ZeroBuffer.maa")
     model, _ = resolve([unit], [])
     rc = model.components["ZeroBuffer"]
-    candidates = [("input", INTEGER), ("buffer", INTEGER)]
-    kinds = {"input": "in", "buffer": "var"}
-    result = infer_block_target([ELit(1, None)], candidates, kinds, rc)
+    candidates = {"input": ("in", INTEGER), "buffer": ("var", INTEGER)}
+    result = infer_block_target([ELit(1, None)], candidates, rc)
     assert result.status == "ambiguous"
     assert set(result.candidates) == {"input", "buffer"}
 
 
 def test_infer_target_no_match(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
-    result = infer_block_target([ELit("x", None)], [("distance", INTEGER)],
-                                {"distance": "in"}, rc)
+    result = infer_block_target([ELit("x", None)], {"distance": ("in", INTEGER)}, rc)
     assert result.status == "none"
 
 
@@ -138,14 +137,20 @@ def test_generic_instantiation_in_pipeline(pipeline_model):
     rc = pipeline_model.components["pipeline.Pipeline"]
     sub = rc.subcomponents["arb"]
     assert sub.target_qname == "pipeline.Arbiter"
-    assert sub.port_type["in1"] == INTEGER
-    assert sub.port_type["res"] == INTEGER
-    assert sub.port_type["mode"] == BOOLEAN
+    arbiter = pipeline_model.components[sub.target_qname]
+    bindings = dict(zip(arbiter.ast.generic_params, sub.arg_types))
+
+    def port_type(port):
+        return substitute_type(arbiter.binding(port)[1], bindings)
+
+    assert port_type("in1") == INTEGER
+    assert port_type("res") == INTEGER
+    assert port_type("mode") == BOOLEAN
 
 
 def test_param_type_resolution(arbiter_model):
     rc = arbiter_model.components["Arbiter"]
-    assert rc.port_type["in1"] == ParamType("T")
+    assert rc.binding("in1") == ("in", ParamType("T"))
 
 
 def test_connector_type_mismatch_r0():
@@ -244,3 +249,108 @@ def test_unnamed_entry_target_inferred_once(monkeypatch, run):
     assert diags == [] and calls == []
     run(model)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# R0: every structural message resolution renders
+# ---------------------------------------------------------------------------
+
+_LEAF = ("component Leaf { port in Integer i, out Integer o; "
+         "automaton { state S; initial S; } }")
+_LIB = {"lib.maa": "package lib; " + _LEAF}
+_TYPES = {"t.types": "package t; enum Color { RED, GREEN }"}
+
+
+def _top(body: str, header: str = "") -> dict[str, str]:
+    return {"top.maa": f"package a; {header} component Top {{ {body} }}"}
+
+
+@pytest.mark.parametrize("files, expected", [
+    pytest.param(_top("", "import b.Missing;"),
+                 ["top.maa:1:12 error R0: unresolved import 'b.Missing'"], id="import-single"),
+    pytest.param(_top("", "import b.*;"),
+                 ["top.maa:1:12 error R0: unresolved import 'b.*'"], id="import-star"),
+    pytest.param(_TYPES | _top("port in Color c;", "import t.Color;"), [], id="enum-imported"),
+    pytest.param(_TYPES | _top("port in Color c;"),
+                 ["top.maa:1:43 error R0: unresolved port type 'Color'"], id="enum-not-imported"),
+    pytest.param(_LIB | _top("component Leaf l;", "import lib.Leaf;"), [],
+                 id="component-imported"),
+    pytest.param(_LIB | _top("component Leaf l;"),
+                 ["top.maa:1:29 error R0: unresolved component type 'Leaf'"],
+                 id="component-not-imported"),
+    pytest.param({"p1.maa": "package p1; " + _LEAF, "p2.maa": "package p2; " + _LEAF}
+                 | _top("component Leaf l;", "import p1.*; import p2.*;"),
+                 ["top.maa:1:54 error R0: ambiguous component type 'Leaf'"],
+                 id="component-ambiguous"),
+    pytest.param(_top("component Nowhere n;"),
+                 ["top.maa:1:29 error R0: unresolved component type 'Nowhere'"],
+                 id="component-unresolved"),
+    pytest.param(_LIB | _top("port out Integer o; component lib.Leaf l; connect x -> l.i;"),
+                 ["top.maa:1:79 error R0: unknown port 'x'"], id="unknown-port"),
+    pytest.param(_LIB | _top("port out Integer o; component lib.Leaf l; connect q.o -> o;"),
+                 ["top.maa:1:79 error R0: unknown subcomponent 'q'"], id="unknown-subcomponent"),
+    pytest.param(_LIB | _top("port out Integer o; component lib.Leaf l; connect l.p -> o;"),
+                 ["top.maa:1:79 error R0: subcomponent 'l' has no port 'p'"], id="no-such-port"),
+    pytest.param(_top("port in Integer i, out Integer o; connect o -> i;"), [
+        "top.maa:1:71 error R0: own port 'o' is 'out' and cannot be a connector source",
+        "top.maa:1:76 error R0: own port 'i' is 'in' and cannot be a connector target",
+    ], id="own-direction"),
+    pytest.param(_LIB | _top("port in Integer i, out Integer o; component lib.Leaf l; "
+                             "connect l.i -> l.o;"), [
+        "top.maa:1:93 error R0: port 'l.i' is 'in' and cannot be a connector source",
+        "top.maa:1:100 error R0: port 'l.o' is 'out' and cannot be a connector target",
+    ], id="sub-direction"),
+    pytest.param({"arb.maa": (MODELS / "pipeline" / "Arbiter.maa").read_text(encoding="utf-8")}
+                 | {"top.maa": "package pipeline; component Top { port out Boolean b; "
+                               "component Arbiter<Integer> arb; connect arb.res -> b; }"},
+                 ["top.maa:1:87 error R0: connector type mismatch: Integer -> Boolean"],
+                 id="generic-mismatch"),
+])
+def test_r0_messages(files, expected):
+    units = [parse_component_file(text, name) for name, text in files.items()
+             if name.endswith(".maa")]
+    types = [parse_types_file(text, name) for name, text in files.items()
+             if name.endswith(".types")]
+    _model, diags = resolve(units, types)
+    assert [d.render() for d in sort_diagnostics(diags)] == expected
+
+
+# ---------------------------------------------------------------------------
+# a name declared twice (U3) denotes its first declaration, ports first
+# ---------------------------------------------------------------------------
+
+def test_in_and_out_port_of_one_name_is_the_in_port():
+    unit = parse_component_file(
+        "component C {\n"
+        "  port in Integer x, out Boolean x, out Integer o;\n"
+        "  automaton {\n"
+        "    state S;\n"
+        "    initial S;\n"
+        "    S / x = true;\n"
+        "    S [x > 0] / o = x;\n"
+        "  }\n"
+        "}\n", "c.maa")
+    model, diags = resolve([unit], [])
+    assert model.components["C"].binding("x") == ("in", INTEGER)
+    assert [d.render() for d in sort_diagnostics(diags + check(model, "generic"))] == [
+        "c.maa:2:34 error U3: the name 'x' is already used by a port or variable",
+        "c.maa:6:9 error T6: cannot send to input port 'x'",
+    ]
+
+
+def test_port_shadows_variable_in_checker_and_engine():
+    from maa.engine import SimulationError, run_ts
+    unit = parse_component_file(
+        "component C {\n"
+        "  port in Integer x, out Integer o;\n"
+        "  Integer x = 3;\n"
+        "  automaton { state S; initial S; S / x = 1, o = x; }\n"
+        "}\n", "c.maa")
+    model, diags = resolve([unit], [])
+    assert [d.render() for d in diags + check(model, "ts")] == [
+        "c.maa:3:11 error U3: the name 'x' is already used by a port or variable",
+        "c.maa:4:39 error T6: cannot send to input port 'x'",
+    ]
+    with pytest.raises(SimulationError) as raised:
+        run_ts(model, "C", [{"x": 5}], 3)
+    assert str(raised.value) == "cycle 1: 'x' is neither an out-port nor a variable"
