@@ -24,7 +24,7 @@ expands every choice point and returns the exact reachable trace set, serving
 as a brute-force oracle for the policy-driven engines.  Both take the same
 time-synchronous step, :func:`_step`, over instances wired by index in
 :func:`build_plan`: a policy follows one branch of each choice point, the
-enumerator every branch.
+enumerator every branch, with each instance's equal successors merged.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ class ComponentState:
 
     def freeze(self) -> tuple:
         return (self.state, tuple(sorted(
-            (k, (v.enum, v.literal) if isinstance(v, EnumValue) else v)
-            for k, v in self.variables.items())))
+            (k, _freeze_value(v)) for k, v in self.variables.items())))
 
 
 @dataclass
@@ -199,6 +198,12 @@ class CycleRecord:
             tuple(sorted((k, _freeze_slot(v)) for k, v in self.outputs.items())),
             tuple(sorted((k, s.freeze()) for k, s in self.states.items())),
         )
+
+
+def _freeze_value(v: Value) -> tuple:
+    """Type-exact, hashable and sortable form of a value: ``1`` and ``true``
+    differ, and values of different types order by type name."""
+    return (type(v).__name__, (v.enum, v.literal) if isinstance(v, EnumValue) else v)
 
 
 def _freeze_slot(v: Slot) -> tuple:
@@ -664,20 +669,37 @@ def _sent(outputs: list[tuple[str, object]], cycle: Optional[int]) -> dict[str, 
     return {port: value for port, value in sent.items() if value is not ABSENT}
 
 
+def _distinct(successors: list[tuple]) -> list[tuple]:
+    """One instance's (state, sent) successors with equal ones merged, the
+    first of each kept.  Equal siblings have equal subtrees, so merging them
+    before the joint product loses no trace."""
+    merged: dict[tuple, tuple] = {}
+    for cs, sent in successors:
+        key = (cs.freeze(), frozenset((port, _freeze_value(v)) for port, v in sent.items()))
+        merged.setdefault(key, (cs, sent))
+    return list(merged.values())
+
+
 def _initial_ts(plan: SystemPlan, branches) -> itertools.product:
-    """Every joint initial state that ``branches`` admits."""
-    return itertools.product(*(
-        [(cs, _sent(outputs, None)) for cs, outputs in _initial(inst, plan.model, branches)]
-        for inst in plan.instances))
+    """Every distinct joint initial state that ``branches`` admits."""
+    per_instance = []
+    for inst in plan.instances:
+        successors = [(cs, _sent(outputs, None))
+                      for cs, outputs in _initial(inst, plan.model, branches)]
+        per_instance.append(successors if len(successors) == 1 else _distinct(successors))
+    return itertools.product(*per_instance)
 
 
 def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
           cycle: int) -> tuple[dict[str, Slot], itertools.product]:
-    """One global cycle: the outputs observed outside, and every successor
-    joint state that ``branches`` admits.
+    """One global cycle: the outputs observed outside, and every distinct
+    successor joint state that ``branches`` admits.
 
     Each instance reads what was sent in the previous cycle and fires one
-    enabled transition, or completes idle: unchanged and silent.
+    enabled transition, or completes idle: unchanged and silent.  An
+    instance's equal successors are merged before the joint product, so the
+    product grows with distinct successors, not with branches; a single
+    branch, the policy's, computes no merge key.
     """
     sources = (external, *(sent for _, sent in state))
     per_instance = []
@@ -692,7 +714,7 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
             successor, outputs = _fire(inst.behaviour, cs.variables, inputs, option, picks,
                                        cycle)
             successors.append((successor, _sent(outputs, cycle)))
-        per_instance.append(successors)
+        per_instance.append(successors if len(successors) == 1 else _distinct(successors))
     return _read(plan.wires, sources), itertools.product(*per_instance)
 
 
@@ -743,7 +765,9 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
 
     Deduplicated; raises :class:`EnumerationOverflow` when more than ``bound``
     distinct traces would be produced.  The search is depth-first over an
-    explicit stack, so its depth is not limited by the run's length.
+    explicit stack, so its depth is not limited by the run's length.  Equal
+    successors of an instance are merged before they are combined, so the
+    work grows with distinct successors, not with branches.
     """
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")

@@ -3,7 +3,9 @@
 Generated components are atomic, three-state, time-synchronous-clean machines
 over two in-ports (Integer a, Boolean b), two Integer out-ports, and one
 Integer variable.  Outputs only use literals and --, so no run can hit the
-forwarding-absent-message runtime error.
+forwarding-absent-message runtime error.  Output entries may offer two
+alternatives, possibly equal, and a quarter of the transitions are declared
+twice, so equal sibling successors occur.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ def random_component_text(rng: random.Random) -> str:
         "",
         "    automaton {",
         "        state S0, S1, S2;",
-        f"        initial {rng.choice(STATES)} / x = {rng.randrange(0, 3)};",
+        f"        initial {rng.choice(STATES)} / x = {_values(rng, ('0', '1', '2'))};",
         "",
     ]
+    transitions: list[str] = []
     for _ in range(rng.randrange(4, 9)):
         source = rng.choice(STATES)
         target = rng.choice(STATES)
@@ -58,17 +61,28 @@ def random_component_text(rng: random.Random) -> str:
                 parts.append("{" + ", ".join(matches) + "}")
         assigns = []
         if rng.random() < 0.8:
-            assigns.append(f"x = {rng.choice((str(rng.randrange(0, 5)), '--'))}")
+            assigns.append(f"x = {_values(rng, ('0', '1', '2', '3', '4', '--'))}")
         if rng.random() < 0.5:
-            assigns.append(f"y = {rng.randrange(0, 5)}")
+            assigns.append(f"y = {_values(rng, ('0', '1', '2', '3', '4'))}")
         if rng.random() < 0.4:
-            assigns.append(f"v = {rng.randrange(-2, 5)}")
+            assigns.append(f"v = {_values(rng, ('-2', '-1', '0', '1', '2', '3', '4'))}")
         text = " ".join(parts)
         if assigns:
             text += " / {" + ", ".join(assigns) + "}"
-        lines.append(text + ";")
+        transitions.append(text + ";")
+        if rng.random() < 0.25:
+            transitions.append(rng.choice(transitions))
+    lines += transitions
     lines += ["    }", "}"]
     return "\n".join(lines) + "\n"
+
+
+def _values(rng: random.Random, pool: tuple[str, ...]) -> str:
+    """One value from ``pool``, or, a third of the time, two alternatives,
+    which may be equal."""
+    if rng.random() < 1 / 3:
+        return f"{rng.choice(pool)} | {rng.choice(pool)}"
+    return rng.choice(pool)
 
 
 def random_model(rng: random.Random):

@@ -619,8 +619,8 @@ def test_enumerate_long_run_has_no_depth_limit():
 
 
 def test_enumerate_freezes_each_record_once(monkeypatch):
-    # four enabled loops, two distinct outputs: 4 + 16 + 64 + 256 records
-    # are built for 16 distinct traces of 4 cycles
+    # four enabled loops, two distinct outputs: equal successors are merged,
+    # so 2 + 4 + 8 + 16 records are built for 8 distinct traces of 4 cycles
     model = small_model(
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S / o = 1; S / o = 2; S / o = 1; S / o = 2; } }")
@@ -638,11 +638,54 @@ def test_enumerate_freezes_each_record_once(monkeypatch):
     monkeypatch.setattr(engine.CycleRecord, "freeze", counting_freeze)
     monkeypatch.setattr(engine, "_record", counting_record)
     traces = enumerate_ts(model, "C", [], 4, bound=64)
-    assert counts["record"] == 4 + 16 + 64 + 256
+    assert counts["record"] == 2 + 4 + 8 + 16
     assert counts["freeze"] <= counts["record"]
     monkeypatch.undo()
     keys = [t.key() for t in traces]
     assert len(keys) == 8 and keys == sorted(keys)
+
+
+def test_enumerate_tells_variable_values_of_different_types_apart():
+    # models that skip check: 1 and true are different values, and values of
+    # different types still sort
+    model = small_model(
+        "component C { port out Integer o; Integer v; automaton {"
+        " state S; initial S; S / {v = 1}; S / {v = true}; } }")
+    traces = enumerate_ts(model, "C", [], 2)
+    assert [[type(r.states[""].variables["v"]) for r in t.records] for t in traces] == [
+        [bool, bool], [bool, int], [int, bool], [int, int]]
+    model = small_model(
+        "component C { port out Integer o; Integer v; automaton {"
+        ' state S; initial S; S / {v = 1}; S / {v = "a"}; } }')
+    traces = enumerate_ts(model, "C", [], 2)
+    assert [[r.states[""].variables["v"] for r in t.records] for t in traces] == [
+        [1, 1], [1, "a"], ["a", 1], ["a", "a"]]
+
+
+def test_enumerate_merges_equal_successors_before_the_joint_product(monkeypatch):
+    # 12 instances with 4 equal choices each: one distinct successor per
+    # cycle, so one record per cycle instead of 4^12 children per node
+    choice = ("component Choice { port out Integer o; automaton {"
+              " state S; initial S;" + " S / {o = 1};" * 4 + " } }")
+    many = ("component Many { port out Integer o;"
+            + "".join(f" component Choice c{i};" for i in range(12))
+            + " connect c0.o -> o; }")
+    units = [parse_component_file(text, "m.maa") for text in (choice, many)]
+    model, diags = resolve(units, [])
+    assert diags == [], [d.render() for d in diags]
+    calls = []
+    record = engine._record
+
+    def counting_record(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(engine, "_record", counting_record)
+    traces = enumerate_ts(model, "Many", [], 3)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert len(traces) == 1
+    assert traces[0].key() == run_ts(model, "Many", [], 3).key()
 
 
 def test_enumerate_bound_must_be_positive(follow_model):
