@@ -19,7 +19,6 @@ from .engine import (
     EnumerationOverflow,
     EnumValue,
     Event,
-    EventMachine,
     EventStep,
     EventTrace,
     FirstDeclared,

@@ -10,9 +10,9 @@ Event-driven runs consume one scripted event at a time, run-to-completion: the
 matching transition may emit finite sequences of events per output port.
 
 Both engines and the enumerator run one executable form of each automaton,
-built once per plan or machine by :func:`lower`, the only place the engine
-asks resolution what a name denotes: its transitions grouped by source state
-in declaration order, each with the in-ports its guard reads, the in-ports it
+built once per plan by :func:`lower`, the only place the engine asks
+resolution what a name denotes: its transitions grouped by source state in
+declaration order, each with the in-ports its guard reads, the in-ports it
 reads overall, and the port or variable each entry targets; and the bare names
 that denote enum literals.  :meth:`LoweredAutomaton.enabled` is the one query
 for enabled transitions, and :meth:`LoweredAutomaton.apply_outputs` evaluates
@@ -21,10 +21,11 @@ every output block, initial or not, under either profile.
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
 expands every choice point and returns the exact reachable trace set, serving
-as a brute-force oracle for the policy-driven engines.  Both take the same
-time-synchronous step, :func:`_step`, over instances wired by index in
-:func:`build_plan`: a policy follows one branch of each choice point, the
-enumerator every branch, with each instance's equal successors merged.
+as a brute-force oracle for the policy-driven engines.  Every instance of a
+:func:`build_plan` plan fires through :func:`_successors`: the time-synchronous
+step, :func:`_step`, for each instance wired by index (a policy follows one
+branch, the enumerator every branch, with equal successors merged), and
+``run_ed`` once per event for the plan's one instance.
 """
 
 from __future__ import annotations
@@ -207,16 +208,15 @@ def _freeze_value(v: Value) -> tuple:
 
 
 def _freeze_slot(v: Slot) -> tuple:
-    """Sortable form of a slot; absence sorts before every value."""
-    return () if v is ABSENT else (type(v).__name__, str(v))
+    """Sortable form of a slot; absence sorts before every value, and enum
+    values of different enums differ."""
+    return () if v is ABSENT else (
+        type(v).__name__, (v.enum, v.literal) if isinstance(v, EnumValue) else str(v))
 
 
 @dataclass
 class Trace:
     records: list[CycleRecord]
-
-    def key(self) -> tuple:
-        return tuple(r.freeze() for r in self.records)
 
 
 @dataclass(frozen=True)
@@ -357,35 +357,32 @@ class LoweredAutomaton:
     enums: dict[str, EnumValue]  # bare name -> the enum literal it denotes
 
     def enabled(self, state: Optional[str], inputs: dict[str, Slot],
-                variables: dict[str, Value], event_port: Optional[str] = None,
-                cycle: Optional[int] = None) -> list[LoweredTransition]:
+                variables: dict[str, Value],
+                event_port: Optional[str] = None) -> list[LoweredTransition]:
         """Enabled transitions out of ``state``, in declaration order.
 
         ``inputs`` holds every in-port.  With ``event_port``, only transitions
         that read exactly that port qualify (the event-driven profile).  A
         guard or input block that cannot be evaluated raises
-        :class:`SimulationError`, naming ``cycle`` when given.
+        :class:`SimulationError`.
         """
         result = []
-        try:
-            for t in self.by_state.get(state, ()):
-                if event_port is not None and (len(t.reads) != 1 or event_port not in t.reads):
+        for t in self.by_state.get(state, ()):
+            if event_port is not None and (len(t.reads) != 1 or event_port not in t.reads):
+                continue
+            if t.guard is not None:
+                if any(inputs[port] is ABSENT for port in t.guard_ports):
                     continue
-                if t.guard is not None:
-                    if any(inputs[port] is ABSENT for port in t.guard_ports):
-                        continue
-                    try:
-                        holds = _eval_expr(t.guard, inputs, variables, self.enums)
-                    except TypeError as exc:
-                        raise SimulationError(f"guard cannot be evaluated: {exc}") from None
-                    if not isinstance(holds, bool):
-                        raise SimulationError("guard did not evaluate to a Boolean")
-                    if not holds:
-                        continue
-                if all(_match_satisfied(m, inputs, variables, self.enums) for m in t.matches):
-                    result.append(t)
-        except SimulationError as exc:
-            raise SimulationError(exc.message, cycle) from None
+                try:
+                    holds = _eval_expr(t.guard, inputs, variables, self.enums)
+                except TypeError as exc:
+                    raise SimulationError(f"guard cannot be evaluated: {exc}") from None
+                if not isinstance(holds, bool):
+                    raise SimulationError("guard did not evaluate to a Boolean")
+                if not holds:
+                    continue
+            if all(_match_satisfied(m, inputs, variables, self.enums) for m in t.matches):
+                result.append(t)
         return result
 
     def apply_outputs(self, assigns: list[LoweredEntry], picks: list[ValueTerm],
@@ -431,7 +428,7 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     A component without an automaton has no states and never fires.
     Transitions that read equal port sets share one set object.
     """
-    automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [])
+    automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [], None)
     shared: dict[frozenset[str], frozenset[str]] = {}
 
     def share(ports: set[str]) -> frozenset[str]:
@@ -611,18 +608,6 @@ def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
 # Firing, under either profile
 # ---------------------------------------------------------------------------
 
-def _fire(behaviour: LoweredAutomaton, variables: dict[str, Value], inputs: dict[str, Slot],
-          option: Union[LoweredTransition, LoweredInitial], picks,
-          cycle: Optional[int]) -> tuple[ComponentState, list]:
-    """The state entered and the outputs of taking ``option``, a transition or
-    an initial declaration, with one picked alternative per output entry."""
-    try:
-        outputs, variables = behaviour.apply_outputs(option.assigns, picks, inputs, variables)
-    except SimulationError as exc:
-        raise SimulationError(exc.message, cycle) from None
-    return ComponentState(option.target, variables), outputs
-
-
 def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
     """Every (state, outputs) an instance may start with, one per branch of its
     initial declarations."""
@@ -645,7 +630,25 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
         return
     inputs = dict.fromkeys(inst.rc.in_ports, ABSENT)
     for initial, picks in branches(inst.behaviour.initials):
-        yield _fire(inst.behaviour, variables, inputs, initial, picks, None)
+        outputs, entered = inst.behaviour.apply_outputs(initial.assigns, picks, inputs, variables)
+        yield ComponentState(initial.target, entered), outputs
+
+
+def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot], branches,
+                event_port: Optional[str] = None) -> list[tuple[ComponentState, list]]:
+    """Every (state, outputs) of one instance reading ``inputs`` in ``cs``, one
+    per branch of its enabled transitions that ``branches`` admits; with none
+    enabled, it completes idle: unchanged and silent.  ``event_port`` selects
+    the event-driven profile (see :meth:`LoweredAutomaton.enabled`)."""
+    behaviour = inst.behaviour
+    options = behaviour.enabled(cs.state, inputs, cs.variables, event_port)
+    if not options:
+        return [(cs, [])]
+    successors = []
+    for option, picks in branches(options):
+        outputs, variables = behaviour.apply_outputs(option.assigns, picks, inputs, cs.variables)
+        successors.append((ComponentState(option.target, variables), outputs))
+    return successors
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +659,15 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
 # ``sent`` maps each out-port the instance sent a message on in the last cycle
 # to that message.
 
-def _sent(outputs: list[tuple[str, object]], cycle: Optional[int]) -> dict[str, Value]:
+def _sent(outputs: list[tuple[str, object]], initial: bool = False) -> dict[str, Value]:
     """The messages an instance sends for the next cycle, at most one per out-port."""
     sent = {}
     for port, value in outputs:
         if isinstance(value, list):
-            what = (f"initial output on port '{port}' is a sequence" if cycle is None
+            what = (f"initial output on port '{port}' is a sequence" if initial
                     else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
-                f"{what}; the time-synchronous profile allows one message per port", cycle)
+                f"{what}; the time-synchronous profile allows one message per port")
         sent[port] = value
     return {port: value for port, value in sent.items() if value is not ABSENT}
 
@@ -684,7 +687,7 @@ def _initial_ts(plan: SystemPlan, branches) -> itertools.product:
     """Every distinct joint initial state that ``branches`` admits."""
     per_instance = []
     for inst in plan.instances:
-        successors = [(cs, _sent(outputs, None))
+        successors = [(cs, _sent(outputs, initial=True))
                       for cs, outputs in _initial(inst, plan.model, branches)]
         per_instance.append(successors if len(successors) == 1 else _distinct(successors))
     return itertools.product(*per_instance)
@@ -703,18 +706,17 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
     """
     sources = (external, *(sent for _, sent in state))
     per_instance = []
-    for inst, (cs, _) in zip(plan.instances, state):
-        inputs = _read(inst.wires, sources)
-        options = inst.behaviour.enabled(cs.state, inputs, cs.variables, cycle=cycle)
-        if not options:
-            per_instance.append([(cs, {})])
-            continue
-        successors = []
-        for option, picks in branches(options):
-            successor, outputs = _fire(inst.behaviour, cs.variables, inputs, option, picks,
-                                       cycle)
-            successors.append((successor, _sent(outputs, cycle)))
-        per_instance.append(successors if len(successors) == 1 else _distinct(successors))
+    try:
+        for inst, (cs, _) in zip(plan.instances, state):
+            successors = _successors(inst, cs, _read(inst.wires, sources), branches)
+            if len(successors) == 1:
+                [(successor, outputs)] = successors
+                per_instance.append([(successor, _sent(outputs) if outputs else {})])
+            else:
+                per_instance.append(_distinct(
+                    [(successor, _sent(outputs)) for successor, outputs in successors]))
+    except SimulationError as exc:
+        raise SimulationError(exc.message, cycle) from None
     return _read(plan.wires, sources), itertools.product(*per_instance)
 
 
@@ -792,7 +794,7 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
                 records.append(record)
                 frozen.append(record_key)
             frozen.reverse()
-            key = tuple(frozen)  # equals Trace(records).key()
+            key = tuple(frozen)  # the frozen records, in order
             if key not in results:
                 if len(results) >= bound:
                     raise EnumerationOverflow(
@@ -820,49 +822,23 @@ def _emissions(outputs: list[tuple[str, object]]) -> list[tuple[str, list[Value]
             for port, value in outputs]
 
 
-class EventMachine:
-    """Event-driven interpreter for one atomic component."""
-
-    def __init__(self, model: ResolvedModel, main: str, policy: Policy = FirstDeclared()):
-        if main not in model.components:
-            raise SetupError(f"unknown main component '{main}'")
-        rc = model.components[main]
-        if rc.ast.subcomponents:
-            raise SetupError("event-driven simulation requires an atomic main component")
-        if len(rc.ast.automata) > 1:
-            raise SetupError(f"component '{rc.qname}' has several automata")
-        self.model = model
-        self.rc = rc
-        self.instance = AtomicInstance("", rc, {}, lower(rc))
-        self.chooser = _Chooser(policy)
-        self._silent = {port: ABSENT for port in rc.in_ports}
-
-    def initial(self) -> tuple[ComponentState, list[tuple[str, list[Value]]]]:
-        cs, outputs = next(_initial(self.instance, self.model, self.chooser.branches))
-        return cs, _emissions(outputs)
-
-    def step(self, cs: ComponentState, event: Event) -> tuple[ComponentState, list]:
-        """Consume one event; unmatched events are dropped without effect."""
-        if event.port not in self._silent:
-            raise SetupError(f"'{event.port}' is not an in-port of '{self.rc.qname}'")
-        inputs = dict(self._silent)
-        inputs[event.port] = event.value
-        behaviour = self.instance.behaviour
-        options = behaviour.enabled(cs.state, inputs, cs.variables, event.port)
-        if not options:
-            return cs, []
-        [(chosen, picks)] = self.chooser.branches(options)
-        cs, outputs = _fire(behaviour, cs.variables, inputs, chosen, picks, None)
-        return cs, _emissions(outputs)
-
-
 def run_ed(model: ResolvedModel, main: str, script: list[Event],
            policy: Policy = FirstDeclared()) -> EventTrace:
-    """Consume the scripted events in order, run-to-completion per event."""
-    machine = EventMachine(model, main, policy)
-    cs, initial_emissions = machine.initial()
-    trace = EventTrace(cs.state, initial_emissions, [])
+    """Consume the scripted events in order, run-to-completion per event: the
+    main component's one instance reads the event's port, every other in-port
+    absent, and only transitions that read exactly that port react to it."""
+    rc = model.components.get(main)
+    if rc is not None and rc.ast.subcomponents:
+        raise SetupError("event-driven simulation requires an atomic main component")
+    [inst] = build_plan(model, main).instances
+    branches = _Chooser(policy).branches
+    cs, outputs = next(_initial(inst, model, branches))
+    trace = EventTrace(cs.state, _emissions(outputs), [])
+    silent = dict.fromkeys(rc.in_ports, ABSENT)
     for event in script:
-        cs, emissions = machine.step(cs, event)
-        trace.steps.append(EventStep(event, emissions, cs))
+        if event.port not in silent:
+            raise SetupError(f"'{event.port}' is not an in-port of '{rc.qname}'")
+        inputs = {**silent, event.port: event.value}
+        [(cs, outputs)] = _successors(inst, cs, inputs, branches, event.port)
+        trace.steps.append(EventStep(event, _emissions(outputs), cs))
     return trace

@@ -58,6 +58,11 @@ def check_files(paths, profile, type_paths=()):
     return rdiags + check(model, profile)
 
 
+def trace_key(trace) -> tuple:
+    """A trace's records in their frozen, hashable form: equal for equal runs."""
+    return tuple(r.freeze() for r in trace.records)
+
+
 def out_column(trace, port: str) -> list:
     """The message (or ABSENT) observed on one out-port in each cycle of a trace."""
     return [r.outputs[port] for r in trace.records]

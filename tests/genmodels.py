@@ -107,6 +107,12 @@ def random_stimulus(rng: random.Random, n_cycles: int) -> list[dict]:
     return [random_row(rng) for _ in range(n_cycles)]
 
 
+def random_script(rng: random.Random, n_events: int) -> list[tuple[str, object]]:
+    """Events as (in-port, value) pairs: an Integer on a or a Boolean on b."""
+    return [("a", rng.randrange(-2, 5)) if rng.random() < 0.5 else ("b", rng.random() < 0.5)
+            for _ in range(n_events)]
+
+
 def perturbed_at(rng: random.Random, rows: list[dict], cycle: int) -> list[dict]:
     """Copy of rows guaranteed to differ exactly at the given 1-based cycle."""
     out = [dict(r) for r in rows]

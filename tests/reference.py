@@ -1,19 +1,22 @@
-"""A naive reference semantics of the time-synchronous profile, for tests.
+"""A naive reference semantics of both profiles, for tests.
 
 Written from README "Execution semantics", and sharing no code with
 ``maa.engine``: it walks the parsed automaton, asks resolution only what a
 name denotes (``ResolvedComponent.binding``) and which port or variable an
 entry targets (``ResolvedComponent.target``), evaluates terms with its own
-evaluator, and expands every choice point by plain recursion.  It runs atomic
-components only, for at most four cycles: it is meant to be plainly right,
-not fast.
+evaluator, works out which in-ports a transition reads itself, and expands
+every choice point by plain recursion.  It runs atomic components only, for
+at most four cycles or events: it is meant to be plainly right, not fast.
 
 Values are Python ints, bools and strings, :class:`EnumLiteral` for an enum
-literal, and ``None`` for the absence of a message.  A trace is a tuple with
-one ``(outputs, state, variables)`` entry per cycle: the message observed on
-each out-port in declaration order, the state after the cycle, and the
-variables after it sorted by name, every value in the form :func:`exact`
-gives.
+literal, and ``None`` for the absence of a message; every value in a trace or
+a run is in the form :func:`exact` gives, and variables are sorted by name.
+A time-synchronous trace is a tuple with one ``(outputs, state, variables)``
+entry per cycle: the message observed on each out-port in declaration order,
+the state after the cycle and the variables after it.  An event-driven run is
+``(initial state, initial emissions, steps)`` with one ``(emissions, state,
+variables)`` step per event; emissions are a ``(port, messages)`` pair per
+output-block entry on an out-port, in block order.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from maa.resolution import BOOLEAN, INTEGER, STRING, EnumType
 from maa.syntax import EBinary, ELit, ERef, EUnary, NoData, SequenceValue
 
 MAX_CYCLES = 4
+MAX_EVENTS = 4
 
 _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
               "+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -60,17 +64,47 @@ def reference_traces(model, main: str, stimulus: list[dict], n_cycles: int) -> s
     row, port or a None cell is no message."""
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"the reference runs 1 to {MAX_CYCLES} cycles")
-    rc = model.components[main]
-    if rc.ast.subcomponents or len(rc.ast.automata) != 1:
-        raise ValueError("the reference runs atomic components with one automaton")
-    component = _Component(model, rc)
+    component = _Component(model, main)
     rows = [stimulus[t] if t < len(stimulus) else {} for t in range(n_cycles)]
-    return {trace for state, variables, sent in component.initial()
-            for trace in component.runs(rows, 0, state, variables, sent)}
+    return {trace for state, variables, emitted in component.initial(sequences=False)
+            for trace in component.runs(rows, 0, state, variables, _sent(emitted))}
+
+
+def reference_ed_runs(model, main: str, script: list[tuple]) -> list[tuple]:
+    """Every event-driven run of the atomic component ``main`` over ``script``,
+    a list of (in-port, value) events, under every resolution of its choice
+    points, depth first in declaration order: the first run takes the first
+    option at every choice point.  Runs reached along different choices may
+    be equal."""
+    if len(script) > MAX_EVENTS:
+        raise ValueError(f"the reference runs at most {MAX_EVENTS} events")
+    component = _Component(model, main)
+    return [(state, _emissions(emitted), steps)
+            for state, variables, emitted in component.initial(sequences=True)
+            for steps in component.event_runs(script, state, variables)]
+
+
+def _sent(emitted: list[tuple]) -> dict:
+    """The one message per out-port an output block sends in a cycle."""
+    sent = {}
+    for port, messages in emitted:
+        sent[port] = messages[0] if messages else None
+    return {port: v for port, v in sent.items() if v is not None}
+
+
+def _emissions(emitted: list[tuple]) -> tuple:
+    return tuple((port, tuple(exact(v) for v in messages)) for port, messages in emitted)
+
+
+def _variables(variables: dict) -> tuple:
+    return tuple(sorted((k, exact(v)) for k, v in variables.items()))
 
 
 class _Component:
-    def __init__(self, model, rc):
+    def __init__(self, model, main: str):
+        rc = model.components[main]
+        if rc.ast.subcomponents or len(rc.ast.automata) != 1:
+            raise ValueError("the reference runs atomic components with one automaton")
         self.model = model
         self.rc = rc
         self.automaton = rc.ast.automata[0]
@@ -153,30 +187,71 @@ class _Component:
                 return False
         return True
 
-    def outcomes(self, block, inputs: dict, variables: dict):
-        """Every (variables, sent) an output block can give, one per choice of
-        one alternative per entry; every right-hand side reads the pre-state."""
+    def reads(self, transition) -> set:
+        """The in-ports a transition reads: those its guard names and those
+        its input block matches.  Under the event-driven profile a transition
+        reacts only to events on the one port it reads, if it reads one."""
+        ports = set()
+        if transition.guard is not None:
+            ports = self.in_ports_named(transition.guard.expr)
+        for match in transition.input or []:
+            name = self.rc.target(match).name
+            if self.rc.kind(name) == "in":
+                ports.add(name)
+        return ports
+
+    def message(self, term, inputs: dict, variables: dict):
+        """The value ``term`` sends; forwarding an absent message is an error."""
+        value = self.value(term, inputs, variables)
+        if value is None:
+            raise ReferenceError("forwarding an absent message")
+        return value
+
+    def outcomes(self, block, inputs: dict, variables: dict, sequences: bool):
+        """Every (variables, emitted) an output block can give, one per choice
+        of one alternative per entry; every right-hand side reads the
+        pre-state.  ``emitted`` has a (port, messages) pair per entry on an
+        out-port: none for ``--``, one for a value, and the elements of a
+        sequence, which only the event-driven profile (``sequences``) allows."""
         entries = block or []
         for picks in itertools.product(*(entry.alternatives for entry in entries)):
             new_variables = dict(variables)
-            sent = {}
+            emitted = []
             for entry, pick in zip(entries, picks):
-                if isinstance(pick, SequenceValue):
-                    raise ReferenceError("a sequence is not one message")
-                value = self.value(pick, inputs, variables)
                 name = self.rc.target(entry).name
-                if self.rc.kind(name) == "out":
-                    sent[name] = value
-                elif value is None:
-                    raise ReferenceError(f"variable '{name}' cannot be absent")
+                if isinstance(pick, SequenceValue):
+                    if not sequences:
+                        raise ReferenceError("a sequence is not one message")
+                    messages = tuple(self.message(e, inputs, variables) for e in pick.elements)
+                elif isinstance(pick, NoData):
+                    messages = ()
                 else:
-                    new_variables[name] = value
-            yield new_variables, {port: v for port, v in sent.items() if v is not None}
+                    messages = (self.message(pick, inputs, variables),)
+                if self.rc.kind(name) == "out":
+                    emitted.append((name, messages))
+                elif (self.rc.kind(name) == "var" and len(messages) == 1
+                      and not isinstance(pick, SequenceValue)):
+                    new_variables[name] = messages[0]
+                else:
+                    raise ReferenceError(f"'{name}' cannot take this value")
+            yield new_variables, emitted
+
+    def successors(self, state, inputs: dict, variables: dict, reacts, sequences: bool):
+        """Every (state, variables, emitted) after one step: one per enabled
+        transition that ``reacts`` admits and per outcome of its output
+        block, or, when there is none, the idle step: unchanged and silent."""
+        found = []
+        for transition in self.automaton.transitions:
+            if reacts(transition) and self.enabled(transition, state, inputs, variables):
+                for new_variables, emitted in self.outcomes(transition.output, inputs,
+                                                            variables, sequences):
+                    found.append((transition.target, new_variables, emitted))
+        return found or [(state, variables, [])]
 
     # -- runs ----------------------------------------------------------------
 
-    def initial(self):
-        """Every (state, variables, sent) the component may start with."""
+    def initial(self, sequences: bool):
+        """Every (state, variables, emitted) the component may start with."""
         variables = {}
         for var in self.rc.ast.variables:
             kind, declared = self.rc.binding(var.name)
@@ -184,10 +259,11 @@ class _Component:
                 variables[var.name] = (self.default(declared) if var.initial is None
                                        else self.value(var.initial, {}, variables))
         if not self.automaton.initials:
-            yield self.automaton.states[0].name, variables, {}
+            yield self.automaton.states[0].name, variables, []
         for initial in self.automaton.initials:
-            for new_variables, sent in self.outcomes(initial.output, {}, variables):
-                yield initial.state, new_variables, sent
+            for new_variables, emitted in self.outcomes(initial.output, {}, variables,
+                                                        sequences):
+                yield initial.state, new_variables, emitted
 
     def runs(self, rows: list[dict], t: int, state, variables: dict, sent: dict):
         """Every continuation from cycle ``t`` (0-based) on, after ``sent`` was
@@ -197,16 +273,23 @@ class _Component:
             return
         inputs = {port: rows[t].get(port) for port in self.rc.in_ports}
         observed = tuple(exact(sent.get(port)) for port in self.rc.out_ports)
-        successors = []
-        for transition in self.automaton.transitions:
-            if self.enabled(transition, state, inputs, variables):
-                for new_variables, new_sent in self.outcomes(transition.output, inputs,
-                                                            variables):
-                    successors.append((transition.target, new_variables, new_sent))
-        if not successors:  # idle completion: unchanged and silent
-            successors.append((state, variables, {}))
-        for new_state, new_variables, new_sent in successors:
-            record = (observed, new_state,
-                      tuple(sorted((k, exact(v)) for k, v in new_variables.items())))
-            for rest in self.runs(rows, t + 1, new_state, new_variables, new_sent):
+        for new_state, new_variables, emitted in self.successors(
+                state, inputs, variables, lambda transition: True, sequences=False):
+            record = (observed, new_state, _variables(new_variables))
+            for rest in self.runs(rows, t + 1, new_state, new_variables, _sent(emitted)):
                 yield (record,) + rest
+
+    def event_runs(self, script: list[tuple], state, variables: dict):
+        """Every sequence of steps over ``script``: each event is the only
+        message its port carries, every other in-port is absent, and only
+        transitions that read exactly that port react to it."""
+        if not script:
+            yield ()
+            return
+        (port, value), rest = script[0], script[1:]
+        for new_state, new_variables, emitted in self.successors(
+                state, {port: value}, variables,
+                lambda transition: self.reads(transition) == {port}, sequences=True):
+            step = (_emissions(emitted), new_state, _variables(new_variables))
+            for steps in self.event_runs(rest, new_state, new_variables):
+                yield (step,) + steps

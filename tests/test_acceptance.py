@@ -26,7 +26,7 @@ from maa.printer import pretty_print
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
-from conftest import CORPUS, FIXTURES, MODELS, check_files, parse_model
+from conftest import CORPUS, FIXTURES, MODELS, check_files, parse_model, trace_key
 from genmodels import perturbed_at, random_model, random_stimulus
 from test_checks import EXPECTED
 
@@ -215,7 +215,7 @@ def test_criterion_5_property_suite(follow_model):
         one = run_ts(follow_model, main, stim, n_cycles, Seeded(seed))
         two = run_ts(follow_model, main, stim, n_cycles, Seeded(seed))
         assert repr(one) == repr(two)
-        assert one.key() == two.key()
+        assert trace_key(one) == trace_key(two)
 
     # oracle containment on one |-choice plus one dual-enabled state
     text = ("component Choice { port in Integer p, out Integer o; automaton {"
@@ -225,10 +225,10 @@ def test_criterion_5_property_suite(follow_model):
     choice_model, diags = resolve([unit], [])
     assert diags == []
     stim4 = [{"p": 1}] * 4
-    oracle = {t.key() for t in enumerate_ts(choice_model, "Choice", stim4, 4, 1024)}
-    assert run_ts(choice_model, "Choice", stim4, 4, FirstDeclared()).key() in oracle
+    oracle = {trace_key(t) for t in enumerate_ts(choice_model, "Choice", stim4, 4, 1024)}
+    assert trace_key(run_ts(choice_model, "Choice", stim4, 4, FirstDeclared())) in oracle
     for seed in range(10):
-        assert run_ts(choice_model, "Choice", stim4, 4, Seeded(seed)).key() in oracle
+        assert trace_key(run_ts(choice_model, "Choice", stim4, 4, Seeded(seed))) in oracle
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"property suite took {elapsed:.2f}s"

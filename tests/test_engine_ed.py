@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from maa.engine import (
-    ComponentState,
-    EnumValue,
-    Event,
-    EventMachine,
-    SetupError,
-    run_ed,
-)
+from maa.engine import EnumValue, Event, SetupError, run_ed
 from maa.parser import parse_component_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
@@ -37,31 +30,30 @@ def small_model(text):
 
 
 def test_pick_up_toast_step(toast_model):
-    machine = EventMachine(toast_model, "robot.ToastArmController")
-    cs, initial_emissions = machine.initial()
-    assert cs.state == "Idle" and initial_emissions == []
-    cs, emissions = machine.step(cs, Event("req", PICK))
-    assert cs.state == "GotToast"
-    assert [p for p, _ in emissions] == ["armCmd", "lightCmd"]
-    assert literals(emissions[0][1]) == ["MOVE_UP", "TURN_RIGHT", "OPEN",
-                                         "MOVE_DOWN", "CLOSE"]
-    assert literals(emissions[1][1]) == ["FLASH"]
+    trace = run_ed(toast_model, "robot.ToastArmController", [Event("req", PICK)])
+    assert trace.initial_state == "Idle" and trace.initial_emissions == []
+    step = trace.steps[0]
+    assert step.state.state == "GotToast"
+    assert [p for p, _ in step.emissions] == ["armCmd", "lightCmd"]
+    assert literals(step.emissions[0][1]) == ["MOVE_UP", "TURN_RIGHT", "OPEN",
+                                              "MOVE_DOWN", "CLOSE"]
+    assert literals(step.emissions[1][1]) == ["FLASH"]
 
 
 def test_drop_toast_step(toast_model):
-    machine = EventMachine(toast_model, "robot.ToastArmController")
-    cs = ComponentState("GotToast", {})
-    cs, emissions = machine.step(cs, Event("req", DROP))
-    assert cs.state == "Idle"
-    assert literals(emissions[0][1]) == ["TURN_LEFT", "MOVE_DOWN", "OPEN"]
-    assert literals(emissions[1][1]) == ["OFF"]
+    trace = run_ed(toast_model, "robot.ToastArmController",
+                   [Event("req", PICK), Event("req", DROP)])
+    assert trace.steps[0].state.state == "GotToast"
+    step = trace.steps[1]
+    assert step.state.state == "Idle"
+    assert literals(step.emissions[0][1]) == ["TURN_LEFT", "MOVE_DOWN", "OPEN"]
+    assert literals(step.emissions[1][1]) == ["OFF"]
 
 
 def test_unmatched_event_consumed_without_effect(toast_model):
-    machine = EventMachine(toast_model, "robot.ToastArmController")
-    cs = ComponentState("Idle", {})
-    cs2, emissions = machine.step(cs, Event("reset", True))
-    assert cs2.state == "Idle" and emissions == []
+    trace = run_ed(toast_model, "robot.ToastArmController", [Event("reset", True)])
+    assert trace.initial_state == "Idle"
+    assert trace.steps[0].state.state == "Idle" and trace.steps[0].emissions == []
 
 
 def test_run_ed_full_script(toast_model):
@@ -98,12 +90,9 @@ def test_guard_triggered_event():
     model = small_model(
         "component C { port in Integer temp, out Integer alarm; automaton {"
         " state S; initial S; S [temp > 30] / alarm = 1; } }")
-    machine = EventMachine(model, "C")
-    cs, _ = machine.initial()
-    cs2, emissions = machine.step(cs, Event("temp", 35))
-    assert emissions == [("alarm", [1])]
-    cs3, emissions = machine.step(cs, Event("temp", 20))
-    assert emissions == []
+    trace = run_ed(model, "C", [Event("temp", 35), Event("temp", 20)])
+    assert trace.steps[0].emissions == [("alarm", [1])]
+    assert trace.steps[1].emissions == []
 
 
 def test_event_forwarding():
@@ -140,7 +129,7 @@ def test_composed_main_rejected(pipeline_model):
 
 
 def test_unknown_event_port_rejected(toast_model):
-    machine = EventMachine(toast_model, "robot.ToastArmController")
-    cs, _ = machine.initial()
-    with pytest.raises(SetupError, match="in-port"):
-        machine.step(cs, Event("armCmd", EnumValue(ARM, "OPEN")))
+    with pytest.raises(SetupError, match="'armCmd' is not an in-port of "
+                                         "'robot.ToastArmController'"):
+        run_ed(toast_model, "robot.ToastArmController",
+               [Event("armCmd", EnumValue(ARM, "OPEN"))])

@@ -23,7 +23,7 @@ from maa.parser import parse_component_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
-from conftest import out_column
+from conftest import out_column, trace_key
 
 MOTOR = "bumperbot.types.MotorCmd"
 TIMER = "bumperbot.types.TimerCmd"
@@ -359,7 +359,7 @@ def test_unknown_stimulus_column_rejected(follow_model):
 def test_seed_determinism(follow_model):
     a = run_ts(follow_model, "robot.FollowTheLeaderOnline", FOLLOW_STIM, 8, Seeded(7))
     b = run_ts(follow_model, "robot.FollowTheLeaderOnline", FOLLOW_STIM, 8, Seeded(7))
-    assert a.key() == b.key()
+    assert trace_key(a) == trace_key(b)
 
 
 def test_emitting_sequence_in_ts_is_runtime_error():
@@ -530,6 +530,16 @@ component Nested {
     assert set(trace.records[0].states) == {"c.s1", "c.s2"}
 
 
+def test_component_without_an_automaton_never_fires():
+    model = small_model("component C { port in Integer p, out Integer o; }")
+    trace = run_ts(model, "C", [{"p": 1}], 2)
+    assert out_column(trace, "o") == [ABSENT, ABSENT]
+    assert [r.states[""].state for r in trace.records] == [None, None]
+    assert [trace_key(t) for t in enumerate_ts(model, "C", [{"p": 1}], 2)] == [trace_key(trace)]
+    ed = run_ed(model, "C", [Event("p", 1)])
+    assert ed.initial_state is None and ed.steps[0].emissions == []
+
+
 # ---------------------------------------------------------------------------
 # enumerate_ts
 # ---------------------------------------------------------------------------
@@ -539,7 +549,7 @@ def test_enumerate_deterministic_model_is_singleton(follow_model):
                           FOLLOW_STIM, 8, bound=16)
     assert len(traces) == 1
     run = run_ts(follow_model, "robot.FollowTheLeaderOnline", FOLLOW_STIM, 8)
-    assert traces[0].key() == run.key()
+    assert trace_key(traces[0]) == trace_key(run)
 
 
 def test_enumerate_alternative_choice_two_traces():
@@ -581,10 +591,10 @@ def test_policy_runs_contained_in_enumeration():
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S / o = 1 | 2; S / o = 3; } }")
     stim = [{"p": 1}] * 4
-    keys = {t.key() for t in enumerate_ts(model, "C", stim, 4, bound=512)}
-    assert run_ts(model, "C", stim, 4, FirstDeclared()).key() in keys
+    keys = {trace_key(t) for t in enumerate_ts(model, "C", stim, 4, bound=512)}
+    assert trace_key(run_ts(model, "C", stim, 4, FirstDeclared())) in keys
     for seed in range(10):
-        assert run_ts(model, "C", stim, 4, Seeded(seed)).key() in keys
+        assert trace_key(run_ts(model, "C", stim, 4, Seeded(seed))) in keys
 
 
 def test_outputs_observed_one_cycle_after_their_cause(follow_model):
@@ -615,7 +625,7 @@ def test_enumerate_long_run_has_no_depth_limit():
     traces = enumerate_ts(model, "C", [], 1500, bound=1)
     assert len(traces) == 1
     assert len(traces[0].records) == 1500
-    assert traces[0].key() == run_ts(model, "C", [], 1500).key()
+    assert trace_key(traces[0]) == trace_key(run_ts(model, "C", [], 1500))
 
 
 def test_enumerate_freezes_each_record_once(monkeypatch):
@@ -641,7 +651,7 @@ def test_enumerate_freezes_each_record_once(monkeypatch):
     assert counts["record"] == 2 + 4 + 8 + 16
     assert counts["freeze"] <= counts["record"]
     monkeypatch.undo()
-    keys = [t.key() for t in traces]
+    keys = [trace_key(t) for t in traces]
     assert len(keys) == 8 and keys == sorted(keys)
 
 
@@ -660,6 +670,17 @@ def test_enumerate_tells_variable_values_of_different_types_apart():
     traces = enumerate_ts(model, "C", [], 2)
     assert [[r.states[""].variables["v"] for r in t.records] for t in traces] == [
         [1, 1], [1, "a"], ["a", 1], ["a", "a"]]
+
+
+def test_enumerate_tells_observed_values_of_different_enums_apart():
+    # a model that skips check: A.X and B.X are different messages on o
+    model = small_model(
+        "package p; import p.types.*; component C { port in A a, in B b, out A o;"
+        " automaton { state S; initial S; S / o = a | b; } }",
+        ["package p.types; enum A { X } enum B { X }"])
+    x_a, x_b = EnumValue("p.types.A", "X"), EnumValue("p.types.B", "X")
+    traces = enumerate_ts(model, "p.C", [{"a": x_a, "b": x_b}] * 2, 2)
+    assert [out_column(t, "o") for t in traces] == [[ABSENT, x_a], [ABSENT, x_b]]
 
 
 def test_enumerate_merges_equal_successors_before_the_joint_product(monkeypatch):
@@ -685,7 +706,7 @@ def test_enumerate_merges_equal_successors_before_the_joint_product(monkeypatch)
     assert len(calls) == 3
     monkeypatch.undo()
     assert len(traces) == 1
-    assert traces[0].key() == run_ts(model, "Many", [], 3).key()
+    assert trace_key(traces[0]) == trace_key(run_ts(model, "Many", [], 3))
 
 
 def test_enumerate_bound_must_be_positive(follow_model):

@@ -29,7 +29,7 @@ from maa.syntax import (
     SequenceValue,
 )
 
-from conftest import MODELS, parse_model
+from conftest import MODELS, parse_model, trace_key
 
 
 def test_empty_model_resolves_clean():
@@ -220,7 +220,7 @@ def test_one_unit_resolved_into_two_models():
 
     def observed():
         trace = run_ts(m1, "robot.FollowTheLeaderOnline", stimulus, 3)
-        return [d.render() for d in check(m1, "ts")], trace.key()
+        return [d.render() for d in check(m1, "ts")], trace_key(trace)
 
     before = observed()
     m2, diags2 = resolve([unit], [])
