@@ -28,6 +28,7 @@ from .engine import (
     Trace,
     build_plan,
     enumerate_ts,
+    iter_ts,
     run_ed,
     run_ts,
 )

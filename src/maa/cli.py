@@ -17,6 +17,7 @@ from .checks import check
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors, sort_diagnostics
 from .engine import (
     ABSENT,
+    CycleRecord,
     EnumerationOverflow,
     EnumValue,
     Event,
@@ -26,11 +27,10 @@ from .engine import (
     SetupError,
     SimulationError,
     Slot,
-    Trace,
     enumerate_ts,
     format_value,
+    iter_ts,
     run_ed,
-    run_ts,
 )
 from .lexer import LexError
 from .parser import ParseError, parse_component_file, parse_types_file, parse_value
@@ -268,26 +268,14 @@ def _policy_from(args) -> Policy:
     return FirstDeclared()
 
 
-def _trace_lines(trace: Trace, plan_states: list[str], in_ports: list[str],
-                 out_ports: list[str]) -> list[str]:
-    header = ["cycle"] + [f"in:{p}" for p in in_ports] + [f"out:{p}" for p in out_ports]
-    header.append("state")
-    lines = ["\t".join(header)]
-    for record in trace.records:
-        cells = [str(record.index)]
-        cells += [format_value(record.inputs[p]) for p in in_ports]
-        cells += [format_value(record.outputs[p]) for p in out_ports]
-        cells.append(_state_cell(record, plan_states))
-        lines.append("\t".join(cells))
-    return lines
-
-
-def _state_cell(record, paths: list[str]) -> str:
-    parts = []
-    for path in paths:
-        state = record.states[path].state or "-"
-        parts.append(f"{path}={state}" if path else state)
-    return ";".join(parts)
+def _row(record: CycleRecord, in_ports: list[str], out_ports: list[str]) -> str:
+    """One cycle as a TSV row; ``record.states`` lists instances in plan order."""
+    cells = [str(record.index)]
+    cells += [format_value(record.inputs[p]) for p in in_ports]
+    cells += [format_value(record.outputs[p]) for p in out_ports]
+    states = [(path, cs.state or "-") for path, cs in record.states.items()]
+    cells.append(";".join(f"{path}={state}" if path else state for path, state in states))
+    return "\t".join(cells)
 
 
 def _cmd_sim_ts(args) -> int:
@@ -300,25 +288,28 @@ def _cmd_sim_ts(args) -> int:
     if args.cycles < 1:
         raise _UsageError("--cycles must be at least 1")
 
-    enumerate_all = args.enumerate_all or args.policy == "enumerate"
+    header = "\t".join(["cycle", *(f"in:{p}" for p in rc.in_ports),
+                        *(f"out:{p}" for p in rc.out_ports), "state"])
     try:
-        if enumerate_all:
+        if args.enumerate_all or args.policy == "enumerate":
             traces = enumerate_ts(model, main, stimulus, args.cycles, args.bound)
-        else:
-            traces = [run_ts(model, main, stimulus, args.cycles, _policy_from(args))]
+            blocks = ["\n".join([header, *(_row(r, rc.in_ports, rc.out_ports)
+                                            for r in trace.records)]) for trace in traces]
+            print("\n\n".join(blocks))
+            print(f"traces: {len(traces)}")
+            return EXIT_OK
+        # each row is written as its cycle completes, so an error keeps those before it
+        for record in iter_ts(model, main, stimulus, args.cycles, _policy_from(args)):
+            if record.index == 1:
+                print(header)
+            print(_row(record, rc.in_ports, rc.out_ports))
     except EnumerationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except SimulationError as exc:
+        sys.stdout.flush()
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    # every record's states are keyed by instance path, in plan order
-    paths = list(traces[0].records[0].states)
-    blocks = ["\n".join(_trace_lines(trace, paths, rc.in_ports, rc.out_ports))
-              for trace in traces]
-    print("\n\n".join(blocks))
-    if enumerate_all:
-        print(f"traces: {len(traces)}")
     return EXIT_OK
 
 
@@ -362,13 +353,13 @@ def _cmd_sim_ed(args) -> int:
     if trace.initial_emissions:
         lines = [f"emit {port}={format_value(v)}"
                  for port, values in trace.initial_emissions for v in values]
-        lines.append(f"state {trace.initial_state}")
+        lines.append(f"state {trace.initial_state or '-'}")
         blocks.append("\n".join(lines))
     for step in trace.steps:
         lines = [f"recv {step.event.port}={format_value(step.event.value)}"]
         for port, values in step.emissions:
             lines.extend(f"emit {port}={format_value(v)}" for v in values)
-        lines.append(f"state {step.state.state}")
+        lines.append(f"state {step.state.state or '-'}")
         blocks.append("\n".join(lines))
     if blocks:
         print("\n\n".join(blocks))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .resolution import (
     BOOLEAN,
@@ -726,42 +726,49 @@ def _record(plan: SystemPlan, index: int, external: dict[str, Slot],
                        {inst.path: cs for inst, (cs, _) in zip(plan.instances, state)})
 
 
-def _normalize_stimulus(plan: SystemPlan, stimulus: list[dict[str, Slot]],
-                        n_cycles: int) -> list[dict[str, Slot]]:
+def _rows(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]],
+          n_cycles: int) -> Iterator[dict[str, Slot]]:
+    """The external input of each of ``n_cycles`` cycles, read from
+    ``stimulus`` one row at a time: every in-port of the main component, absent
+    where the row has no message or the stimulus has ended."""
     in_ports = plan.main.in_ports
-    rows: list[dict[str, Slot]] = []
-    for row in stimulus:
+    rows = iter(stimulus)
+    for _ in range(n_cycles):
+        row = next(rows, {})
         for port in row:
             if port not in in_ports:
                 raise SetupError(f"stimulus column '{port}' is not an in-port of "
                                  f"'{plan.main.qname}'")
-        rows.append({port: row.get(port, ABSENT) for port in in_ports})
-    while len(rows) < n_cycles:
-        rows.append({port: ABSENT for port in in_ports})
-    return rows[:n_cycles]
+        yield {port: row.get(port, ABSENT) for port in in_ports}
 
 
-def run_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
-           n_cycles: int, policy: Policy = FirstDeclared()) -> Trace:
-    """Run the time-synchronous engine for a fixed number of cycles."""
+def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
+            n_cycles: int, policy: Policy = FirstDeclared()) -> Iterator[CycleRecord]:
+    """Run the time-synchronous engine for a fixed number of cycles, yielding
+    each cycle's record as it completes.  Stimulus rows are read, checked and
+    padded one per cycle, so memory does not grow with the run; a failing cycle
+    raises :class:`SimulationError` after the records of the cycles before it."""
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
     plan = build_plan(model, main)
-    rows = _normalize_stimulus(plan, stimulus, n_cycles)
     branches = _Chooser(policy).branches
     (state,) = _initial_ts(plan, branches)
-    records: list[CycleRecord] = []
-    for index, external in enumerate(rows, start=1):
+    for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
         observed, (state,) = _step(plan, state, external, branches, index)
-        records.append(_record(plan, index, external, observed, state))
-    return Trace(records)
+        yield _record(plan, index, external, observed, state)
+
+
+def run_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
+           n_cycles: int, policy: Policy = FirstDeclared()) -> Trace:
+    """The whole trace of :func:`iter_ts`."""
+    return Trace(list(iter_ts(model, main, stimulus, n_cycles, policy)))
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (oracle)
 # ---------------------------------------------------------------------------
 
-def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]],
+def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
                  n_cycles: int, bound: int = 1024) -> list[Trace]:
     """Every trace reachable by some resolution of all choice points.
 
@@ -776,7 +783,7 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: list[dict[str, Slot]
     if bound < 1:
         raise SetupError("the enumeration bound must be at least 1")
     plan = build_plan(model, main)
-    rows = _normalize_stimulus(plan, stimulus, n_cycles)
+    rows = list(_rows(plan, stimulus, n_cycles))
 
     # A node is (joint state, cycle, prefix); a prefix is None or (record, its
     # frozen form, parent prefix), so traces with a common prefix share its

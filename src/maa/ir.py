@@ -15,9 +15,9 @@ from .resolution import ResolvedModel
 from .syntax import Assignment, Automaton, ComponentType, Match
 
 
-def export_ir(model: ResolvedModel, profile: str = "generic") -> str:
+def export_ir(model: ResolvedModel) -> str:
     doc = {
-        "profile": profile,
+        "profile": "generic",
         "enums": [
             {"name": enum.qname, "literals": list(enum.literals)}
             for enum in sorted(model.enums.values(), key=lambda e: e.qname)

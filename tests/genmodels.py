@@ -1,11 +1,15 @@
 """Random model and stimulus generators for the property suites.
 
-Generated components are atomic, three-state, time-synchronous-clean machines
-over two in-ports (Integer a, Boolean b), two Integer out-ports, and one
-Integer variable.  Outputs only use literals and --, so no run can hit the
-forwarding-absent-message runtime error.  Output entries may offer two
-alternatives, possibly equal, and a quarter of the transitions are declared
-twice, so equal sibling successors occur.
+Generated components are atomic, three-state machines over two in-ports
+(Integer a, Boolean b), two Integer out-ports, and one Integer variable.
+Output entries may offer two alternatives, possibly equal, and a quarter of
+the transitions are declared twice, so equal sibling successors occur.
+
+``random_model`` gives time-synchronous-clean machines whose outputs only use
+literals and --, so no run can hit the forwarding-absent-message runtime
+error.  ``random_ed_model`` gives event-driven-clean machines: each transition
+reads exactly one in-port, never matches --, and may forward the Integer it
+reads or emit a sequence.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from maa.syntax import CompilationUnit
 STATES = ("S0", "S1", "S2")
 
 
-def random_component_text(rng: random.Random) -> str:
-    lines = [
+def _header(rng: random.Random, initial_values: tuple[str, ...]) -> list[str]:
+    """The lines before the transitions: ports, variable, states, initial."""
+    return [
         "component Gen {",
         "    port",
         "        in Integer a,",
@@ -34,9 +39,20 @@ def random_component_text(rng: random.Random) -> str:
         "",
         "    automaton {",
         "        state S0, S1, S2;",
-        f"        initial {rng.choice(STATES)} / x = {_values(rng, ('0', '1', '2'))};",
+        f"        initial {rng.choice(STATES)} / x = {_values(rng, initial_values)};",
         "",
     ]
+
+
+def _declare(rng: random.Random, transitions: list[str], text: str) -> None:
+    """Append one transition, and a quarter of the time repeat an earlier one."""
+    transitions.append(text + ";")
+    if rng.random() < 0.25:
+        transitions.append(rng.choice(transitions))
+
+
+def random_component_text(rng: random.Random) -> str:
+    lines = _header(rng, ("0", "1", "2"))
     transitions: list[str] = []
     for _ in range(rng.randrange(4, 9)):
         source = rng.choice(STATES)
@@ -69,12 +85,42 @@ def random_component_text(rng: random.Random) -> str:
         text = " ".join(parts)
         if assigns:
             text += " / {" + ", ".join(assigns) + "}"
-        transitions.append(text + ";")
-        if rng.random() < 0.25:
-            transitions.append(rng.choice(transitions))
-    lines += transitions
-    lines += ["    }", "}"]
-    return "\n".join(lines) + "\n"
+        _declare(rng, transitions, text)
+    return "\n".join(lines + transitions + ["    }", "}"]) + "\n"
+
+
+def random_ed_component_text(rng: random.Random) -> str:
+    lines = _header(rng, ("0", "1", "[1, 2]", "--"))
+    transitions: list[str] = []
+    for _ in range(rng.randrange(6, 12)):
+        port = rng.choice(("a", "b"))
+        parts = [f"        {rng.choice(STATES)} -> {rng.choice(STATES)}"]
+        guarded = rng.choice((None, port, port, "v"))
+        if guarded == "b":
+            parts.append(rng.choice(("[b]", "[!b]")))
+        elif guarded is not None:
+            op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
+            parts.append(f"[{guarded} {op} {rng.randrange(-2, 5)}]")
+        matches = []
+        if guarded != port or rng.random() < 1 / 3:
+            matches.append(f"a = {_values(rng, ('-1', '0', '1', '2', '3'))}" if port == "a"
+                           else f"b = {rng.choice(('true', 'false'))}")
+        if rng.random() < 0.3:
+            matches.append(f"v = {rng.randrange(-2, 5)}")
+        parts.append("{" + ", ".join(matches) + "}" if matches else "")
+        forwarded = ("a",) if port == "a" else ()
+        assigns = []
+        if rng.random() < 0.8:
+            assigns.append(f"x = {_values(rng, ('0', '1', '2', '--', '[3, 4]') + forwarded)}")
+        if rng.random() < 0.5:
+            assigns.append(f"y = {_values(rng, ('0', '1', '[2]') + forwarded)}")
+        if rng.random() < 0.4:
+            assigns.append(f"v = {_values(rng, ('-1', '0', '1', '2') + forwarded)}")
+        text = " ".join(p for p in parts if p)
+        if assigns:
+            text += " / {" + ", ".join(assigns) + "}"
+        _declare(rng, transitions, text)
+    return "\n".join(lines + transitions + ["    }", "}"]) + "\n"
 
 
 def _values(rng: random.Random, pool: tuple[str, ...]) -> str:
@@ -85,16 +131,24 @@ def _values(rng: random.Random, pool: tuple[str, ...]) -> str:
     return rng.choice(pool)
 
 
-def random_model(rng: random.Random):
-    """A resolved, ts-clean random model; returns (model, main name)."""
-    text = random_component_text(rng)
+def _clean_model(text: str, profile: str):
     unit = parse_component_file(text, "gen.maa")
     assert isinstance(unit, CompilationUnit), (unit, text)
     model, rdiags = resolve([unit], [])
-    diags = rdiags + check(model, "ts")
+    diags = rdiags + check(model, profile)
     errors = [d for d in diags if d.severity == "error"]
     assert errors == [], (text, [d.render() for d in errors])
     return model, "Gen"
+
+
+def random_model(rng: random.Random):
+    """A resolved, ts-clean random model; returns (model, main name)."""
+    return _clean_model(random_component_text(rng), "ts")
+
+
+def random_ed_model(rng: random.Random):
+    """A resolved, ed-clean random model; returns (model, main name)."""
+    return _clean_model(random_ed_component_text(rng), "ed")
 
 
 def random_row(rng: random.Random) -> dict:

@@ -127,7 +127,7 @@ def test_internal_error_exit_four_in_one_line(capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("engine fault")
 
-    monkeypatch.setattr(maa.cli, "run_ts", broken)
+    monkeypatch.setattr(maa.cli, "iter_ts", broken)
     code, out, err = run(capsys, "sim-ts", *PIPELINE, "--main", "pipeline.Pipeline",
                          "--cycles", "2")
     assert code == 4
@@ -139,6 +139,7 @@ def test_internal_error_exit_four_in_one_line(capsys, monkeypatch):
 def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.
+    # Enumeration reads every stimulus row before its first cycle.
     resource = pytest.importorskip("resource")
     limit = 250 * 2**20
     model = tmp_path / "B.maa"
@@ -146,7 +147,7 @@ def test_out_of_memory_exit_four_in_one_line(tmp_path):
                      " state S; initial S; S / o = 1; } }", encoding="utf-8")
     child = subprocess.run(
         [sys.executable, "-m", "maa.cli", "sim-ts", str(model), "--main", "B",
-         "--cycles", "100000000"],
+         "--cycles", "100000000", "--enumerate"],
         env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), capture_output=True,
         text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
@@ -221,9 +222,43 @@ def test_sim_ts_runtime_error_exit_three(capsys, tmp_path):
     model = tmp_path / "fwd.maa"
     model.write_text("component C { port in Integer p, out Integer o; automaton {"
                      " state S; initial S; S / o = p; } }", encoding="utf-8")
-    code, _, err = run(capsys, "sim-ts", str(model), "--main", "C", "--cycles", "2")
+    code, out, err = run(capsys, "sim-ts", str(model), "--main", "C", "--cycles", "2")
     assert code == 3
     assert "cycle 1" in err and "absent" in err
+    assert out == ""
+
+
+def test_sim_ts_runtime_error_keeps_the_rows_before_it(capsys, tmp_path):
+    model = tmp_path / "fwd.maa"
+    model.write_text("component C { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S / o = p; } }", encoding="utf-8")
+    stimulus = tmp_path / "s.tsv"
+    stimulus.write_text("p\n1\n2\n--\n4\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ts", str(model), "--main", "C", "--cycles", "4",
+                         "--stimulus", str(stimulus))
+    assert code == 3
+    assert out == "cycle\tin:p\tout:o\tstate\n1\t1\t--\tS\n2\t2\t1\tS\n"
+    assert err == "runtime error: cycle 3: forwarding absent message from port 'p'\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs a child's own rusage")
+def test_sim_ts_memory_does_not_grow_with_the_run(tmp_path):
+    model = tmp_path / "B.maa"
+    model.write_text("component B { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S / o = 1; } }", encoding="utf-8")
+
+    def peak_kb(cycles: int) -> int:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "maa.cli", "sim-ts", str(model), "--main", "B",
+             "--cycles", str(cycles)],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0
+        return usage.ru_maxrss  # KB on Linux
+
+    assert peak_kb(10**5) - peak_kb(10**4) <= 5 * 1024
 
 
 def test_sim_ts_enumerate_output(capsys, tmp_path):
@@ -404,6 +439,16 @@ def test_sim_ed_empty_script(capsys, tmp_path):
                        "--script", str(script))
     assert code == 0
     assert out == "" or out == "\n"
+
+
+def test_sim_ed_stateless_instance_prints_a_dash(capsys, tmp_path):
+    model = tmp_path / "C.maa"
+    model.write_text("component C { port in Integer x, out Integer y; }", encoding="utf-8")
+    script = tmp_path / "script.txt"
+    script.write_text("x 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "sim-ed", str(model), "--main", "C", "--script", str(script))
+    assert code == 0
+    assert out == "recv x=1\nstate -\n"
 
 
 def test_sim_ed_unknown_port_usage_error(capsys, tmp_path):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,13 @@ from maa.syntax import (
 )
 
 from conftest import CORPUS, parse_model
-from genmodels import random_component_text, random_model, random_script, random_stimulus
+from genmodels import (
+    random_component_text,
+    random_ed_model,
+    random_model,
+    random_script,
+    random_stimulus,
+)
 from reference import (
     MAX_CYCLES,
     MAX_EVENTS,
@@ -305,13 +312,16 @@ def _reference_ed_form(trace) -> tuple:
                   for step in trace.steps))
 
 
+@pytest.mark.parametrize("generate", [random_model, random_ed_model],
+                         ids=["ts_shaped", "ed_shaped"])
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, MAX_EVENTS))
-def test_event_driven_runs_equal_the_reference_semantics(seed, n_events):
-    # generated transitions read a, b, both or neither, so some react to an
-    # event on a port and some to none
+def test_event_driven_runs_equal_the_reference_semantics(generate, seed, n_events):
+    # ts-shaped transitions read a, b, both or neither, so some react to an
+    # event on a port and some to none; ed-shaped ones each read one port,
+    # forward what they read and emit sequences
     rng = random.Random(seed)
-    model, main = random_model(rng)
+    model, main = generate(rng)
     script = random_script(rng, n_events)
     expected = reference_ed_runs(model, main, script)
     events = [Event(port, value) for port, value in script]
