@@ -17,16 +17,16 @@ import contextlib
 import io
 import json
 import os
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = REPO_ROOT / "tests" / "fixtures" / "golden" / "cli"
+from maa.cli import main
+
+from conftest import CORPUS, FIXTURES, MODELS, REPO_ROOT, load_model
+
+GOLDEN = FIXTURES / "golden" / "cli"
 
 
 def _cases() -> dict[str, list[str]]:
     """Every case's argv, computed from the corpus of ``conftest``."""
-    from conftest import CORPUS, MODELS, load_model
-
     def rel(paths) -> list[str]:
         return [str(p.relative_to(REPO_ROOT)) for p in sorted(paths)]
 
@@ -61,8 +61,6 @@ def _cases() -> dict[str, list[str]]:
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
-    from maa.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
