@@ -107,7 +107,8 @@ def random_ed_component_text(rng: random.Random) -> str:
                            else f"b = {rng.choice(('true', 'false'))}")
         if rng.random() < 0.3:
             matches.append(f"v = {rng.randrange(-2, 5)}")
-        parts.append("{" + ", ".join(matches) + "}" if matches else "")
+        if matches:
+            parts.append("{" + ", ".join(matches) + "}")
         forwarded = ("a",) if port == "a" else ()
         assigns = []
         if rng.random() < 0.8:
@@ -116,7 +117,7 @@ def random_ed_component_text(rng: random.Random) -> str:
             assigns.append(f"y = {_values(rng, ('0', '1', '[2]') + forwarded)}")
         if rng.random() < 0.4:
             assigns.append(f"v = {_values(rng, ('-1', '0', '1', '2') + forwarded)}")
-        text = " ".join(p for p in parts if p)
+        text = " ".join(parts)
         if assigns:
             text += " / {" + ", ".join(assigns) + "}"
         _declare(rng, transitions, text)
