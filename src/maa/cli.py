@@ -1,8 +1,9 @@
 """Command-line surface: check, sim-ts, sim-ed, export-ir.
 
 Exit codes: 0 clean or warnings only, 1 parse or well-formedness errors,
-2 I/O and usage errors, 3 runtime simulation errors, 4 internal errors (a
-fault in maa itself, reported in one line on stderr, never as a traceback).
+2 I/O and usage errors (a reader that closes standard output early included),
+3 runtime simulation errors, 4 internal errors (a fault in maa itself,
+reported in one line on stderr, never as a traceback).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Callable, Optional
 
@@ -53,7 +55,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of standard output went away (``maa sim-ts ... | head``).
+        # Writing to devnull from now on, the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,12 +11,12 @@ matching transition may emit finite sequences of events per output port.
 
 Both engines and the enumerator run one executable form of each automaton,
 built once per plan by :func:`lower`, the only place the engine asks
-resolution what a name denotes: its transitions grouped by source state in
-declaration order, each with the in-ports its guard reads, the in-ports it
-reads overall, and the port or variable each entry targets; and the bare names
-that denote enum literals.  :meth:`LoweredAutomaton.enabled` is the one query
-for enabled transitions, and :meth:`LoweredAutomaton.apply_outputs` evaluates
-every output block, initial or not, under either profile.
+resolution what a name denotes.  ``lower`` compiles each guard, input-block
+entry, output alternative and variable initialiser into a closure over the
+in-ports' messages and the variables, each distinct term once per automaton;
+no tree-walking evaluator exists.  :meth:`LoweredAutomaton.enabled` is the one
+query for enabled transitions, and :meth:`LoweredAutomaton.apply_outputs`
+evaluates every output block, initial or not, under either profile.
 
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
@@ -31,9 +31,10 @@ branch, the enumerator every branch, with equal successors merged), and
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .resolution import (
     BOOLEAN,
@@ -146,20 +147,21 @@ class Seeded:
 Policy = Union[FirstDeclared, Seeded]
 
 
-class _Chooser:
-    def __init__(self, policy: Policy):
-        self._rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
+def _policy_branches(policy: Policy):
+    """The one branch a policy takes among options (transitions or initial
+    declarations): an option and one alternative per entry of its output
+    block, the first of each or, ``Seeded``, drawn where there are several."""
+    if not isinstance(policy, Seeded):
+        return lambda options: [(options[0], options[0].firsts)]
+    rng = random.Random(policy.seed)
 
-    def pick(self, options: list):
-        if self._rng is None or len(options) == 1:
-            return options[0]
-        return options[self._rng.randrange(len(options))]
+    def pick(options):
+        return options[0] if len(options) == 1 else options[rng.randrange(len(options))]
 
-    def branches(self, options: list) -> list[tuple]:
-        """The one branch the policy takes: an option (a transition or an
-        initial declaration) and one alternative per entry of its output block."""
-        chosen = self.pick(options)
-        return [(chosen, [self.pick(a.alternatives) for a in chosen.assigns])]
+    def branches(options: list) -> list[tuple]:
+        chosen = pick(options)
+        return [(chosen, [pick(a.alternatives) for a in chosen.assigns])]
+    return branches
 
 
 def _every_branch(options: list) -> list[tuple]:
@@ -240,111 +242,206 @@ class EventTrace:
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
-# ---------------------------------------------------------------------------
-
-def _eval_expr(expr: Union[Expr, ValueTerm], inputs: dict[str, Slot],
-               variables: dict[str, Value], enums: dict[str, EnumValue],
-               where: str = "in guard") -> Slot:
-    """Value of a guard expression or of a single (non-sequence) value term in
-    the current context.
-
-    ``enums`` maps the bare names that denote enum literals to their values;
-    ``where`` ends the message for a name that denotes nothing.
-    """
-    if isinstance(expr, ELit):
-        return expr.value
-    if isinstance(expr, ERef):
-        if expr.name in enums:
-            return enums[expr.name]
-        if expr.name in inputs:
-            return inputs[expr.name]
-        if expr.name in variables:
-            return variables[expr.name]
-        raise SimulationError(f"unresolved name '{expr.name}' {where}")
-    if isinstance(expr, EUnary):
-        v = _eval_expr(expr.operand, inputs, variables, enums)
-        return (not v) if expr.op == "!" else -v
-    if isinstance(expr, EBinary):
-        left = _eval_expr(expr.left, inputs, variables, enums)
-        if expr.op == "&&":
-            return bool(left) and bool(_eval_expr(expr.right, inputs, variables, enums))
-        if expr.op == "||":
-            return bool(left) or bool(_eval_expr(expr.right, inputs, variables, enums))
-        right = _eval_expr(expr.right, inputs, variables, enums)
-        if expr.op == "==":
-            return values_equal(left, right)
-        if expr.op == "!=":
-            return not values_equal(left, right)
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        if expr.op == ">=":
-            return left >= right
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        raise SimulationError(f"cannot evaluate expression {expr!r}")
-    if isinstance(expr, NoData):
-        return ABSENT
-    raise SimulationError(f"cannot evaluate {expr!r} as a single value")
-
-
-# ---------------------------------------------------------------------------
 # Executable form of an automaton
 # ---------------------------------------------------------------------------
 
-class LoweredEntry:
-    """An input- or output-block entry with the port or variable it targets
-    and that name's kind ("in", "out" or "var"), both None when it has none
-    (``check`` reports that)."""
+# A guard expression or single value term, compiled: (inputs, variables) -> value
+Compiled = Callable[[dict[str, Slot], dict[str, Value]], Slot]
 
-    __slots__ = ("target", "kind", "alternatives", "loc")
+_OPERATORS = {"==": values_equal, "!=": lambda a, b: not values_equal(a, b),
+              "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+              "+": operator.add, "-": operator.sub, "*": operator.mul}
+_UNARY = {"!": operator.not_}  # any other unary operator negates
 
-    def __init__(self, rc: ResolvedComponent, entry):
-        self.target = rc.target(entry).name
-        self.kind = rc.kind(self.target)
-        self.alternatives: list[ValueTerm] = entry.alternatives
-        self.loc = entry.loc
+
+def _failing(message: str) -> Compiled:
+    def fail(inputs, variables):
+        raise SimulationError(message)
+    return fail
+
+
+def _lookup(name: str, missing: str) -> Compiled:
+    """An in-port's message, else a variable's value, else the error ``missing``."""
+    def lookup(inputs, variables):
+        if name in inputs:
+            return inputs[name]
+        if name in variables:
+            return variables[name]
+        raise SimulationError(missing)
+    return lookup
+
+
+def _key(term, where: str = "in guard") -> tuple:
+    """A term's structure, type-exact (``1`` is not ``true``), with the
+    message context of a bare name at its top: equal keys compile alike."""
+    kind = type(term)
+    if kind is ELit:
+        return (kind, type(term.value), term.value)
+    if kind is ERef:
+        return (kind, term.name, where)
+    if kind is EUnary:
+        return (kind, term.op, _key(term.operand))
+    if kind is EBinary:
+        return (kind, term.op, _key(term.left), _key(term.right))
+    if kind is SequenceValue:
+        return (kind, *map(_key, term.elements))
+    return (kind, repr(term))  # NoData, or a node no parser builds
+
+
+class _Compiler:
+    """Compiles one automaton's terms and entries into closures, each distinct
+    one once: equal terms, guards, entries, blocks and port sets are one
+    shared object.  Its memo lives for one :func:`lower` call."""
+
+    def __init__(self, rc: ResolvedComponent):
+        self.rc = rc
+        self.enums = {name: EnumValue(info.qname, name)
+                      for name, (kind, info) in rc.names.items() if kind == "enum"}
+        self.memo: dict[object, object] = {}
+
+    def shared(self, key, build):
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = build()
+        return found
+
+    def term(self, term, where: str = "in guard") -> Compiled:
+        """A guard expression or value term.  A bare name is an enum literal,
+        else an in-port, else a variable; ``where`` ends the error otherwise."""
+        return self.shared(_key(term, where), lambda: self._build(term, where))
+
+    def _build(self, term, where: str) -> Compiled:
+        kind = type(term)
+        if kind is ELit or kind is NoData or (kind is ERef and term.name in self.enums):
+            value = (term.value if kind is ELit else ABSENT if kind is NoData
+                     else self.enums[term.name])
+            return lambda inputs, variables: value
+        if kind is ERef:
+            return _lookup(term.name, f"unresolved name '{term.name}' {where}")
+        if kind is EUnary:
+            operand, function = self.term(term.operand), _UNARY.get(term.op, operator.neg)
+            return lambda inputs, variables: function(operand(inputs, variables))
+        if kind is not EBinary:
+            return _failing(f"cannot evaluate {term!r} as a single value")
+        op, left, right = term.op, self.term(term.left), self.term(term.right)
+        if op == "&&":
+            return lambda i, v: bool(left(i, v)) and bool(right(i, v))
+        if op == "||":
+            return lambda i, v: bool(left(i, v)) or bool(right(i, v))
+        if op not in _OPERATORS:
+            return _failing(f"cannot evaluate expression {term!r}")
+        function = _OPERATORS[op]
+        return lambda i, v: function(left(i, v), right(i, v))
+
+    def guard(self, expr: Expr, ports: frozenset[str]) -> Compiled:
+        """Whether a guard holds: false while an in-port it reads is absent;
+        a value that is not a Boolean, or a ``TypeError``, is a runtime error."""
+        def build():
+            value, absent_when = self.term(expr), tuple(ports)
+
+            def holds(inputs, variables):
+                for port in absent_when:
+                    if inputs[port] is ABSENT:
+                        return False
+                try:
+                    result = value(inputs, variables)
+                except TypeError as exc:
+                    raise SimulationError(f"guard cannot be evaluated: {exc}") from None
+                if result is True or result is False:
+                    return result
+                raise SimulationError("guard did not evaluate to a Boolean")
+            return holds
+        return self.shared(("guard", _key(expr)), build)
+
+    def match(self, entry) -> Compiled:
+        """Whether an input-block entry holds; an absent port satisfies only
+        ``--``, and a sequence never matches a single message."""
+        target = self.rc.target(entry).name
+        if target is None:
+            return _failing(f"input target could not be resolved at {entry.loc}")
+        alternatives = [a for a in entry.alternatives if type(a) is not SequenceValue]
+
+        def build():
+            values = [self.term(a, "at runtime") for a in alternatives]
+            current_of = _lookup(target, f"no runtime value for '{target}'")
+
+            def holds(inputs, variables):
+                current = current_of(inputs, variables)
+                for value in values:
+                    if values_equal(current, value(inputs, variables)):
+                        return True
+                return False
+            return holds
+        return self.shared(("match", target, *map(_key, alternatives)), build)
+
+    def message(self, term: ValueTerm, element: bool = False) -> Compiled:
+        """What an output alternative sends: ABSENT for ``--``, a list for a
+        sequence, else one value.  Forwarding an absent message, or ``--`` as
+        an ``element`` of a sequence, is a runtime error."""
+        kind = type(term)
+        if kind is SequenceValue and not element:
+            elements = [self.message(e, True) for e in term.elements]
+            return self.shared(("send", _key(term)), lambda: (
+                lambda inputs, variables: [e(inputs, variables) for e in elements]))
+        value = self.term(term, "at runtime")
+        if kind is ELit or (kind is NoData and not element) or (
+                kind is ERef and term.name in self.enums):
+            return value
+        message = f"forwarding absent message from port '{getattr(term, 'name', '--')}'"
+
+        def forwarded(inputs, variables):
+            result = value(inputs, variables)
+            if result is ABSENT:
+                raise SimulationError(message)
+            return result
+        return self.shared(("forward", _key(term, "at runtime")), lambda: forwarded)
+
+    def entry(self, assignment) -> "LoweredEntry":
+        target, alternatives = self.rc.target(assignment).name, assignment.alternatives
+        return self.shared(("entry", target or assignment.loc, *map(_key, alternatives)),
+                           lambda: LoweredEntry(target, self.rc.kind(target), [
+                               self.message(a) for a in alternatives], assignment.loc))
+
+    def inputs(self, block) -> tuple:
+        holds = tuple(map(self.match, block or ()))
+        return self.shared(("inputs", *map(id, holds)), lambda: holds)
+
+    def outputs(self, block) -> tuple[tuple, tuple]:
+        """An output block's entries, and the first alternative of each."""
+        entries = tuple(map(self.entry, block or ()))
+        return self.shared(("outputs", *map(id, entries)), lambda: (
+            entries, tuple(e.alternatives[0] for e in entries)))
+
+
+class LoweredEntry(NamedTuple):
+    """An output-block entry: the port or variable it targets and that name's
+    kind, both None when it has none (``check`` reports that)."""
+
+    target: Optional[str]
+    kind: Optional[str]
+    alternatives: list[Compiled]
+    loc: object
 
 
 class LoweredInitial(NamedTuple):
-    """An initial declaration with its output block lowered; ``target`` is the
-    state it enters, named as a transition's is."""
+    target: str  # the state it enters, named as a transition's is
+    assigns: tuple[LoweredEntry, ...]
+    firsts: tuple[Compiled, ...]  # each entry's first alternative
 
+
+class LoweredTransition(NamedTuple):
+    """A transition with its guard and entries compiled.  The guard is false
+    while an in-port it reads (``guard_ports``) is absent.  Under the
+    event-driven profile a transition reacts only to the one port it ``reads``."""
+
+    transition: Transition
     target: str
-    assigns: list[LoweredEntry]
-
-
-class LoweredTransition:
-    """A transition with the in-ports it reads and its entries' targets
-    computed once.
-
-    ``guard_ports`` are the in-ports its guard reads: the guard is false while
-    any of them is absent.  ``reads`` adds the in-ports its input block
-    matches; under the event-driven profile a transition reacts only to events
-    on the one port it reads.
-    """
-
-    __slots__ = ("transition", "target", "guard", "guard_ports", "reads",
-                 "matches", "assigns")
-
-    def __init__(self, transition: Transition, guard_ports: frozenset[str],
-                 reads: frozenset[str], matches: list[LoweredEntry],
-                 assigns: list[LoweredEntry]):
-        self.transition = transition
-        self.target = transition.target
-        self.guard = transition.guard.expr if transition.guard is not None else None
-        self.guard_ports = guard_ports
-        self.reads = reads
-        self.matches = matches
-        self.assigns = assigns
+    guard: Optional[Compiled]
+    guard_ports: frozenset[str]
+    reads: frozenset[str]
+    matches: tuple[Compiled, ...]  # whether each input-block entry holds
+    assigns: tuple[LoweredEntry, ...]
+    firsts: tuple[Compiled, ...]
 
 
 @dataclass
@@ -354,68 +451,49 @@ class LoweredAutomaton:
     start: Optional[str]  # first declared state, entered when no initial is declared
     initials: list[LoweredInitial]
     by_state: dict[str, list[LoweredTransition]]
-    enums: dict[str, EnumValue]  # bare name -> the enum literal it denotes
+    # variable -> its compiled initial value (None: its type's default) and type
+    variables: dict[str, tuple[Optional[Compiled], Optional[TypeRef]]]
 
     def enabled(self, state: Optional[str], inputs: dict[str, Slot],
                 variables: dict[str, Value],
                 event_port: Optional[str] = None) -> list[LoweredTransition]:
-        """Enabled transitions out of ``state``, in declaration order.
-
+        """Enabled transitions out of ``state``, in declaration order;
         ``inputs`` holds every in-port.  With ``event_port``, only transitions
-        that read exactly that port qualify (the event-driven profile).  A
-        guard or input block that cannot be evaluated raises
-        :class:`SimulationError`.
-        """
+        that read exactly that port qualify (the event-driven profile)."""
         result = []
         for t in self.by_state.get(state, ()):
             if event_port is not None and (len(t.reads) != 1 or event_port not in t.reads):
                 continue
-            if t.guard is not None:
-                if any(inputs[port] is ABSENT for port in t.guard_ports):
-                    continue
-                try:
-                    holds = _eval_expr(t.guard, inputs, variables, self.enums)
-                except TypeError as exc:
-                    raise SimulationError(f"guard cannot be evaluated: {exc}") from None
-                if not isinstance(holds, bool):
-                    raise SimulationError("guard did not evaluate to a Boolean")
-                if not holds:
-                    continue
-            if all(_match_satisfied(m, inputs, variables, self.enums) for m in t.matches):
+            if t.guard is not None and not t.guard(inputs, variables):
+                continue
+            for match in t.matches:
+                if not match(inputs, variables):
+                    break
+            else:
                 result.append(t)
         return result
 
-    def apply_outputs(self, assigns: list[LoweredEntry], picks: list[ValueTerm],
-                      inputs: dict[str, Slot],
+    def apply_outputs(self, assigns: tuple, picks: tuple, inputs: dict[str, Slot],
                       variables: dict[str, Value]) -> tuple[list[tuple[str, object]], dict[str, Value]]:
-        """Evaluate an output block with one picked alternative per assignment.
-
-        Returns the (out-port, value) pairs sent, in assignment order, and the
-        variables afterwards.  A value is a message, ABSENT for ``--``, or a
-        list for a sequence.  Every right-hand side reads the pre-state;
-        variables not assigned keep their values.  Forwarding an absent
-        message, giving a variable ``--`` or a sequence, and assigning to
-        anything but an out-port or a variable are runtime errors.
-        """
+        """Evaluate an output block with one picked alternative per entry: the
+        (out-port, value) pairs sent, in order, and the variables after, which
+        are ``variables`` itself when none is assigned.  Right-hand sides read
+        the pre-state; a value is a message, ABSENT for ``--``, or a list."""
         outputs: list[tuple[str, object]] = []
-        new_vars = dict(variables)
+        new_vars = variables
         for assign, pick in zip(assigns, picks):
             target = assign.target
             if target is None:
                 raise SimulationError(f"output target could not be resolved at {assign.loc}")
-            if isinstance(pick, SequenceValue):
-                value: object = [_forwarded(e, inputs, variables, self.enums)
-                                 for e in pick.elements]
-            elif isinstance(pick, NoData):
-                value = ABSENT
-            else:
-                value = _forwarded(pick, inputs, variables, self.enums)
+            value = pick(inputs, variables)
             if assign.kind == "out":
                 outputs.append((target, value))
             elif assign.kind == "var":
                 if value is ABSENT or isinstance(value, list):
                     raise SimulationError(
                         f"variable '{target}' cannot take an absent value or sequence")
+                if new_vars is variables:
+                    new_vars = dict(variables)
                 new_vars[target] = value
             else:
                 raise SimulationError(f"'{target}' is neither an out-port nor a variable")
@@ -423,58 +501,27 @@ class LoweredAutomaton:
 
 
 def lower(rc: ResolvedComponent) -> LoweredAutomaton:
-    """The executable form of the one automaton of an atomic component.
-
-    A component without an automaton has no states and never fires.
-    Transitions that read equal port sets share one set object.
-    """
+    """The executable form of the one automaton of an atomic component; a
+    component without an automaton has no states and never fires."""
     automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [], None)
-    shared: dict[frozenset[str], frozenset[str]] = {}
-
-    def share(ports: set[str]) -> frozenset[str]:
-        frozen = frozenset(ports)
-        return shared.setdefault(frozen, frozen)
-
-    def entries(block) -> list[LoweredEntry]:
-        return [LoweredEntry(rc, e) for e in block or []]
-
+    compiler = _Compiler(rc)
     by_state: dict[str, list[LoweredTransition]] = {}
     for t in automaton.transitions:
-        guard_ports, reads = rc.ports_read(t)
+        guard_ports, reads = (compiler.memo.setdefault(ports, ports)
+                              for ports in map(frozenset, rc.ports_read(t)))
+        guard = compiler.guard(t.guard.expr, guard_ports) if t.guard is not None else None
         by_state.setdefault(t.source, []).append(LoweredTransition(
-            t, share(guard_ports), share(reads), entries(t.input), entries(t.output)))
-    initials = [LoweredInitial(i.state, entries(i.output)) for i in automaton.initials]
-    enums = {name: EnumValue(info.qname, name) for name, (kind, info) in rc.names.items()
-             if kind == "enum"}
+            t, t.target, guard, guard_ports, reads, compiler.inputs(t.input),
+            *compiler.outputs(t.output)))
+    initials = [LoweredInitial(i.state, *compiler.outputs(i.output)) for i in automaton.initials]
+    variables: dict[str, tuple[Optional[Compiled], Optional[TypeRef]]] = {}
+    for var in rc.ast.variables:
+        kind, declared = rc.binding(var.name)
+        if kind == "var" and var.name not in variables:  # not a port's, nor repeated (U3)
+            initial = None if var.initial is None else compiler.term(var.initial, "at runtime")
+            variables[var.name] = (initial, declared)
     start = automaton.states[0].name if automaton.states else None
-    return LoweredAutomaton(start, initials, by_state, enums)
-
-
-def _match_satisfied(match: LoweredEntry, inputs, variables, enums) -> bool:
-    """Whether one input-block entry holds; an absent port satisfies only ``--``."""
-    target = match.target
-    if target is None:
-        raise SimulationError(f"input target could not be resolved at {match.loc}")
-    if target in inputs:
-        current = inputs[target]
-    elif target in variables:
-        current = variables[target]
-    else:
-        raise SimulationError(f"no runtime value for '{target}'")
-    for alt in match.alternatives:
-        if isinstance(alt, SequenceValue):
-            continue  # a sequence never matches a single message
-        if values_equal(current, _eval_expr(alt, inputs, variables, enums, "at runtime")):
-            return True
-    return False
-
-
-def _forwarded(term: ValueTerm, inputs, variables, enums) -> Value:
-    value = _eval_expr(term, inputs, variables, enums, "at runtime")
-    if value is ABSENT:
-        name = term.name if isinstance(term, ERef) else "--"
-        raise SimulationError(f"forwarding absent message from port '{name}'")
-    return value
+    return LoweredAutomaton(start, initials, by_state, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -612,17 +659,14 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
     """Every (state, outputs) an instance may start with, one per branch of its
     initial declarations."""
     variables: dict[str, Value] = {}
-    for var in inst.rc.ast.variables:
-        kind, declared = inst.rc.binding(var.name)
-        if kind != "var" or var.name in variables:
-            continue  # a port's, or a repeated, declaration of the name (U3)
-        if var.initial is not None:
-            value = _eval_expr(var.initial, {}, variables, inst.behaviour.enums, "at runtime")
+    for name, (initial, declared) in inst.behaviour.variables.items():
+        if initial is not None:
+            value = initial({}, variables)
             if value is ABSENT:
-                raise SimulationError(f"variable '{var.name}' initialized to an absent value")
-            variables[var.name] = value
+                raise SimulationError(f"variable '{name}' initialized to an absent value")
+            variables[name] = value
         else:
-            variables[var.name] = default_value(declared, inst.subst, model)
+            variables[name] = default_value(declared, inst.subst, model)
     if not inst.behaviour.initials:
         # no initial declaration (a convention warning): start at the first
         # declared state with no initial output
@@ -647,7 +691,8 @@ def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot
     successors = []
     for option, picks in branches(options):
         outputs, variables = behaviour.apply_outputs(option.assigns, picks, inputs, cs.variables)
-        successors.append((ComponentState(option.target, variables), outputs))
+        successors.append((cs if variables is cs.variables and option.target == cs.state
+                           else ComponentState(option.target, variables), outputs))
     return successors
 
 
@@ -669,6 +714,8 @@ def _sent(outputs: list[tuple[str, object]], initial: bool = False) -> dict[str,
             raise SimulationError(
                 f"{what}; the time-synchronous profile allows one message per port")
         sent[port] = value
+    if ABSENT not in sent.values():
+        return sent
     return {port: value for port, value in sent.items() if value is not ABSENT}
 
 
@@ -751,7 +798,7 @@ def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]]
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
     plan = build_plan(model, main)
-    branches = _Chooser(policy).branches
+    branches = _policy_branches(policy)
     (state,) = _initial_ts(plan, branches)
     for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
         observed, (state,) = _step(plan, state, external, branches, index)
@@ -838,7 +885,7 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
     if rc is not None and rc.ast.subcomponents:
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
-    branches = _Chooser(policy).branches
+    branches = _policy_branches(policy)
     cs, outputs = next(_initial(inst, model, branches))
     trace = EventTrace(cs.state, _emissions(outputs), [])
     silent = dict.fromkeys(rc.in_ports, ABSENT)

@@ -5,16 +5,21 @@ Generated components are atomic, three-state machines over two in-ports
 Output entries may offer two alternatives, possibly equal, and a quarter of
 the transitions are declared twice, so equal sibling successors occur.
 
-``random_model`` gives time-synchronous-clean machines whose outputs only use
-literals and --, so no run can hit the forwarding-absent-message runtime
-error.  ``random_ed_model`` gives event-driven-clean machines: each transition
-reads exactly one in-port, never matches --, and may forward the Integer it
-reads or emit a sequence.
+``random_model`` gives time-synchronous-clean machines, a third of them with
+two initial declarations.  Their guards combine comparisons of Integer terms
+(``a``, ``v``, unary ``-``, ``+`` and ``*``) and Boolean ``b`` with ``&&``,
+``||`` and ``!``.  Outputs use literals, --, the variable, and ``a`` only
+under a guard that names ``a``: such a guard is false while ``a`` is absent,
+so no run can hit the forwarding-absent-message runtime error.
+``random_ed_model`` gives event-driven-clean machines: each transition reads
+exactly one in-port, never matches --, and may forward the Integer it reads
+or emit a sequence.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from maa.checks import check
 from maa.engine import ABSENT
@@ -23,10 +28,12 @@ from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
 STATES = ("S0", "S1", "S2")
+COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
 
-def _header(rng: random.Random, initial_values: tuple[str, ...]) -> list[str]:
-    """The lines before the transitions: ports, variable, states, initial."""
+def _header(rng: random.Random, initial_values: tuple[str, ...],
+            initials: int = 1) -> list[str]:
+    """The lines before the transitions: ports, variable, states, initials."""
     return [
         "component Gen {",
         "    port",
@@ -39,7 +46,8 @@ def _header(rng: random.Random, initial_values: tuple[str, ...]) -> list[str]:
         "",
         "    automaton {",
         "        state S0, S1, S2;",
-        f"        initial {rng.choice(STATES)} / x = {_values(rng, initial_values)};",
+        *(f"        initial {rng.choice(STATES)} / x = {_values(rng, initial_values)};"
+          for _ in range(initials)),
         "",
     ]
 
@@ -51,17 +59,48 @@ def _declare(rng: random.Random, transitions: list[str], text: str) -> None:
         transitions.append(rng.choice(transitions))
 
 
+def _integer_term(rng: random.Random) -> str:
+    """An Integer guard operand: a name, its negation, or a sum or product of
+    a name with a name or a literal."""
+    name = rng.choice(("a", "v"))
+    shape = rng.randrange(4)
+    if shape == 0:
+        return name
+    if shape == 1:
+        return f"-{name}"
+    return f"{name} {rng.choice(('+', '*'))} {rng.choice(('a', 'v', str(rng.randrange(-2, 3))))}"
+
+
+def _condition(rng: random.Random) -> str:
+    """A comparison of an Integer term with a literal, or ``b`` or ``!b``."""
+    if rng.random() < 0.25:
+        return rng.choice(("b", "!b"))
+    return f"{_integer_term(rng)} {rng.choice(COMPARISONS)} {rng.randrange(-2, 5)}"
+
+
+def _guard(rng: random.Random) -> str:
+    """One condition, two joined by ``&&`` or ``||``, or a negated one."""
+    shape = rng.randrange(6)
+    if shape < 3:
+        return _condition(rng)
+    if shape == 5:
+        return f"!({_condition(rng)})"
+    return f"{_condition(rng)} {'&&' if shape == 3 else '||'} {_condition(rng)}"
+
+
 def random_component_text(rng: random.Random) -> str:
-    lines = _header(rng, ("0", "1", "2"))
+    lines = _header(rng, ("0", "1", "2"), rng.choice((1, 1, 2)))
     transitions: list[str] = []
     for _ in range(rng.randrange(4, 9)):
         source = rng.choice(STATES)
         target = rng.choice(STATES)
         parts = [f"        {source} -> {target}"]
+        forwarded: tuple[str, ...] = ("v",)
         if rng.random() < 0.5:
-            op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
-            left = rng.choice(("a", "v"))
-            parts.append(f"[{left} {op} {rng.randrange(-2, 5)}]")
+            guard = _guard(rng)
+            parts.append(f"[{guard}]")
+            if "a" in re.findall(r"\w+", guard):
+                forwarded += ("a",)  # the guard is false while a is absent
         if rng.random() < 0.6:
             matches = []
             if rng.random() < 0.7:
@@ -77,11 +116,12 @@ def random_component_text(rng: random.Random) -> str:
                 parts.append("{" + ", ".join(matches) + "}")
         assigns = []
         if rng.random() < 0.8:
-            assigns.append(f"x = {_values(rng, ('0', '1', '2', '3', '4', '--'))}")
+            assigns.append(f"x = {_values(rng, ('0', '1', '2', '3', '4', '--') + forwarded)}")
         if rng.random() < 0.5:
-            assigns.append(f"y = {_values(rng, ('0', '1', '2', '3', '4'))}")
+            assigns.append(f"y = {_values(rng, ('0', '1', '2', '3', '4') + forwarded)}")
         if rng.random() < 0.4:
-            assigns.append(f"v = {_values(rng, ('-2', '-1', '0', '1', '2', '3', '4'))}")
+            assigns.append(
+                f"v = {_values(rng, ('-2', '-1', '0', '1', '2', '3', '4') + forwarded)}")
         text = " ".join(parts)
         if assigns:
             text += " / {" + ", ".join(assigns) + "}"

@@ -136,6 +136,25 @@ def test_internal_error_exit_four_in_one_line(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_closed_stdout_exits_two_without_a_message(tmp_path):
+    # ``maa sim-ts ... | head -2``: the reader goes away after two lines
+    model = tmp_path / "B.maa"
+    model.write_text("component B { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S / o = 1; } }", encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "maa.cli", "sim-ts", str(model), "--main", "B",
+         "--cycles", "100000"],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [child.stdout.readline() for _ in range(2)]
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert lines == [b"cycle\tin:p\tout:o\tstate\n", b"1\t--\t--\tS\n"]
+    assert err == b""
+
+
 def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.

@@ -137,6 +137,21 @@ def test_lowering_shares_equal_port_sets():
     assert third.guard_ports is third.reads
 
 
+def test_lowering_compiles_each_distinct_guard_and_entry_once():
+    # 3 distinct guards and 5 distinct output entries over 60 transitions;
+    # [x == 1] and [x == true] differ, as 1 and true do
+    guards = ["[x == 1]", "[x == true]", "[x > 1 && !(x == 2)]"]
+    transitions = " ".join(f"S {guards[k % 3]} / o = {k % 5};" for k in range(60))
+    model = small_model("component C { port in Integer x, out Integer o; automaton {"
+                        f" state S; initial S; {transitions} }} }}")
+    lowered = lower(model.components["C"]).by_state["S"]
+    assert len({id(t.guard) for t in lowered}) == 3
+    assert all(t.guard is lowered[k % 3].guard for k, t in enumerate(lowered))
+    assert len({id(entry) for t in lowered for entry in t.assigns}) == 5
+    enabled = lower(model.components["C"]).enabled("S", {"x": 1}, {})
+    assert [t.transition for t in enabled] == [t.transition for t in lowered[::3]]
+
+
 # ---------------------------------------------------------------------------
 # input blocks and the enabled query
 # ---------------------------------------------------------------------------
@@ -270,6 +285,33 @@ UNCHECKED = {
         " state S; initial S; S p = 1 / o = v; } }",
         "cannot evaluate SequenceValue(elements=[ELit(value=1), ELit(value=2)])"
         " as a single value"),
+    # no in-port has a value while variables are initialised
+    "in-port-variable-initializer": (
+        "component C { port in Integer p, out Integer o; Integer v = p; automaton {"
+        " state S; initial S; S p = 1 / o = v; } }",
+        "unresolved name 'p' at runtime"),
+    # variables are initialised in declaration order
+    "later-variable-initializer": (
+        "component C { port in Integer p, out Integer o; Integer v = w; Integer w = 1;"
+        " automaton { state S; initial S; S p = 1 / o = v; } }",
+        "unresolved name 'w' at runtime"),
+    # the same name at the top of an output value and of a guard
+    "undefined-name-in-output-and-guard": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S p = 1 / o = zz; S [zz] p = 1 / o = 1; } }",
+        "unresolved name 'zz' in guard"),
+    "out-port-in-guard": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S [o == 1] p = 1 / o = 1; } }",
+        "unresolved name 'o' in guard"),
+    "non-boolean-guard": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S [p + 1] / o = 1; } }",
+        "guard did not evaluate to a Boolean"),
+    "guard-type-error": (
+        "component C { port in Integer p, out Integer o; automaton {"
+        ' state S; initial S; S [p < "s"] / o = 1; } }',
+        "guard cannot be evaluated: '<' not supported between instances of 'int' and 'str'"),
 }
 
 
@@ -281,6 +323,16 @@ def test_both_profiles_reject_unrunnable_outputs_alike(text, message):
     with pytest.raises(SimulationError) as under_ed:
         run_ed(model, "C", [Event("p", 1)])
     assert under_ts.value.message == under_ed.value.message == message
+
+
+def test_guard_connectives_short_circuit():
+    # unchecked: the right operands cannot be evaluated, and are not
+    model = small_model(
+        'component C { port in Integer p, out Integer o; automaton { state S; initial S;'
+        ' S [p == 2 && p < "s"] / o = 1; S [p == 1 || p < "s"] / o = 2; } }')
+    trace = run_ts(model, "C", [{"p": 1}], 2)
+    assert out_column(trace, "o") == [ABSENT, 2]
+    assert run_ed(model, "C", [Event("p", 1)]).steps[0].emissions == [("o", [2])]
 
 
 # ---------------------------------------------------------------------------
