@@ -14,18 +14,19 @@ built once per plan by :func:`lower`, the only place the engine asks
 resolution what a name denotes.  ``lower`` compiles each guard, input-block
 entry, output alternative and variable initialiser into a closure over the
 in-ports' messages and the variables, each distinct term once per automaton;
-no tree-walking evaluator exists.  :meth:`LoweredAutomaton.enabled` is the one
-query for enabled transitions, and :meth:`LoweredAutomaton.apply_outputs`
-evaluates every output block, initial or not, under either profile.
+no tree-walking evaluator exists.  Initial declarations become transitions
+out of the pre-start state :data:`PRE_START`.  :meth:`LoweredAutomaton.enabled`
+is the one query for enabled transitions, and
+:meth:`LoweredAutomaton.apply_outputs` evaluates every output block.
 
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
 expands every choice point and returns the exact reachable trace set, serving
 as a brute-force oracle for the policy-driven engines.  Every instance of a
-:func:`build_plan` plan fires through :func:`_successors`: the time-synchronous
-step, :func:`_step`, for each instance wired by index (a policy follows one
-branch, the enumerator every branch, with equal successors merged), and
-``run_ed`` once per event for the plan's one instance.
+:func:`build_plan` plan fires through :func:`_successors`: once to start, in
+:func:`_initial`, then in the time-synchronous step, :func:`_step`, wired by
+index (a policy follows one branch, the enumerator every branch, with equal
+successors merged), or in ``run_ed`` once per event.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .syntax import (
     ERef,
     EUnary,
     Expr,
+    InitialDecl,
     NoData,
     SequenceValue,
     Transition,
@@ -148,9 +150,9 @@ Policy = Union[FirstDeclared, Seeded]
 
 
 def _policy_branches(policy: Policy):
-    """The one branch a policy takes among options (transitions or initial
-    declarations): an option and one alternative per entry of its output
-    block, the first of each or, ``Seeded``, drawn where there are several."""
+    """The one branch a policy takes among enabled transitions: a transition
+    and one alternative per entry of its output block, the first of each or,
+    ``Seeded``, drawn where there are several."""
     if not isinstance(policy, Seeded):
         return lambda options: [(options[0], options[0].firsts)]
     rng = random.Random(policy.seed)
@@ -423,33 +425,30 @@ class LoweredEntry(NamedTuple):
     loc: object
 
 
-class LoweredInitial(NamedTuple):
-    target: str  # the state it enters, named as a transition's is
-    assigns: tuple[LoweredEntry, ...]
-    firsts: tuple[Compiled, ...]  # each entry's first alternative
+PRE_START = "<start>"  # the state before an instance starts, never a \w+ state name
 
 
 class LoweredTransition(NamedTuple):
     """A transition with its guard and entries compiled.  The guard is false
     while an in-port it reads (``guard_ports``) is absent.  Under the
-    event-driven profile a transition reacts only to the one port it ``reads``."""
+    event-driven profile a transition reacts only to the one port it ``reads``.
+    An initial declaration is a guardless transition out of :data:`PRE_START`;
+    a silent start has no ``transition``."""
 
-    transition: Transition
-    target: str
+    transition: Union[Transition, InitialDecl, None]
+    target: Optional[str]
     guard: Optional[Compiled]
     guard_ports: frozenset[str]
     reads: frozenset[str]
     matches: tuple[Compiled, ...]  # whether each input-block entry holds
     assigns: tuple[LoweredEntry, ...]
-    firsts: tuple[Compiled, ...]
+    firsts: tuple[Compiled, ...]  # each entry's first alternative
 
 
 @dataclass
 class LoweredAutomaton:
     """The executable form of an automaton; :func:`lower` builds it."""
 
-    start: Optional[str]  # first declared state, entered when no initial is declared
-    initials: list[LoweredInitial]
     by_state: dict[str, list[LoweredTransition]]
     # variable -> its compiled initial value (None: its type's default) and type
     variables: dict[str, tuple[Optional[Compiled], Optional[TypeRef]]]
@@ -502,7 +501,7 @@ class LoweredAutomaton:
 
 def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     """The executable form of the one automaton of an atomic component; a
-    component without an automaton has no states and never fires."""
+    component without an automaton starts in no state and never fires."""
     automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [], None)
     compiler = _Compiler(rc)
     by_state: dict[str, list[LoweredTransition]] = {}
@@ -513,15 +512,19 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
         by_state.setdefault(t.source, []).append(LoweredTransition(
             t, t.target, guard, guard_ports, reads, compiler.inputs(t.input),
             *compiler.outputs(t.output)))
-    initials = [LoweredInitial(i.state, *compiler.outputs(i.output)) for i in automaton.initials]
+    # without an initial declaration (warning C1), start silently in the first state
+    starts = [(i, i.state, i.output) for i in automaton.initials] or [
+        (None, automaton.states[0].name if automaton.states else None, None)]
+    by_state[PRE_START] = [LoweredTransition(decl, target, None, frozenset(), frozenset(), (),
+                                             *compiler.outputs(output))
+                           for decl, target, output in starts]
     variables: dict[str, tuple[Optional[Compiled], Optional[TypeRef]]] = {}
     for var in rc.ast.variables:
         kind, declared = rc.binding(var.name)
         if kind == "var" and var.name not in variables:  # not a port's, nor repeated (U3)
             initial = None if var.initial is None else compiler.term(var.initial, "at runtime")
             variables[var.name] = (initial, declared)
-    start = automaton.states[0].name if automaton.states else None
-    return LoweredAutomaton(start, initials, by_state, variables)
+    return LoweredAutomaton(by_state, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +658,9 @@ def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
 # Firing, under either profile
 # ---------------------------------------------------------------------------
 
-def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
-    """Every (state, outputs) an instance may start with, one per branch of its
-    initial declarations."""
+def _initial(inst: AtomicInstance, model: ResolvedModel, branches) -> list[tuple]:
+    """Every (state, outputs) an instance may start with: its variables
+    initialised, it fires out of :data:`PRE_START` with every in-port absent."""
     variables: dict[str, Value] = {}
     for name, (initial, declared) in inst.behaviour.variables.items():
         if initial is not None:
@@ -667,15 +670,8 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches):
             variables[name] = value
         else:
             variables[name] = default_value(declared, inst.subst, model)
-    if not inst.behaviour.initials:
-        # no initial declaration (a convention warning): start at the first
-        # declared state with no initial output
-        yield ComponentState(inst.behaviour.start, variables), []
-        return
-    inputs = dict.fromkeys(inst.rc.in_ports, ABSENT)
-    for initial, picks in branches(inst.behaviour.initials):
-        outputs, entered = inst.behaviour.apply_outputs(initial.assigns, picks, inputs, variables)
-        yield ComponentState(initial.target, entered), outputs
+    return _successors(inst, ComponentState(PRE_START, variables),
+                       dict.fromkeys(inst.rc.in_ports, ABSENT), branches)
 
 
 def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot], branches,
@@ -886,7 +882,7 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
     branches = _policy_branches(policy)
-    cs, outputs = next(_initial(inst, model, branches))
+    [(cs, outputs)] = _initial(inst, model, branches)
     trace = EventTrace(cs.state, _emissions(outputs), [])
     silent = dict.fromkeys(rc.in_ports, ABSENT)
     for event in script:

@@ -5,12 +5,14 @@ Generated components are atomic, three-state machines over two in-ports
 Output entries may offer two alternatives, possibly equal, and a quarter of
 the transitions are declared twice, so equal sibling successors occur.
 
-``random_model`` gives time-synchronous-clean machines, a third of them with
-two initial declarations.  Their guards combine comparisons of Integer terms
-(``a``, ``v``, unary ``-``, ``+`` and ``*``) and Boolean ``b`` with ``&&``,
-``||`` and ``!``.  Outputs use literals, --, the variable, and ``a`` only
-under a guard that names ``a``: such a guard is false while ``a`` is absent,
-so no run can hit the forwarding-absent-message runtime error.
+A quarter of the models declare no initial state, so they start silently in
+S0 (warning C1 only).  ``random_model`` gives time-synchronous-clean machines,
+a third of them with two initial declarations.  Their guards combine
+comparisons of Integer terms (``a``, ``v``, unary ``-``, ``+`` and ``*``) and
+Boolean ``b`` with ``&&``, ``||`` and ``!``.  Outputs use literals, --, the
+variable, and ``a`` only under a guard that names ``a``: such a guard is false
+while ``a`` is absent, so no run can hit the forwarding-absent-message runtime
+error.
 ``random_ed_model`` gives event-driven-clean machines: each transition reads
 exactly one in-port, never matches --, and may forward the Integer it reads
 or emit a sequence.
@@ -32,7 +34,7 @@ COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 
 
 def _header(rng: random.Random, initial_values: tuple[str, ...],
-            initials: int = 1) -> list[str]:
+            initials: int) -> list[str]:
     """The lines before the transitions: ports, variable, states, initials."""
     return [
         "component Gen {",
@@ -89,7 +91,7 @@ def _guard(rng: random.Random) -> str:
 
 
 def random_component_text(rng: random.Random) -> str:
-    lines = _header(rng, ("0", "1", "2"), rng.choice((1, 1, 2)))
+    lines = _header(rng, ("0", "1", "2"), rng.choices((0, 1, 2), weights=(3, 5, 4))[0])
     transitions: list[str] = []
     for _ in range(rng.randrange(4, 9)):
         source = rng.choice(STATES)
@@ -130,7 +132,7 @@ def random_component_text(rng: random.Random) -> str:
 
 
 def random_ed_component_text(rng: random.Random) -> str:
-    lines = _header(rng, ("0", "1", "[1, 2]", "--"))
+    lines = _header(rng, ("0", "1", "[1, 2]", "--"), rng.choice((0, 1, 1, 1)))
     transitions: list[str] = []
     for _ in range(rng.randrange(6, 12)):
         port = rng.choice(("a", "b"))

@@ -260,6 +260,17 @@ def test_sim_ts_runtime_error_keeps_the_rows_before_it(capsys, tmp_path):
     assert err == "runtime error: cycle 3: forwarding absent message from port 'p'\n"
 
 
+# Runs the command in its arguments and prints its exit code and peak RSS.  A
+# child's ru_maxrss starts from the RSS of the process that forked it, so the
+# children are forked by this small process rather than by pytest.
+LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs a child's own rusage")
 def test_sim_ts_memory_does_not_grow_with_the_run(tmp_path):
     model = tmp_path / "B.maa"
@@ -267,15 +278,14 @@ def test_sim_ts_memory_does_not_grow_with_the_run(tmp_path):
                      " state S; initial S; S / o = 1; } }", encoding="utf-8")
 
     def peak_kb(cycles: int) -> int:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "maa.cli", "sim-ts", str(model), "--main", "B",
-             "--cycles", str(cycles)],
+        launched = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "maa.cli", "sim-ts",
+             str(model), "--main", "B", "--cycles", str(cycles)],
             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0
-        return usage.ru_maxrss  # KB on Linux
+            capture_output=True, text=True, check=True)
+        code, peak = map(int, launched.stdout.split())
+        assert code == 0
+        return peak  # KB on Linux
 
     assert peak_kb(10**5) - peak_kb(10**4) <= 5 * 1024
 

@@ -420,6 +420,31 @@ def test_emitting_sequence_in_ts_is_runtime_error():
         " state S; initial S; S / o = [1, 2]; } }")
     with pytest.raises(SimulationError, match="sequence"):
         run_ts(model, "C", [], 1)
+    # an initial output is a sequence too, and ED emits it as one
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S / o = [1, 2]; } }")
+    with pytest.raises(SimulationError) as raised:
+        run_ts(model, "C", [], 1)
+    assert raised.value.message == (
+        "initial output on port 'o' is a sequence; "
+        "the time-synchronous profile allows one message per port")
+    assert raised.value.cycle is None
+    trace = run_ed(model, "C", [])
+    assert trace.initial_emissions == [("o", [1, 2])]
+
+
+def test_without_initial_declaration_starts_silently_in_first_state():
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S, T; S -> T / o = 1; } }")
+    trace = run_ts(model, "C", [], 1)
+    [record] = trace.records
+    assert record.outputs == {"o": ABSENT}
+    assert record.states[""].state == "T"
+    assert [trace_key(t) for t in enumerate_ts(model, "C", [], 1)] == [trace_key(trace)]
+    ed = run_ed(model, "C", [])
+    assert (ed.initial_state, ed.initial_emissions, ed.steps) == ("S", [], [])
 
 
 def test_guard_type_error_names_its_cycle():
