@@ -8,6 +8,10 @@ Typical pipeline::
     model, diags = resolve([unit], [types])
     diags += check(model, profile="ts")
     trace = run_ts(model, "robot.Controller", stimulus, n_cycles)
+
+The engine refuses (``SetupError``) a model with an error from ``resolve`` or
+``check(model)``, and a stimulus or event value of the wrong type; see
+:mod:`maa.engine` for the runtime errors left.
 """
 
 from .checks import check, rule_catalog

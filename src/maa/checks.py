@@ -11,6 +11,8 @@ Rule families:
 
 Every rule fires once per offending site.  Type rules skip terms that contain
 unresolved names: those are already reported as R2 and would only cascade.
+The rules of every profile run in one pass per model, whose result the model
+keeps; a profile selects its rules from that list by the catalog.
 """
 
 from __future__ import annotations
@@ -85,25 +87,30 @@ _CATALOG = [
 ]
 
 
+_PROFILE_OF = {rule.code: rule.profile for rule in _CATALOG}
+
+
 def rule_catalog() -> list[RuleInfo]:
     """All implemented rules in stable order."""
     return list(_CATALOG)
 
 
 def check(model: ResolvedModel, profile: str = "generic") -> list[Diagnostic]:
-    """Evaluate every rule of the profile; diagnostics sorted by location."""
+    """A fresh list of the diagnostics of the profile's rules, sorted by
+    location; the first call on a model runs every profile's rules at once."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    diags: list[Diagnostic] = []
-    for rc in model.components.values():
-        _Checker(rc, profile, diags).run()
-    return sort_diagnostics(diags)
+    if model._checked is None:
+        diags: list[Diagnostic] = []
+        for rc in model.components.values():
+            _Checker(rc, diags).run()
+        model._checked = sort_diagnostics(diags)
+    return [d for d in model._checked if _PROFILE_OF[d.code] in ("all", profile)]
 
 
 class _Checker:
-    def __init__(self, rc: ResolvedComponent, profile: str, diags: list[Diagnostic]):
+    def __init__(self, rc: ResolvedComponent, diags: list[Diagnostic]):
         self.rc = rc
-        self.profile = profile
         self.diags = diags
 
     def emit(self, code: str, loc, message: str) -> None:
@@ -115,8 +122,9 @@ class _Checker:
         self.check_variable_declarations()
         for automaton in self.rc.ast.automata:
             self.check_automaton(automaton)
-        if self.profile in ("ts", "ed"):
-            self.check_single_automaton()
+        for automaton in self.rc.ast.automata[1:]:
+            for code in ("S1TS", "S1ED"):
+                self.emit(code, automaton.loc, "multiple automata are not allowed in this profile")
 
     # -- U family -----------------------------------------------------------
 
@@ -218,12 +226,10 @@ class _Checker:
             self.check_match(match)
         for assign in trans.output or []:
             self.check_assignment(assign)
-        if self.profile == "ed":
-            _, ports = self.rc.ports_read(trans)
-            if len(ports) > 1:
-                names = ", ".join(sorted(ports))
-                self.emit("S2ED", trans.loc,
-                          f"transition reads more than one port ({names})")
+        _, ports = self.rc.ports_read(trans)
+        if len(ports) > 1:
+            names = ", ".join(sorted(ports))
+            self.emit("S2ED", trans.loc, f"transition reads more than one port ({names})")
 
     # -- input blocks ---------------------------------------------------------
 
@@ -241,7 +247,7 @@ class _Checker:
             if isinstance(alt, NoData):
                 if kind == "var":
                     self.emit("T4", alt.loc, f"cannot read -- from variable '{target}'")
-                elif self.profile == "ed":
+                else:
                     self.emit("S3ED", alt.loc, "a transition cannot be triggered by absence (--)")
                 continue
             if isinstance(alt, SequenceValue):
@@ -257,7 +263,7 @@ class _Checker:
 
     def check_assignment(self, assign: Assignment, initial_output: bool = False) -> None:
         unresolved = self._report_names(assign.alternatives)
-        if initial_output and self.profile == "ts":
+        if initial_output:
             for alt in assign.alternatives:
                 for ref in expr_refs(alt):
                     if self.rc.kind(ref.name) in ("in", "out"):
@@ -280,9 +286,8 @@ class _Checker:
                 if kind == "var":
                     self.emit("T5", alt.loc, f"cannot assign a sequence to variable '{target}'")
                     continue
-                if self.profile == "ts":
-                    self.emit("S3TS", alt.loc,
-                              f"sending a sequence on port '{target}' exceeds one message per cycle")
+                self.emit("S3TS", alt.loc,
+                          f"sending a sequence on port '{target}' exceeds one message per cycle")
                 for element in alt.elements:
                     self._check_single_value(element, kind, declared, target, input_side=False)
                 continue
@@ -408,12 +413,3 @@ class _Checker:
                 return None
             return INTEGER
         raise TypeError(f"not an expression: {expr!r}")
-
-    # -- profile rules --------------------------------------------------------
-
-    def check_single_automaton(self) -> None:
-        code = "S1TS" if self.profile == "ts" else "S1ED"
-        for automaton in self.rc.ast.automata[1:]:
-            self.emit(code, automaton.loc,
-                      "multiple automata are not allowed in this profile")
-

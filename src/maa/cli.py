@@ -264,10 +264,12 @@ def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str,
 def _resolve_main(model: ResolvedModel, main: str) -> str:
     if main in model.components:
         return main
-    matches = [q for q in model.components if q.rsplit(".", 1)[-1] == main]
-    if len(matches) == 1:
-        return matches[0]
-    raise _UsageError(f"unknown main component '{main}'")
+    matches = sorted(q for q in model.components if q.rsplit(".", 1)[-1] == main)
+    if len(matches) > 1:
+        raise _UsageError(f"main component '{main}' is ambiguous ({', '.join(matches)})")
+    if not matches:
+        raise _UsageError(f"unknown main component '{main}'")
+    return matches[0]
 
 
 def _policy_from(args) -> Policy:

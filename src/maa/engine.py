@@ -1,4 +1,4 @@
-"""Execution engines for checked models.
+"""Execution engines for well-formed models.
 
 Time-synchronous runs proceed in global cycles: every atomic instance fires at
 most one enabled transition per cycle (or completes idle), and anything it
@@ -9,15 +9,22 @@ one.  Unread messages are lost at the end of their cycle.
 Event-driven runs consume one scripted event at a time, run-to-completion: the
 matching transition may emit finite sequences of events per output port.
 
+:func:`build_plan`, which every entry point calls, refuses (:class:`SetupError`)
+a model with an error from resolution or a rule every profile shares, and
+stimulus and event values must have their ports' types.  The runtime errors
+left are forwarding an absent message, an initialiser that reads a later
+variable, and a sequence sent under the time-synchronous profile (S3TS).
+
 Both engines and the enumerator run one executable form of each automaton,
 built once per plan by :func:`lower`, the only place the engine asks
 resolution what a name denotes.  ``lower`` compiles each guard, input-block
 entry, output alternative and variable initialiser into a closure over the
-in-ports' messages and the variables, each distinct term once per automaton;
-no tree-walking evaluator exists.  Initial declarations become transitions
-out of the pre-start state :data:`PRE_START`.  :meth:`LoweredAutomaton.enabled`
-is the one query for enabled transitions, and
-:meth:`LoweredAutomaton.apply_outputs` evaluates every output block.
+in-ports' messages and the variables, each distinct term once per automaton
+and each bare name once, into a constant or an in-port or variable read.
+Initial declarations become transitions out of the pre-start state
+:data:`PRE_START`.  :meth:`LoweredAutomaton.enabled` is the one query for
+enabled transitions, and :meth:`LoweredAutomaton.apply_outputs` evaluates
+every output block.
 
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
@@ -37,6 +44,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
+from .checks import check
+from .diagnostics import ERROR, Diagnostic
 from .resolution import (
     BOOLEAN,
     EnumType,
@@ -110,15 +119,6 @@ class EnumValue:
 
 Value = Union[int, bool, str, EnumValue]
 Slot = Union[Value, _Absent]
-
-
-def values_equal(a: Slot, b: Slot) -> bool:
-    """Exact equality; bool and int never compare equal across types."""
-    if a is ABSENT or b is ABSENT:
-        return a is b
-    if type(a) is not type(b):
-        return False
-    return a == b
 
 
 def format_value(value: Slot) -> str:
@@ -250,44 +250,27 @@ class EventTrace:
 # A guard expression or single value term, compiled: (inputs, variables) -> value
 Compiled = Callable[[dict[str, Slot], dict[str, Value]], Slot]
 
-_OPERATORS = {"==": values_equal, "!=": lambda a, b: not values_equal(a, b),
-              "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-              "+": operator.add, "-": operator.sub, "*": operator.mul}
-_UNARY = {"!": operator.not_}  # any other unary operator negates
+_OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+              ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
+              "*": operator.mul}
+_UNARY = {"!": operator.not_, "-": operator.neg}
 
 
-def _failing(message: str) -> Compiled:
-    def fail(inputs, variables):
-        raise SimulationError(message)
-    return fail
-
-
-def _lookup(name: str, missing: str) -> Compiled:
-    """An in-port's message, else a variable's value, else the error ``missing``."""
-    def lookup(inputs, variables):
-        if name in inputs:
-            return inputs[name]
-        if name in variables:
-            return variables[name]
-        raise SimulationError(missing)
-    return lookup
-
-
-def _key(term, where: str = "in guard") -> tuple:
-    """A term's structure, type-exact (``1`` is not ``true``), with the
-    message context of a bare name at its top: equal keys compile alike."""
+def _key(term) -> tuple:
+    """A term's structure, type-exact (``1`` is not ``true``): equal keys
+    compile alike."""
     kind = type(term)
     if kind is ELit:
         return (kind, type(term.value), term.value)
     if kind is ERef:
-        return (kind, term.name, where)
+        return (kind, term.name)
     if kind is EUnary:
         return (kind, term.op, _key(term.operand))
     if kind is EBinary:
         return (kind, term.op, _key(term.left), _key(term.right))
     if kind is SequenceValue:
         return (kind, *map(_key, term.elements))
-    return (kind, repr(term))  # NoData, or a node no parser builds
+    return (kind,)  # NoData
 
 
 class _Compiler:
@@ -297,8 +280,6 @@ class _Compiler:
 
     def __init__(self, rc: ResolvedComponent):
         self.rc = rc
-        self.enums = {name: EnumValue(info.qname, name)
-                      for name, (kind, info) in rc.names.items() if kind == "enum"}
         self.memo: dict[object, object] = {}
 
     def shared(self, key, build):
@@ -307,37 +288,39 @@ class _Compiler:
             found = self.memo[key] = build()
         return found
 
-    def term(self, term, where: str = "in guard") -> Compiled:
-        """A guard expression or value term.  A bare name is an enum literal,
-        else an in-port, else a variable; ``where`` ends the error otherwise."""
-        return self.shared(_key(term, where), lambda: self._build(term, where))
+    def term(self, term) -> Compiled:
+        """A guard expression or single value term.  A bare name is read as
+        the name table says, chosen here once: an in-port's message, a
+        variable's value, or an enum literal's constant."""
+        return self.shared(_key(term), lambda: self._build(term))
 
-    def _build(self, term, where: str) -> Compiled:
+    def _build(self, term) -> Compiled:
         kind = type(term)
-        if kind is ELit or kind is NoData or (kind is ERef and term.name in self.enums):
-            value = (term.value if kind is ELit else ABSENT if kind is NoData
-                     else self.enums[term.name])
-            return lambda inputs, variables: value
         if kind is ERef:
-            return _lookup(term.name, f"unresolved name '{term.name}' {where}")
-        if kind is EUnary:
-            operand, function = self.term(term.operand), _UNARY.get(term.op, operator.neg)
+            name = term.name
+            denoted, info = self.rc.binding(name)
+            if denoted == "in":
+                return lambda inputs, variables: inputs[name]
+            if denoted == "var":
+                return lambda inputs, variables: variables[name]
+            value = EnumValue(info.qname, name)
+        elif kind is EUnary:
+            operand, function = self.term(term.operand), _UNARY[term.op]
             return lambda inputs, variables: function(operand(inputs, variables))
-        if kind is not EBinary:
-            return _failing(f"cannot evaluate {term!r} as a single value")
-        op, left, right = term.op, self.term(term.left), self.term(term.right)
-        if op == "&&":
-            return lambda i, v: bool(left(i, v)) and bool(right(i, v))
-        if op == "||":
-            return lambda i, v: bool(left(i, v)) or bool(right(i, v))
-        if op not in _OPERATORS:
-            return _failing(f"cannot evaluate expression {term!r}")
-        function = _OPERATORS[op]
-        return lambda i, v: function(left(i, v), right(i, v))
+        elif kind is EBinary:
+            op, left, right = term.op, self.term(term.left), self.term(term.right)
+            if op == "&&":
+                return lambda i, v: left(i, v) and right(i, v)
+            if op == "||":
+                return lambda i, v: left(i, v) or right(i, v)
+            function = _OPERATORS[op]
+            return lambda i, v: function(left(i, v), right(i, v))
+        else:
+            value = term.value if kind is ELit else ABSENT  # NoData
+        return lambda inputs, variables: value
 
     def guard(self, expr: Expr, ports: frozenset[str]) -> Compiled:
-        """Whether a guard holds: false while an in-port it reads is absent;
-        a value that is not a Boolean, or a ``TypeError``, is a runtime error."""
+        """Whether a guard holds: false while an in-port it reads is absent."""
         def build():
             value, absent_when = self.term(expr), tuple(ports)
 
@@ -345,64 +328,54 @@ class _Compiler:
                 for port in absent_when:
                     if inputs[port] is ABSENT:
                         return False
-                try:
-                    result = value(inputs, variables)
-                except TypeError as exc:
-                    raise SimulationError(f"guard cannot be evaluated: {exc}") from None
-                if result is True or result is False:
-                    return result
-                raise SimulationError("guard did not evaluate to a Boolean")
+                return value(inputs, variables)
             return holds
         return self.shared(("guard", _key(expr)), build)
 
     def match(self, entry) -> Compiled:
         """Whether an input-block entry holds; an absent port satisfies only
-        ``--``, and a sequence never matches a single message."""
+        ``--``."""
         target = self.rc.target(entry).name
-        if target is None:
-            return _failing(f"input target could not be resolved at {entry.loc}")
-        alternatives = [a for a in entry.alternatives if type(a) is not SequenceValue]
 
         def build():
-            values = [self.term(a, "at runtime") for a in alternatives]
-            current_of = _lookup(target, f"no runtime value for '{target}'")
+            current_of = self.term(ERef(target, entry.loc))
+            values = [self.term(a) for a in entry.alternatives]
 
             def holds(inputs, variables):
                 current = current_of(inputs, variables)
                 for value in values:
-                    if values_equal(current, value(inputs, variables)):
+                    if current == value(inputs, variables):
                         return True
                 return False
             return holds
-        return self.shared(("match", target, *map(_key, alternatives)), build)
+        return self.shared(("match", target, *map(_key, entry.alternatives)), build)
 
-    def message(self, term: ValueTerm, element: bool = False) -> Compiled:
+    def message(self, term: ValueTerm) -> Compiled:
         """What an output alternative sends: ABSENT for ``--``, a list for a
-        sequence, else one value.  Forwarding an absent message, or ``--`` as
-        an ``element`` of a sequence, is a runtime error."""
+        sequence, else one value.  Forwarding an absent message is a runtime
+        error."""
         kind = type(term)
-        if kind is SequenceValue and not element:
-            elements = [self.message(e, True) for e in term.elements]
+        if kind is SequenceValue:
+            elements = [self.message(e) for e in term.elements]
             return self.shared(("send", _key(term)), lambda: (
                 lambda inputs, variables: [e(inputs, variables) for e in elements]))
-        value = self.term(term, "at runtime")
-        if kind is ELit or (kind is NoData and not element) or (
-                kind is ERef and term.name in self.enums):
-            return value
-        message = f"forwarding absent message from port '{getattr(term, 'name', '--')}'"
+        if kind is not ERef or self.rc.kind(term.name) != "in":
+            return self.term(term)
+        name = term.name
+        message = f"forwarding absent message from port '{name}'"
 
         def forwarded(inputs, variables):
-            result = value(inputs, variables)
-            if result is ABSENT:
+            value = inputs[name]
+            if value is ABSENT:
                 raise SimulationError(message)
-            return result
-        return self.shared(("forward", _key(term, "at runtime")), lambda: forwarded)
+            return value
+        return self.shared(("forward", name), lambda: forwarded)
 
     def entry(self, assignment) -> "LoweredEntry":
         target, alternatives = self.rc.target(assignment).name, assignment.alternatives
-        return self.shared(("entry", target or assignment.loc, *map(_key, alternatives)),
+        return self.shared(("entry", target, *map(_key, alternatives)),
                            lambda: LoweredEntry(target, self.rc.kind(target), [
-                               self.message(a) for a in alternatives], assignment.loc))
+                               self.message(a) for a in alternatives]))
 
     def inputs(self, block) -> tuple:
         holds = tuple(map(self.match, block or ()))
@@ -416,13 +389,12 @@ class _Compiler:
 
 
 class LoweredEntry(NamedTuple):
-    """An output-block entry: the port or variable it targets and that name's
-    kind, both None when it has none (``check`` reports that)."""
+    """An output-block entry: the out-port or variable it targets, and that
+    name's kind, ``"out"`` or ``"var"``."""
 
-    target: Optional[str]
-    kind: Optional[str]
+    target: str
+    kind: str
     alternatives: list[Compiled]
-    loc: object
 
 
 PRE_START = "<start>"  # the state before an instance starts, never a \w+ state name
@@ -451,7 +423,7 @@ class LoweredAutomaton:
 
     by_state: dict[str, list[LoweredTransition]]
     # variable -> its compiled initial value (None: its type's default) and type
-    variables: dict[str, tuple[Optional[Compiled], Optional[TypeRef]]]
+    variables: dict[str, tuple[Optional[Compiled], TypeRef]]
 
     def enabled(self, state: Optional[str], inputs: dict[str, Slot],
                 variables: dict[str, Value],
@@ -481,27 +453,20 @@ class LoweredAutomaton:
         outputs: list[tuple[str, object]] = []
         new_vars = variables
         for assign, pick in zip(assigns, picks):
-            target = assign.target
-            if target is None:
-                raise SimulationError(f"output target could not be resolved at {assign.loc}")
             value = pick(inputs, variables)
             if assign.kind == "out":
-                outputs.append((target, value))
-            elif assign.kind == "var":
-                if value is ABSENT or isinstance(value, list):
-                    raise SimulationError(
-                        f"variable '{target}' cannot take an absent value or sequence")
+                outputs.append((assign.target, value))
+            else:
                 if new_vars is variables:
                     new_vars = dict(variables)
-                new_vars[target] = value
-            else:
-                raise SimulationError(f"'{target}' is neither an out-port nor a variable")
+                new_vars[assign.target] = value
         return outputs, new_vars
 
 
 def lower(rc: ResolvedComponent) -> LoweredAutomaton:
-    """The executable form of the one automaton of an atomic component; a
-    component without an automaton starts in no state and never fires."""
+    """The executable form of the one automaton of a well-formed atomic
+    component (see :func:`build_plan`); a component without an automaton
+    starts in no state and never fires."""
     automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [], None)
     compiler = _Compiler(rc)
     by_state: dict[str, list[LoweredTransition]] = {}
@@ -518,12 +483,8 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     by_state[PRE_START] = [LoweredTransition(decl, target, None, frozenset(), frozenset(), (),
                                              *compiler.outputs(output))
                            for decl, target, output in starts]
-    variables: dict[str, tuple[Optional[Compiled], Optional[TypeRef]]] = {}
-    for var in rc.ast.variables:
-        kind, declared = rc.binding(var.name)
-        if kind == "var" and var.name not in variables:  # not a port's, nor repeated (U3)
-            initial = None if var.initial is None else compiler.term(var.initial, "at runtime")
-            variables[var.name] = (initial, declared)
+    variables = {var.name: (None if var.initial is None else compiler.term(var.initial),
+                            rc.binding(var.name)[1]) for var in rc.ast.variables}
     return LoweredAutomaton(by_state, variables)
 
 
@@ -558,10 +519,16 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     """Flatten the (possibly hierarchical) main component to atomic instances,
     wired by index.
 
-    Each component's automaton is lowered once, however many instances it has.
+    A model with an error that resolution or a rule of every profile reports
+    is refused: :class:`SetupError` carries the first, rendered as ``maa
+    check`` renders it.  Each component's automaton is lowered once, however
+    many instances it has.
     """
     if main not in model.components:
         raise SetupError(f"unknown main component '{main}'")
+    errors = [d for d in model.diagnostics + check(model) if d.severity == ERROR]
+    if errors:
+        raise SetupError(min(errors, key=Diagnostic.sort_key).render())
     root = model.components[main]
 
     instances: list[AtomicInstance] = []
@@ -578,14 +545,8 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
                 lowered[rc.qname] = lower(rc)
             instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
             return
-        if rc.ast.automata:
-            raise SetupError(
-                f"component '{rc.qname}' mixes subcomponents and automaton behavior")
         for decl in rc.ast.subcomponents:
-            sub = rc.subcomponents.get(decl.instance)
-            if sub is None:
-                raise SetupError(
-                    f"subcomponent '{decl.instance}' of '{rc.qname}' did not resolve")
+            sub = rc.subcomponents[decl.instance]
             child_rc = model.components[sub.target_qname]
             child_path = f"{path}.{decl.instance}" if path else decl.instance
             child_subst = {
@@ -636,19 +597,19 @@ def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
             for port, k, name in wires}
 
 
+_PYTHON_TYPES = {INTEGER: int, BOOLEAN: bool, STRING: str}
+
+
 def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
                   model: ResolvedModel) -> Value:
-    """Type default for a variable read before any assignment."""
+    """Type default for a variable read before any assignment: ``0``,
+    ``false``, ``""`` or the enum's first literal."""
     ref = substitute_type(ref, subst)
-    if ref == INTEGER:
-        return 0
-    if ref == BOOLEAN:
-        return False
-    if ref == STRING:
-        return ""
+    if ref in _PYTHON_TYPES:
+        return _PYTHON_TYPES[ref]()
     if isinstance(ref, EnumType):
-        enum = model.enums.get(ref.qname)
-        if enum is None or not enum.literals:
+        enum = model.enums[ref.qname]
+        if not enum.literals:
             raise SetupError(f"enum '{ref.qname}' has no literals to default to")
         return EnumValue(ref.qname, enum.literals[0])
     raise SetupError(f"cannot default a value of type {ref}")
@@ -663,13 +624,13 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches) -> list[tuple
     initialised, it fires out of :data:`PRE_START` with every in-port absent."""
     variables: dict[str, Value] = {}
     for name, (initial, declared) in inst.behaviour.variables.items():
-        if initial is not None:
-            value = initial({}, variables)
-            if value is ABSENT:
-                raise SimulationError(f"variable '{name}' initialized to an absent value")
-            variables[name] = value
-        else:
+        if initial is None:
             variables[name] = default_value(declared, inst.subst, model)
+            continue
+        try:
+            variables[name] = initial({}, variables)
+        except KeyError as exc:  # it reads a variable declared after it
+            raise SimulationError(f"unresolved name '{exc.args[0]}' at runtime") from None
     return _successors(inst, ComponentState(PRE_START, variables),
                        dict.fromkeys(inst.rc.in_ports, ABSENT), branches)
 
@@ -769,20 +730,47 @@ def _record(plan: SystemPlan, index: int, external: dict[str, Slot],
                        {inst.path: cs for inst, (cs, _) in zip(plan.instances, state)})
 
 
+def _accepts(model: ResolvedModel, rc: ResolvedComponent) -> dict[str, Callable]:
+    """Per in-port of ``rc``, whether a value is a message of the port's type:
+    an ``int`` that is no ``bool`` for Integer, a literal of the port's own
+    enum, and nothing for a type parameter."""
+    tests = {}
+    for port in rc.in_ports:
+        declared = rc.binding(port)[1]
+        if isinstance(declared, EnumType):
+            enum = model.enums[declared.qname]
+            literals = {EnumValue(enum.qname, literal) for literal in enum.literals}
+            tests[port] = lambda value, literals=literals: (
+                type(value) is EnumValue and value in literals)
+        else:
+            python_type = _PYTHON_TYPES.get(declared)
+            tests[port] = lambda value, python_type=python_type: type(value) is python_type
+    return tests
+
+
+def _mistyped(what: str, rc: ResolvedComponent, port: str, value) -> SetupError:
+    return SetupError(f"{what} value {value!r} on in-port '{port}' of '{rc.qname}' "
+                      f"is no {rc.binding(port)[1]}")
+
+
 def _rows(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]],
           n_cycles: int) -> Iterator[dict[str, Slot]]:
     """The external input of each of ``n_cycles`` cycles, read from
     ``stimulus`` one row at a time: every in-port of the main component, absent
-    where the row has no message or the stimulus has ended."""
-    in_ports = plan.main.in_ports
+    where the row has no message or the stimulus has ended.  Each message must
+    have its port's type."""
+    main = plan.main
+    accepts = _accepts(plan.model, main)
     rows = iter(stimulus)
     for _ in range(n_cycles):
         row = next(rows, {})
-        for port in row:
-            if port not in in_ports:
+        for port, value in row.items():
+            if port not in accepts:
                 raise SetupError(f"stimulus column '{port}' is not an in-port of "
-                                 f"'{plan.main.qname}'")
-        yield {port: row.get(port, ABSENT) for port in in_ports}
+                                 f"'{main.qname}'")
+            if value is not ABSENT and not accepts[port](value):
+                raise _mistyped("stimulus", main, port, value)
+        yield {port: row.get(port, ABSENT) for port in main.in_ports}
 
 
 def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
@@ -876,7 +864,8 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
            policy: Policy = FirstDeclared()) -> EventTrace:
     """Consume the scripted events in order, run-to-completion per event: the
     main component's one instance reads the event's port, every other in-port
-    absent, and only transitions that read exactly that port react to it."""
+    absent, and only transitions that read exactly that port react to it.  An
+    event's value must have its port's type."""
     rc = model.components.get(main)
     if rc is not None and rc.ast.subcomponents:
         raise SetupError("event-driven simulation requires an atomic main component")
@@ -885,9 +874,12 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
     [(cs, outputs)] = _initial(inst, model, branches)
     trace = EventTrace(cs.state, _emissions(outputs), [])
     silent = dict.fromkeys(rc.in_ports, ABSENT)
+    accepts = _accepts(model, rc)
     for event in script:
         if event.port not in silent:
             raise SetupError(f"'{event.port}' is not an in-port of '{rc.qname}'")
+        if event.value is not ABSENT and not accepts[event.port](event.value):
+            raise _mistyped("event", rc, event.port, event.value)
         inputs = {**silent, event.port: event.value}
         [(cs, outputs)] = _successors(inst, cs, inputs, branches, event.port)
         trace.steps.append(EventStep(event, _emissions(outputs), cs))

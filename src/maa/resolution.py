@@ -192,6 +192,9 @@ class ResolvedComponent:
 class ResolvedModel:
     components: dict[str, ResolvedComponent] = field(default_factory=dict)
     enums: dict[str, EnumInfo] = field(default_factory=dict)
+    diagnostics: list[Diagnostic] = field(default_factory=list)  # what resolve reported
+    # every rule's diagnostics under every profile, sorted; filled by checks.check
+    _checked: Optional[list[Diagnostic]] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ class ResolvedModel:
 
 def resolve(units: list[CompilationUnit],
             types: list[TypeDeclUnit]) -> tuple[ResolvedModel, list[Diagnostic]]:
-    """Resolve a set of model and type units into one model."""
+    """Resolve model and type units into one model, which keeps the diagnostics."""
     model = ResolvedModel()
     diags: list[Diagnostic] = []
 
@@ -234,6 +237,7 @@ def resolve(units: list[CompilationUnit],
     for rc in resolved:
         _resolve_structure(rc, model, diags)
 
+    model.diagnostics = list(diags)
     return model, diags
 
 

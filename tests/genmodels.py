@@ -16,6 +16,9 @@ error.
 ``random_ed_model`` gives event-driven-clean machines: each transition reads
 exactly one in-port, never matches --, and may forward the Integer it reads
 or emit a sequence.
+``random_unchecked_component_text`` mixes guards, variable initialisers and
+output entries from fixed tables, most of them ill-typed, into either text,
+for the checker-soundness property.
 """
 
 from __future__ import annotations
@@ -164,6 +167,47 @@ def random_ed_component_text(rng: random.Random) -> str:
             text += " / {" + ", ".join(assigns) + "}"
         _declare(rng, transitions, text)
     return "\n".join(lines + transitions + ["    }", "}"]) + "\n"
+
+
+# Guards, variable initialisers and output entries that
+# ``random_unchecked_component_text`` mixes into generated text.  Most are
+# ill-typed or name something undeclared, so a rule shared by every profile
+# rejects them; none breaks only a profile's own rule.  The well-typed guards
+# read only ``v`` or ``{p}``, an in-port the transition reads already, so an
+# event-driven transition still reads one port.  ``Integer v = v`` passes
+# check and fails when the instance starts.
+UNCHECKED_GUARDS = ('{p} < "s"', "!a", "b + 1", "a && b", "b < 1", "a == true", "v == b",
+                    "-b", "a", '"s"', "{p} || true", "v", "x > 0", "zz",
+                    "v == v", "!(v < 0)", "{p} == {p}")
+UNCHECKED_INITIALISERS = ("true", '"s"', "--", "[1, 2]", "a", "x", "w", "B", "v", "-1", "3")
+UNCHECKED_OUTPUTS = ("x = true", 'y = "s"', "v = --", "v = [1]", "a = 1", "x = b", "zz = 1",
+                     "y = x", "v = b", "x = 1 | true")
+_TRANSITION = re.compile(r"        S\d -> S\d")
+
+
+def random_unchecked_component_text(rng: random.Random, base=None) -> str:
+    """The text of ``base`` (default :func:`random_component_text`) with
+    entries of the ``UNCHECKED_*`` tables mixed in: the initialiser of ``v``
+    replaced a quarter of the time, and each transition's guard replaced or
+    added a tenth of the time and an output entry added a twentieth."""
+    lines = (base or random_component_text)(rng).split("\n")
+    for k, line in enumerate(lines):
+        states = _TRANSITION.match(line)
+        if line.startswith("    Integer v = ") and rng.random() < 0.25:
+            lines[k] = f"    Integer v = {rng.choice(UNCHECKED_INITIALISERS)};"
+        elif states:
+            head, end = line.split(" / ")[0].rstrip(";"), states.end()
+            if rng.random() < 0.1:
+                ports = sorted(set(re.findall(r"\b[ab]\b", head))) or ["a", "b"]
+                guard = rng.choice(UNCHECKED_GUARDS).replace("{p}", rng.choice(ports))
+                line = (re.sub(r"\[.*\]", lambda _: f"[{guard}]", head) if "[" in head
+                        else f"{head[:end]} [{guard}]{head[end:]}") + line[len(head):]
+            if rng.random() < 0.05:
+                entry = rng.choice(UNCHECKED_OUTPUTS)
+                line = (f"{line[:-2]}, {entry}}};" if " / {" in line
+                        else f"{line[:-1]} / {{{entry}}};")
+            lines[k] = line
+    return "\n".join(lines)
 
 
 def _values(rng: random.Random, pool: tuple[str, ...]) -> str:

@@ -160,3 +160,55 @@ def test_unknown_profile_rejected():
     from maa.resolution import ResolvedModel
     with pytest.raises(ValueError):
         check(ResolvedModel(), "asynchronous")
+
+
+# one model with a finding of every profile's own rules and of a shared one
+_EVERY_PROFILE = (
+    "component C {\n"
+    "  port in Integer a, in Integer b, out Integer o;\n"
+    "  automaton A { state S; initial S / o = a; S {a = 1, b = --} / o = [1, 2]; S [x]; }\n"
+    "  automaton B { state T; initial T; }\n"
+    "}\n")
+
+
+def _every_profile_model():
+    from maa.parser import parse_component_file
+    from maa.resolution import resolve
+    model, diags = resolve([parse_component_file(_EVERY_PROFILE, "p.maa")], [])
+    assert diags == []
+    return model
+
+
+@pytest.mark.parametrize("order", [("generic", "ts", "ed"), ("ed", "generic", "ts"),
+                                   ("ts", "ts", "ed", "generic", "ed")])
+def test_check_results_do_not_depend_on_call_order_or_count(order):
+    expected = {profile: check(_every_profile_model(), profile)
+                for profile in ("generic", "ts", "ed")}
+    assert [d.code for d in expected["generic"]] == ["R2"]
+    assert {d.code for d in expected["ts"]} == {"R2", "S1TS", "S2TS", "S3TS"}
+    assert {d.code for d in expected["ed"]} == {"R2", "S1ED", "S2ED", "S3ED"}
+    model = _every_profile_model()
+    for profile in order:
+        first, again = check(model, profile), check(model, profile)
+        assert first == again == expected[profile]
+        assert first is not again  # each call returns a fresh list
+        first.clear()
+        assert check(model, profile) == expected[profile]
+
+
+def test_check_evaluates_the_rules_once_per_model(monkeypatch):
+    import maa.checks
+    runs = []
+    run = maa.checks._Checker.run
+
+    def counting(self):
+        runs.append(self.rc.qname)
+        run(self)
+
+    monkeypatch.setattr(maa.checks._Checker, "run", counting)
+    paths, _profile, types = CORPUS["pipeline"]
+    from conftest import load_model
+    model = load_model(paths, types)
+    for profile in ("ts", "generic", "ed", "ts"):
+        check(model, profile)
+    assert sorted(runs) == sorted(model.components)

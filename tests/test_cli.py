@@ -260,6 +260,20 @@ def test_sim_ts_runtime_error_keeps_the_rows_before_it(capsys, tmp_path):
     assert err == "runtime error: cycle 3: forwarding absent message from port 'p'\n"
 
 
+@pytest.mark.parametrize("command", ["sim-ts", "sim-ed"])
+def test_initialiser_reading_a_later_variable_is_a_runtime_error(capsys, tmp_path, command):
+    # check accepts the model; variables are initialised in declaration order
+    model = tmp_path / "later.maa"
+    model.write_text("component C { port in Integer p, out Integer o; Integer v = w;"
+                     " Integer w = 1; automaton { state S; initial S; S p = 1 / o = v; } }",
+                     encoding="utf-8")
+    script = tmp_path / "s.txt"
+    script.write_text("p 1\n", encoding="utf-8")
+    extra = ["--cycles", "2"] if command == "sim-ts" else ["--script", str(script)]
+    code, out, err = run(capsys, command, str(model), "--main", "C", *extra)
+    assert (code, out, err) == (3, "", "runtime error: unresolved name 'w' at runtime\n")
+
+
 # Runs the command in its arguments and prints its exit code and peak RSS.  A
 # child's ru_maxrss starts from the RSS of the process that forked it, so the
 # children are forked by this small process rather than by pytest.
@@ -368,6 +382,19 @@ def test_sim_ts_simple_main_name_resolves(capsys):
                        "--cycles", "1")
     assert code == 0
     assert out.splitlines()[1].split("\t")[3] == "SLOW_FORWARD"
+
+
+def test_sim_ts_ambiguous_simple_main_name_usage_error(capsys, tmp_path):
+    paths = []
+    for package in ("q", "p"):
+        path = tmp_path / f"{package}.maa"
+        path.write_text(f"package {package}; component C {{ port out Integer o; }}",
+                        encoding="utf-8")
+        paths.append(str(path))
+    code, out, err = run(capsys, "sim-ts", *paths, "--main", "C", "--cycles", "1")
+    assert (code, out, err) == (2, "", "error: main component 'C' is ambiguous (p.C, q.C)\n")
+    code, _, err = run(capsys, "sim-ts", *paths, "--main", "D", "--cycles", "1")
+    assert (code, err) == (2, "error: unknown main component 'D'\n")
 
 
 def test_sim_ts_string_stimulus_cells(capsys, tmp_path):

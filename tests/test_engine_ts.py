@@ -15,6 +15,7 @@ from maa.engine import (
     SetupError,
     SimulationError,
     enumerate_ts,
+    iter_ts,
     lower,
     run_ed,
     run_ts,
@@ -138,18 +139,28 @@ def test_lowering_shares_equal_port_sets():
 
 
 def test_lowering_compiles_each_distinct_guard_and_entry_once():
-    # 3 distinct guards and 5 distinct output entries over 60 transitions;
-    # [x == 1] and [x == true] differ, as 1 and true do
-    guards = ["[x == 1]", "[x == true]", "[x > 1 && !(x == 2)]"]
+    # 3 distinct guards and 5 distinct output entries over 60 transitions
+    guards = ["[x == 1]", "[b == true]", "[x > 1 && !(x == 2)]"]
     transitions = " ".join(f"S {guards[k % 3]} / o = {k % 5};" for k in range(60))
-    model = small_model("component C { port in Integer x, out Integer o; automaton {"
-                        f" state S; initial S; {transitions} }} }}")
+    model = small_model("component C { port in Integer x, in Boolean b, out Integer o;"
+                        f" automaton {{ state S; initial S; {transitions} }} }}")
     lowered = lower(model.components["C"]).by_state["S"]
     assert len({id(t.guard) for t in lowered}) == 3
     assert all(t.guard is lowered[k % 3].guard for k, t in enumerate(lowered))
     assert len({id(entry) for t in lowered for entry in t.assigns}) == 5
-    enabled = lower(model.components["C"]).enabled("S", {"x": 1}, {})
+    enabled = lower(model.components["C"]).enabled("S", {"x": 1, "b": ABSENT}, {})
     assert [t.transition for t in enabled] == [t.transition for t in lowered[::3]]
+
+
+def test_lowering_keeps_equal_literals_of_different_types_apart():
+    # 1 and true are equal in Python but different literals: each is compiled
+    # on its own
+    model = small_model(
+        "component C { port in Integer p, out Integer o, out Boolean q; automaton {"
+        " state S; initial S; S / {o = 1, q = true}; } }")
+    rc = model.components["C"]
+    outputs, _ = fire_first(rc, rc.ast.automata[0].transitions[0], {"p": ABSENT}, {})
+    assert [(v, type(v)) for v in outputs.values()] == [(1, int), (True, bool)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,82 +268,87 @@ def test_fire_forwarding_absent_is_runtime_error(arbiter_model):
         fire_first(rc, trans, {"mode": True, "in1": ABSENT, "in2": 7}, {})
 
 
-# Unchecked models whose guards, output blocks or declarations cannot run:
-# both profiles evaluate them alike and fail with the same message.
+# Models that skip check.  Every entry point refuses one that check rejects,
+# with its first error as check renders it; a variable initialised from a
+# later one passes check and fails when the instance starts, alike under both
+# profiles.
 UNCHECKED = {
     "absent-initial-output-to-variable": (
         "component C { port in Integer p, out Integer o; Integer v; automaton {"
         " state S; initial S / v = --; S p = 1 / o = v; } }",
-        "variable 'v' cannot take an absent value or sequence"),
+        SetupError, "m.maa:1:97 error T4: cannot assign -- to variable 'v'"),
     "absent-variable-initializer": (
         "component C { port in Integer p, out Integer o; Integer v = --; automaton {"
         " state S; initial S; S p = 1 / o = v; } }",
-        "variable 'v' initialized to an absent value"),
+        SetupError, "m.maa:1:61 error T4: cannot assign -- to variable 'v'"),
     "assignment-to-in-port": (
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S p = 1 / p = 2; } }",
-        "'p' is neither an out-port nor a variable"),
+        SetupError, "m.maa:1:91 error T6: cannot send to input port 'p'"),
     "undefined-name-in-guard": (
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S [x == 1] p = 1 / o = 1; } }",
-        "unresolved name 'x' in guard"),
+        SetupError, "m.maa:1:84 error R2: name 'x' is undefined"),
     "undefined-name-in-output": (
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S p = 1 / o = x; } }",
-        "unresolved name 'x' at runtime"),
+        SetupError, "m.maa:1:95 error R2: name 'x' is undefined"),
     "sequence-variable-initializer": (
         "component C { port in Integer p, out Integer o; Integer v = [1, 2]; automaton {"
         " state S; initial S; S p = 1 / o = v; } }",
-        "cannot evaluate SequenceValue(elements=[ELit(value=1), ELit(value=2)])"
-        " as a single value"),
-    # no in-port has a value while variables are initialised
+        SetupError, "m.maa:1:61 error T5: cannot assign a sequence to variable 'v'"),
     "in-port-variable-initializer": (
         "component C { port in Integer p, out Integer o; Integer v = p; automaton {"
         " state S; initial S; S p = 1 / o = v; } }",
-        "unresolved name 'p' at runtime"),
+        SetupError, "m.maa:1:61 error R3: variable declaration of 'v' references port 'p'"),
     # variables are initialised in declaration order
     "later-variable-initializer": (
         "component C { port in Integer p, out Integer o; Integer v = w; Integer w = 1;"
         " automaton { state S; initial S; S p = 1 / o = v; } }",
-        "unresolved name 'w' at runtime"),
+        SimulationError, "unresolved name 'w' at runtime"),
     # the same name at the top of an output value and of a guard
     "undefined-name-in-output-and-guard": (
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S p = 1 / o = zz; S [zz] p = 1 / o = 1; } }",
-        "unresolved name 'zz' in guard"),
+        SetupError, "m.maa:1:95 error R2: name 'zz' is undefined"),
     "out-port-in-guard": (
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S [o == 1] p = 1 / o = 1; } }",
-        "unresolved name 'o' in guard"),
+        SetupError, "m.maa:1:84 error T6: cannot read output port 'o' in a guard"),
     "non-boolean-guard": (
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S [p + 1] / o = 1; } }",
-        "guard did not evaluate to a Boolean"),
+        SetupError, "m.maa:1:83 error T1: guard expression must be Boolean"),
     "guard-type-error": (
         "component C { port in Integer p, out Integer o; automaton {"
         ' state S; initial S; S [p < "s"] / o = 1; } }',
-        "guard cannot be evaluated: '<' not supported between instances of 'int' and 'str'"),
+        SetupError, "m.maa:1:86 error T1: operands of '<' must be Integer"),
 }
 
 
-@pytest.mark.parametrize("text, message", UNCHECKED.values(), ids=list(UNCHECKED))
-def test_both_profiles_reject_unrunnable_outputs_alike(text, message):
+@pytest.mark.parametrize("text, error, message", UNCHECKED.values(), ids=list(UNCHECKED))
+def test_both_profiles_reject_unrunnable_outputs_alike(text, error, message):
     model = small_model(text)
-    with pytest.raises(SimulationError) as under_ts:
+    with pytest.raises(error) as under_ts:
         run_ts(model, "C", [{"p": 1}], 2)
-    with pytest.raises(SimulationError) as under_ed:
+    with pytest.raises(error) as enumerated:
+        enumerate_ts(model, "C", [{"p": 1}], 2)
+    with pytest.raises(error) as under_ed:
         run_ed(model, "C", [Event("p", 1)])
-    assert under_ts.value.message == under_ed.value.message == message
+    assert str(under_ts.value) == str(enumerated.value) == str(under_ed.value) == message
 
 
 def test_guard_connectives_short_circuit():
-    # unchecked: the right operands cannot be evaluated, and are not
+    # the right operands are ill-typed, so the model is refused before any
+    # guard is evaluated
     model = small_model(
         'component C { port in Integer p, out Integer o; automaton { state S; initial S;'
         ' S [p == 2 && p < "s"] / o = 1; S [p == 1 || p < "s"] / o = 2; } }')
-    trace = run_ts(model, "C", [{"p": 1}], 2)
-    assert out_column(trace, "o") == [ABSENT, 2]
-    assert run_ed(model, "C", [Event("p", 1)]).steps[0].emissions == [("o", [2])]
+    message = "m.maa:1:96 error T1: operands of '<' must be Integer"
+    with pytest.raises(SetupError, match=f"^{message}$"):
+        run_ts(model, "C", [{"p": 1}], 2)
+    with pytest.raises(SetupError, match=f"^{message}$"):
+        run_ed(model, "C", [Event("p", 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +464,88 @@ def test_without_initial_declaration_starts_silently_in_first_state():
 
 
 def test_guard_type_error_names_its_cycle():
-    # unchecked: a is an Integer compared with a String
+    # a is an Integer compared with a String: refused before cycle 1
     model = small_model(
         'component C { port in Integer a, out Integer o; automaton {'
         ' state S; initial S; S [a < "s"] / o = 1; } }')
+    message = "m.maa:1:86 error T1: operands of '<' must be Integer"
+    with pytest.raises(SetupError, match=f"^{message}$"):
+        run_ts(model, "C", [{}, {"a": 1}], 2)
+    with pytest.raises(SetupError, match=f"^{message}$"):
+        run_ed(model, "C", [Event("a", 1)])
+
+
+def test_runtime_error_names_its_cycle():
+    model = small_model(
+        "component C { port in Integer a, in Integer p, out Integer o; automaton {"
+        " state S; initial S; S a = 1 / o = p; } }")
     with pytest.raises(SimulationError) as raised:
         run_ts(model, "C", [{}, {"a": 1}], 2)
-    assert raised.value.cycle == 2
-    assert raised.value.message.startswith("guard cannot be evaluated: '<' not supported")
-    with pytest.raises(SimulationError, match="^guard cannot be evaluated"):
+    assert (raised.value.cycle, raised.value.message) == (
+        2, "forwarding absent message from port 'p'")
+    with pytest.raises(SimulationError, match="^forwarding absent message from port 'p'$"):
         run_ed(model, "C", [Event("a", 1)])
+
+
+# ---------------------------------------------------------------------------
+# stimulus and event values against their ports' types
+# ---------------------------------------------------------------------------
+
+def typed_models():
+    """(model, main) for a component with an Integer, a Boolean and an enum
+    in-port, and for a generic one whose in-port has a type parameter."""
+    typed = small_model(
+        "package p; import p.types.*; component C {"
+        " port in Integer i, in Boolean b, in E e, out Integer o;"
+        " automaton { state S; initial S; } }",
+        ["package p.types; enum E { X, Y } enum F { X }"])
+    generic = small_model(
+        "component G<T> { port in T t, out T o; automaton { state S; initial S; } }")
+    return {"p.C": typed, "G": generic}
+
+
+ENTRY_POINTS = {
+    "run_ts": lambda model, main, row: run_ts(model, main, [row], 1),
+    "iter_ts": lambda model, main, row: list(iter_ts(model, main, [row], 1)),
+    "enumerate_ts": lambda model, main, row: enumerate_ts(model, main, [row], 1),
+    "run_ed": lambda model, main, row: run_ed(
+        model, main, [Event(port, value) for port, value in row.items()]),
+}
+
+MISTYPED = {
+    "str-on-integer": ("p.C", "i", "1", "Integer"),
+    "int-on-boolean": ("p.C", "b", 1, "Boolean"),
+    "bool-on-integer": ("p.C", "i", True, "Integer"),
+    "other-enum": ("p.C", "e", EnumValue("p.types.F", "X"), "p.types.E"),
+    "unknown-literal": ("p.C", "e", EnumValue("p.types.E", "Z"), "p.types.E"),
+    "type-parameter-int": ("G", "t", 1, "T"),
+    "type-parameter-str": ("G", "t", "s", "T"),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("main, port, value, declared", MISTYPED.values(), ids=list(MISTYPED))
+def test_mistyped_stimulus_and_event_values_are_refused(entry, main, port, value, declared):
+    model = typed_models()[main]
+    what = "event" if entry == "run_ed" else "stimulus"
+    with pytest.raises(SetupError) as raised:
+        ENTRY_POINTS[entry](model, main, {port: value})
+    assert str(raised.value) == (
+        f"{what} value {value!r} on in-port '{port}' of '{main}' is no {declared}")
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_absent_is_accepted_on_every_port(entry):
+    for main, model in typed_models().items():
+        row = dict.fromkeys(model.components[main].in_ports, ABSENT)
+        ENTRY_POINTS[entry](model, main, row)
+
+
+def test_well_typed_values_are_accepted():
+    model, main = typed_models()["p.C"], "p.C"
+    row = {"i": 1, "b": True, "e": EnumValue("p.types.E", "Y")}
+    for run in ENTRY_POINTS.values():
+        run(model, main, row)
 
 
 # ---------------------------------------------------------------------------
@@ -733,31 +821,30 @@ def test_enumerate_freezes_each_record_once(monkeypatch):
 
 
 def test_enumerate_tells_variable_values_of_different_types_apart():
-    # models that skip check: 1 and true are different values, and values of
-    # different types still sort
+    # a variable of one type takes values of one type only: a model that
+    # assigns it another is refused
     model = small_model(
         "component C { port out Integer o; Integer v; automaton {"
         " state S; initial S; S / {v = 1}; S / {v = true}; } }")
-    traces = enumerate_ts(model, "C", [], 2)
-    assert [[type(r.states[""].variables["v"]) for r in t.records] for t in traces] == [
-        [bool, bool], [bool, int], [int, bool], [int, int]]
+    with pytest.raises(SetupError, match="^m.maa:1:100 error T1: 'true' is no Integer$"):
+        enumerate_ts(model, "C", [], 2)
     model = small_model(
         "component C { port out Integer o; Integer v; automaton {"
         ' state S; initial S; S / {v = 1}; S / {v = "a"}; } }')
-    traces = enumerate_ts(model, "C", [], 2)
-    assert [[r.states[""].variables["v"] for r in t.records] for t in traces] == [
-        [1, 1], [1, "a"], ["a", 1], ["a", "a"]]
+    with pytest.raises(SetupError) as raised:
+        enumerate_ts(model, "C", [], 2)
+    assert str(raised.value) == "m.maa:1:100 error T1: '\"a\"' is no Integer"
 
 
 def test_enumerate_tells_observed_values_of_different_enums_apart():
-    # a model that skips check: A.X and B.X are different messages on o
+    # A.X and B.X are different messages, and an out-port of A cannot send B.X
     model = small_model(
         "package p; import p.types.*; component C { port in A a, in B b, out A o;"
         " automaton { state S; initial S; S / o = a | b; } }",
         ["package p.types; enum A { X } enum B { X }"])
     x_a, x_b = EnumValue("p.types.A", "X"), EnumValue("p.types.B", "X")
-    traces = enumerate_ts(model, "p.C", [{"a": x_a, "b": x_b}] * 2, 2)
-    assert [out_column(t, "o") for t in traces] == [[ABSENT, x_a], [ABSENT, x_b]]
+    with pytest.raises(SetupError, match="^m.maa:1:118 error T3: port 'b' is no p.types.A$"):
+        enumerate_ts(model, "p.C", [{"a": x_a, "b": x_b}] * 2, 2)
 
 
 def test_enumerate_merges_equal_successors_before_the_joint_product(monkeypatch):

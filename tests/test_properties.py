@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,11 @@ from maa.engine import (
     Event,
     FirstDeclared,
     Seeded,
+    SetupError,
+    SimulationError,
+    build_plan,
     enumerate_ts,
+    iter_ts,
     lower,
     run_ed,
     run_ts,
@@ -37,10 +43,12 @@ from maa.syntax import (
 from conftest import CORPUS, parse_model
 from genmodels import (
     random_component_text,
+    random_ed_component_text,
     random_ed_model,
     random_model,
     random_script,
     random_stimulus,
+    random_unchecked_component_text,
 )
 from reference import (
     MAX_CYCLES,
@@ -336,3 +344,74 @@ def test_event_driven_runs_of_ed_shaped_models_equal_the_reference_semantics(see
     # each transition reads exactly one port, so it can react to an event on
     # it; it may forward what it reads or emit a sequence
     _check_event_driven_runs(random_ed_model, seed, n_events)
+
+
+# ---------------------------------------------------------------------------
+# checker soundness: a model that passes check cannot go wrong
+# ---------------------------------------------------------------------------
+
+# The runtime errors README documents for well-formed models, as SimulationError
+# messages (an event-driven sequence is no error, and generated
+# time-synchronous models send none).
+_DOCUMENTED = re.compile(r"forwarding absent message from port '\w+'"
+                         r"|unresolved name '\w+' at runtime")
+
+
+def _unchecked(text: str, profile: str):
+    """The model of ``text``, and the rendered first error that resolution
+    or a rule of every profile reports, or None when ``profile`` has none."""
+    unit = parse_component_file(text, "gen.maa")
+    assert isinstance(unit, CompilationUnit), (unit, text)
+    model, diags = resolve([unit], [])
+    if not any(d.severity == "error" for d in diags + check(model, profile)):
+        return model, None
+    shared = [d for d in diags + check(model) if d.severity == "error"]
+    return model, min(shared, key=lambda d: d.sort_key()).render()
+
+
+def _refused_or_sound(runs: dict, refusal) -> None:
+    """Each run raises SetupError with ``refusal`` where there is one, and
+    else ends, or raises a documented SimulationError."""
+    for name, run in runs.items():
+        if refusal is not None:
+            with pytest.raises(SetupError) as raised:
+                run()
+            assert str(raised.value) == refusal, name
+            continue
+        try:
+            run()
+        except SimulationError as exc:
+            assert _DOCUMENTED.fullmatch(exc.message), (name, exc.message)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_time_synchronous_runs_of_checked_models_cannot_go_wrong(seed, n_cycles):
+    # generated models mix in ill-typed guards, initialisers and outputs; a
+    # seeded generator rather than a Hypothesis random keeps examples cheap
+    rng = random.Random(seed)
+    text = random_unchecked_component_text(rng)
+    model, refusal = _unchecked(text, "ts")
+    stimulus = random_stimulus(rng, n_cycles)
+    runs = {
+        "run_ts": lambda: run_ts(model, "Gen", stimulus, n_cycles),
+        "run_ts seeded": lambda: run_ts(model, "Gen", stimulus, n_cycles, Seeded(seed)),
+        "enumerate_ts": lambda: enumerate_ts(model, "Gen", stimulus, n_cycles, bound=4096),
+    }
+    if refusal is not None:
+        runs |= {"build_plan": lambda: build_plan(model, "Gen"),
+                 "iter_ts": lambda: next(iter_ts(model, "Gen", stimulus, n_cycles)),
+                 "run_ed": lambda: run_ed(model, "Gen", [])}
+    _refused_or_sound(runs, refusal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, MAX_EVENTS))
+def test_event_driven_runs_of_checked_models_cannot_go_wrong(seed, n_events):
+    rng = random.Random(seed)
+    text = random_unchecked_component_text(rng, random_ed_component_text)
+    model, refusal = _unchecked(text, "ed")
+    events = [Event(port, value) for port, value in random_script(rng, n_events)]
+    _refused_or_sound({"run_ed": lambda: run_ed(model, "Gen", events),
+                       "run_ed seeded": lambda: run_ed(model, "Gen", events, Seeded(seed))},
+                      refusal)

@@ -224,9 +224,13 @@ def test_one_unit_resolved_into_two_models():
 
     before = observed()
     m2, diags2 = resolve([unit], [])
-    assert diags2 and check(m2, "ts")
+    second = [d.render() for d in check(m2, "ts")]
+    assert diags2 and second
     assert observed() == before
     assert before[0] == []
+    # each model keeps its own check results, whichever is asked first
+    assert [d.render() for d in check(m2, "ts")] == second
+    assert m2.diagnostics == diags2 and m1.diagnostics == []
 
 
 @pytest.mark.parametrize("run", [
@@ -339,7 +343,7 @@ def test_in_and_out_port_of_one_name_is_the_in_port():
 
 
 def test_port_shadows_variable_in_checker_and_engine():
-    from maa.engine import SimulationError, run_ts
+    from maa.engine import SetupError, run_ts
     unit = parse_component_file(
         "component C {\n"
         "  port in Integer x, out Integer o;\n"
@@ -351,6 +355,8 @@ def test_port_shadows_variable_in_checker_and_engine():
         "c.maa:3:11 error U3: the name 'x' is already used by a port or variable",
         "c.maa:4:39 error T6: cannot send to input port 'x'",
     ]
-    with pytest.raises(SimulationError) as raised:
+    # the engine refuses the model with the checker's first error
+    with pytest.raises(SetupError) as raised:
         run_ts(model, "C", [{"x": 5}], 3)
-    assert str(raised.value) == "cycle 1: 'x' is neither an out-port nor a variable"
+    assert str(raised.value) == (
+        "c.maa:3:11 error U3: the name 'x' is already used by a port or variable")
