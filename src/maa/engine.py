@@ -807,14 +807,17 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
     distinct traces would be produced.  The search is depth-first over an
     explicit stack, so its depth is not limited by the run's length.  Equal
     successors of an instance are merged before they are combined, so the
-    work grows with distinct successors, not with branches.
+    work grows with distinct successors, not with branches.  Stimulus row k is
+    read and checked when the search first reaches cycle k, so a run that
+    fails early reads no further.
     """
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
     if bound < 1:
         raise SetupError("the enumeration bound must be at least 1")
     plan = build_plan(model, main)
-    rows = list(_rows(plan, stimulus, n_cycles))
+    source = _rows(plan, stimulus, n_cycles)
+    rows: list[dict[str, Slot]] = []
 
     # A node is (joint state, cycle, prefix); a prefix is None or (record, its
     # frozen form, parent prefix), so traces with a common prefix share its
@@ -840,6 +843,8 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
                 records.reverse()
                 results[key] = Trace(records)
             continue
+        if index > len(rows):
+            rows.append(next(source))
         external = rows[index - 1]
         observed, successors = _step(plan, state, external, _every_branch, index)
         children = []

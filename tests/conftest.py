@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,12 @@ CORPUS = {
 }
 for _path in sorted((MODELS / "reference").glob("*.maa")):
     CORPUS[f"reference_{_path.stem}"] = ([_path], "generic", [])
+
+# The benchmark's workload generators, which import nothing from maa.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def parse_model(path: Path) -> CompilationUnit:

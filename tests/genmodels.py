@@ -18,7 +18,9 @@ exactly one in-port, never matches --, and may forward the Integer it reads
 or emit a sequence.
 ``random_unchecked_component_text`` mixes guards, variable initialisers and
 output entries from fixed tables, most of them ill-typed, into either text,
-for the checker-soundness property.
+for the checker-soundness property; ``random_unchecked_ed_component_text``
+mixes more guards, all on the port a transition reads, into event-driven
+text.
 """
 
 from __future__ import annotations
@@ -182,14 +184,18 @@ UNCHECKED_GUARDS = ('{p} < "s"', "!a", "b + 1", "a && b", "b < 1", "a == true", 
 UNCHECKED_INITIALISERS = ("true", '"s"', "--", "[1, 2]", "a", "x", "w", "B", "v", "-1", "3")
 UNCHECKED_OUTPUTS = ("x = true", 'y = "s"', "v = --", "v = [1]", "a = 1", "x = b", "zz = 1",
                      "y = x", "v = b", "x = 1 | true")
+_PORT_GUARDS = tuple(guard for guard in UNCHECKED_GUARDS if "{p}" in guard)
 _TRANSITION = re.compile(r"        S\d -> S\d")
 
 
-def random_unchecked_component_text(rng: random.Random, base=None) -> str:
+def random_unchecked_component_text(rng: random.Random, base=None, guards: float = 0.1,
+                                    guard_table: tuple[str, ...] = UNCHECKED_GUARDS) -> str:
     """The text of ``base`` (default :func:`random_component_text`) with
     entries of the ``UNCHECKED_*`` tables mixed in: the initialiser of ``v``
-    replaced a quarter of the time, and each transition's guard replaced or
-    added a tenth of the time and an output entry added a twentieth."""
+    replaced a quarter of the time, each transition's guard replaced or added
+    from ``guard_table`` with probability ``guards``, and an output entry added
+    a twentieth of the time.  ``{p}`` in a guard stands for a port the
+    transition reads."""
     lines = (base or random_component_text)(rng).split("\n")
     for k, line in enumerate(lines):
         states = _TRANSITION.match(line)
@@ -197,9 +203,9 @@ def random_unchecked_component_text(rng: random.Random, base=None) -> str:
             lines[k] = f"    Integer v = {rng.choice(UNCHECKED_INITIALISERS)};"
         elif states:
             head, end = line.split(" / ")[0].rstrip(";"), states.end()
-            if rng.random() < 0.1:
+            if rng.random() < guards:
                 ports = sorted(set(re.findall(r"\b[ab]\b", head))) or ["a", "b"]
-                guard = rng.choice(UNCHECKED_GUARDS).replace("{p}", rng.choice(ports))
+                guard = rng.choice(guard_table).replace("{p}", rng.choice(ports))
                 line = (re.sub(r"\[.*\]", lambda _: f"[{guard}]", head) if "[" in head
                         else f"{head[:end]} [{guard}]{head[end:]}") + line[len(head):]
             if rng.random() < 0.05:
@@ -208,6 +214,15 @@ def random_unchecked_component_text(rng: random.Random, base=None) -> str:
                         else f"{line[:-1]} / {{{entry}}};")
             lines[k] = line
     return "\n".join(lines)
+
+
+def random_unchecked_ed_component_text(rng: random.Random) -> str:
+    """:func:`random_ed_component_text` with the ``UNCHECKED_*`` tables mixed
+    in.  An event-driven transition fires only on an event on the one port it
+    reads, so an ill-typed guard is evaluated at run time only when it is on
+    that port: guards are mixed in a fifth of the time, all from the entries
+    on that port."""
+    return random_unchecked_component_text(rng, random_ed_component_text, 0.2, _PORT_GUARDS)
 
 
 def _values(rng: random.Random, pool: tuple[str, ...]) -> str:

@@ -134,6 +134,21 @@ def test_two_unnamed_automata_not_a_u1_clash():
     assert [d.code for d in ts] == ["S1TS"]
 
 
+def test_omitted_target_is_not_a_second_undefined_state():
+    # `X / o = 1;` stays in X: one R1 for the source, none for the target the
+    # text leaves out; `X -> X` names it twice and gets two
+    from maa.parser import parse_component_file
+    from maa.resolution import resolve
+    for transition, columns in (("X / o = 1;", [67]), ("X -> X / o = 1;", [67, 72])):
+        unit = parse_component_file(
+            "component C { port out Integer o; "
+            f"automaton {{ state S; initial S; {transition} }} }}", "r.maa")
+        model, rdiags = resolve([unit], [])
+        diags = rdiags + check(model, "generic")
+        assert [(d.code, d.loc.line, d.loc.column) for d in diags] == [
+            ("R1", 1, column) for column in columns]
+
+
 def test_guard_type_error_flagged():
     from maa.parser import parse_component_file
     from maa.resolution import resolve

@@ -158,7 +158,8 @@ def test_closed_stdout_exits_two_without_a_message(tmp_path):
 def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.
-    # Enumeration reads every stimulus row before its first cycle.
+    # Enumeration keeps one record per cycle in its prefix chain, and the rows
+    # it has read, so a long enough run exhausts the memory limit.
     resource = pytest.importorskip("resource")
     limit = 250 * 2**20
     model = tmp_path / "B.maa"

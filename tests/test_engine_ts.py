@@ -487,6 +487,26 @@ def test_runtime_error_names_its_cycle():
         run_ed(model, "C", [Event("a", 1)])
 
 
+def test_enumeration_reads_each_stimulus_row_when_it_reaches_its_cycle():
+    # the run fails in cycle 3 of 10**6: no row after the third is read
+    model = small_model(
+        "component C { port in Integer a, in Integer p, out Integer o; automaton {"
+        " state S; initial S; S a = 1 / o = p; } }")
+    pulled = 0
+
+    def stimulus():
+        nonlocal pulled
+        while True:
+            pulled += 1
+            yield {"a": 1} if pulled == 3 else {}
+
+    with pytest.raises(SimulationError) as raised:
+        enumerate_ts(model, "C", stimulus(), 10**6)
+    assert (raised.value.cycle, raised.value.message) == (
+        3, "forwarding absent message from port 'p'")
+    assert pulled == 3
+
+
 # ---------------------------------------------------------------------------
 # stimulus and event values against their ports' types
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Two kinds of input: random text drawn from the token alphabet plus a few
 stray characters, and corpus files with one token deleted, duplicated or
 swapped with its successor.  Each goes through parsing, resolution, the
-checker under all three profiles and the IR export, none of which may raise.
+checker under all three profiles and the IR export, none of which may raise;
+the export must also equal the reference export of ``ir_reference``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from maa.resolution import resolve
 from maa.syntax import CompilationUnit, format_literal
 
 from conftest import CORPUS, parse_model, parse_types
+from ir_reference import reference_ir
 
 _SYMBOLS = ["<<", ">>", "->", "--", "==", "!=", "<=", ">=", "&&", "||", "{", "}", "[", "]",
             "(", ")", "<", ">", ",", ";", ".", "=", "|", "/", "!", "+", "-", "*", ":"]
@@ -79,7 +81,7 @@ def _pipeline(text: str, others=(), tunits=()) -> None:
     model, _diags = resolve(units, list(tunits))
     for profile in ("generic", "ts", "ed"):
         assert isinstance(check(model, profile), list)
-    assert isinstance(export_ir(model), str)
+    assert export_ir(model) == reference_ir(model)
 
 
 @settings(max_examples=200, deadline=None)

@@ -43,12 +43,12 @@ from maa.syntax import (
 from conftest import CORPUS, parse_model
 from genmodels import (
     random_component_text,
-    random_ed_component_text,
     random_ed_model,
     random_model,
     random_script,
     random_stimulus,
     random_unchecked_component_text,
+    random_unchecked_ed_component_text,
 )
 from reference import (
     MAX_CYCLES,
@@ -409,7 +409,7 @@ def test_time_synchronous_runs_of_checked_models_cannot_go_wrong(seed, n_cycles)
 @given(st.integers(0, 2**32 - 1), st.integers(0, MAX_EVENTS))
 def test_event_driven_runs_of_checked_models_cannot_go_wrong(seed, n_events):
     rng = random.Random(seed)
-    text = random_unchecked_component_text(rng, random_ed_component_text)
+    text = random_unchecked_ed_component_text(rng)
     model, refusal = _unchecked(text, "ed")
     events = [Event(port, value) for port, value in random_script(rng, n_events)]
     _refused_or_sound({"run_ed": lambda: run_ed(model, "Gen", events),

@@ -8,19 +8,11 @@ message must take one cycle per buffer to reach the end of the chain.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-
 import pytest
 
 from maa.cli import main
 
-from conftest import REPO_ROOT
-
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+from conftest import workloads
 
 
 def _command(w, tmp_path) -> list[str]:
