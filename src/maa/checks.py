@@ -217,8 +217,8 @@ class _Checker:
 
     def check_transition(self, trans: Transition, declared: set[str]) -> None:
         if trans.source not in declared:
-            self.emit("R1", trans.source_loc, f"state '{trans.source}' is undefined")
-        if trans.target_loc is not trans.source_loc and trans.target not in declared:
+            self.emit("R1", trans.loc, f"state '{trans.source}' is undefined")
+        if trans.target_loc is not trans.loc and trans.target not in declared:
             self.emit("R1", trans.target_loc, f"state '{trans.target}' is undefined")
         if trans.guard is not None:
             self.check_guard(trans.guard)
@@ -257,7 +257,7 @@ class _Checker:
                     self.emit("T1", alt.loc,
                               f"input on port '{target}' must be a single message, not a sequence")
                 continue
-            self._check_single_value(alt, kind, declared, target, input_side=True)
+            self._check_single_value(alt, declared)
 
     # -- output blocks ---------------------------------------------------------
 
@@ -289,14 +289,13 @@ class _Checker:
                 self.emit("S3TS", alt.loc,
                           f"sending a sequence on port '{target}' exceeds one message per cycle")
                 for element in alt.elements:
-                    self._check_single_value(element, kind, declared, target, input_side=False)
+                    self._check_single_value(element, declared)
                 continue
-            self._check_single_value(alt, kind, declared, target, input_side=False)
+            self._check_single_value(alt, declared)
 
     # -- shared value checking --------------------------------------------------
 
-    def _check_single_value(self, term, kind: str, declared, target: str,
-                            input_side: bool) -> None:
+    def _check_single_value(self, term, declared) -> None:
         if isinstance(term, ERef):
             binding = self.rc.binding(term.name)
             if binding is None or binding[0] == "ambiguous-enum":
@@ -403,13 +402,8 @@ class _Checker:
                     self.emit("T1", expr.loc, f"cannot compare {lt} with {rt}")
                     return None
                 return BOOLEAN
-            if expr.op in ("<", "<=", ">", ">="):
-                if lt != INTEGER or rt != INTEGER:
-                    self.emit("T1", expr.loc, f"operands of '{expr.op}' must be Integer")
-                    return None
-                return BOOLEAN
             if lt != INTEGER or rt != INTEGER:
                 self.emit("T1", expr.loc, f"operands of '{expr.op}' must be Integer")
                 return None
-            return INTEGER
+            return BOOLEAN if expr.op in ("<", "<=", ">", ">=") else INTEGER
         raise TypeError(f"not an expression: {expr!r}")

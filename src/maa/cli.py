@@ -69,9 +69,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        # Dropping the traceback frees the failed call's frames first, so that
-        # even a MemoryError leaves room to report itself.
-        exc.__traceback__ = None
+        # Dropping the tracebacks, and the exceptions chained to this one,
+        # frees the failed call's frames first, so that even a MemoryError
+        # leaves room to report itself.
+        exc.__traceback__ = exc.__context__ = exc.__cause__ = None
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

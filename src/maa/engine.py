@@ -29,11 +29,12 @@ every output block.
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
 initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
 expands every choice point and returns the exact reachable trace set, serving
-as a brute-force oracle for the policy-driven engines.  Every instance of a
-:func:`build_plan` plan fires through :func:`_successors`: once to start, in
-:func:`_initial`, then in the time-synchronous step, :func:`_step`, wired by
+as a brute-force oracle for the policy-driven engines.  Every run starts with
+an ordinary step out of :data:`PRE_START`, where :func:`_start` puts each
+instance with its variables initialised, and every instance fires through
+:func:`_successors`: in the time-synchronous step, :func:`_step`, wired by
 index (a policy follows one branch, the enumerator every branch, with equal
-successors merged), or in ``run_ed`` once per event.
+successors merged), or in ``run_ed`` once to start and once per event.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .syntax import (
     EUnary,
     Expr,
     InitialDecl,
-    NoData,
     SequenceValue,
     Transition,
     ValueTerm,
@@ -169,12 +169,16 @@ def _policy_branches(policy: Policy):
 def _every_branch(options: list) -> list[tuple]:
     """Every option with every selection of one alternative per output entry."""
     return [(option, picks) for option in options
-            for picks in itertools.product(*(a.alternatives for a in option.assigns))]
+            for picks in itertools.product(*[a.alternatives for a in option.assigns])]
 
 
 # ---------------------------------------------------------------------------
 # States and traces
 # ---------------------------------------------------------------------------
+#
+# Code that runs every cycle builds lists and maps, not generators: a
+# generator that a MemoryError leaves suspended needs memory to be closed, so
+# the run could not end in one line of ``internal error``.
 
 @dataclass(frozen=True)
 class ComponentState:
@@ -185,8 +189,8 @@ class ComponentState:
     variables: dict[str, Value] = field(default_factory=dict)
 
     def freeze(self) -> tuple:
-        return (self.state, tuple(sorted(
-            (k, _freeze_value(v)) for k, v in self.variables.items())))
+        return (self.state, tuple(sorted([
+            (k, _freeze_value(v)) for k, v in self.variables.items()])))
 
 
 @dataclass
@@ -199,9 +203,9 @@ class CycleRecord:
     def freeze(self) -> tuple:
         return (
             self.index,
-            tuple(sorted((k, _freeze_slot(v)) for k, v in self.inputs.items())),
-            tuple(sorted((k, _freeze_slot(v)) for k, v in self.outputs.items())),
-            tuple(sorted((k, s.freeze()) for k, s in self.states.items())),
+            tuple(sorted([(k, _freeze_slot(v)) for k, v in self.inputs.items()])),
+            tuple(sorted([(k, _freeze_slot(v)) for k, v in self.outputs.items()])),
+            tuple(sorted([(k, s.freeze()) for k, s in self.states.items()])),
         )
 
 
@@ -256,27 +260,11 @@ _OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": oper
 _UNARY = {"!": operator.not_, "-": operator.neg}
 
 
-def _key(term) -> tuple:
-    """A term's structure, type-exact (``1`` is not ``true``): equal keys
-    compile alike."""
-    kind = type(term)
-    if kind is ELit:
-        return (kind, type(term.value), term.value)
-    if kind is ERef:
-        return (kind, term.name)
-    if kind is EUnary:
-        return (kind, term.op, _key(term.operand))
-    if kind is EBinary:
-        return (kind, term.op, _key(term.left), _key(term.right))
-    if kind is SequenceValue:
-        return (kind, *map(_key, term.elements))
-    return (kind,)  # NoData
-
-
 class _Compiler:
     """Compiles one automaton's terms and entries into closures, each distinct
-    one once: equal terms, guards, entries, blocks and port sets are one
-    shared object.  Its memo lives for one :func:`lower` call."""
+    one once: equal AST nodes, whose equality is type-exact and ignores
+    locations, share one closure, and so do equal guards, entries, blocks and
+    port sets.  Its memo, keyed by the nodes, lives for one :func:`lower` call."""
 
     def __init__(self, rc: ResolvedComponent):
         self.rc = rc
@@ -292,7 +280,7 @@ class _Compiler:
         """A guard expression or single value term.  A bare name is read as
         the name table says, chosen here once: an in-port's message, a
         variable's value, or an enum literal's constant."""
-        return self.shared(_key(term), lambda: self._build(term))
+        return self.shared(term, lambda: self._build(term))
 
     def _build(self, term) -> Compiled:
         kind = type(term)
@@ -319,7 +307,7 @@ class _Compiler:
             value = term.value if kind is ELit else ABSENT  # NoData
         return lambda inputs, variables: value
 
-    def guard(self, expr: Expr, ports: frozenset[str]) -> Compiled:
+    def guard(self, expr: Expr, ports: set[str]) -> Compiled:
         """Whether a guard holds: false while an in-port it reads is absent."""
         def build():
             value, absent_when = self.term(expr), tuple(ports)
@@ -330,7 +318,7 @@ class _Compiler:
                         return False
                 return value(inputs, variables)
             return holds
-        return self.shared(("guard", _key(expr)), build)
+        return self.shared(("guard", expr), build)
 
     def match(self, entry) -> Compiled:
         """Whether an input-block entry holds; an absent port satisfies only
@@ -348,7 +336,7 @@ class _Compiler:
                         return True
                 return False
             return holds
-        return self.shared(("match", target, *map(_key, entry.alternatives)), build)
+        return self.shared(("match", target, *entry.alternatives), build)
 
     def message(self, term: ValueTerm) -> Compiled:
         """What an output alternative sends: ABSENT for ``--``, a list for a
@@ -357,7 +345,7 @@ class _Compiler:
         kind = type(term)
         if kind is SequenceValue:
             elements = [self.message(e) for e in term.elements]
-            return self.shared(("send", _key(term)), lambda: (
+            return self.shared(("send", term), lambda: (
                 lambda inputs, variables: [e(inputs, variables) for e in elements]))
         if kind is not ERef or self.rc.kind(term.name) != "in":
             return self.term(term)
@@ -373,7 +361,7 @@ class _Compiler:
 
     def entry(self, assignment) -> "LoweredEntry":
         target, alternatives = self.rc.target(assignment).name, assignment.alternatives
-        return self.shared(("entry", target, *map(_key, alternatives)),
+        return self.shared(("entry", target, *alternatives),
                            lambda: LoweredEntry(target, self.rc.kind(target), [
                                self.message(a) for a in alternatives]))
 
@@ -402,15 +390,14 @@ PRE_START = "<start>"  # the state before an instance starts, never a \w+ state 
 
 class LoweredTransition(NamedTuple):
     """A transition with its guard and entries compiled.  The guard is false
-    while an in-port it reads (``guard_ports``) is absent.  Under the
-    event-driven profile a transition reacts only to the one port it ``reads``.
+    while an in-port it reads is absent.  Under the event-driven profile a
+    transition reacts only to the one port it ``reads``.
     An initial declaration is a guardless transition out of :data:`PRE_START`;
     a silent start has no ``transition``."""
 
     transition: Union[Transition, InitialDecl, None]
     target: Optional[str]
     guard: Optional[Compiled]
-    guard_ports: frozenset[str]
     reads: frozenset[str]
     matches: tuple[Compiled, ...]  # whether each input-block entry holds
     assigns: tuple[LoweredEntry, ...]
@@ -471,16 +458,15 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     compiler = _Compiler(rc)
     by_state: dict[str, list[LoweredTransition]] = {}
     for t in automaton.transitions:
-        guard_ports, reads = (compiler.memo.setdefault(ports, ports)
-                              for ports in map(frozenset, rc.ports_read(t)))
+        guard_ports, ports = rc.ports_read(t)
+        reads = compiler.shared(frozenset(ports), lambda: frozenset(ports))
         guard = compiler.guard(t.guard.expr, guard_ports) if t.guard is not None else None
         by_state.setdefault(t.source, []).append(LoweredTransition(
-            t, t.target, guard, guard_ports, reads, compiler.inputs(t.input),
-            *compiler.outputs(t.output)))
+            t, t.target, guard, reads, compiler.inputs(t.input), *compiler.outputs(t.output)))
     # without an initial declaration (warning C1), start silently in the first state
     starts = [(i, i.state, i.output) for i in automaton.initials] or [
         (None, automaton.states[0].name if automaton.states else None, None)]
-    by_state[PRE_START] = [LoweredTransition(decl, target, None, frozenset(), frozenset(), (),
+    by_state[PRE_START] = [LoweredTransition(decl, target, None, frozenset(), (),
                                              *compiler.outputs(output))
                            for decl, target, output in starts]
     variables = {var.name: (None if var.initial is None else compiler.term(var.initial),
@@ -619,9 +605,9 @@ def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
 # Firing, under either profile
 # ---------------------------------------------------------------------------
 
-def _initial(inst: AtomicInstance, model: ResolvedModel, branches) -> list[tuple]:
-    """Every (state, outputs) an instance may start with: its variables
-    initialised, it fires out of :data:`PRE_START` with every in-port absent."""
+def _start(inst: AtomicInstance, model: ResolvedModel) -> ComponentState:
+    """An instance before its first step: in :data:`PRE_START`, with its
+    variables initialised in declaration order."""
     variables: dict[str, Value] = {}
     for name, (initial, declared) in inst.behaviour.variables.items():
         if initial is None:
@@ -631,8 +617,7 @@ def _initial(inst: AtomicInstance, model: ResolvedModel, branches) -> list[tuple
             variables[name] = initial({}, variables)
         except KeyError as exc:  # it reads a variable declared after it
             raise SimulationError(f"unresolved name '{exc.args[0]}' at runtime") from None
-    return _successors(inst, ComponentState(PRE_START, variables),
-                       dict.fromkeys(inst.rc.in_ports, ABSENT), branches)
+    return ComponentState(PRE_START, variables)
 
 
 def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot], branches,
@@ -661,12 +646,18 @@ def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot
 # ``sent`` maps each out-port the instance sent a message on in the last cycle
 # to that message.
 
-def _sent(outputs: list[tuple[str, object]], initial: bool = False) -> dict[str, Value]:
-    """The messages an instance sends for the next cycle, at most one per out-port."""
+def _pre_start(plan: SystemPlan) -> tuple:
+    """The joint state a run starts from: each instance in PRE_START, nothing sent."""
+    return tuple((_start(inst, plan.model), {}) for inst in plan.instances)
+
+
+def _sent(outputs: list[tuple[str, object]], state: Optional[str]) -> dict[str, Value]:
+    """The messages an instance sends for the next cycle from a step out of
+    ``state``, at most one per out-port."""
     sent = {}
     for port, value in outputs:
         if isinstance(value, list):
-            what = (f"initial output on port '{port}' is a sequence" if initial
+            what = (f"initial output on port '{port}' is a sequence" if state == PRE_START
                     else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
                 f"{what}; the time-synchronous profile allows one message per port")
@@ -682,25 +673,16 @@ def _distinct(successors: list[tuple]) -> list[tuple]:
     before the joint product loses no trace."""
     merged: dict[tuple, tuple] = {}
     for cs, sent in successors:
-        key = (cs.freeze(), frozenset((port, _freeze_value(v)) for port, v in sent.items()))
+        key = (cs.freeze(), frozenset([(port, _freeze_value(v)) for port, v in sent.items()]))
         merged.setdefault(key, (cs, sent))
     return list(merged.values())
 
 
-def _initial_ts(plan: SystemPlan, branches) -> itertools.product:
-    """Every distinct joint initial state that ``branches`` admits."""
-    per_instance = []
-    for inst in plan.instances:
-        successors = [(cs, _sent(outputs, initial=True))
-                      for cs, outputs in _initial(inst, plan.model, branches)]
-        per_instance.append(successors if len(successors) == 1 else _distinct(successors))
-    return itertools.product(*per_instance)
-
-
 def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
-          cycle: int) -> tuple[dict[str, Slot], itertools.product]:
+          cycle: Optional[int]) -> tuple[dict[str, Slot], itertools.product]:
     """One global cycle: the outputs observed outside, and every distinct
-    successor joint state that ``branches`` admits.
+    successor joint state that ``branches`` admits.  A run starts with a step
+    out of :func:`_pre_start`, in cycle None, whose observed outputs are unused.
 
     Each instance reads what was sent in the previous cycle and fires one
     enabled transition, or completes idle: unchanged and silent.  An
@@ -715,10 +697,10 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
             successors = _successors(inst, cs, _read(inst.wires, sources), branches)
             if len(successors) == 1:
                 [(successor, outputs)] = successors
-                per_instance.append([(successor, _sent(outputs) if outputs else {})])
+                per_instance.append([(successor, _sent(outputs, cs.state) if outputs else {})])
             else:
                 per_instance.append(_distinct(
-                    [(successor, _sent(outputs)) for successor, outputs in successors]))
+                    [(successor, _sent(outputs, cs.state)) for successor, outputs in successors]))
     except SimulationError as exc:
         raise SimulationError(exc.message, cycle) from None
     return _read(plan.wires, sources), itertools.product(*per_instance)
@@ -758,19 +740,20 @@ def _rows(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]],
     """The external input of each of ``n_cycles`` cycles, read from
     ``stimulus`` one row at a time: every in-port of the main component, absent
     where the row has no message or the stimulus has ended.  Each message must
-    have its port's type."""
+    have its port's type.  A map, not a generator (see "States and traces")."""
     main = plan.main
     accepts = _accepts(plan.model, main)
-    rows = iter(stimulus)
-    for _ in range(n_cycles):
-        row = next(rows, {})
+
+    def row_of(row: dict[str, Slot]) -> dict[str, Slot]:
         for port, value in row.items():
             if port not in accepts:
                 raise SetupError(f"stimulus column '{port}' is not an in-port of "
                                  f"'{main.qname}'")
             if value is not ABSENT and not accepts[port](value):
                 raise _mistyped("stimulus", main, port, value)
-        yield {port: row.get(port, ABSENT) for port in main.in_ports}
+        return {port: row.get(port, ABSENT) for port in main.in_ports}
+    padded = itertools.chain(stimulus, itertools.repeat({}))
+    return map(row_of, itertools.islice(padded, n_cycles))
 
 
 def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
@@ -783,7 +766,7 @@ def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]]
         raise SetupError("a run needs at least one cycle")
     plan = build_plan(model, main)
     branches = _policy_branches(policy)
-    (state,) = _initial_ts(plan, branches)
+    _, (state,) = _step(plan, _pre_start(plan), {}, branches, None)
     for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
         observed, (state,) = _step(plan, state, external, branches, index)
         yield _record(plan, index, external, observed, state)
@@ -822,7 +805,8 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
     # A node is (joint state, cycle, prefix); a prefix is None or (record, its
     # frozen form, parent prefix), so traces with a common prefix share its
     # records, and each record is frozen once however many traces it starts.
-    stack = [(state, 1, None) for state in _initial_ts(plan, _every_branch)]
+    _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
+    stack = [(state, 1, None) for state in starts]
     stack.reverse()
     results: dict[tuple, Trace] = {}
     while stack:
@@ -876,9 +860,9 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
     branches = _policy_branches(policy)
-    [(cs, outputs)] = _initial(inst, model, branches)
-    trace = EventTrace(cs.state, _emissions(outputs), [])
     silent = dict.fromkeys(rc.in_ports, ABSENT)
+    [(cs, outputs)] = _successors(inst, _start(inst, model), silent, branches)
+    trace = EventTrace(cs.state, _emissions(outputs), [])
     accepts = _accepts(model, rc)
     for event in script:
         if event.port not in silent:

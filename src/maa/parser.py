@@ -356,7 +356,7 @@ class _Parser:
         output_block = self._block(Assignment) if self._accept("/") else None
         self._expect(";")
         return Transition(source.text, target.text, guard, input_block, output_block,
-                          source.loc, source_loc=source.loc, target_loc=target.loc)
+                          source.loc, target_loc=target.loc)
 
     def _starts_value(self) -> bool:
         tok = self._peek()

@@ -129,9 +129,8 @@ class ResolvedComponent:
     subcomponents: dict[str, ResolvedSub] = field(default_factory=dict)
     in_ports: list[str] = field(default_factory=list)  # in declaration order
     out_ports: list[str] = field(default_factory=list)
-    # id of an unnamed input or output entry -> (the entry, its target);
-    # holding the entry keeps its id from being reused
-    _targets: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
+    # (class, *alternatives) of an unnamed input or output entry -> its target
+    _targets: dict[tuple, Inference] = field(default_factory=dict, repr=False, compare=False)
 
     def binding(self, name: str):
         """What a bare name denotes in this component.
@@ -154,20 +153,20 @@ class ResolvedComponent:
         A named entry targets its name if a port or variable is declared so.
         An unnamed one targets the only in-port (out-port for an output) or
         variable that admits every alternative; that is inferred once per
-        entry, since nothing writes the AST after parsing.
+        distinct entry, since equal entries of one class infer alike.
         """
         if entry.target is not None:
             if self.kind(entry.target) in ("in", "out", "var"):
                 return Inference("ok", entry.target, (entry.target,))
             return Inference("none", None)
-        memo = self._targets.get(id(entry))
-        if memo is None:
+        key = (type(entry), *entry.alternatives)
+        found = self._targets.get(key)
+        if found is None:
             kinds = ("in" if isinstance(entry, Match) else "out", "var")
             candidates = {name: denoted for name, denoted in self.names.items()
                           if denoted[0] in kinds}
-            memo = self._targets[id(entry)] = (
-                entry, infer_block_target(entry.alternatives, candidates, self))
-        return memo[1]
+            found = self._targets[key] = infer_block_target(entry.alternatives, candidates, self)
+        return found
 
     def ports_read(self, trans: Transition) -> tuple[set[str], set[str]]:
         """The in-ports a transition's guard reads, and all the in-ports it

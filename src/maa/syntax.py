@@ -3,11 +3,12 @@
 A literal or a name is one node, :class:`ELit` or :class:`ERef`, and means the
 same in a guard as in an input or output block.
 
-Location fields never take part in equality, so two parses of equivalent text
-compare equal structurally.  Nodes are never written after parsing: what a
-name denotes and which port or variable an entry targets are answered by
+Location fields take part in neither equality nor hashing, so two parses of
+equivalent text compare equal structurally.  Nodes are never written after
+parsing, which is why terms may be hashed: what a name denotes and which port
+or variable an entry targets are answered by
 :class:`maa.resolution.ResolvedComponent`, so one parsed unit can be resolved
-into any number of models.
+into any number of models, and equal terms can share one compiled form.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ class ELit:
             return NotImplemented
         return type(self.value) is type(other.value) and self.value == other.value
 
+    def __hash__(self) -> int:
+        return hash(self.value)
 
-@dataclass
+
+@dataclass(unsafe_hash=True)
 class ERef:
     """A bare name, in a guard or a block: a port/variable reference or an
     enum literal.
@@ -52,7 +56,7 @@ class ERef:
     loc: SourceLoc = _loc()
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class NoData:
     """The absence symbol ``--``."""
 
@@ -64,6 +68,9 @@ class SequenceValue:
     elements: list["ValueTerm"]
     loc: SourceLoc = _loc()
 
+    def __hash__(self) -> int:
+        return hash(tuple(self.elements))
+
 
 ValueTerm = Union[ELit, ERef, NoData, SequenceValue]
 
@@ -72,14 +79,14 @@ ValueTerm = Union[ELit, ERef, NoData, SequenceValue]
 # Guard expressions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class EUnary:
     op: str  # "!" or "-"
     operand: "Expr"
     loc: SourceLoc = _loc()
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class EBinary:
     op: str
     left: "Expr"
@@ -144,12 +151,11 @@ class InitialDecl:
 @dataclass
 class Transition:
     source: str
-    target: str  # equals source when omitted in the text
+    target: str  # equals source, and target_loc is loc, when omitted in the text
     guard: Optional[Guard]
     input: Optional[list[Match]]
     output: Optional[list[Assignment]]
     loc: SourceLoc = _loc()
-    source_loc: SourceLoc = field(default=None, compare=False, repr=False)
     target_loc: SourceLoc = field(default=None, compare=False, repr=False)
 
 

@@ -159,9 +159,11 @@ def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.
     # Enumeration keeps one record per cycle in its prefix chain, and the rows
-    # it has read, so a long enough run exhausts the memory limit.
+    # it has read, so a long enough run exhausts the memory limit.  Interpreter
+    # start and imports take about 21 MB of address space; the smaller the
+    # limit above that, the sooner the run reaches the handler.
     resource = pytest.importorskip("resource")
-    limit = 250 * 2**20
+    limit = 100 * 2**20
     model = tmp_path / "B.maa"
     model.write_text("component B { port in Integer p, out Integer o; automaton {"
                      " state S; initial S; S / o = 1; } }", encoding="utf-8")

@@ -130,12 +130,10 @@ def test_lowering_shares_equal_port_sets():
         " S [b > 0] / o = 3; } }")
     rc = model.components["C"]
     lowered = lower(rc)
-    first, third = lowered.by_state["S"]
+    first, _ = lowered.by_state["S"]
     (second,) = lowered.by_state["T"]
-    assert first.guard_ports == {"a"} and first.reads == {"a", "b"}
-    assert first.guard_ports is second.guard_ports
+    assert first.reads == {"a", "b"}
     assert first.reads is second.reads
-    assert third.guard_ports is third.reads
 
 
 def test_lowering_compiles_each_distinct_guard_and_entry_once():

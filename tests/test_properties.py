@@ -89,6 +89,7 @@ def test_value_print_parse_round_trip(term):
     assert isinstance(unit, CompilationUnit), unit
     parsed = unit.component.automata[0].transitions[0].output[0].alternatives[0]
     assert parsed == term
+    assert hash(parsed) == hash(term)
 
 
 _exprs = st.recursive(
@@ -114,6 +115,7 @@ def test_expr_print_parse_round_trip(expr):
     assert isinstance(unit, CompilationUnit), (unit, format_expr(expr))
     parsed = unit.component.automata[0].transitions[0].guard.expr
     assert parsed == expr
+    assert hash(parsed) == hash(expr)
 
 
 def test_corpus_double_round_trip_fixed_point():
