@@ -12,7 +12,9 @@ Rule families:
 Every rule fires once per offending site.  Type rules skip terms that contain
 unresolved names: those are already reported as R2 and would only cascade.
 The rules of every profile run in one pass per model, whose result the model
-keeps; a profile selects its rules from that list by the catalog.
+keeps.  A finding of a profile's own rule (S family) is only recorded in that
+pass; its :class:`Diagnostic` is built when that profile is first checked, so
+a time-synchronous check builds none for the event-driven rules.
 """
 
 from __future__ import annotations
@@ -100,21 +102,44 @@ def check(model: ResolvedModel, profile: str = "generic") -> list[Diagnostic]:
     location; the first call on a model runs every profile's rules at once."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    if model._checked is None:
+    checked = model._checked
+    if checked is None:
         diags: list[Diagnostic] = []
+        later: dict[str, list[tuple]] = {"ts": [], "ed": []}
         for rc in model.components.values():
-            _Checker(rc, diags).run()
-        model._checked = sort_diagnostics(diags)
-    return [d for d in model._checked if _PROFILE_OF[d.code] in ("all", profile)]
+            _Checker(rc, diags, later).run()
+        checked = model._checked = {"generic": sort_diagnostics(diags), "later": later}
+    if profile not in checked:
+        checked[profile] = sort_diagnostics(checked["generic"] + [
+            Diagnostic.at(code, loc, _message(message, subject))
+            for code, loc, message, subject in checked["later"].pop(profile)])
+    return list(checked[profile])
+
+
+def _message(message, subject) -> str:
+    return message if subject is None else message(subject)
+
+
+def _several_ports(ports) -> str:
+    return f"transition reads more than one port ({', '.join(sorted(ports))})"
 
 
 class _Checker:
-    def __init__(self, rc: ResolvedComponent, diags: list[Diagnostic]):
+    def __init__(self, rc: ResolvedComponent, diags: list[Diagnostic],
+                 later: dict[str, list[tuple]]):
         self.rc = rc
         self.diags = diags
+        self.later = later
 
-    def emit(self, code: str, loc, message: str) -> None:
-        self.diags.append(Diagnostic.at(code, loc, message))
+    def emit(self, code: str, loc, message, subject=None) -> None:
+        """Report ``message``, or with a ``subject``, ``message(subject)``, at
+        ``loc``.  A finding of a profile's own rule is kept as given, to be
+        built when that profile is checked."""
+        profile = _PROFILE_OF[code]
+        if profile == "all":
+            self.diags.append(Diagnostic.at(code, loc, _message(message, subject)))
+        else:
+            self.later[profile].append((code, loc, message, subject))
 
     def run(self) -> None:
         self.check_uniqueness()
@@ -228,8 +253,7 @@ class _Checker:
             self.check_assignment(assign)
         _, ports = self.rc.ports_read(trans)
         if len(ports) > 1:
-            names = ", ".join(sorted(ports))
-            self.emit("S2ED", trans.loc, f"transition reads more than one port ({names})")
+            self.emit("S2ED", trans.loc, _several_ports, ports)
 
     # -- input blocks ---------------------------------------------------------
 

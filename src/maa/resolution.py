@@ -131,6 +131,9 @@ class ResolvedComponent:
     out_ports: list[str] = field(default_factory=list)
     # (class, *alternatives) of an unnamed input or output entry -> its target
     _targets: dict[tuple, Inference] = field(default_factory=dict, repr=False, compare=False)
+    # id of a transition -> (it, ports_read's answer), and each distinct answer
+    # -> itself, so that equal answers are one object
+    _reads: dict[object, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def binding(self, name: str):
         """What a bare name denotes in this component.
@@ -168,13 +171,21 @@ class ResolvedComponent:
             found = self._targets[key] = infer_block_target(entry.alternatives, candidates, self)
         return found
 
-    def ports_read(self, trans: Transition) -> tuple[set[str], set[str]]:
+    def ports_read(self, trans: Transition) -> tuple[frozenset[str], frozenset[str]]:
         """The in-ports a transition's guard reads, and all the in-ports it
         reads: those and the ones its input block matches.
 
         The event-driven profile allows one (rule S2ED), and a transition
-        reacts only to events on that port.
+        reacts only to events on that port.  Computed once per transition,
+        since the checker and the engine both ask; equal answers are shared.
         """
+        found = self._reads.get(id(trans))
+        if found is None or found[0] is not trans:
+            answer = self._read_ports(trans)
+            found = self._reads[id(trans)] = (trans, self._reads.setdefault(answer, answer))
+        return found[1]
+
+    def _read_ports(self, trans: Transition) -> tuple[frozenset[str], frozenset[str]]:
         guard: set[str] = set()
         if trans.guard is not None:
             guard = {ref.name for ref in expr_refs(trans.guard.expr)
@@ -184,7 +195,7 @@ class ResolvedComponent:
             name = self.target(match).name
             if self.kind(name) == "in":
                 reads.add(name)
-        return guard, reads
+        return frozenset(guard), frozenset(reads)
 
 
 @dataclass
@@ -192,8 +203,9 @@ class ResolvedModel:
     components: dict[str, ResolvedComponent] = field(default_factory=dict)
     enums: dict[str, EnumInfo] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)  # what resolve reported
-    # every rule's diagnostics under every profile, sorted; filled by checks.check
-    _checked: Optional[list[Diagnostic]] = field(default=None, repr=False, compare=False)
+    # filled by checks.check: each profile checked so far -> its sorted
+    # diagnostics, and "later" -> the findings of profiles not checked yet
+    _checked: Optional[dict[str, list]] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------

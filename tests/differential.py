@@ -13,7 +13,8 @@ Each output line is the sha256 of one run's exit code, stdout and stderr,
 then the run's arguments.  The models are every directory under ``models/``
 (each resolved as one model, every component a main in turn) and ``--models``
 generated ones (default 500, drawn from ``--seed``): time-synchronous,
-event-driven and unchecked texts of ``tests/genmodels.py`` in turn.  Each
+event-driven and unchecked texts of ``tests/genmodels.py`` in turn, with its
+types unit.  Each
 model is run through:
 
 * ``check --profile {generic,ts,ed} --format {text,json}``
@@ -45,6 +46,7 @@ sys.path.insert(0, str(HERE))
 
 import genmodels  # noqa: E402
 from maa.cli import main  # noqa: E402
+from maa.engine import ABSENT  # noqa: E402
 from maa.parser import parse_component_file, parse_types_file  # noqa: E402
 from maa.resolution import BuiltinType, EnumType, resolve  # noqa: E402
 
@@ -129,7 +131,7 @@ def cell_text(value) -> str:
     """A generated stimulus or event value as a cell."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value) if isinstance(value, int) else "--"
+    return "--" if value is ABSENT else str(value)
 
 
 def generated(count: int, seed: int) -> list[list[str]]:
@@ -138,17 +140,20 @@ def generated(count: int, seed: int) -> list[list[str]]:
              lambda rng: genmodels.random_unchecked_component_text(
                  rng, rng.choice((None, genmodels.random_ed_component_text))))
     argvs = []
+    Path("gen.types").write_text(genmodels.TYPES, encoding="utf-8")
     for k in range(count):
         rng = random.Random(f"{seed}:{k}")
         name = f"gen{k}.maa"
         Path(name).write_text(bases[k % 3](rng), encoding="utf-8")
         stimulus, script = f"gen{k}.tsv", f"gen{k}.txt"
         rows = genmodels.random_stimulus(rng, CYCLES)
-        Path(stimulus).write_text("a\tb\n" + "".join(
-            f"{cell_text(row['a'])}\t{cell_text(row['b'])}\n" for row in rows), encoding="utf-8")
+        Path(stimulus).write_text("a\tb\tm\n" + "".join(
+            "\t".join([cell_text(row[port]) for port in "abm"]) + "\n" for row in rows),
+            encoding="utf-8")
         Path(script).write_text("".join(f"{port} {cell_text(value)}\n" for port, value
                                         in genmodels.random_script(rng, EVENTS)), encoding="utf-8")
-        argvs += runs([name], [("Gen", stimulus, script)], rng.randrange(100))
+        argvs += runs([name, "--types", "gen.types"], [("Gen", stimulus, script)],
+                      rng.randrange(100))
     return argvs
 
 

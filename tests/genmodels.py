@@ -1,9 +1,13 @@
 """Random model and stimulus generators for the property suites.
 
-Generated components are atomic, three-state machines over two in-ports
-(Integer a, Boolean b), two Integer out-ports, and one Integer variable.
-Output entries may offer two alternatives, possibly equal, and a quarter of
-the transitions are declared twice, so equal sibling successors occur.
+Generated components are atomic, three-state machines over three in-ports
+(Integer a, Boolean b, and m of the enum ``gen.Mode`` that :data:`TYPES`
+declares and the text imports), two Integer out-ports, and one Integer
+variable.  Output entries may offer two alternatives, possibly equal, and a
+quarter of the transitions are declared twice, so equal sibling successors
+occur.  Input blocks match literals, enum literals, ``--`` and the variable,
+so a state mixes transitions that the engine's dispatch index files under a
+port's value with ones it tests whatever that value is.
 
 A quarter of the models declare no initial state, so they start silently in
 S0 (warning C1 only).  ``random_model`` gives time-synchronous-clean machines,
@@ -29,23 +33,29 @@ import random
 import re
 
 from maa.checks import check
-from maa.engine import ABSENT
-from maa.parser import parse_component_file
+from maa.engine import ABSENT, EnumValue
+from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
 STATES = ("S0", "S1", "S2")
 COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+MODES = ("M0", "M1", "M2")
+# The types unit every generated component imports its enum from.
+TYPES = "package gen;\n\nenum Mode { M0, M1, M2 }\n"
 
 
 def _header(rng: random.Random, initial_values: tuple[str, ...],
             initials: int) -> list[str]:
     """The lines before the transitions: ports, variable, states, initials."""
     return [
+        "import gen.Mode;",
+        "",
         "component Gen {",
         "    port",
         "        in Integer a,",
         "        in Boolean b,",
+        "        in Mode m,",
         "        out Integer x,",
         "        out Integer y;",
         "",
@@ -117,6 +127,8 @@ def random_component_text(rng: random.Random) -> str:
                 matches.append(f"a = {alts}")
             if rng.random() < 0.5:
                 matches.append(f"b = {rng.choice(('true', 'false', '--'))}")
+            if rng.random() < 0.5:
+                matches.append(f"m = {rng.choice(('M0 | M2', 'M1', 'M2 | M1', '--'))}")
             if rng.random() < 0.3:
                 matches.append(f"v = {rng.randrange(-2, 5)}")
             if matches:
@@ -140,18 +152,21 @@ def random_ed_component_text(rng: random.Random) -> str:
     lines = _header(rng, ("0", "1", "[1, 2]", "--"), rng.choice((0, 1, 1, 1)))
     transitions: list[str] = []
     for _ in range(rng.randrange(6, 12)):
-        port = rng.choice(("a", "b"))
+        port = rng.choice(("a", "b", "m"))
         parts = [f"        {rng.choice(STATES)} -> {rng.choice(STATES)}"]
         guarded = rng.choice((None, port, port, "v"))
         if guarded == "b":
             parts.append(rng.choice(("[b]", "[!b]")))
+        elif guarded == "m":
+            parts.append(f"[m {rng.choice(('==', '!='))} {rng.choice(MODES)}]")
         elif guarded is not None:
             op = rng.choice(("<", "<=", ">", ">=", "==", "!="))
             parts.append(f"[{guarded} {op} {rng.randrange(-2, 5)}]")
         matches = []
         if guarded != port or rng.random() < 1 / 3:
-            matches.append(f"a = {_values(rng, ('-1', '0', '1', '2', '3'))}" if port == "a"
-                           else f"b = {rng.choice(('true', 'false'))}")
+            matches.append({"a": f"a = {_values(rng, ('-1', '0', '1', '2', '3'))}",
+                            "b": f"b = {rng.choice(('true', 'false'))}",
+                            "m": f"m = {_values(rng, MODES)}"}[port])
         if rng.random() < 0.3:
             matches.append(f"v = {rng.randrange(-2, 5)}")
         if matches:
@@ -204,7 +219,7 @@ def random_unchecked_component_text(rng: random.Random, base=None, guards: float
         elif states:
             head, end = line.split(" / ")[0].rstrip(";"), states.end()
             if rng.random() < guards:
-                ports = sorted(set(re.findall(r"\b[ab]\b", head))) or ["a", "b"]
+                ports = sorted(set(re.findall(r"\b[abm]\b", head))) or ["a", "b"]
                 guard = rng.choice(guard_table).replace("{p}", rng.choice(ports))
                 line = (re.sub(r"\[.*\]", lambda _: f"[{guard}]", head) if "[" in head
                         else f"{head[:end]} [{guard}]{head[end:]}") + line[len(head):]
@@ -233,10 +248,16 @@ def _values(rng: random.Random, pool: tuple[str, ...]) -> str:
     return rng.choice(pool)
 
 
-def _clean_model(text: str, profile: str):
+def resolve_text(text: str):
+    """The model of one generated component text with :data:`TYPES`, and
+    resolution's diagnostics."""
     unit = parse_component_file(text, "gen.maa")
     assert isinstance(unit, CompilationUnit), (unit, text)
-    model, rdiags = resolve([unit], [])
+    return resolve([unit], [parse_types_file(TYPES, "gen.types")])
+
+
+def _clean_model(text: str, profile: str):
+    model, rdiags = resolve_text(text)
     diags = rdiags + check(model, profile)
     errors = [d for d in diags if d.severity == "error"]
     assert errors == [], (text, [d.render() for d in errors])
@@ -253,10 +274,15 @@ def random_ed_model(rng: random.Random):
     return _clean_model(random_ed_component_text(rng), "ed")
 
 
+def mode(literal: str) -> EnumValue:
+    return EnumValue("gen.Mode", literal)
+
+
 def random_row(rng: random.Random) -> dict:
     a = ABSENT if rng.random() < 0.35 else rng.randrange(-2, 5)
     b = ABSENT if rng.random() < 0.35 else rng.random() < 0.5
-    return {"a": a, "b": b}
+    m = ABSENT if rng.random() < 0.35 else mode(rng.choice(MODES))
+    return {"a": a, "b": b, "m": m}
 
 
 def random_stimulus(rng: random.Random, n_cycles: int) -> list[dict]:
@@ -264,9 +290,11 @@ def random_stimulus(rng: random.Random, n_cycles: int) -> list[dict]:
 
 
 def random_script(rng: random.Random, n_events: int) -> list[tuple[str, object]]:
-    """Events as (in-port, value) pairs: an Integer on a or a Boolean on b."""
-    return [("a", rng.randrange(-2, 5)) if rng.random() < 0.5 else ("b", rng.random() < 0.5)
-            for _ in range(n_events)]
+    """Events as (in-port, value) pairs: an Integer on a, a Boolean on b or a
+    Mode on m."""
+    events = {"a": lambda: rng.randrange(-2, 5), "b": lambda: rng.random() < 0.5,
+              "m": lambda: mode(rng.choice(MODES))}
+    return [(port, events[port]()) for port in rng.choices("abm", k=n_events)]
 
 
 def perturbed_at(rng: random.Random, rows: list[dict], cycle: int) -> list[dict]:

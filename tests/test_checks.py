@@ -227,3 +227,49 @@ def test_check_evaluates_the_rules_once_per_model(monkeypatch):
     for profile in ("ts", "generic", "ed", "ts"):
         check(model, profile)
     assert sorted(runs) == sorted(model.components)
+
+
+def test_a_profile_builds_the_diagnostics_of_its_own_rules_only(monkeypatch):
+    import maa.checks
+    built = []
+    at = maa.checks.Diagnostic.at
+
+    def counting(code, loc, message):
+        built.append(code)
+        return at(code, loc, message)
+
+    monkeypatch.setattr(maa.checks.Diagnostic, "at", counting)
+    model = _every_profile_model()
+    check(model, "ts")
+    check(model, "generic")
+    assert "S2ED" not in built and "S3ED" not in built and "S1ED" not in built
+    assert {"S1TS", "S2TS", "S3TS"} <= set(built)
+    check(model, "ed")
+    assert built.count("S2ED") == 1 and "S3ED" in built
+    check(model, "ed")
+    assert built.count("S2ED") == 1  # built once, when the profile is first asked for
+
+
+def test_sim_ts_computes_the_ports_each_transition_reads_once(monkeypatch, tmp_path, capsys):
+    from collections import Counter
+
+    from conftest import workloads
+    from maa.cli import main
+    from maa.resolution import ResolvedComponent
+    computed = Counter()
+    read_ports = ResolvedComponent._read_ports
+
+    def counting(self, trans):
+        computed[id(trans)] += 1
+        return read_ports(self, trans)
+
+    monkeypatch.setattr(ResolvedComponent, "_read_ports", counting)
+    w = workloads.generate("wide_automaton", 1, "smoke")
+    files = []
+    for name, text in [*w.models.items(), *w.types.items()]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        path = str(tmp_path / name)
+        files += [path] if name.endswith(".maa") else ["--types", path]
+    assert main(["sim-ts", *files, "--main", w.main, "--cycles", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6  # a header and 5 cycles
+    assert len(computed) == w.transitions and set(computed.values()) == {1}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from maa.engine import EnumValue, Event, SetupError, run_ed
+from maa.engine import ABSENT, EnumValue, Event, Seeded, SetupError, run_ed
 from maa.parser import parse_component_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
@@ -133,3 +133,58 @@ def test_unknown_event_port_rejected(toast_model):
                                          "'robot.ToastArmController'"):
         run_ed(toast_model, "robot.ToastArmController",
                [Event("armCmd", EnumValue(ARM, "OPEN"))])
+
+
+# Transitions out of S that react to an event on op: indexed on it (o = 1,
+# 4), guard-only (o = 2) and matching op against a variable (o = 5), with one
+# that reads n too (o = 3) and so reacts to no event, interleaved.
+INTERLEAVED = (
+    "package p; component C { port in Op op, in Integer n, out Integer o; Op last = B;"
+    " automaton { state S; initial S; S op = A | B / o = 1; S [op != C] / o = 2;"
+    " S [n > 0] op = A / o = 3; S op = B / o = 4; S {op = last} / o = 5;"
+    " S [n > 0] / o = 6; } }")
+OPS = "package p; enum Op { A, B, C, D }"
+
+
+def op(literal):
+    return EnumValue("p.Op", literal)
+
+
+def interleaved():
+    from maa.parser import parse_types_file
+    unit = parse_component_file(INTERLEAVED, "m.maa")
+    model, diags = resolve([unit], [parse_types_file(OPS, "t.types")])
+    assert diags == [], [d.render() for d in diags]
+    return model
+
+
+def sent_by(transitions):
+    return [t.assigns[0].alternatives[0]({}, {}) for t in transitions]
+
+
+def test_index_keeps_declaration_order_among_the_transitions_that_react():
+    from maa.engine import lower
+    behaviour = lower(interleaved().components["p.C"])
+    silent = {"op": ABSENT, "n": ABSENT}
+    enabled = behaviour.enabled("S", silent | {"op": op("B")}, {"last": op("B")}, "op")
+    assert sent_by(enabled) == [1, 2, 4, 5]
+    port, buckets, rest = behaviour.dispatch["S", "op"]
+    assert port == "op" and set(buckets) == {op("A"), op("B")}
+    assert sent_by(buckets[op("A")]) == [1, 2, 5] and sent_by(rest) == [2, 5]
+    assert sent_by(behaviour.enabled("S", silent | {"n": 1}, {"last": op("B")}, "n")) == [6]
+    assert behaviour.dispatch["S", "n"][:2] == (None, {})  # no entry of constants on n
+
+
+def test_an_event_value_that_no_bucket_names_is_tested_against_the_rest():
+    model = interleaved()
+    trace = run_ed(model, "p.C", [Event("op", op("D")), Event("op", op("C")),
+                                  Event("n", 1), Event("op", op("A"))])
+    assert [step.emissions for step in trace.steps] == [
+        [("o", [2])], [], [("o", [6])], [("o", [1])]]
+
+
+def test_seeded_runs_see_every_transition_that_reacts():
+    model = interleaved()
+    seen = {run_ed(model, "p.C", [Event("op", op("B"))], Seeded(seed)).steps[0].emissions[0][1][0]
+            for seed in range(40)}
+    assert seen == {1, 2, 4, 5}

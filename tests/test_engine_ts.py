@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from maa import engine
@@ -215,6 +217,84 @@ def test_enabled_keeps_order_for_dual_loops():
     auto = rc.ast.automata[0]
     hits = enabled_in(rc, "S", {"p": ABSENT})
     assert hits == auto.transitions
+
+
+# ---------------------------------------------------------------------------
+# the dispatch index of enabled()
+# ---------------------------------------------------------------------------
+
+# Transitions out of S indexed on p (o = 1, 4, 5), guard-only (o = 2),
+# matching a variable (o = 3) or p against a read (o = 6), interleaved.
+INTERLEAVED = (
+    "component C { port in Integer p, in Integer q, out Integer o; Integer v = 1;"
+    " automaton { state S; initial S; S p = 1 | 2 / o = 1; S [q > 0] / o = 2;"
+    " S {v = 1} / o = 3; S p = 2 / o = 4; S p = -- / o = 5; S {p = q} / o = 6; } }")
+
+
+def sent_by(transitions):
+    return [t.assigns[0].alternatives[0]({}, {}) for t in transitions]
+
+
+def test_index_keeps_declaration_order_among_indexed_and_other_transitions():
+    behaviour = lower(small_model(INTERLEAVED).components["C"])
+    assert sent_by(behaviour.enabled("S", {"p": 2, "q": 2}, {"v": 1})) == [1, 2, 3, 4, 6]
+    assert sent_by(behaviour.enabled("S", {"p": 1, "q": 0}, {"v": 0})) == [1]
+    assert sent_by(behaviour.enabled("S", {"p": ABSENT, "q": ABSENT}, {"v": 1})) == [3, 5, 6]
+    port, buckets, rest = behaviour.dispatch["S"]
+    assert port == "p" and set(buckets) == {1, 2, ABSENT}
+    assert sent_by(buckets[2]) == [1, 2, 3, 4, 6] and sent_by(rest) == [2, 3, 6]
+
+
+def test_a_value_that_no_bucket_names_is_tested_against_the_rest():
+    behaviour = lower(small_model(INTERLEAVED).components["C"])
+    assert sent_by(behaviour.enabled("S", {"p": 7, "q": 7}, {"v": 1})) == [2, 3, 6]
+    assert sent_by(behaviour.enabled("S", {"p": 7, "q": ABSENT}, {"v": 0})) == []
+
+
+def test_policies_and_enumeration_see_every_enabled_transition_of_a_bucket():
+    model = small_model(INTERLEAVED)
+    stimulus = [{"p": 2, "q": 2}]
+    first = run_ts(model, "C", stimulus, 2, FirstDeclared())
+    assert out_column(first, "o") == [ABSENT, 1]
+    seen = {out_column(run_ts(model, "C", stimulus, 2, Seeded(seed)), "o")[1]
+            for seed in range(40)}
+    assert seen == {1, 2, 3, 4, 6}
+    traces = enumerate_ts(model, "C", stimulus, 2)
+    assert sorted(t.records[1].outputs["o"] for t in traces) == [1, 2, 3, 4, 6]
+
+
+def test_one_cycle_evaluates_only_the_guards_of_the_indexed_bucket(monkeypatch):
+    # 100 transitions whose entries each admit 1 to 3 of 10 literals
+    rng = random.Random(17)
+    literals = [f"C{i}" for i in range(10)]
+    admitted = [rng.sample(literals, rng.randint(1, 3)) for _ in range(100)]
+    transitions = " ".join(f"S [x > {k % 10}] {{c = {' | '.join(cs)}}} / o = {k};"
+                           for k, cs in enumerate(admitted))
+    model = small_model(
+        "package w; component C { port in Integer x, in Cmd c, out Integer o;"
+        f" automaton {{ state S; initial S; {transitions} }} }}",
+        [f"package w; enum Cmd {{ {', '.join(literals)} }}"])
+    evaluated = []
+
+    def counting(guard):
+        def counted(inputs, variables):
+            evaluated.append(inputs["c"])
+            return guard(inputs, variables)
+        return counted
+
+    def lower_counting(rc):
+        behaviour = lower(rc)
+        behaviour.by_state["S"] = [t._replace(guard=counting(t.guard))
+                                   for t in behaviour.by_state["S"]]
+        return behaviour
+
+    monkeypatch.setattr(engine, "lower", lower_counting)
+    value = EnumValue("w.Cmd", "C3")
+    trace = run_ts(model, "w.C", [{"x": 5, "c": value}, {"x": 5, "c": ABSENT}], 3)
+    bucket = [k for k, cs in enumerate(admitted) if "C3" in cs]
+    assert len(evaluated) == len(bucket) < 100  # the absent cycle evaluates none
+    fired = next(k for k in bucket if 5 > k % 10)
+    assert out_column(trace, "o") == [ABSENT, fired, ABSENT]
 
 
 # ---------------------------------------------------------------------------

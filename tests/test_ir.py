@@ -24,6 +24,7 @@ from maa.syntax import CompilationUnit
 
 from conftest import MODELS, load_model, workloads
 from genmodels import (
+    TYPES,
     random_component_text,
     random_ed_component_text,
     random_unchecked_component_text,
@@ -102,7 +103,7 @@ _GENERATORS = [
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(_GENERATORS))
 def test_emitter_equals_the_reference_on_generated_models(seed, generate):
-    model = _model(generate(random.Random(seed)))
+    model = _model(generate(random.Random(seed)), types=TYPES)
     assert export_ir(model) == reference_ir(model)
 
 

@@ -27,7 +27,7 @@ from maa.engine import (
     run_ed,
     run_ts,
 )
-from maa.parser import parse_component_file
+from maa.parser import parse_component_file, parse_types_file
 from maa.printer import format_expr, format_value, pretty_print
 from maa.resolution import BOOLEAN, INTEGER, STRING, infer_block_target, resolve, type_of
 from maa.syntax import (
@@ -42,6 +42,7 @@ from maa.syntax import (
 
 from conftest import CORPUS, parse_model
 from genmodels import (
+    TYPES,
     random_component_text,
     random_ed_model,
     random_model,
@@ -49,6 +50,7 @@ from genmodels import (
     random_stimulus,
     random_unchecked_component_text,
     random_unchecked_ed_component_text,
+    resolve_text,
 )
 from reference import (
     MAX_CYCLES,
@@ -177,7 +179,7 @@ def test_pipeline_leaves_the_parsed_tree_unchanged(seed):
     unit = parse_component_file(random_component_text(rng), "gen.maa")
     assert isinstance(unit, CompilationUnit), unit
     pristine = copy.deepcopy(unit)
-    model, diags = resolve([unit], [])
+    model, diags = resolve([unit], [parse_types_file(TYPES, "gen.types")])
     assert [d for d in diags + check(model, "ts") if d.severity == "error"] == []
     lower(model.components["Gen"])
     run_ts(model, "Gen", random_stimulus(rng, 6), 6, Seeded(1))
@@ -325,7 +327,7 @@ def _check_event_driven_runs(generate, seed: int, n_events: int) -> None:
     rng = random.Random(seed)
     model, main = generate(rng)
     script = random_script(rng, n_events)
-    expected = reference_ed_runs(model, main, script)
+    expected = reference_ed_runs(model, main, [(port, _reference_value(v)) for port, v in script])
     events = [Event(port, value) for port, value in script]
     assert _reference_ed_form(run_ed(model, main, events)) == expected[0]
     seeded = run_ed(model, main, events, Seeded(rng.randrange(100)))
@@ -362,9 +364,7 @@ _DOCUMENTED = re.compile(r"forwarding absent message from port '\w+'"
 def _unchecked(text: str, profile: str):
     """The model of ``text``, and the rendered first error that resolution
     or a rule of every profile reports, or None when ``profile`` has none."""
-    unit = parse_component_file(text, "gen.maa")
-    assert isinstance(unit, CompilationUnit), (unit, text)
-    model, diags = resolve([unit], [])
+    model, diags = resolve_text(text)
     if not any(d.severity == "error" for d in diags + check(model, profile)):
         return model, None
     shared = [d for d in diags + check(model) if d.severity == "error"]
