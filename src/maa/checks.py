@@ -19,6 +19,7 @@ a time-synchronous check builds none for the event-driven rules.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, severity_of, sort_diagnostics
@@ -111,17 +112,9 @@ def check(model: ResolvedModel, profile: str = "generic") -> list[Diagnostic]:
         checked = model._checked = {"generic": sort_diagnostics(diags), "later": later}
     if profile not in checked:
         checked[profile] = sort_diagnostics(checked["generic"] + [
-            Diagnostic.at(code, loc, _message(message, subject))
-            for code, loc, message, subject in checked["later"].pop(profile)])
+            Diagnostic.at(code, loc, message)
+            for code, loc, message in checked["later"].pop(profile)])
     return list(checked[profile])
-
-
-def _message(message, subject) -> str:
-    return message if subject is None else message(subject)
-
-
-def _several_ports(ports) -> str:
-    return f"transition reads more than one port ({', '.join(sorted(ports))})"
 
 
 class _Checker:
@@ -131,15 +124,14 @@ class _Checker:
         self.diags = diags
         self.later = later
 
-    def emit(self, code: str, loc, message, subject=None) -> None:
-        """Report ``message``, or with a ``subject``, ``message(subject)``, at
-        ``loc``.  A finding of a profile's own rule is kept as given, to be
-        built when that profile is checked."""
+    def emit(self, code: str, loc, message: str) -> None:
+        """Report ``message`` at ``loc``.  A finding of a profile's own rule is
+        kept as a tuple, to be built when that profile is checked."""
         profile = _PROFILE_OF[code]
         if profile == "all":
-            self.diags.append(Diagnostic.at(code, loc, _message(message, subject)))
+            self.diags.append(Diagnostic.at(code, loc, message))
         else:
-            self.later[profile].append((code, loc, message, subject))
+            self.later[profile].append((code, loc, message))
 
     def run(self) -> None:
         self.check_uniqueness()
@@ -253,7 +245,9 @@ class _Checker:
             self.check_assignment(assign)
         _, ports = self.rc.ports_read(trans)
         if len(ports) > 1:
-            self.emit("S2ED", trans.loc, _several_ports, ports)
+            names = ", ".join(sorted(ports))
+            message = f"transition reads more than one port ({names})"
+            self.emit("S2ED", trans.loc, sys.intern(message))  # equal messages are one string
 
     # -- input blocks ---------------------------------------------------------
 

@@ -131,9 +131,10 @@ class ResolvedComponent:
     out_ports: list[str] = field(default_factory=list)
     # (class, *alternatives) of an unnamed input or output entry -> its target
     _targets: dict[tuple, Inference] = field(default_factory=dict, repr=False, compare=False)
-    # id of a transition -> (it, ports_read's answer), and each distinct answer
-    # -> itself, so that equal answers are one object
-    _reads: dict[object, tuple] = field(default_factory=dict, repr=False, compare=False)
+    # id of a transition -> (it, ports_read's answer)
+    _reads: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
+    # each distinct answer of ports_read -> itself, so that equal ones are one object
+    _read_sets: dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def binding(self, name: str):
         """What a bare name denotes in this component.
@@ -182,7 +183,7 @@ class ResolvedComponent:
         found = self._reads.get(id(trans))
         if found is None or found[0] is not trans:
             answer = self._read_ports(trans)
-            found = self._reads[id(trans)] = (trans, self._reads.setdefault(answer, answer))
+            found = self._reads[id(trans)] = (trans, self._read_sets.setdefault(answer, answer))
         return found[1]
 
     def _read_ports(self, trans: Transition) -> tuple[frozenset[str], frozenset[str]]:

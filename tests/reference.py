@@ -1,7 +1,7 @@
 """A naive reference semantics of both profiles, for tests.
 
 Written from README "Execution semantics", and sharing no code with
-``maa.engine``: it walks the parsed automaton, asks resolution only what a
+``maa.engine`` or ``maa.lowering``: it walks the parsed automaton, asks resolution only what a
 name denotes (``ResolvedComponent.binding``) and which port or variable an
 entry targets (``ResolvedComponent.target``), evaluates terms with its own
 evaluator, works out which in-ports a transition reads itself, and expands
