@@ -36,7 +36,8 @@ from .engine import (
 )
 from .lexer import LexError
 from .parser import ParseError, parse_component_file, parse_types_file, parse_value
-from .resolution import BuiltinType, EnumType, ResolvedModel, TypeRef, resolve
+from .resolution import (
+    BOOLEAN, INTEGER, PYTHON_TYPES, STRING, BuiltinType, EnumType, ResolvedModel, TypeRef, resolve)
 from .syntax import ELit, ERef, NoData, ValueTerm
 from .ir import export_ir
 
@@ -142,22 +143,21 @@ def _read(path: str) -> str:
 
 def _load(paths: list[str], type_paths: list[str]):
     """Parse everything; returns (units, type units, SYN diagnostics)."""
-    units = []
-    tunits = []
-    syn: list[Diagnostic] = []
-    for path in paths:
-        result = parse_component_file(_read(path), path)
+    units, tunits, syn = [], [], []
+    for path, parse, parsed in [*((p, parse_component_file, units) for p in paths),
+                                *((p, parse_types_file, tunits) for p in type_paths)]:
+        result = parse(_read(path), path)
         if isinstance(result, list):
             syn.extend(result)
         else:
-            units.append(result)
-    for path in type_paths:
-        result = parse_types_file(_read(path), path)
-        if isinstance(result, list):
-            syn.extend(result)
-        else:
-            tunits.append(result)
+            parsed.append(result)
     return units, tunits, syn
+
+
+def _data_lines(path: str) -> list[tuple[int, str]]:
+    """The numbered lines of a stimulus or script file, blank and ``#`` lines skipped."""
+    return [(lineno, line) for lineno, line in enumerate(_read(path).splitlines(), start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 def _print_diagnostics(diags: list[Diagnostic], stream) -> None:
@@ -205,9 +205,9 @@ def _cmd_check(args) -> int:
 # sim-ts
 # ---------------------------------------------------------------------------
 
-_CELL_TYPES = {"Integer": (int, "'{}' is not an Integer"),
-               "Boolean": (bool, "'{}' is not a Boolean"),
-               "String": (str, "String values must be double-quoted")}
+_CELL_TYPES = {INTEGER: "'{}' is not an Integer",
+               BOOLEAN: "'{}' is not a Boolean",
+               STRING: "String values must be double-quoted"}
 
 
 def _parse_cell(text: str, declared: Optional[TypeRef], model: ResolvedModel,
@@ -222,10 +222,9 @@ def _parse_cell(text: str, declared: Optional[TypeRef], model: ResolvedModel,
     if isinstance(term, NoData):
         return ABSENT
     if isinstance(declared, BuiltinType):
-        python_type, mismatch = _CELL_TYPES[declared.name]
-        if isinstance(term, ELit) and type(term.value) is python_type:
+        if isinstance(term, ELit) and type(term.value) is PYTHON_TYPES[declared]:
             return term.value
-        raise _UsageError(f"{where}: " + mismatch.format(text))
+        raise _UsageError(f"{where}: " + _CELL_TYPES[declared].format(text))
     if isinstance(declared, EnumType):
         enum = model.enums.get(declared.qname)
         if enum is None or not isinstance(term, ERef) or term.name not in enum.literals:
@@ -239,9 +238,7 @@ def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str,
     read = functools.cache(parse_value)
     rows: list[dict[str, Slot]] = []
     header: Optional[list[str]] = None
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in _data_lines(path):
         cells = line.split("\t")
         if header is None:
             header = [c.strip() for c in cells]
@@ -332,11 +329,8 @@ def _load_script(path: str, model: ResolvedModel, main: str) -> list[Event]:
     rc = model.components[main]
     read = functools.cache(parse_value)
     events: list[Event] = []
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split(None, 1)
+    for lineno, line in _data_lines(path):
+        parts = line.split(None, 1)
         if len(parts) != 2:
             raise _UsageError(f"{path}:{lineno}: expected '<port> <value>'")
         port, text = parts

@@ -11,7 +11,7 @@ matching transition may emit finite sequences of events per output port.
 
 :func:`build_plan`, which every entry point calls, refuses (:class:`SetupError`)
 a model with an error from resolution or a rule every profile shares, and
-stimulus and event values must have their ports' types.  The runtime errors
+:func:`_external` alone types and pads stimulus rows and events.  The runtime errors
 left are forwarding an absent message, an initialiser that reads a later
 variable, and a sequence sent under the time-synchronous profile (S3TS).
 
@@ -54,12 +54,10 @@ from .lowering import (
     lower,
 )
 from .resolution import (
-    BOOLEAN,
     EnumType,
-    INTEGER,
+    PYTHON_TYPES,
     ResolvedComponent,
     ResolvedModel,
-    STRING,
     TypeRef,
     substitute_type,
 )
@@ -237,7 +235,17 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     edges: dict[tuple[str, str], tuple[str, str]] = {}
     lowered: dict[str, LoweredAutomaton] = {}
 
-    def expand(rc: ResolvedComponent, path: str, subst: dict[str, TypeRef]):
+    def _node(path: str, ref) -> tuple[str, str]:
+        if ref.instance is None:
+            return (path, ref.port)
+        inner = f"{path}.{ref.instance}" if path else ref.instance
+        return (inner, ref.port)
+
+    # Depth first over an explicit stack, each component's children pushed in
+    # reverse, so instances are in declaration order at any depth.
+    stack: list[tuple[ResolvedComponent, str, dict[str, TypeRef]]] = [(root, "", {})]
+    while stack:
+        rc, path, subst = stack.pop()
         if not rc.ast.subcomponents:
             if len(rc.ast.automata) > 1:
                 raise SetupError(
@@ -246,7 +254,8 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
             if rc.qname not in lowered:
                 lowered[rc.qname] = lower(rc)
             instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
-            return
+            continue
+        children = []
         for decl in rc.ast.subcomponents:
             sub = rc.subcomponents[decl.instance]
             child_rc = model.components[sub.target_qname]
@@ -255,19 +264,13 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
                 param: substitute_type(arg, subst)
                 for param, arg in zip(child_rc.ast.generic_params, sub.arg_types)
             }
-            expand(child_rc, child_path, child_subst)
+            children.append((child_rc, child_path, child_subst))
+        stack.extend(reversed(children))
         for conn in rc.ast.connectors:
             src = _node(path, conn.source)
             dst = _node(path, conn.target)
             edges[dst] = src
 
-    def _node(path: str, ref) -> tuple[str, str]:
-        if ref.instance is None:
-            return (path, ref.port)
-        inner = f"{path}.{ref.instance}" if path else ref.instance
-        return (inner, ref.port)
-
-    expand(root, "", {})
     source = {inst.path: k for k, inst in enumerate(instances, start=1)}
 
     def wire(port: str, node: tuple[str, str]) -> Wire:
@@ -299,16 +302,13 @@ def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
             for port, k, name in wires}
 
 
-_PYTHON_TYPES = {INTEGER: int, BOOLEAN: bool, STRING: str}
-
-
 def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
                   model: ResolvedModel) -> Value:
     """Type default for a variable read before any assignment: ``0``,
     ``false``, ``""`` or the enum's first literal."""
     ref = substitute_type(ref, subst)
-    if ref in _PYTHON_TYPES:
-        return _PYTHON_TYPES[ref]()
+    if ref in PYTHON_TYPES:
+        return PYTHON_TYPES[ref]()
     if isinstance(ref, EnumType):
         enum = model.enums[ref.qname]
         if not enum.literals:
@@ -428,10 +428,14 @@ def _record(plan: SystemPlan, index: int, external: dict[str, Slot],
                        {inst.path: cs for inst, (cs, _) in zip(plan.instances, state)})
 
 
-def _accepts(model: ResolvedModel, rc: ResolvedComponent) -> dict[str, Callable]:
-    """Per in-port of ``rc``, whether a value is a message of the port's type:
-    an ``int`` that is no ``bool`` for Integer, a literal of the port's own
-    enum, and nothing for a type parameter."""
+def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
+              column: str) -> Callable[[dict[str, Slot]], dict[str, Slot]]:
+    """The one gate for values from outside a run: a function that checks a
+    partial row of ``rc``'s in-ports, a stimulus row or one event's ``{port:
+    value}``, and returns every in-port's input, absent where the row has none.
+    A value must be a message of its port's type: an ``int`` that is no
+    ``bool`` for Integer, a literal of the port's own enum, and nothing for a
+    type parameter.  ``what`` and ``column`` name the row in refusals."""
     tests = {}
     for port in rc.in_ports:
         declared = rc.binding(port)[1]
@@ -441,35 +445,30 @@ def _accepts(model: ResolvedModel, rc: ResolvedComponent) -> dict[str, Callable]
             tests[port] = lambda value, literals=literals: (
                 type(value) is EnumValue and value in literals)
         else:
-            python_type = _PYTHON_TYPES.get(declared)
+            python_type = PYTHON_TYPES.get(declared)
             tests[port] = lambda value, python_type=python_type: type(value) is python_type
-    return tests
+    silent = dict.fromkeys(rc.in_ports, ABSENT)
 
-
-def _mistyped(what: str, rc: ResolvedComponent, port: str, value) -> SetupError:
-    return SetupError(f"{what} value {value!r} on in-port '{port}' of '{rc.qname}' "
-                      f"is no {rc.binding(port)[1]}")
+    def inputs(row: dict[str, Slot]) -> dict[str, Slot]:
+        for port, value in row.items():
+            if port not in tests:
+                raise SetupError(f"{column}'{port}' is not an in-port of '{rc.qname}'")
+            if value is not ABSENT and not tests[port](value):
+                raise SetupError(f"{what} value {value!r} on in-port '{port}' of "
+                                 f"'{rc.qname}' is no {rc.binding(port)[1]}")
+        return {**silent, **row}
+    return inputs
 
 
 def _rows(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]],
           n_cycles: int) -> Iterator[dict[str, Slot]]:
     """The external input of each of ``n_cycles`` cycles, read from
-    ``stimulus`` one row at a time: every in-port of the main component, absent
-    where the row has no message or the stimulus has ended.  Each message must
-    have its port's type.  A map, not a generator (see "States and traces")."""
-    main = plan.main
-    accepts = _accepts(plan.model, main)
-
-    def row_of(row: dict[str, Slot]) -> dict[str, Slot]:
-        for port, value in row.items():
-            if port not in accepts:
-                raise SetupError(f"stimulus column '{port}' is not an in-port of "
-                                 f"'{main.qname}'")
-            if value is not ABSENT and not accepts[port](value):
-                raise _mistyped("stimulus", main, port, value)
-        return {port: row.get(port, ABSENT) for port in main.in_ports}
+    ``stimulus`` one row at a time and passed through :func:`_external`; a
+    row past the stimulus's end is empty.  A map, not a generator (see
+    "States and traces")."""
     padded = itertools.chain(stimulus, itertools.repeat({}))
-    return map(row_of, itertools.islice(padded, n_cycles))
+    return map(_external(plan.model, plan.main, "stimulus", "stimulus column "),
+               itertools.islice(padded, n_cycles))
 
 
 def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
@@ -576,16 +575,11 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
     branches = _policy_branches(policy)
-    silent = dict.fromkeys(rc.in_ports, ABSENT)
-    [(cs, outputs)] = _successors(inst, _start(inst, model), silent, branches)
+    inputs = _external(model, rc, "event", "")
+    [(cs, outputs)] = _successors(inst, _start(inst, model), inputs({}), branches)
     trace = EventTrace(cs.state, _emissions(outputs), [])
-    accepts = _accepts(model, rc)
     for event in script:
-        if event.port not in silent:
-            raise SetupError(f"'{event.port}' is not an in-port of '{rc.qname}'")
-        if event.value is not ABSENT and not accepts[event.port](event.value):
-            raise _mistyped("event", rc, event.port, event.value)
-        inputs = {**silent, event.port: event.value}
-        [(cs, outputs)] = _successors(inst, cs, inputs, branches, event.port)
+        [(cs, outputs)] = _successors(inst, cs, inputs({event.port: event.value}), branches,
+                                      event.port)
         trace.steps.append(EventStep(event, _emissions(outputs), cs))
     return trace

@@ -14,8 +14,8 @@ only read, so one parsed unit can be resolved into any number of models.
 
 Resolution is total: unresolved names bind to nothing and are reported later
 by the well-formedness rules (R2 family); only structural failures that have no
-rule of their own (dangling imports, unknown types, bad wiring) are reported
-here under the code ``R0``.
+rule of their own (dangling imports, unknown types, bad wiring, a component
+that contains itself) are reported here under the code ``R0``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ INTEGER = BuiltinType("Integer")
 BOOLEAN = BuiltinType("Boolean")
 STRING = BuiltinType("String")
 BUILTINS = {"Integer": INTEGER, "Boolean": BOOLEAN, "String": STRING}
-_LITERAL_TYPES = {int: INTEGER, bool: BOOLEAN, str: STRING}
+PYTHON_TYPES = {INTEGER: int, BOOLEAN: bool, STRING: str}  # the values of each builtin type
+_LITERAL_TYPES = {python: builtin for builtin, python in PYTHON_TYPES.items()}
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,7 @@ class ResolvedSub:
     instance: str
     target_qname: str
     arg_types: list[TypeRef]
+    loc: SourceLoc  # of the declaration
 
 
 @dataclass
@@ -248,6 +250,7 @@ def resolve(units: list[CompilationUnit],
     # components' name tables.
     for rc in resolved:
         _resolve_structure(rc, model, diags)
+    _containment_cycles(model, diags)
 
     model.diagnostics = list(diags)
     return model, diags
@@ -459,7 +462,7 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,
             diags.append(Diagnostic.at(
                 "R0", sub.loc, f"subcomponent instance '{sub.instance}' declared twice"))
             continue
-        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args)
+        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args, sub.loc)
 
     fed: dict[tuple[Optional[str], str], SourceLoc] = {}
     for conn in comp.connectors:
@@ -478,6 +481,50 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,
                 "R0", conn.loc,
                 f"port '{conn.target.port}' receives more than one connector"))
         fed[key] = conn.loc
+
+
+def _containment_cycles(model: ResolvedModel, diags: list[Diagnostic]) -> None:
+    """Report every subcomponent declaration on a containment cycle, which
+    no instantiation could finish: one whose component and target lie in one
+    strongly connected component of the containment graph.  Tarjan's
+    algorithm over an explicit stack, so no depth exhausts Python's stack."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    root_of: dict[str, str] = {}  # qname -> the root of its strongly connected component
+    path: list[str] = []  # visited, no component found yet
+    work: list[tuple] = []  # (qname, iterator over its targets), depth first
+
+    def visit(qname: str) -> None:
+        index[qname] = low[qname] = len(index)
+        path.append(qname)
+        subs = model.components[qname].subcomponents.values()
+        work.append((qname, iter([sub.target_qname for sub in subs])))
+
+    for start in model.components:
+        if start not in index:
+            visit(start)
+        while work:
+            qname, targets = work[-1]
+            for target in targets:
+                if target not in index:
+                    visit(target)
+                    break
+                if target not in root_of:  # still on the path
+                    low[qname] = min(low[qname], index[target])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[qname])
+                if low[qname] == index[qname]:
+                    while qname not in root_of:
+                        root_of[path.pop()] = qname
+    for rc in model.components.values():
+        for sub in rc.subcomponents.values():
+            if root_of[sub.target_qname] == root_of[rc.qname]:
+                diags.append(Diagnostic.at(
+                    "R0", sub.loc, f"component '{rc.qname}' contains itself through "
+                                   f"subcomponent '{sub.instance}'"))
 
 
 def _resolve_endpoint(rc: ResolvedComponent, model: ResolvedModel, ref,

@@ -227,6 +227,32 @@ def test_sim_ts_checker_errors_block(capsys, tmp_path):
     assert "S3TS" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["sim-ts", "--main", "A", "--cycles", "2"], ["export-ir"],
+], ids=["check", "sim-ts", "export-ir"])
+def test_self_containing_component_is_an_r0_error(capsys, tmp_path, command):
+    model = tmp_path / "A.maa"
+    model.write_text("component A { port in Integer i; component A a; }", encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(model), *command[1:])
+    assert code == 1
+    assert (out or err) == (
+        f"{model}:1:34 error R0: component 'A' contains itself through subcomponent 'a'\n")
+
+
+def test_sim_ts_runs_a_1500_deep_hierarchy(capsys, tmp_path):
+    depth = 1500
+    for k in range(depth):
+        body = ("automaton { state S; initial S / o = 0; S -> S / o = 1; }" if k == depth - 1
+                else f"component C{k + 1} c; connect i -> c.i; connect c.o -> o;")
+        (tmp_path / f"C{k}.maa").write_text(
+            f"component C{k} {{ port in Integer i, out Integer o; {body} }}", encoding="utf-8")
+    code, out, _ = run(capsys, "sim-ts", *map(str, tmp_path.glob("*.maa")),
+                       "--main", "C0", "--cycles", "2")
+    assert code == 0
+    leaf = ".".join(["c"] * (depth - 1))
+    assert out == f"cycle\tin:i\tout:o\tstate\n1\t--\t0\t{leaf}=S\n2\t--\t1\t{leaf}=S\n"
+
+
 def test_sim_ts_warnings_block_without_force(capsys, tmp_path):
     warn = tmp_path / "warn.maa"
     warn.write_text("component C { port in Integer p, out Integer o; automaton {"

@@ -639,6 +639,14 @@ def test_absent_is_accepted_on_every_port(entry):
         ENTRY_POINTS[entry](model, main, row)
 
 
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_unknown_port_is_refused_at_every_entry_point(entry):
+    column = "" if entry == "run_ed" else "stimulus column "
+    with pytest.raises(SetupError) as raised:
+        ENTRY_POINTS[entry](typed_models()["p.C"], "p.C", {"x": 1})
+    assert str(raised.value) == f"{column}'x' is not an in-port of 'p.C'"
+
+
 def test_well_typed_values_are_accepted():
     model, main = typed_models()["p.C"], "p.C"
     row = {"i": 1, "b": True, "e": EnumValue("p.types.E", "Y")}

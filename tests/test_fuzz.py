@@ -3,16 +3,21 @@
 Two kinds of input: random text drawn from the token alphabet plus a few
 stray characters, and corpus files with one token deleted, duplicated or
 swapped with its successor.  Each goes through parsing, resolution, the
-checker under all three profiles and the IR export, none of which may raise;
-the export must also equal the reference export of ``ir_reference``.
+checker under all three profiles, the IR export and the engine's set-up
+(``build_plan`` of every component), none of which may raise but for
+set-up's own refusal; the export must also equal the reference export of
+``ir_reference``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maa.checks import check
+from maa.engine import SetupError, build_plan
 from maa.ir import export_ir
 from maa.lexer import KEYWORDS, tokenize
 from maa.parser import parse_component_file
@@ -82,6 +87,9 @@ def _pipeline(text: str, others=(), tunits=()) -> None:
     for profile in ("generic", "ts", "ed"):
         assert isinstance(check(model, profile), list)
     assert export_ir(model) == reference_ir(model)
+    for qname in model.components:
+        with contextlib.suppress(SetupError):
+            build_plan(model, qname)
 
 
 @settings(max_examples=200, deadline=None)

@@ -309,6 +309,23 @@ def _top(body: str, header: str = "") -> dict[str, str]:
                                "component Arbiter<Integer> arb; connect arb.res -> b; }"},
                  ["top.maa:1:87 error R0: connector type mismatch: Integer -> Boolean"],
                  id="generic-mismatch"),
+    pytest.param(_top("port in Integer i; component Top t;"),
+                 ["top.maa:1:48 error R0: component 'a.Top' contains itself through "
+                  "subcomponent 't'"], id="contains-itself"),
+    pytest.param(_LIB | {"b.maa": "package a; component B { component C c; }",
+                         "c.maa": "package a; component C { component Top t; }"}
+                 | _top("component B b; component lib.Leaf l;"), [
+        "b.maa:1:26 error R0: component 'a.B' contains itself through subcomponent 'c'",
+        "c.maa:1:26 error R0: component 'a.C' contains itself through subcomponent 't'",
+        "top.maa:1:29 error R0: component 'a.Top' contains itself through subcomponent 'b'",
+    ], id="contains-itself-through-others"),
+    pytest.param({"top.maa": "package a; component Top<T> { port in T i; component Top<T> t; }"},
+                 ["top.maa:1:44 error R0: component 'a.Top' contains itself through "
+                  "subcomponent 't'"], id="contains-itself-generic"),
+    pytest.param({"b.maa": "package a; component B { component B b; }"}
+                 | _top("component B b;"),
+                 ["b.maa:1:26 error R0: component 'a.B' contains itself through "
+                  "subcomponent 'b'"], id="contains-a-component-that-contains-itself"),
 ])
 def test_r0_messages(files, expected):
     units = [parse_component_file(text, name) for name, text in files.items()
