@@ -11,10 +11,8 @@ Rule families:
 
 Every rule fires once per offending site.  Type rules skip terms that contain
 unresolved names: those are already reported as R2 and would only cascade.
-The rules of every profile run in one pass per model, whose result the model
-keeps.  A finding of a profile's own rule (S family) is only recorded in that
-pass; its :class:`Diagnostic` is built when that profile is first checked, so
-a time-synchronous check builds none for the event-driven rules.
+The rules of every profile run in one pass per model, whose findings the model
+keeps, filed by the profile of their rule.
 """
 
 from __future__ import annotations
@@ -103,35 +101,22 @@ def check(model: ResolvedModel, profile: str = "generic") -> list[Diagnostic]:
     location; the first call on a model runs every profile's rules at once."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    checked = model._checked
-    if checked is None:
-        diags: list[Diagnostic] = []
-        later: dict[str, list[tuple]] = {"ts": [], "ed": []}
+    found = model._checked
+    if found is None:
+        found = model._checked = {"all": [], "ts": [], "ed": []}
         for rc in model.components.values():
-            _Checker(rc, diags, later).run()
-        checked = model._checked = {"generic": sort_diagnostics(diags), "later": later}
-    if profile not in checked:
-        checked[profile] = sort_diagnostics(checked["generic"] + [
-            Diagnostic.at(code, loc, message)
-            for code, loc, message in checked["later"].pop(profile)])
-    return list(checked[profile])
+            _Checker(rc, found).run()
+    return sort_diagnostics(found["all"] + found.get(profile, []))
 
 
 class _Checker:
-    def __init__(self, rc: ResolvedComponent, diags: list[Diagnostic],
-                 later: dict[str, list[tuple]]):
+    def __init__(self, rc: ResolvedComponent, found: dict[str, list[Diagnostic]]):
         self.rc = rc
-        self.diags = diags
-        self.later = later
+        self.found = found
 
     def emit(self, code: str, loc, message: str) -> None:
-        """Report ``message`` at ``loc``.  A finding of a profile's own rule is
-        kept as a tuple, to be built when that profile is checked."""
-        profile = _PROFILE_OF[code]
-        if profile == "all":
-            self.diags.append(Diagnostic.at(code, loc, message))
-        else:
-            self.later[profile].append((code, loc, message))
+        """Report ``message`` at ``loc``, filed under the profile of its rule."""
+        self.found[_PROFILE_OF[code]].append(Diagnostic.at(code, loc, message))
 
     def run(self) -> None:
         self.check_uniqueness()
@@ -235,7 +220,7 @@ class _Checker:
     def check_transition(self, trans: Transition, declared: set[str]) -> None:
         if trans.source not in declared:
             self.emit("R1", trans.loc, f"state '{trans.source}' is undefined")
-        if trans.target_loc is not trans.loc and trans.target not in declared:
+        if trans.target_loc is not None and trans.target not in declared:
             self.emit("R1", trans.target_loc, f"state '{trans.target}' is undefined")
         if trans.guard is not None:
             self.check_guard(trans.guard)

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import Callable, Optional
 
-from .checks import check
+from .checks import PROFILES, check
 from .diagnostics import Diagnostic, ERROR, WARNING, has_errors, sort_diagnostics
 from .engine import (
     ABSENT,
@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the well-formedness rules")
     common(p_check)
-    p_check.add_argument("--profile", choices=["generic", "ts", "ed"], default="generic")
+    p_check.add_argument("--profile", choices=PROFILES, default="generic")
     p_check.add_argument("--format", choices=["text", "json"], default="text")
     p_check.set_defaults(handler=_cmd_check)
 

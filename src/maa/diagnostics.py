@@ -28,7 +28,7 @@ def severity_of(code: str) -> str:
     return WARNING if code in _WARNING_CODES else ERROR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One checker or parser finding, identified by a rule code."""
 

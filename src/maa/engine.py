@@ -246,7 +246,7 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     stack: list[tuple[ResolvedComponent, str, dict[str, TypeRef]]] = [(root, "", {})]
     while stack:
         rc, path, subst = stack.pop()
-        if not rc.ast.subcomponents:
+        if not rc.ast.composed:
             if len(rc.ast.automata) > 1:
                 raise SetupError(
                     f"component '{rc.qname}' has several automata; "
@@ -571,7 +571,7 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
     absent, and only transitions that read exactly that port react to it.  An
     event's value must have its port's type."""
     rc = model.components.get(main)
-    if rc is not None and rc.ast.subcomponents:
+    if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
     branches = _policy_branches(policy)

@@ -348,15 +348,15 @@ class _Parser:
 
     def _transition(self) -> Transition:
         source = self._expect_name("state name")
-        target = self._expect_name("state name") if self._accept("->") else source
+        target = self._expect_name("state name") if self._accept("->") else None
         guard = self._guard() if self._at("[") else None
         input_block = None
         if self._at("{") or self._starts_value():
             input_block = self._block(Match)
         output_block = self._block(Assignment) if self._accept("/") else None
         self._expect(";")
-        return Transition(source.text, target.text, guard, input_block, output_block,
-                          source.loc, target_loc=target.loc)
+        return Transition(source.text, (target or source).text, guard, input_block,
+                          output_block, source.loc, target_loc=target.loc if target else None)
 
     def _starts_value(self) -> bool:
         tok = self._peek()

@@ -206,8 +206,8 @@ class ResolvedModel:
     components: dict[str, ResolvedComponent] = field(default_factory=dict)
     enums: dict[str, EnumInfo] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)  # what resolve reported
-    # filled by checks.check: each profile checked so far -> its sorted
-    # diagnostics, and "later" -> the findings of profiles not checked yet
+    # filled by the first checks.check: "all", "ts", "ed" -> the findings of
+    # the rules of that profile
     _checked: Optional[dict[str, list]] = field(default=None, repr=False, compare=False)
 
 
@@ -240,16 +240,16 @@ def resolve(units: list[CompilationUnit],
         model.components[qname] = rc
         resolved.append(rc)
 
-    known_packages = {_package(q) for q in [*model.enums, *model.components] if "." in q}
+    enums, components = _index(model.enums), _index(model.components)
 
     # Pass 1: per-component name tables (imports, port and variable types).
     for rc in resolved:
-        _resolve_names(rc, model, known_packages, diags)
+        _resolve_names(rc, model, enums, components, diags)
 
     # Pass 2: structure (subcomponents, generics, connectors) needs the other
     # components' name tables.
     for rc in resolved:
-        _resolve_structure(rc, model, diags)
+        _resolve_structure(rc, model, components, diags)
     _containment_cycles(model, diags)
 
     model.diagnostics = list(diags)
@@ -260,35 +260,44 @@ def _package(qname: str) -> str:
     return qname.rsplit(".", 1)[0] if "." in qname else ""
 
 
-def _visible(rc: ResolvedComponent, qnames) -> dict[str, list[str]]:
-    """Simple name -> the names among ``qnames`` visible in ``rc``: those of
-    its own package, of each star-imported package, and each single import."""
-    visible: dict[str, list[str]] = {}
+def _index(qnames) -> dict[str, dict[str, str]]:
+    """Package -> simple name -> the qualified name, over ``qnames``."""
+    index: dict[str, dict[str, str]] = {}
+    for qname in qnames:
+        index.setdefault(_package(qname), {})[qname.rsplit(".", 1)[-1]] = qname
+    return index
+
+
+def _scopes(rc: ResolvedComponent, index: dict[str, dict[str, str]]):
+    """The maps, simple name -> qualified name, of the names in ``index``
+    visible in ``rc``, in order: its own package, then each star-imported
+    package and each single import."""
     for imp in [None, *rc.unit.imports]:
         if imp is None or imp.name.endswith(".*"):
-            package = rc.package if imp is None else imp.name[:-2]
-            chosen = [q for q in qnames if _package(q) == package]
+            yield index.get(rc.package if imp is None else imp.name[:-2], {})
         else:
-            chosen = [imp.name] if imp.name in qnames else []
-        for qname in chosen:
-            same = visible.setdefault(qname.rsplit(".", 1)[-1], [])
-            if qname not in same:
-                same.append(qname)
-    return visible
+            package, _, name = imp.name.rpartition(".")
+            if index.get(package, {}).get(name) == imp.name:
+                yield {name: imp.name}
 
 
-def _resolve_names(rc: ResolvedComponent, model: ResolvedModel,
-                   known_packages: set[str], diags: list[Diagnostic]) -> None:
+def _resolve_names(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
+                   components: dict, diags: list[Diagnostic]) -> None:
     """Fill ``rc.names``: ports, then variables, then the visible enum
-    literals; the first declaration of a name wins."""
+    literals; the first declaration of a name wins.  ``enums`` and
+    ``components`` are the model's indexes of each kind."""
     for imp in rc.unit.imports:
         if imp.name.endswith(".*"):
-            known = imp.name[:-2] in known_packages
+            known = imp.name[:-2] in enums or imp.name[:-2] in components
         else:
             known = imp.name in model.enums or imp.name in model.components
         if not known:
             diags.append(Diagnostic.at("R0", imp.loc, f"unresolved import '{imp.name}'"))
-    rc.visible_enums = _visible(rc, model.enums)
+    for scope in _scopes(rc, enums):
+        for name, qname in scope.items():
+            same = rc.visible_enums.setdefault(name, [])
+            if qname not in same:
+                same.append(qname)
 
     def resolve_type(name: str, loc: SourceLoc, what: str) -> Optional[TypeRef]:
         ref = _resolve_type_name(rc, model, name)
@@ -423,20 +432,20 @@ def substitute_type(ref: Optional[TypeRef], bindings: dict[str, TypeRef]) -> Opt
     return ref
 
 
-def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel,
+def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, components: dict,
                        diags: list[Diagnostic]) -> None:
     comp = rc.ast
-    if comp.subcomponents and comp.automata:
+    if comp.composed and comp.automata:
+        parts = "subcomponents" if comp.subcomponents else "connectors"
         diags.append(Diagnostic.at(
-            "R0", comp.loc,
-            f"component '{comp.name}' mixes subcomponents and automaton behavior"))
+            "R0", comp.loc, f"component '{comp.name}' mixes {parts} and automaton behavior"))
 
-    visible = _visible(rc, model.components)
     for sub in comp.subcomponents:
         if "." in sub.type_name:
             target = sub.type_name if sub.type_name in model.components else None
         else:
-            matches = visible.get(sub.type_name, [])
+            matches = list(dict.fromkeys(scope[sub.type_name] for scope in _scopes(rc, components)
+                                         if sub.type_name in scope))
             if len(matches) > 1:
                 diags.append(Diagnostic.at(
                     "R0", sub.loc, f"ambiguous component type '{sub.type_name}'"))

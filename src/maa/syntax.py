@@ -151,12 +151,13 @@ class InitialDecl:
 @dataclass
 class Transition:
     source: str
-    target: str  # equals source, and target_loc is loc, when omitted in the text
+    target: str  # equals source when omitted in the text
     guard: Optional[Guard]
     input: Optional[list[Match]]
     output: Optional[list[Assignment]]
     loc: SourceLoc = _loc()
-    target_loc: SourceLoc = field(default=None, compare=False, repr=False)
+    # of the target's name; None when the text omits the target
+    target_loc: Optional[SourceLoc] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -221,6 +222,13 @@ class ComponentType:
     connectors: list[ConnectorDecl]
     automata: list[Automaton]
     loc: SourceLoc = _loc()
+
+    @property
+    def composed(self) -> bool:
+        """Whether the component is built from parts: subcomponents, or only
+        connectors from its in-ports to its out-ports.  Otherwise it is atomic,
+        and its automaton, if any, is its behaviour."""
+        return bool(self.subcomponents or self.connectors)
 
 
 @dataclass

@@ -103,6 +103,31 @@ def test_r3_variable_declaration_references_port():
     assert [(d.code, d.loc.line) for d in diags] == [("R3", 3)]
 
 
+def _component(body: str) -> str:
+    return f"component C {{ port in Integer p, in Integer q; {body} }}"
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param(_component("Integer Big;"),
+                 ["c.maa:1:56 warning C2: variable name 'Big' should start lowercase"],
+                 id="C2-variable"),
+    pytest.param(_component("automaton { state S; initial S; S {p = [1, 2]}; }"),
+                 ["c.maa:1:87 error T1: input on port 'p' must be a single message, "
+                  "not a sequence"], id="T1-input-sequence"),
+    pytest.param(_component("automaton { state S; initial S; S {1}; }"),
+                 ["c.maa:1:83 error T1: input value matches more than one port or variable "
+                  "(p, q); name the intended target"], id="T1-input-ambiguous"),
+    pytest.param(_component("automaton { state S; initial S; S {true}; }"),
+                 ["c.maa:1:83 error T1: no port or variable of a matching type admits "
+                  "this input value"], id="T1-input-unmatched"),
+])
+def test_rule_messages(text, expected):
+    from maa.parser import parse_component_file
+    from maa.resolution import resolve
+    model, rdiags = resolve([parse_component_file(text, "c.maa")], [])
+    assert [d.render() for d in rdiags + check(model, "generic")] == expected
+
+
 def test_profile_monotonicity_over_corpus():
     # the ts and ed runs contain every non-S diagnostic of the generic run
     for name, (paths, _profile, types) in CORPUS.items():
@@ -229,7 +254,7 @@ def test_check_evaluates_the_rules_once_per_model(monkeypatch):
     assert sorted(runs) == sorted(model.components)
 
 
-def test_a_profile_builds_the_diagnostics_of_its_own_rules_only(monkeypatch):
+def test_every_finding_is_built_once_by_the_first_check(monkeypatch):
     import maa.checks
     built = []
     at = maa.checks.Diagnostic.at
@@ -240,14 +265,14 @@ def test_a_profile_builds_the_diagnostics_of_its_own_rules_only(monkeypatch):
 
     monkeypatch.setattr(maa.checks.Diagnostic, "at", counting)
     model = _every_profile_model()
-    check(model, "ts")
-    check(model, "generic")
-    assert "S2ED" not in built and "S3ED" not in built and "S1ED" not in built
-    assert {"S1TS", "S2TS", "S3TS"} <= set(built)
-    check(model, "ed")
-    assert built.count("S2ED") == 1 and "S3ED" in built
-    check(model, "ed")
-    assert built.count("S2ED") == 1  # built once, when the profile is first asked for
+    results = [check(model, "ts")]
+    first = list(built)
+    results += [check(model, profile) for profile in ("generic", "ed", "ed")]
+    assert built == first  # the first call built every finding, and later calls none
+    every = {d for diags in results for d in diags}
+    assert sorted(first) == sorted(d.code for d in every) == [
+        "R2", "S1ED", "S1TS", "S2ED", "S2TS", "S3ED", "S3TS"]
+    assert not any(hasattr(d, "__dict__") for d in every)
 
 
 def test_sim_ts_computes_the_ports_each_transition_reads_once(monkeypatch, tmp_path, capsys):

@@ -395,6 +395,28 @@ def test_sim_ts_composed_golden_file(capsys):
     assert out == golden
 
 
+def test_a_main_of_connectors_alone(capsys, tmp_path):
+    # it forwards under sim-ts with no atomic instance, so an empty state
+    # cell; sim-ed needs an atomic main; an automaton beside them is R0
+    model = tmp_path / "pass.maa"
+    model.write_text("component P { port in Integer i, out Integer o; connect i -> o; }",
+                     encoding="utf-8")
+    stimulus = tmp_path / "stimulus.tsv"
+    stimulus.write_text("i\n5\n6\n", encoding="utf-8")
+    script = tmp_path / "script.txt"
+    script.write_text("i 5\n", encoding="utf-8")
+    assert run(capsys, "sim-ts", str(model), "--main", "P", "--stimulus", str(stimulus),
+               "--cycles", "2") == (
+        0, "cycle\tin:i\tout:o\tstate\n1\t5\t5\t\n2\t6\t6\t\n", "")
+    assert run(capsys, "sim-ed", str(model), "--main", "P", "--script", str(script)) == (
+        2, "", "error: event-driven simulation requires an atomic main component\n")
+    model.write_text("component P { port in Integer i, out Integer o; connect i -> o;"
+                     " automaton { state S; initial S; } }", encoding="utf-8")
+    assert run(capsys, "check", str(model)) == (
+        1, f"{model}:1:1 error R0: component 'P' mixes connectors and automaton behavior\n",
+        "")
+
+
 def test_sim_ts_policy_enumerate_flag_equivalent(capsys, tmp_path):
     model = tmp_path / "alt.maa"
     model.write_text("component C { port in Integer p, out Integer o; automaton {"

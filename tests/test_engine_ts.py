@@ -811,6 +811,87 @@ def test_component_without_an_automaton_never_fires():
     assert ed.initial_state is None and ed.steps[0].emissions == []
 
 
+def units_model(*texts, types=()):
+    """A model of one component per text, which resolution accepts."""
+    from maa.parser import parse_types_file
+    model, diags = resolve([parse_component_file(text, f"m{i}.maa")
+                            for i, text in enumerate(texts)],
+                           [parse_types_file(text, "t.types") for text in types])
+    assert diags == [], [d.render() for d in diags]
+    return model
+
+
+PASS = "component P { port in Integer i, out Integer o; connect i -> o; }"
+IDLE = "component E { port in Integer x; automaton { state S; initial S; } }"
+
+
+@pytest.mark.parametrize("texts, states", [
+    ((PASS,), {}),
+    (("component P { port in Integer i, out Integer o; component E e; connect i -> o; }",
+      IDLE), {"e": "S"}),
+], ids=["connectors-only", "with-a-subcomponent"])
+def test_connectors_forward_in_the_same_cycle(texts, states):
+    # a component whose only structure is connectors is composed, not a
+    # silent atomic one: its out-port reads its in-port with no delay
+    model = units_model(*texts)
+    trace = run_ts(model, "P", [{"i": 5}, {"i": 6}], 2)
+    assert out_column(trace, "o") == [5, 6]
+    assert [{path: cs.state for path, cs in r.states.items()} for r in trace.records] == [
+        states, states]
+    assert [trace_key(t) for t in enumerate_ts(model, "P", [{"i": 5}, {"i": 6}], 2)] == [
+        trace_key(trace)]
+    with pytest.raises(SetupError,
+                       match="^event-driven simulation requires an atomic main component$"):
+        run_ed(model, "P", [Event("i", 5)])
+
+
+def test_an_unconnected_subcomponent_in_port_reads_absent():
+    model = units_model(
+        "component A { port in Integer i, out Integer o; automaton { state S; initial S;"
+        " S i = -- / o = 0; S / o = 1; } }",
+        "component Top { port in Integer i, out Integer o; component A a; connect a.o -> o; }")
+    trace = run_ts(model, "Top", [{"i": 5}, {"i": 6}], 3)
+    assert out_column(trace, "o") == [ABSENT, 0, 0]
+
+
+# Models that resolution and the rules shared by every profile accept, and
+# that no run can start: both time-synchronous entry points refuse them alike
+UNSTARTABLE = {
+    "several-automata": (
+        ("component C { port in Integer p, out Integer o;"
+         " automaton A { state S; initial S; } automaton B { state T; initial T; } }",), (),
+        "C", "component 'C' has several automata; simulation needs at most one"),
+    "connector-cycle": (
+        (PASS, "component C { port out Integer o; component P p;"
+               " connect p.o -> p.i; connect p.o -> o; }"), (),
+        "C", "connector cycle through 'o'"),
+    "empty-enum-default": (
+        ("package p; import t.*; component C { port in Integer p, out Integer o; E v;"
+         " automaton { state S; initial S; } }",), ("package t; enum E { }",),
+        "p.C", "enum 't.E' has no literals to default to"),
+    "unsubstituted-type-parameter": (
+        ("component C<T> { port in Integer p, out Integer o; T v;"
+         " automaton { state S; initial S; } }",), (),
+        "C", "cannot default a value of type T"),
+}
+
+
+@pytest.mark.parametrize("texts, types, main, message", UNSTARTABLE.values(),
+                         ids=list(UNSTARTABLE))
+def test_runs_that_cannot_start_are_refused(texts, types, main, message):
+    model = units_model(*texts, types=types)
+    for run in (run_ts, enumerate_ts):
+        with pytest.raises(SetupError) as raised:
+            run(model, main, [], 1)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("run", [run_ts, enumerate_ts])
+def test_a_run_needs_at_least_one_cycle(follow_model, run):
+    with pytest.raises(SetupError, match="^a run needs at least one cycle$"):
+        run(follow_model, "robot.FollowTheLeaderOnline", [], 0)
+
+
 # ---------------------------------------------------------------------------
 # enumerate_ts
 # ---------------------------------------------------------------------------

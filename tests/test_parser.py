@@ -165,6 +165,22 @@ def test_port_without_direction_names_what_was_found(text, found):
     assert diag.message == f"expected 'in' or 'out', found {found}"
 
 
+@pytest.mark.parametrize("parse, text, expected", [
+    pytest.param(parse_types_file, "package t; enum E { A } component",
+                 "t:1:25 error SYN: unexpected 'component' in type declarations",
+                 id="types-trailing-component"),
+    pytest.param(parse_component_file, "component C { component D { } }",
+                 "t:1:27 error SYN: nested component definitions are not supported; "
+                 "declare a subcomponent instance instead", id="nested-component"),
+    pytest.param(parse_component_file,
+                 "component C { port in Integer a; automaton { state S; initial S; "
+                 "S [pre: a > 0]; } }",
+                 "t:1:69 error SYN: unsupported guard kind 'pre'", id="guard-kind"),
+])
+def test_syntax_error_messages(parse, text, expected):
+    assert [d.render() for d in parse(text, "t")] == [expected]
+
+
 def _guarded(guard: str) -> str:
     return ("component C { port in Integer a, out Integer o; automaton {"
             f" state S; initial S; S [{guard}] / o = 1; }} }}")

@@ -265,6 +265,11 @@ _LIB = {"lib.maa": "package lib; " + _LEAF}
 _TYPES = {"t.types": "package t; enum Color { RED, GREEN }"}
 
 
+_GEN = {"gen.maa": "package lib; component Gen<T> { port in T i, out T o; }"}
+_TWO_COLORS = {"t.types": "package t; enum Color { RED }",
+               "u.types": "package u; enum Color { BLUE }"}
+
+
 def _top(body: str, header: str = "") -> dict[str, str]:
     return {"top.maa": f"package a; {header} component Top {{ {body} }}"}
 
@@ -286,6 +291,36 @@ def _top(body: str, header: str = "") -> dict[str, str]:
                  | _top("component Leaf l;", "import p1.*; import p2.*;"),
                  ["top.maa:1:54 error R0: ambiguous component type 'Leaf'"],
                  id="component-ambiguous"),
+    pytest.param(_LIB | _top("component Leaf l;", "import lib.*; import lib.Leaf;"), [],
+                 id="component-imported-twice"),
+    pytest.param(_TYPES | _top("port in Color c;", "import t.*; import t.Color;"), [],
+                 id="enum-imported-twice"),
+    pytest.param(_TWO_COLORS | _top("port in Color c;", "import t.*; import u.*;"),
+                 ["top.maa:1:66 error R0: ambiguous type 'Color' (t.Color, u.Color)"],
+                 id="enum-ambiguous"),
+    pytest.param(_top("") | {"again.maa": "package a; component Top { }"},
+                 ["again.maa:1:12 error R0: component 'a.Top' declared twice"],
+                 id="component-declared-twice"),
+    pytest.param(_GEN | _top("component lib.Gen<Nowhere> g;"),
+                 ["top.maa:1:29 error R0: unresolved type argument 'Nowhere'"],
+                 id="type-argument-unresolved"),
+    pytest.param(_GEN | _top("component lib.Gen g;"),
+                 ["top.maa:1:29 error R0: component 'lib.Gen' expects 1 type argument(s), got 0"],
+                 id="type-argument-count"),
+    pytest.param(_LIB | _top("component lib.Leaf l; component lib.Leaf l;"),
+                 ["top.maa:1:51 error R0: subcomponent instance 'l' declared twice"],
+                 id="instance-declared-twice"),
+    pytest.param(_LIB | _top("port in Integer i; component lib.Leaf l; "
+                             "connect i -> l.i; connect i -> l.i;"),
+                 ["top.maa:1:88 error R0: port 'i' receives more than one connector"],
+                 id="port-fed-twice"),
+    pytest.param(_LIB | _top("component lib.Leaf l; automaton { state S; initial S; }"),
+                 ["top.maa:1:13 error R0: component 'Top' mixes subcomponents and "
+                  "automaton behavior"], id="mixes-subcomponents"),
+    pytest.param(_top("port in Integer i, out Integer o; connect i -> o; "
+                      "automaton { state S; initial S; }"),
+                 ["top.maa:1:13 error R0: component 'Top' mixes connectors and "
+                  "automaton behavior"], id="mixes-connectors"),
     pytest.param(_top("component Nowhere n;"),
                  ["top.maa:1:29 error R0: unresolved component type 'Nowhere'"],
                  id="component-unresolved"),
