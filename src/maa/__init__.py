@@ -47,7 +47,6 @@ from .resolution import (
     ParamType,
     ResolvedModel,
     STRING,
-    SeqType,
     resolve,
     type_of,
 )

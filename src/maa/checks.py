@@ -27,8 +27,6 @@ from .resolution import (
     INTEGER,
     ResolvedComponent,
     ResolvedModel,
-    SeqType,
-    conforms,
     type_of,
 )
 from .syntax import (
@@ -200,8 +198,7 @@ class _Checker:
                 continue
             if kind != "var" or declared is None:
                 continue  # the name denotes a port (U3), or its type did not resolve
-            t = type_of(term, self.rc)
-            if t is None or not conforms(t, declared):
+            if type_of(term, self.rc) != declared:
                 self.emit("T2", term.loc,
                           f"initial value of variable '{var.name}' is no {declared}")
 
@@ -311,15 +308,14 @@ class _Checker:
                 if declared is None:
                     return
                 ref_type = binding[1]
-                if ref_type is not None and not conforms(ref_type, declared):
+                if ref_type is not None and ref_type != declared:
                     what = "port" if binding[0] == "in" else "variable"
                     self.emit("T3", term.loc,
                               f"{what} '{term.name}' is no {declared}")
                 return
         if declared is None:
             return
-        t = type_of(term, self.rc)
-        if t is None or isinstance(t, SeqType) or not conforms(t, declared):
+        if type_of(term, self.rc) != declared:
             self.emit("T1", term.loc, f"'{format_value(term)}' is no {declared}")
 
     def _report_names(self, terms) -> bool:

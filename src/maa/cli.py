@@ -16,7 +16,7 @@ import sys
 from typing import Callable, Optional
 
 from .checks import PROFILES, check
-from .diagnostics import Diagnostic, ERROR, WARNING, has_errors, sort_diagnostics
+from .diagnostics import Diagnostic, has_errors, sort_diagnostics
 from .engine import (
     ABSENT,
     CycleRecord,
@@ -56,7 +56,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        try:
+            code = args.handler(args)
+        except (SimulationError, EnumerationOverflow) as exc:
+            sys.stdout.flush()  # the rows before the error; a closed pipe fails here too
+            kind = "error" if isinstance(exc, EnumerationOverflow) else "runtime error"
+            print(f"{kind}: {exc}", file=sys.stderr)
+            code = EXIT_RUNTIME
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -141,17 +147,20 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read '{path}': not UTF-8 text (byte {exc.start})") from None
 
 
-def _load(paths: list[str], type_paths: list[str]):
-    """Parse everything; returns (units, type units, SYN diagnostics)."""
-    units, tunits, syn = [], [], []
-    for path, parse, parsed in [*((p, parse_component_file, units) for p in paths),
-                                *((p, parse_types_file, tunits) for p in type_paths)]:
+def _front(args, profile: Optional[str]) -> tuple[ResolvedModel, list[Diagnostic]]:
+    """Parse the files of ``args``, resolve what parsed into one model and,
+    given a profile, check it; returns the model and every diagnostic, sorted."""
+    units, tunits, diags = [], [], []
+    for path, parse, parsed in [*((p, parse_component_file, units) for p in args.paths),
+                                *((p, parse_types_file, tunits) for p in args.types)]:
         result = parse(_read(path), path)
         if isinstance(result, list):
-            syn.extend(result)
+            diags.extend(result)
         else:
             parsed.append(result)
-    return units, tunits, syn
+    model, rdiags = resolve(units, tunits)
+    diags += rdiags + (check(model, profile) if profile else [])
+    return model, sort_diagnostics(diags)
 
 
 def _data_lines(path: str) -> list[tuple[int, str]]:
@@ -165,25 +174,21 @@ def _print_diagnostics(diags: list[Diagnostic], stream) -> None:
         print(diag.render(), file=stream)
 
 
-def _checked_model(args, profile: str):
-    """Load, resolve, and check; returns (model, exit code or None to proceed)."""
-    units, tunits, syn = _load(args.paths, args.types)
-    if syn:
-        _print_diagnostics(sort_diagnostics(syn), sys.stderr)
-        return None, EXIT_CHECK
-    model, rdiags = resolve(units, tunits)
-    diags = sort_diagnostics(rdiags + check(model, profile))
-    errors = [d for d in diags if d.severity == ERROR]
-    warnings = [d for d in diags if d.severity == WARNING]
-    if errors:
+def _gate(args, profile: Optional[str]) -> Optional[ResolvedModel]:
+    """The model to simulate or export, or None after printing why not: its
+    syntax errors alone if it has any, else every diagnostic if one is an
+    error or, without ``--force``, a warning."""
+    model, diags = _front(args, profile)
+    syn = [d for d in diags if d.code == "SYN"]
+    if syn or has_errors(diags):
+        _print_diagnostics(syn or diags, sys.stderr)
+        return None
+    if diags:
         _print_diagnostics(diags, sys.stderr)
-        return None, EXIT_CHECK
-    if warnings:
-        _print_diagnostics(warnings, sys.stderr)
         if not args.force:
             print("warnings present; pass --force to simulate anyway", file=sys.stderr)
-            return None, EXIT_CHECK
-    return model, None
+            return None
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +196,7 @@ def _checked_model(args, profile: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    units, tunits, syn = _load(args.paths, args.types)
-    model, rdiags = resolve(units, tunits)
-    diags = sort_diagnostics(syn + rdiags + check(model, args.profile))
+    _, diags = _front(args, args.profile)
     if args.format == "json":
         print(json.dumps([d.to_json() for d in diags], indent=2))
     else:
@@ -226,8 +229,7 @@ def _parse_cell(text: str, declared: Optional[TypeRef], model: ResolvedModel,
             return term.value
         raise _UsageError(f"{where}: " + _CELL_TYPES[declared].format(text))
     if isinstance(declared, EnumType):
-        enum = model.enums.get(declared.qname)
-        if enum is None or not isinstance(term, ERef) or term.name not in enum.literals:
+        if not isinstance(term, ERef) or term.name not in model.enums[declared.qname].literals:
             raise _UsageError(f"{where}: '{text}' is not a literal of {declared.qname}")
         return EnumValue(declared.qname, term.name)
     raise _UsageError(f"{where}: port has no concrete type")
@@ -287,9 +289,9 @@ def _row(record: CycleRecord, in_ports: list[str], out_ports: list[str]) -> str:
 
 
 def _cmd_sim_ts(args) -> int:
-    model, code = _checked_model(args, "ts")
+    model = _gate(args, "ts")
     if model is None:
-        return code
+        return EXIT_CHECK
     main = _resolve_main(model, args.main)
     rc = model.components[main]
     stimulus = _load_stimulus(args.stimulus, model, main) if args.stimulus else []
@@ -298,26 +300,18 @@ def _cmd_sim_ts(args) -> int:
 
     header = "\t".join(["cycle", *(f"in:{p}" for p in rc.in_ports),
                         *(f"out:{p}" for p in rc.out_ports), "state"])
-    try:
-        if args.enumerate_all or args.policy == "enumerate":
-            traces = enumerate_ts(model, main, stimulus, args.cycles, args.bound)
-            blocks = ["\n".join([header, *(_row(r, rc.in_ports, rc.out_ports)
-                                            for r in trace.records)]) for trace in traces]
-            print("\n\n".join(blocks))
-            print(f"traces: {len(traces)}")
-            return EXIT_OK
-        # each row is written as its cycle completes, so an error keeps those before it
-        for record in iter_ts(model, main, stimulus, args.cycles, _policy_from(args)):
-            if record.index == 1:
-                print(header)
-            print(_row(record, rc.in_ports, rc.out_ports))
-    except EnumerationOverflow as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except SimulationError as exc:
-        sys.stdout.flush()
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    if args.enumerate_all or args.policy == "enumerate":
+        traces = enumerate_ts(model, main, stimulus, args.cycles, args.bound)
+        blocks = ["\n".join([header, *(_row(r, rc.in_ports, rc.out_ports)
+                                        for r in trace.records)]) for trace in traces]
+        print("\n\n".join(blocks))
+        print(f"traces: {len(traces)}")
+        return EXIT_OK
+    # each row is written as its cycle completes, so an error keeps those before it
+    for record in iter_ts(model, main, stimulus, args.cycles, _policy_from(args)):
+        if record.index == 1:
+            print(header)
+        print(_row(record, rc.in_ports, rc.out_ports))
     return EXIT_OK
 
 
@@ -344,16 +338,11 @@ def _load_script(path: str, model: ResolvedModel, main: str) -> list[Event]:
 
 
 def _cmd_sim_ed(args) -> int:
-    model, code = _checked_model(args, "ed")
+    model = _gate(args, "ed")
     if model is None:
-        return code
+        return EXIT_CHECK
     main = _resolve_main(model, args.main)
-    script = _load_script(args.script, model, main)
-    try:
-        trace = run_ed(model, main, script, _policy_from(args))
-    except SimulationError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    trace = run_ed(model, main, _load_script(args.script, model, main), _policy_from(args))
     blocks: list[str] = []
     if trace.initial_emissions:
         lines = [f"emit {port}={format_value(v)}"
@@ -376,13 +365,8 @@ def _cmd_sim_ed(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_export_ir(args) -> int:
-    units, tunits, syn = _load(args.paths, args.types)
-    if syn:
-        _print_diagnostics(sort_diagnostics(syn), sys.stderr)
-        return EXIT_CHECK
-    model, rdiags = resolve(units, tunits)
-    if has_errors(rdiags):
-        _print_diagnostics(sort_diagnostics(rdiags), sys.stderr)
+    model = _gate(args, None)  # resolution reports errors only, so --force is never asked
+    if model is None:
         return EXIT_CHECK
     document = export_ir(model)
     if args.out:

@@ -68,7 +68,7 @@ def parse_component_file(text: str, origin: str) -> Union[CompilationUnit, list[
     """Parse one model file; returns the unit or a list of SYN diagnostics."""
     try:
         tokens = tokenize(text, origin)
-        return _Parser(tokens, origin).compilation_unit()
+        return _Parser(tokens).compilation_unit()
     except (LexError, ParseError) as exc:
         return [Diagnostic.at("SYN", exc.loc, exc.message)]
 
@@ -77,7 +77,7 @@ def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnos
     """Parse one type-declaration file; returns the unit or SYN diagnostics."""
     try:
         tokens = tokenize(text, origin)
-        return _Parser(tokens, origin).type_decl_unit()
+        return _Parser(tokens).type_decl_unit()
     except (LexError, ParseError) as exc:
         return [Diagnostic.at("SYN", exc.loc, exc.message)]
 
@@ -85,7 +85,7 @@ def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnos
 def parse_value(text: str) -> Union[ELit, ERef, NoData]:
     """``--`` or one value as a block entry reads it, and nothing after it (a
     stimulus cell or an event's value); raises LexError or ParseError."""
-    parser = _Parser(tokenize(text, ""), "")
+    parser = _Parser(tokenize(text, ""))
     term = NoData(parser._next().loc) if parser._at("--") else parser._value()
     if not parser._at_kind("EOF"):
         raise parser._expected("end of value")
@@ -93,11 +93,10 @@ def parse_value(text: str) -> Union[ELit, ERef, NoData]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], origin: str):
+    def __init__(self, tokens: list[Token]):
         self._toks = tokens
         self._pos = 0  # never past the EOF token, which is last
         self._last = len(tokens) - 1
-        self._origin = origin
         self._nesting = 0
 
     # -- token helpers ------------------------------------------------------
@@ -176,7 +175,7 @@ class _Parser:
             if tok.text == "component" or (tok.kind == "SYMBOL" and tok.text == "<<"):
                 raise ParseError(tok.loc, "only one top-level component per model file")
             raise ParseError(tok.loc, f"unexpected {tok.text!r} after component definition")
-        return CompilationUnit(package, imports, component, origin=self._origin)
+        return CompilationUnit(package, imports, component)
 
     def type_decl_unit(self) -> TypeDeclUnit:
         self._expect("package")
@@ -204,7 +203,7 @@ class _Parser:
         if not self._at_kind("EOF"):
             tok = self._peek()
             raise ParseError(tok.loc, f"unexpected {tok.text!r} in type declarations")
-        return TypeDeclUnit(package, enums, origin=self._origin)
+        return TypeDeclUnit(package, enums)
 
     # -- components ---------------------------------------------------------
 

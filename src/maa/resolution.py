@@ -77,26 +77,6 @@ PYTHON_TYPES = {INTEGER: int, BOOLEAN: bool, STRING: str}  # the values of each 
 _LITERAL_TYPES = {python: builtin for builtin, python in PYTHON_TYPES.items()}
 
 
-@dataclass(frozen=True)
-class SeqType:
-    """Type of a sequence value; ``element`` is None for the empty sequence."""
-
-    element: Optional[TypeRef]
-
-
-class _NoDataType:
-    def __repr__(self) -> str:
-        return "NODATA"
-
-
-NODATA_TYPE = _NoDataType()
-
-
-def conforms(a: TypeRef, b: TypeRef) -> bool:
-    """Nominal, exact type conformance: each type conforms only to itself."""
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # Resolved symbols
 # ---------------------------------------------------------------------------
@@ -104,7 +84,6 @@ def conforms(a: TypeRef, b: TypeRef) -> bool:
 @dataclass
 class EnumInfo:
     qname: str
-    name: str
     literals: list[str]
 
 
@@ -227,7 +206,7 @@ def resolve(units: list[CompilationUnit],
             if qname in model.enums:
                 diags.append(Diagnostic.at("R0", enum.loc, f"enum '{qname}' declared twice"))
                 continue
-            model.enums[qname] = EnumInfo(qname, enum.name, list(enum.literals))
+            model.enums[qname] = EnumInfo(qname, list(enum.literals))
 
     resolved: list[ResolvedComponent] = []
     for unit in units:
@@ -317,7 +296,12 @@ def _resolve_names(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
             (rc.in_ports if port.direction == "in" else rc.out_ports).append(port.name)
     for var in rc.ast.variables:
         if var.name not in rc.names:
-            rc.names[var.name] = ("var", resolve_type(var.type_name, var.loc, "variable"))
+            declared = resolve_type(var.type_name, var.loc, "variable")
+            rc.names[var.name] = ("var", declared)
+            if (var.initial is None and isinstance(declared, EnumType)
+                    and not model.enums[declared.qname].literals):
+                diags.append(Diagnostic.at(
+                    "R0", var.loc, f"enum '{declared.qname}' has no literals to default to"))
     literals: dict[str, list[EnumInfo]] = {}
     for qnames in rc.visible_enums.values():
         for enum in (model.enums[q] for q in qnames):
@@ -346,36 +330,17 @@ def _resolve_type_name(rc: ResolvedComponent, model: ResolvedModel,
 # Typing and inference
 # ---------------------------------------------------------------------------
 
-def type_of(term: ValueTerm, env: ResolvedComponent):
-    """Type of a value term, or of a guard's literal or name, in a component's
-    name environment.
-
-    Returns a :data:`TypeRef`, a :class:`SeqType`, :data:`NODATA_TYPE`, or
-    ``None`` when the term is untypable (unresolved or ambiguous name,
-    heterogeneous sequence).
-    """
+def type_of(term: Union[ELit, ERef], env: ResolvedComponent) -> Optional[TypeRef]:
+    """Type of a literal or a name in a component's name environment, or
+    ``None`` for a name that is unresolved, ambiguous or of no resolved type."""
     if isinstance(term, ELit):
         return _LITERAL_TYPES[type(term.value)]
-    if isinstance(term, ERef):
-        binding = env.binding(term.name)
-        if binding is None or binding[0] == "ambiguous-enum":
-            return None
-        if binding[0] == "enum":
-            return EnumType(binding[1].qname)
-        return binding[1]
-    if isinstance(term, NoData):
-        return NODATA_TYPE
-    if isinstance(term, SequenceValue):
-        if not term.elements:
-            return SeqType(None)
-        element_types = [type_of(e, env) for e in term.elements]
-        first = element_types[0]
-        if first is None or isinstance(first, (SeqType, _NoDataType)):
-            return None
-        if all(t == first for t in element_types):
-            return SeqType(first)
+    binding = env.binding(term.name)
+    if binding is None or binding[0] == "ambiguous-enum":
         return None
-    raise TypeError(f"not a value term: {term!r}")
+    if binding[0] == "enum":
+        return EnumType(binding[1].qname)
+    return binding[1]
 
 
 def admits(kind: str, declared: Optional[TypeRef], term: ValueTerm,
@@ -394,10 +359,7 @@ def admits(kind: str, declared: Optional[TypeRef], term: ValueTerm,
         if kind == "var":
             return False
         return all(admits(kind, declared, e, env) for e in term.elements)
-    t = type_of(term, env)
-    if t is None or isinstance(t, (SeqType, _NoDataType)):
-        return False
-    return conforms(t, declared)
+    return type_of(term, env) == declared
 
 
 class Inference(NamedTuple):
@@ -480,7 +442,7 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, components: 
         if src is None or dst is None:
             continue
         (src_type,), (dst_type,) = src, dst
-        if src_type is not None and dst_type is not None and not conforms(src_type, dst_type):
+        if src_type is not None and dst_type is not None and src_type != dst_type:
             diags.append(Diagnostic.at(
                 "R0", conn.loc,
                 f"connector type mismatch: {src_type} -> {dst_type}"))

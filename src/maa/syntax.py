@@ -242,7 +242,6 @@ class CompilationUnit:
     package: str  # "" for the default package
     imports: list[ImportDecl]
     component: ComponentType
-    origin: str = field(compare=False, repr=False, default="<unknown>")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,6 @@ class EnumDecl:
 class TypeDeclUnit:
     package: str
     enums: list[EnumDecl]
-    origin: str = field(compare=False, repr=False, default="<unknown>")
 
 
 def expr_refs(term: Union[Expr, ValueTerm]):

@@ -120,6 +120,8 @@ def _component(body: str) -> str:
     pytest.param(_component("automaton { state S; initial S; S {true}; }"),
                  ["c.maa:1:83 error T1: no port or variable of a matching type admits "
                   "this input value"], id="T1-input-unmatched"),
+    pytest.param(_component("automaton { state S; initial T; }"),
+                 ["c.maa:1:77 error R1: state 'T' is undefined"], id="R1-initial"),
 ])
 def test_rule_messages(text, expected):
     from maa.parser import parse_component_file

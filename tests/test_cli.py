@@ -155,6 +155,28 @@ def test_closed_stdout_exits_two_without_a_message(tmp_path):
     assert err == b""
 
 
+def test_closed_stdout_during_a_runtime_error_exits_two_without_a_message(tmp_path):
+    # The rows before the error are flushed into a pipe whose reader is gone.
+    # Standard output stays block-buffered, as into any pipe by default, so
+    # the rows reach the pipe only at that flush.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    model = tmp_path / "F.maa"
+    model.write_text("component F { port in Integer p, out Integer o; automaton {"
+                     " state S; initial S; S / o = p; } }", encoding="utf-8")
+    stimulus = tmp_path / "s.tsv"
+    stimulus.write_text("p\n1\n--\n", encoding="utf-8")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "maa.cli", "sim-ts", str(model), "--main", "F",
+             "--stimulus", str(stimulus), "--cycles", "3"],
+            env=dict(env, PYTHONPATH=str(REPO_ROOT / "src")), stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (2, b"")
+
+
 def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.
@@ -237,6 +259,19 @@ def test_self_containing_component_is_an_r0_error(capsys, tmp_path, command):
     assert code == 1
     assert (out or err) == (
         f"{model}:1:34 error R0: component 'A' contains itself through subcomponent 'a'\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--profile", "ts"], ["sim-ts", "--main", "C", "--cycles", "1"],
+], ids=["check", "sim-ts"])
+def test_variable_without_a_default_is_an_r0_error(capsys, tmp_path, command):
+    model = tmp_path / "C.maa"
+    model.write_text("component C { port in Integer p; t.E v; }", encoding="utf-8")
+    types = tmp_path / "t.types"
+    types.write_text("package t; enum E { }", encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(model), "--types", str(types), *command[1:])
+    assert code == 1
+    assert (out or err) == f"{model}:1:38 error R0: enum 't.E' has no literals to default to\n"
 
 
 def test_sim_ts_runs_a_1500_deep_hierarchy(capsys, tmp_path):
@@ -344,6 +379,15 @@ def test_sim_ts_enumerate_output(capsys, tmp_path):
     count_line = blocks[-1].splitlines()[-1]
     assert count_line == "traces: 2"
     assert len(blocks) == 2
+
+
+def test_sim_ts_enumerate_over_the_bound_exit_three(capsys, tmp_path):
+    model = tmp_path / "N.maa"
+    model.write_text("component N { port out Integer o; automaton {"
+                     " state S; initial S; S / o = 1; S / o = 2; } }", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ts", str(model), "--main", "N", "--cycles", "2",
+                         "--enumerate", "--bound", "1")
+    assert (code, out, err) == (3, "", "error: more than 1 distinct traces; raise the bound\n")
 
 
 def test_sim_ts_enumerate_sorts_absence_before_values(capsys, tmp_path):
@@ -483,7 +527,9 @@ def test_sim_ts_bad_stimulus_cell_usage_error(capsys, tmp_path):
     ('"a"\t+7', "expected a value, found '+'"),
     ('"a"\t"5"', """'"5"' is not an Integer"""),
     ("true\t5", "String values must be double-quoted"),
-], ids=["escape", "inner-quote", "underscore", "plus", "integer-type", "string-type"])
+    ('"a"\t1\t2', "more cells than header columns"),
+], ids=["escape", "inner-quote", "underscore", "plus", "integer-type", "string-type",
+        "extra-cell"])
 def test_sim_ts_stimulus_cells_are_model_values(capsys, tmp_path, cells, message):
     model = tmp_path / "M.maa"
     model.write_text("component M { port in String s, in Integer n, out Integer o;"
@@ -493,6 +539,25 @@ def test_sim_ts_stimulus_cells_are_model_values(capsys, tmp_path, cells, message
     code, out, err = run(capsys, "sim-ts", str(model), "--main", "M",
                          "--stimulus", str(stim), "--cycles", "1")
     assert (code, out, err) == (2, "", f"error: {stim}:2: {message}\n")
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    (["sim-ts", "--cycles", "1", "--stimulus"], "e\nX\n", "2: 'X' is not a literal of t.E"),
+    (["sim-ed", "--script"], "e X\n", "1: 'X' is not a literal of t.E"),
+    (["sim-ed", "--script"], "e\n", "1: expected '<port> <value>'"),
+    (["sim-ed", "--script"], "e --\n", "1: events cannot carry '--'"),
+], ids=["stimulus-literal", "script-literal", "script-no-value", "script-absence"])
+def test_enum_inputs_are_refused_with_their_line(capsys, tmp_path, command, lines, message):
+    model = tmp_path / "M.maa"
+    model.write_text("package t; component M { port in E e, out E o; automaton {"
+                     " state S; initial S; S e = A / o = A; } }", encoding="utf-8")
+    types = tmp_path / "e.types"
+    types.write_text("package t; enum E { A, B }", encoding="utf-8")
+    data = tmp_path / "data.txt"
+    data.write_text(lines, encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(model), "--types", str(types), "--main", "M",
+                         *command[1:], str(data))
+    assert (code, out, err) == (2, "", f"error: {data}:{message}\n")
 
 
 def test_sim_ts_duplicate_stimulus_column_usage_error(capsys, tmp_path):

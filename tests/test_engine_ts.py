@@ -865,9 +865,10 @@ UNSTARTABLE = {
         (PASS, "component C { port out Integer o; component P p;"
                " connect p.o -> p.i; connect p.o -> o; }"), (),
         "C", "connector cycle through 'o'"),
-    "empty-enum-default": (
-        ("package p; import t.*; component C { port in Integer p, out Integer o; E v;"
-         " automaton { state S; initial S; } }",), ("package t; enum E { }",),
+    "empty-enum-default": (  # through a type argument: a direct one is resolution's R0
+        ("package p; import t.*; component C { port in Integer p; component G<E> g; }",
+         "package p; component G<T> { port in Integer p; T v;"
+         " automaton { state S; initial S; } }"), ("package t; enum E { }",),
         "p.C", "enum 't.E' has no literals to default to"),
     "unsubstituted-type-parameter": (
         ("component C<T> { port in Integer p, out Integer o; T v;"

@@ -13,9 +13,7 @@ from maa.resolution import (
     BOOLEAN,
     EnumType,
     INTEGER,
-    NODATA_TYPE,
     ParamType,
-    SeqType,
     infer_block_target,
     resolve,
     substitute_type,
@@ -50,24 +48,6 @@ def test_enum_literal_typing(bump_model):
     rc = bump_model.components["bumperbot.BumpControl"]
     term = ERef("FORWARD", None)
     assert type_of(term, rc) == EnumType("bumperbot.types.MotorCmd")
-
-
-def test_sequence_typing(bump_model):
-    rc = bump_model.components["bumperbot.BumpControl"]
-    seq = SequenceValue([ELit(3, None), ELit(14, None)], None)
-    assert type_of(seq, rc) == SeqType(INTEGER)
-    empty = SequenceValue([], None)
-    assert type_of(empty, rc) == SeqType(None)
-    assert type_of(NoData(None), rc) is NODATA_TYPE
-
-
-def test_heterogeneous_sequence_untypable():
-    unit = parse_model(MODELS / "reference" / "IntegerDuplicator.maa")
-    model, diags = resolve([unit], [])
-    assert diags == []
-    rc = model.components["IntegerDuplicator"]
-    mixed = SequenceValue([ELit("input is:", None), ERef("speak", None)], None)
-    assert type_of(mixed, rc) is None
 
 
 def test_unresolved_import_reports_r0():
@@ -361,6 +341,9 @@ def _top(body: str, header: str = "") -> dict[str, str]:
                  | _top("component B b;"),
                  ["b.maa:1:26 error R0: component 'a.B' contains itself through "
                   "subcomponent 'b'"], id="contains-a-component-that-contains-itself"),
+    pytest.param({"t.types": "package t; enum E { }"} | _top("port in t.E p; t.E v;"),
+                 ["top.maa:1:48 error R0: enum 't.E' has no literals to default to"],
+                 id="empty-enum-default"),
 ])
 def test_r0_messages(files, expected):
     units = [parse_component_file(text, name) for name, text in files.items()
