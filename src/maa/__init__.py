@@ -32,6 +32,7 @@ from .engine import (
     Trace,
     build_plan,
     enumerate_ts,
+    iter_ed,
     iter_ts,
     run_ed,
     run_ts,

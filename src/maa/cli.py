@@ -13,7 +13,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .checks import PROFILES, check
 from .diagnostics import Diagnostic, has_errors, sort_diagnostics
@@ -23,6 +23,7 @@ from .engine import (
     EnumerationOverflow,
     EnumValue,
     Event,
+    EventStep,
     FirstDeclared,
     Policy,
     Seeded,
@@ -31,8 +32,8 @@ from .engine import (
     Slot,
     enumerate_ts,
     format_value,
+    iter_ed,
     iter_ts,
-    run_ed,
 )
 from .lexer import LexError
 from .parser import ParseError, parse_component_file, parse_types_file, parse_value
@@ -163,10 +164,12 @@ def _front(args, profile: Optional[str]) -> tuple[ResolvedModel, list[Diagnostic
     return model, sort_diagnostics(diags)
 
 
-def _data_lines(path: str) -> list[tuple[int, str]]:
-    """The numbered lines of a stimulus or script file, blank and ``#`` lines skipped."""
-    return [(lineno, line) for lineno, line in enumerate(_read(path).splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith("#")]
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a stimulus or script file, blank and ``#`` lines
+    skipped as they are read, so no second list of the lines is built."""
+    return filter(lambda numbered: numbered[1].strip()
+                  and not numbered[1].lstrip().startswith("#"),
+                  enumerate(_read(path).splitlines(), start=1))
 
 
 def _print_diagnostics(diags: list[Diagnostic], stream) -> None:
@@ -302,9 +305,11 @@ def _cmd_sim_ts(args) -> int:
                         *(f"out:{p}" for p in rc.out_ports), "state"])
     if args.enumerate_all or args.policy == "enumerate":
         traces = enumerate_ts(model, main, stimulus, args.cycles, args.bound)
-        blocks = ["\n".join([header, *(_row(r, rc.in_ports, rc.out_ports)
-                                        for r in trace.records)]) for trace in traces]
-        print("\n\n".join(blocks))
+        separator = ""
+        for trace in traces:
+            print(separator + "\n".join([header, *(_row(r, rc.in_ports, rc.out_ports)
+                                                   for r in trace.records)]))
+            separator = "\n"
         print(f"traces: {len(traces)}")
         return EXIT_OK
     # each row is written as its cycle completes, so an error keeps those before it
@@ -320,21 +325,40 @@ def _cmd_sim_ts(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_script(path: str, model: ResolvedModel, main: str) -> list[Event]:
+    """Every event of the script, read and checked before any runs, so that a
+    refusal comes before the first block.  A line's first occurrence goes
+    through every check, with its line number; a repeat of the line shares its
+    :class:`Event`, as it can only get the same answer."""
     rc = model.components[main]
-    read = functools.cache(parse_value)
     events: list[Event] = []
+    seen: dict[str, Event] = {}
     for lineno, line in _data_lines(path):
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise _UsageError(f"{path}:{lineno}: expected '<port> <value>'")
-        port, text = parts
-        if port not in rc.in_ports:
-            raise _UsageError(f"{path}:{lineno}: '{port}' is not an in-port of '{main}'")
-        value = _parse_cell(text, rc.binding(port)[1], model, f"{path}:{lineno}", read)
-        if value is ABSENT:
-            raise _UsageError(f"{path}:{lineno}: events cannot carry '--'")
-        events.append(Event(port, value))
+        event = seen.get(line)
+        if event is None:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise _UsageError(f"{path}:{lineno}: expected '<port> <value>'")
+            port, text = parts
+            if port not in rc.in_ports:
+                raise _UsageError(f"{path}:{lineno}: '{port}' is not an in-port of '{main}'")
+            value = _parse_cell(text, rc.binding(port)[1], model, f"{path}:{lineno}",
+                                parse_value)
+            if value is ABSENT:
+                raise _UsageError(f"{path}:{lineno}: events cannot carry '--'")
+            event = seen[line] = Event(port, value)
+        events.append(event)
     return events
+
+
+def _block(step: EventStep) -> str:
+    """One event's lines, or the start's: what was received, each message
+    emitted, and the state after."""
+    lines = [] if step.event is None else [
+        f"recv {step.event.port}={format_value(step.event.value)}"]
+    for port, values in step.emissions:
+        lines.extend(f"emit {port}={format_value(v)}" for v in values)
+    lines.append(f"state {step.state.state or '-'}")
+    return "\n".join(lines)
 
 
 def _cmd_sim_ed(args) -> int:
@@ -342,21 +366,14 @@ def _cmd_sim_ed(args) -> int:
     if model is None:
         return EXIT_CHECK
     main = _resolve_main(model, args.main)
-    trace = run_ed(model, main, _load_script(args.script, model, main), _policy_from(args))
-    blocks: list[str] = []
-    if trace.initial_emissions:
-        lines = [f"emit {port}={format_value(v)}"
-                 for port, values in trace.initial_emissions for v in values]
-        lines.append(f"state {trace.initial_state or '-'}")
-        blocks.append("\n".join(lines))
-    for step in trace.steps:
-        lines = [f"recv {step.event.port}={format_value(step.event.value)}"]
-        for port, values in step.emissions:
-            lines.extend(f"emit {port}={format_value(v)}" for v in values)
-        lines.append(f"state {step.state.state or '-'}")
-        blocks.append("\n".join(lines))
-    if blocks:
-        print("\n\n".join(blocks))
+    script = _load_script(args.script, model, main)
+    # Each block is written as its event completes, so an error keeps those
+    # before it.  The start has a block only if it emits.
+    separator = ""
+    for step in iter_ed(model, main, script, _policy_from(args)):
+        if step.event is not None or step.emissions:
+            print(separator + _block(step))
+            separator = "\n"
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ an ordinary step out of :data:`PRE_START`, where :func:`_start` puts each
 instance with its variables initialised, and every instance fires through
 :func:`_successors`: in the time-synchronous step, :func:`_step`, wired by
 index (a policy follows one branch, the enumerator every branch, with equal
-successors merged), or in ``run_ed`` once to start and once per event.
+successors merged), or in :func:`iter_ed` once to start and once per event.
 """
 
 from __future__ import annotations
@@ -119,7 +119,9 @@ def _every_branch(options: list) -> list[tuple]:
 #
 # Code that runs every cycle builds lists and maps, not generators: a
 # generator that a MemoryError leaves suspended needs memory to be closed, so
-# the run could not end in one line of ``internal error``.
+# the run could not end in one line of ``internal error``.  The only yields per
+# cycle or per event are those of :func:`iter_ts` and :func:`iter_ed`, whose
+# callers stream a run's records.
 
 @dataclass(frozen=True)
 class ComponentState:
@@ -168,7 +170,7 @@ class Trace:
     records: list[CycleRecord]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     port: str
     value: Value
@@ -176,7 +178,7 @@ class Event:
 
 @dataclass
 class EventStep:
-    event: Event
+    event: Optional[Event]  # None for the start of an :func:`iter_ed` run
     emissions: list[tuple[str, list[Value]]]
     state: ComponentState
 
@@ -564,12 +566,15 @@ def _emissions(outputs: list[tuple[str, object]]) -> list[tuple[str, list[Value]
             for port, value in outputs]
 
 
-def run_ed(model: ResolvedModel, main: str, script: list[Event],
-           policy: Policy = FirstDeclared()) -> EventTrace:
-    """Consume the scripted events in order, run-to-completion per event: the
+def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
+            policy: Policy = FirstDeclared()) -> Iterator[EventStep]:
+    """Consume the scripted events in order, run-to-completion per event,
+    yielding the start first, as a step with no event (the initial state and
+    initial emissions), then one step per event as that event completes.  The
     main component's one instance reads the event's port, every other in-port
     absent, and only transitions that read exactly that port react to it.  An
-    event's value must have its port's type."""
+    event's value must have its port's type.  A failing event raises
+    :class:`SimulationError` after the steps before it."""
     rc = model.components.get(main)
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
@@ -577,9 +582,16 @@ def run_ed(model: ResolvedModel, main: str, script: list[Event],
     branches = _policy_branches(policy)
     inputs = _external(model, rc, "event", "")
     [(cs, outputs)] = _successors(inst, _start(inst, model), inputs({}), branches)
-    trace = EventTrace(cs.state, _emissions(outputs), [])
+    yield EventStep(None, _emissions(outputs), cs)
     for event in script:
         [(cs, outputs)] = _successors(inst, cs, inputs({event.port: event.value}), branches,
                                       event.port)
-        trace.steps.append(EventStep(event, _emissions(outputs), cs))
-    return trace
+        yield EventStep(event, _emissions(outputs), cs)
+
+
+def run_ed(model: ResolvedModel, main: str, script: Iterable[Event],
+           policy: Policy = FirstDeclared()) -> EventTrace:
+    """The whole trace of :func:`iter_ed`."""
+    steps = iter_ed(model, main, script, policy)
+    start = next(steps)
+    return EventTrace(start.state.state, start.emissions, list(steps))

@@ -632,6 +632,97 @@ def test_sim_ed_unknown_port_usage_error(capsys, tmp_path):
     assert "in-port" in err
 
 
+# Forwards q, absent in every event on p, once p exceeds 1.
+FORWARD_Q = ("component F { port in Integer p, in Integer q, out Integer o; automaton {"
+             " state S; initial S; S [p > 1] / o = q; S p = 1 / o = p; } }")
+
+
+def test_sim_ed_runtime_error_keeps_the_blocks_before_it(capsys, tmp_path):
+    model = tmp_path / "F.maa"
+    model.write_text(FORWARD_Q, encoding="utf-8")
+    script = tmp_path / "s.txt"
+    script.write_text("p 1\np 0\np 2\np 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ed", str(model), "--main", "F", "--script", str(script))
+    assert code == 3
+    assert out == "recv p=1\nemit o=1\nstate S\n\nrecv p=0\nstate S\n"
+    assert err == "runtime error: forwarding absent message from port 'q'\n"
+
+
+def test_sim_ed_script_refused_on_its_last_line_prints_no_block(capsys, tmp_path):
+    model = tmp_path / "F.maa"
+    model.write_text(FORWARD_Q, encoding="utf-8")
+    script = tmp_path / "s.txt"
+    script.write_text("p 1\n" * 50 + "p x\n", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ed", str(model), "--main", "F", "--script", str(script))
+    assert (code, out, err) == (2, "", f"error: {script}:51: 'x' is not an Integer\n")
+
+
+def test_sim_ed_closed_stdout_exits_two_without_a_message(tmp_path):
+    # ``maa sim-ed ... | head -2``: the reader goes away after two lines
+    model = tmp_path / "F.maa"
+    model.write_text(FORWARD_Q, encoding="utf-8")
+    script = tmp_path / "s.txt"
+    script.write_text("p 1\n" * 10000, encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "maa.cli", "sim-ed", str(model), "--main", "F",
+         "--script", str(script)],
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [child.stdout.readline() for _ in range(2)]
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert lines == [b"recv p=1\n", b"emit o=1\n"]
+    assert err == b""
+
+
+@pytest.mark.parametrize("module, attr", [(maa.engine, "_successors"), (maa.cli, "format_value")],
+                         ids=["engine", "output"])
+def test_sim_ed_memory_error_mid_script_exit_four_in_one_line(capsys, monkeypatch, tmp_path,
+                                                              module, attr):
+    # Raised in the engine's step, or in the CLI while the run is suspended
+    # between two events; either way the run ends in one line.
+    model = tmp_path / "F.maa"
+    model.write_text(FORWARD_Q, encoding="utf-8")
+    script = tmp_path / "s.txt"
+    script.write_text("p 1\n" * 10, encoding="utf-8")
+    original, calls = getattr(module, attr), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 5:
+            raise MemoryError()
+        return original(*args)
+
+    monkeypatch.setattr(module, attr, failing)
+    code, _, err = run(capsys, "sim-ed", str(model), "--main", "F", "--script", str(script))
+    assert (code, err) == (4, "internal error: MemoryError: \n")
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs a child's own rusage")
+def test_sim_ed_memory_does_not_grow_with_the_script(tmp_path):
+    # Blocks are written as their events complete, and repeated script lines
+    # share one event, so only the list of event references grows.
+    model = tmp_path / "F.maa"
+    model.write_text(FORWARD_Q, encoding="utf-8")
+
+    def peak_kb(events: int) -> int:
+        script = tmp_path / f"s{events}.txt"
+        script.write_text("".join(f"p {k % 2}\nq {k % 10}\n" for k in range(events // 2)),
+                          encoding="utf-8")
+        launched = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "maa.cli", "sim-ed",
+             str(model), "--main", "F", "--script", str(script)],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True, check=True)
+        code, peak = map(int, launched.stdout.split())
+        assert code == 0
+        return peak  # KB on Linux
+
+    assert peak_kb(20000) - peak_kb(2000) <= 5 * 1024
+
+
 # ---------------------------------------------------------------------------
 # export-ir
 # ---------------------------------------------------------------------------

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
-from maa.engine import ABSENT, EnumValue, Event, Seeded, SetupError, run_ed
+from maa.engine import (
+    ABSENT,
+    EnumValue,
+    Event,
+    EventTrace,
+    FirstDeclared,
+    Seeded,
+    SetupError,
+    SimulationError,
+    iter_ed,
+    run_ed,
+)
 from maa.parser import parse_component_file
-from maa.resolution import resolve
+from maa.resolution import BOOLEAN, INTEGER, STRING, EnumType, resolve
 from maa.syntax import CompilationUnit
+
+from conftest import CORPUS, load_model
 
 ARM = "robot.ArmControlCommand"
 LIGHT = "robot.LightCommand"
@@ -188,3 +204,64 @@ def test_seeded_runs_see_every_transition_that_reacts():
     seen = {run_ed(model, "p.C", [Event("op", op("B"))], Seeded(seed)).steps[0].emissions[0][1][0]
             for seed in range(40)}
     assert seen == {1, 2, 4, 5}
+
+
+def _script_for(rc, model, rng, n):
+    """``n`` events on the in-ports of ``rc`` with concrete types, drawn from a
+    few values of each type."""
+    values = {}
+    for port in rc.in_ports:
+        declared = rc.binding(port)[1]
+        if declared == INTEGER:
+            values[port] = [0, 1, 2, 7]
+        elif declared == BOOLEAN:
+            values[port] = [False, True]
+        elif declared == STRING:
+            values[port] = ["", "a"]
+        elif isinstance(declared, EnumType):
+            values[port] = [EnumValue(declared.qname, literal)
+                            for literal in model.enums[declared.qname].literals]
+    ports = sorted(port for port in values if values[port])
+    return [Event(port, rng.choice(values[port])) for port in rng.choices(ports, k=n)] \
+        if ports else []
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (SetupError, SimulationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _collected(steps):
+    start = next(steps)
+    assert start.event is None
+    return EventTrace(start.state.state, start.emissions, list(steps))
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_run_ed_is_the_collected_iter_ed_on_the_corpus(name):
+    paths, _, type_paths = CORPUS[name]
+    model = load_model(paths, type_paths)
+    rng = random.Random(name)
+    for qname, rc in sorted(model.components.items()):
+        if rc.ast.composed:
+            continue
+        script = _script_for(rc, model, rng, 30)
+        for policy in (FirstDeclared(), Seeded(3)):
+            assert _outcome(lambda: run_ed(model, qname, script, policy)) == _outcome(
+                lambda: _collected(iter_ed(model, qname, script, policy))), (qname, policy)
+
+
+def test_a_failing_event_raises_after_the_start_and_the_steps_before_it():
+    model = small_model(
+        "component F { port in Integer p, in Integer q, out Integer o; automaton {"
+        " state S; initial S / o = 5; S [p > 1] / o = q; S p = 1 / o = p; } }")
+    steps = iter_ed(model, "F", [Event("p", 1), Event("p", 0), Event("p", 2), Event("p", 1)])
+    start = next(steps)
+    assert (start.event, start.emissions, start.state.state) == (None, [("o", [5])], "S")
+    assert [(step.event.value, step.emissions) for step in itertools.islice(steps, 2)] == [
+        (1, [("o", [1])]), (0, [])]
+    with pytest.raises(SimulationError, match="forwarding absent message from port 'q'"):
+        next(steps)
+    assert next(steps, None) is None

@@ -156,6 +156,14 @@ def test_syntax_error_location():
     assert (result[0].loc.line, result[0].code) == (2, "SYN")
 
 
+def test_a_lexical_error_is_reported_before_an_earlier_syntax_error():
+    # The whole file is tokenized before it is parsed, so the stray character
+    # on line 3 is the one finding, not the misplaced 'port' on line 2.
+    text = "component A {\n  port in Integer i port;\n  x = 1²;\n}"
+    assert [d.render() for d in parse_component_file(text, "a.maa")] == [
+        "a.maa:3:8 error SYN: unexpected character '²'"]
+
+
 @pytest.mark.parametrize("text, found", [
     ("component C { port", "'end of input'"),
     ("component C { port Integer p; }", "'Integer'"),
