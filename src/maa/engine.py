@@ -574,7 +574,7 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     main component's one instance reads the event's port, every other in-port
     absent, and only transitions that read exactly that port react to it.  An
     event's value must have its port's type.  A failing event raises
-    :class:`SimulationError` after the steps before it."""
+    :class:`SimulationError`, naming the event, after the steps before it."""
     rc = model.components.get(main)
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
@@ -583,9 +583,12 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     inputs = _external(model, rc, "event", "")
     [(cs, outputs)] = _successors(inst, _start(inst, model), inputs({}), branches)
     yield EventStep(None, _emissions(outputs), cs)
-    for event in script:
-        [(cs, outputs)] = _successors(inst, cs, inputs({event.port: event.value}), branches,
-                                      event.port)
+    for index, event in enumerate(script, start=1):
+        try:
+            [(cs, outputs)] = _successors(inst, cs, inputs({event.port: event.value}), branches,
+                                          event.port)
+        except SimulationError as exc:
+            raise SimulationError(exc.message, event=index) from None
         yield EventStep(event, _emissions(outputs), cs)
 
 

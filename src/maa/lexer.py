@@ -11,13 +11,15 @@ catch what cannot start a token: an unterminated block comment, an
 unterminated string and any other character, so every position matches and
 each lexical error is raised where the text goes wrong.  Line and column are
 counted from newline offsets; only skipped whitespace and block comments can
-contain a newline.
+contain a newline.  A call can stop after a given number of tokens and the
+next call resume after the last of them, so the parser lexes a file a batch
+at a time.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .diagnostics import SourceLoc
 
@@ -68,13 +70,28 @@ class Token(NamedTuple):
     text: str
     value: object
     loc: SourceLoc
+    # Where the next batch starts (the offset just after the lexeme), on the
+    # last token of a batch that ``limit`` cut short; None on every other
+    # token, so that no token list holds an offset per token.
+    end: Optional[int] = None
 
 
-def tokenize(text: str, origin: str) -> list[Token]:
-    """Split source text into tokens; raises :class:`LexError` on bad input."""
+def tokenize(text: str, origin: str, after: Optional[Token] = None,
+             limit: Optional[int] = None) -> list[Token]:
+    """Split source text into tokens; raises :class:`LexError` on bad input.
+
+    ``limit`` returns at most that many tokens, and ``after``, the last token
+    of such a batch, resumes the lexing just after it.  The EOF token ends the
+    last batch, so a text's batches, each resuming after the last token of the
+    one before, join to its whole list."""
     tokens: list[Token] = []
-    line, line_start = 1, 0  # current line and the offset it starts at
-    for m in _TOKEN.finditer(text):
+    last = -1 if limit is None else limit - 1  # tokens before a batch's last one
+    if after is None:
+        pos, line, line_start = 0, 1, 0  # current offset, line and the offset it starts at
+    else:  # no token spans a newline, so its line starts after the one before it
+        pos, line = after.end, after.loc.line
+        line_start = text.rfind("\n", 0, pos) + 1
+    for m in _TOKEN.finditer(text, pos):
         kind, start = m.lastgroup, m.start()
         if kind == "SKIP":
             newlines = text.count("\n", start, m.end())
@@ -88,22 +105,23 @@ def tokenize(text: str, origin: str) -> list[Token]:
             if not (lexeme[0].isalpha() or lexeme[0] == "_"):
                 raise LexError(loc, f"unexpected character {lexeme[0]!r}")
             if lexeme in KEYWORDS:
+                kind = "KEYWORD"
                 value = lexeme == "true" if lexeme in ("true", "false") else lexeme
-                tokens.append(Token("KEYWORD", lexeme, value, loc))
             else:
-                tokens.append(Token("NAME", lexeme, lexeme, loc))
+                value = lexeme
         elif kind == "SYMBOL":
-            tokens.append(Token("SYMBOL", lexeme, lexeme, loc))
+            value = lexeme
         elif kind == "INT":
             try:
-                tokens.append(Token("INT", lexeme, int(lexeme), loc))
+                value = int(lexeme)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise LexError(loc, "integer literal too long") from None
         elif kind == "STRING":
             value = _ESCAPE.sub(r"\1", lexeme[1:-1]) if "\\" in lexeme else lexeme[1:-1]
-            tokens.append(Token("STRING", f'"{value}"', value, loc))
+            lexeme = f'"{value}"'
         elif kind == "GUILLEMET":
-            tokens.append(Token("SYMBOL", _GUILLEMETS[lexeme], _GUILLEMETS[lexeme], loc))
+            kind, lexeme = "SYMBOL", _GUILLEMETS[lexeme]
+            value = lexeme
         elif kind == "OPEN_STRING":
             end = m.end()
             if text.startswith("\\", end):
@@ -114,5 +132,9 @@ def tokenize(text: str, origin: str) -> list[Token]:
             raise LexError(loc, "unterminated block comment")
         else:
             raise LexError(loc, f"unexpected character {lexeme!r}")
+        if len(tokens) == last:
+            tokens.append(Token(kind, lexeme, value, loc, m.end()))
+            return tokens
+        tokens.append(Token(kind, lexeme, value, loc))
     tokens.append(Token("EOF", "", None, SourceLoc(origin, line, len(text) - line_start + 1)))
     return tokens

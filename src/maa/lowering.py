@@ -39,12 +39,17 @@ from .syntax import (
 
 
 class SimulationError(Exception):
-    """Runtime failure during a simulation (e.g. forwarding an absent message)."""
+    """Runtime failure during a simulation (e.g. forwarding an absent message),
+    in the cycle or event it names, counted from 1, where it has one."""
 
-    def __init__(self, message: str, cycle: Optional[int] = None):
-        super().__init__(message if cycle is None else f"cycle {cycle}: {message}")
+    def __init__(self, message: str, cycle: Optional[int] = None,
+                 event: Optional[int] = None):
+        where = (f"cycle {cycle}: " if cycle is not None
+                 else f"event {event}: " if event is not None else "")
+        super().__init__(where + message)
         self.message = message
         self.cycle = cycle
+        self.event = event
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ and are rejected later by the well-formedness rules anyway).
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar, Union
+from collections import deque
+from typing import Callable, Optional, TypeVar, Union
 
 from .diagnostics import Diagnostic, SourceLoc
-# Called through this module's attribute, so that wrapping ``parser.tokenize``
-# (as the benchmark does to time the lexer) takes effect.
+# Called through this module's attribute once per batch of tokens, so that
+# wrapping ``parser.tokenize`` (as the benchmark does) times and counts every
+# batch the parser reads.
 from .lexer import LexError, Token, tokenize
 from .syntax import (
     PRECEDENCE,
@@ -54,6 +56,10 @@ GUARD_KINDS = ("ocl", "java")
 MAX_NESTING = 64
 _TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
 
+# A file is lexed this many tokens at a time, as the parser reaches them, so
+# that its whole token list is never held.
+BATCH = 256
+
 T = TypeVar("T")
 
 
@@ -66,18 +72,25 @@ class ParseError(Exception):
 
 def parse_component_file(text: str, origin: str) -> Union[CompilationUnit, list[Diagnostic]]:
     """Parse one model file; returns the unit or a list of SYN diagnostics."""
-    try:
-        tokens = tokenize(text, origin)
-        return _Parser(tokens).compilation_unit()
-    except (LexError, ParseError) as exc:
-        return [Diagnostic.at("SYN", exc.loc, exc.message)]
+    return _parse_file(text, origin, _Parser.compilation_unit)
 
 
 def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnostic]]:
     """Parse one type-declaration file; returns the unit or SYN diagnostics."""
+    return _parse_file(text, origin, _Parser.type_decl_unit)
+
+
+def _parse_file(text: str, origin: str,
+                unit: Callable[["_Parser"], T]) -> Union[T, list[Diagnostic]]:
+    """``unit`` read from the file in batches of tokens, or the file's one SYN
+    diagnostic: its first lexical error if it has one, else the syntax error."""
     try:
-        tokens = tokenize(text, origin)
-        return _Parser(tokens).type_decl_unit()
+        parser = _Parser(text, origin, BATCH)
+        try:
+            return unit(parser)
+        except ParseError:
+            parser.lex_rest()
+            raise
     except (LexError, ParseError) as exc:
         return [Diagnostic.at("SYN", exc.loc, exc.message)]
 
@@ -85,7 +98,7 @@ def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnos
 def parse_value(text: str) -> Union[ELit, ERef, NoData]:
     """``--`` or one value as a block entry reads it, and nothing after it (a
     stimulus cell or an event's value); raises LexError or ParseError."""
-    parser = _Parser(tokenize(text, ""))
+    parser = _Parser(text, "", None)
     term = NoData(parser._next().loc) if parser._at("--") else parser._value()
     if not parser._at_kind("EOF"):
         raise parser._expected("end of value")
@@ -93,28 +106,48 @@ def parse_value(text: str) -> Union[ELit, ERef, NoData]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self._toks = tokens
-        self._pos = 0  # never past the EOF token, which is last
-        self._last = len(tokens) - 1
+    """Reads ``text`` through a window of tokens, lexed ``batch`` at a time
+    (all at once for None) as the lookahead reaches past it."""
+
+    def __init__(self, text: str, origin: str, batch: Optional[int]):
+        self._text, self._origin, self._batch = text, origin, batch
+        # The lexed tokens not yet consumed, the next one first; never empty,
+        # since the EOF token is never consumed.
+        self._window = deque(tokenize(text, origin, None, batch))
         self._nesting = 0
+
+    def lex_rest(self) -> None:
+        """Lex the text after the window, raising its first LexError."""
+        last = self._window[-1]
+        while last.kind != "EOF":
+            last = self._lex_after(last)[-1]
+
+    def _lex_after(self, tok: Token) -> list[Token]:
+        """The batch of tokens just after ``tok``."""
+        return tokenize(self._text, self._origin, tok, self._batch)
 
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        return self._toks[min(self._pos + offset, self._last)]
+        window = self._window
+        while len(window) <= offset and window[-1].kind != "EOF":
+            window.extend(self._lex_after(window[-1]))
+        return window[min(offset, len(window) - 1)]
 
     def _at(self, text: str) -> bool:
-        tok = self._toks[self._pos]
+        tok = self._window[0]
         return tok.text == text and tok.kind in ("SYMBOL", "KEYWORD")
 
     def _at_kind(self, kind: str) -> bool:
-        return self._toks[self._pos].kind == kind
+        return self._window[0].kind == kind
 
     def _next(self) -> Token:
-        tok = self._toks[self._pos]
+        window = self._window
+        tok = window[0]
         if tok.kind != "EOF":
-            self._pos += 1
+            window.popleft()
+            if not window:
+                window.extend(self._lex_after(tok))
         return tok
 
     def _accept(self, text: str) -> bool:

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import maa.cli
 import maa.engine
+import maa.parser
 from maa.cli import main
 from maa.parser import MAX_NESTING
 
-from conftest import FIXTURES, MODELS, REPO_ROOT
+from conftest import FIXTURES, MODELS, REPO_ROOT, workloads
 
 COCO = FIXTURES / "coco"
 BUMP = [str(MODELS / "bumperbot" / "BumpControl.maa"),
@@ -134,6 +135,29 @@ def test_internal_error_exit_four_in_one_line(capsys, monkeypatch):
     assert out == ""
     assert err == "internal error: RuntimeError: engine fault\n"
     assert "Traceback" not in err
+
+
+def test_memory_error_while_parsing_exit_four_in_one_line(capsys, monkeypatch, tmp_path):
+    # The parser lexes a file a batch at a time; running out of memory in a
+    # later batch is reported like any other MemoryError.
+    tokenize, batches = maa.parser.tokenize, []
+
+    def exhausted(*args):
+        batches.append(args)
+        if len(batches) == 3:
+            raise MemoryError("no room for a third batch")
+        return tokenize(*args)
+
+    w = workloads.generate("wide_automaton", 1, "smoke")
+    files = []
+    for name, text in [*w.models.items(), *w.types.items()]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        files += [str(path)] if name.endswith(".maa") else ["--types", str(path)]
+    monkeypatch.setattr(maa.parser, "tokenize", exhausted)
+    code, out, err = run(capsys, "sim-ts", *files, "--main", w.main, "--cycles", "5")
+    assert (code, out, err) == (4, "", "internal error: MemoryError: no room for a third batch\n")
+    assert len(batches) == 3
 
 
 def test_closed_stdout_exits_two_without_a_message(tmp_path):
@@ -645,7 +669,7 @@ def test_sim_ed_runtime_error_keeps_the_blocks_before_it(capsys, tmp_path):
     code, out, err = run(capsys, "sim-ed", str(model), "--main", "F", "--script", str(script))
     assert code == 3
     assert out == "recv p=1\nemit o=1\nstate S\n\nrecv p=0\nstate S\n"
-    assert err == "runtime error: forwarding absent message from port 'q'\n"
+    assert err == "runtime error: event 3: forwarding absent message from port 'q'\n"
 
 
 def test_sim_ed_script_refused_on_its_last_line_prints_no_block(capsys, tmp_path):

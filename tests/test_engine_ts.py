@@ -561,7 +561,8 @@ def test_runtime_error_names_its_cycle():
         run_ts(model, "C", [{}, {"a": 1}], 2)
     assert (raised.value.cycle, raised.value.message) == (
         2, "forwarding absent message from port 'p'")
-    with pytest.raises(SimulationError, match="^forwarding absent message from port 'p'$"):
+    # an event-driven run names the event, counted from 1 as cycles are
+    with pytest.raises(SimulationError, match="^event 1: forwarding absent message from port 'p'$"):
         run_ed(model, "C", [Event("a", 1)])
 
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from maa.lexer import tokenize
-from maa.parser import parse_component_file
+from maa.lexer import LexError, tokenize
+from maa.parser import BATCH, parse_component_file
+
+from conftest import MODELS
+from genmodels import (random_component_text, random_ed_component_text,
+                       random_unchecked_component_text)
 
 
 def test_token_stream_pinned():
@@ -83,3 +89,67 @@ def test_lexical_error_is_syn_at_its_location(text, message, line, column):
     result = parse_component_file(text, "lex.maa")
     assert isinstance(result, list) and [d.code for d in result] == ["SYN"]
     assert (result[0].message, result[0].loc.line, result[0].loc.column) == (message, line, column)
+
+
+# ---------------------------------------------------------------------------
+# batches: tokenize(text, origin, after, limit) as the parser reads a file
+# ---------------------------------------------------------------------------
+
+_SOURCES = sorted(p for p in MODELS.rglob("*") if p.suffix in (".maa", ".types"))
+
+
+def _fields(tokens):
+    return [(t.kind, t.text, type(t.value), t.value, t.loc) for t in tokens]
+
+
+def _batches(text: str, limit: int) -> list:
+    batches = [tokenize(text, "b", None, limit)]
+    while batches[-1][-1].kind != "EOF":
+        batches.append(tokenize(text, "b", batches[-1][-1], limit))
+    return batches
+
+
+def _assert_batches_join_to_the_list(text: str, limits) -> None:
+    whole = tokenize(text, "b")
+    for limit in limits:
+        batches = _batches(text, limit)
+        assert all(0 < len(batch) <= limit for batch in batches), limit
+        # only the token a batch resumes after holds its end offset
+        assert all(t.end is None for batch in batches for t in batch[:-1]), limit
+        assert _fields(t for batch in batches for t in batch) == _fields(whole), limit
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.relative_to(MODELS).as_posix())
+def test_batches_join_to_the_token_list_on_the_models(path):
+    text = path.read_text(encoding="utf-8")
+    n = len(tokenize(text, "b"))
+    # n - 1 puts the last boundary just before EOF, which is a batch of its own
+    assert [t.kind for t in _batches(text, n - 1)[-1]] == ["EOF"]
+    _assert_batches_join_to_the_list(text, (1, 2, 3, 7, BATCH, n - 1, n, n + 1))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_batches_join_to_the_token_list_on_generated_models(seed):
+    rng = random.Random(seed)
+    base = (random_component_text, random_ed_component_text,
+            random_unchecked_component_text)[seed % 3]
+    text = base(rng)
+    _assert_batches_join_to_the_list(text, (1, rng.randrange(2, 40), BATCH))
+
+
+def test_a_batch_boundary_inside_a_run_of_stereotype_delimiters():
+    # every limit from 1 on puts a boundary between each pair of the run's
+    # tokens in turn; '<<<' lexes as '<<' '<' and a guillemet is one character
+    text = "<<a>>\n«b» <<<<>>>>> <<< «»»« >>\r\n/* c */ <<-- >>"
+    whole = tokenize(text, "b")
+    assert [t.text for t in whole[6:13]] == ["<<", "<<", ">>", ">>", ">", "<<", "<"]
+    _assert_batches_join_to_the_list(text, range(1, len(whole) + 2))
+
+
+def test_a_lexical_error_is_raised_by_the_batch_that_reaches_it():
+    text = "component C { port in Integer i; }\n  @"
+    first = tokenize(text, "b", None, 3)
+    assert [t.text for t in first] == ["component", "C", "{"]
+    with pytest.raises(LexError) as raised:
+        tokenize(text, "b", first[-1], 100)
+    assert (raised.value.loc.line, raised.value.loc.column) == (2, 3)

@@ -9,7 +9,9 @@ import pytest
 from maa.checks import check
 from maa.engine import ABSENT, run_ts
 from maa.ir import export_ir
-from maa.parser import MAX_NESTING, parse_component_file, parse_types_file
+import maa.parser
+from maa.lexer import tokenize
+from maa.parser import BATCH, MAX_NESTING, parse_component_file, parse_types_file
 from maa.printer import pretty_print
 from maa.resolution import resolve
 from maa.syntax import (
@@ -20,7 +22,7 @@ from maa.syntax import (
     TypeDeclUnit,
 )
 
-from conftest import CORPUS, MODELS, out_column, parse_model
+from conftest import CORPUS, MODELS, out_column, parse_model, workloads
 
 
 def test_whole_corpus_parses_without_syn():
@@ -157,11 +159,40 @@ def test_syntax_error_location():
 
 
 def test_a_lexical_error_is_reported_before_an_earlier_syntax_error():
-    # The whole file is tokenized before it is parsed, so the stray character
-    # on line 3 is the one finding, not the misplaced 'port' on line 2.
+    # A syntax error makes the parser lex the rest of the file, so the stray
+    # character on line 3 is the one finding, not the misplaced 'port' on line 2.
     text = "component A {\n  port in Integer i port;\n  x = 1²;\n}"
     assert [d.render() for d in parse_component_file(text, "a.maa")] == [
         "a.maa:3:8 error SYN: unexpected character '²'"]
+
+
+@pytest.mark.parametrize("parse, head", [
+    (parse_component_file, "component A {\n  port in Integer i port;\n"),
+    (parse_types_file, "package t;\nenum E { A B }\n"),
+], ids=["model", "types"])
+def test_a_lexical_error_batches_after_a_syntax_error_is_still_reported(parse, head):
+    # The parser stops on line 2, more than three batches of tokens before the '²'.
+    text = head + "  x = 1;\n" * 201 + "  x = 1²;\n}"
+    assert len(tokenize(text[:text.index("²")], "a.maa")) > 3 * BATCH
+    assert [d.render() for d in parse(text, "a.maa")] == [
+        "a.maa:204:8 error SYN: unexpected character '²'"]
+
+
+def test_the_parser_reads_the_file_in_batches_that_add_up_to_its_tokens(monkeypatch):
+    w = workloads.generate("wide_automaton", 1, "smoke")
+    [(name, text)] = w.models.items()
+    lengths = []
+
+    def counted(*args):
+        tokens = tokenize(*args)
+        lengths.append(len(tokens))
+        return tokens
+
+    monkeypatch.setattr(maa.parser, "tokenize", counted)
+    assert isinstance(parse_component_file(text, name), CompilationUnit)
+    monkeypatch.undo()
+    assert len(lengths) > 3 and max(lengths) == BATCH
+    assert sum(lengths) == len(tokenize(text, name))
 
 
 @pytest.mark.parametrize("text, found", [
