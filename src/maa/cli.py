@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -56,6 +57,11 @@ class _UsageError(Exception):
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # A run makes no reference cycles (tests/test_collector.py), so the cyclic
+    # collector would only walk the growing model again and again.  It stays
+    # off for the run, and the caller's setting comes back after it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
             code = args.handler(args)
@@ -83,6 +89,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         exc.__traceback__ = exc.__context__ = exc.__cause__ = None
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,14 +6,17 @@ guillemet form, plus ``//`` and ``/* */`` comments.
 
 One compiled master regex with a named group per token kind is matched from
 each position to the next (the "Writing a Tokenizer" recipe of the ``re``
-documentation); the matches are consumed as they are found.  Three groups
+documentation); the matches are consumed as they are found.  Every match
+starts with the blanks (spaces, tabs, carriage returns) before its token, so
+each token takes one match; only a run of whitespace that holds a newline,
+and a comment, is a match of its own that yields no token.  Three groups
 catch what cannot start a token: an unterminated block comment, an
-unterminated string and any other character, so every position matches and
-each lexical error is raised where the text goes wrong.  Line and column are
-counted from newline offsets; only skipped whitespace and block comments can
-contain a newline.  A call can stop after a given number of tokens and the
-next call resume after the last of them, so the parser lexes a file a batch
-at a time.
+unterminated string and any other character but a blank, so every position
+but trailing blanks matches and each lexical error is raised where the text
+goes wrong.  Line and column are counted from newline offsets; only skipped
+whitespace and block comments can contain a newline.  A call can stop after a
+given number of tokens and the next call resume after the last of them, so the
+parser lexes a file a batch at a time.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ _GUILLEMETS = {"«": "<<", "»": ">>"}
 # A string body: no quote, backslash or newline, except the escapes \" and \\.
 _STRING_BODY = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
 
-_TOKEN = re.compile("|".join([
-    r"(?P<SKIP>[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)",
+# Blanks within a line belong to the match of the token after them.
+_TOKEN = re.compile(r"[ \t\r]*(?:" + "|".join([
+    r"(?P<SKIP>\n[ \t\r\n]*|//[^\n]*|/\*(?s:.*?)\*/)",
     r"(?P<OPEN_COMMENT>/\*)",
     rf'(?P<STRING>{_STRING_BODY}")',
     rf"(?P<OPEN_STRING>{_STRING_BODY})",
@@ -52,8 +56,9 @@ _TOKEN = re.compile("|".join([
     r"(?P<NAME>\w+)",
     "(?P<SYMBOL>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
     "(?P<GUILLEMET>[«»])",
-    r"(?P<OTHER>(?s:.))",
-]))
+    # not a blank, or trailing blanks would backtrack into it
+    r"(?P<OTHER>[^ \t\r])",
+]) + ")")
 
 _ESCAPE = re.compile(r'\\(["\\])')
 
@@ -85,6 +90,7 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
     last batch, so a text's batches, each resuming after the last token of the
     one before, join to its whole list."""
     tokens: list[Token] = []
+    new = tuple.__new__  # the NamedTuples' own __new__ is a Python-level call
     last = -1 if limit is None else limit - 1  # tokens before a batch's last one
     if after is None:
         pos, line, line_start = 0, 1, 0  # current offset, line and the offset it starts at
@@ -92,15 +98,16 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
         pos, line = after.end, after.loc.line
         line_start = text.rfind("\n", 0, pos) + 1
     for m in _TOKEN.finditer(text, pos):
-        kind, start = m.lastgroup, m.start()
+        kind = m.lastgroup
         if kind == "SKIP":
-            newlines = text.count("\n", start, m.end())
+            start, end = m.span()
+            newlines = text.count("\n", start, end)
             if newlines:
                 line += newlines
-                line_start = text.rindex("\n", start, m.end()) + 1
+                line_start = text.rindex("\n", start, end) + 1
             continue
-        loc = SourceLoc(origin, line, start - line_start + 1)
-        lexeme = m.group()
+        loc = new(SourceLoc, (origin, line, m.start(kind) - line_start + 1))
+        lexeme = m.group(kind)
         if kind == "NAME":
             if not (lexeme[0].isalpha() or lexeme[0] == "_"):
                 raise LexError(loc, f"unexpected character {lexeme[0]!r}")
@@ -133,8 +140,8 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
         else:
             raise LexError(loc, f"unexpected character {lexeme!r}")
         if len(tokens) == last:
-            tokens.append(Token(kind, lexeme, value, loc, m.end()))
+            tokens.append(new(Token, (kind, lexeme, value, loc, m.end())))
             return tokens
-        tokens.append(Token(kind, lexeme, value, loc))
+        tokens.append(new(Token, (kind, lexeme, value, loc, None)))
     tokens.append(Token("EOF", "", None, SourceLoc(origin, line, len(text) - line_start + 1)))
     return tokens

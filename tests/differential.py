@@ -25,6 +25,10 @@ model is run through:
 * ``sim-ed`` under ``--policy first`` and ``--policy seeded``, on a seeded
   script
 
+One fixed ``sim-ed`` run, between the corpus and the generated models, ends
+in a runtime error at its third event, so the digests also cover what
+``sim-ed`` prints for a failing event: no generated model reaches one.
+
 Paths in the arguments and in the output are relative, so digests do not
 depend on where the script or its temporary directory is.
 """
@@ -52,6 +56,10 @@ from maa.resolution import BuiltinType, EnumType, resolve  # noqa: E402
 
 CYCLES = 5
 EVENTS = 8
+
+# Forwards q, absent in every event on p, once p exceeds 1.
+FORWARD_Q = ("component F { port in Integer p, in Integer q, out Integer o; automaton {"
+             " state S; initial S; S [p > 1] / o = q; S p = 1 / o = p; } }")
 
 
 def digest(argv: list[str]) -> str:
@@ -127,6 +135,13 @@ def corpus(root: Path, rng: random.Random) -> list[list[str]]:
     return argvs
 
 
+def failing() -> list[list[str]]:
+    """A ``sim-ed`` run that fails at its third event, after two blocks."""
+    Path("forward_q.maa").write_text(FORWARD_Q, encoding="utf-8")
+    Path("forward_q.txt").write_text("p 1\np 0\np 2\np 1\n", encoding="utf-8")
+    return [["sim-ed", "forward_q.maa", "--main", "F", "--script", "forward_q.txt"]]
+
+
 def cell_text(value) -> str:
     """A generated stimulus or event value as a cell."""
     if isinstance(value, bool):
@@ -172,6 +187,7 @@ def cli() -> None:
         os.chdir(workdir)
         os.symlink(HERE.parent / "models", "models")
         run_all(corpus(Path("."), random.Random(args.seed)))
+        run_all(failing())
         run_all(generated(args.models, args.seed))
         os.chdir(HERE.parent)
 

@@ -20,6 +20,7 @@ from maa.cli import main
 from maa.parser import MAX_NESTING
 
 from conftest import FIXTURES, MODELS, REPO_ROOT, workloads
+from differential import FORWARD_Q
 
 COCO = FIXTURES / "coco"
 BUMP = [str(MODELS / "bumperbot" / "BumpControl.maa"),
@@ -654,11 +655,6 @@ def test_sim_ed_unknown_port_usage_error(capsys, tmp_path):
                        "--script", str(script))
     assert code == 2
     assert "in-port" in err
-
-
-# Forwards q, absent in every event on p, once p exceeds 1.
-FORWARD_Q = ("component F { port in Integer p, in Integer q, out Integer o; automaton {"
-             " state S; initial S; S [p > 1] / o = q; S p = 1 / o = p; } }")
 
 
 def test_sim_ed_runtime_error_keeps_the_blocks_before_it(capsys, tmp_path):

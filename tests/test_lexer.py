@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maa.lexer import LexError, tokenize
+from maa.diagnostics import SourceLoc
+from maa.lexer import LexError, Token, tokenize
 from maa.parser import BATCH, parse_component_file
 
 from conftest import MODELS
@@ -56,6 +59,14 @@ def test_token_stream_pinned():
         ("SYMBOL", "}", "}", 6, 1),
         ("EOF", "", None, 6, 2),
     ]
+
+
+def test_trailing_blanks_end_in_eof_after_them():
+    # blanks belong to the token after them; at the end of the text there is none
+    assert tokenize("component A { }  ", "a")[-1].loc == SourceLoc("a", 1, 18)
+    assert [(t.kind, t.loc.column) for t in tokenize("a \t\r", "a")] == [("NAME", 1), ("EOF", 5)]
+    assert [(t.kind, t.loc) for t in tokenize("x // end", "a")] == [
+        ("NAME", SourceLoc("a", 1, 1)), ("EOF", SourceLoc("a", 1, 9))]
 
 
 def test_unicode_names_and_decimal_digits():
@@ -153,3 +164,90 @@ def test_a_lexical_error_is_raised_by_the_batch_that_reaches_it():
     with pytest.raises(LexError) as raised:
         tokenize(text, "b", first[-1], 100)
     assert (raised.value.loc.line, raised.value.loc.column) == (2, 3)
+
+
+# ---------------------------------------------------------------------------
+# oracle: texts built from tokens whose kind, value and place are known
+# ---------------------------------------------------------------------------
+
+# The token set, written out again: the oracle shares no code with the lexer.
+_KEYWORDS = ("package", "import", "component", "port", "in", "out", "automaton",
+             "state", "initial", "connect", "var", "enum", "true", "false")
+_SYMBOLS = ("<<", ">>", "->", "--", "==", "!=", "<=", ">=", "&&", "||", "{", "}", "[",
+            "]", "(", ")", "<", ">", ",", ";", ".", "=", "|", "/", "!", "+", "-", "*", ":")
+
+
+def _word(name: str):
+    """(source, kind, text, value) of a name or keyword."""
+    if name not in _KEYWORDS:
+        return name, "NAME", name, name
+    return name, "KEYWORD", name, {"true": True, "false": False}.get(name, name)
+
+
+def _string(pieces: list[str]):
+    body = "".join(pieces)
+    value = "".join({'\\"': '"', "\\\\": "\\"}.get(piece, piece) for piece in pieces)
+    return f'"{body}"', "STRING", f'"{value}"', value
+
+
+_string_pieces = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters='"\\\n'), max_size=4),
+    st.sampled_from(['\\"', "\\\\"]))
+
+_tokens = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).map(_word),
+    st.sampled_from(_KEYWORDS + ("é_x٣", "a²", "_")).map(_word),
+    st.integers(0, 10**25).map(lambda n: (str(n), "INT", str(n), n)),
+    st.sampled_from(["007", "٣2"]).map(lambda d: (d, "INT", d, int(d))),
+    st.lists(_string_pieces, max_size=4).map(_string),
+    st.sampled_from(_SYMBOLS).map(lambda s: (s, "SYMBOL", s, s)),
+    st.sampled_from([("«", "<<"), ("»", ">>")]).map(lambda g: (g[0], "SYMBOL", g[1], g[1])),
+)
+
+_comment_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_separator_pieces = st.one_of(
+    st.sampled_from([" ", "\t", "  ", " \r", "\r\n", "\n", "\n\n  "]),
+    _comment_text.map(lambda c: "//" + c.replace("\n", "") + "\n"),
+    _comment_text.filter(lambda c: "*/" not in c).map(
+        lambda c: f"/*{c}*/"),
+    st.sampled_from(["/* a\n b */", "/*\r\n*/", "/**/", "/***/"]),
+)
+# What may end a text: nothing, blanks, a // comment without its newline.
+_endings = st.sampled_from(["", " ", "\t  ", "\r", "//", "// end", " // end \t"])
+
+
+@st.composite
+def _oracle_texts(draw):
+    """A text and its expected tokens (kind, text, value type, value, location),
+    EOF included, the locations counted while the text is built."""
+    pieces, expected, line, column = [], [], 1, 1
+
+    def put(piece: str) -> None:
+        nonlocal line, column
+        for char in piece:
+            line, column = (line + 1, 1) if char == "\n" else (line, column + 1)
+        pieces.append(piece)
+
+    put("".join(draw(st.lists(_separator_pieces, max_size=2))))
+    for k, (source, kind, text, value) in enumerate(draw(st.lists(_tokens, max_size=25))):
+        if k:
+            separator = "".join(draw(st.lists(_separator_pieces, min_size=1, max_size=3)))
+            if pieces[-1] == "/" and separator.startswith("/"):
+                separator = " " + separator  # '//' and '/*' would start a comment
+            put(separator)
+        expected.append((kind, text, type(value), value, ("b", line, column)))
+        put(source)
+    ending = "".join(draw(st.lists(_separator_pieces, max_size=2))) + draw(_endings)
+    put(" " + ending if pieces[-1] == "/" and ending.startswith("/") else ending)
+    expected.append(("EOF", "", type(None), None, ("b", line, column)))
+    return "".join(pieces), expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_texts())
+def test_tokens_match_the_oracle_in_batches_of_every_size(case):
+    text, expected = case
+    whole = tokenize(text, "b")
+    assert all(type(t) is Token and type(t.loc) is SourceLoc for t in whole)
+    assert [(t.kind, t.text, type(t.value), t.value, tuple(t.loc)) for t in whole] == expected
+    _assert_batches_join_to_the_list(text, range(1, len(expected) + 1))
