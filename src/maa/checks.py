@@ -12,7 +12,9 @@ Rule families:
 Every rule fires once per offending site.  Type rules skip terms that contain
 unresolved names: those are already reported as R2 and would only cascade.
 The rules of every profile run in one pass per model, whose findings the model
-keeps, filed by the profile of their rule.
+keeps, filed by the profile of their rule.  Input and output entries take one
+path, whose direction the entry's class picks; T4 and T5 serve entries and
+variable initialisers alike; and each term's names are walked once.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ _CATALOG = [
 
 _PROFILE_OF = {rule.code: rule.profile for rule in _CATALOG}
 
+# What an entry's class decides: the kind of port it cannot target, the word
+# for its values, the T6 message, and the verb of T4 and T5 on a variable.
+_DIRECTIONS = {
+    Match: ("out", "input", "cannot receive from output port", "read {} from"),
+    Assignment: ("in", "output", "cannot send to input port", "assign {} to"),
+}
+
 
 def rule_catalog() -> list[RuleInfo]:
     """All implemented rules in stable order."""
@@ -105,6 +114,15 @@ def check(model: ResolvedModel, profile: str = "generic") -> list[Diagnostic]:
         for rc in model.components.values():
             _Checker(rc, found).run()
     return sort_diagnostics(found["all"] + found.get(profile, []))
+
+
+def _repeats(decls):
+    """Each declaration whose name an earlier one already has."""
+    seen: set[str] = set()
+    for decl in decls:
+        if decl.name in seen:
+            yield decl
+        seen.add(decl.name)
 
 
 class _Checker:
@@ -129,30 +147,17 @@ class _Checker:
     # -- U family -----------------------------------------------------------
 
     def check_uniqueness(self) -> None:
-        seen_automata: set[str] = set()
+        for automaton in _repeats(a for a in self.rc.ast.automata if a.name is not None):
+            self.emit("U1", automaton.loc,
+                      f"automaton '{automaton.name}' is defined more than once")
         for automaton in self.rc.ast.automata:
-            if automaton.name is None:
-                continue
-            if automaton.name in seen_automata:
-                self.emit("U1", automaton.loc,
-                          f"automaton '{automaton.name}' is defined more than once")
-            seen_automata.add(automaton.name)
-
-        for automaton in self.rc.ast.automata:
-            seen_states: set[str] = set()
-            for state in automaton.states:
-                if state.name in seen_states:
-                    self.emit("U2", state.loc, f"state '{state.name}' is declared more than once")
-                seen_states.add(state.name)
-
-        decls = [(p.name, p.loc) for p in self.rc.ast.ports]
-        decls += [(v.name, v.loc) for v in self.rc.ast.variables]
-        decls.sort(key=lambda d: (d[1].line, d[1].column))
-        seen: set[str] = set()
-        for name, loc in decls:
-            if name in seen:
-                self.emit("U3", loc, f"the name '{name}' is already used by a port or variable")
-            seen.add(name)
+            for state in _repeats(automaton.states):
+                self.emit("U2", state.loc, f"state '{state.name}' is declared more than once")
+        decls = sorted([*self.rc.ast.ports, *self.rc.ast.variables],
+                       key=lambda d: (d.loc.line, d.loc.column))
+        for decl in _repeats(decls):
+            self.emit("U3", decl.loc,
+                      f"the name '{decl.name}' is already used by a port or variable")
 
     # -- C family -----------------------------------------------------------
 
@@ -177,25 +182,18 @@ class _Checker:
     # -- variable declarations (R3, T2, T4, T5) ------------------------------
 
     def check_variable_declarations(self) -> None:
+        assign = _DIRECTIONS[Assignment][3]  # an initialiser is given as an output is
         for var in self.rc.ast.variables:
-            if var.initial is None:
-                continue
-            kind, declared = self.rc.binding(var.name)
             term = var.initial
-            if isinstance(term, NoData):
-                self.emit("T4", term.loc,
-                          f"cannot assign -- to variable '{var.name}'")
+            if term is None or self._variable_value(term, var.name, assign):
                 continue
-            if isinstance(term, SequenceValue):
-                self.emit("T5", term.loc,
-                          f"cannot assign a sequence to variable '{var.name}'")
+            if self._report_names([term])[0]:
                 continue
-            if self._report_names([term]):
-                continue
-            if isinstance(term, ERef) and self.rc.binding(term.name)[0] in ("in", "out"):
+            if isinstance(term, ERef) and self.rc.kind(term.name) in ("in", "out"):
                 self.emit("R3", term.loc,
                           f"variable declaration of '{var.name}' references port '{term.name}'")
                 continue
+            kind, declared = self.rc.binding(var.name)
             if kind != "var" or declared is None:
                 continue  # the name denotes a port (U3), or its type did not resolve
             if type_of(term, self.rc) != declared:
@@ -210,7 +208,7 @@ class _Checker:
             if init.state not in declared:
                 self.emit("R1", init.loc, f"state '{init.state}' is undefined")
             for assign in init.output or []:
-                self.check_assignment(assign, initial_output=True)
+                self.check_entry(assign, initial_output=True)
         for trans in automaton.transitions:
             self.check_transition(trans, declared)
 
@@ -221,77 +219,74 @@ class _Checker:
             self.emit("R1", trans.target_loc, f"state '{trans.target}' is undefined")
         if trans.guard is not None:
             self.check_guard(trans.guard)
-        for match in trans.input or []:
-            self.check_match(match)
-        for assign in trans.output or []:
-            self.check_assignment(assign)
+        for entry in (*(trans.input or ()), *(trans.output or ())):
+            self.check_entry(entry)
         _, ports = self.rc.ports_read(trans)
         if len(ports) > 1:
             names = ", ".join(sorted(ports))
             message = f"transition reads more than one port ({names})"
             self.emit("S2ED", trans.loc, sys.intern(message))  # equal messages are one string
 
-    # -- input blocks ---------------------------------------------------------
+    # -- input and output entries ---------------------------------------------
 
-    def check_match(self, match: Match) -> None:
-        unresolved = self._report_names(match.alternatives)
-        target = self._target(match, unresolved)
-        if target is None:
-            return
-        kind, declared = self.rc.binding(target)
-        if kind == "out":
-            self.emit("T6", match.target_loc or match.loc,
-                      f"cannot receive from output port '{target}'")
-            return
-        for alt in match.alternatives:
-            if isinstance(alt, NoData):
-                if kind == "var":
-                    self.emit("T4", alt.loc, f"cannot read -- from variable '{target}'")
-                else:
-                    self.emit("S3ED", alt.loc, "a transition cannot be triggered by absence (--)")
-                continue
-            if isinstance(alt, SequenceValue):
-                if kind == "var":
-                    self.emit("T5", alt.loc, f"cannot read a sequence from variable '{target}'")
-                else:
-                    self.emit("T1", alt.loc,
-                              f"input on port '{target}' must be a single message, not a sequence")
-                continue
-            self._check_single_value(alt, declared)
-
-    # -- output blocks ---------------------------------------------------------
-
-    def check_assignment(self, assign: Assignment, initial_output: bool = False) -> None:
-        unresolved = self._report_names(assign.alternatives)
+    def check_entry(self, entry: Match | Assignment, initial_output: bool = False) -> None:
+        """The rules of one input (Match) or output (Assignment) entry: its
+        names, its target, then each alternative."""
+        unresolved, bound = self._report_names(entry.alternatives)
         if initial_output:
-            for alt in assign.alternatives:
-                for ref in expr_refs(alt):
-                    if self.rc.kind(ref.name) in ("in", "out"):
-                        self.emit("S2TS", ref.loc,
-                                  f"port '{ref.name}' must not be used in an initial output")
-        target = self._target(assign, unresolved)
+            for ref, kind in bound:
+                if kind in ("in", "out"):
+                    self.emit("S2TS", ref.loc,
+                              f"port '{ref.name}' must not be used in an initial output")
+        wrong, side, t6, verb = _DIRECTIONS[type(entry)]
+        inferred = self.rc.target(entry)
+        target = inferred.name
         if target is None:
+            if entry.target is not None:
+                self.emit("R2", entry.target_loc, f"name '{entry.target}' is undefined")
+            elif not unresolved:  # else the name walk has reported why
+                if inferred.status == "ambiguous":
+                    names = ", ".join(inferred.candidates)
+                    self.emit("T1", entry.loc,
+                              f"{side} value matches more than one port or variable ({names}); "
+                              "name the intended target")
+                else:
+                    self.emit("T1", entry.loc,
+                              f"no port or variable of a matching type admits this {side} value")
             return
         kind, declared = self.rc.binding(target)
-        if kind == "in":
-            self.emit("T6", assign.target_loc or assign.loc,
-                      f"cannot send to input port '{target}'")
+        if kind == wrong:
+            self.emit("T6", entry.target_loc or entry.loc, f"{t6} '{target}'")
             return
-        for alt in assign.alternatives:
-            if isinstance(alt, NoData):
-                if kind == "var":
-                    self.emit("T4", alt.loc, f"cannot assign -- to variable '{target}'")
-                continue
-            if isinstance(alt, SequenceValue):
-                if kind == "var":
-                    self.emit("T5", alt.loc, f"cannot assign a sequence to variable '{target}'")
-                    continue
+        receiving = isinstance(entry, Match)
+        for alt in entry.alternatives:
+            if kind == "var":
+                if not self._variable_value(alt, target, verb):
+                    self._check_single_value(alt, declared)
+            elif isinstance(alt, NoData):
+                if receiving:
+                    self.emit("S3ED", alt.loc, "a transition cannot be triggered by absence (--)")
+            elif not isinstance(alt, SequenceValue):
+                self._check_single_value(alt, declared)
+            elif receiving:
+                self.emit("T1", alt.loc,
+                          f"input on port '{target}' must be a single message, not a sequence")
+            else:
                 self.emit("S3TS", alt.loc,
                           f"sending a sequence on port '{target}' exceeds one message per cycle")
                 for element in alt.elements:
                     self._check_single_value(element, declared)
-                continue
-            self._check_single_value(alt, declared)
+
+    def _variable_value(self, term, name: str, verb: str) -> bool:
+        """T4 for --, T5 for a sequence, read from or given to the variable
+        ``name``; whether either was reported."""
+        if isinstance(term, NoData):
+            self.emit("T4", term.loc, f"cannot {verb.format('--')} variable '{name}'")
+        elif isinstance(term, SequenceValue):
+            self.emit("T5", term.loc, f"cannot {verb.format('a sequence')} variable '{name}'")
+        else:
+            return False
+        return True
 
     # -- shared value checking --------------------------------------------------
 
@@ -318,55 +313,33 @@ class _Checker:
         if type_of(term, self.rc) != declared:
             self.emit("T1", term.loc, f"'{format_value(term)}' is no {declared}")
 
-    def _report_names(self, terms) -> bool:
+    def _report_names(self, terms) -> tuple[bool, list]:
         """R2/R0 for unresolved or ambiguous names in value terms or guard
-        expressions; True if any was found."""
-        found = False
+        expressions.  Whether any was found, and (reference, kind) for every
+        other name, left to right."""
+        unresolved, bound = False, []
         for term in terms:
             for ref in expr_refs(term):
                 binding = self.rc.binding(ref.name)
                 if binding is None:
                     self.emit("R2", ref.loc, f"name '{ref.name}' is undefined")
-                    found = True
+                    unresolved = True
                 elif binding[0] == "ambiguous-enum":
-                    self._ambiguous_enum(ref, binding)
-                    found = True
-        return found
-
-    def _ambiguous_enum(self, ref, binding) -> None:
-        enums = ", ".join(sorted(e.qname for e in binding[1]))
-        self.emit("R0", ref.loc, f"enum literal '{ref.name}' is ambiguous ({enums})")
-
-    def _target(self, entry, unresolved: bool):
-        """The entry's target; None after reporting why it has none.
-
-        An unnamed entry whose values hold unresolved names has already been
-        reported by the name walk.
-        """
-        result = self.rc.target(entry)
-        side = "input" if isinstance(entry, Match) else "output"
-        if result.name is None and entry.target is not None:
-            self.emit("R2", entry.target_loc, f"name '{entry.target}' is undefined")
-        elif result.name is None and not unresolved:
-            if result.status == "ambiguous":
-                names = ", ".join(result.candidates)
-                self.emit("T1", entry.loc,
-                          f"{side} value matches more than one port or variable ({names}); "
-                          "name the intended target")
-            else:
-                self.emit("T1", entry.loc,
-                          f"no port or variable of a matching type admits this {side} value")
-        return result.name
+                    enums = ", ".join(sorted(e.qname for e in binding[1]))
+                    self.emit("R0", ref.loc, f"enum literal '{ref.name}' is ambiguous ({enums})")
+                    unresolved = True
+                else:
+                    bound.append((ref, binding[0]))
+        return unresolved, bound
 
     # -- guards -------------------------------------------------------------
 
     def check_guard(self, guard) -> None:
-        clean = not self._report_names([guard.expr])
-        for ref in expr_refs(guard.expr):
-            binding = self.rc.binding(ref.name)
-            if binding is not None and binding[0] == "out":
-                self.emit("T6", ref.loc,
-                          f"cannot read output port '{ref.name}' in a guard")
+        unresolved, bound = self._report_names([guard.expr])
+        clean = not unresolved
+        for ref, kind in bound:
+            if kind == "out":
+                self.emit("T6", ref.loc, f"cannot read output port '{ref.name}' in a guard")
                 clean = False
         if clean:
             t = self._expr_type(guard.expr)

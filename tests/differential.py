@@ -13,9 +13,8 @@ Each output line is the sha256 of one run's exit code, stdout and stderr,
 then the run's arguments.  The models are every directory under ``models/``
 (each resolved as one model, every component a main in turn) and ``--models``
 generated ones (default 500, drawn from ``--seed``): time-synchronous,
-event-driven and unchecked texts of ``tests/genmodels.py`` in turn, with its
-types unit.  Each
-model is run through:
+event-driven, unchecked and rule-breaking texts of ``tests/genmodels.py`` in
+turn, with its types unit.  Each model is run through:
 
 * ``check --profile {generic,ts,ed} --format {text,json}``
 * ``export-ir``
@@ -153,13 +152,14 @@ def generated(count: int, seed: int) -> list[list[str]]:
     """The runs of ``count`` generated models, written to the working directory."""
     bases = (genmodels.random_component_text, genmodels.random_ed_component_text,
              lambda rng: genmodels.random_unchecked_component_text(
-                 rng, rng.choice((None, genmodels.random_ed_component_text))))
+                 rng, rng.choice((None, genmodels.random_ed_component_text))),
+             genmodels.random_rule_breaking_text)
     argvs = []
     Path("gen.types").write_text(genmodels.TYPES, encoding="utf-8")
     for k in range(count):
         rng = random.Random(f"{seed}:{k}")
         name = f"gen{k}.maa"
-        Path(name).write_text(bases[k % 3](rng), encoding="utf-8")
+        Path(name).write_text(bases[k % len(bases)](rng), encoding="utf-8")
         stimulus, script = f"gen{k}.tsv", f"gen{k}.txt"
         rows = genmodels.random_stimulus(rng, CYCLES)
         Path(stimulus).write_text("a\tb\tm\n" + "".join(

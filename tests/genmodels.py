@@ -24,7 +24,8 @@ or emit a sequence.
 output entries from fixed tables, most of them ill-typed, into either text,
 for the checker-soundness property; ``random_unchecked_ed_component_text``
 mixes more guards, all on the port a transition reads, into event-driven
-text.
+text.  ``random_rule_breaking_text`` writes text that breaks rules of every
+family, so that the checker's rarer messages are reached.
 """
 
 from __future__ import annotations
@@ -238,6 +239,63 @@ def random_unchecked_ed_component_text(rng: random.Random) -> str:
     that port: guards are mixed in a fifth of the time, all from the entries
     on that port."""
     return random_unchecked_component_text(rng, random_ed_component_text, 0.2, _PORT_GUARDS)
+
+
+# Entries, guards and initialisers that ``random_rule_breaking_text`` draws
+# from, over the ports a, b, m, x and y and the variables ``Integer v`` and
+# ``Boolean w``.  Most break one rule each: an input entry on a variable or an
+# out-port, an output entry on an in-port, ``--`` or a sequence where it may
+# not stand, an unnamed entry that two targets or none admit, a name that is
+# undefined or of the wrong type, and an initial output that reads a port.
+RULE_BREAKING_INPUTS = ("a = 1", "b = true", "m = M0", "v = 2", "v = --", "v = [1, 2]",
+                        "v = 1 | --", "v = a", "v = w", "x = 1", "y = -- | 2", "a = [1]",
+                        "a = --", "b = -- | true", "1", '"s"', "[1, 2]", "M1", "zz = 1",
+                        "a = zz")
+RULE_BREAKING_OUTPUTS = ("x = 1", "y = v", "v = 2", "v = --", "v = [1]", "v = 1 | [2, 3]",
+                         "a = 1", "x = [1, true]", "y = x", "x = w", "x = b", "v = -- | a",
+                         "1", '"s"', "[1, 2]", "true", "x = zz", "w = v")
+RULE_BREAKING_INITIAL_OUTPUTS = ("x = 1", "x = a", "y = b | 1", "x = v", "x = y", "v = m",
+                                 "1", "[a]")
+RULE_BREAKING_GUARDS = ("a > 0", "x > 0", "zz", "y == a", "!(1 == true)", "a > 0 && x < 1",
+                        "w", "v == 1", "b", "v + 1", "-b", "a && b")
+RULE_BREAKING_INITIALISERS = ("1", "--", "[1, 2]", "a", "x", "zz", "true", "M1", "v")
+
+
+def random_rule_breaking_text(rng: random.Random) -> str:
+    """A component ``Gen`` over the in-ports a, b and m that breaks rules of
+    every family: entries, guards, initialisers and initial outputs from the
+    ``RULE_BREAKING_*`` tables, undefined states, and repeated or miscased
+    names of automata, states, ports and variables."""
+    ports = ["in Integer a", "in Boolean b", "in Mode m", "out Integer x", "out Integer y"]
+    ports += rng.sample(("in Integer a", "out Integer v", "in Boolean B"), rng.randrange(3) // 2)
+    variables = [f"Integer v = {rng.choice(RULE_BREAKING_INITIALISERS)};",
+                 rng.choice(("Boolean w;", "Boolean w = true;", "Boolean w = 1;"))]
+    variables += rng.sample(("Integer x;", "Boolean w;", "Integer V;"), rng.randrange(3) // 2)
+    states = ["S0", "S1", "S2"] + rng.sample(("S1", "S2", "s3"), rng.randrange(3) // 2)
+    known = STATES + ("S3",)
+    name = rng.choice(("", " A", " A", " a"))
+    lines = ["import gen.Mode;", "", "component Gen {",
+             "    port " + ", ".join(ports) + ";", *(f"    {v}" for v in variables),
+             f"    automaton{name} {{", f"        state {', '.join(states)};"]
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        entries = rng.sample(RULE_BREAKING_INITIAL_OUTPUTS, rng.randrange(1, 3))
+        lines.append(f"        initial {rng.choice(known)} / {{{', '.join(entries)}}};")
+    for _ in range(rng.randrange(3, 8)):
+        text = f"        {rng.choice(known)} -> {rng.choice(known)}"
+        if rng.random() < 0.4:
+            text += f" [{rng.choice(RULE_BREAKING_GUARDS)}]"
+        if rng.random() < 0.7:
+            text += " {" + ", ".join(rng.sample(RULE_BREAKING_INPUTS, rng.randrange(1, 3))) + "}"
+        if rng.random() < 0.7:
+            outputs = rng.sample(RULE_BREAKING_OUTPUTS, rng.randrange(1, 3))
+            text += " / {" + ", ".join(outputs) + "}"
+        lines.append(text + ";")
+    lines.append("    }")
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        again = rng.choice(("A", "A", "B", "c"))
+        lines.append(f"    automaton {again} {{ state {rng.choice(('T', 'T, T', 't'))}; "
+                     "initial T; }")
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def _values(rng: random.Random, pool: tuple[str, ...]) -> str:

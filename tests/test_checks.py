@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 
 from maa.checks import check, rule_catalog
 from maa.diagnostics import ERROR, WARNING
 
 from conftest import CORPUS, FIXTURES, check_files
+from genmodels import random_rule_breaking_text, resolve_text
 
 COCO = FIXTURES / "coco"
 
@@ -107,27 +111,130 @@ def _component(body: str) -> str:
     return f"component C {{ port in Integer p, in Integer q; {body} }}"
 
 
-@pytest.mark.parametrize("text, expected", [
-    pytest.param(_component("Integer Big;"),
+def _automaton(declarations: str, transitions: str) -> str:
+    return f"component C {{ {declarations} automaton {{ state S; initial S; {transitions} }} }}"
+
+
+@pytest.mark.parametrize("text, profile, expected", [
+    pytest.param(_component("Integer Big;"), "generic",
                  ["c.maa:1:56 warning C2: variable name 'Big' should start lowercase"],
                  id="C2-variable"),
-    pytest.param(_component("automaton { state S; initial S; S {p = [1, 2]}; }"),
+    pytest.param(_component("automaton { state S; initial S; S {p = [1, 2]}; }"), "generic",
                  ["c.maa:1:87 error T1: input on port 'p' must be a single message, "
                   "not a sequence"], id="T1-input-sequence"),
-    pytest.param(_component("automaton { state S; initial S; S {1}; }"),
+    pytest.param(_component("automaton { state S; initial S; S {1}; }"), "generic",
                  ["c.maa:1:83 error T1: input value matches more than one port or variable "
                   "(p, q); name the intended target"], id="T1-input-ambiguous"),
-    pytest.param(_component("automaton { state S; initial S; S {true}; }"),
+    pytest.param(_component("automaton { state S; initial S; S {true}; }"), "generic",
                  ["c.maa:1:83 error T1: no port or variable of a matching type admits "
                   "this input value"], id="T1-input-unmatched"),
-    pytest.param(_component("automaton { state S; initial T; }"),
+    pytest.param(_component("automaton { state S; initial T; }"), "generic",
                  ["c.maa:1:77 error R1: state 'T' is undefined"], id="R1-initial"),
+    pytest.param(_automaton("port in Integer p; Integer v;", "S {v = --};"), "generic",
+                 ["c.maa:1:84 error T4: cannot read -- from variable 'v'"], id="T4-input"),
+    pytest.param(_automaton("port in Integer p; Integer v;", "S {v = [1]};"), "generic",
+                 ["c.maa:1:84 error T5: cannot read a sequence from variable 'v'"],
+                 id="T5-input"),
+    pytest.param(_automaton("port out Integer o;", "S {o = 1};"), "generic",
+                 ["c.maa:1:70 error T6: cannot receive from output port 'o'"], id="T6-input"),
+    pytest.param(_automaton("port in Integer p;", "S {p = --};"), "ed",
+                 ["c.maa:1:73 error S3ED: a transition cannot be triggered by absence (--)"],
+                 id="S3ED"),
+    pytest.param("component C { port in Integer p, out Integer o; "
+                 "automaton { state S; initial S / o = p; } }", "ts",
+                 ["c.maa:1:86 error S2TS: port 'p' must not be used in an initial output"],
+                 id="S2TS"),
+    pytest.param("component C { automaton A { state S; initial S; } "
+                 "automaton A { state S; initial S; } automaton A { state S; initial S; } }",
+                 "generic",
+                 ["c.maa:1:51 error U1: automaton 'A' is defined more than once",
+                  "c.maa:1:87 error U1: automaton 'A' is defined more than once"], id="U1"),
+    pytest.param("component C { automaton { state S, S, S; initial S; } }", "generic",
+                 ["c.maa:1:36 error U2: state 'S' is declared more than once",
+                  "c.maa:1:39 error U2: state 'S' is declared more than once"], id="U2"),
+    pytest.param(_automaton("port in Integer p, in Integer p; Integer p;", ""), "generic",
+                 ["c.maa:1:45 error U3: the name 'p' is already used by a port or variable",
+                  "c.maa:1:56 error U3: the name 'p' is already used by a port or variable"],
+                 id="U3"),
+    pytest.param(_automaton("port out Integer o; Boolean b;", "S / o = b;"), "generic",
+                 ["c.maa:1:86 error T3: variable 'b' is no Integer"], id="T3-variable"),
+    pytest.param(_automaton("port out Integer o, out Integer x;", "S / x = o;"), "generic",
+                 ["c.maa:1:90 error T7: output port 'o' cannot be used as a value"], id="T7"),
+    # the rules of both entry kinds in one transition, in the order an entry
+    # reports them: its target, then each alternative
+    pytest.param(_automaton("port in Integer p, out Integer o; Integer v;",
+                            "S {v = -- | [1] | 2, p = -- | [1, true]} "
+                            "/ {v = -- | [2], o = [1, true] | -- | p, p = 1};"), "ts",
+                 ["c.maa:1:99 error T4: cannot read -- from variable 'v'",
+                  "c.maa:1:104 error T5: cannot read a sequence from variable 'v'",
+                  "c.maa:1:122 error T1: input on port 'p' must be a single message, "
+                  "not a sequence",
+                  "c.maa:1:140 error T4: cannot assign -- to variable 'v'",
+                  "c.maa:1:145 error T5: cannot assign a sequence to variable 'v'",
+                  "c.maa:1:154 error S3TS: sending a sequence on port 'o' exceeds one "
+                  "message per cycle",
+                  "c.maa:1:158 error T1: 'true' is no Integer",
+                  "c.maa:1:174 error T6: cannot send to input port 'p'"], id="mixed-entries"),
+    # a target whose type did not resolve takes any name or value unchecked
+    pytest.param(_automaton("port in Foo f, in Integer p;", "S {f = p};"), "generic",
+                 ["c.maa:1:27 error R0: unresolved port type 'Foo'"], id="untyped-target-name"),
+    pytest.param(_automaton("port in Foo f;", "S {f = 1};"), "generic",
+                 ["c.maa:1:27 error R0: unresolved port type 'Foo'"], id="untyped-target-value"),
+    # an operand that failed is reported once, not again by the operator over it
+    pytest.param(_automaton("port in Integer p;", "S [!(1 == true)];"), "generic",
+                 ["c.maa:1:73 error T1: cannot compare Integer with Boolean"],
+                 id="T1-guard-once"),
+    # no variable admits a sequence, so the out-port is the only target
+    pytest.param(_automaton("port out Integer o; Integer v;", "S / [1, 2];"), "ts",
+                 ["c.maa:1:82 error S3TS: sending a sequence on port 'o' exceeds one "
+                  "message per cycle"], id="S3TS-unnamed"),
 ])
-def test_rule_messages(text, expected):
+def test_rule_messages(text, profile, expected):
     from maa.parser import parse_component_file
     from maa.resolution import resolve
     model, rdiags = resolve([parse_component_file(text, "c.maa")], [])
-    assert [d.render() for d in rdiags + check(model, "generic")] == expected
+    assert [d.render() for d in rdiags + check(model, profile)] == expected
+
+
+# (code, message with its names, name lists and types replaced by _)
+_RULE_BREAKING_FAMILIES = {
+    ("T4", "cannot read -- from variable _"), ("T4", "cannot assign -- to variable _"),
+    ("T5", "cannot read a sequence from variable _"),
+    ("T5", "cannot assign a sequence to variable _"),
+    ("T6", "cannot receive from output port _"), ("T6", "cannot send to input port _"),
+    ("T6", "cannot read output port _ in a guard"),
+    ("S3ED", "a transition cannot be triggered by absence (--)"),
+    ("S2TS", "port _ must not be used in an initial output"),
+    ("S3TS", "sending a sequence on port _ exceeds one message per cycle"),
+    ("U1", "automaton _ is defined more than once"), ("U2", "state _ is declared more than once"),
+    ("U3", "the name _ is already used by a port or variable"),
+    ("T3", "variable _ is no _"), ("T3", "port _ is no _"),
+    ("T7", "output port _ cannot be used as a value"),
+    ("T1", "input on port _ must be a single message, not a sequence"), ("T1", "_ is no _"),
+    ("T1", "input value matches more than one port or variable _; name the intended target"),
+    ("T1", "output value matches more than one port or variable _; name the intended target"),
+    ("T1", "no port or variable of a matching type admits this input value"),
+    ("T1", "no port or variable of a matching type admits this output value"),
+    ("T1", "guard expression must be Boolean"), ("T1", "operand of _ must be Integer"),
+    ("T2", "initial value of variable _ is no _"),
+    ("R1", "state _ is undefined"), ("R2", "name _ is undefined"),
+    ("R3", "variable declaration of _ references port _"),
+    ("C2", "port name _ should start lowercase"), ("C2", "variable name _ should start lowercase"),
+    ("C3", "automaton name _ should start uppercase"),
+    ("C4", "state name _ should start uppercase"),
+}
+
+
+def test_rule_breaking_models_reach_every_entry_rule():
+    # the differential's rule-breaking generator reaches the messages that
+    # its other generators never give, so its digests cover them
+    found = set()
+    for k in range(200):
+        model, rdiags = resolve_text(random_rule_breaking_text(random.Random(f"rules:{k}")))
+        for profile in ("generic", "ts", "ed"):
+            found |= {(d.code, re.sub(r"'[^']*'|\([\w, ]+\)|(?<=is no )\S+", "_", d.message))
+                      for d in rdiags + check(model, profile)}
+    assert _RULE_BREAKING_FAMILIES - found == set()
 
 
 def test_profile_monotonicity_over_corpus():

@@ -599,6 +599,24 @@ def test_sim_ts_duplicate_stimulus_column_usage_error(capsys, tmp_path):
     assert err == f"error: {stim}:2: column 'p' appears twice\n"
 
 
+@pytest.mark.parametrize("command, name, lines, message", [
+    (["sim-ts", "--cycles", "1", "--stimulus"], "g.tsv", "t\n1\n",
+     "g.tsv:2: port has no concrete type"),
+    (["sim-ed", "--script"], "g.txt", "t 1\n", "g.txt:1: port has no concrete type"),
+    (["sim-ts", "--cycles", "1", "--stimulus"], "q.tsv", "q\n1\n",
+     "q.tsv:1: 'q' is not an in-port of 'G'"),
+], ids=["stimulus-type-parameter", "script-type-parameter", "stimulus-not-an-in-port"])
+def test_inputs_to_a_generic_main_are_refused(capsys, tmp_path, monkeypatch, command, name,
+                                              lines, message):
+    # the in-port t of G<T> has no type a cell could be read as
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "G.maa").write_text("component G<T> { port in T t, out T o; automaton {"
+                                    " state S; initial S; S / o = t; } }", encoding="utf-8")
+    (tmp_path / name).write_text(lines, encoding="utf-8")
+    code, out, err = run(capsys, command[0], "G.maa", "--main", "G", *command[1:], name)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # sim-ed
 # ---------------------------------------------------------------------------

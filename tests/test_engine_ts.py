@@ -971,6 +971,20 @@ def test_enumerate_sorts_traces_differing_in_an_enum_variable():
     assert [t.records[0].states[""].variables["v"].literal for t in traces] == ["A", "B"]
 
 
+def test_enumerate_orders_observed_values_as_text_and_variables_by_value():
+    # An observed output sorts by its text, so the trace that sends 10 comes
+    # before the one that sends 9; a variable sorts by its value, so the trace
+    # that holds 9 comes first.  One sort key for both would reorder one pair.
+    sent = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S / o = 9 | 10; } }")
+    assert [out_column(t, "o")[1] for t in enumerate_ts(sent, "C", [], 2)] == [10, 9]
+    held = small_model(
+        "component C { port in Integer p, out Integer o; Integer v; automaton {"
+        " state S, T; initial S; S -> T / v = 9 | 10; T / o = v; } }")
+    assert [out_column(t, "o")[2] for t in enumerate_ts(held, "C", [], 3)] == [9, 10]
+
+
 def test_enumerate_long_run_has_no_depth_limit():
     # one choice-free loop: the search goes 1500 cycles deep for one trace
     model = small_model(
