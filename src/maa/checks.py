@@ -347,35 +347,23 @@ class _Checker:
                 self.emit("T1", guard.loc, "guard expression must be Boolean")
 
     def _expr_type(self, expr: Expr):
-        """Expression type, or None when a subterm already failed (reported)."""
+        """Expression type, or None when a subterm already failed (reported).
+        ``==`` and ``!=`` compare operands of one type; ``!``, ``&&`` and
+        ``||`` take Boolean operands, every other operator Integer ones."""
         if isinstance(expr, (ELit, ERef)):
             return type_of(expr, self.rc)
-        if isinstance(expr, EUnary):
-            t = self._expr_type(expr.operand)
-            if t is None:
+        operands = (expr.operand,) if isinstance(expr, EUnary) else (expr.left, expr.right)
+        types = [self._expr_type(operand) for operand in operands]
+        if None in types:
+            return None
+        if isinstance(expr, EBinary) and expr.op in ("==", "!="):
+            if types[0] != types[1]:
+                self.emit("T1", expr.loc, f"cannot compare {types[0]} with {types[1]}")
                 return None
-            wanted = BOOLEAN if expr.op == "!" else INTEGER
-            if t != wanted:
-                self.emit("T1", expr.loc, f"operand of '{expr.op}' must be {wanted}")
-                return None
-            return wanted
-        if isinstance(expr, EBinary):
-            lt = self._expr_type(expr.left)
-            rt = self._expr_type(expr.right)
-            if lt is None or rt is None:
-                return None
-            if expr.op in ("&&", "||"):
-                if lt != BOOLEAN or rt != BOOLEAN:
-                    self.emit("T1", expr.loc, f"operands of '{expr.op}' must be Boolean")
-                    return None
-                return BOOLEAN
-            if expr.op in ("==", "!="):
-                if lt != rt:
-                    self.emit("T1", expr.loc, f"cannot compare {lt} with {rt}")
-                    return None
-                return BOOLEAN
-            if lt != INTEGER or rt != INTEGER:
-                self.emit("T1", expr.loc, f"operands of '{expr.op}' must be Integer")
-                return None
-            return BOOLEAN if expr.op in ("<", "<=", ">", ">=") else INTEGER
-        raise TypeError(f"not an expression: {expr!r}")
+            return BOOLEAN
+        wanted = BOOLEAN if expr.op in ("!", "&&", "||") else INTEGER
+        if any(t != wanted for t in types):
+            noun = "operand" if len(types) == 1 else "operands"
+            self.emit("T1", expr.loc, f"{noun} of '{expr.op}' must be {wanted}")
+            return None
+        return BOOLEAN if expr.op in ("<", "<=", ">", ">=") else wanted

@@ -50,10 +50,6 @@ EXIT_RUNTIME = 3
 EXIT_INTERNAL = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -79,7 +75,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-    except (_UsageError, SetupError) as exc:
+    except SetupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
@@ -152,9 +148,9 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _UsageError(f"cannot read '{path}': {exc.strerror}") from None
+        raise SetupError(f"cannot read '{path}': {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read '{path}': not UTF-8 text (byte {exc.start})") from None
+        raise SetupError(f"cannot read '{path}': not UTF-8 text (byte {exc.start})") from None
 
 
 def _front(args, profile: Optional[str]) -> tuple[ResolvedModel, list[Diagnostic]]:
@@ -233,18 +229,18 @@ def _parse_cell(text: str, declared: Optional[TypeRef], model: ResolvedModel,
     try:
         term = read(text)
     except (LexError, ParseError) as exc:
-        raise _UsageError(f"{where}: {exc.message}") from None
+        raise SetupError(f"{where}: {exc.message}") from None
     if isinstance(term, NoData):
         return ABSENT
     if isinstance(declared, BuiltinType):
         if isinstance(term, ELit) and type(term.value) is PYTHON_TYPES[declared]:
             return term.value
-        raise _UsageError(f"{where}: " + _CELL_TYPES[declared].format(text))
+        raise SetupError(f"{where}: " + _CELL_TYPES[declared].format(text))
     if isinstance(declared, EnumType):
         if not isinstance(term, ERef) or term.name not in model.enums[declared.qname].literals:
-            raise _UsageError(f"{where}: '{text}' is not a literal of {declared.qname}")
+            raise SetupError(f"{where}: '{text}' is not a literal of {declared.qname}")
         return EnumValue(declared.qname, term.name)
-    raise _UsageError(f"{where}: port has no concrete type")
+    raise SetupError(f"{where}: port has no concrete type")
 
 
 def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str, Slot]]:
@@ -258,13 +254,12 @@ def _load_stimulus(path: str, model: ResolvedModel, main: str) -> list[dict[str,
             header = [c.strip() for c in cells]
             for i, name in enumerate(header):
                 if name not in rc.in_ports:
-                    raise _UsageError(
-                        f"{path}:{lineno}: '{name}' is not an in-port of '{main}'")
+                    raise SetupError(f"{path}:{lineno}: '{name}' is not an in-port of '{main}'")
                 if name in header[:i]:
-                    raise _UsageError(f"{path}:{lineno}: column '{name}' appears twice")
+                    raise SetupError(f"{path}:{lineno}: column '{name}' appears twice")
             continue
         if len(cells) > len(header):
-            raise _UsageError(f"{path}:{lineno}: more cells than header columns")
+            raise SetupError(f"{path}:{lineno}: more cells than header columns")
         row: dict[str, Slot] = {}
         for name, cell in zip(header, cells):
             row[name] = _parse_cell(cell, rc.binding(name)[1], model,
@@ -278,9 +273,9 @@ def _resolve_main(model: ResolvedModel, main: str) -> str:
         return main
     matches = sorted(q for q in model.components if q.rsplit(".", 1)[-1] == main)
     if len(matches) > 1:
-        raise _UsageError(f"main component '{main}' is ambiguous ({', '.join(matches)})")
+        raise SetupError(f"main component '{main}' is ambiguous ({', '.join(matches)})")
     if not matches:
-        raise _UsageError(f"unknown main component '{main}'")
+        raise SetupError(f"unknown main component '{main}'")
     return matches[0]
 
 
@@ -308,7 +303,7 @@ def _cmd_sim_ts(args) -> int:
     rc = model.components[main]
     stimulus = _load_stimulus(args.stimulus, model, main) if args.stimulus else []
     if args.cycles < 1:
-        raise _UsageError("--cycles must be at least 1")
+        raise SetupError("--cycles must be at least 1")
 
     header = "\t".join(["cycle", *(f"in:{p}" for p in rc.in_ports),
                         *(f"out:{p}" for p in rc.out_ports), "state"])
@@ -346,14 +341,14 @@ def _load_script(path: str, model: ResolvedModel, main: str) -> list[Event]:
         if event is None:
             parts = line.split(None, 1)
             if len(parts) != 2:
-                raise _UsageError(f"{path}:{lineno}: expected '<port> <value>'")
+                raise SetupError(f"{path}:{lineno}: expected '<port> <value>'")
             port, text = parts
             if port not in rc.in_ports:
-                raise _UsageError(f"{path}:{lineno}: '{port}' is not an in-port of '{main}'")
+                raise SetupError(f"{path}:{lineno}: '{port}' is not an in-port of '{main}'")
             value = _parse_cell(text, rc.binding(port)[1], model, f"{path}:{lineno}",
                                 parse_value)
             if value is ABSENT:
-                raise _UsageError(f"{path}:{lineno}: events cannot carry '--'")
+                raise SetupError(f"{path}:{lineno}: events cannot carry '--'")
             event = seen[line] = Event(port, value)
         events.append(event)
     return events
@@ -400,7 +395,7 @@ def _cmd_export_ir(args) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(document)
         except OSError as exc:
-            raise _UsageError(f"cannot write '{args.out}': {exc.strerror}") from None
+            raise SetupError(f"cannot write '{args.out}': {exc.strerror}") from None
     else:
         sys.stdout.write(document)
     return EXIT_OK

@@ -64,7 +64,9 @@ from .resolution import (
 
 
 class SetupError(Exception):
-    """Bad simulation request: unknown component, port, or malformed stimulus."""
+    """A refused request: an unknown component or port, a value that is no
+    message of its port, a malformed stimulus, script or argument, or a model
+    with errors.  The CLI reports it as ``error: ...`` with exit code 2."""
 
 
 class EnumerationOverflow(Exception):
@@ -237,14 +239,10 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     edges: dict[tuple[str, str], tuple[str, str]] = {}
     lowered: dict[str, LoweredAutomaton] = {}
 
-    def _node(path: str, ref) -> tuple[str, str]:
-        if ref.instance is None:
-            return (path, ref.port)
-        inner = f"{path}.{ref.instance}" if path else ref.instance
-        return (inner, ref.port)
-
-    # Depth first over an explicit stack, each component's children pushed in
-    # reverse, so instances are in declaration order at any depth.
+    # Depth first over an explicit stack, each component's subcomponents
+    # pushed in reverse, so instances are in declaration order at any depth.
+    # A connector end is a node (instance path, port); the path of a composed
+    # component's own ports is its own.
     stack: list[tuple[ResolvedComponent, str, dict[str, TypeRef]]] = [(root, "", {})]
     while stack:
         rc, path, subst = stack.pop()
@@ -257,20 +255,15 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
                 lowered[rc.qname] = lower(rc)
             instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
             continue
-        children = []
-        for decl in rc.ast.subcomponents:
-            sub = rc.subcomponents[decl.instance]
-            child_rc = model.components[sub.target_qname]
-            child_path = f"{path}.{decl.instance}" if path else decl.instance
-            child_subst = {
+        prefix = f"{path}." if path else ""
+        for instance, sub in reversed(rc.subcomponents.items()):
+            child = model.components[sub.target_qname]
+            stack.append((child, prefix + instance, {
                 param: substitute_type(arg, subst)
-                for param, arg in zip(child_rc.ast.generic_params, sub.arg_types)
-            }
-            children.append((child_rc, child_path, child_subst))
-        stack.extend(reversed(children))
+                for param, arg in zip(child.ast.generic_params, sub.arg_types)}))
         for conn in rc.ast.connectors:
-            src = _node(path, conn.source)
-            dst = _node(path, conn.target)
+            dst, src = [(prefix + ref.instance if ref.instance else path, ref.port)
+                        for ref in (conn.target, conn.source)]
             edges[dst] = src
 
     source = {inst.path: k for k, inst in enumerate(instances, start=1)}
@@ -573,8 +566,10 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     initial emissions), then one step per event as that event completes.  The
     main component's one instance reads the event's port, every other in-port
     absent, and only transitions that read exactly that port react to it.  An
-    event's value must have its port's type.  A failing event raises
-    :class:`SimulationError`, naming the event, after the steps before it."""
+    event's value must be a message of its port's type, never :data:`ABSENT`,
+    or :class:`SetupError` refuses it; a failing event raises
+    :class:`SimulationError`, naming the event.  Either comes after the steps
+    before the event."""
     rc = model.components.get(main)
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
@@ -584,9 +579,12 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     [(cs, outputs)] = _successors(inst, _start(inst, model), inputs({}), branches)
     yield EventStep(None, _emissions(outputs), cs)
     for index, event in enumerate(script, start=1):
+        row = inputs({event.port: event.value})
+        if event.value is ABSENT:
+            raise SetupError(f"an event on in-port '{event.port}' of '{rc.qname}' "
+                             "cannot carry '--'")
         try:
-            [(cs, outputs)] = _successors(inst, cs, inputs({event.port: event.value}), branches,
-                                          event.port)
+            [(cs, outputs)] = _successors(inst, cs, row, branches, event.port)
         except SimulationError as exc:
             raise SimulationError(exc.message, event=index) from None
         yield EventStep(event, _emissions(outputs), cs)

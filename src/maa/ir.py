@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _string
 
-from .printer import format_expr, format_value
+from .printer import format_expr, format_port_ref, format_value
 from .resolution import ResolvedModel
 from .syntax import Automaton, ComponentType, Transition
 
@@ -86,8 +86,8 @@ def _component(indent: str, comp: ComponentType, qname: str) -> str:
         for s in comp.subcomponents
     ]
     connectors = [
-        _object(item, [("source", _string(_port_ref(c.source))),
-                       ("target", _string(_port_ref(c.target)))])
+        _object(item, [("source", _string(format_port_ref(c.source))),
+                       ("target", _string(format_port_ref(c.target)))])
         for c in comp.connectors
     ]
     return _object(indent, [
@@ -99,10 +99,6 @@ def _component(indent: str, comp: ComponentType, qname: str) -> str:
         ("subcomponents", _array(inner, subcomponents)),
         ("variables", _array(inner, variables)),
     ])
-
-
-def _port_ref(ref) -> str:
-    return f"{ref.instance}.{ref.port}" if ref.instance else ref.port
 
 
 def _automaton(indent: str, auto: Automaton) -> str:

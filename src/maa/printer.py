@@ -20,6 +20,7 @@ from .syntax import (
     Expr,
     Guard,
     NoData,
+    PortRef,
     SequenceValue,
     Transition,
     ValueTerm,
@@ -56,9 +57,7 @@ def _component(comp: ComponentType) -> list[str]:
         args = f"<{', '.join(sub.type_args)}>" if sub.type_args else ""
         out.append(f"  component {sub.type_name}{args} {sub.instance};")
     for conn in comp.connectors:
-        src = f"{conn.source.instance}.{conn.source.port}" if conn.source.instance else conn.source.port
-        dst = f"{conn.target.instance}.{conn.target.port}" if conn.target.instance else conn.target.port
-        out.append(f"  connect {src} -> {dst};")
+        out.append(f"  connect {format_port_ref(conn.source)} -> {format_port_ref(conn.target)};")
     for automaton in comp.automata:
         out.extend(_automaton(automaton))
     out.append("}")
@@ -107,6 +106,11 @@ def _block(entries) -> str:
         (f"{e.target} = " if e.target is not None else "")
         + " | ".join(format_value(a) for a in e.alternatives)
         for e in entries) + "}"
+
+
+def format_port_ref(ref: PortRef) -> str:
+    """A connector end: ``port``, or ``instance.port`` for a subcomponent's."""
+    return f"{ref.instance}.{ref.port}" if ref.instance else ref.port
 
 
 def format_value(term: ValueTerm) -> str:

@@ -106,7 +106,6 @@ class ResolvedComponent:
     package: str
     # bare name -> what it denotes; see binding()
     names: dict[str, tuple] = field(default_factory=dict)
-    visible_enums: dict[str, list[str]] = field(default_factory=dict)  # name -> qnames
     subcomponents: dict[str, ResolvedSub] = field(default_factory=dict)
     in_ports: list[str] = field(default_factory=list)  # in declaration order
     out_ports: list[str] = field(default_factory=list)
@@ -228,7 +227,7 @@ def resolve(units: list[CompilationUnit],
     # Pass 2: structure (subcomponents, generics, connectors) needs the other
     # components' name tables.
     for rc in resolved:
-        _resolve_structure(rc, model, components, diags)
+        _resolve_structure(rc, model, enums, components, diags)
     _containment_cycles(model, diags)
 
     model.diagnostics = list(diags)
@@ -260,6 +259,17 @@ def _scopes(rc: ResolvedComponent, index: dict[str, dict[str, str]]):
                 yield {name: imp.name}
 
 
+def _visible(rc: ResolvedComponent, index: dict[str, dict[str, str]], name: str) -> list[str]:
+    """The qualified names in ``index`` that ``name`` can denote in ``rc``,
+    each once: a qualified name denotes itself if it is declared, a simple
+    name what :func:`_scopes` make visible under it.  Several make the name
+    ambiguous."""
+    if "." in name:
+        package, _, simple = name.rpartition(".")
+        return [name] if index.get(package, {}).get(simple) == name else []
+    return list(dict.fromkeys([scope[name] for scope in _scopes(rc, index) if name in scope]))
+
+
 def _resolve_names(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
                    components: dict, diags: list[Diagnostic]) -> None:
     """Fill ``rc.names``: ports, then variables, then the visible enum
@@ -272,17 +282,12 @@ def _resolve_names(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
             known = imp.name in model.enums or imp.name in model.components
         if not known:
             diags.append(Diagnostic.at("R0", imp.loc, f"unresolved import '{imp.name}'"))
-    for scope in _scopes(rc, enums):
-        for name, qname in scope.items():
-            same = rc.visible_enums.setdefault(name, [])
-            if qname not in same:
-                same.append(qname)
 
     def resolve_type(name: str, loc: SourceLoc, what: str) -> Optional[TypeRef]:
-        ref = _resolve_type_name(rc, model, name)
+        ref = _resolve_type_name(rc, enums, name)
         if ref is not None:
             return ref
-        candidates = rc.visible_enums.get(name, [])
+        candidates = _visible(rc, enums, name)
         if len(candidates) > 1:
             names = ", ".join(sorted(candidates))
             diags.append(Diagnostic.at("R0", loc, f"ambiguous type '{name}' ({names})"))
@@ -303,27 +308,23 @@ def _resolve_names(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
                 diags.append(Diagnostic.at(
                     "R0", var.loc, f"enum '{declared.qname}' has no literals to default to"))
     literals: dict[str, list[EnumInfo]] = {}
-    for qnames in rc.visible_enums.values():
-        for enum in (model.enums[q] for q in qnames):
-            for lit in dict.fromkeys(enum.literals):
-                literals.setdefault(lit, []).append(enum)
-    for lit, enums in literals.items():
+    for qname in dict.fromkeys([q for scope in _scopes(rc, enums) for q in scope.values()]):
+        for lit in dict.fromkeys(model.enums[qname].literals):
+            literals.setdefault(lit, []).append(model.enums[qname])
+    for lit, infos in literals.items():
         if lit not in rc.names:
-            rc.names[lit] = ("enum", enums[0]) if len(enums) == 1 else ("ambiguous-enum", enums)
+            rc.names[lit] = ("enum", infos[0]) if len(infos) == 1 else ("ambiguous-enum", infos)
 
 
-def _resolve_type_name(rc: ResolvedComponent, model: ResolvedModel,
-                       name: str) -> Optional[TypeRef]:
+def _resolve_type_name(rc: ResolvedComponent, enums: dict, name: str) -> Optional[TypeRef]:
+    """The type ``name`` denotes in ``rc``: a builtin, a type parameter or
+    the one enum that ``enums``, the model's enum index, makes visible."""
     if name in BUILTINS:
         return BUILTINS[name]
     if name in rc.ast.generic_params:
         return ParamType(name)
-    if "." in name:
-        return EnumType(name) if name in model.enums else None
-    candidates = rc.visible_enums.get(name, [])
-    if len(candidates) == 1:
-        return EnumType(candidates[0])
-    return None
+    found = _visible(rc, enums, name)
+    return EnumType(found[0]) if len(found) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +395,8 @@ def substitute_type(ref: Optional[TypeRef], bindings: dict[str, TypeRef]) -> Opt
     return ref
 
 
-def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, components: dict,
-                       diags: list[Diagnostic]) -> None:
+def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
+                       components: dict, diags: list[Diagnostic]) -> None:
     comp = rc.ast
     if comp.composed and comp.automata:
         parts = "subcomponents" if comp.subcomponents else "connectors"
@@ -403,22 +404,15 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, components: 
             "R0", comp.loc, f"component '{comp.name}' mixes {parts} and automaton behavior"))
 
     for sub in comp.subcomponents:
-        if "." in sub.type_name:
-            target = sub.type_name if sub.type_name in model.components else None
-        else:
-            matches = list(dict.fromkeys(scope[sub.type_name] for scope in _scopes(rc, components)
-                                         if sub.type_name in scope))
-            if len(matches) > 1:
-                diags.append(Diagnostic.at(
-                    "R0", sub.loc, f"ambiguous component type '{sub.type_name}'"))
-                continue
-            target = matches[0] if matches else None
-        if target is None:
+        matches = _visible(rc, components, sub.type_name)
+        if len(matches) != 1:
+            problem = "ambiguous" if matches else "unresolved"
             diags.append(Diagnostic.at(
-                "R0", sub.loc, f"unresolved component type '{sub.type_name}'"))
+                "R0", sub.loc, f"{problem} component type '{sub.type_name}'"))
             continue
+        target = matches[0]
         params = model.components[target].ast.generic_params
-        args = [_resolve_type_name(rc, model, arg) for arg in sub.type_args]
+        args = [_resolve_type_name(rc, enums, arg) for arg in sub.type_args]
         for arg, ref in zip(sub.type_args, args):
             if ref is None:
                 diags.append(Diagnostic.at("R0", sub.loc, f"unresolved type argument '{arg}'"))

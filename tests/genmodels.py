@@ -26,6 +26,10 @@ for the checker-soundness property; ``random_unchecked_ed_component_text``
 mixes more guards, all on the port a transition reads, into event-driven
 text.  ``random_rule_breaking_text`` writes text that breaks rules of every
 family, so that the checker's rarer messages are reached.
+
+``random_composition_text`` composes two or three generated components,
+renamed ``P0`` to ``P2``, under a main ``Top`` with ``Gen``'s ports, in
+compilation units of their own; ``random_composition`` resolves them.
 """
 
 from __future__ import annotations
@@ -298,6 +302,72 @@ def random_rule_breaking_text(rng: random.Random) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
+# A component of connectors alone, which forwards its in-ports in the cycle
+# it reads them.
+RELAY = """import gen.Mode;
+
+component Relay {
+    port in Integer i, in Mode n, out Integer o, out Mode q;
+    connect i -> o;
+    connect n -> q;
+}
+"""
+
+
+def _composed(rng: random.Random, name: str, types: list[str]) -> str:
+    """A component with ``Gen``'s ports and an instance ``c<j>`` of each of
+    ``types`` (components with those ports too) and a ``Relay r``.  Its
+    connectors always make a chain ``c0.x -> c1.a -> ...``, put ``r`` between
+    ``c<last>.y`` and ``c0.a``, fan ``c<last>.y`` out to ``r.i`` and the own
+    out-port ``y``, leave one ``b`` or ``m`` in-port unconnected and
+    ``c0.y`` unread.  The rest are drawn: the Boolean and enum in-ports read
+    the own ones (or ``r.q``), and ``x`` reads the own ``a``, ``r.o`` or an
+    instance, or nothing.  Declarations and connectors come in random order.
+    No connector cycle arises: every path back to ``r.i`` passes an atomic
+    instance."""
+    last = len(types) - 1
+    feeds = {f"c{j}.a": f"c{j - 1}.x" for j in range(1, last + 1)}  # target -> source
+    feeds |= {"r.i": f"c{last}.y", "c0.a": "r.o", "y": f"c{last}.y"}
+    unconnected = rng.choice([f"c{j}.{port}" for j in range(last + 1) for port in "bm"])
+    for j in range(last + 1):
+        for port, sources in (("b", ("b",)), ("m", ("m", "r.q"))):
+            if f"c{j}.{port}" != unconnected and rng.random() < 0.8:
+                feeds[f"c{j}.{port}"] = rng.choice(sources)
+    if rng.random() < 0.8:
+        feeds["r.n"] = "m"
+    if rng.random() < 0.8:
+        outs = [f"c{j}.{port}" for j in range(last + 1) for port in "xy"]
+        feeds["x"] = rng.choice(["a", "r.o", *outs[:1], *outs[2:]])  # c0.y stays unread
+    declarations = [f"    component {t} c{j};" for j, t in enumerate(types)]
+    declarations.append("    component Relay r;")
+    connectors = [f"    connect {source} -> {target};" for target, source in feeds.items()]
+    rng.shuffle(declarations)
+    rng.shuffle(connectors)
+    return "\n".join([
+        "import gen.Mode;", "", f"component {name} {{",
+        "    port in Integer a, in Boolean b, in Mode m, out Integer x, out Integer y;",
+        *declarations, *connectors, "}"]) + "\n"
+
+
+def random_composition_text(rng: random.Random) -> list[str]:
+    """The compilation units of a time-synchronous-clean composed main ``Top``:
+    two or three components of :func:`random_component_text` named ``P0``
+    to ``P2``, :data:`RELAY`, and ``Top`` (see :func:`_composed`) over two or
+    three instances of them.  In half the models one of ``Top``'s instances
+    is a ``Mid``, itself composed over two of them, so components nest one
+    level deep; a component may have several instances."""
+    parts = [f"P{k}" for k in range(rng.choice((2, 3)))]
+    texts = [random_component_text(rng).replace("component Gen {", f"component {part} {{")
+             for part in parts]
+    texts.append(RELAY)
+    types = [rng.choice(parts) for _ in range(rng.choice((2, 3)))]
+    if rng.random() < 0.5:
+        texts.append(_composed(rng, "Mid", [rng.choice(parts) for _ in range(2)]))
+        types[rng.randrange(len(types))] = "Mid"
+    texts.append(_composed(rng, "Top", types))
+    return texts
+
+
 def _values(rng: random.Random, pool: tuple[str, ...]) -> str:
     """One value from ``pool``, or, a third of the time, two alternatives,
     which may be equal."""
@@ -306,20 +376,23 @@ def _values(rng: random.Random, pool: tuple[str, ...]) -> str:
     return rng.choice(pool)
 
 
-def resolve_text(text: str):
-    """The model of one generated component text with :data:`TYPES`, and
-    resolution's diagnostics."""
-    unit = parse_component_file(text, "gen.maa")
-    assert isinstance(unit, CompilationUnit), (unit, text)
-    return resolve([unit], [parse_types_file(TYPES, "gen.types")])
+def resolve_text(text: str | list[str]):
+    """The model of one generated component text, or of a list of them,
+    with :data:`TYPES`, and resolution's diagnostics."""
+    units = []
+    for k, one in enumerate([text] if isinstance(text, str) else text):
+        unit = parse_component_file(one, f"gen{k}.maa")
+        assert isinstance(unit, CompilationUnit), (unit, one)
+        units.append(unit)
+    return resolve(units, [parse_types_file(TYPES, "gen.types")])
 
 
-def _clean_model(text: str, profile: str):
+def _clean_model(text: str | list[str], profile: str, main: str = "Gen"):
     model, rdiags = resolve_text(text)
     diags = rdiags + check(model, profile)
     errors = [d for d in diags if d.severity == "error"]
     assert errors == [], (text, [d.render() for d in errors])
-    return model, "Gen"
+    return model, main
 
 
 def random_model(rng: random.Random):
@@ -330,6 +403,11 @@ def random_model(rng: random.Random):
 def random_ed_model(rng: random.Random):
     """A resolved, ed-clean random model; returns (model, main name)."""
     return _clean_model(random_ed_component_text(rng), "ed")
+
+
+def random_composition(rng: random.Random):
+    """A resolved, ts-clean random composition; returns (model, "Top")."""
+    return _clean_model(random_composition_text(rng), "ts", "Top")
 
 
 def mode(literal: str) -> EnumValue:

@@ -5,15 +5,23 @@ Written from README "Execution semantics", and sharing no code with
 name denotes (``ResolvedComponent.binding``) and which port or variable an
 entry targets (``ResolvedComponent.target``), evaluates terms with its own
 evaluator, works out which in-ports a transition reads itself, and expands
-every choice point by plain recursion.  It runs atomic components only, for
-at most four cycles or events: it is meant to be plainly right, not fast.
+every choice point.  A time-synchronous main may be composed: the reference
+flattens it itself, from the parsed connectors and resolution's table of
+subcomponents (``ResolvedComponent.subcomponents``), into atomic instances,
+and follows connectors through every level, connector-only components
+included, to where each in-port reads.  An event-driven main is atomic.  It
+runs at most four cycles or events: it is meant to be plainly right, not
+fast.
 
 Values are Python ints, bools and strings, :class:`EnumLiteral` for an enum
 literal, and ``None`` for the absence of a message; every value in a trace or
 a run is in the form :func:`exact` gives, and variables are sorted by name.
-A time-synchronous trace is a tuple with one ``(outputs, state, variables)``
-entry per cycle: the message observed on each out-port in declaration order,
-the state after the cycle and the variables after it.  An event-driven run is
+A time-synchronous trace is a tuple with one ``(outputs, states)`` entry per
+cycle: the message observed on each out-port of the main in declaration
+order, and a ``(path, state, variables)`` triple per atomic instance, sorted
+by its path (``c1.c0`` for instance ``c0`` of instance ``c1`` of the main,
+``""`` for an atomic main), with the state and the variables after the
+cycle.  An event-driven run is
 ``(initial state, initial emissions, steps)`` with one ``(emissions, state,
 variables)`` step per event; emissions are a ``(port, messages)`` pair per
 output-block entry on an out-port, in block order.
@@ -59,15 +67,54 @@ def same(a, b) -> bool:
 
 
 def reference_traces(model, main: str, stimulus: list[dict], n_cycles: int) -> set[tuple]:
-    """Every trace of the atomic component ``main`` under every resolution of
-    its choice points.  ``stimulus`` rows map in-ports to values; a missing
-    row, port or a None cell is no message."""
+    """Every trace of ``main`` under every resolution of its choice points.
+    ``stimulus`` rows map in-ports to values; a missing row, port or a None
+    cell is no message.
+
+    In each cycle every atomic instance reads what was sent to its in-ports
+    in the cycle before, or the stimulus of this cycle where an in-port is
+    connected to one of the main's, and takes one step; the main's out-ports
+    observe the same.  Cycle by cycle, the set of distinct (trace so far,
+    joint state) is kept, each instance's successors taken as a set."""
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"the reference runs 1 to {MAX_CYCLES} cycles")
-    component = _Component(model, main)
+    system = _System(model, main)
     rows = [stimulus[t] if t < len(stimulus) else {} for t in range(n_cycles)]
-    return {trace for state, variables, emitted in component.initial(sequences=False)
-            for trace in component.runs(rows, 0, state, variables, _sent(emitted))}
+    paths = sorted(system.parts, key=".".join)
+    # (trace so far, joint state in exact form) -> (trace, joint state); a
+    # joint state is a (state, variables, sent) per instance, in path order
+    runs = {}
+    for start in itertools.product(*(_outcomes(system.parts[path].initial(sequences=False))
+                                     for path in paths)):
+        runs.setdefault(((), tuple(key for key, _ in start)), ((), [o for _, o in start]))
+    for row in rows:
+        after = {}
+        for trace, joint in runs.values():
+            sent = {path: messages for path, (_, _, messages) in zip(paths, joint)}
+
+            def read(port):
+                source = system.source(port)
+                if source is None:
+                    return None
+                path, name = source
+                return row.get(name) if path is None else sent[path].get(name)
+
+            observed = tuple(exact(read((port,))) for port in system.main.out_ports)
+            options = []
+            for path, (state, variables, _) in zip(paths, joint):
+                part = system.parts[path]
+                inputs = {port: read((*path, port)) for port in part.rc.in_ports}
+                options.append(_outcomes(part.successors(state, inputs, variables,
+                                                         lambda transition: True,
+                                                         sequences=False)))
+            for choice in itertools.product(*options):
+                keys = tuple(key for key, _ in choice)
+                record = (observed, tuple((".".join(path), key[0], key[1])
+                                          for path, key in zip(paths, keys)))
+                after.setdefault((trace + (record,), keys),
+                                 (trace + (record,), [o for _, o in choice]))
+        runs = after
+    return {trace for trace, _ in runs.values()}
 
 
 def reference_ed_runs(model, main: str, script: list[tuple]) -> list[tuple]:
@@ -78,7 +125,7 @@ def reference_ed_runs(model, main: str, script: list[tuple]) -> list[tuple]:
     be equal."""
     if len(script) > MAX_EVENTS:
         raise ValueError(f"the reference runs at most {MAX_EVENTS} events")
-    component = _Component(model, main)
+    component = _Component(model, model.components[main])
     return [(state, _emissions(emitted), steps)
             for state, variables, emitted in component.initial(sequences=True)
             for steps in component.event_runs(script, state, variables)]
@@ -100,9 +147,61 @@ def _variables(variables: dict) -> tuple:
     return tuple(sorted((k, exact(v)) for k, v in variables.items()))
 
 
-class _Component:
+def _outcomes(outcomes) -> list:
+    """Each distinct (state, variables, sent) that (state, variables,
+    emitted) outcomes of one instance give, once, after its exact form."""
+    found = {}
+    for state, variables, emitted in outcomes:
+        sent = _sent(emitted)
+        key = (state, _variables(variables),
+               tuple(sorted((port, exact(v)) for port, v in sent.items())))
+        found.setdefault(key, (key, (state, variables, sent)))
+    return list(found.values())
+
+
+def _port(path: tuple, end) -> tuple:
+    """The port a connector end names in the component at ``path``."""
+    return path + (end.instance, end.port) if end.instance else path + (end.port,)
+
+
+class _System:
+    """The atomic instances of a main component, and the connectors of every
+    level between them.  An instance's path is the tuple of instance names
+    from the main down to it, ``()`` for an atomic main; a port is its
+    owner's path followed by the port's name."""
+
     def __init__(self, model, main: str):
-        rc = model.components[main]
+        self.main = model.components[main]
+        self.parts = {}  # path -> _Component
+        self.feeds = {}  # port a connector targets -> the port it reads
+        self._flatten(model, self.main, ())
+
+    def _flatten(self, model, rc, path: tuple) -> None:
+        if not rc.ast.subcomponents and not rc.ast.connectors:
+            self.parts[path] = _Component(model, rc)
+            return
+        for instance, sub in rc.subcomponents.items():
+            self._flatten(model, model.components[sub.target_qname], path + (instance,))
+        for connector in rc.ast.connectors:
+            self.feeds[_port(path, connector.target)] = _port(path, connector.source)
+
+    def source(self, port: tuple):
+        """Where ``port`` reads: (path, out-port) of an atomic instance, whose
+        message of the cycle before it reads, (None, in-port) of the main,
+        whose stimulus of this cycle it reads, or None when no connector
+        leads to either."""
+        for _ in range(len(self.feeds) + 1):
+            path, name = port[:-1], port[-1]
+            if path in self.parts and self.parts[path].rc.kind(name) == "out":
+                return path, name
+            if port not in self.feeds:
+                return (None, name) if path == () and self.main.kind(name) == "in" else None
+            port = self.feeds[port]
+        raise ReferenceError("connector cycle")
+
+
+class _Component:
+    def __init__(self, model, rc):
         if rc.ast.subcomponents or len(rc.ast.automata) != 1:
             raise ValueError("the reference runs atomic components with one automaton")
         self.model = model
@@ -264,20 +363,6 @@ class _Component:
             for new_variables, emitted in self.outcomes(initial.output, {}, variables,
                                                         sequences):
                 yield initial.state, new_variables, emitted
-
-    def runs(self, rows: list[dict], t: int, state, variables: dict, sent: dict):
-        """Every continuation from cycle ``t`` (0-based) on, after ``sent`` was
-        sent in the cycle before: it is what the outside observes in cycle t."""
-        if t == len(rows):
-            yield ()
-            return
-        inputs = {port: rows[t].get(port) for port in self.rc.in_ports}
-        observed = tuple(exact(sent.get(port)) for port in self.rc.out_ports)
-        for new_state, new_variables, emitted in self.successors(
-                state, inputs, variables, lambda transition: True, sequences=False):
-            record = (observed, new_state, _variables(new_variables))
-            for rest in self.runs(rows, t + 1, new_state, new_variables, _sent(emitted)):
-                yield (record,) + rest
 
     def event_runs(self, script: list[tuple], state, variables: dict):
         """Every sequence of steps over ``script``: each event is the only

@@ -267,3 +267,21 @@ def test_a_failing_event_raises_after_the_start_and_the_steps_before_it():
     assert (raised.value.event, str(raised.value)) == (
         3, "event 3: forwarding absent message from port 'q'")
     assert next(steps, None) is None
+
+
+def test_an_absent_event_is_refused_after_the_steps_before_it():
+    # Matching -- is S3ED, a rule of the event-driven profile alone, so the
+    # model runs; without the refusal, {x = --} would fire on the absent event.
+    model = small_model(
+        "component A { port in Integer x, out Integer o; automaton {"
+        " state S; initial S; S {x = --} / o = 1; S x = 2 / o = 2; } }")
+    refusal = "an event on in-port 'x' of 'A' cannot carry '--'"
+    steps = iter_ed(model, "A", [Event("x", 2), Event("x", ABSENT), Event("x", 2)])
+    assert [(step.event, step.emissions) for step in itertools.islice(steps, 2)] == [
+        (None, []), (Event("x", 2), [("o", [2])])]
+    with pytest.raises(SetupError) as raised:
+        next(steps)
+    assert str(raised.value) == refusal
+    with pytest.raises(SetupError) as raised:
+        run_ed(model, "A", [Event("x", ABSENT)])
+    assert str(raised.value) == refusal

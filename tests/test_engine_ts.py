@@ -633,7 +633,9 @@ def test_mistyped_stimulus_and_event_values_are_refused(entry, main, port, value
         f"{what} value {value!r} on in-port '{port}' of '{main}' is no {declared}")
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
+# An absent stimulus cell is no message; an event is one, so run_ed refuses
+# ABSENT (tests/test_engine_ed.py).
+@pytest.mark.parametrize("entry", [entry for entry in ENTRY_POINTS if entry != "run_ed"])
 def test_absent_is_accepted_on_every_port(entry):
     for main, model in typed_models().items():
         row = dict.fromkeys(model.components[main].in_ports, ABSENT)

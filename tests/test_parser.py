@@ -215,6 +215,9 @@ def test_port_without_direction_names_what_was_found(text, found):
                  "component C { port in Integer a; automaton { state S; initial S; "
                  "S [pre: a > 0]; } }",
                  "t:1:69 error SYN: unsupported guard kind 'pre'", id="guard-kind"),
+    pytest.param(parse_component_file, "component A { automaton { state S;",
+                 "t:1:35 error SYN: unexpected end of input, missing '}'",
+                 id="automaton-end-of-input"),
 ])
 def test_syntax_error_messages(parse, text, expected):
     assert [d.render() for d in parse(text, "t")] == [expected]

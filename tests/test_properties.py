@@ -3,9 +3,11 @@ and the enumerator against the reference semantics of ``tests/reference.py``."""
 
 from __future__ import annotations
 
+import ast
 import copy
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ from conftest import CORPUS, parse_model
 from genmodels import (
     TYPES,
     random_component_text,
+    random_composition,
     random_ed_model,
     random_model,
     random_script,
@@ -271,6 +274,21 @@ def test_at_most_one_message_per_port_random():
 # the engine against the independent reference semantics
 # ---------------------------------------------------------------------------
 
+def test_the_reference_imports_nothing_of_the_engine():
+    # the oracle checks the engine and the lowering, so it must share no code
+    # with them: not even an import, which would let a helper creep in
+    tree = ast.parse((Path(__file__).parent / "reference.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported and not {name for name in imported
+                             if name.split(".")[:2] in (["maa", "engine"], ["maa", "lowering"])}
+
+
 def _reference_value(value):
     if value is ABSENT:
         return None
@@ -280,12 +298,15 @@ def _reference_value(value):
 
 
 def _reference_form(trace, out_ports: list[str]) -> tuple:
-    """An engine trace of an atomic component in the reference's form."""
+    """An engine trace in the reference's form."""
     return tuple(
         (tuple(exact(_reference_value(r.outputs[port])) for port in out_ports),
-         r.states[""].state,
-         tuple(sorted((k, exact(v)) for k, v in r.states[""].variables.items())))
+         tuple((path, cs.state, tuple(sorted((k, exact(v)) for k, v in cs.variables.items())))
+               for path, cs in sorted(r.states.items())))
         for r in trace.records)
+
+
+COMPOSED_CYCLES = 2
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,9 +314,18 @@ def _reference_form(trace, out_ports: list[str]) -> tuple:
 def test_enumeration_equals_the_reference_semantics(seed, n_cycles):
     # generated models declare transitions twice and offer equal
     # alternatives, so equal sibling successors occur and are merged; a
-    # seeded generator rather than a Hypothesis random keeps examples cheap
+    # seeded generator rather than a Hypothesis random keeps examples cheap.
+    # Each example checks an atomic model and then a composition, whose
+    # wiring the reference flattens itself.  A composition's instances branch
+    # jointly, so its distinct traces can number 10^5 at three cycles and
+    # more at four: it runs at most COMPOSED_CYCLES.
     rng = random.Random(seed)
-    model, main = random_model(rng)
+    _check_enumeration(rng, random_model(rng), n_cycles)
+    _check_enumeration(rng, random_composition(rng), min(n_cycles, COMPOSED_CYCLES))
+
+
+def _check_enumeration(rng: random.Random, generated, n_cycles: int) -> None:
+    model, main = generated
     stimulus = random_stimulus(rng, n_cycles)
     expected = reference_traces(
         model, main, [{port: _reference_value(v) for port, v in row.items()}
