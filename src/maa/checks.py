@@ -234,8 +234,8 @@ class _Checker:
         names, its target, then each alternative."""
         unresolved, bound = self._report_names(entry.alternatives)
         if initial_output:
-            for ref, kind in bound:
-                if kind in ("in", "out"):
+            for ref, binding in bound:
+                if binding[0] in ("in", "out"):
                     self.emit("S2TS", ref.loc,
                               f"port '{ref.name}' must not be used in an initial output")
         wrong, side, t6, verb = _DIRECTIONS[type(entry)]
@@ -259,15 +259,16 @@ class _Checker:
             self.emit("T6", entry.target_loc or entry.loc, f"{t6} '{target}'")
             return
         receiving = isinstance(entry, Match)
+        named = {id(ref): binding for ref, binding in bound}
         for alt in entry.alternatives:
             if kind == "var":
                 if not self._variable_value(alt, target, verb):
-                    self._check_single_value(alt, declared)
+                    self._check_single_value(alt, declared, named.get(id(alt)))
             elif isinstance(alt, NoData):
                 if receiving:
                     self.emit("S3ED", alt.loc, "a transition cannot be triggered by absence (--)")
             elif not isinstance(alt, SequenceValue):
-                self._check_single_value(alt, declared)
+                self._check_single_value(alt, declared, named.get(id(alt)))
             elif receiving:
                 self.emit("T1", alt.loc,
                           f"input on port '{target}' must be a single message, not a sequence")
@@ -275,7 +276,7 @@ class _Checker:
                 self.emit("S3TS", alt.loc,
                           f"sending a sequence on port '{target}' exceeds one message per cycle")
                 for element in alt.elements:
-                    self._check_single_value(element, declared)
+                    self._check_single_value(element, declared, named.get(id(element)))
 
     def _variable_value(self, term, name: str, verb: str) -> bool:
         """T4 for --, T5 for a sequence, read from or given to the variable
@@ -290,11 +291,13 @@ class _Checker:
 
     # -- shared value checking --------------------------------------------------
 
-    def _check_single_value(self, term, declared) -> None:
+    def _check_single_value(self, term, declared, binding) -> None:
+        """T7, T3 or T1 for one value of a port or variable of type
+        ``declared``; ``binding`` is what the name walk found a name to
+        denote, None where it reported the name."""
         if isinstance(term, ERef):
-            binding = self.rc.binding(term.name)
-            if binding is None or binding[0] == "ambiguous-enum":
-                return  # reported by the name walk
+            if binding is None:
+                return
             if binding[0] == "out":
                 self.emit("T7", term.loc,
                           f"output port '{term.name}' cannot be used as a value")
@@ -315,8 +318,8 @@ class _Checker:
 
     def _report_names(self, terms) -> tuple[bool, list]:
         """R2/R0 for unresolved or ambiguous names in value terms or guard
-        expressions.  Whether any was found, and (reference, kind) for every
-        other name, left to right."""
+        expressions.  Whether any was found, and (reference, binding) for
+        every other name, left to right."""
         unresolved, bound = False, []
         for term in terms:
             for ref in expr_refs(term):
@@ -329,7 +332,7 @@ class _Checker:
                     self.emit("R0", ref.loc, f"enum literal '{ref.name}' is ambiguous ({enums})")
                     unresolved = True
                 else:
-                    bound.append((ref, binding[0]))
+                    bound.append((ref, binding))
         return unresolved, bound
 
     # -- guards -------------------------------------------------------------
@@ -337,8 +340,8 @@ class _Checker:
     def check_guard(self, guard) -> None:
         unresolved, bound = self._report_names([guard.expr])
         clean = not unresolved
-        for ref, kind in bound:
-            if kind == "out":
+        for ref, binding in bound:
+            if binding[0] == "out":
                 self.emit("T6", ref.loc, f"cannot read output port '{ref.name}' in a guard")
                 clean = False
         if clean:

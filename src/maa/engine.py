@@ -11,7 +11,8 @@ matching transition may emit finite sequences of events per output port.
 
 :func:`build_plan`, which every entry point calls, refuses (:class:`SetupError`)
 a model with an error from resolution or a rule every profile shares, and
-:func:`_external` alone types and pads stimulus rows and events.  The runtime errors
+otherwise only flattens it: resolution has already refused any cycle of
+connectors.  :func:`_external` alone types and pads stimulus rows and events.  The runtime errors
 left are forwarding an absent message, an initialiser that reads a later
 variable, and a sequence sent under the time-synchronous profile (S3TS).
 
@@ -270,10 +271,9 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
     def wire(port: str, node: tuple[str, str]) -> Wire:
         """The wire of ``port``, which reads ``node``, followed along
-        connectors to an instance's out-port or an external in-port."""
-        seen = set()
-        while node not in seen:
-            seen.add(node)
+        connectors to an instance's out-port or an external in-port;
+        resolution has refused every cycle of connectors."""
+        while True:
             path, name = node
             if (path in source and node not in edges
                     and instances[source[path] - 1].rc.kind(name) == "out"):
@@ -283,7 +283,6 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
             if node not in edges:
                 return (port, None, None)
             node = edges[node]
-        raise SetupError(f"connector cycle through {node[1]!r}")
 
     for inst in instances:
         inst.wires = [wire(port, (inst.path, port)) for port in inst.rc.in_ports]
@@ -500,7 +499,9 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
     distinct traces would be produced.  The search is depth-first over an
     explicit stack, so its depth is not limited by the run's length.  Equal
     successors of an instance are merged before they are combined, so the
-    work grows with distinct successors, not with branches.  Stimulus row k is
+    work grows with distinct successors, not with branches, and they are
+    combined one joint successor at a time, so the work before an overflow
+    grows with the traces found, not with the joint product.  Stimulus row k is
     read and checked when the search first reaches cycle k, so a run that
     fails early reads no further.
     """
@@ -512,16 +513,25 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
     source = _rows(plan, stimulus, n_cycles)
     rows: list[dict[str, Slot]] = []
 
-    # A node is (joint state, cycle, prefix); a prefix is None or (record, its
-    # frozen form, parent prefix), so traces with a common prefix share its
-    # records, and each record is frozen once however many traces it starts.
+    # A frame is (successors, cycle, external, observed, prefix): the lazy
+    # joint product of one step in that cycle, what the step read and
+    # observed, and the prefix of the trace before it.  A prefix is None or
+    # (record, its frozen form, parent prefix), so traces with a common prefix
+    # share its records, and each record is frozen once however many traces
+    # it starts.  The step out of pre-start has cycle 0 and makes no record.
     _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
-    stack = [(state, 1, None) for state in starts]
-    stack.reverse()
+    stack = [(starts, 0, None, None, None)]
     results: dict[tuple, Trace] = {}
     while stack:
-        state, index, prefix = stack.pop()
-        if index > n_cycles:
+        successors, index, external, observed, prefix = stack[-1]
+        state = next(successors, None)
+        if state is None:
+            stack.pop()
+            continue
+        if index:
+            record = _record(plan, index, external, observed, state)
+            prefix = (record, record.freeze(), prefix)
+        if index == n_cycles:
             records: list[CycleRecord] = []
             frozen: list[tuple] = []
             while prefix is not None:
@@ -537,15 +547,11 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
                 records.reverse()
                 results[key] = Trace(records)
             continue
-        if index > len(rows):
+        if index == len(rows):
             rows.append(next(source))
-        external = rows[index - 1]
-        observed, successors = _step(plan, state, external, _every_branch, index)
-        children = []
-        for successor in successors:
-            record = _record(plan, index, external, observed, successor)
-            children.append((successor, index + 1, (record, record.freeze(), prefix)))
-        stack.extend(reversed(children))
+        external = rows[index]
+        observed, successors = _step(plan, state, external, _every_branch, index + 1)
+        stack.append((successors, index + 1, external, observed, prefix))
     return [results[key] for key in sorted(results)]
 
 

@@ -15,23 +15,28 @@ only read, so one parsed unit can be resolved into any number of models.
 Resolution is total: unresolved names bind to nothing and are reported later
 by the well-formedness rules (R2 family); only structural failures that have no
 rule of their own (dangling imports, unknown types, bad wiring, a component
-that contains itself) are reported here under the code ``R0``.
+that contains itself, a cycle of connectors that passes no atomic instance)
+are reported here under the code ``R0``.  One strongly-connected-components
+routine finds both kinds of cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar, Union
 
 from .diagnostics import Diagnostic, SourceLoc
+from .printer import format_port_ref
 from .syntax import (
     Assignment,
     CompilationUnit,
     ComponentType,
+    ConnectorDecl,
     ELit,
     ERef,
     Match,
     NoData,
+    PortRef,
     SequenceValue,
     Transition,
     TypeDeclUnit,
@@ -226,9 +231,9 @@ def resolve(units: list[CompilationUnit],
 
     # Pass 2: structure (subcomponents, generics, connectors) needs the other
     # components' name tables.
-    for rc in resolved:
-        _resolve_structure(rc, model, enums, components, diags)
-    _containment_cycles(model, diags)
+    connectors = {rc.qname: _resolve_structure(rc, model, enums, components, diags)
+                  for rc in resolved}
+    _cycles(model, connectors, diags)
 
     model.diagnostics = list(diags)
     return model, diags
@@ -389,6 +394,10 @@ def infer_block_target(alternatives: list[ValueTerm], candidates: dict[str, tupl
 # Structure: subcomponents, generics, connectors
 # ---------------------------------------------------------------------------
 
+N = TypeVar("N")
+End = tuple[Optional[str], str]  # a connector end: (instance, port), or (None, own port)
+
+
 def substitute_type(ref: Optional[TypeRef], bindings: dict[str, TypeRef]) -> Optional[TypeRef]:
     if isinstance(ref, ParamType) and ref.name in bindings:
         return bindings[ref.name]
@@ -396,7 +405,9 @@ def substitute_type(ref: Optional[TypeRef], bindings: dict[str, TypeRef]) -> Opt
 
 
 def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
-                       components: dict, diags: list[Diagnostic]) -> None:
+                       components: dict, diags: list[Diagnostic]) -> list[ConnectorDecl]:
+    """Resolve the subcomponents and connectors of ``rc``; returns the
+    connectors whose two ends resolved."""
     comp = rc.ast
     if comp.composed and comp.automata:
         parts = "subcomponents" if comp.subcomponents else "connectors"
@@ -429,67 +440,138 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
             continue
         rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args, sub.loc)
 
-    fed: dict[tuple[Optional[str], str], SourceLoc] = {}
+    fed: dict[End, SourceLoc] = {}
+    resolved = []
     for conn in comp.connectors:
         src = _resolve_endpoint(rc, model, conn.source, diags, is_source=True)
         dst = _resolve_endpoint(rc, model, conn.target, diags, is_source=False)
         if src is None or dst is None:
             continue
+        resolved.append(conn)
         (src_type,), (dst_type,) = src, dst
         if src_type is not None and dst_type is not None and src_type != dst_type:
             diags.append(Diagnostic.at(
                 "R0", conn.loc,
                 f"connector type mismatch: {src_type} -> {dst_type}"))
-        key = (conn.target.instance, conn.target.port)
+        key = _end(conn.target)
         if key in fed:
             diags.append(Diagnostic.at(
                 "R0", conn.loc,
                 f"port '{conn.target.port}' receives more than one connector"))
         fed[key] = conn.loc
+    return resolved
 
 
-def _containment_cycles(model: ResolvedModel, diags: list[Diagnostic]) -> None:
-    """Report every subcomponent declaration on a containment cycle, which
-    no instantiation could finish: one whose component and target lie in one
-    strongly connected component of the containment graph.  Tarjan's
+def _end(ref: PortRef) -> End:
+    return ref.instance, ref.port
+
+
+def _strongly_connected(nodes: Iterable[N], successors: Callable[[N], Iterable[N]]
+                        ) -> list[list[N]]:
+    """The strongly connected components of the graph over ``nodes`` whose
+    edges lead from a node to each of its ``successors``, in completion
+    order: every component after each component it reaches.  Tarjan's
     algorithm over an explicit stack, so no depth exhausts Python's stack."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    root_of: dict[str, str] = {}  # qname -> the root of its strongly connected component
-    path: list[str] = []  # visited, no component found yet
-    work: list[tuple] = []  # (qname, iterator over its targets), depth first
+    index: dict[N, int] = {}
+    low: dict[N, int] = {}
+    placed: set[N] = set()  # the nodes of the components found
+    path: list[N] = []  # visited, no component found yet
+    work: list[tuple] = []  # (node, iterator over its successors), depth first
+    found: list[list[N]] = []
 
-    def visit(qname: str) -> None:
-        index[qname] = low[qname] = len(index)
-        path.append(qname)
-        subs = model.components[qname].subcomponents.values()
-        work.append((qname, iter([sub.target_qname for sub in subs])))
+    def visit(node: N) -> None:
+        index[node] = low[node] = len(index)
+        path.append(node)
+        work.append((node, iter(successors(node))))
 
-    for start in model.components:
+    for start in nodes:
         if start not in index:
             visit(start)
         while work:
-            qname, targets = work[-1]
+            node, targets = work[-1]
             for target in targets:
                 if target not in index:
                     visit(target)
                     break
-                if target not in root_of:  # still on the path
-                    low[qname] = min(low[qname], index[target])
+                if target not in placed:  # still on the path
+                    low[node] = min(low[node], index[target])
             else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
-                    low[parent] = min(low[parent], low[qname])
-                if low[qname] == index[qname]:
-                    while qname not in root_of:
-                        root_of[path.pop()] = qname
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = [path.pop()]
+                    while component[-1] != node:
+                        component.append(path.pop())
+                    placed.update(component)
+                    found.append(component)
+    return found
+
+
+def _cycles(model: ResolvedModel, connectors: dict[str, list[ConnectorDecl]],
+            diags: list[Diagnostic]) -> None:
+    """Report every subcomponent declaration on a containment cycle, which
+    no instantiation could finish: one whose component and target lie in one
+    strongly connected component of the containment graph.  Then report, in
+    each composed component after its subcomponents, every connector on a
+    cycle of connectors (see :func:`_connector_cycles`); ``connectors`` holds
+    each component's connectors whose two ends resolved."""
+    order = _strongly_connected(model.components, lambda qname: [
+        sub.target_qname for sub in model.components[qname].subcomponents.values()])
+    scc_of = {qname: k for k, component in enumerate(order) for qname in component}
     for rc in model.components.values():
         for sub in rc.subcomponents.values():
-            if root_of[sub.target_qname] == root_of[rc.qname]:
+            if scc_of[sub.target_qname] == scc_of[rc.qname]:
                 diags.append(Diagnostic.at(
                     "R0", sub.loc, f"component '{rc.qname}' contains itself through "
                                    f"subcomponent '{sub.instance}'"))
+    passes: dict[str, dict[str, str]] = {}
+    for component in order:
+        for qname in component:
+            rc = model.components[qname]
+            if rc.ast.composed:
+                passes[qname] = _connector_cycles(rc, connectors[qname], passes, diags)
+
+
+def _connector_cycles(rc: ResolvedComponent, connectors: list[ConnectorDecl],
+                      passes: dict[str, dict[str, str]], diags: list[Diagnostic]
+                      ) -> dict[str, str]:
+    """Report every connector of ``rc`` on a cycle, which passes no atomic
+    instance and so no delay.  A connector reads another in the same cycle
+    when its source is an out-port of a composed subcomponent that, as
+    ``passes`` says, passes on to it the in-port the other feeds; a
+    connector is on a cycle when it reads itself or lies in one strongly
+    connected component of that relation with another.  Returns what ``rc``
+    passes on: each own out-port whose chain of connectors starts at an own
+    in-port, to that in-port."""
+    feeding = {_end(conn.target): k for k, conn in enumerate(connectors)}
+    reads: list[list[int]] = []  # per connector, the one it reads in the same cycle, if any
+    for conn in connectors:
+        instance, port = _end(conn.source)
+        passed = (None if instance is None else
+                  passes.get(rc.subcomponents[instance].target_qname, {}).get(port))
+        reads.append([feeding[instance, passed]] if (instance, passed) in feeding else [])
+    order = _strongly_connected(range(len(connectors)), reads.__getitem__)
+    looped = {k for component in order for k in component
+              if len(component) > 1 or k in reads[k]}
+    for k, conn in enumerate(connectors):
+        if k in looped:
+            ends = f"{format_port_ref(conn.source)} -> {format_port_ref(conn.target)}"
+            diags.append(Diagnostic.at(
+                "R0", conn.loc, f"connector '{ends}' is on a cycle that passes no atomic instance"))
+    origin: dict[int, Optional[str]] = {}  # connector -> the own in-port its chain starts at
+    for component in order:  # each connector after the one it reads
+        for k in component:
+            source = connectors[k].source
+            if k in looped:
+                origin[k] = None
+            elif reads[k]:
+                origin[k] = origin[reads[k][0]]
+            else:
+                origin[k] = source.port if source.instance is None else None
+    return {conn.target.port: origin[k] for k, conn in enumerate(connectors)
+            if conn.target.instance is None and origin[k] is not None}
 
 
 def _resolve_endpoint(rc: ResolvedComponent, model: ResolvedModel, ref,

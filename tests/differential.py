@@ -13,8 +13,10 @@ Each output line is the sha256 of one run's exit code, stdout and stderr,
 then the run's arguments.  The models are every directory under ``models/``
 (each resolved as one model, every component a main in turn) and ``--models``
 generated ones (default 500, drawn from ``--seed``): time-synchronous,
-event-driven, unchecked and rule-breaking texts of ``tests/genmodels.py`` in
-turn, with its types unit.  Each model is run through:
+event-driven, unchecked and rule-breaking texts and compositions of
+``tests/genmodels.py`` in turn, with its types unit.  A composition is
+written one unit per file, with main ``Top``, and some close a cycle of
+connectors through relays.  Each model is run through:
 
 * ``check --profile {generic,ts,ed} --format {text,json}``
 * ``export-ir``
@@ -23,6 +25,11 @@ turn, with its types unit.  Each model is run through:
   main's in-ports
 * ``sim-ed`` under ``--policy first`` and ``--policy seeded``, on a seeded
   script
+
+except that compositions are not run with ``--enumerate``: each has an
+out-port that nothing reads, and the enumerator keeps successors apart that
+differ only in what they send there, so its work grows exponentially with
+the cycles (one five-cycle enumeration of a composition ran for minutes).
 
 One fixed ``sim-ed`` run, between the corpus and the generated models, ends
 in a runtime error at its third event, so the digests also cover what
@@ -153,13 +160,20 @@ def generated(count: int, seed: int) -> list[list[str]]:
     bases = (genmodels.random_component_text, genmodels.random_ed_component_text,
              lambda rng: genmodels.random_unchecked_component_text(
                  rng, rng.choice((None, genmodels.random_ed_component_text))),
-             genmodels.random_rule_breaking_text)
+             genmodels.random_rule_breaking_text,
+             lambda rng: genmodels.random_composition_text(rng, loops=True))
     argvs = []
     Path("gen.types").write_text(genmodels.TYPES, encoding="utf-8")
     for k in range(count):
         rng = random.Random(f"{seed}:{k}")
-        name = f"gen{k}.maa"
-        Path(name).write_text(bases[k % len(bases)](rng), encoding="utf-8")
+        text = bases[k % len(bases)](rng)
+        if isinstance(text, str):
+            names, main = [f"gen{k}.maa"], "Gen"
+            Path(names[0]).write_text(text, encoding="utf-8")
+        else:
+            names, main = [f"gen{k}-{j}.maa" for j in range(len(text))], "Top"
+            for name, unit in zip(names, text):
+                Path(name).write_text(unit, encoding="utf-8")
         stimulus, script = f"gen{k}.tsv", f"gen{k}.txt"
         rows = genmodels.random_stimulus(rng, CYCLES)
         Path(stimulus).write_text("a\tb\tm\n" + "".join(
@@ -167,8 +181,9 @@ def generated(count: int, seed: int) -> list[list[str]]:
             encoding="utf-8")
         Path(script).write_text("".join(f"{port} {cell_text(value)}\n" for port, value
                                         in genmodels.random_script(rng, EVENTS)), encoding="utf-8")
-        argvs += runs([name, "--types", "gen.types"], [("Gen", stimulus, script)],
-                      rng.randrange(100))
+        argvs += [argv for argv in runs([*names, "--types", "gen.types"],
+                                        [(main, stimulus, script)], rng.randrange(100))
+                  if main == "Gen" or "--enumerate" not in argv]
     return argvs
 
 

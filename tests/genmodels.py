@@ -19,7 +19,7 @@ while ``a`` is absent, so no run can hit the forwarding-absent-message runtime
 error.
 ``random_ed_model`` gives event-driven-clean machines: each transition reads
 exactly one in-port, never matches --, and may forward the Integer it reads
-or emit a sequence.
+or emit a sequence, of constants or holding the variable or what it reads.
 ``random_unchecked_component_text`` mixes guards, variable initialisers and
 output entries from fixed tables, most of them ill-typed, into either text,
 for the checker-soundness property; ``random_unchecked_ed_component_text``
@@ -29,7 +29,8 @@ family, so that the checker's rarer messages are reached.
 
 ``random_composition_text`` composes two or three generated components,
 renamed ``P0`` to ``P2``, under a main ``Top`` with ``Gen``'s ports, in
-compilation units of their own; ``random_composition`` resolves them.
+compilation units of their own, and may close cycles of connectors through
+relays on request; ``random_composition`` resolves a composition without.
 """
 
 from __future__ import annotations
@@ -177,9 +178,10 @@ def random_ed_component_text(rng: random.Random) -> str:
         if matches:
             parts.append("{" + ", ".join(matches) + "}")
         forwarded = ("a",) if port == "a" else ()
+        sequences = ("[3, 4]", "[v, 4]", *(f"[3, {name}]" for name in forwarded))
         assigns = []
         if rng.random() < 0.8:
-            assigns.append(f"x = {_values(rng, ('0', '1', '2', '--', '[3, 4]') + forwarded)}")
+            assigns.append(f"x = {_values(rng, ('0', '1', '2', '--') + sequences + forwarded)}")
         if rng.random() < 0.5:
             assigns.append(f"y = {_values(rng, ('0', '1', '[2]') + forwarded)}")
         if rng.random() < 0.4:
@@ -314,7 +316,7 @@ component Relay {
 """
 
 
-def _composed(rng: random.Random, name: str, types: list[str]) -> str:
+def _composed(rng: random.Random, name: str, types: list[str], loops: bool) -> str:
     """A component with ``Gen``'s ports and an instance ``c<j>`` of each of
     ``types`` (components with those ports too) and a ``Relay r``.  Its
     connectors always make a chain ``c0.x -> c1.a -> ...``, put ``r`` between
@@ -323,8 +325,11 @@ def _composed(rng: random.Random, name: str, types: list[str]) -> str:
     ``c0.y`` unread.  The rest are drawn: the Boolean and enum in-ports read
     the own ones (or ``r.q``), and ``x`` reads the own ``a``, ``r.o`` or an
     instance, or nothing.  Declarations and connectors come in random order.
-    No connector cycle arises: every path back to ``r.i`` passes an atomic
-    instance."""
+    Every path back to ``r.i`` passes an atomic instance, so no connector
+    cycle arises, unless ``loops``: then half the components hold a second
+    relay ``r1``, and up to two Integer in-ports of the relays and of the
+    ``Mid`` instances are fed again, from an out-port of one of them, which
+    may close a cycle of connectors through no atomic instance."""
     last = len(types) - 1
     feeds = {f"c{j}.a": f"c{j - 1}.x" for j in range(1, last + 1)}  # target -> source
     feeds |= {"r.i": f"c{last}.y", "c0.a": "r.o", "y": f"c{last}.y"}
@@ -340,6 +345,17 @@ def _composed(rng: random.Random, name: str, types: list[str]) -> str:
         feeds["x"] = rng.choice(["a", "r.o", *outs[:1], *outs[2:]])  # c0.y stays unread
     declarations = [f"    component {t} c{j};" for j, t in enumerate(types)]
     declarations.append("    component Relay r;")
+    if loops:
+        mids = [f"c{j}" for j, t in enumerate(types) if t == "Mid"]
+        relays = ["r"]
+        if rng.random() < 0.5:
+            relays.append("r1")
+            declarations.append("    component Relay r1;")
+            feeds["r1.i"] = rng.choice(["a", "r.o", "c0.x", *(f"{mid}.x" for mid in mids)])
+        ins = [f"{relay}.i" for relay in relays] + [f"{mid}.a" for mid in mids]
+        outs = [f"{relay}.o" for relay in relays] + [f"{mid}.{p}" for mid in mids for p in "xy"]
+        for _ in range(rng.randrange(3)):
+            feeds[rng.choice(ins)] = rng.choice(outs)
     connectors = [f"    connect {source} -> {target};" for target, source in feeds.items()]
     rng.shuffle(declarations)
     rng.shuffle(connectors)
@@ -349,22 +365,23 @@ def _composed(rng: random.Random, name: str, types: list[str]) -> str:
         *declarations, *connectors, "}"]) + "\n"
 
 
-def random_composition_text(rng: random.Random) -> list[str]:
-    """The compilation units of a time-synchronous-clean composed main ``Top``:
-    two or three components of :func:`random_component_text` named ``P0``
-    to ``P2``, :data:`RELAY`, and ``Top`` (see :func:`_composed`) over two or
-    three instances of them.  In half the models one of ``Top``'s instances
-    is a ``Mid``, itself composed over two of them, so components nest one
-    level deep; a component may have several instances."""
+def random_composition_text(rng: random.Random, loops: bool = False) -> list[str]:
+    """The compilation units of a composed main ``Top``: two or three
+    components of :func:`random_component_text` named ``P0`` to ``P2``,
+    :data:`RELAY`, and ``Top`` (see :func:`_composed`) over two or three
+    instances of them.  In half the models one of ``Top``'s instances is a
+    ``Mid``, itself composed over two of them, so components nest one level
+    deep; a component may have several instances.  The model is
+    time-synchronous-clean unless ``loops`` closes a cycle of connectors."""
     parts = [f"P{k}" for k in range(rng.choice((2, 3)))]
     texts = [random_component_text(rng).replace("component Gen {", f"component {part} {{")
              for part in parts]
     texts.append(RELAY)
     types = [rng.choice(parts) for _ in range(rng.choice((2, 3)))]
     if rng.random() < 0.5:
-        texts.append(_composed(rng, "Mid", [rng.choice(parts) for _ in range(2)]))
+        texts.append(_composed(rng, "Mid", [rng.choice(parts) for _ in range(2)], loops))
         types[rng.randrange(len(types))] = "Mid"
-    texts.append(_composed(rng, "Top", types))
+    texts.append(_composed(rng, "Top", types, loops))
     return texts
 
 

@@ -78,7 +78,7 @@ def reference_traces(model, main: str, stimulus: list[dict], n_cycles: int) -> s
     joint state) is kept, each instance's successors taken as a set."""
     if not 1 <= n_cycles <= MAX_CYCLES:
         raise ValueError(f"the reference runs 1 to {MAX_CYCLES} cycles")
-    system = _System(model, main)
+    system = System(model, main)
     rows = [stimulus[t] if t < len(stimulus) else {} for t in range(n_cycles)]
     paths = sorted(system.parts, key=".".join)
     # (trace so far, joint state in exact form) -> (trace, joint state); a
@@ -164,17 +164,21 @@ def _port(path: tuple, end) -> tuple:
     return path + (end.instance, end.port) if end.instance else path + (end.port,)
 
 
-class _System:
+class System:
     """The atomic instances of a main component, and the connectors of every
     level between them.  An instance's path is the tuple of instance names
     from the main down to it, ``()`` for an atomic main; a port is its
-    owner's path followed by the port's name."""
+    owner's path followed by the port's name.  A connector adds no delay, so
+    a loop of connectors, read or not, has no meaning: building the system
+    raises ``ReferenceError("connector cycle")``."""
 
     def __init__(self, model, main: str):
         self.main = model.components[main]
         self.parts = {}  # path -> _Component
         self.feeds = {}  # port a connector targets -> the port it reads
         self._flatten(model, self.main, ())
+        for port in self.feeds:
+            self.source(port)
 
     def _flatten(self, model, rc, path: tuple) -> None:
         if not rc.ast.subcomponents and not rc.ast.connectors:

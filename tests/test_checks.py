@@ -407,3 +407,28 @@ def test_sim_ts_computes_the_ports_each_transition_reads_once(monkeypatch, tmp_p
     assert main(["sim-ts", *files, "--main", w.main, "--cycles", "5"]) == 0
     assert capsys.readouterr().out.count("\n") == 6  # a header and 5 cycles
     assert len(computed) == w.transitions and set(computed.values()) == {1}
+
+
+def test_each_name_of_an_entry_is_looked_up_once(monkeypatch):
+    # per transition: the guard's v by the name walk and by the guard's
+    # type, each entry's v by the name walk alone, whose binding the value
+    # rules reuse, and each entry's target
+    from maa.parser import parse_component_file
+    from maa.resolution import ResolvedComponent, resolve
+    lookups = []
+    binding = ResolvedComponent.binding
+
+    def counting(self, name):
+        lookups.append(name)
+        return binding(self, name)
+
+    def checked(transitions: int) -> int:
+        text = ("component C { port in Integer i, out Integer o; Integer v = 1; automaton {"
+                " state S; initial S;" + " S [v > 0] {i = v} / {o = v};" * transitions + " } }")
+        model, diags = resolve([parse_component_file(text, "c.maa")], [])
+        lookups.clear()
+        assert diags + check(model, "ts") == []
+        return len(lookups)
+
+    monkeypatch.setattr(ResolvedComponent, "binding", counting)
+    assert checked(20) - checked(10) == 10 * 6

@@ -287,6 +287,29 @@ def test_self_containing_component_is_an_r0_error(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", [
+    ["check"], ["check", "--profile", "ts"], ["check", "--profile", "ed"], ["export-ir"],
+    ["sim-ts", "--main", "Q", "--cycles", "2"],
+], ids=["check", "check-ts", "check-ed", "export-ir", "sim-ts"])
+def test_a_connector_cycle_is_an_r0_error(capsys, tmp_path, command):
+    # p forwards i to o in the cycle it reads it, so p.o -> p.i closes a loop
+    # that no atomic instance delays; two such parts in a chain do not
+    (tmp_path / "P.maa").write_text(
+        "component P { port in Integer i, out Integer o; connect i -> o; }", encoding="utf-8")
+    model = tmp_path / "Q.maa"
+    model.write_text("component Q { port out Integer o; component P p;"
+                     " connect p.o -> p.i; connect p.o -> o; }", encoding="utf-8")
+    files = [str(tmp_path / "P.maa"), str(model)]
+    code, out, err = run(capsys, command[0], *files, *command[1:])
+    assert code == 1
+    assert (out or err) == (f"{model}:1:50 error R0: connector 'p.o -> p.i' is on a cycle "
+                            "that passes no atomic instance\n")
+    model.write_text("component Q { port in Integer i, out Integer o; component P a;"
+                     " component P b; connect i -> a.i; connect a.o -> b.i; connect b.o -> o; }",
+                     encoding="utf-8")
+    assert run(capsys, command[0], *files, *command[1:])[0] == 0
+
+
+@pytest.mark.parametrize("command", [
     ["check", "--profile", "ts"], ["sim-ts", "--main", "C", "--cycles", "1"],
 ], ids=["check", "sim-ts"])
 def test_variable_without_a_default_is_an_r0_error(capsys, tmp_path, command):

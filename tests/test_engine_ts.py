@@ -864,10 +864,6 @@ UNSTARTABLE = {
         ("component C { port in Integer p, out Integer o;"
          " automaton A { state S; initial S; } automaton B { state T; initial T; } }",), (),
         "C", "component 'C' has several automata; simulation needs at most one"),
-    "connector-cycle": (
-        (PASS, "component C { port out Integer o; component P p;"
-               " connect p.o -> p.i; connect p.o -> o; }"), (),
-        "C", "connector cycle through 'o'"),
     "empty-enum-default": (  # through a type argument: a direct one is resolution's R0
         ("package p; import t.*; component C { port in Integer p; component G<E> g; }",
          "package p; component G<T> { port in Integer p; T v;"
@@ -1076,6 +1072,43 @@ def test_enumerate_merges_equal_successors_before_the_joint_product(monkeypatch)
     monkeypatch.undo()
     assert len(traces) == 1
     assert trace_key(traces[0]) == trace_key(run_ts(model, "Many", [], 3))
+
+
+@pytest.mark.parametrize("automaton", [
+    "initial A; A -> A; A -> B; A -> C; A -> D;",
+    "initial A, B, C, D;",
+], ids=["four-transitions", "four-initial-states"])
+def test_enumerate_overflows_before_it_builds_the_joint_product(monkeypatch, automaton):
+    # 12 instances with 4 distinct successors each, out of cycle 1 or out of
+    # pre-start: 4^12 joint successors, every one its own trace at 1 cycle;
+    # the search takes those of the first 17 traces from the product, builds
+    # their records and stops
+    four = f"component Four {{ automaton {{ state A, B, C, D; {automaton} }} }}"
+    many = "component Many {" + "".join(f" component Four c{i};" for i in range(12)) + " }"
+    units = [parse_component_file(text, "m.maa") for text in (four, many)]
+    model, diags = resolve(units, [])
+    assert diags == [], [d.render() for d in diags]
+    records, drawn = [], []
+    record, step = engine._record, engine._step
+
+    def counting_record(*args):
+        records.append(args)
+        return record(*args)
+
+    def draw(joint_state):
+        drawn.append(joint_state)
+        return joint_state
+
+    def counting_step(*args):
+        observed, successors = step(*args)
+        return observed, map(draw, successors)
+
+    monkeypatch.setattr(engine, "_record", counting_record)
+    monkeypatch.setattr(engine, "_step", counting_step)
+    with pytest.raises(EnumerationOverflow, match="^more than 16 distinct traces"):
+        enumerate_ts(model, "Many", [], 1, bound=16)
+    assert len(records) < 1000
+    assert len(drawn) < 1000
 
 
 def test_enumerate_bound_must_be_positive(follow_model):

@@ -47,6 +47,7 @@ from genmodels import (
     TYPES,
     random_component_text,
     random_composition,
+    random_composition_text,
     random_ed_model,
     random_model,
     random_script,
@@ -55,6 +56,7 @@ from genmodels import (
     random_unchecked_ed_component_text,
     resolve_text,
 )
+import reference
 from reference import (
     MAX_CYCLES,
     MAX_EVENTS,
@@ -338,6 +340,43 @@ def _check_enumeration(rng: random.Random, generated, n_cycles: int) -> None:
     for policy in (FirstDeclared(), Seeded(rng.randrange(100))):
         assert _reference_form(run_ts(model, main, stimulus, n_cycles, policy),
                                out_ports) in expected
+
+
+def _contained(model, qname: str) -> set[str]:
+    """``qname`` and every component it contains, at any depth."""
+    found, todo = set(), [qname]
+    while todo:
+        qname = todo.pop()
+        if qname not in found:
+            found.add(qname)
+            todo += [sub.target_qname for sub in model.components[qname].subcomponents.values()]
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_connector_cycles_are_reported_where_the_reference_finds_them(seed):
+    # relays and Mid instances are fed from one another's out-ports at
+    # random; whether that closes a loop depends on what each part passes
+    # on, through a second relay or a Mid's own connectors.  The reference
+    # flattens each component as a main, so it sees a loop at any depth: a
+    # component has one exactly when resolution reports a connector on a
+    # cycle in it or in a component it contains.
+    texts = random_composition_text(random.Random(seed), loops=True)
+    model, diags = resolve_text(texts)
+    assert all(d.message.endswith("is on a cycle that passes no atomic instance")
+               for d in diags), [d.render() for d in diags]
+    file_of = {rc.ast.loc.file: qname for qname, rc in model.components.items()}
+    cyclic = {file_of[d.loc.file] for d in diags}
+    for qname in model.components:
+        try:
+            reference.System(model, qname)
+        except reference.ReferenceError as exc:
+            assert str(exc) == "connector cycle"
+            looped = True
+        else:
+            looped = False
+        assert looped == bool(_contained(model, qname) & cyclic), (qname, texts)
 
 
 def _reference_emissions(emissions) -> tuple:

@@ -245,6 +245,7 @@ _LIB = {"lib.maa": "package lib; " + _LEAF}
 _TYPES = {"t.types": "package t; enum Color { RED, GREEN }"}
 
 
+_PASS = "package a; component P { port in Integer i, out Integer o; connect i -> o; }"
 _GEN = {"gen.maa": "package lib; component Gen<T> { port in T i, out T o; }"}
 _TWO_COLORS = {"t.types": "package t; enum Color { RED }",
                "u.types": "package u; enum Color { BLUE }"}
@@ -341,6 +342,24 @@ def _top(body: str, header: str = "") -> dict[str, str]:
                  | _top("component B b;"),
                  ["b.maa:1:26 error R0: component 'a.B' contains itself through "
                   "subcomponent 'b'"], id="contains-a-component-that-contains-itself"),
+    pytest.param({"pass.maa": _PASS} | _top("port out Integer o; component P p; "
+                                          "connect p.o -> p.i; connect p.o -> o;"),
+                 ["top.maa:1:64 error R0: connector 'p.o -> p.i' is on a cycle that passes "
+                  "no atomic instance"], id="connector-cycle"),
+    pytest.param({"pass.maa": _PASS} | _top("port in Integer i, out Integer o; component P a; "
+                                          "component P b; connect i -> a.i; connect a.o -> b.i; "
+                                          "connect b.o -> o;"), [], id="connector-chain"),
+    pytest.param({"pass.maa": _PASS,  # a cycle through a composed part that passes i on to o
+                  "mid.maa": "package a; component Mid { port in Integer i, out Integer o, "
+                             "out Integer x; component P p; component lib.Leaf l; "
+                             "connect i -> p.i; connect p.o -> o; connect i -> l.i; "
+                             "connect l.o -> x; }"}
+                 | _LIB | _top("port out Integer o; component Mid m; component P p; "
+                               "connect m.o -> p.i; connect p.o -> m.i; connect m.x -> o;"),
+                 ["top.maa:1:81 error R0: connector 'm.o -> p.i' is on a cycle that passes "
+                  "no atomic instance",
+                  "top.maa:1:101 error R0: connector 'p.o -> m.i' is on a cycle that passes "
+                  "no atomic instance"], id="connector-cycle-through-a-composed-part"),
     pytest.param({"t.types": "package t; enum E { }"} | _top("port in t.E p; t.E v;"),
                  ["top.maa:1:48 error R0: enum 't.E' has no literals to default to"],
                  id="empty-enum-default"),
