@@ -129,10 +129,12 @@ class _Checker:
     def __init__(self, rc: ResolvedComponent, found: dict[str, list[Diagnostic]]):
         self.rc = rc
         self.found = found
+        self.locator = rc.unit.locator
 
-    def emit(self, code: str, loc, message: str) -> None:
-        """Report ``message`` at ``loc``, filed under the profile of its rule."""
-        self.found[_PROFILE_OF[code]].append(Diagnostic.at(code, loc, message))
+    def emit(self, code: str, at: int, message: str) -> None:
+        """Report ``message`` at offset ``at`` of the component's file, filed
+        under the profile of its rule."""
+        self.found[_PROFILE_OF[code]].append(Diagnostic.at(code, self.locator.loc(at), message))
 
     def run(self) -> None:
         self.check_uniqueness()
@@ -142,21 +144,21 @@ class _Checker:
             self.check_automaton(automaton)
         for automaton in self.rc.ast.automata[1:]:
             for code in ("S1TS", "S1ED"):
-                self.emit(code, automaton.loc, "multiple automata are not allowed in this profile")
+                self.emit(code, automaton.at, "multiple automata are not allowed in this profile")
 
     # -- U family -----------------------------------------------------------
 
     def check_uniqueness(self) -> None:
         for automaton in _repeats(a for a in self.rc.ast.automata if a.name is not None):
-            self.emit("U1", automaton.loc,
+            self.emit("U1", automaton.at,
                       f"automaton '{automaton.name}' is defined more than once")
         for automaton in self.rc.ast.automata:
             for state in _repeats(automaton.states):
-                self.emit("U2", state.loc, f"state '{state.name}' is declared more than once")
+                self.emit("U2", state.at, f"state '{state.name}' is declared more than once")
         decls = sorted([*self.rc.ast.ports, *self.rc.ast.variables],
-                       key=lambda d: (d.loc.line, d.loc.column))
+                       key=lambda d: d.at)
         for decl in _repeats(decls):
-            self.emit("U3", decl.loc,
+            self.emit("U3", decl.at,
                       f"the name '{decl.name}' is already used by a port or variable")
 
     # -- C family -----------------------------------------------------------
@@ -164,20 +166,20 @@ class _Checker:
     def check_conventions(self) -> None:
         for automaton in self.rc.ast.automata:
             if not automaton.initials:
-                self.emit("C1", automaton.loc, "automaton has no initial state")
+                self.emit("C1", automaton.at, "automaton has no initial state")
         for port in self.rc.ast.ports:
             if port.name[:1].isupper():
-                self.emit("C2", port.loc, f"port name '{port.name}' should start lowercase")
+                self.emit("C2", port.at, f"port name '{port.name}' should start lowercase")
         for var in self.rc.ast.variables:
             if var.name[:1].isupper():
-                self.emit("C2", var.loc, f"variable name '{var.name}' should start lowercase")
+                self.emit("C2", var.at, f"variable name '{var.name}' should start lowercase")
         for automaton in self.rc.ast.automata:
             if automaton.name and automaton.name[:1].islower():
-                self.emit("C3", automaton.loc,
+                self.emit("C3", automaton.at,
                           f"automaton name '{automaton.name}' should start uppercase")
             for state in automaton.states:
                 if state.name[:1].islower():
-                    self.emit("C4", state.loc, f"state name '{state.name}' should start uppercase")
+                    self.emit("C4", state.at, f"state name '{state.name}' should start uppercase")
 
     # -- variable declarations (R3, T2, T4, T5) ------------------------------
 
@@ -190,14 +192,14 @@ class _Checker:
             if self._report_names([term])[0]:
                 continue
             if isinstance(term, ERef) and self.rc.kind(term.name) in ("in", "out"):
-                self.emit("R3", term.loc,
+                self.emit("R3", term.at,
                           f"variable declaration of '{var.name}' references port '{term.name}'")
                 continue
             kind, declared = self.rc.binding(var.name)
             if kind != "var" or declared is None:
                 continue  # the name denotes a port (U3), or its type did not resolve
             if type_of(term, self.rc) != declared:
-                self.emit("T2", term.loc,
+                self.emit("T2", term.at,
                           f"initial value of variable '{var.name}' is no {declared}")
 
     # -- automaton-level rules -----------------------------------------------
@@ -206,7 +208,7 @@ class _Checker:
         declared = {s.name for s in automaton.states}
         for init in automaton.initials:
             if init.state not in declared:
-                self.emit("R1", init.loc, f"state '{init.state}' is undefined")
+                self.emit("R1", init.at, f"state '{init.state}' is undefined")
             for assign in init.output or []:
                 self.check_entry(assign, initial_output=True)
         for trans in automaton.transitions:
@@ -214,9 +216,9 @@ class _Checker:
 
     def check_transition(self, trans: Transition, declared: set[str]) -> None:
         if trans.source not in declared:
-            self.emit("R1", trans.loc, f"state '{trans.source}' is undefined")
-        if trans.target_loc is not None and trans.target not in declared:
-            self.emit("R1", trans.target_loc, f"state '{trans.target}' is undefined")
+            self.emit("R1", trans.at, f"state '{trans.source}' is undefined")
+        if trans.target_at is not None and trans.target not in declared:
+            self.emit("R1", trans.target_at, f"state '{trans.target}' is undefined")
         if trans.guard is not None:
             self.check_guard(trans.guard)
         for entry in (*(trans.input or ()), *(trans.output or ())):
@@ -225,7 +227,7 @@ class _Checker:
         if len(ports) > 1:
             names = ", ".join(sorted(ports))
             message = f"transition reads more than one port ({names})"
-            self.emit("S2ED", trans.loc, sys.intern(message))  # equal messages are one string
+            self.emit("S2ED", trans.at, sys.intern(message))  # equal messages are one string
 
     # -- input and output entries ---------------------------------------------
 
@@ -236,27 +238,28 @@ class _Checker:
         if initial_output:
             for ref, binding in bound:
                 if binding[0] in ("in", "out"):
-                    self.emit("S2TS", ref.loc,
+                    self.emit("S2TS", ref.at,
                               f"port '{ref.name}' must not be used in an initial output")
         wrong, side, t6, verb = _DIRECTIONS[type(entry)]
         inferred = self.rc.target(entry)
         target = inferred.name
         if target is None:
             if entry.target is not None:
-                self.emit("R2", entry.target_loc, f"name '{entry.target}' is undefined")
+                self.emit("R2", entry.target_at, f"name '{entry.target}' is undefined")
             elif not unresolved:  # else the name walk has reported why
                 if inferred.status == "ambiguous":
                     names = ", ".join(inferred.candidates)
-                    self.emit("T1", entry.loc,
+                    self.emit("T1", entry.at,
                               f"{side} value matches more than one port or variable ({names}); "
                               "name the intended target")
                 else:
-                    self.emit("T1", entry.loc,
+                    self.emit("T1", entry.at,
                               f"no port or variable of a matching type admits this {side} value")
             return
         kind, declared = self.rc.binding(target)
         if kind == wrong:
-            self.emit("T6", entry.target_loc or entry.loc, f"{t6} '{target}'")
+            at = entry.at if entry.target_at is None else entry.target_at
+            self.emit("T6", at, f"{t6} '{target}'")
             return
         receiving = isinstance(entry, Match)
         named = {id(ref): binding for ref, binding in bound}
@@ -266,14 +269,14 @@ class _Checker:
                     self._check_single_value(alt, declared, named.get(id(alt)))
             elif isinstance(alt, NoData):
                 if receiving:
-                    self.emit("S3ED", alt.loc, "a transition cannot be triggered by absence (--)")
+                    self.emit("S3ED", alt.at, "a transition cannot be triggered by absence (--)")
             elif not isinstance(alt, SequenceValue):
                 self._check_single_value(alt, declared, named.get(id(alt)))
             elif receiving:
-                self.emit("T1", alt.loc,
+                self.emit("T1", alt.at,
                           f"input on port '{target}' must be a single message, not a sequence")
             else:
-                self.emit("S3TS", alt.loc,
+                self.emit("S3TS", alt.at,
                           f"sending a sequence on port '{target}' exceeds one message per cycle")
                 for element in alt.elements:
                     self._check_single_value(element, declared, named.get(id(element)))
@@ -282,9 +285,9 @@ class _Checker:
         """T4 for --, T5 for a sequence, read from or given to the variable
         ``name``; whether either was reported."""
         if isinstance(term, NoData):
-            self.emit("T4", term.loc, f"cannot {verb.format('--')} variable '{name}'")
+            self.emit("T4", term.at, f"cannot {verb.format('--')} variable '{name}'")
         elif isinstance(term, SequenceValue):
-            self.emit("T5", term.loc, f"cannot {verb.format('a sequence')} variable '{name}'")
+            self.emit("T5", term.at, f"cannot {verb.format('a sequence')} variable '{name}'")
         else:
             return False
         return True
@@ -299,7 +302,7 @@ class _Checker:
             if binding is None:
                 return
             if binding[0] == "out":
-                self.emit("T7", term.loc,
+                self.emit("T7", term.at,
                           f"output port '{term.name}' cannot be used as a value")
                 return
             if binding[0] in ("in", "var"):
@@ -308,13 +311,13 @@ class _Checker:
                 ref_type = binding[1]
                 if ref_type is not None and ref_type != declared:
                     what = "port" if binding[0] == "in" else "variable"
-                    self.emit("T3", term.loc,
+                    self.emit("T3", term.at,
                               f"{what} '{term.name}' is no {declared}")
                 return
         if declared is None:
             return
         if type_of(term, self.rc) != declared:
-            self.emit("T1", term.loc, f"'{format_value(term)}' is no {declared}")
+            self.emit("T1", term.at, f"'{format_value(term)}' is no {declared}")
 
     def _report_names(self, terms) -> tuple[bool, list]:
         """R2/R0 for unresolved or ambiguous names in value terms or guard
@@ -325,11 +328,11 @@ class _Checker:
             for ref in expr_refs(term):
                 binding = self.rc.binding(ref.name)
                 if binding is None:
-                    self.emit("R2", ref.loc, f"name '{ref.name}' is undefined")
+                    self.emit("R2", ref.at, f"name '{ref.name}' is undefined")
                     unresolved = True
                 elif binding[0] == "ambiguous-enum":
                     enums = ", ".join(sorted(e.qname for e in binding[1]))
-                    self.emit("R0", ref.loc, f"enum literal '{ref.name}' is ambiguous ({enums})")
+                    self.emit("R0", ref.at, f"enum literal '{ref.name}' is ambiguous ({enums})")
                     unresolved = True
                 else:
                     bound.append((ref, binding))
@@ -342,12 +345,12 @@ class _Checker:
         clean = not unresolved
         for ref, binding in bound:
             if binding[0] == "out":
-                self.emit("T6", ref.loc, f"cannot read output port '{ref.name}' in a guard")
+                self.emit("T6", ref.at, f"cannot read output port '{ref.name}' in a guard")
                 clean = False
         if clean:
             t = self._expr_type(guard.expr)
             if t is not None and t != BOOLEAN:
-                self.emit("T1", guard.loc, "guard expression must be Boolean")
+                self.emit("T1", guard.at, "guard expression must be Boolean")
 
     def _expr_type(self, expr: Expr):
         """Expression type, or None when a subterm already failed (reported).
@@ -361,12 +364,12 @@ class _Checker:
             return None
         if isinstance(expr, EBinary) and expr.op in ("==", "!="):
             if types[0] != types[1]:
-                self.emit("T1", expr.loc, f"cannot compare {types[0]} with {types[1]}")
+                self.emit("T1", expr.at, f"cannot compare {types[0]} with {types[1]}")
                 return None
             return BOOLEAN
         wanted = BOOLEAN if expr.op in ("!", "&&", "||") else INTEGER
         if any(t != wanted for t in types):
             noun = "operand" if len(types) == 1 else "operands"
-            self.emit("T1", expr.loc, f"{noun} of '{expr.op}' must be {wanted}")
+            self.emit("T1", expr.at, f"{noun} of '{expr.op}' must be {wanted}")
             return None
         return BOOLEAN if expr.op in ("<", "<=", ">", ">=") else wanted

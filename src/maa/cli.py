@@ -148,9 +148,13 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise SetupError(f"cannot read '{path}': {exc.strerror}") from None
+        raise _unreadable(path, exc.strerror) from None
     except UnicodeDecodeError as exc:
-        raise SetupError(f"cannot read '{path}': not UTF-8 text (byte {exc.start})") from None
+        raise _unreadable(path, f"not UTF-8 text (byte {exc.start})") from None
+
+
+def _unreadable(path: str, why: str) -> SetupError:
+    return SetupError(f"cannot read '{path}': {why}")
 
 
 def _front(args, profile: Optional[str]) -> tuple[ResolvedModel, list[Diagnostic]]:
@@ -170,11 +174,33 @@ def _front(args, profile: Optional[str]) -> tuple[ResolvedModel, list[Diagnostic
 
 
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
-    """The numbered lines of a stimulus or script file, blank and ``#`` lines
-    skipped as they are read, so no second list of the lines is built."""
+    """The numbered lines of a stimulus or script file, numbered as
+    ``str.splitlines`` splits its text, blank and ``#`` lines skipped as they
+    are read."""
     return filter(lambda numbered: numbered[1].strip()
                   and not numbered[1].lstrip().startswith("#"),
-                  enumerate(_read(path).splitlines(), start=1))
+                  enumerate(_lines(path), start=1))
+
+
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file as ``str.splitlines`` splits its text, read
+    one line of bytes at a time, so that neither the text nor a list of its
+    lines is held.  No UTF-8 sequence holds the byte of ``\\n``, so each line
+    of bytes decodes on its own, and a decoding error lies at the line's
+    offset in the file plus its own."""
+    try:
+        with open(path, "rb") as handle:
+            offset = 0
+            for raw in handle:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    why = f"not UTF-8 text (byte {offset + exc.start})"
+                    raise _unreadable(path, why) from None
+                offset += len(raw)
+                yield from text.splitlines()
+    except OSError as exc:
+        raise _unreadable(path, exc.strerror) from None
 
 
 def _print_diagnostics(diags: list[Diagnostic], stream) -> None:

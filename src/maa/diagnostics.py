@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,6 +18,28 @@ class SourceLoc(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+_NEWLINE = re.compile("\n")
+
+
+@dataclass(frozen=True, slots=True)
+class Locator:
+    """Where the lines of one file's text start, to turn a code-point offset
+    into its :class:`SourceLoc`.  A line ends at each ``\\n``; a carriage
+    return is a blank like a space."""
+
+    file: str
+    starts: array  # the offset of each line's first character, line 1 first
+
+    @classmethod
+    def of(cls, text: str, file: str) -> "Locator":
+        return cls(file, array("l", [0, *(m.end() for m in _NEWLINE.finditer(text))]))
+
+    def loc(self, at: int) -> SourceLoc:
+        """The line and column of offset ``at``, which may be the text's end."""
+        line = bisect_right(self.starts, at)
+        return SourceLoc(self.file, line, at - self.starts[line - 1] + 1)
 
 
 ERROR = "error"

@@ -13,18 +13,20 @@ and a comment, is a match of its own that yields no token.  Three groups
 catch what cannot start a token: an unterminated block comment, an
 unterminated string and any other character but a blank, so every position
 but trailing blanks matches and each lexical error is raised where the text
-goes wrong.  Line and column are counted from newline offsets; only skipped
-whitespace and block comments can contain a newline.  A call can stop after a
-given number of tokens and the next call resume after the last of them, so the
+goes wrong.  A token and a lexical error carry the code-point offset where
+they start; lines and columns are the parser's concern (see
+:class:`maa.diagnostics.Locator`).  Names and symbols are interned, so that
+equal ones in a parsed tree, such as state names and operators, are one
+string.  A call can stop after a given
+number of tokens and the next call resume after the last of them, so the
 parser lexes a file a batch at a time.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple, Optional
-
-from .diagnostics import SourceLoc
 
 KEYWORDS = frozenset({
     "package", "import", "component", "port", "in", "out",
@@ -64,9 +66,11 @@ _ESCAPE = re.compile(r'\\(["\\])')
 
 
 class LexError(Exception):
-    def __init__(self, loc: SourceLoc, message: str):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
+    """A lexical error at code-point offset ``at`` of the text."""
+
+    def __init__(self, at: int, message: str):
+        super().__init__(f"offset {at}: {message}")
+        self.at = at
         self.message = message
 
 
@@ -74,10 +78,10 @@ class Token(NamedTuple):
     kind: str  # NAME, INT, STRING, KEYWORD, SYMBOL, EOF
     text: str
     value: object
-    loc: SourceLoc
+    at: int  # the code-point offset where the lexeme starts
     # Where the next batch starts (the offset just after the lexeme), on the
     # last token of a batch that ``limit`` cut short; None on every other
-    # token, so that no token list holds an offset per token.
+    # token, so that one token per batch holds a second offset.
     end: Optional[int] = None
 
 
@@ -88,41 +92,33 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
     ``limit`` returns at most that many tokens, and ``after``, the last token
     of such a batch, resumes the lexing just after it.  The EOF token ends the
     last batch, so a text's batches, each resuming after the last token of the
-    one before, join to its whole list."""
+    one before, join to its whole list.  ``origin``, the file's name, is not
+    read: offsets need no file until a locator turns them into locations."""
     tokens: list[Token] = []
     new = tuple.__new__  # the NamedTuples' own __new__ is a Python-level call
+    intern = sys.intern
     last = -1 if limit is None else limit - 1  # tokens before a batch's last one
-    if after is None:
-        pos, line, line_start = 0, 1, 0  # current offset, line and the offset it starts at
-    else:  # no token spans a newline, so its line starts after the one before it
-        pos, line = after.end, after.loc.line
-        line_start = text.rfind("\n", 0, pos) + 1
-    for m in _TOKEN.finditer(text, pos):
+    for m in _TOKEN.finditer(text, 0 if after is None else after.end):
         kind = m.lastgroup
         if kind == "SKIP":
-            start, end = m.span()
-            newlines = text.count("\n", start, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", start, end) + 1
             continue
-        loc = new(SourceLoc, (origin, line, m.start(kind) - line_start + 1))
+        at = m.start(kind)
         lexeme = m.group(kind)
         if kind == "NAME":
             if not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                raise LexError(loc, f"unexpected character {lexeme[0]!r}")
+                raise LexError(at, f"unexpected character {lexeme[0]!r}")
+            lexeme = value = intern(lexeme)
             if lexeme in KEYWORDS:
                 kind = "KEYWORD"
-                value = lexeme == "true" if lexeme in ("true", "false") else lexeme
-            else:
-                value = lexeme
+                if lexeme in ("true", "false"):
+                    value = lexeme == "true"
         elif kind == "SYMBOL":
-            value = lexeme
+            lexeme = value = intern(lexeme)
         elif kind == "INT":
             try:
                 value = int(lexeme)
             except ValueError:  # more digits than sys.get_int_max_str_digits()
-                raise LexError(loc, "integer literal too long") from None
+                raise LexError(at, "integer literal too long") from None
         elif kind == "STRING":
             value = _ESCAPE.sub(r"\1", lexeme[1:-1]) if "\\" in lexeme else lexeme[1:-1]
             lexeme = f'"{value}"'
@@ -132,16 +128,15 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
         elif kind == "OPEN_STRING":
             end = m.end()
             if text.startswith("\\", end):
-                raise LexError(SourceLoc(origin, line, end - line_start + 1),
-                               "unsupported escape sequence")
-            raise LexError(loc, "unterminated string literal")
+                raise LexError(end, "unsupported escape sequence")
+            raise LexError(at, "unterminated string literal")
         elif kind == "OPEN_COMMENT":
-            raise LexError(loc, "unterminated block comment")
+            raise LexError(at, "unterminated block comment")
         else:
-            raise LexError(loc, f"unexpected character {lexeme!r}")
+            raise LexError(at, f"unexpected character {lexeme!r}")
         if len(tokens) == last:
-            tokens.append(new(Token, (kind, lexeme, value, loc, m.end())))
+            tokens.append(new(Token, (kind, lexeme, value, at, m.end())))
             return tokens
-        tokens.append(new(Token, (kind, lexeme, value, loc, None)))
-    tokens.append(Token("EOF", "", None, SourceLoc(origin, line, len(text) - line_start + 1)))
+        tokens.append(new(Token, (kind, lexeme, value, at, None)))
+    tokens.append(Token("EOF", "", None, len(text)))
     return tokens

@@ -192,7 +192,7 @@ class _Compiler:
                 admitted = frozenset(constants)  # one form per set, in whatever order
                 return self.shared(("in", target, admitted), lambda: (
                     lambda inputs, variables: inputs[target] in admitted, target, admitted))
-            current_of = self.term(ERef(target, entry.loc))
+            current_of = self.term(ERef(target, entry.at))
             values = [self.term(a) for a in entry.alternatives]
 
             def holds(inputs, variables):

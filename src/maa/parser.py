@@ -6,6 +6,10 @@ source state; the AST always stores an explicit target.  A leading ``[`` after
 the source/target of a transition is read as a guard, never as an unnamed
 sequence match (sequences in inputs are only reachable through named matches,
 and are rejected later by the well-formedness rules anyway).
+
+Nodes are located by the code-point offset of their first token; the unit
+keeps the file's :class:`~maa.diagnostics.Locator`, built once from the
+text's line starts, and a syntax error is located by it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional, TypeVar, Union
 
-from .diagnostics import Diagnostic, SourceLoc
+from .diagnostics import Diagnostic, Locator
 # Called through this module's attribute once per batch of tokens, so that
 # wrapping ``parser.tokenize`` (as the benchmark does) times and counts every
 # batch the parser reads.
@@ -64,9 +68,11 @@ T = TypeVar("T")
 
 
 class ParseError(Exception):
-    def __init__(self, loc: SourceLoc, message: str):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
+    """A syntax error at code-point offset ``at`` of the text."""
+
+    def __init__(self, at: int, message: str):
+        super().__init__(f"offset {at}: {message}")
+        self.at = at
         self.message = message
 
 
@@ -81,25 +87,27 @@ def parse_types_file(text: str, origin: str) -> Union[TypeDeclUnit, list[Diagnos
 
 
 def _parse_file(text: str, origin: str,
-                unit: Callable[["_Parser"], T]) -> Union[T, list[Diagnostic]]:
+                unit: Callable[["_Parser", Locator], T]) -> Union[T, list[Diagnostic]]:
     """``unit`` read from the file in batches of tokens, or the file's one SYN
-    diagnostic: its first lexical error if it has one, else the syntax error."""
+    diagnostic: its first lexical error if it has one, else the syntax error.
+    Either is located by the file's one locator."""
+    locator = Locator.of(text, origin)
     try:
         parser = _Parser(text, origin, BATCH)
         try:
-            return unit(parser)
+            return unit(parser, locator)
         except ParseError:
             parser.lex_rest()
             raise
     except (LexError, ParseError) as exc:
-        return [Diagnostic.at("SYN", exc.loc, exc.message)]
+        return [Diagnostic.at("SYN", locator.loc(exc.at), exc.message)]
 
 
 def parse_value(text: str) -> Union[ELit, ERef, NoData]:
     """``--`` or one value as a block entry reads it, and nothing after it (a
     stimulus cell or an event's value); raises LexError or ParseError."""
     parser = _Parser(text, "", None)
-    term = NoData(parser._next().loc) if parser._at("--") else parser._value()
+    term = NoData(parser._next().at) if parser._at("--") else parser._value()
     if not parser._at_kind("EOF"):
         raise parser._expected("end of value")
     return term
@@ -160,7 +168,7 @@ class _Parser:
     def _expected(self, what: str) -> ParseError:
         tok = self._peek()
         found = tok.text if tok.kind != "EOF" else "end of input"
-        return ParseError(tok.loc, f"expected {what}, found {found!r}")
+        return ParseError(tok.at, f"expected {what}, found {found!r}")
 
     def _expect(self, text: str) -> Token:
         if not self._at(text):
@@ -188,60 +196,60 @@ class _Parser:
 
     # -- compilation units --------------------------------------------------
 
-    def compilation_unit(self) -> CompilationUnit:
+    def compilation_unit(self, locator: Locator) -> CompilationUnit:
         package = ""
         if self._accept("package"):
             package = self._qname()
             self._expect(";")
         imports = []
         while self._at("import"):
-            loc = self._next().loc
+            at = self._next().at
             name = self._qname()
             if self._accept("."):
                 self._expect("*")
                 name += ".*"
             self._expect(";")
-            imports.append(ImportDecl(name, loc))
+            imports.append(ImportDecl(name, at))
         component = self._component_def()
         if not self._at_kind("EOF"):
             tok = self._peek()
             if tok.text == "component" or (tok.kind == "SYMBOL" and tok.text == "<<"):
-                raise ParseError(tok.loc, "only one top-level component per model file")
-            raise ParseError(tok.loc, f"unexpected {tok.text!r} after component definition")
-        return CompilationUnit(package, imports, component)
+                raise ParseError(tok.at, "only one top-level component per model file")
+            raise ParseError(tok.at, f"unexpected {tok.text!r} after component definition")
+        return CompilationUnit(package, imports, component, locator)
 
-    def type_decl_unit(self) -> TypeDeclUnit:
+    def type_decl_unit(self, locator: Locator) -> TypeDeclUnit:
         self._expect("package")
         package = self._qname()
         self._expect(";")
         enums: list[EnumDecl] = []
         while self._at("enum"):
-            loc = self._next().loc
+            at = self._next().at
             name = self._expect_name("enum name").text
             if any(enum.name == name for enum in enums):
-                raise ParseError(loc, f"enum '{name}' declared twice")
+                raise ParseError(at, f"enum '{name}' declared twice")
             self._expect("{")
             literals: list[str] = []
 
             def literal() -> None:
                 lit = self._expect_name("enum literal")
                 if lit.text in literals:
-                    raise ParseError(lit.loc, f"duplicate literal '{lit.text}' in enum '{name}'")
+                    raise ParseError(lit.at, f"duplicate literal '{lit.text}' in enum '{name}'")
                 literals.append(lit.text)
 
             if not self._at("}"):
                 self._list(literal)
             self._expect("}")
-            enums.append(EnumDecl(name, literals, loc))
+            enums.append(EnumDecl(name, literals, at))
         if not self._at_kind("EOF"):
             tok = self._peek()
-            raise ParseError(tok.loc, f"unexpected {tok.text!r} in type declarations")
-        return TypeDeclUnit(package, enums)
+            raise ParseError(tok.at, f"unexpected {tok.text!r} in type declarations")
+        return TypeDeclUnit(package, enums, locator)
 
     # -- components ---------------------------------------------------------
 
     def _component_def(self) -> ComponentType:
-        loc = self._expect("component").loc
+        at = self._expect("component").at
         name = self._expect_name("component name").text
         params: list[str] = []
         if self._accept("<"):
@@ -255,7 +263,7 @@ class _Parser:
         automata: list[Automaton] = []
         while not self._at("}"):
             if self._at_kind("EOF"):
-                raise ParseError(self._peek().loc, "unexpected end of input, missing '}'")
+                raise ParseError(self._peek().at, "unexpected end of input, missing '}'")
             if self._accept("port"):
                 ports.extend(self._list(self._port))
                 self._expect(";")
@@ -269,10 +277,10 @@ class _Parser:
                 variables.extend(self._variable_decl())
             else:
                 tok = self._peek()
-                raise ParseError(tok.loc, f"unexpected {tok.text!r} in component body")
+                raise ParseError(tok.at, f"unexpected {tok.text!r} in component body")
         self._expect("}")
         return ComponentType(name, params, ports, variables, subcomponents,
-                             connectors, automata, loc)
+                             connectors, automata, at)
 
     def _stereo_precedes_automaton(self) -> bool:
         # <<name>> may prefix an automaton declaration
@@ -285,7 +293,7 @@ class _Parser:
         direction = self._next().text
         type_name = self._qname()
         name = self._expect_name("port name")
-        return PortDecl(direction, type_name, name.text, name.loc)
+        return PortDecl(direction, type_name, name.text, name.at)
 
     def _variable_decl(self) -> list[VariableDecl]:
         self._accept("var")
@@ -294,42 +302,42 @@ class _Parser:
         def variable() -> VariableDecl:
             name = self._expect_name("variable name")
             initial = self._opt_value_or_seq() if self._accept("=") else None
-            return VariableDecl(type_name, name.text, initial, name.loc)
+            return VariableDecl(type_name, name.text, initial, name.at)
 
         decls = self._list(variable)
         self._expect(";")
         return decls
 
     def _subcomponent(self) -> SubcomponentDecl:
-        loc = self._expect("component").loc
+        at = self._expect("component").at
         type_name = self._qname()
         args: list[str] = []
         if self._accept("<"):
             args = self._list(self._qname)
             self._expect(">")
         if self._at("{"):
-            raise ParseError(self._peek().loc,
+            raise ParseError(self._peek().at,
                              "nested component definitions are not supported; "
                              "declare a subcomponent instance instead")
         instance = self._expect_name("instance name").text
         self._expect(";")
-        return SubcomponentDecl(type_name, args, instance, loc)
+        return SubcomponentDecl(type_name, args, instance, at)
 
     def _connector(self) -> ConnectorDecl:
-        loc = self._expect("connect").loc
+        at = self._expect("connect").at
         source = self._port_ref()
         self._expect("->")
         target = self._port_ref()
         self._expect(";")
-        return ConnectorDecl(source, target, loc)
+        return ConnectorDecl(source, target, at)
 
     def _port_ref(self) -> PortRef:
         first = self._expect_name("port reference")
         if self._at(".") and self._peek(1).kind == "NAME":
             self._next()
             port = self._expect_name("port name")
-            return PortRef(first.text, port.text, first.loc)
-        return PortRef(None, first.text, first.loc)
+            return PortRef(first.text, port.text, first.at)
+        return PortRef(None, first.text, first.at)
 
     # -- automata -----------------------------------------------------------
 
@@ -342,7 +350,7 @@ class _Parser:
 
     def _automaton(self) -> Automaton:
         stereos = self._stereotypes()
-        loc = self._expect("automaton").loc
+        at = self._expect("automaton").at
         name = None
         if self._at_kind("NAME"):
             name = self._next().text
@@ -352,7 +360,7 @@ class _Parser:
         transitions: list[Transition] = []
         while not self._at("}"):
             if self._at_kind("EOF"):
-                raise ParseError(self._peek().loc, "unexpected end of input, missing '}'")
+                raise ParseError(self._peek().at, "unexpected end of input, missing '}'")
             if self._accept("state"):
                 states.extend(self._list(self._state))
                 self._expect(";")
@@ -362,21 +370,21 @@ class _Parser:
                 transitions.append(self._transition())
             else:
                 tok = self._peek()
-                raise ParseError(tok.loc, f"unexpected {tok.text!r} in automaton body")
+                raise ParseError(tok.at, f"unexpected {tok.text!r} in automaton body")
         self._expect("}")
-        return Automaton(name, stereos, states, initials, transitions, loc)
+        return Automaton(name, stereos, states, initials, transitions, at)
 
     def _state(self) -> StateDecl:
         stereos = self._stereotypes()
         name = self._expect_name("state name")
-        return StateDecl(name.text, stereos, name.loc)
+        return StateDecl(name.text, stereos, name.at)
 
     def _initial_decl(self) -> list[InitialDecl]:
         self._expect("initial")
         names = self._list(lambda: self._expect_name("state name"))
         output = self._block(Assignment) if self._accept("/") else None
         self._expect(";")
-        return [InitialDecl(tok.text, output, tok.loc) for tok in names]
+        return [InitialDecl(tok.text, output, tok.at) for tok in names]
 
     def _transition(self) -> Transition:
         source = self._expect_name("state name")
@@ -388,7 +396,7 @@ class _Parser:
         output_block = self._block(Assignment) if self._accept("/") else None
         self._expect(";")
         return Transition(source.text, (target or source).text, guard, input_block,
-                          output_block, source.loc, target_loc=target.loc if target else None)
+                          output_block, source.at, target_at=target.at if target else None)
 
     def _starts_value(self) -> bool:
         tok = self._peek()
@@ -399,17 +407,17 @@ class _Parser:
         return tok.kind == "SYMBOL" and tok.text in ("--", "-")
 
     def _guard(self) -> Guard:
-        loc = self._expect("[").loc
+        at = self._expect("[").at
         kind = None
         if self._at_kind("NAME") and self._peek(1).text == ":":
             tok = self._next()
             if tok.text not in GUARD_KINDS:
-                raise ParseError(tok.loc, f"unsupported guard kind {tok.text!r}")
+                raise ParseError(tok.at, f"unsupported guard kind {tok.text!r}")
             kind = tok.text
             self._next()
         expr, _ = self._expr()
         self._expect("]")
-        return Guard(kind, expr, loc)
+        return Guard(kind, expr, at)
 
     def _block(self, node: type[T]) -> list[T]:
         """An input (``Match``) or output (``Assignment``) block, braces optional."""
@@ -421,29 +429,29 @@ class _Parser:
 
     def _entry(self, node: type[T]) -> T:
         """One ``name = alt | alt`` entry of a block; the name is optional."""
-        target = target_loc = None
-        loc = self._peek().loc
+        target = target_at = None
+        at = self._peek().at
         if self._at_kind("NAME") and self._peek(1).text == "=":
             tok = self._next()
-            target, target_loc = tok.text, tok.loc
+            target, target_at = tok.text, tok.at
             self._next()
         alts = self._list(self._opt_value_or_seq, "|")
-        return node(target, alts, loc, target_loc=target_loc)
+        return node(target, alts, at, target_at=target_at)
 
     # -- values -------------------------------------------------------------
 
     def _opt_value_or_seq(self) -> ValueTerm:
         if self._at("--"):
-            return NoData(self._next().loc)
+            return NoData(self._next().at)
         if self._at("["):
             return self._sequence()
         return self._value()
 
     def _sequence(self) -> SequenceValue:
-        loc = self._expect("[").loc
+        at = self._expect("[").at
         elements = [] if self._at("]") else self._list(self._value)
         self._expect("]")
-        return SequenceValue(elements, loc)
+        return SequenceValue(elements, at)
 
     def _value(self, what: str = "a value") -> Union[ELit, ERef]:
         """A literal, a negative integer literal or a name: a single value of
@@ -451,13 +459,13 @@ class _Parser:
         tok = self._peek()
         if tok.kind in ("INT", "STRING") or tok.text in ("true", "false"):
             self._next()
-            return ELit(tok.value, tok.loc)
+            return ELit(tok.value, tok.at)
         if tok.text == "-" and self._peek(1).kind == "INT":
             self._next()
-            return ELit(-self._next().value, tok.loc)
+            return ELit(-self._next().value, tok.at)
         if tok.kind == "NAME":
             self._next()
-            return ERef(tok.text, tok.loc)
+            return ERef(tok.text, tok.at)
         raise self._expected(what)
 
     # -- guard expressions ---------------------------------------------------
@@ -476,14 +484,14 @@ class _Parser:
             right, right_depth = self._expr(PRECEDENCE[op.text] + 1)
             depth = max(depth, right_depth) + 1
             if depth > MAX_NESTING:
-                raise ParseError(op.loc, _TOO_DEEP)
-            left = EBinary(op.text, left, right, op.loc)
+                raise ParseError(op.at, _TOO_DEEP)
+            left = EBinary(op.text, left, right, op.at)
         return left, depth
 
     def _nest(self, tok: Token) -> None:
         """Enter one level of nesting at ``tok``; the caller leaves it."""
         if self._nesting == MAX_NESTING:
-            raise ParseError(tok.loc, _TOO_DEEP)
+            raise ParseError(tok.at, _TOO_DEEP)
         self._nesting += 1
 
     def _unary_expr(self) -> tuple[Expr, int]:
@@ -492,7 +500,7 @@ class _Parser:
             self._nest(tok)
             operand, depth = self._unary_expr()
             self._nesting -= 1
-            return EUnary(tok.text, operand, tok.loc), depth
+            return EUnary(tok.text, operand, tok.at), depth
         return self._primary_expr()
 
     def _primary_expr(self) -> tuple[Expr, int]:

@@ -36,11 +36,13 @@ from .syntax import (
     ERef,
     Match,
     NoData,
+    PortDecl,
     PortRef,
     SequenceValue,
     Transition,
     TypeDeclUnit,
     ValueTerm,
+    VariableDecl,
     expr_refs,
 )
 
@@ -208,7 +210,8 @@ def resolve(units: list[CompilationUnit],
         for enum in tu.enums:
             qname = f"{tu.package}.{enum.name}" if tu.package else enum.name
             if qname in model.enums:
-                diags.append(Diagnostic.at("R0", enum.loc, f"enum '{qname}' declared twice"))
+                diags.append(Diagnostic.at(
+                    "R0", tu.locator.loc(enum.at), f"enum '{qname}' declared twice"))
                 continue
             model.enums[qname] = EnumInfo(qname, list(enum.literals))
 
@@ -217,7 +220,8 @@ def resolve(units: list[CompilationUnit],
         comp = unit.component
         qname = f"{unit.package}.{comp.name}" if unit.package else comp.name
         if qname in model.components:
-            diags.append(Diagnostic.at("R0", comp.loc, f"component '{qname}' declared twice"))
+            diags.append(Diagnostic.at(
+                "R0", unit.locator.loc(comp.at), f"component '{qname}' declared twice"))
             continue
         rc = ResolvedComponent(unit, comp, qname, unit.package)
         model.components[qname] = rc
@@ -237,6 +241,11 @@ def resolve(units: list[CompilationUnit],
 
     model.diagnostics = list(diags)
     return model, diags
+
+
+def _where(rc: ResolvedComponent, node) -> SourceLoc:
+    """Where ``node``, parsed from the file of ``rc``, starts."""
+    return rc.unit.locator.loc(node.at)
 
 
 def _package(qname: str) -> str:
@@ -286,32 +295,36 @@ def _resolve_names(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
         else:
             known = imp.name in model.enums or imp.name in model.components
         if not known:
-            diags.append(Diagnostic.at("R0", imp.loc, f"unresolved import '{imp.name}'"))
+            diags.append(Diagnostic.at("R0", _where(rc, imp), f"unresolved import '{imp.name}'"))
 
-    def resolve_type(name: str, loc: SourceLoc, what: str) -> Optional[TypeRef]:
+    def resolve_type(name: str, decl: Union[PortDecl, VariableDecl],
+                     what: str) -> Optional[TypeRef]:
         ref = _resolve_type_name(rc, enums, name)
         if ref is not None:
             return ref
         candidates = _visible(rc, enums, name)
         if len(candidates) > 1:
             names = ", ".join(sorted(candidates))
-            diags.append(Diagnostic.at("R0", loc, f"ambiguous type '{name}' ({names})"))
+            diags.append(Diagnostic.at(
+                "R0", _where(rc, decl), f"ambiguous type '{name}' ({names})"))
         else:
-            diags.append(Diagnostic.at("R0", loc, f"unresolved {what} type '{name}'"))
+            diags.append(Diagnostic.at(
+                "R0", _where(rc, decl), f"unresolved {what} type '{name}'"))
         return None
 
     for port in rc.ast.ports:
         if port.name not in rc.names:
-            rc.names[port.name] = (port.direction, resolve_type(port.type_name, port.loc, "port"))
+            rc.names[port.name] = (port.direction, resolve_type(port.type_name, port, "port"))
             (rc.in_ports if port.direction == "in" else rc.out_ports).append(port.name)
     for var in rc.ast.variables:
         if var.name not in rc.names:
-            declared = resolve_type(var.type_name, var.loc, "variable")
+            declared = resolve_type(var.type_name, var, "variable")
             rc.names[var.name] = ("var", declared)
             if (var.initial is None and isinstance(declared, EnumType)
                     and not model.enums[declared.qname].literals):
                 diags.append(Diagnostic.at(
-                    "R0", var.loc, f"enum '{declared.qname}' has no literals to default to"))
+                    "R0", _where(rc, var),
+                    f"enum '{declared.qname}' has no literals to default to"))
     literals: dict[str, list[EnumInfo]] = {}
     for qname in dict.fromkeys([q for scope in _scopes(rc, enums) for q in scope.values()]):
         for lit in dict.fromkeys(model.enums[qname].literals):
@@ -412,35 +425,38 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
     if comp.composed and comp.automata:
         parts = "subcomponents" if comp.subcomponents else "connectors"
         diags.append(Diagnostic.at(
-            "R0", comp.loc, f"component '{comp.name}' mixes {parts} and automaton behavior"))
+            "R0", _where(rc, comp),
+            f"component '{comp.name}' mixes {parts} and automaton behavior"))
 
     for sub in comp.subcomponents:
         matches = _visible(rc, components, sub.type_name)
         if len(matches) != 1:
             problem = "ambiguous" if matches else "unresolved"
             diags.append(Diagnostic.at(
-                "R0", sub.loc, f"{problem} component type '{sub.type_name}'"))
+                "R0", _where(rc, sub), f"{problem} component type '{sub.type_name}'"))
             continue
         target = matches[0]
         params = model.components[target].ast.generic_params
         args = [_resolve_type_name(rc, enums, arg) for arg in sub.type_args]
         for arg, ref in zip(sub.type_args, args):
             if ref is None:
-                diags.append(Diagnostic.at("R0", sub.loc, f"unresolved type argument '{arg}'"))
+                diags.append(Diagnostic.at(
+                    "R0", _where(rc, sub), f"unresolved type argument '{arg}'"))
         if len(args) != len(params):
             diags.append(Diagnostic.at(
-                "R0", sub.loc,
+                "R0", _where(rc, sub),
                 f"component '{sub.type_name}' expects {len(params)} type argument(s), "
                 f"got {len(args)}"))
         if None in args or len(args) != len(params):
             continue
         if sub.instance in rc.subcomponents:
             diags.append(Diagnostic.at(
-                "R0", sub.loc, f"subcomponent instance '{sub.instance}' declared twice"))
+                "R0", _where(rc, sub), f"subcomponent instance '{sub.instance}' declared twice"))
             continue
-        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args, sub.loc)
+        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args,
+                                                   _where(rc, sub))
 
-    fed: dict[End, SourceLoc] = {}
+    fed: set[End] = set()
     resolved = []
     for conn in comp.connectors:
         src = _resolve_endpoint(rc, model, conn.source, diags, is_source=True)
@@ -451,14 +467,14 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
         (src_type,), (dst_type,) = src, dst
         if src_type is not None and dst_type is not None and src_type != dst_type:
             diags.append(Diagnostic.at(
-                "R0", conn.loc,
+                "R0", _where(rc, conn),
                 f"connector type mismatch: {src_type} -> {dst_type}"))
         key = _end(conn.target)
         if key in fed:
             diags.append(Diagnostic.at(
-                "R0", conn.loc,
+                "R0", _where(rc, conn),
                 f"port '{conn.target.port}' receives more than one connector"))
-        fed[key] = conn.loc
+        fed.add(key)
     return resolved
 
 
@@ -559,7 +575,8 @@ def _connector_cycles(rc: ResolvedComponent, connectors: list[ConnectorDecl],
         if k in looped:
             ends = f"{format_port_ref(conn.source)} -> {format_port_ref(conn.target)}"
             diags.append(Diagnostic.at(
-                "R0", conn.loc, f"connector '{ends}' is on a cycle that passes no atomic instance"))
+                "R0", _where(rc, conn),
+                f"connector '{ends}' is on a cycle that passes no atomic instance"))
     origin: dict[int, Optional[str]] = {}  # connector -> the own in-port its chain starts at
     for component in order:  # each connector after the one it reads
         for k in component:
@@ -589,7 +606,8 @@ def _resolve_endpoint(rc: ResolvedComponent, model: ResolvedModel, ref,
     else:
         sub = rc.subcomponents.get(ref.instance)
         if sub is None:
-            diags.append(Diagnostic.at("R0", ref.loc, f"unknown subcomponent '{ref.instance}'"))
+            diags.append(Diagnostic.at(
+                "R0", _where(rc, ref), f"unknown subcomponent '{ref.instance}'"))
             return None
         owner = model.components[sub.target_qname]
         bindings = dict(zip(owner.ast.generic_params, sub.arg_types))
@@ -597,11 +615,11 @@ def _resolve_endpoint(rc: ResolvedComponent, model: ResolvedModel, ref,
         port = f"port '{ref.instance}.{ref.port}'"
     direction, declared = owner.binding(ref.port) or (None, None)
     if direction not in ("in", "out"):
-        diags.append(Diagnostic.at("R0", ref.loc, unknown))
+        diags.append(Diagnostic.at("R0", _where(rc, ref), unknown))
         return None
     if direction != expected:
         role = "source" if is_source else "target"
         diags.append(Diagnostic.at(
-            "R0", ref.loc, f"{port} is '{direction}' and cannot be a connector {role}"))
+            "R0", _where(rc, ref), f"{port} is '{direction}' and cannot be a connector {role}"))
         return None
     return (substitute_type(declared, bindings),)

@@ -3,7 +3,12 @@
 A literal or a name is one node, :class:`ELit` or :class:`ERef`, and means the
 same in a guard as in an input or output block.
 
-Location fields take part in neither equality nor hashing, so two parses of
+Nodes are slotted, and a node's location is one int, ``at``: the code-point
+offset of its first token in the file's text (an entry or transition that
+names its target also keeps the offset of that name, ``target_at``).  The
+unit a file parses to keeps the file's one :class:`~maa.diagnostics.Locator`,
+which turns an offset into a line and column only where a diagnostic is
+filed.  Offsets take part in neither equality nor hashing, so two parses of
 equivalent text compare equal structurally.  Nodes are never written after
 parsing, which is why terms may be hashed: what a name denotes and which port
 or variable an entry targets are answered by
@@ -16,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .diagnostics import SourceLoc
+from .diagnostics import Locator
 
 
-def _loc():
+def _at():
     return field(compare=False, repr=False)
 
 
@@ -27,12 +32,12 @@ def _loc():
 # Terms: the leaves of guard expressions and the values of blocks
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ELit:
     """An Integer, Boolean or String literal; ``1`` and ``true`` differ."""
 
     value: object  # int | bool | str
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ELit):
@@ -43,7 +48,7 @@ class ELit:
         return hash(self.value)
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ERef:
     """A bare name, in a guard or a block: a port/variable reference or an
     enum literal.
@@ -53,20 +58,20 @@ class ERef:
     """
 
     name: str
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, slots=True)
 class NoData:
     """The absence symbol ``--``."""
 
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceValue:
     elements: list["ValueTerm"]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
     def __hash__(self) -> int:
         return hash(tuple(self.elements))
@@ -79,19 +84,19 @@ ValueTerm = Union[ELit, ERef, NoData, SequenceValue]
 # Guard expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, slots=True)
 class EUnary:
     op: str  # "!" or "-"
     operand: "Expr"
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(unsafe_hash=True, slots=True)
 class EBinary:
     op: str
     left: "Expr"
     right: "Expr"
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
 Expr = Union[ELit, ERef, EUnary, EBinary]
@@ -103,116 +108,116 @@ PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=":
 UNARY_PRECEDENCE = 6
 
 
-@dataclass
+@dataclass(slots=True)
 class Guard:
     kind: Optional[str]  # "ocl", "java", or None when unspecified
     expr: Expr
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
 # ---------------------------------------------------------------------------
 # Automata
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Match:
     """One entry of an input block: ``name = alt | alt`` with optional name."""
 
     target: Optional[str]
     alternatives: list[ValueTerm]
-    loc: SourceLoc = _loc()
-    target_loc: Optional[SourceLoc] = field(default=None, compare=False, repr=False)
+    at: int = _at()
+    target_at: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment:
     """One entry of an output block; alternatives may include sequences."""
 
     target: Optional[str]
     alternatives: list[ValueTerm]
-    loc: SourceLoc = _loc()
-    target_loc: Optional[SourceLoc] = field(default=None, compare=False, repr=False)
+    at: int = _at()
+    target_at: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class StateDecl:
     name: str
     stereotypes: list[str]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class InitialDecl:
     state: str
     output: Optional[list[Assignment]]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     source: str
     target: str  # equals source when omitted in the text
     guard: Optional[Guard]
     input: Optional[list[Match]]
     output: Optional[list[Assignment]]
-    loc: SourceLoc = _loc()
+    at: int = _at()
     # of the target's name; None when the text omits the target
-    target_loc: Optional[SourceLoc] = field(default=None, compare=False, repr=False)
+    target_at: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Automaton:
     name: Optional[str]
     stereotypes: list[str]
     states: list[StateDecl]
     initials: list[InitialDecl]
     transitions: list[Transition]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
 # ---------------------------------------------------------------------------
 # Components
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class PortDecl:
     direction: str  # "in" | "out"
     type_name: str
     name: str
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class VariableDecl:
     type_name: str
     name: str
     initial: Optional[ValueTerm]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class SubcomponentDecl:
     type_name: str  # possibly qualified
     type_args: list[str]
     instance: str
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class PortRef:
     instance: Optional[str]  # None for a port of the enclosing component
     port: str
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnectorDecl:
     source: PortRef
     target: PortRef
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentType:
     name: str
     generic_params: list[str]
@@ -221,7 +226,7 @@ class ComponentType:
     subcomponents: list[SubcomponentDecl]
     connectors: list[ConnectorDecl]
     automata: list[Automaton]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
     @property
     def composed(self) -> bool:
@@ -231,34 +236,36 @@ class ComponentType:
         return bool(self.subcomponents or self.connectors)
 
 
-@dataclass
+@dataclass(slots=True)
 class ImportDecl:
     name: str  # qualified name; star imports end in ".*"
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class CompilationUnit:
     package: str  # "" for the default package
     imports: list[ImportDecl]
     component: ComponentType
+    locator: Locator = field(compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
 # Type-declaration units
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class EnumDecl:
     name: str
     literals: list[str]
-    loc: SourceLoc = _loc()
+    at: int = _at()
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDeclUnit:
     package: str
     enums: list[EnumDecl]
+    locator: Locator = field(compare=False, repr=False)
 
 
 def expr_refs(term: Union[Expr, ValueTerm]):

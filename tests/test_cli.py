@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -123,6 +124,61 @@ def test_undecodable_file_is_a_usage_error(capsys, tmp_path, command):
     assert code == 2
     assert err == f"error: cannot read '{bad}': not UTF-8 text (byte 0)\n"
     assert "Traceback" not in err
+
+
+def _read_whole(path) -> object:
+    """A data file's numbered lines as they were read before streaming: the
+    whole text with universal newlines, then ``str.splitlines``; or the
+    refusal of a file that is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        return f"cannot read '{path}': not UTF-8 text (byte {exc.start})"
+    return [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def _read_streamed(path) -> object:
+    try:
+        return list(maa.cli._data_lines(str(path)))
+    except maa.engine.SetupError as exc:
+        return str(exc)
+
+
+# Every character str.splitlines ends a line at, blanks, comments, and
+# characters of two to four bytes in UTF-8.
+_LINE_PIECES = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029", "#", "  # c", " ", "\t", "p 1", "é", "€", "\U0001d4b3", "\n\n"]
+_BAD_BYTES = [b"\xff", b"\xe2\x82", b"\xc3", b"\x80", b"\xed\xa0\x80"]
+_BOUNDARY = 8192  # io.DEFAULT_BUFFER_SIZE: a binary file's first read
+
+
+@pytest.mark.parametrize("data", [
+    b"a" * (_BOUNDARY - 1) + "é".encode() + b"\nb\n",  # a character across the read
+    b"a" * (_BOUNDARY - 1) + b"\r\nb\r",  # a CRLF across it, a lone CR at the end
+    *(b"a" * (_BOUNDARY - k) + bad + b"\nz" for k in range(4) for bad in _BAD_BYTES),
+    b"p 1\n" * 3000 + b"\xe2\x82\n",  # a bad byte many lines and reads in
+    b"p 1\xc3",  # a sequence cut off by the end of the file
+], ids=lambda data: f"{len(data)}-bytes")
+def test_data_lines_stream_as_the_whole_text_splits(tmp_path, data):
+    path = tmp_path / "data.txt"
+    path.write_bytes(data)
+    assert _read_streamed(path) == _read_whole(path)
+
+
+def test_data_lines_stream_as_the_whole_text_splits_on_generated_texts(tmp_path):
+    rng = random.Random(0)
+    path = tmp_path / "data.txt"
+    for _ in range(300):
+        data = "".join(rng.choices(_LINE_PIECES, k=rng.randrange(12))).encode()
+        if rng.random() < 0.2:
+            data = b"x" * rng.randrange(_BOUNDARY - 8, _BOUNDARY + 8) + data
+        if rng.random() < 0.4:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.choice(_BAD_BYTES) + data[at:]
+        path.write_bytes(data)
+        assert _read_streamed(path) == _read_whole(path), data
 
 
 def test_internal_error_exit_four_in_one_line(capsys, monkeypatch):

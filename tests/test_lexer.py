@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maa.diagnostics import SourceLoc
+from maa.diagnostics import Locator, SourceLoc
 from maa.lexer import LexError, Token, tokenize
 from maa.parser import BATCH, parse_component_file
 
@@ -21,7 +21,8 @@ def test_token_stream_pinned():
     text = ('package p;\r\n/* a\n  block */ component\tC<T> {\n'
             '  String s = "q\\"\\\\"; // c\n'
             '  «x» a->b -- -1 <= 2 != true && _v9 || false\n}')
-    got = [(t.kind, t.text, t.value, t.loc.line, t.loc.column)
+    loc = Locator.of(text, "f").loc
+    got = [(t.kind, t.text, t.value, loc(t.at).line, loc(t.at).column)
            for t in tokenize(text, "f")]
     assert got == [
         ("KEYWORD", "package", "package", 1, 1),
@@ -61,11 +62,17 @@ def test_token_stream_pinned():
     ]
 
 
+def _located(text: str) -> list[tuple[str, SourceLoc]]:
+    """Each token's kind and location in the text, named "a"."""
+    loc = Locator.of(text, "a").loc
+    return [(t.kind, loc(t.at)) for t in tokenize(text, "a")]
+
+
 def test_trailing_blanks_end_in_eof_after_them():
     # blanks belong to the token after them; at the end of the text there is none
-    assert tokenize("component A { }  ", "a")[-1].loc == SourceLoc("a", 1, 18)
-    assert [(t.kind, t.loc.column) for t in tokenize("a \t\r", "a")] == [("NAME", 1), ("EOF", 5)]
-    assert [(t.kind, t.loc) for t in tokenize("x // end", "a")] == [
+    assert _located("component A { }  ")[-1][1] == SourceLoc("a", 1, 18)
+    assert [(kind, loc.column) for kind, loc in _located("a \t\r")] == [("NAME", 1), ("EOF", 5)]
+    assert _located("x // end") == [
         ("NAME", SourceLoc("a", 1, 1)), ("EOF", SourceLoc("a", 1, 9))]
 
 
@@ -110,7 +117,7 @@ _SOURCES = sorted(p for p in MODELS.rglob("*") if p.suffix in (".maa", ".types")
 
 
 def _fields(tokens):
-    return [(t.kind, t.text, type(t.value), t.value, t.loc) for t in tokens]
+    return [(t.kind, t.text, type(t.value), t.value, t.at) for t in tokens]
 
 
 def _batches(text: str, limit: int) -> list:
@@ -163,7 +170,8 @@ def test_a_lexical_error_is_raised_by_the_batch_that_reaches_it():
     assert [t.text for t in first] == ["component", "C", "{"]
     with pytest.raises(LexError) as raised:
         tokenize(text, "b", first[-1], 100)
-    assert (raised.value.loc.line, raised.value.loc.column) == (2, 3)
+    loc = Locator.of(text, "b").loc(raised.value.at)
+    assert (loc.line, loc.column) == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +256,32 @@ def _oracle_texts(draw):
 def test_tokens_match_the_oracle_in_batches_of_every_size(case):
     text, expected = case
     whole = tokenize(text, "b")
-    assert all(type(t) is Token and type(t.loc) is SourceLoc for t in whole)
-    assert [(t.kind, t.text, type(t.value), t.value, tuple(t.loc)) for t in whole] == expected
+    loc = Locator.of(text, "b").loc
+    assert all(type(t) is Token and type(t.at) is int for t in whole)
+    assert [(t.kind, t.text, type(t.value), t.value, tuple(loc(t.at))) for t in whole] == expected
     _assert_batches_join_to_the_list(text, range(1, len(expected) + 1))
+
+
+# ---------------------------------------------------------------------------
+# locator: an offset's line and column, against a count from the start
+# ---------------------------------------------------------------------------
+
+_located_pieces = st.one_of(
+    st.sampled_from(["\n", "\r\n", "\r", "\t", " ", "\n\n", "  \n \t\n", "é", "٣2", "«", "»",
+                     "\U0001d4b3", "a²", "// c é\n", "/* a\n\r\n b */", "component", "x1"]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=5),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_located_pieces, max_size=30))
+def test_the_locator_places_every_offset_as_counted_from_the_start(pieces):
+    # Only "\n" ends a line; "\r", tabs and other characters are one column.
+    text = "".join(pieces)
+    expected, line, column = [], 1, 1
+    for char in text:
+        expected.append(SourceLoc("t", line, column))
+        line, column = (line + 1, 1) if char == "\n" else (line, column + 1)
+    expected.append(SourceLoc("t", line, column))  # the end of the text
+    locator = Locator.of(text, "t")
+    assert [locator.loc(at) for at in range(len(text) + 1)] == expected

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
 from maa.checks import check
+from maa.diagnostics import SourceLoc
 from maa.engine import ABSENT, run_ts
 from maa.ir import export_ir
 import maa.parser
@@ -365,3 +368,50 @@ def test_subcomponents_and_connectors():
     first = comp.connectors[0]
     assert (first.source.instance, first.source.port) == (None, "mode")
     assert (first.target.instance, first.target.port) == ("arb", "mode")
+
+
+# ---------------------------------------------------------------------------
+# compact trees: what a parsed transition costs
+# ---------------------------------------------------------------------------
+
+def _reachable(node):
+    """Every node, list and field value reachable from ``node``, each once."""
+    seen, stack = set(), [node]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if isinstance(value, list):
+            stack.extend(value)
+        elif dataclasses.is_dataclass(value):
+            stack.extend(getattr(value, f.name) for f in dataclasses.fields(value))
+
+
+def test_a_parsed_transition_is_slotted_located_by_offset_and_under_1600_bytes():
+    # The tree is held for the whole of every subcommand: its nodes have no
+    # __dict__, hold an int offset where a location was, and share one string
+    # per distinct name.  Counted, not timed; about 2.7 KB per transition
+    # when nodes were dataclasses holding a SourceLoc each.
+    w = workloads.generate("wide_automaton", 1, states=10, per_state=50)
+    [(name, text)] = w.models.items()
+    tracemalloc.start()
+    try:
+        unit = parse_component_file(text, name)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    transitions = unit.component.automata[0].transitions
+    assert len(transitions) == 500
+    values = list(_reachable(unit))
+    nodes = [v for v in values if dataclasses.is_dataclass(v)]
+    assert len(nodes) > 10 * len(transitions)
+    assert [type(n).__name__ for n in nodes if hasattr(n, "__dict__")] == []
+    assert [v for v in values if isinstance(v, SourceLoc)] == []
+    assert all(type(n.at) is int for n in nodes if hasattr(n, "at"))
+    names = [t.text for t in tokenize(text, name) if t.kind == "NAME"]
+    assert len({id(n) for n in names}) == len(set(names)) < 100
+    strings = [v for v in values if isinstance(v, str)]
+    assert len({id(s) for s in strings}) == len(set(strings))
+    assert retained / len(transitions) < 1600, retained

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -167,11 +168,13 @@ def test_infer_target_consistent_with_type_of(term, types):
 # ---------------------------------------------------------------------------
 
 def _fields(node):
-    """Every attribute of every node reachable from ``node``, as nested tuples."""
+    """Every field of every node reachable from ``node``, offsets and the
+    unit's locator included, as nested tuples."""
     if isinstance(node, list):
         return tuple(_fields(n) for n in node)
-    if hasattr(node, "__dict__"):
-        return (type(node).__name__, tuple((k, _fields(v)) for k, v in vars(node).items()))
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__,
+                tuple((f.name, _fields(getattr(node, f.name))) for f in dataclasses.fields(node)))
     return node
 
 
@@ -366,7 +369,7 @@ def test_connector_cycles_are_reported_where_the_reference_finds_them(seed):
     model, diags = resolve_text(texts)
     assert all(d.message.endswith("is on a cycle that passes no atomic instance")
                for d in diags), [d.render() for d in diags]
-    file_of = {rc.ast.loc.file: qname for qname, rc in model.components.items()}
+    file_of = {rc.unit.locator.file: qname for qname, rc in model.components.items()}
     cyclic = {file_of[d.loc.file] for d in diags}
     for qname in model.components:
         try:
