@@ -4,7 +4,8 @@ Time-synchronous runs proceed in global cycles: every atomic instance fires at
 most one enabled transition per cycle (or completes idle), and anything it
 emits becomes visible to its communication partners, and externally, exactly
 one cycle later.  Initial outputs are what the outside world observes in cycle
-one.  Unread messages are lost at the end of their cycle.
+one.  Unread messages are lost at the end of their cycle, and one on an
+out-port that no connector reads is dropped where it is sent.
 
 Event-driven runs consume one scripted event at a time, run-to-completion: the
 matching transition may emit finite sequences of events per output port.
@@ -199,8 +200,9 @@ class EventTrace:
 
 # A wire (port, source, source port) says what ``port`` reads each cycle:
 # ``source port`` of source 0, the external stimulus row, or of source i + 1,
-# what instance i sent in the previous cycle.  Source None is unconnected.
-Wire = tuple[str, Optional[int], Optional[str]]
+# what instance i sent in the previous cycle.  An unconnected port reads
+# source port None of source 0, which no row holds, so it is always absent.
+Wire = tuple[str, int, Optional[str]]
 
 
 @dataclass
@@ -209,6 +211,7 @@ class AtomicInstance:
     rc: ResolvedComponent
     subst: dict[str, TypeRef]
     behaviour: LoweredAutomaton
+    unread: set[str]  # out-ports that no wire reads, once the plan is built
     wires: list[Wire] = field(default_factory=list)  # one per in-port
 
 
@@ -254,7 +257,7 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
                     "simulation needs at most one")
             if rc.qname not in lowered:
                 lowered[rc.qname] = lower(rc)
-            instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
+            instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname], set(rc.out_ports)))
             continue
         prefix = f"{path}." if path else ""
         for instance, sub in reversed(rc.subcomponents.items()):
@@ -271,17 +274,18 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
     def wire(port: str, node: tuple[str, str]) -> Wire:
         """The wire of ``port``, which reads ``node``, followed along
-        connectors to an instance's out-port or an external in-port;
-        resolution has refused every cycle of connectors."""
+        connectors to an instance's out-port, which is then read, or an
+        external in-port; resolution has refused every cycle of connectors."""
         while True:
             path, name = node
             if (path in source and node not in edges
                     and instances[source[path] - 1].rc.kind(name) == "out"):
+                instances[source[path] - 1].unread.discard(name)
                 return (port, source[path], name)
             if path == "" and root.kind(name) == "in":
                 return (port, 0, name)
             if node not in edges:
-                return (port, None, None)
+                return (port, 0, None)
             node = edges[node]
 
     for inst in instances:
@@ -292,8 +296,7 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
 def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
     """What each wired port reads this cycle; absence is a missing message."""
-    return {port: ABSENT if k is None else sources[k].get(name, ABSENT)
-            for port, k, name in wires}
+    return {port: sources[k].get(name, ABSENT) for port, k, name in wires}
 
 
 def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
@@ -353,28 +356,30 @@ def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot
 # ---------------------------------------------------------------------------
 #
 # A joint state is a tuple of (ComponentState, sent) pairs in plan order, where
-# ``sent`` maps each out-port the instance sent a message on in the last cycle
-# to that message.
+# ``sent`` maps each out-port the instance sent a message on in the last cycle,
+# and that some wire reads, to that message.
 
 def _pre_start(plan: SystemPlan) -> tuple:
     """The joint state a run starts from: each instance in PRE_START, nothing sent."""
     return tuple((_start(inst, plan.model), {}) for inst in plan.instances)
 
 
-def _sent(outputs: list[tuple[str, object]], state: Optional[str]) -> dict[str, Value]:
-    """The messages an instance sends for the next cycle from a step out of
-    ``state``, at most one per out-port."""
+def _sent(inst: AtomicInstance, cs: ComponentState,
+          outputs: list[tuple[str, object]]) -> dict[str, Value]:
+    """The messages ``inst`` sends for the next cycle from a step out of ``cs``:
+    the last value its block gives a port some wire reads, unless that is
+    ``--``.  A sequence on any port is an S3TS error."""
     sent = {}
     for port, value in outputs:
         if isinstance(value, list):
-            what = (f"initial output on port '{port}' is a sequence" if state == PRE_START
+            what = (f"initial output on port '{port}' is a sequence" if cs.state == PRE_START
                     else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
                 f"{what}; the time-synchronous profile allows one message per port")
         sent[port] = value
-    if ABSENT not in sent.values():
-        return sent
-    return {port: value for port, value in sent.items() if value is not ABSENT}
+    if inst.unread or ABSENT in sent.values():
+        return {port: v for port, v in sent.items() if v is not ABSENT and port not in inst.unread}
+    return sent
 
 
 def _distinct(successors: list[tuple]) -> list[tuple]:
@@ -407,10 +412,10 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
             successors = _successors(inst, cs, _read(inst.wires, sources), branches)
             if len(successors) == 1:
                 [(successor, outputs)] = successors
-                per_instance.append([(successor, _sent(outputs, cs.state) if outputs else {})])
+                per_instance.append([(successor, _sent(inst, cs, outputs) if outputs else {})])
             else:
                 per_instance.append(_distinct(
-                    [(successor, _sent(outputs, cs.state)) for successor, outputs in successors]))
+                    [(successor, _sent(inst, cs, outputs)) for successor, outputs in successors]))
     except SimulationError as exc:
         raise SimulationError(exc.message, cycle) from None
     return _read(plan.wires, sources), itertools.product(*per_instance)
@@ -497,13 +502,14 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
 
     Deduplicated; raises :class:`EnumerationOverflow` when more than ``bound``
     distinct traces would be produced.  The search is depth-first over an
-    explicit stack, so its depth is not limited by the run's length.  Equal
-    successors of an instance are merged before they are combined, so the
-    work grows with distinct successors, not with branches, and they are
-    combined one joint successor at a time, so the work before an overflow
-    grows with the traces found, not with the joint product.  Stimulus row k is
-    read and checked when the search first reaches cycle k, so a run that
-    fails early reads no further.
+    explicit stack, which holds the path to the node it expands, so its depth
+    is not limited by the run's length.  An instance's equal successors, which
+    keep no message that no connector reads, are merged before they are
+    combined, so the work grows with distinct observable successors, not with
+    branches, and they are combined one joint successor at a time, so the work
+    before an overflow grows with the traces found, not with the joint product.
+    Stimulus row k is read and checked when the search first reaches cycle k,
+    so a run that fails early reads no further.
     """
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
@@ -513,45 +519,37 @@ def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, S
     source = _rows(plan, stimulus, n_cycles)
     rows: list[dict[str, Slot]] = []
 
-    # A frame is (successors, cycle, external, observed, prefix): the lazy
-    # joint product of one step in that cycle, what the step read and
-    # observed, and the prefix of the trace before it.  A prefix is None or
-    # (record, its frozen form, parent prefix), so traces with a common prefix
-    # share its records, and each record is frozen once however many traces
-    # it starts.  The step out of pre-start has cycle 0 and makes no record.
+    # A frame is (successors, cycle, external, observed, record, frozen): the
+    # lazy joint product of one step in that cycle, what it read and observed,
+    # and the record of the state it steps from, frozen once however many
+    # traces it starts; so stack[2:] holds the records of a leaf's trace.  The
+    # step out of pre-start, cycle 0, and the step after it have no record.
     _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
-    stack = [(starts, 0, None, None, None)]
+    stack = [(starts, 0, None, None, None, None)]
     results: dict[tuple, Trace] = {}
     while stack:
-        successors, index, external, observed, prefix = stack[-1]
+        successors, index, external, observed, _, _ = stack[-1]
         state = next(successors, None)
         if state is None:
             stack.pop()
             continue
+        record = frozen = None
         if index:
             record = _record(plan, index, external, observed, state)
-            prefix = (record, record.freeze(), prefix)
+            frozen = record.freeze()
         if index == n_cycles:
-            records: list[CycleRecord] = []
-            frozen: list[tuple] = []
-            while prefix is not None:
-                record, record_key, prefix = prefix
-                records.append(record)
-                frozen.append(record_key)
-            frozen.reverse()
-            key = tuple(frozen)  # the frozen records, in order
+            key = (*[frame[5] for frame in stack[2:]], frozen)  # the frozen records
             if key not in results:
                 if len(results) >= bound:
                     raise EnumerationOverflow(
                         f"more than {bound} distinct traces; raise the bound")
-                records.reverse()
-                results[key] = Trace(records)
+                results[key] = Trace([*[frame[4] for frame in stack[2:]], record])
             continue
         if index == len(rows):
             rows.append(next(source))
         external = rows[index]
         observed, successors = _step(plan, state, external, _every_branch, index + 1)
-        stack.append((successors, index + 1, external, observed, prefix))
+        stack.append((successors, index + 1, external, observed, record, frozen))
     return [results[key] for key in sorted(results)]
 
 

@@ -26,11 +26,6 @@ connectors through relays.  Each model is run through:
 * ``sim-ed`` under ``--policy first`` and ``--policy seeded``, on a seeded
   script
 
-except that compositions are not run with ``--enumerate``: each has an
-out-port that nothing reads, and the enumerator keeps successors apart that
-differ only in what they send there, so its work grows exponentially with
-the cycles (one five-cycle enumeration of a composition ran for minutes).
-
 One fixed ``sim-ed`` run, between the corpus and the generated models, ends
 in a runtime error at its third event, so the digests also cover what
 ``sim-ed`` prints for a failing event: no generated model reaches one.
@@ -181,9 +176,8 @@ def generated(count: int, seed: int) -> list[list[str]]:
             encoding="utf-8")
         Path(script).write_text("".join(f"{port} {cell_text(value)}\n" for port, value
                                         in genmodels.random_script(rng, EVENTS)), encoding="utf-8")
-        argvs += [argv for argv in runs([*names, "--types", "gen.types"],
-                                        [(main, stimulus, script)], rng.randrange(100))
-                  if main == "Gen" or "--enumerate" not in argv]
+        argvs += runs([*names, "--types", "gen.types"], [(main, stimulus, script)],
+                      rng.randrange(100))
     return argvs
 
 

@@ -261,8 +261,8 @@ def test_closed_stdout_during_a_runtime_error_exits_two_without_a_message(tmp_pa
 def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.
-    # Enumeration keeps one record per cycle in its prefix chain, and the rows
-    # it has read, so a long enough run exhausts the memory limit.  Interpreter
+    # Enumeration keeps one frame per cycle on its stack, each with a record,
+    # and the rows it has read, so a long enough run exhausts the memory limit.  Interpreter
     # start and imports take about 21 MB of address space; the smaller the
     # limit above that, the sooner the run reaches the handler.
     resource = pytest.importorskip("resource")
@@ -413,6 +413,25 @@ def test_sim_ts_runtime_error_exit_three(capsys, tmp_path):
     assert code == 3
     assert "cycle 1" in err and "absent" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("block, cell", [("o = 1, o = --", "--"), ("o = --, o = 1", "1")])
+def test_sim_ts_sends_the_last_value_a_block_gives_a_port(capsys, tmp_path, block, cell):
+    # atomic, where the main reads both ports, and composed, where only l.o
+    # is read
+    (tmp_path / "L.maa").write_text(
+        "component L { port out Integer o, out Integer u; automaton {"
+        " state S; initial S; S / {" + block + "}; } }", encoding="utf-8")
+    (tmp_path / "Top.maa").write_text(
+        "component Top { port out Integer o; component L l; connect l.o -> o; }",
+        encoding="utf-8")
+    files = [str(tmp_path / "L.maa"), str(tmp_path / "Top.maa")]
+    expected = {"L": f"cycle\tout:o\tout:u\tstate\n1\t--\t--\tS\n2\t{cell}\t--\tS\n",
+                "Top": f"cycle\tout:o\tstate\n1\t--\tl=S\n2\t{cell}\tl=S\n"}
+    for main, rows in expected.items():
+        for extra, tail in (([], ""), (["--enumerate"], "traces: 1\n")):
+            code, out, err = run(capsys, "sim-ts", *files, "--main", main, "--cycles", "2", *extra)
+            assert (code, out, err) == (0, rows + tail, "")
 
 
 def test_sim_ts_runtime_error_keeps_the_rows_before_it(capsys, tmp_path):

@@ -26,6 +26,7 @@ from maa.parser import parse_component_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
+import genmodels
 from conftest import out_column, trace_key
 
 MOTOR = "bumperbot.types.MotorCmd"
@@ -526,6 +527,43 @@ def test_emitting_sequence_in_ts_is_runtime_error():
     assert raised.value.cycle is None
     trace = run_ed(model, "C", [])
     assert trace.initial_emissions == [("o", [1, 2])]
+
+
+# E enters Y once it reads 1; Top observes l.o and passes it to e, and reads
+# nothing of l.u.
+ECHO = "component E { port in Integer i; automaton { state N, Y; initial N; N -> Y i = 1; } }"
+LAST_TOP = ("component Top { port out Integer o; component L l; component E e;"
+            " connect l.o -> o; connect l.o -> e.i; }")
+
+
+@pytest.mark.parametrize("block, sent", [("o = 1, o = --", ABSENT), ("o = --, o = 1", 1)])
+def test_the_last_value_a_block_gives_a_port_is_sent(block, sent):
+    # also when the last is --, and whether the instance has unread ports or not
+    last = ("component L { port out Integer o, out Integer u; automaton {"
+            " state S; initial S; S / {" + block + "}; } }")
+    model = units_model(last, ECHO, LAST_TOP)
+    for main in ("L", "Top"):
+        trace = run_ts(model, main, [], 2)
+        assert trace.records[1].outputs["o"] == sent
+        assert [trace_key(t) for t in enumerate_ts(model, main, [], 2)] == [trace_key(trace)]
+    assert trace.records[1].states["e"].state == ("Y" if sent == 1 else "N")
+
+
+@pytest.mark.parametrize("automaton, message, cycle", [
+    ("initial S; S / {o = 1, u = [1, 2]};", "transition emitted a sequence on port 'u'", 1),
+    ("initial S / u = [1, 2];", "initial output on port 'u' is a sequence", None),
+], ids=["transition", "initial"])
+def test_a_sequence_on_a_port_nothing_reads_is_a_runtime_error(automaton, message, cycle):
+    model = units_model(
+        "component Q { port out Integer o, out Integer u; automaton { state S; "
+        + automaton + " } }",
+        "component Top { port out Integer o; component Q q; connect q.o -> o; }")
+    for run in (run_ts, enumerate_ts):
+        with pytest.raises(SimulationError) as raised:
+            run(model, "Top", [], 2)
+        assert raised.value.message == (
+            f"{message}; the time-synchronous profile allows one message per port")
+        assert raised.value.cycle == cycle
 
 
 def test_without_initial_declaration_starts_silently_in_first_state():
@@ -1109,6 +1147,56 @@ def test_enumerate_overflows_before_it_builds_the_joint_product(monkeypatch, aut
         enumerate_ts(model, "Many", [], 1, bound=16)
     assert len(records) < 1000
     assert len(drawn) < 1000
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """The arguments of every ``engine._record`` call the test makes."""
+    calls, record = [], engine._record
+
+    def counting_record(*args):
+        calls.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(engine, "_record", counting_record)
+    return calls
+
+
+def test_enumerate_work_on_a_generated_composition_grows_with_its_traces(records):
+    # c0.y is read by no connector; keeping its sends built 382 000 records
+    # for these 16 traces (this gate comes first, as it fails in seconds
+    # where the next one would run for minutes)
+    model, main = genmodels.random_composition(random.Random("0:279"))
+    traces = enumerate_ts(model, main, [], 4)
+    assert len(records) <= 1000
+    assert len(traces) == 16
+    with pytest.raises(EnumerationOverflow) as raised:
+        enumerate_ts(model, main, [], 4, bound=15)
+    assert str(raised.value) == "more than 15 distinct traces; raise the bound"
+
+
+def test_enumerate_drops_sends_that_no_connector_reads(records):
+    # four instances with four distinct sends each, of which only c0's are
+    # read: the other instances' sends are dropped where they are sent, so
+    # their successors merge, and 84 records are built for 16 traces
+    one = ("component One { port out Integer o; automaton {"
+           " state S; initial S; S / {o = 1 | 2 | 3 | 4}; } }")
+    many = ("component Many { port out Integer o;"
+            + "".join(f" component One c{i};" for i in range(4)) + " connect c0.o -> o; }")
+    traces = enumerate_ts(units_model(one, many), "Many", [], 3, bound=16)
+    assert len(records) <= 100
+    assert len(traces) == 16
+
+
+def test_enumerate_merges_a_sent_absence_with_silence(records):
+    # sending -- sends nothing, so the two transitions have one successor:
+    # one record per cycle
+    model = small_model(
+        "component C { port out Integer o; automaton {"
+        " state S; initial S; S / o = --; S -> S; } }")
+    traces = enumerate_ts(model, "C", [], 3)
+    assert len(records) == 3
+    assert [out_column(t, "o") for t in traces] == [[ABSENT] * 3]
 
 
 def test_enumerate_bound_must_be_positive(follow_model):
