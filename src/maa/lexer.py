@@ -17,9 +17,10 @@ goes wrong.  A token and a lexical error carry the code-point offset where
 they start; lines and columns are the parser's concern (see
 :class:`maa.diagnostics.Locator`).  Names and symbols are interned, so that
 equal ones in a parsed tree, such as state names and operators, are one
-string.  A call can stop after a given
-number of tokens and the next call resume after the last of them, so the
-parser lexes a file a batch at a time.
+string.  A call can stop after a given number of tokens and the next one
+resume after the last of them, which it matches again at its own offset and
+drops, so the parser lexes a file a batch at a time; with no lookbehind in the
+regex and blanks before a lexeme, that match is the same token.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ class Token(NamedTuple):
     text: str
     value: object
     at: int  # the code-point offset where the lexeme starts
-    # Where the next batch starts (the offset just after the lexeme), on the
-    # last token of a batch that ``limit`` cut short; None on every other
-    # token, so that one token per batch holds a second offset.
-    end: Optional[int] = None
 
 
 def tokenize(text: str, origin: str, after: Optional[Token] = None,
@@ -90,15 +87,18 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
     """Split source text into tokens; raises :class:`LexError` on bad input.
 
     ``limit`` returns at most that many tokens, and ``after``, the last token
-    of such a batch, resumes the lexing just after it.  The EOF token ends the
-    last batch, so a text's batches, each resuming after the last token of the
-    one before, join to its whole list.  ``origin``, the file's name, is not
-    read: offsets need no file until a locator turns them into locations."""
+    of such a batch, resumes the lexing after its match at its own offset.
+    The EOF token ends the last batch, so a text's batches, each resuming
+    after the last token of the one before, join to its whole list.
+    ``origin``, the file's name, is not read: offsets need no file until a
+    locator turns them into locations."""
     tokens: list[Token] = []
     new = tuple.__new__  # the NamedTuples' own __new__ is a Python-level call
     intern = sys.intern
-    last = -1 if limit is None else limit - 1  # tokens before a batch's last one
-    for m in _TOKEN.finditer(text, 0 if after is None else after.end):
+    matches = _TOKEN.finditer(text, 0 if after is None else after.at)
+    if after is not None:
+        next(matches)
+    for m in matches:
         kind = m.lastgroup
         if kind == "SKIP":
             continue
@@ -134,9 +134,8 @@ def tokenize(text: str, origin: str, after: Optional[Token] = None,
             raise LexError(at, "unterminated block comment")
         else:
             raise LexError(at, f"unexpected character {lexeme!r}")
-        if len(tokens) == last:
-            tokens.append(new(Token, (kind, lexeme, value, at, m.end())))
+        tokens.append(new(Token, (kind, lexeme, value, at)))
+        if len(tokens) == limit:
             return tokens
-        tokens.append(new(Token, (kind, lexeme, value, at, None)))
     tokens.append(Token("EOF", "", None, len(text)))
     return tokens

@@ -110,7 +110,8 @@ class _Compiler:
     """Compiles one automaton's terms and entries into closures, each distinct
     one once: equal AST nodes, whose equality is type-exact and ignores
     locations, share one closure, and so do equal guards, entries and blocks.
-    Its memo, keyed by the nodes, lives for one :func:`lower` call."""
+    Its memo, keyed by the nodes, lives for one :func:`lower` call; an
+    entry's target is resolved only when the entry is first compiled."""
 
     def __init__(self, rc: ResolvedComponent):
         self.rc = rc
@@ -184,9 +185,8 @@ class _Compiler:
         """Whether an input-block entry holds, an absent port satisfying only
         ``--``; and for an entry of only constants on an in-port, that port
         and those constants, which :meth:`LoweredAutomaton._index` reads."""
-        target = self.rc.target(entry).name
-
         def build():
+            target = self.rc.target(entry).name
             constants = [self.constant(a) for a in entry.alternatives]
             if None not in constants and self.rc.kind(target) == "in":
                 admitted = frozenset(constants)  # one form per set, in whatever order
@@ -202,7 +202,7 @@ class _Compiler:
                         return True
                 return False
             return holds, None, None
-        return self.shared(("match", target, *entry.alternatives), build)
+        return self.shared(entry, build)
 
     def message(self, term: ValueTerm) -> Compiled:
         """What an output alternative sends: ABSENT for ``--``, a list for a
@@ -230,24 +230,27 @@ class _Compiler:
         return self.shared(("forward", name), lambda: forwarded)
 
     def entry(self, assignment) -> "LoweredEntry":
-        target, alternatives = self.rc.target(assignment).name, assignment.alternatives
-        return self.shared(("entry", target, *alternatives),
-                           lambda: LoweredEntry(target, self.rc.kind(target), [
-                               self.message(a) for a in alternatives]))
+        def build():
+            target = self.rc.target(assignment).name
+            return LoweredEntry(target, self.rc.kind(target), [
+                self.message(a) for a in assignment.alternatives])
+        return self.shared(assignment, build)
 
     def inputs(self, block) -> tuple[tuple, dict]:
         """An input block's entries, and the constants that the first entry of
         only constants on each in-port admits (reversed: the first one wins)."""
-        matches = tuple(map(self.match, block or ()))
-        return self.shared(("inputs", *map(id, matches)), lambda: (
-            tuple([holds for holds, _, _ in matches]),
-            {port: admitted for _, port, admitted in reversed(matches) if port is not None}))
+        def build():
+            matches = [self.match(entry) for entry in block or ()]
+            return tuple([holds for holds, _, _ in matches]), {
+                port: admitted for _, port, admitted in reversed(matches) if port is not None}
+        return self.shared(("inputs", block), build)
 
     def outputs(self, block) -> tuple[tuple, tuple]:
         """An output block's entries, and the first alternative of each."""
-        entries = tuple(map(self.entry, block or ()))
-        return self.shared(("outputs", *map(id, entries)), lambda: (
-            entries, tuple(e.alternatives[0] for e in entries)))
+        def build():
+            entries = tuple([self.entry(entry) for entry in block or ()])
+            return entries, tuple([e.alternatives[0] for e in entries])
+        return self.shared(("outputs", block), build)
 
 
 class LoweredEntry(NamedTuple):
@@ -352,7 +355,7 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     """The executable form of the one automaton of a well-formed atomic
     component (see :func:`maa.engine.build_plan`); a component without an
     automaton starts in no state and never fires."""
-    automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, [], [], [], [], None)
+    automaton = rc.ast.automata[0] if rc.ast.automata else Automaton(None, (), (), (), (), None)
     compiler = _Compiler(rc)
     by_state: dict[str, list[LoweredTransition]] = {}
     for t in automaton.transitions:

@@ -9,13 +9,15 @@ and are rejected later by the well-formedness rules anyway).
 
 Nodes are located by the code-point offset of their first token; the unit
 keeps the file's :class:`~maa.diagnostics.Locator`, built once from the
-text's line starts, and a syntax error is located by it.
+text's line starts, and a syntax error is located by it.  Every sequence in
+the tree is a tuple.  The text is lexed a batch at a time, each resuming at
+the offset of the token before it (see :func:`maa.lexer.tokenize`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, TypeVar, Union
 
 from .diagnostics import Diagnostic, Locator
 # Called through this module's attribute once per batch of tokens, so that
@@ -93,7 +95,7 @@ def _parse_file(text: str, origin: str,
     Either is located by the file's one locator."""
     locator = Locator.of(text, origin)
     try:
-        parser = _Parser(text, origin, BATCH)
+        parser = _Parser(text)
         try:
             return unit(parser, locator)
         except ParseError:
@@ -106,7 +108,7 @@ def _parse_file(text: str, origin: str,
 def parse_value(text: str) -> Union[ELit, ERef, NoData]:
     """``--`` or one value as a block entry reads it, and nothing after it (a
     stimulus cell or an event's value); raises LexError or ParseError."""
-    parser = _Parser(text, "", None)
+    parser = _Parser(text)
     term = NoData(parser._next().at) if parser._at("--") else parser._value()
     if not parser._at_kind("EOF"):
         raise parser._expected("end of value")
@@ -114,32 +116,28 @@ def parse_value(text: str) -> Union[ELit, ERef, NoData]:
 
 
 class _Parser:
-    """Reads ``text`` through a window of tokens, lexed ``batch`` at a time
-    (all at once for None) as the lookahead reaches past it."""
+    """Reads ``text`` through a window of tokens, lexed :data:`BATCH` at a
+    time as the lookahead reaches past it."""
 
-    def __init__(self, text: str, origin: str, batch: Optional[int]):
-        self._text, self._origin, self._batch = text, origin, batch
+    def __init__(self, text: str):
+        self._text = text
         # The lexed tokens not yet consumed, the next one first; never empty,
         # since the EOF token is never consumed.
-        self._window = deque(tokenize(text, origin, None, batch))
+        self._window = deque(tokenize(text, "", None, BATCH))
         self._nesting = 0
 
     def lex_rest(self) -> None:
         """Lex the text after the window, raising its first LexError."""
         last = self._window[-1]
         while last.kind != "EOF":
-            last = self._lex_after(last)[-1]
-
-    def _lex_after(self, tok: Token) -> list[Token]:
-        """The batch of tokens just after ``tok``."""
-        return tokenize(self._text, self._origin, tok, self._batch)
+            last = tokenize(self._text, "", last, BATCH)[-1]
 
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
         window = self._window
         while len(window) <= offset and window[-1].kind != "EOF":
-            window.extend(self._lex_after(window[-1]))
+            window.extend(tokenize(self._text, "", window[-1], BATCH))
         return window[min(offset, len(window) - 1)]
 
     def _at(self, text: str) -> bool:
@@ -155,7 +153,7 @@ class _Parser:
         if tok.kind != "EOF":
             window.popleft()
             if not window:
-                window.extend(self._lex_after(tok))
+                window.extend(tokenize(self._text, "", tok, BATCH))
         return tok
 
     def _accept(self, text: str) -> bool:
@@ -180,12 +178,12 @@ class _Parser:
             raise self._expected(what)
         return self._next()
 
-    def _list(self, item: Callable[[], T], sep: str = ",") -> list[T]:
+    def _list(self, item: Callable[[], T], sep: str = ",") -> tuple[T, ...]:
         """One or more ``item``s separated by ``sep``."""
         items = [item()]
         while self._accept(sep):
             items.append(item())
-        return items
+        return tuple(items)
 
     def _qname(self) -> str:
         parts = [self._expect_name("qualified name").text]
@@ -216,7 +214,7 @@ class _Parser:
             if tok.text == "component" or (tok.kind == "SYMBOL" and tok.text == "<<"):
                 raise ParseError(tok.at, "only one top-level component per model file")
             raise ParseError(tok.at, f"unexpected {tok.text!r} after component definition")
-        return CompilationUnit(package, imports, component, locator)
+        return CompilationUnit(package, tuple(imports), component, locator)
 
     def type_decl_unit(self, locator: Locator) -> TypeDeclUnit:
         self._expect("package")
@@ -240,18 +238,18 @@ class _Parser:
             if not self._at("}"):
                 self._list(literal)
             self._expect("}")
-            enums.append(EnumDecl(name, literals, at))
+            enums.append(EnumDecl(name, tuple(literals), at))
         if not self._at_kind("EOF"):
             tok = self._peek()
             raise ParseError(tok.at, f"unexpected {tok.text!r} in type declarations")
-        return TypeDeclUnit(package, enums, locator)
+        return TypeDeclUnit(package, tuple(enums), locator)
 
     # -- components ---------------------------------------------------------
 
     def _component_def(self) -> ComponentType:
         at = self._expect("component").at
         name = self._expect_name("component name").text
-        params: list[str] = []
+        params: tuple[str, ...] = ()
         if self._accept("<"):
             params = self._list(lambda: self._expect_name("type parameter").text)
             self._expect(">")
@@ -279,8 +277,8 @@ class _Parser:
                 tok = self._peek()
                 raise ParseError(tok.at, f"unexpected {tok.text!r} in component body")
         self._expect("}")
-        return ComponentType(name, params, ports, variables, subcomponents,
-                             connectors, automata, at)
+        return ComponentType(name, params, tuple(ports), tuple(variables),
+                             tuple(subcomponents), tuple(connectors), tuple(automata), at)
 
     def _stereo_precedes_automaton(self) -> bool:
         # <<name>> may prefix an automaton declaration
@@ -295,7 +293,7 @@ class _Parser:
         name = self._expect_name("port name")
         return PortDecl(direction, type_name, name.text, name.at)
 
-    def _variable_decl(self) -> list[VariableDecl]:
+    def _variable_decl(self) -> tuple[VariableDecl, ...]:
         self._accept("var")
         type_name = self._qname()
 
@@ -311,7 +309,7 @@ class _Parser:
     def _subcomponent(self) -> SubcomponentDecl:
         at = self._expect("component").at
         type_name = self._qname()
-        args: list[str] = []
+        args: tuple[str, ...] = ()
         if self._accept("<"):
             args = self._list(self._qname)
             self._expect(">")
@@ -341,12 +339,12 @@ class _Parser:
 
     # -- automata -----------------------------------------------------------
 
-    def _stereotypes(self) -> list[str]:
+    def _stereotypes(self) -> tuple[str, ...]:
         stereos = []
         while self._accept("<<"):
             stereos.append(self._expect_name("stereotype name").text)
             self._expect(">>")
-        return stereos
+        return tuple(stereos)
 
     def _automaton(self) -> Automaton:
         stereos = self._stereotypes()
@@ -372,7 +370,7 @@ class _Parser:
                 tok = self._peek()
                 raise ParseError(tok.at, f"unexpected {tok.text!r} in automaton body")
         self._expect("}")
-        return Automaton(name, stereos, states, initials, transitions, at)
+        return Automaton(name, stereos, tuple(states), tuple(initials), tuple(transitions), at)
 
     def _state(self) -> StateDecl:
         stereos = self._stereotypes()
@@ -419,7 +417,7 @@ class _Parser:
         self._expect("]")
         return Guard(kind, expr, at)
 
-    def _block(self, node: type[T]) -> list[T]:
+    def _block(self, node: type[T]) -> tuple[T, ...]:
         """An input (``Match``) or output (``Assignment``) block, braces optional."""
         braced = self._accept("{")
         entries = self._list(lambda: self._entry(node))
@@ -449,7 +447,7 @@ class _Parser:
 
     def _sequence(self) -> SequenceValue:
         at = self._expect("[").at
-        elements = [] if self._at("]") else self._list(self._value)
+        elements = () if self._at("]") else self._list(self._value)
         self._expect("]")
         return SequenceValue(elements, at)
 

@@ -99,7 +99,7 @@ class ResolvedSub:
     instance: str
     target_qname: str
     arg_types: list[TypeRef]
-    loc: SourceLoc  # of the declaration
+    at: int  # the offset of the declaration
 
 
 @dataclass
@@ -116,8 +116,9 @@ class ResolvedComponent:
     subcomponents: dict[str, ResolvedSub] = field(default_factory=dict)
     in_ports: list[str] = field(default_factory=list)  # in declaration order
     out_ports: list[str] = field(default_factory=list)
-    # (class, *alternatives) of an unnamed input or output entry -> its target
-    _targets: dict[tuple, Inference] = field(default_factory=dict, repr=False, compare=False)
+    # an unnamed input or output entry -> its target
+    _targets: dict[Union[Match, Assignment], Inference] = field(
+        default_factory=dict, repr=False, compare=False)
     # id of a transition -> (it, ports_read's answer)
     _reads: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
     # each distinct answer of ports_read -> itself, so that equal ones are one object
@@ -150,13 +151,12 @@ class ResolvedComponent:
             if self.kind(entry.target) in ("in", "out", "var"):
                 return Inference("ok", entry.target, (entry.target,))
             return Inference("none", None)
-        key = (type(entry), *entry.alternatives)
-        found = self._targets.get(key)
+        found = self._targets.get(entry)
         if found is None:
             kinds = ("in" if isinstance(entry, Match) else "out", "var")
             candidates = {name: denoted for name, denoted in self.names.items()
                           if denoted[0] in kinds}
-            found = self._targets[key] = infer_block_target(entry.alternatives, candidates, self)
+            found = self._targets[entry] = infer_block_target(entry.alternatives, candidates, self)
         return found
 
     def ports_read(self, trans: Transition) -> tuple[frozenset[str], frozenset[str]]:
@@ -453,8 +453,7 @@ def _resolve_structure(rc: ResolvedComponent, model: ResolvedModel, enums: dict,
             diags.append(Diagnostic.at(
                 "R0", _where(rc, sub), f"subcomponent instance '{sub.instance}' declared twice"))
             continue
-        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args,
-                                                   _where(rc, sub))
+        rc.subcomponents[sub.instance] = ResolvedSub(sub.instance, target, args, sub.at)
 
     fed: set[End] = set()
     resolved = []
@@ -540,8 +539,9 @@ def _cycles(model: ResolvedModel, connectors: dict[str, list[ConnectorDecl]],
         for sub in rc.subcomponents.values():
             if scc_of[sub.target_qname] == scc_of[rc.qname]:
                 diags.append(Diagnostic.at(
-                    "R0", sub.loc, f"component '{rc.qname}' contains itself through "
-                                   f"subcomponent '{sub.instance}'"))
+                    "R0", _where(rc, sub),
+                    f"component '{rc.qname}' contains itself through subcomponent "
+                    f"'{sub.instance}'"))
     passes: dict[str, dict[str, str]] = {}
     for component in order:
         for qname in component:

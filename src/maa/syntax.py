@@ -9,11 +9,13 @@ names its target also keeps the offset of that name, ``target_at``).  The
 unit a file parses to keeps the file's one :class:`~maa.diagnostics.Locator`,
 which turns an offset into a line and column only where a diagnostic is
 filed.  Offsets take part in neither equality nor hashing, so two parses of
-equivalent text compare equal structurally.  Nodes are never written after
-parsing, which is why terms may be hashed: what a name denotes and which port
-or variable an entry targets are answered by
+equivalent text compare equal structurally.  Every sequence in the tree is a
+tuple, and nodes are never written after parsing, which is why terms, block
+entries and the blocks themselves hash by structure: what a name denotes and
+which port or variable an entry targets are answered by
 :class:`maa.resolution.ResolvedComponent`, so one parsed unit can be resolved
-into any number of models, and equal terms can share one compiled form.
+into any number of models, and equal terms, entries and blocks can share one
+compiled form.
 """
 
 from __future__ import annotations
@@ -68,13 +70,10 @@ class NoData:
     at: int = _at()
 
 
-@dataclass(slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SequenceValue:
-    elements: list["ValueTerm"]
+    elements: tuple["ValueTerm", ...]
     at: int = _at()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.elements))
 
 
 ValueTerm = Union[ELit, ERef, NoData, SequenceValue]
@@ -119,22 +118,22 @@ class Guard:
 # Automata
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Match:
     """One entry of an input block: ``name = alt | alt`` with optional name."""
 
     target: Optional[str]
-    alternatives: list[ValueTerm]
+    alternatives: tuple[ValueTerm, ...]
     at: int = _at()
     target_at: Optional[int] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assignment:
     """One entry of an output block; alternatives may include sequences."""
 
     target: Optional[str]
-    alternatives: list[ValueTerm]
+    alternatives: tuple[ValueTerm, ...]
     at: int = _at()
     target_at: Optional[int] = field(default=None, compare=False, repr=False)
 
@@ -142,14 +141,14 @@ class Assignment:
 @dataclass(slots=True)
 class StateDecl:
     name: str
-    stereotypes: list[str]
+    stereotypes: tuple[str, ...]
     at: int = _at()
 
 
 @dataclass(slots=True)
 class InitialDecl:
     state: str
-    output: Optional[list[Assignment]]
+    output: Optional[tuple[Assignment, ...]]
     at: int = _at()
 
 
@@ -158,8 +157,8 @@ class Transition:
     source: str
     target: str  # equals source when omitted in the text
     guard: Optional[Guard]
-    input: Optional[list[Match]]
-    output: Optional[list[Assignment]]
+    input: Optional[tuple[Match, ...]]
+    output: Optional[tuple[Assignment, ...]]
     at: int = _at()
     # of the target's name; None when the text omits the target
     target_at: Optional[int] = field(default=None, compare=False, repr=False)
@@ -168,10 +167,10 @@ class Transition:
 @dataclass(slots=True)
 class Automaton:
     name: Optional[str]
-    stereotypes: list[str]
-    states: list[StateDecl]
-    initials: list[InitialDecl]
-    transitions: list[Transition]
+    stereotypes: tuple[str, ...]
+    states: tuple[StateDecl, ...]
+    initials: tuple[InitialDecl, ...]
+    transitions: tuple[Transition, ...]
     at: int = _at()
 
 
@@ -198,7 +197,7 @@ class VariableDecl:
 @dataclass(slots=True)
 class SubcomponentDecl:
     type_name: str  # possibly qualified
-    type_args: list[str]
+    type_args: tuple[str, ...]
     instance: str
     at: int = _at()
 
@@ -220,12 +219,12 @@ class ConnectorDecl:
 @dataclass(slots=True)
 class ComponentType:
     name: str
-    generic_params: list[str]
-    ports: list[PortDecl]
-    variables: list[VariableDecl]
-    subcomponents: list[SubcomponentDecl]
-    connectors: list[ConnectorDecl]
-    automata: list[Automaton]
+    generic_params: tuple[str, ...]
+    ports: tuple[PortDecl, ...]
+    variables: tuple[VariableDecl, ...]
+    subcomponents: tuple[SubcomponentDecl, ...]
+    connectors: tuple[ConnectorDecl, ...]
+    automata: tuple[Automaton, ...]
     at: int = _at()
 
     @property
@@ -245,7 +244,7 @@ class ImportDecl:
 @dataclass(slots=True)
 class CompilationUnit:
     package: str  # "" for the default package
-    imports: list[ImportDecl]
+    imports: tuple[ImportDecl, ...]
     component: ComponentType
     locator: Locator = field(compare=False, repr=False)
 
@@ -257,14 +256,14 @@ class CompilationUnit:
 @dataclass(slots=True)
 class EnumDecl:
     name: str
-    literals: list[str]
+    literals: tuple[str, ...]
     at: int = _at()
 
 
 @dataclass(slots=True)
 class TypeDeclUnit:
     package: str
-    enums: list[EnumDecl]
+    enums: tuple[EnumDecl, ...]
     locator: Locator = field(compare=False, repr=False)
 
 

@@ -8,18 +8,22 @@ checkout's ``src``, ``tests``, ``models``, ``perfbench`` and
     python tests/mutation.py src/maa/engine.py --functions build_plan _step \\
         --tests tests/test_engine_ts.py tests/test_properties.py
 
-Two operators, each applied at one site of the named module:
+Three operators, each applied at one site of the named module:
 
 * flip a comparison: ``==``/``!=``, ``<``/``>=``, ``>``/``<=``, ``is``/``is
   not`` and ``in``/``not in``, one operator of a chain at a time
 * swap ``and`` and ``or``, one operator of a chain at a time
+* change an integer constant by one: ``n`` becomes ``n + 1`` (so ``-1``
+  becomes ``-2``); ``True`` and ``False`` are not integers here
 
 ``--functions`` keeps the sites inside the named functions (and the
 functions nested in them); ``--sample`` draws that many sites with
 ``--seed``.  Each mutant runs ``pytest -x -q`` on ``--tests`` in the copy,
 with Hypothesis seed 0, for at most ``--timeout`` seconds.  A
 mutant is killed when pytest fails or the time runs out, and survives when
-pytest passes.  The unmutated copy runs first and must pass.
+pytest passes.  The unmutated copy runs first and must pass.  A survivor
+listed in ``ALLOWED``, with the reason no test should kill it, is reported
+as allowed and does not fail the run.
 """
 
 from __future__ import annotations
@@ -47,13 +51,21 @@ DEFAULT_TESTS = ("tests/test_engine_ts.py", "tests/test_engine_ed.py",
 FLIPS = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">",
          "is": "is not", "is not": "is", "in": "not in", "not in": "in",
          "and": "or", "or": "and"}
+# Survivors that no test should kill: (module, function, the mutated line
+# stripped, the text replaced, its replacement) -> why.
+ALLOWED = {
+    ("src/maa/parser.py", "_peek", "return window[min(offset, len(window) - 1)]", "1", "2"):
+        "equivalent: only _stereo_precedes_automaton peeks two or more past EOF, after a"
+        " NAME, which fails its test for '>>' as EOF does",
+}
+
 OPERATOR = re.compile(rb"==|!=|<=|>=|<|>|\bis\s+not\b|\bnot\s+in\b|\bis\b|\bin\b|\band\b|\bor\b")
 
 
-def sites(source: bytes, functions: set[str]) -> list[tuple[int, int, str, str]]:
-    """Every (start, end, operator, function) of a comparison or boolean
-    operator in ``source``, by byte offset, inside one of ``functions`` (any
-    function if it is empty)."""
+def sites(source: bytes, functions: set[str]) -> list[tuple[int, int, str, str, str]]:
+    """Every (start, end, text, replacement, function) of a comparison or
+    boolean operator or an integer constant in ``source``, by byte offset,
+    inside one of ``functions`` (any function if it is empty)."""
     starts = [0]
     for line in source.splitlines(keepends=True):
         starts.append(starts[-1] + len(line))
@@ -62,6 +74,10 @@ def sites(source: bytes, functions: set[str]) -> list[tuple[int, int, str, str]]
     def walk(node: ast.AST, within: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             within = within or (node.name if not functions or node.name in functions else None)
+        if within and isinstance(node, ast.Constant) and type(node.value) is int:
+            start = starts[node.lineno - 1] + node.col_offset
+            end = starts[node.end_lineno - 1] + node.end_col_offset
+            found.append((start, end, source[start:end].decode(), str(node.value + 1), within))
         operands = (node.values if isinstance(node, ast.BoolOp) else
                     [node.left, *node.comparators] if isinstance(node, ast.Compare) else [])
         for left, right in zip(operands, operands[1:]) if within else ():
@@ -71,7 +87,7 @@ def sites(source: bytes, functions: set[str]) -> list[tuple[int, int, str, str]]
             if match is None:  # a position Python does not report exactly
                 continue
             text = re.sub(rb"\s+", b" ", match.group()).decode()
-            found.append((match.start(), match.end(), text, within))
+            found.append((match.start(), match.end(), text, FLIPS[text], within))
         for child in ast.iter_child_nodes(node):
             walk(child, within)
 
@@ -117,17 +133,23 @@ def main() -> int:
             print("the unmutated copy does not pass the subset", file=sys.stderr)
             return 2
         print(f"unmutated: {time.monotonic() - began:.1f} s; {len(chosen)} mutants", flush=True)
-        survivors = 0
-        for start, end, text, function in chosen:
-            target.write_bytes(source[:start] + FLIPS[text].encode() + source[end:])
+        survivors = allowed = 0
+        for start, end, text, replacement, function in chosen:
+            target.write_bytes(source[:start] + replacement.encode() + source[end:])
             began = time.monotonic()
             outcome = pytest(copy, args.tests, args.timeout)
-            survivors += outcome == "passed"
-            status = "SURVIVED" if outcome == "passed" else f"killed ({outcome})"
+            first = source.rfind(b"\n", 0, start) + 1
+            stripped = source[first:source.find(b"\n", start)].decode().strip()
+            why = ALLOWED.get((args.module, function, stripped, text, replacement))
+            status = f"killed ({outcome})"
+            if outcome == "passed":
+                status = "allowed" if why else "SURVIVED"
+                allowed, survivors = allowed + bool(why), survivors + (not why)
             line = source.count(b"\n", 0, start) + 1
-            print(f"{status:18} {args.module}:{line} {function}: '{text}' -> '{FLIPS[text]}'"
-                  f"  {time.monotonic() - began:.1f} s", flush=True)
-    print(f"{len(chosen) - survivors} killed, {survivors} survived")
+            print(f"{status:18} {args.module}:{line} {function}: '{text}' -> '{replacement}'"
+                  f"  {time.monotonic() - began:.1f} s" + (f"  ({why})" if why else ""),
+                  flush=True)
+    print(f"{len(chosen) - survivors - allowed} killed, {survivors} survived, {allowed} allowed")
     return 1 if survivors else 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -124,6 +125,24 @@ def test_undecodable_file_is_a_usage_error(capsys, tmp_path, command):
     assert code == 2
     assert err == f"error: cannot read '{bad}': not UTF-8 text (byte 0)\n"
     assert "Traceback" not in err
+
+
+def test_sim_ts_refuses_zero_cycles(capsys):
+    code, out, err = run(capsys, "sim-ts", *FOLLOW, "--main", "robot.FollowTheLeaderOnline",
+                         "--cycles", "0")
+    assert (code, out, err) == (2, "", "error: --cycles must be at least 1\n")
+
+
+@pytest.mark.parametrize("command, missing, why", [
+    (["sim-ts", *FOLLOW, "--main", "robot.FollowTheLeaderOnline", "--cycles", "2",
+      "--stimulus", "PATH"], True, errno.ENOENT),
+    (["sim-ed", *TOAST, "--main", "robot.ToastArmController", "--script", "PATH"],
+     False, errno.EISDIR),
+], ids=["missing stimulus", "script is a directory"])
+def test_an_unreadable_data_file_is_a_usage_error(capsys, tmp_path, command, missing, why):
+    path = tmp_path / "absent.txt" if missing else tmp_path
+    code, out, err = run(capsys, *(str(path) if arg == "PATH" else arg for arg in command))
+    assert (code, out, err) == (2, "", f"error: cannot read '{path}': {os.strerror(why)}\n")
 
 
 def _read_whole(path) -> object:

@@ -217,7 +217,7 @@ def test_enabled_keeps_order_for_dual_loops():
     rc = model.components["C"]
     auto = rc.ast.automata[0]
     hits = enabled_in(rc, "S", {"p": ABSENT})
-    assert hits == auto.transitions
+    assert hits == list(auto.transitions)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,7 @@ def _batches(text: str, limit: int) -> list:
     batches = [tokenize(text, "b", None, limit)]
     while batches[-1][-1].kind != "EOF":
         batches.append(tokenize(text, "b", batches[-1][-1], limit))
+        assert len(batches) <= len(text) + 1  # a batch holds at least one token
     return batches
 
 
@@ -132,8 +133,6 @@ def _assert_batches_join_to_the_list(text: str, limits) -> None:
     for limit in limits:
         batches = _batches(text, limit)
         assert all(0 < len(batch) <= limit for batch in batches), limit
-        # only the token a batch resumes after holds its end offset
-        assert all(t.end is None for batch in batches for t in batch[:-1]), limit
         assert _fields(t for batch in batches for t in batch) == _fields(whole), limit
 
 
@@ -162,6 +161,41 @@ def test_a_batch_boundary_inside_a_run_of_stereotype_delimiters():
     whole = tokenize(text, "b")
     assert [t.text for t in whole[6:13]] == ["<<", "<<", ">>", ">>", ">", "<<", "<"]
     _assert_batches_join_to_the_list(text, range(1, len(whole) + 2))
+
+
+# Pieces whose joins test the resume rule: a batch matches its last token again
+# at that token's own offset, so a boundary inside a run of symbols or next to
+# a comment, a string or blanks must resume where the whole list goes on.  The
+# last four make lexical errors.
+_RESUME_PIECES = st.one_of(
+    st.from_regex(r"[a-z_][a-z0-9_]{0,3}", fullmatch=True),
+    st.sampled_from(["0", "42", "007", "--", "->", "-", ">", "<", "<<<", ">>>>", "«»", "«", "»",
+                     '"a\\"b"', '"\\\\"', '""', '"x\\\\\\"y"', "// c\n", "//", "// «\r\n",
+                     "/* a */", "/* -> \n */", "/**/", "\r", "\n", "\t", " ", "\r\n",
+                     '"', "/*", "@", '"\\n"']),
+)
+
+
+def _joined(text: str, limit: int):
+    """The fields of a text's batches of ``limit`` tokens, joined, or the
+    offset and message of the LexError that stops them."""
+    try:
+        batches = _batches(text, limit)
+    except LexError as exc:
+        return None, (exc.at, exc.message)
+    assert all(0 < len(batch) <= limit for batch in batches)
+    return _fields(t for batch in batches for t in batch), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RESUME_PIECES, max_size=30).map("".join))
+def test_batches_resume_at_their_last_token_at_every_limit(text):
+    try:
+        whole = _fields(tokenize(text, "b")), None
+    except LexError as exc:  # then no more tokens come before it than characters
+        whole = None, (exc.at, exc.message)
+    for limit in range(1, len(whole[0] or text) + 2):
+        assert _joined(text, limit) == whole, limit
 
 
 def test_a_lexical_error_is_raised_by_the_batch_that_reaches_it():

@@ -22,6 +22,7 @@ from maa.syntax import (
     ELit,
     NoData,
     SequenceValue,
+    Transition,
     TypeDeclUnit,
 )
 
@@ -56,8 +57,8 @@ def test_state_stereotype_parsed():
     unit = parse_model(MODELS / "reference" / "IntegerBuffer4.maa")
     states = unit.component.automata[0].states
     assert [s.name for s in states] == ["S", "T"]
-    assert states[1].stereotypes == ["error"]
-    assert states[0].stereotypes == []
+    assert states[1].stereotypes == ("error",)
+    assert states[0].stereotypes == ()
 
 
 def test_automaton_stereotype_parsed():
@@ -66,7 +67,7 @@ def test_automaton_stereotype_parsed():
     unit = parse_component_file(text, "a")
     assert isinstance(unit, CompilationUnit)
     auto = unit.component.automata[0]
-    assert auto.stereotypes == ["timed"]
+    assert auto.stereotypes == ("timed",)
     assert auto.name == "Machine"
 
 
@@ -108,9 +109,9 @@ def test_value_shapes():
     assert isinstance(unit, CompilationUnit)
     assert unit.component.variables[0].initial == ELit(-1, None)
     trans = unit.component.automata[0].transitions[0]
-    assert trans.input[0].alternatives == [ELit(0, None), ELit(1, None), NoData(None)]
+    assert trans.input[0].alternatives == (ELit(0, None), ELit(1, None), NoData(None))
     seq, neg, nodata = trans.output[0].alternatives
-    assert seq == SequenceValue([ELit(2, None), ELit(3, None)], None)
+    assert seq == SequenceValue((ELit(2, None), ELit(3, None)), None)
     assert neg == ELit(-4, None)
     assert isinstance(nodata, NoData)
 
@@ -196,6 +197,29 @@ def test_the_parser_reads_the_file_in_batches_that_add_up_to_its_tokens(monkeypa
     monkeypatch.undo()
     assert len(lengths) > 3 and max(lengths) == BATCH
     assert sum(lengths) == len(tokenize(text, name))
+
+
+def test_the_parser_lexes_each_batch_when_it_reaches_it(monkeypatch):
+    # The window holds one batch or a few tokens more, so the transitions
+    # parsed when each batch is lexed grow from batch to batch, rather than
+    # every batch being lexed ahead on the first lookahead.
+    w = workloads.generate("wide_automaton", 1, "smoke")
+    [(name, text)] = w.models.items()
+    built, parsed = [], []
+
+    def counted(*args):
+        parsed.append(len(built))
+        return tokenize(*args)
+
+    def transition(*args, **kwargs):
+        built.append(None)
+        return Transition(*args, **kwargs)
+
+    monkeypatch.setattr(maa.parser, "tokenize", counted)
+    monkeypatch.setattr(maa.parser, "Transition", transition)
+    assert isinstance(parse_component_file(text, name), CompilationUnit)
+    assert len(parsed) > 3 and parsed == sorted(parsed)
+    assert parsed[-1] > parsed[1] > 0
 
 
 @pytest.mark.parametrize("text, found", [
@@ -329,13 +353,13 @@ def test_types_file_round():
     unit = parse_types_file(text, "t.types")
     assert isinstance(unit, TypeDeclUnit)
     assert [e.name for e in unit.enums] == ["MotorCmd", "TimerCmd"]
-    assert unit.enums[0].literals == ["FORWARD", "BACKWARD", "STOP"]
+    assert unit.enums[0].literals == ("FORWARD", "BACKWARD", "STOP")
 
 
 def test_types_empty_enum_accepted():
     unit = parse_types_file("package p; enum E { }", "t")
     assert isinstance(unit, TypeDeclUnit)
-    assert unit.enums[0].literals == []
+    assert unit.enums[0].literals == ()
 
 
 def test_types_duplicate_literal_rejected():
@@ -363,7 +387,7 @@ def test_subcomponents_and_connectors():
     unit = parse_model(MODELS / "pipeline" / "Pipeline.maa")
     comp = unit.component
     assert [s.instance for s in comp.subcomponents] == ["src", "arb", "snk"]
-    assert comp.subcomponents[1].type_args == ["Integer"]
+    assert comp.subcomponents[1].type_args == ("Integer",)
     assert len(comp.connectors) == 5
     first = comp.connectors[0]
     assert (first.source.instance, first.source.port) == (None, "mode")
@@ -375,7 +399,7 @@ def test_subcomponents_and_connectors():
 # ---------------------------------------------------------------------------
 
 def _reachable(node):
-    """Every node, list and field value reachable from ``node``, each once."""
+    """Every node, sequence and field value reachable from ``node``, each once."""
     seen, stack = set(), [node]
     while stack:
         value = stack.pop()
@@ -383,17 +407,31 @@ def _reachable(node):
             continue
         seen.add(id(value))
         yield value
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             stack.extend(value)
         elif dataclasses.is_dataclass(value):
             stack.extend(getattr(value, f.name) for f in dataclasses.fields(value))
 
 
-def test_a_parsed_transition_is_slotted_located_by_offset_and_under_1600_bytes():
+def test_no_parsed_corpus_or_workload_tree_holds_a_list():
+    texts = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(MODELS.rglob("*"))
+             if p.suffix in (".maa", ".types")]
+    for name in workloads.WORKLOADS:
+        w = workloads.generate(name, 1, "smoke")
+        texts += [*w.models.items(), *w.types.items()]
+    for name, text in texts:
+        parse = parse_types_file if name.endswith(".types") else parse_component_file
+        unit = parse(text, name)
+        assert isinstance(unit, (CompilationUnit, TypeDeclUnit)), unit
+        assert [v for v in _reachable(unit) if isinstance(v, list)] == [], name
+
+
+def test_a_parsed_transition_is_slotted_tupled_located_by_offset_and_under_1350_bytes():
     # The tree is held for the whole of every subcommand: its nodes have no
-    # __dict__, hold an int offset where a location was, and share one string
-    # per distinct name.  Counted, not timed; about 2.7 KB per transition
-    # when nodes were dataclasses holding a SourceLoc each.
+    # __dict__, its sequences are tuples, it holds an int offset where a
+    # location was, and shares one string per distinct name.  Counted, not
+    # timed; about 2.7 KB per transition when nodes were dataclasses holding a
+    # SourceLoc each, and about 1.4 KB when sequences were lists.
     w = workloads.generate("wide_automaton", 1, states=10, per_state=50)
     [(name, text)] = w.models.items()
     tracemalloc.start()
@@ -408,10 +446,11 @@ def test_a_parsed_transition_is_slotted_located_by_offset_and_under_1600_bytes()
     nodes = [v for v in values if dataclasses.is_dataclass(v)]
     assert len(nodes) > 10 * len(transitions)
     assert [type(n).__name__ for n in nodes if hasattr(n, "__dict__")] == []
+    assert [v for v in values if isinstance(v, list)] == []
     assert [v for v in values if isinstance(v, SourceLoc)] == []
     assert all(type(n.at) is int for n in nodes if hasattr(n, "at"))
     names = [t.text for t in tokenize(text, name) if t.kind == "NAME"]
     assert len({id(n) for n in names}) == len(set(names)) < 100
     strings = [v for v in values if isinstance(v, str)]
     assert len({id(s) for s in strings}) == len(set(strings))
-    assert retained / len(transitions) < 1600, retained
+    assert retained / len(transitions) < 1350, retained

@@ -83,7 +83,7 @@ _leaves = st.one_of(
 _values = st.one_of(
     _leaves,
     st.just(NoData(None)),
-    st.lists(_leaves, max_size=4).map(lambda xs: SequenceValue(xs, None)),
+    st.lists(_leaves, max_size=4).map(lambda xs: SequenceValue(tuple(xs), None)),
 )
 
 
