@@ -33,6 +33,7 @@ from .engine import (
     build_plan,
     enumerate_ts,
     iter_ed,
+    iter_enumerate_ts,
     iter_ts,
     run_ed,
     run_ts,

@@ -31,9 +31,9 @@ from .engine import (
     SetupError,
     SimulationError,
     Slot,
-    enumerate_ts,
     format_value,
     iter_ed,
+    iter_enumerate_ts,
     iter_ts,
 )
 from .lexer import LexError
@@ -334,13 +334,13 @@ def _cmd_sim_ts(args) -> int:
     header = "\t".join(["cycle", *(f"in:{p}" for p in rc.in_ports),
                         *(f"out:{p}" for p in rc.out_ports), "state"])
     if args.enumerate_all or args.policy == "enumerate":
-        traces = enumerate_ts(model, main, stimulus, args.cycles, args.bound)
-        separator = ""
-        for trace in traces:
-            print(separator + "\n".join([header, *(_row(r, rc.in_ports, rc.out_ports)
-                                                   for r in trace.records)]))
-            separator = "\n"
-        print(f"traces: {len(traces)}")
+        # each block is written as the walk over the trace graph reaches it
+        count = 0
+        for trace in iter_enumerate_ts(model, main, stimulus, args.cycles, args.bound):
+            print(("\n" if count else "") + "\n".join(
+                [header, *(_row(r, rc.in_ports, rc.out_ports) for r in trace.records)]))
+            count += 1
+        print(f"traces: {count}")
         return EXIT_OK
     # each row is written as its cycle completes, so an error keeps those before it
     for record in iter_ts(model, main, stimulus, args.cycles, _policy_from(args)):

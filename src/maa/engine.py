@@ -25,14 +25,17 @@ runtime values (:data:`ABSENT`, :class:`EnumValue`, ``Value``, ``Slot``) and
 module imports them, so they are also ``maa.engine`` names.
 
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
-initial states) is resolved by a :class:`Policy`; ``enumerate_ts`` instead
-expands every choice point and returns the exact reachable trace set, serving
-as a brute-force oracle for the policy-driven engines.  Every run starts with
-an ordinary step out of :data:`PRE_START`, where :func:`_start` puts each
-instance with its variables initialised, and every instance fires through
-:func:`_successors`: in the time-synchronous step, :func:`_step`, wired by
-index (a policy follows one branch, the enumerator every branch, with equal
-successors merged), or in :func:`iter_ed` once to start and once per event.
+initial states) is resolved by a :class:`Policy`; :func:`iter_enumerate_ts`
+and ``enumerate_ts`` instead expand every choice point and give the exact
+reachable trace set, serving as an oracle for the policy-driven engines.
+They build the trace graph a cycle at a time, stepping each distinct joint
+state of a cycle once, count its paths as they go, and then walk it to
+stream the traces in sorted order.  Every run starts with an ordinary step
+out of :data:`PRE_START`, where :func:`_start` puts each instance with its
+variables initialised, and every instance fires through :func:`_successors`:
+in the time-synchronous step, :func:`_step`, wired by index (a policy follows
+one branch, the enumerator every branch, with equal successors merged), or
+in :func:`iter_ed` once to start and once per event.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .resolution import (
     TypeRef,
     substitute_type,
 )
+from .syntax import InitialDecl
 
 
 class SetupError(Exception):
@@ -123,9 +127,10 @@ def _every_branch(options: list) -> list[tuple]:
 #
 # Code that runs every cycle builds lists and maps, not generators: a
 # generator that a MemoryError leaves suspended needs memory to be closed, so
-# the run could not end in one line of ``internal error``.  The only yields per
-# cycle or per event are those of :func:`iter_ts` and :func:`iter_ed`, whose
-# callers stream a run's records.
+# the run could not end in one line of ``internal error``.  The only yields
+# are those of :func:`iter_ts` and :func:`iter_ed`, one per cycle or event,
+# and of :func:`iter_enumerate_ts`, one per trace once its graph is built,
+# whose callers stream a run's records.
 
 @dataclass(frozen=True)
 class ComponentState:
@@ -229,16 +234,25 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
     A model with an error that resolution or a rule of every profile reports
     is refused: :class:`SetupError` carries the first, rendered as ``maa
-    check`` renders it.  Each component's automaton is lowered once, however
-    many instances it has.
+    check`` renders it.  So is a tree that a library caller built with a
+    list where the parser builds a tuple, once hashing a node of it fails
+    (see :func:`_refuse_lists`).  Each component's automaton is lowered
+    once, however many instances it has.
     """
     if main not in model.components:
         raise SetupError(f"unknown main component '{main}'")
-    errors = [d for d in model.diagnostics + check(model) if d.severity == ERROR]
-    if errors:
-        raise SetupError(min(errors, key=Diagnostic.sort_key).render())
-    root = model.components[main]
+    try:
+        errors = [d for d in model.diagnostics + check(model) if d.severity == ERROR]
+        if errors:
+            raise SetupError(min(errors, key=Diagnostic.sort_key).render())
+        return _flatten(model, model.components[main])
+    except TypeError:
+        _refuse_lists(model)
+        raise
 
+
+def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
+    """The plan of a well-formed ``root``: its atomic instances, wired by index."""
     instances: list[AtomicInstance] = []
     edges: dict[tuple[str, str], tuple[str, str]] = {}
     lowered: dict[str, LoweredAutomaton] = {}
@@ -292,6 +306,23 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
         inst.wires = [wire(port, (inst.path, port)) for port in inst.rc.in_ports]
     return SystemPlan(model, root, instances,
                       [wire(port, ("", port)) for port in root.out_ports])
+
+
+def _refuse_lists(model: ResolvedModel) -> None:
+    """Refuses a transition or initial declaration whose blocks, entries or
+    sequence values hold a list: the checks and lowering memoize on these
+    nodes, which hash by structure only when their sequences are tuples."""
+    for rc in model.components.values():
+        for automaton in rc.ast.automata:
+            for node in (*automaton.initials, *automaton.transitions):
+                initial = isinstance(node, InitialDecl)
+                try:
+                    hash(node.output if initial else (node.input, node.output))
+                except TypeError:
+                    what = (f"initial declaration of '{node.state}'" if initial
+                            else f"transition '{node.source} -> {node.target}'")
+                    raise SetupError(f"{rc.unit.locator.loc(node.at)}: the {what} holds a "
+                                     "list; the sequences of a parsed tree are tuples") from None
 
 
 def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
@@ -382,14 +413,19 @@ def _sent(inst: AtomicInstance, cs: ComponentState,
     return sent
 
 
+def _key(cs: ComponentState, sent: dict[str, Value]) -> tuple:
+    """The hashable form of one instance's (state, sent): its state, its
+    variables and the messages it sent, compared type-exactly."""
+    return (cs.freeze(), frozenset([(port, _freeze_value(v)) for port, v in sent.items()]))
+
+
 def _distinct(successors: list[tuple]) -> list[tuple]:
     """One instance's (state, sent) successors with equal ones merged, the
     first of each kept.  Equal siblings have equal subtrees, so merging them
     before the joint product loses no trace."""
     merged: dict[tuple, tuple] = {}
     for cs, sent in successors:
-        key = (cs.freeze(), frozenset([(port, _freeze_value(v)) for port, v in sent.items()]))
-        merged.setdefault(key, (cs, sent))
+        merged.setdefault(_key(cs, sent), (cs, sent))
     return list(merged.values())
 
 
@@ -495,62 +531,124 @@ def run_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration (oracle)
 # ---------------------------------------------------------------------------
+#
+# The trace graph: a node of level k is the set of joint states that one
+# prefix of k records reaches, held as a map from joint key to joint state,
+# and its edges go to the nodes its successors reach, one per distinct next
+# record (the subset construction over records).  Equal nodes of one level
+# are one node, so every distinct trace is exactly one path from the root.
 
-def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
-                 n_cycles: int, bound: int = 1024) -> list[Trace]:
-    """Every trace reachable by some resolution of all choice points.
+def _joint_key(state: tuple) -> tuple:
+    """The hashable form of a joint state: equal keys have equal futures."""
+    return tuple([_key(cs, sent) for cs, sent in state])
 
-    Deduplicated; raises :class:`EnumerationOverflow` when more than ``bound``
-    distinct traces would be produced.  The search is depth-first over an
-    explicit stack, which holds the path to the node it expands, so its depth
-    is not limited by the run's length.  An instance's equal successors, which
-    keep no message that no connector reads, are merged before they are
-    combined, so the work grows with distinct observable successors, not with
-    branches, and they are combined one joint successor at a time, so the work
-    before an overflow grows with the traces found, not with the joint product.
-    Stimulus row k is read and checked when the search first reaches cycle k,
-    so a run that fails early reads no further.
+
+def _recorded(plan: SystemPlan, index: int, external: dict[str, Slot],
+              observed: dict[str, Slot], state: tuple) -> tuple:
+    """(frozen record, record, joint key, joint state) of one joint successor."""
+    record = _record(plan, index, external, observed, state)
+    return record.freeze(), record, _joint_key(state), state
+
+
+def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int,
+                 bound: int) -> list[list[list[tuple[CycleRecord, int]]]]:
+    """The edges of the trace graph, per level and per node: (record, index
+    of the child node in the next level), sorted by frozen record.  Only
+    edges are kept: a level's joint states are dropped once the next level
+    is built.  See :func:`iter_enumerate_ts`."""
+    _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
+    # the root's joint states are drawn and stepped one at a time
+    nodes: list = [map(lambda state: (_joint_key(state), state), starts)]
+    counts = [1]  # the record prefixes that reach each node
+    graph = []
+    for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
+        fired: dict[tuple, list] = {}  # joint key -> _recorded(...) of each successor
+        children: dict[frozenset, int] = {}
+        level, child_nodes, child_counts, total = [], [], [], 0
+        for node, count in zip(nodes, counts):
+            groups: dict[tuple, tuple[CycleRecord, dict]] = {}
+            for key, state in node:
+                successors = fired.get(key)
+                fresh = successors is None
+                if fresh:
+                    successors = fired[key] = []
+                    observed, joint = _step(plan, state, external, _every_branch, index)
+                    items = map(lambda successor: _recorded(
+                        plan, index, external, observed, successor), joint)
+                else:
+                    items = successors
+                for item in items:
+                    if fresh:
+                        successors.append(item)
+                    frozen, record, successor_key, successor = item
+                    group = groups.get(frozen)
+                    if group is None:
+                        total += count
+                        if total > bound:
+                            raise EnumerationOverflow(
+                                f"more than {bound} distinct traces; raise the bound")
+                        group = groups[frozen] = (record, {})
+                    group[1].setdefault(successor_key, successor)
+            edges = []
+            for frozen in sorted(groups):
+                record, child = groups[frozen]
+                k = children.setdefault(frozenset(child), len(children))
+                if k == len(child_nodes):
+                    child_nodes.append(child.items())
+                    child_counts.append(0)
+                child_counts[k] += count
+                edges.append((record, k))
+            level.append(edges)
+        graph.append(level)
+        nodes, counts = child_nodes, child_counts
+    return graph
+
+
+def iter_enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
+                      n_cycles: int, bound: int = 1024) -> Iterator[Trace]:
+    """Every trace reachable by some resolution of all choice points, each
+    once, yielded one at a time in the order of their frozen records.
+
+    The trace graph is built level by level, one cycle each, before the first
+    trace is yielded, reading stimulus row k at level k.  Each distinct joint
+    state of a level is stepped, and its successors recorded, once, however
+    many nodes hold it; an instance's equal successors, which keep no message
+    that no connector reads, are merged before the joint product, whose
+    members are drawn one at a time.  Every joint state has a successor, so
+    the number of distinct record prefixes, counted while the graph is built,
+    never falls from one level to the next, and :class:`EnumerationOverflow`
+    is raised as soon as it passes ``bound``, before any trace is built.
+    What is reported is the first error or overflow met, level by level: a
+    runtime error of the earliest failing cycle, or a refused stimulus row,
+    unless the traces overflow in an earlier cycle.  A depth-first walk over
+    the edges, in order, then yields the traces, so the memory of a run grows
+    with the graph, not with the number of traces.
     """
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
     if bound < 1:
         raise SetupError("the enumeration bound must be at least 1")
-    plan = build_plan(model, main)
-    source = _rows(plan, stimulus, n_cycles)
-    rows: list[dict[str, Slot]] = []
-
-    # A frame is (successors, cycle, external, observed, record, frozen): the
-    # lazy joint product of one step in that cycle, what it read and observed,
-    # and the record of the state it steps from, frozen once however many
-    # traces it starts; so stack[2:] holds the records of a leaf's trace.  The
-    # step out of pre-start, cycle 0, and the step after it have no record.
-    _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
-    stack = [(starts, 0, None, None, None, None)]
-    results: dict[tuple, Trace] = {}
+    graph = _trace_graph(build_plan(model, main), stimulus, n_cycles, bound)
+    path: list[CycleRecord] = []
+    stack = [iter(graph[0][0])]
     while stack:
-        successors, index, external, observed, _, _ = stack[-1]
-        state = next(successors, None)
-        if state is None:
+        edge = next(stack[-1], None)
+        if edge is None:
             stack.pop()
             continue
-        record = frozen = None
-        if index:
-            record = _record(plan, index, external, observed, state)
-            frozen = record.freeze()
-        if index == n_cycles:
-            key = (*[frame[5] for frame in stack[2:]], frozen)  # the frozen records
-            if key not in results:
-                if len(results) >= bound:
-                    raise EnumerationOverflow(
-                        f"more than {bound} distinct traces; raise the bound")
-                results[key] = Trace([*[frame[4] for frame in stack[2:]], record])
-            continue
-        if index == len(rows):
-            rows.append(next(source))
-        external = rows[index]
-        observed, successors = _step(plan, state, external, _every_branch, index + 1)
-        stack.append((successors, index + 1, external, observed, record, frozen))
-    return [results[key] for key in sorted(results)]
+        depth = len(stack)
+        del path[depth - 1:]
+        path.append(edge[0])
+        if depth == n_cycles:
+            yield Trace(list(path))
+        else:
+            stack.append(iter(graph[depth][edge[1]]))
+
+
+def enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
+                 n_cycles: int, bound: int = 1024) -> list[Trace]:
+    """The traces of :func:`iter_enumerate_ts`, in their order."""
+    return list(iter_enumerate_ts(model, main, stimulus, n_cycles, bound))
 
 
 # ---------------------------------------------------------------------------

@@ -280,8 +280,9 @@ def test_closed_stdout_during_a_runtime_error_exits_two_without_a_message(tmp_pa
 def test_out_of_memory_exit_four_in_one_line(tmp_path):
     # A run too long for its memory: the handler must report the MemoryError
     # after the failed run's frames are freed, not die printing a traceback.
-    # Enumeration keeps one frame per cycle on its stack, each with a record,
-    # and the rows it has read, so a long enough run exhausts the memory limit.  Interpreter
+    # Enumeration keeps one level of its trace graph per cycle, each with the
+    # records of its edges, so a long enough run exhausts the memory limit
+    # while it builds the graph, before any trace is printed.  Interpreter
     # start and imports take about 21 MB of address space; the smaller the
     # limit above that, the sooner the run reaches the handler.
     resource = pytest.importorskip("resource")
@@ -480,13 +481,15 @@ def test_initialiser_reading_a_later_variable_is_a_runtime_error(capsys, tmp_pat
     assert (code, out, err) == (3, "", "runtime error: unresolved name 'w' at runtime\n")
 
 
-# Runs the command in its arguments and prints its exit code and peak RSS.  A
-# child's ru_maxrss starts from the RSS of the process that forked it, so the
+# Runs the command after its first argument, with standard output to the file
+# that argument names, and prints its exit code and peak RSS.  A child's
+# ru_maxrss starts from the RSS of the process that forked it, so the
 # children are forked by this small process rather than by pytest.
 LAUNCHER = """
 import os, subprocess, sys
-child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-_, status, usage = os.wait4(child.pid, 0)
+with open(sys.argv[1], "w") as out:
+    child = subprocess.Popen(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
@@ -499,8 +502,8 @@ def test_sim_ts_memory_does_not_grow_with_the_run(tmp_path):
 
     def peak_kb(cycles: int) -> int:
         launched = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "maa.cli", "sim-ts",
-             str(model), "--main", "B", "--cycles", str(cycles)],
+            [sys.executable, "-c", LAUNCHER, os.devnull, sys.executable, "-m", "maa.cli",
+             "sim-ts", str(model), "--main", "B", "--cycles", str(cycles)],
             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
             capture_output=True, text=True, check=True)
         code, peak = map(int, launched.stdout.split())
@@ -508,6 +511,30 @@ def test_sim_ts_memory_does_not_grow_with_the_run(tmp_path):
         return peak  # KB on Linux
 
     assert peak_kb(10**5) - peak_kb(10**4) <= 5 * 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs a child's own rusage")
+def test_sim_ts_enumerate_memory_grows_with_the_graph_not_the_traces(tmp_path):
+    # enum_branching has one node per cycle in the trace graph, so depth 14
+    # prints 128 times the traces of depth 10 from a graph of 14 levels: the
+    # blocks are written as the walk reaches them, and none is kept
+    def peak_kb(depth: int) -> int:
+        w = workloads.generate("enum_branching", 1, depth=depth)
+        [(name, text)] = w.models.items()
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = tmp_path / f"out{depth}.txt"
+        launched = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, str(out), sys.executable, "-m", "maa.cli",
+             "sim-ts", str(tmp_path / name), "--main", w.main, "--cycles", str(depth),
+             "--enumerate", "--bound", str(len(w.expected_traces))],
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            capture_output=True, text=True, check=True)
+        code, peak = map(int, launched.stdout.split())
+        assert code == 0
+        assert out.read_text(encoding="utf-8").endswith(f"traces: {2 ** (depth - 1)}\n")
+        return peak  # KB on Linux
+
+    assert peak_kb(14) - peak_kb(10) < 5 * 1024
 
 
 def test_sim_ts_enumerate_output(capsys, tmp_path):
@@ -867,8 +894,8 @@ def test_sim_ed_memory_does_not_grow_with_the_script(tmp_path):
         script.write_text("".join(f"p {k % 2}\nq {k % 10}\n" for k in range(events // 2)),
                           encoding="utf-8")
         launched = subprocess.run(
-            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "maa.cli", "sim-ed",
-             str(model), "--main", "F", "--script", str(script)],
+            [sys.executable, "-c", LAUNCHER, os.devnull, sys.executable, "-m", "maa.cli",
+             "sim-ed", str(model), "--main", "F", "--script", str(script)],
             env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
             capture_output=True, text=True, check=True)
         code, peak = map(int, launched.stdout.split())

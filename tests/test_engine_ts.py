@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from maa.engine import (
     SetupError,
     SimulationError,
     enumerate_ts,
+    iter_enumerate_ts,
     iter_ts,
     lower,
     run_ed,
@@ -924,6 +926,50 @@ def test_runs_that_cannot_start_are_refused(texts, types, main, message):
         assert str(raised.value) == message
 
 
+def _listed(automaton, where: str):
+    """``automaton`` with one list where the parser builds a tuple."""
+    initial, transition = automaton.initials[0], automaton.transitions[0]
+    match, assign = transition.input[0], transition.output[0]
+    seq = assign.alternatives[0]
+    if where == "initial output":
+        return dataclasses.replace(automaton, initials=(
+            dataclasses.replace(initial, output=list(initial.output)),))
+    transition = dataclasses.replace(transition, **{
+        "input": {"input": list(transition.input)},
+        "output": {"output": list(transition.output)},
+        "alternatives": {"input": (dataclasses.replace(
+            match, alternatives=list(match.alternatives)),)},
+        "sequence": {"output": (dataclasses.replace(assign, alternatives=(
+            dataclasses.replace(seq, elements=list(seq.elements)),
+            *assign.alternatives[1:])),)},
+    }[where])
+    return dataclasses.replace(automaton, transitions=(transition,))
+
+
+@pytest.mark.parametrize("where, message", [
+    ("input", "transition 'S -> S'"),
+    ("output", "transition 'S -> S'"),
+    ("alternatives", "transition 'S -> S'"),
+    ("sequence", "transition 'S -> S'"),
+    ("initial output", "initial declaration of 'S'"),
+])
+def test_a_tree_built_with_lists_is_refused(where, message):
+    # lowering and the checks memoize on the nodes of the tree, which hash
+    # only when their sequences are tuples
+    unit = parse_component_file(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S / o = 1; S p = 1 | 2 / o = [1, 2] | 3; } }", "m.maa")
+    unit.component.automata = (_listed(unit.component.automata[0], where),)
+    model, diags = resolve([unit], [])
+    assert diags == []
+    at = "m.maa:1:78" if where == "initial output" else "m.maa:1:89"
+    for run in (run_ts, enumerate_ts):
+        with pytest.raises(SetupError) as raised:
+            run(model, "C", [], 1)
+        assert str(raised.value) == (
+            f"{at}: the {message} holds a list; the sequences of a parsed tree are tuples")
+
+
 @pytest.mark.parametrize("run", [run_ts, enumerate_ts])
 def test_a_run_needs_at_least_one_cycle(follow_model, run):
     with pytest.raises(SetupError, match="^a run needs at least one cycle$"):
@@ -1034,7 +1080,9 @@ def test_enumerate_long_run_has_no_depth_limit():
 
 def test_enumerate_freezes_each_record_once(monkeypatch):
     # four enabled loops, two distinct outputs: equal successors are merged,
-    # so 2 + 4 + 8 + 16 records are built for 8 distinct traces of 4 cycles
+    # and the two joint states of each cycle after the first are stepped once
+    # for the one node that holds both, so 2 + 4 + 4 + 4 records are built
+    # for 8 distinct traces of 4 cycles
     model = small_model(
         "component C { port in Integer p, out Integer o; automaton {"
         " state S; initial S; S / o = 1; S / o = 2; S / o = 1; S / o = 2; } }")
@@ -1052,7 +1100,7 @@ def test_enumerate_freezes_each_record_once(monkeypatch):
     monkeypatch.setattr(engine.CycleRecord, "freeze", counting_freeze)
     monkeypatch.setattr(engine, "_record", counting_record)
     traces = enumerate_ts(model, "C", [], 4, bound=64)
-    assert counts["record"] == 2 + 4 + 8 + 16
+    assert counts["record"] == 2 + 4 + 4 + 4
     assert counts["freeze"] <= counts["record"]
     monkeypatch.undo()
     keys = [trace_key(t) for t in traces]
@@ -1162,7 +1210,7 @@ def records(monkeypatch):
     return calls
 
 
-def test_enumerate_work_on_a_generated_composition_grows_with_its_traces(records):
+def test_enumerate_work_on_a_generated_composition_grows_with_its_traces(records, monkeypatch):
     # c0.y is read by no connector; keeping its sends built 382 000 records
     # for these 16 traces (this gate comes first, as it fails in seconds
     # where the next one would run for minutes)
@@ -1170,15 +1218,54 @@ def test_enumerate_work_on_a_generated_composition_grows_with_its_traces(records
     traces = enumerate_ts(model, main, [], 4)
     assert len(records) <= 1000
     assert len(traces) == 16
+    # the traces are counted while the graph is built: the overflow comes
+    # before any of them is built
+    built = []
+    monkeypatch.setattr(engine, "Trace", lambda records: built.append(records))
     with pytest.raises(EnumerationOverflow) as raised:
         enumerate_ts(model, main, [], 4, bound=15)
     assert str(raised.value) == "more than 15 distinct traces; raise the bound"
+    assert built == []
+
+
+def test_enumerate_steps_each_joint_state_once_per_cycle(monkeypatch):
+    # The trace graph of this composition holds 266 distinct (cycle, joint
+    # state) pairs, the step out of pre-start included; a search of the tree
+    # of record prefixes took 7 034 steps and built 72 462 records.
+    model, main = genmodels.random_composition(random.Random("0:20"))
+    counts = {"_step": 0, "_record": 0}
+    for name in counts:
+        def counting(*args, name=name, original=getattr(engine, name)):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(engine, name, counting)
+    traces = enumerate_ts(model, main, [], 4, bound=10**5)
+    assert counts["_step"] <= 266
+    assert counts["_record"] <= 3000
+    monkeypatch.undo()
+    keys = [trace_key(t) for t in traces]
+    assert len(keys) == 17493 and keys == sorted(keys)
+
+
+def test_enumerate_reports_the_first_error_level_by_level():
+    # A fails in cycle 3 and B, by way of B2, in cycle 2 (p is absent): the
+    # graph is built a cycle at a time, so the earlier cycle's error is
+    # reported whichever branch comes first
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S, A, B, B2; initial S; S -> B; S -> A; A / o = p; B -> B2; B2 / o = p; } }")
+    with pytest.raises(SimulationError) as raised:
+        enumerate_ts(model, "C", [], 4)
+    assert str(raised.value) == "cycle 2: forwarding absent message from port 'p'"
+    # and an overflow in cycle 1 comes before the error of cycle 2
+    with pytest.raises(EnumerationOverflow, match="^more than 1 distinct traces"):
+        enumerate_ts(model, "C", [], 4, bound=1)
 
 
 def test_enumerate_drops_sends_that_no_connector_reads(records):
     # four instances with four distinct sends each, of which only c0's are
     # read: the other instances' sends are dropped where they are sent, so
-    # their successors merge, and 84 records are built for 16 traces
+    # their successors merge, and 36 records are built for 16 traces
     one = ("component One { port out Integer o; automaton {"
            " state S; initial S; S / {o = 1 | 2 | 3 | 4}; } }")
     many = ("component Many { port out Integer o;"
@@ -1197,6 +1284,17 @@ def test_enumerate_merges_a_sent_absence_with_silence(records):
     traces = enumerate_ts(model, "C", [], 3)
     assert len(records) == 3
     assert [out_column(t, "o") for t in traces] == [[ABSENT] * 3]
+
+
+def test_enumerate_bound_defaults_to_1024():
+    # one choice a cycle, observed a cycle later: 2^(n - 1) traces of n cycles
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton {"
+        " state S; initial S; S / o = 1 | 2; } }")
+    for run in (enumerate_ts, lambda *args: list(iter_enumerate_ts(*args))):
+        assert len(run(model, "C", [], 11)) == 1024
+        with pytest.raises(EnumerationOverflow, match="^more than 1024 distinct traces"):
+            run(model, "C", [], 12)
 
 
 def test_enumerate_bound_must_be_positive(follow_model):
