@@ -29,8 +29,9 @@ initial states) is resolved by a :class:`Policy`; :func:`iter_enumerate_ts`
 and ``enumerate_ts`` instead expand every choice point and give the exact
 reachable trace set, serving as an oracle for the policy-driven engines.
 They build the trace graph a cycle at a time, stepping each distinct joint
-state of a cycle once, count its paths as they go, and then walk it to
-stream the traces in sorted order.  Every run starts with an ordinary step
+state of a cycle once and freezing each state once, count its paths as they
+go, keep only the edges of the last cycle, and then walk it to stream the
+traces in sorted order.  Every run starts with an ordinary step
 out of :data:`PRE_START`, where :func:`_start` puts each instance with its
 variables initialised, and every instance fires through :func:`_successors`:
 in the time-synchronous step, :func:`_step`, wired by index (a policy follows
@@ -43,6 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .checks import check
@@ -130,7 +132,8 @@ def _every_branch(options: list) -> list[tuple]:
 # the run could not end in one line of ``internal error``.  The only yields
 # are those of :func:`iter_ts` and :func:`iter_ed`, one per cycle or event,
 # and of :func:`iter_enumerate_ts`, one per trace once its graph is built,
-# whose callers stream a run's records.
+# whose callers stream a run's records.  A state computes its frozen form,
+# which every key and record reads, once; a policy run computes none.
 
 @dataclass(frozen=True)
 class ComponentState:
@@ -140,7 +143,8 @@ class ComponentState:
     state: Optional[str]  # None for an automaton-less instance
     variables: dict[str, Value] = field(default_factory=dict)
 
-    def freeze(self) -> tuple:
+    @cached_property
+    def frozen(self) -> tuple:
         return (self.state, tuple(sorted([
             (k, _freeze_value(v)) for k, v in self.variables.items()])))
 
@@ -157,7 +161,7 @@ class CycleRecord:
             self.index,
             tuple(sorted([(k, _freeze_slot(v)) for k, v in self.inputs.items()])),
             tuple(sorted([(k, _freeze_slot(v)) for k, v in self.outputs.items()])),
-            tuple(sorted([(k, s.freeze()) for k, s in self.states.items()])),
+            tuple(sorted([(k, s.frozen) for k, s in self.states.items()])),
         )
 
 
@@ -330,8 +334,8 @@ def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
     return {port: sources[k].get(name, ABSENT) for port, k, name in wires}
 
 
-def default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
-                  model: ResolvedModel) -> Value:
+def _default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
+                   model: ResolvedModel) -> Value:
     """Type default for a variable read before any assignment: ``0``,
     ``false``, ``""`` or the enum's first literal."""
     ref = substitute_type(ref, subst)
@@ -355,7 +359,7 @@ def _start(inst: AtomicInstance, model: ResolvedModel) -> ComponentState:
     variables: dict[str, Value] = {}
     for name, (initial, declared) in inst.behaviour.variables.items():
         if initial is None:
-            variables[name] = default_value(declared, inst.subst, model)
+            variables[name] = _default_value(declared, inst.subst, model)
             continue
         try:
             variables[name] = initial({}, variables)
@@ -416,7 +420,7 @@ def _sent(inst: AtomicInstance, cs: ComponentState,
 def _key(cs: ComponentState, sent: dict[str, Value]) -> tuple:
     """The hashable form of one instance's (state, sent): its state, its
     variables and the messages it sent, compared type-exactly."""
-    return (cs.freeze(), frozenset([(port, _freeze_value(v)) for port, v in sent.items()]))
+    return (cs.frozen, frozenset([(port, _freeze_value(v)) for port, v in sent.items()]))
 
 
 def _distinct(successors: list[tuple]) -> list[tuple]:
@@ -543,44 +547,36 @@ def _joint_key(state: tuple) -> tuple:
     return tuple([_key(cs, sent) for cs, sent in state])
 
 
-def _recorded(plan: SystemPlan, index: int, external: dict[str, Slot],
-              observed: dict[str, Slot], state: tuple) -> tuple:
-    """(frozen record, record, joint key, joint state) of one joint successor."""
-    record = _record(plan, index, external, observed, state)
-    return record.freeze(), record, _joint_key(state), state
-
-
 def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int,
-                 bound: int) -> list[list[list[tuple[CycleRecord, int]]]]:
+                 bound: int) -> list[list[list[tuple[CycleRecord, Optional[int]]]]]:
     """The edges of the trace graph, per level and per node: (record, index
-    of the child node in the next level), sorted by frozen record.  Only
-    edges are kept: a level's joint states are dropped once the next level
-    is built.  See :func:`iter_enumerate_ts`."""
+    of the child node in the next level, None in the last), sorted by frozen
+    record.  Only edges are kept: a level's joint states are dropped once the
+    next level is built.  See :func:`iter_enumerate_ts`."""
     _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
     # the root's joint states are drawn and stepped one at a time
     nodes: list = [map(lambda state: (_joint_key(state), state), starts)]
     counts = [1]  # the record prefixes that reach each node
     graph = []
     for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
-        fired: dict[tuple, list] = {}  # joint key -> _recorded(...) of each successor
+        last = index == n_cycles
+        fired: dict[tuple, list] = {}  # joint key -> (frozen record, record, child) each
         children: dict[frozenset, int] = {}
         level, child_nodes, child_counts, total = [], [], [], 0
         for node, count in zip(nodes, counts):
             groups: dict[tuple, tuple[CycleRecord, dict]] = {}
             for key, state in node:
-                successors = fired.get(key)
+                items = successors = fired.get(key)
                 fresh = successors is None
                 if fresh:
                     successors = fired[key] = []
-                    observed, joint = _step(plan, state, external, _every_branch, index)
-                    items = map(lambda successor: _recorded(
-                        plan, index, external, observed, successor), joint)
-                else:
-                    items = successors
+                    observed, items = _step(plan, state, external, _every_branch, index)
                 for item in items:
-                    if fresh:
+                    if fresh:  # a joint successor; the last level, which none reads, has no child
+                        record = _record(plan, index, external, observed, item)
+                        item = record.freeze(), record, None if last else (_joint_key(item), item)
                         successors.append(item)
-                    frozen, record, successor_key, successor = item
+                    frozen, record, child = item
                     group = groups.get(frozen)
                     if group is None:
                         total += count
@@ -588,16 +584,18 @@ def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles
                             raise EnumerationOverflow(
                                 f"more than {bound} distinct traces; raise the bound")
                         group = groups[frozen] = (record, {})
-                    group[1].setdefault(successor_key, successor)
+                    if child:
+                        group[1].setdefault(*child)
             edges = []
             for frozen in sorted(groups):
                 record, child = groups[frozen]
-                k = children.setdefault(frozenset(child), len(children))
-                if k == len(child_nodes):
-                    child_nodes.append(child.items())
-                    child_counts.append(0)
-                child_counts[k] += count
-                edges.append((record, k))
+                if child:
+                    k = children.setdefault(frozenset(child), len(children))
+                    if k == len(child_nodes):
+                        child_nodes.append(child.items())
+                        child_counts.append(0)
+                    child_counts[k] += count
+                edges.append((record, k if child else None))
             level.append(edges)
         graph.append(level)
         nodes, counts = child_nodes, child_counts
@@ -612,17 +610,18 @@ def iter_enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[s
     The trace graph is built level by level, one cycle each, before the first
     trace is yielded, reading stimulus row k at level k.  Each distinct joint
     state of a level is stepped, and its successors recorded, once, however
-    many nodes hold it; an instance's equal successors, which keep no message
-    that no connector reads, are merged before the joint product, whose
-    members are drawn one at a time.  Every joint state has a successor, so
-    the number of distinct record prefixes, counted while the graph is built,
-    never falls from one level to the next, and :class:`EnumerationOverflow`
-    is raised as soon as it passes ``bound``, before any trace is built.
-    What is reported is the first error or overflow met, level by level: a
-    runtime error of the earliest failing cycle, or a refused stimulus row,
-    unless the traces overflow in an earlier cycle.  A depth-first walk over
-    the edges, in order, then yields the traces, so the memory of a run grows
-    with the graph, not with the number of traces.
+    many nodes hold it, each state's frozen form is computed once, and the last
+    level keeps only edges.  An instance's equal successors, which keep no
+    message that no connector reads, are merged before the joint product, whose
+    members are drawn one at a time.  Every joint state has a successor, so the
+    number of distinct record prefixes, counted while the graph is built, never
+    falls from one level to the next, and :class:`EnumerationOverflow` is
+    raised as soon as it passes ``bound``, before any trace is built.  What is
+    reported is the first error or overflow met, level by level: a runtime
+    error of the earliest failing cycle, or a refused stimulus row, unless the
+    traces overflow in an earlier cycle.  A depth-first walk over the edges, in
+    order, then yields the traces, so the memory of a run grows with the graph,
+    not with the number of traces.
     """
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")

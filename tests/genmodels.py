@@ -3,10 +3,13 @@
 Generated components are atomic, three-state machines over three in-ports
 (Integer a, Boolean b, and m of the enum ``gen.Mode`` that :data:`TYPES`
 declares and the text imports), two Integer out-ports, and one Integer
-variable.  Output entries may offer two alternatives, possibly equal, and a
-quarter of the transitions are declared twice, so equal sibling successors
-occur.  Input blocks match literals, enum literals, ``--`` and the variable,
-so a state mixes transitions that the engine's dispatch index files under a
+variable.  ``mode_variable`` adds a second, ``Mode w``, which output entries
+assign, input entries match and guards compare; off by default, it draws
+nothing from the generator, so pinned seeds keep their models.  Output
+entries may offer two alternatives, possibly equal, and a quarter of the
+transitions are declared twice, so equal sibling successors occur.  Input
+blocks match literals, enum literals, ``--`` and the variable, so a state
+mixes transitions that the engine's dispatch index files under a
 port's value with ones it tests whatever that value is.
 
 A quarter of the models declare no initial state, so they start silently in
@@ -14,9 +17,9 @@ S0 (warning C1 only).  ``random_model`` gives time-synchronous-clean machines,
 a third of them with two initial declarations.  Their guards combine
 comparisons of Integer terms (``a``, ``v``, unary ``-``, ``+`` and ``*``) and
 Boolean ``b`` with ``&&``, ``||`` and ``!``.  Outputs use literals, --, the
-variable, and ``a`` only under a guard that names ``a``: such a guard is false
-while ``a`` is absent, so no run can hit the forwarding-absent-message runtime
-error.
+variable, and ``a`` only under a guard that names ``a`` (``w`` takes ``m``
+only under a guard that names ``m``): such a guard is false while the port is
+absent, so no run can hit the forwarding-absent-message runtime error.
 ``random_ed_model`` gives event-driven-clean machines: each transition reads
 exactly one in-port, never matches --, and may forward the Integer it reads
 or emit a sequence, of constants or holding the variable or what it reads.
@@ -52,8 +55,8 @@ TYPES = "package gen;\n\nenum Mode { M0, M1, M2 }\n"
 
 
 def _header(rng: random.Random, initial_values: tuple[str, ...],
-            initials: int) -> list[str]:
-    """The lines before the transitions: ports, variable, states, initials."""
+            initials: int, mode_variable: bool = False) -> list[str]:
+    """The lines before the transitions: ports, variables, states, initials."""
     return [
         "import gen.Mode;",
         "",
@@ -66,6 +69,7 @@ def _header(rng: random.Random, initial_values: tuple[str, ...],
         "        out Integer y;",
         "",
         f"    Integer v = {rng.randrange(-2, 3)};",
+        *([f"    Mode w{rng.choice(('', ' = M1', ' = M2'))};"] if mode_variable else []),
         "",
         "    automaton {",
         "        state S0, S1, S2;",
@@ -111,19 +115,27 @@ def _guard(rng: random.Random) -> str:
     return f"{_condition(rng)} {'&&' if shape == 3 else '||'} {_condition(rng)}"
 
 
-def random_component_text(rng: random.Random) -> str:
-    lines = _header(rng, ("0", "1", "2"), rng.choices((0, 1, 2), weights=(3, 5, 4))[0])
+def random_component_text(rng: random.Random, mode_variable: bool = False) -> str:
+    lines = _header(rng, ("0", "1", "2"), rng.choices((0, 1, 2), weights=(3, 5, 4))[0],
+                    mode_variable)
     transitions: list[str] = []
     for _ in range(rng.randrange(4, 9)):
         source = rng.choice(STATES)
         target = rng.choice(STATES)
         parts = [f"        {source} -> {target}"]
         forwarded: tuple[str, ...] = ("v",)
+        modes = MODES
         if rng.random() < 0.5:
             guard = _guard(rng)
+            if mode_variable and rng.random() < 0.5:
+                compared = f"w {rng.choice(('==', '!='))} {rng.choice((*MODES, 'm'))}"
+                guard = f"{compared} {rng.choice(('&&', '||'))} {guard}"
             parts.append(f"[{guard}]")
-            if "a" in re.findall(r"\w+", guard):
+            names = re.findall(r"\w+", guard)
+            if "a" in names:
                 forwarded += ("a",)  # the guard is false while a is absent
+            if "m" in names:
+                modes += ("m",)
         if rng.random() < 0.6:
             matches = []
             if rng.random() < 0.7:
@@ -137,6 +149,8 @@ def random_component_text(rng: random.Random) -> str:
                 matches.append(f"m = {rng.choice(('M0 | M2', 'M1', 'M2 | M1', '--'))}")
             if rng.random() < 0.3:
                 matches.append(f"v = {rng.randrange(-2, 5)}")
+            if mode_variable and rng.random() < 0.3:
+                matches.append(f"w = {rng.choice(('M0', 'M1 | M2', 'm'))}")
             if matches:
                 parts.append("{" + ", ".join(matches) + "}")
         assigns = []
@@ -147,6 +161,8 @@ def random_component_text(rng: random.Random) -> str:
         if rng.random() < 0.4:
             assigns.append(
                 f"v = {_values(rng, ('-2', '-1', '0', '1', '2', '3', '4') + forwarded)}")
+        if mode_variable and rng.random() < 0.4:
+            assigns.append(f"w = {_values(rng, modes)}")
         text = " ".join(parts)
         if assigns:
             text += " / {" + ", ".join(assigns) + "}"
@@ -365,7 +381,8 @@ def _composed(rng: random.Random, name: str, types: list[str], loops: bool) -> s
         *declarations, *connectors, "}"]) + "\n"
 
 
-def random_composition_text(rng: random.Random, loops: bool = False) -> list[str]:
+def random_composition_text(rng: random.Random, loops: bool = False,
+                            mode_variable: bool = False) -> list[str]:
     """The compilation units of a composed main ``Top``: two or three
     components of :func:`random_component_text` named ``P0`` to ``P2``,
     :data:`RELAY`, and ``Top`` (see :func:`_composed`) over two or three
@@ -374,8 +391,8 @@ def random_composition_text(rng: random.Random, loops: bool = False) -> list[str
     deep; a component may have several instances.  The model is
     time-synchronous-clean unless ``loops`` closes a cycle of connectors."""
     parts = [f"P{k}" for k in range(rng.choice((2, 3)))]
-    texts = [random_component_text(rng).replace("component Gen {", f"component {part} {{")
-             for part in parts]
+    texts = [random_component_text(rng, mode_variable).replace(
+        "component Gen {", f"component {part} {{") for part in parts]
     texts.append(RELAY)
     types = [rng.choice(parts) for _ in range(rng.choice((2, 3)))]
     if rng.random() < 0.5:
@@ -412,9 +429,9 @@ def _clean_model(text: str | list[str], profile: str, main: str = "Gen"):
     return model, main
 
 
-def random_model(rng: random.Random):
+def random_model(rng: random.Random, mode_variable: bool = False):
     """A resolved, ts-clean random model; returns (model, main name)."""
-    return _clean_model(random_component_text(rng), "ts")
+    return _clean_model(random_component_text(rng, mode_variable), "ts")
 
 
 def random_ed_model(rng: random.Random):
@@ -422,9 +439,9 @@ def random_ed_model(rng: random.Random):
     return _clean_model(random_ed_component_text(rng), "ed")
 
 
-def random_composition(rng: random.Random):
+def random_composition(rng: random.Random, mode_variable: bool = False):
     """A resolved, ts-clean random composition; returns (model, "Top")."""
-    return _clean_model(random_composition_text(rng), "ts", "Top")
+    return _clean_model(random_composition_text(rng, mode_variable=mode_variable), "ts", "Top")
 
 
 def mode(literal: str) -> EnumValue:

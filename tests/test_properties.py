@@ -306,7 +306,8 @@ def _reference_form(trace, out_ports: list[str]) -> tuple:
     """An engine trace in the reference's form."""
     return tuple(
         (tuple(exact(_reference_value(r.outputs[port])) for port in out_ports),
-         tuple((path, cs.state, tuple(sorted((k, exact(v)) for k, v in cs.variables.items())))
+         tuple((path, cs.state, tuple(sorted((k, exact(_reference_value(v)))
+                                            for k, v in cs.variables.items())))
                for path, cs in sorted(r.states.items())))
         for r in trace.records)
 
@@ -323,10 +324,12 @@ def test_enumeration_equals_the_reference_semantics(seed, n_cycles):
     # Each example checks an atomic model and then a composition, whose
     # wiring the reference flattens itself.  A composition's instances branch
     # jointly, so its distinct traces can number 10^5 at three cycles and
-    # more at four: it runs at most COMPOSED_CYCLES.
+    # more at four: it runs at most COMPOSED_CYCLES.  Every generated
+    # component holds an enum variable too, so states differ in enum values.
     rng = random.Random(seed)
-    _check_enumeration(rng, random_model(rng), n_cycles)
-    _check_enumeration(rng, random_composition(rng), min(n_cycles, COMPOSED_CYCLES))
+    _check_enumeration(rng, random_model(rng, mode_variable=True), n_cycles)
+    _check_enumeration(rng, random_composition(rng, mode_variable=True),
+                       min(n_cycles, COMPOSED_CYCLES))
 
 
 def _check_enumeration(rng: random.Random, generated, n_cycles: int) -> None:
