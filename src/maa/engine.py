@@ -31,9 +31,10 @@ reachable trace set, serving as an oracle for the policy-driven engines.
 They build the trace graph a cycle at a time, stepping each distinct joint
 state of a cycle once and freezing each state once, count its paths as they
 go, keep only the edges of the last cycle, and then walk it to stream the
-traces in sorted order.  Every run starts with an ordinary step
-out of :data:`PRE_START`, where :func:`_start` puts each instance with its
-variables initialised, and every instance fires through :func:`_successors`:
+traces in sorted order.  Every run starts with an ordinary step out of
+:data:`PRE_START`, where :func:`_start` puts each instance with its variables
+initialised (:func:`_begin` takes it, and numbers the cycles from 1, for both
+time-synchronous runs), and every instance fires through :func:`_successors`:
 in the time-synchronous step, :func:`_step`, wired by index (a policy follows
 one branch, the enumerator every branch, with equal successors merged), or
 in :func:`iter_ed` once to start and once per event.
@@ -104,8 +105,10 @@ def _policy_branches(policy: Policy):
     """The one branch a policy takes among enabled transitions: a transition
     and one alternative per entry of its output block, the first of each or,
     ``Seeded``, drawn where there are several."""
-    if not isinstance(policy, Seeded):
+    if isinstance(policy, FirstDeclared):
         return lambda options: [(options[0], options[0].firsts)]
+    if not isinstance(policy, Seeded):
+        raise SetupError(f"a policy is FirstDeclared() or Seeded(seed), not {policy!r}")
     rng = random.Random(policy.seed)
 
     def pick(options):
@@ -127,7 +130,7 @@ def _every_branch(options: list) -> list[tuple]:
 # States and traces
 # ---------------------------------------------------------------------------
 #
-# Code that runs every cycle builds lists and maps, not generators: a
+# Code that runs every cycle builds lists, maps and zips, not generators: a
 # generator that a MemoryError leaves suspended needs memory to be closed, so
 # the run could not end in one line of ``internal error``.  The only yields
 # are those of :func:`iter_ts` and :func:`iter_ed`, one per cycle or event,
@@ -394,11 +397,6 @@ def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot
 # ``sent`` maps each out-port the instance sent a message on in the last cycle,
 # and that some wire reads, to that message.
 
-def _pre_start(plan: SystemPlan) -> tuple:
-    """The joint state a run starts from: each instance in PRE_START, nothing sent."""
-    return tuple((_start(inst, plan.model), {}) for inst in plan.instances)
-
-
 def _sent(inst: AtomicInstance, cs: ComponentState,
           outputs: list[tuple[str, object]]) -> dict[str, Value]:
     """The messages ``inst`` sends for the next cycle from a step out of ``cs``:
@@ -411,9 +409,10 @@ def _sent(inst: AtomicInstance, cs: ComponentState,
                     else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
                 f"{what}; the time-synchronous profile allows one message per port")
-        sent[port] = value
-    if inst.unread or ABSENT in sent.values():
-        return {port: v for port, v in sent.items() if v is not ABSENT and port not in inst.unread}
+        if value is ABSENT or port in inst.unread:
+            sent.pop(port, None)
+        else:
+            sent[port] = value
     return sent
 
 
@@ -436,8 +435,9 @@ def _distinct(successors: list[tuple]) -> list[tuple]:
 def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
           cycle: Optional[int]) -> tuple[dict[str, Slot], itertools.product]:
     """One global cycle: the outputs observed outside, and every distinct
-    successor joint state that ``branches`` admits.  A run starts with a step
-    out of :func:`_pre_start`, in cycle None, whose observed outputs are unused.
+    successor joint state that ``branches`` admits.  :func:`_begin` starts a
+    run with a step out of :data:`PRE_START`, in cycle None, whose observed
+    outputs are unused.
 
     Each instance reads what was sent in the previous cycle and fires one
     enabled transition, or completes idle: unchanged and silent.  An
@@ -499,15 +499,21 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
     return inputs
 
 
-def _rows(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]],
-          n_cycles: int) -> Iterator[dict[str, Slot]]:
-    """The external input of each of ``n_cycles`` cycles, read from
-    ``stimulus`` one row at a time and passed through :func:`_external`; a
-    row past the stimulus's end is empty.  A map, not a generator (see
-    "States and traces")."""
-    padded = itertools.chain(stimulus, itertools.repeat({}))
-    return map(_external(plan.model, plan.main, "stimulus", "stimulus column "),
-               itertools.islice(padded, n_cycles))
+def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int, branches):
+    """Every joint state that ``branches`` admits out of :data:`PRE_START`,
+    where each instance has sent nothing, and the (cycle, external input) of
+    cycles 1 to ``n_cycles``, any positive ``int``: row k of ``stimulus`` is
+    read, and passed through :func:`_external`, when cycle k is reached, and a
+    row past its end is empty.  A zip, not a generator."""
+    if type(n_cycles) is not int:
+        raise SetupError(f"the number of cycles must be an int, not {n_cycles!r}")
+    if n_cycles < 1:
+        raise SetupError("a run needs at least one cycle")
+    pre_start = tuple((_start(inst, plan.model), {}) for inst in plan.instances)
+    _, starts = _step(plan, pre_start, {}, branches, None)
+    gate = _external(plan.model, plan.main, "stimulus", "stimulus column ")
+    return starts, zip(range(1, n_cycles + 1),
+                       map(gate, itertools.chain(stimulus, itertools.repeat({}))))
 
 
 def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
@@ -516,12 +522,10 @@ def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]]
     each cycle's record as it completes.  Stimulus rows are read, checked and
     padded one per cycle, so memory does not grow with the run; a failing cycle
     raises :class:`SimulationError` after the records of the cycles before it."""
-    if n_cycles < 1:
-        raise SetupError("a run needs at least one cycle")
     plan = build_plan(model, main)
     branches = _policy_branches(policy)
-    _, (state,) = _step(plan, _pre_start(plan), {}, branches, None)
-    for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
+    (state,), cycles = _begin(plan, stimulus, n_cycles, branches)
+    for index, external in cycles:
         observed, (state,) = _step(plan, state, external, branches, index)
         yield _record(plan, index, external, observed, state)
 
@@ -553,12 +557,12 @@ def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles
     of the child node in the next level, None in the last), sorted by frozen
     record.  Only edges are kept: a level's joint states are dropped once the
     next level is built.  See :func:`iter_enumerate_ts`."""
-    _, starts = _step(plan, _pre_start(plan), {}, _every_branch, None)
+    starts, cycles = _begin(plan, stimulus, n_cycles, _every_branch)
     # the root's joint states are drawn and stepped one at a time
     nodes: list = [map(lambda state: (_joint_key(state), state), starts)]
     counts = [1]  # the record prefixes that reach each node
     graph = []
-    for index, external in enumerate(_rows(plan, stimulus, n_cycles), start=1):
+    for index, external in cycles:
         last = index == n_cycles
         fired: dict[tuple, list] = {}  # joint key -> (frozen record, record, child) each
         children: dict[frozenset, int] = {}
@@ -623,8 +627,8 @@ def iter_enumerate_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[s
     order, then yields the traces, so the memory of a run grows with the graph,
     not with the number of traces.
     """
-    if n_cycles < 1:
-        raise SetupError("a run needs at least one cycle")
+    if type(bound) is not int:
+        raise SetupError(f"the enumeration bound must be an int, not {bound!r}")
     if bound < 1:
         raise SetupError("the enumeration bound must be at least 1")
     graph = _trace_graph(build_plan(model, main), stimulus, n_cycles, bound)

@@ -33,7 +33,8 @@ family, so that the checker's rarer messages are reached.
 ``random_composition_text`` composes two or three generated components,
 renamed ``P0`` to ``P2``, under a main ``Top`` with ``Gen``'s ports, in
 compilation units of their own, and may close cycles of connectors through
-relays on request; ``random_composition`` resolves a composition without.
+relays, or draw ``P0`` as ``random_unchecked_component_text`` does, on
+request; ``random_composition`` resolves a composition with neither.
 """
 
 from __future__ import annotations
@@ -382,17 +383,19 @@ def _composed(rng: random.Random, name: str, types: list[str], loops: bool) -> s
 
 
 def random_composition_text(rng: random.Random, loops: bool = False,
-                            mode_variable: bool = False) -> list[str]:
+                            mode_variable: bool = False, unchecked: bool = False) -> list[str]:
     """The compilation units of a composed main ``Top``: two or three
     components of :func:`random_component_text` named ``P0`` to ``P2``,
     :data:`RELAY`, and ``Top`` (see :func:`_composed`) over two or three
     instances of them.  In half the models one of ``Top``'s instances is a
     ``Mid``, itself composed over two of them, so components nest one level
     deep; a component may have several instances.  The model is
-    time-synchronous-clean unless ``loops`` closes a cycle of connectors."""
+    time-synchronous-clean unless ``loops`` closes a cycle of connectors, or
+    ``unchecked`` draws ``P0`` from :func:`random_unchecked_component_text`."""
     parts = [f"P{k}" for k in range(rng.choice((2, 3)))]
-    texts = [random_component_text(rng, mode_variable).replace(
-        "component Gen {", f"component {part} {{") for part in parts]
+    texts = [(random_unchecked_component_text(rng) if unchecked and k == 0
+              else random_component_text(rng, mode_variable)).replace(
+        "component Gen {", f"component {part} {{") for k, part in enumerate(parts)]
     texts.append(RELAY)
     types = [rng.choice(parts) for _ in range(rng.choice((2, 3)))]
     if rng.random() < 0.5:

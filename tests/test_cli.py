@@ -133,6 +133,20 @@ def test_sim_ts_refuses_zero_cycles(capsys):
     assert (code, out, err) == (2, "", "error: --cycles must be at least 1\n")
 
 
+@pytest.mark.parametrize("extra, rows", [
+    ([], "cycle\tin:i\tout:o\tstate\n1\t--\t--\tT\n"), (["--enumerate"], "")],
+    ids=["policy", "enumerate"])
+def test_sim_ts_runs_any_number_of_cycles_until_it_fails(capsys, tmp_path, extra, rows):
+    # more cycles than a machine-sized integer holds
+    model = tmp_path / "F.maa"
+    model.write_text("component F { port in Integer i, out Integer o; automaton {"
+                     " state S, T; initial S; S -> T / o = 1; T / o = i; } }", encoding="utf-8")
+    code, out, err = run(capsys, "sim-ts", str(model), "--main", "F",
+                         "--cycles", "100000000000000000000", *extra)
+    assert (code, out, err) == (
+        3, rows, "runtime error: cycle 2: forwarding absent message from port 'i'\n")
+
+
 @pytest.mark.parametrize("command, missing, why", [
     (["sim-ts", *FOLLOW, "--main", "robot.FollowTheLeaderOnline", "--cycles", "2",
       "--stimulus", "PATH"], True, errno.ENOENT),

@@ -512,6 +512,15 @@ def test_seed_determinism(follow_model):
     assert trace_key(a) == trace_key(b)
 
 
+@pytest.mark.parametrize("automaton", ["S / o = 1 | 2;", "S / o = 1; S / o = 2;"],
+                         ids=["two alternatives", "two transitions"])
+def test_a_seeded_run_draws_between_two_options(automaton):
+    model = small_model("component C { port out Integer o; automaton {"
+                        f" state S; initial S; {automaton} }} }}")
+    trace = run_ts(model, "C", [], 20, Seeded(0))
+    assert set(out_column(trace, "o")[1:]) == {1, 2}
+
+
 def test_emitting_sequence_in_ts_is_runtime_error():
     model = small_model(
         "component C { port in Integer p, out Integer o; automaton {"
@@ -975,6 +984,39 @@ def test_a_tree_built_with_lists_is_refused(where, message):
 def test_a_run_needs_at_least_one_cycle(follow_model, run):
     with pytest.raises(SetupError, match="^a run needs at least one cycle$"):
         run(follow_model, "robot.FollowTheLeaderOnline", [], 0)
+
+
+# Sends 1 in cycle 1, then forwards its absent in-port in cycle 2.
+FORWARDS_IN_CYCLE_2 = ("component F { port in Integer i, out Integer o; automaton {"
+                       " state S, T; initial S; S -> T / o = 1; T / o = i; } }")
+
+
+def test_a_run_takes_any_positive_number_of_cycles():
+    model = small_model(FORWARDS_IN_CYCLE_2)
+    assert next(iter_ts(model, "F", [], 2**70)).index == 1
+    with pytest.raises(SimulationError) as raised:
+        enumerate_ts(model, "F", [], 10**20)
+    assert str(raised.value) == "cycle 2: forwarding absent message from port 'i'"
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda m: run_ts(m, "F", [], 2.5), "the number of cycles must be an int, not 2.5"),
+    (lambda m: run_ts(m, "F", [], True), "the number of cycles must be an int, not True"),
+    (lambda m: enumerate_ts(m, "F", [], "x"), "the number of cycles must be an int, not 'x'"),
+    (lambda m: enumerate_ts(m, "F", [], 1, bound=2.5),
+     "the enumeration bound must be an int, not 2.5"),
+    (lambda m: enumerate_ts(m, "F", [], 1, bound="x"),
+     "the enumeration bound must be an int, not 'x'"),
+    (lambda m: run_ts(m, "F", [], 1, policy="seeded"),
+     "a policy is FirstDeclared() or Seeded(seed), not 'seeded'"),
+    (lambda m: run_ed(m, "F", [], policy="x"),
+     "a policy is FirstDeclared() or Seeded(seed), not 'x'"),
+], ids=["float cycles", "bool cycles", "str cycles", "float bound", "str bound",
+        "ts policy", "ed policy"])
+def test_malformed_library_requests_are_refused(run, message):
+    with pytest.raises(SetupError) as raised:
+        run(small_model(FORWARDS_IN_CYCLE_2))
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from maa.checks import check
 from maa.engine import (
     ABSENT,
+    EnumerationOverflow,
     EnumValue,
     Event,
     FirstDeclared,
@@ -483,6 +484,31 @@ def test_time_synchronous_runs_of_checked_models_cannot_go_wrong(seed, n_cycles)
                  "iter_ts": lambda: next(iter_ts(model, "Gen", stimulus, n_cycles)),
                  "run_ed": lambda: run_ed(model, "Gen", [])}
     _refused_or_sound(runs, refusal)
+
+
+def _enumerated_unless_overflowing(model, main: str, stimulus: list, n_cycles: int) -> None:
+    """``enumerate_ts`` with bound 4096, where an overflow is a documented end."""
+    try:
+        enumerate_ts(model, main, stimulus, n_cycles, bound=4096)
+    except EnumerationOverflow:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_time_synchronous_runs_of_checked_compositions_cannot_go_wrong(seed, n_cycles):
+    # P0 mixes in ill-typed guards, initialisers and outputs, and the other
+    # parts are clean, so about a third of the compositions pass check.  Up to
+    # four nondeterministic instances may reach more traces than the bound:
+    # about one composition in a thousand does at 1 to 4 cycles.
+    rng = random.Random(seed)
+    model, refusal = _unchecked(random_composition_text(rng, unchecked=True), "ts")
+    stimulus = random_stimulus(rng, n_cycles)
+    _refused_or_sound({
+        "run_ts": lambda: run_ts(model, "Top", stimulus, n_cycles),
+        "run_ts seeded": lambda: run_ts(model, "Top", stimulus, n_cycles, Seeded(seed)),
+        "enumerate_ts": lambda: _enumerated_unless_overflowing(model, "Top", stimulus, n_cycles),
+    }, refusal)
 
 
 @settings(max_examples=400, deadline=None)
