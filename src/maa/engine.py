@@ -4,8 +4,11 @@ Time-synchronous runs proceed in global cycles: every atomic instance fires at
 most one enabled transition per cycle (or completes idle), and anything it
 emits becomes visible to its communication partners, and externally, exactly
 one cycle later.  Initial outputs are what the outside world observes in cycle
-one.  Unread messages are lost at the end of their cycle, and one on an
-out-port that no connector reads is dropped where it is sent.
+one.  Unread messages are lost at the end of their cycle.  The wiring is fixed
+once a model is flattened, so a cycle reads one flat frame of messages, each
+port at one index of it (see ``Wire``), and compiled guards and entries read an
+instance's in-ports by position.  An out-port that no connector reads has no
+slot in the frame: what it sends is dropped where it is sent.
 
 Event-driven runs consume one scripted event at a time, run-to-completion: the
 matching transition may emit finite sequences of events per output port.
@@ -13,9 +16,10 @@ matching transition may emit finite sequences of events per output port.
 :func:`build_plan`, which every entry point calls, refuses (:class:`SetupError`)
 a model with an error from resolution or a rule every profile shares, and
 otherwise only flattens it: resolution has already refused any cycle of
-connectors.  :func:`_external` alone types and pads stimulus rows and events.  The runtime errors
-left are forwarding an absent message, an initialiser that reads a later
-variable, and a sequence sent under the time-synchronous profile (S3TS).
+connectors.  :func:`_external` alone types and pads stimulus rows and events.
+The runtime errors left are forwarding an absent message, an initialiser that
+reads a later variable, and a sequence sent under the time-synchronous profile
+(S3TS).
 
 Both engines and the enumerator run one executable form of each automaton,
 built once per plan by :func:`maa.lowering.lower`, whose
@@ -35,14 +39,15 @@ traces in sorted order.  Every run starts with an ordinary step out of
 :data:`PRE_START`, where :func:`_start` puts each instance with its variables
 initialised (:func:`_begin` takes it, and numbers the cycles from 1, for both
 time-synchronous runs), and every instance fires through :func:`_successors`:
-in the time-synchronous step, :func:`_step`, wired by index (a policy follows
-one branch, the enumerator every branch, with equal successors merged), or
-in :func:`iter_ed` once to start and once per event.
+in the time-synchronous step, :func:`_step`, which reads the frame (a policy
+follows one branch, the enumerator every branch, with equal successors
+merged), or in :func:`iter_ed` once to start and once per event.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,11 +109,14 @@ Policy = Union[FirstDeclared, Seeded]
 def _policy_branches(policy: Policy):
     """The one branch a policy takes among enabled transitions: a transition
     and one alternative per entry of its output block, the first of each or,
-    ``Seeded``, drawn where there are several."""
+    ``Seeded``, drawn where there are several.  A seed is an ``int`` that is
+    no ``bool``, so that a seeded run is reproducible."""
     if isinstance(policy, FirstDeclared):
         return lambda options: [(options[0], options[0].firsts)]
     if not isinstance(policy, Seeded):
         raise SetupError(f"a policy is FirstDeclared() or Seeded(seed), not {policy!r}")
+    if type(policy.seed) is not int:
+        raise SetupError(f"a seed is an int, not {policy.seed!r}")
     rng = random.Random(policy.seed)
 
     def pick(options):
@@ -210,11 +218,13 @@ class EventTrace:
 # Instantiation (composition flattening)
 # ---------------------------------------------------------------------------
 
-# A wire (port, source, source port) says what ``port`` reads each cycle:
-# ``source port`` of source 0, the external stimulus row, or of source i + 1,
-# what instance i sent in the previous cycle.  An unconnected port reads
-# source port None of source 0, which no row holds, so it is always absent.
-Wire = tuple[str, int, Optional[str]]
+# A wire is the index, in the flat frame of one cycle's messages, of what a
+# port reads.  The frame holds the main component's in-ports, from index 0, in
+# declaration order, then one slot that is always absent, which every
+# unconnected port reads, then each instance's slots in plan order: one per
+# out-port that some wire reads, holding what the instance sent on it in the
+# previous cycle.  An out-port that no wire reads has no slot.
+Wire = int
 
 
 @dataclass
@@ -223,7 +233,8 @@ class AtomicInstance:
     rc: ResolvedComponent
     subst: dict[str, TypeRef]
     behaviour: LoweredAutomaton
-    unread: set[str]  # out-ports that no wire reads, once the plan is built
+    slots: dict[str, int] = field(default_factory=dict)  # out-port -> its place in ``sent``
+    silent: tuple = ()  # ``sent`` when the instance sends nothing: ABSENT in every slot
     wires: list[Wire] = field(default_factory=list)  # one per in-port
 
 
@@ -237,7 +248,7 @@ class SystemPlan:
 
 def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     """Flatten the (possibly hierarchical) main component to atomic instances,
-    wired by index.
+    wired by frame index.
 
     A model with an error that resolution or a rule of every profile reports
     is refused: :class:`SetupError` carries the first, rendered as ``maa
@@ -259,7 +270,8 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
 
 def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
-    """The plan of a well-formed ``root``: its atomic instances, wired by index."""
+    """The plan of a well-formed ``root``: its atomic instances, wired by
+    frame index."""
     instances: list[AtomicInstance] = []
     edges: dict[tuple[str, str], tuple[str, str]] = {}
     lowered: dict[str, LoweredAutomaton] = {}
@@ -278,7 +290,7 @@ def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
                     "simulation needs at most one")
             if rc.qname not in lowered:
                 lowered[rc.qname] = lower(rc)
-            instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname], set(rc.out_ports)))
+            instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
             continue
         prefix = f"{path}." if path else ""
         for instance, sub in reversed(rc.subcomponents.items()):
@@ -291,28 +303,39 @@ def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
                         for ref in (conn.target, conn.source)]
             edges[dst] = src
 
-    source = {inst.path: k for k, inst in enumerate(instances, start=1)}
+    position = {inst.path: k for k, inst in enumerate(instances)}
+    external = {port: k for k, port in enumerate(root.in_ports)}
+    absent = len(external)
 
-    def wire(port: str, node: tuple[str, str]) -> Wire:
-        """The wire of ``port``, which reads ``node``, followed along
-        connectors to an instance's out-port, which is then read, or an
-        external in-port; resolution has refused every cycle of connectors."""
+    def source(node: tuple[str, str]):
+        """What ``node`` reads, followed along connectors (resolution has
+        refused every cycle of them): an instance's out-port (its position in
+        the plan, the port), or the frame index of an external in-port or of
+        the absent slot."""
         while True:
             path, name = node
-            if (path in source and node not in edges
-                    and instances[source[path] - 1].rc.kind(name) == "out"):
-                instances[source[path] - 1].unread.discard(name)
-                return (port, source[path], name)
+            if (path in position and node not in edges
+                    and instances[position[path]].rc.kind(name) == "out"):
+                return position[path], name
             if path == "" and root.kind(name) == "in":
-                return (port, 0, name)
+                return external[name]
             if node not in edges:
-                return (port, 0, None)
+                return absent
             node = edges[node]
 
-    for inst in instances:
-        inst.wires = [wire(port, (inst.path, port)) for port in inst.rc.in_ports]
-    return SystemPlan(model, root, instances,
-                      [wire(port, ("", port)) for port in root.out_ports])
+    reads = [[source((inst.path, port)) for port in inst.rc.in_ports] for inst in instances]
+    reads.append([source(("", port)) for port in root.out_ports])
+    slotted = {node for wires in reads for node in wires if type(node) is tuple}
+    frame: dict[tuple, Wire] = {}
+    for k, inst in enumerate(instances):
+        for port in inst.rc.out_ports:
+            if (k, port) in slotted:
+                inst.slots[port] = len(inst.slots)
+                frame[k, port] = absent + 1 + len(frame)
+        inst.silent = (ABSENT,) * len(inst.slots)
+    for inst, wires in zip(instances, reads):
+        inst.wires = [frame.get(node, node) for node in wires]
+    return SystemPlan(model, root, instances, [frame.get(node, node) for node in reads[-1]])
 
 
 def _refuse_lists(model: ResolvedModel) -> None:
@@ -330,11 +353,6 @@ def _refuse_lists(model: ResolvedModel) -> None:
                             else f"transition '{node.source} -> {node.target}'")
                     raise SetupError(f"{rc.unit.locator.loc(node.at)}: the {what} holds a "
                                      "list; the sequences of a parsed tree are tuples") from None
-
-
-def _read(wires: list[Wire], sources: tuple) -> dict[str, Slot]:
-    """What each wired port reads this cycle; absence is a missing message."""
-    return {port: sources[k].get(name, ABSENT) for port, k, name in wires}
 
 
 def _default_value(ref: Optional[TypeRef], subst: dict[str, TypeRef],
@@ -365,18 +383,19 @@ def _start(inst: AtomicInstance, model: ResolvedModel) -> ComponentState:
             variables[name] = _default_value(declared, inst.subst, model)
             continue
         try:
-            variables[name] = initial({}, variables)
+            variables[name] = initial((), variables)
         except KeyError as exc:  # it reads a variable declared after it
             raise SimulationError(f"unresolved name '{exc.args[0]}' at runtime") from None
     return ComponentState(PRE_START, variables)
 
 
-def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot], branches,
+def _successors(inst: AtomicInstance, cs: ComponentState, inputs: list[Slot], branches,
                 event_port: Optional[str] = None) -> list[tuple[ComponentState, list]]:
-    """Every (state, outputs) of one instance reading ``inputs`` in ``cs``, one
-    per branch of its enabled transitions that ``branches`` admits; with none
-    enabled, it completes idle: unchanged and silent.  ``event_port`` selects
-    the event-driven profile (see :meth:`LoweredAutomaton.enabled`)."""
+    """Every (state, outputs) of one instance reading ``inputs``, by position,
+    in ``cs``, one per branch of its enabled transitions that ``branches``
+    admits; with none enabled, it completes idle: unchanged and silent.
+    ``event_port`` selects the event-driven profile (see
+    :meth:`LoweredAutomaton.enabled`)."""
     behaviour = inst.behaviour
     options = behaviour.enabled(cs.state, inputs, cs.variables, event_port)
     if not options:
@@ -394,32 +413,32 @@ def _successors(inst: AtomicInstance, cs: ComponentState, inputs: dict[str, Slot
 # ---------------------------------------------------------------------------
 #
 # A joint state is a tuple of (ComponentState, sent) pairs in plan order, where
-# ``sent`` maps each out-port the instance sent a message on in the last cycle,
-# and that some wire reads, to that message.
+# ``sent`` is a tuple over the instance's slots (see ``Wire``): the message it
+# sent in the last cycle on each out-port that some wire reads, or ABSENT.  The
+# frame a cycle reads is the external row, the absent slot and every ``sent``
+# laid end to end.
 
-def _sent(inst: AtomicInstance, cs: ComponentState,
-          outputs: list[tuple[str, object]]) -> dict[str, Value]:
-    """The messages ``inst`` sends for the next cycle from a step out of ``cs``:
-    the last value its block gives a port some wire reads, unless that is
-    ``--``.  A sequence on any port is an S3TS error."""
-    sent = {}
+def _sent(inst: AtomicInstance, cs: ComponentState, outputs: list[tuple[str, object]]) -> tuple:
+    """The slots ``inst`` fills for the next cycle from a step out of ``cs``:
+    the last value its block gives each slotted port, ``--`` included.  A
+    sequence on any port is an S3TS error."""
+    sent = list(inst.silent)
     for port, value in outputs:
         if isinstance(value, list):
             what = (f"initial output on port '{port}' is a sequence" if cs.state == PRE_START
                     else f"transition emitted a sequence on port '{port}'")
             raise SimulationError(
                 f"{what}; the time-synchronous profile allows one message per port")
-        if value is ABSENT or port in inst.unread:
-            sent.pop(port, None)
-        else:
-            sent[port] = value
-    return sent
+        slot = inst.slots.get(port)
+        if slot is not None:
+            sent[slot] = value
+    return tuple(sent)
 
 
-def _key(cs: ComponentState, sent: dict[str, Value]) -> tuple:
+def _key(cs: ComponentState, sent: tuple) -> tuple:
     """The hashable form of one instance's (state, sent): its state, its
-    variables and the messages it sent, compared type-exactly."""
-    return (cs.frozen, frozenset([(port, _freeze_value(v)) for port, v in sent.items()]))
+    variables and its slots, compared type-exactly; an absent slot is ``()``."""
+    return (cs.frozen, tuple([() if v is ABSENT else _freeze_value(v) for v in sent]))
 
 
 def _distinct(successors: list[tuple]) -> list[tuple]:
@@ -432,6 +451,9 @@ def _distinct(successors: list[tuple]) -> list[tuple]:
     return list(merged.values())
 
 
+_SENT = operator.itemgetter(1)  # of a (state, sent) pair
+
+
 def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
           cycle: Optional[int]) -> tuple[dict[str, Slot], itertools.product]:
     """One global cycle: the outputs observed outside, and every distinct
@@ -439,26 +461,28 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
     run with a step out of :data:`PRE_START`, in cycle None, whose observed
     outputs are unused.
 
-    Each instance reads what was sent in the previous cycle and fires one
-    enabled transition, or completes idle: unchanged and silent.  An
-    instance's equal successors are merged before the joint product, so the
-    product grows with distinct successors, not with branches; a single
-    branch, the policy's, computes no merge key.
+    Each instance reads what was sent in the previous cycle, from the frame
+    its wires index, and fires one enabled transition, or completes idle:
+    unchanged and silent.  An instance's equal successors are merged before
+    the joint product, so the product grows with distinct successors, not
+    with branches; a single branch, the policy's, computes no merge key.
     """
-    sources = (external, *(sent for _, sent in state))
+    frame = [*external.values(), ABSENT, *itertools.chain.from_iterable(map(_SENT, state))]
+    read = frame.__getitem__
     per_instance = []
     try:
         for inst, (cs, _) in zip(plan.instances, state):
-            successors = _successors(inst, cs, _read(inst.wires, sources), branches)
+            successors = _successors(inst, cs, list(map(read, inst.wires)), branches)
             if len(successors) == 1:
                 [(successor, outputs)] = successors
-                per_instance.append([(successor, _sent(inst, cs, outputs) if outputs else {})])
+                per_instance.append(((successor, _sent(inst, cs, outputs) if outputs
+                                      else inst.silent),))
             else:
                 per_instance.append(_distinct(
                     [(successor, _sent(inst, cs, outputs)) for successor, outputs in successors]))
     except SimulationError as exc:
         raise SimulationError(exc.message, cycle) from None
-    return _read(plan.wires, sources), itertools.product(*per_instance)
+    return dict(zip(plan.main.out_ports, map(read, plan.wires))), itertools.product(*per_instance)
 
 
 def _record(plan: SystemPlan, index: int, external: dict[str, Slot],
@@ -471,10 +495,11 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
               column: str) -> Callable[[dict[str, Slot]], dict[str, Slot]]:
     """The one gate for values from outside a run: a function that checks a
     partial row of ``rc``'s in-ports, a stimulus row or one event's ``{port:
-    value}``, and returns every in-port's input, absent where the row has none.
-    A value must be a message of its port's type: an ``int`` that is no
-    ``bool`` for Integer, a literal of the port's own enum, and nothing for a
-    type parameter.  ``what`` and ``column`` name the row in refusals."""
+    value}``, and returns every in-port's input, in declaration order, absent
+    where the row has none.  A row must be a ``dict``, and a value a message
+    of its port's type: an ``int`` that is no ``bool`` for Integer, a literal
+    of the port's own enum, and nothing for a type parameter.  ``what`` and
+    ``column`` name the row in refusals."""
     tests = {}
     for port in rc.in_ports:
         declared = rc.binding(port)[1]
@@ -489,6 +514,8 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
     silent = dict.fromkeys(rc.in_ports, ABSENT)
 
     def inputs(row: dict[str, Slot]) -> dict[str, Slot]:
+        if not isinstance(row, dict):
+            raise SetupError(f"a {what} row is a dict of in-port values, not {row!r}")
         for port, value in row.items():
             if port not in tests:
                 raise SetupError(f"{column}'{port}' is not an in-port of '{rc.qname}'")
@@ -497,6 +524,14 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
                                  f"'{rc.qname}' is no {rc.binding(port)[1]}")
         return {**silent, **row}
     return inputs
+
+
+def _items(items: Iterable, what: str) -> Iterator:
+    """An iterator over a stimulus or a script, which must be iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise SetupError(f"a {what} is an iterable, not {items!r}") from None
 
 
 def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int, branches):
@@ -509,11 +544,12 @@ def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int,
         raise SetupError(f"the number of cycles must be an int, not {n_cycles!r}")
     if n_cycles < 1:
         raise SetupError("a run needs at least one cycle")
-    pre_start = tuple((_start(inst, plan.model), {}) for inst in plan.instances)
-    _, starts = _step(plan, pre_start, {}, branches, None)
+    rows = _items(stimulus, "stimulus")
     gate = _external(plan.model, plan.main, "stimulus", "stimulus column ")
+    pre_start = tuple((_start(inst, plan.model), inst.silent) for inst in plan.instances)
+    _, starts = _step(plan, pre_start, gate({}), branches, None)
     return starts, zip(range(1, n_cycles + 1),
-                       map(gate, itertools.chain(stimulus, itertools.repeat({}))))
+                       map(gate, itertools.chain(rows, itertools.repeat({}))))
 
 
 def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]],
@@ -671,25 +707,28 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     initial emissions), then one step per event as that event completes.  The
     main component's one instance reads the event's port, every other in-port
     absent, and only transitions that read exactly that port react to it.  An
-    event's value must be a message of its port's type, never :data:`ABSENT`,
-    or :class:`SetupError` refuses it; a failing event raises
-    :class:`SimulationError`, naming the event.  Either comes after the steps
-    before the event."""
+    event must be an :class:`Event`, and its value a message of its port's
+    type, never :data:`ABSENT`, or :class:`SetupError` refuses it; a failing
+    event raises :class:`SimulationError`, naming the event.  Either comes
+    after the steps before the event."""
     rc = model.components.get(main)
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
     branches = _policy_branches(policy)
+    events = _items(script, "script")
     inputs = _external(model, rc, "event", "")
-    [(cs, outputs)] = _successors(inst, _start(inst, model), inputs({}), branches)
+    [(cs, outputs)] = _successors(inst, _start(inst, model), [*inputs({}).values()], branches)
     yield EventStep(None, _emissions(outputs), cs)
-    for index, event in enumerate(script, start=1):
+    for index, event in enumerate(events, start=1):
+        if not isinstance(event, Event):
+            raise SetupError(f"a script item is an Event, not {event!r}")
         row = inputs({event.port: event.value})
         if event.value is ABSENT:
             raise SetupError(f"an event on in-port '{event.port}' of '{rc.qname}' "
                              "cannot carry '--'")
         try:
-            [(cs, outputs)] = _successors(inst, cs, row, branches, event.port)
+            [(cs, outputs)] = _successors(inst, cs, [*row.values()], branches, event.port)
         except SimulationError as exc:
             raise SimulationError(exc.message, event=index) from None
         yield EventStep(event, _emissions(outputs), cs)

@@ -3,12 +3,13 @@
 :func:`lower`, the only place the engine asks resolution what a name denotes,
 compiles each guard, input-block entry, output alternative and variable
 initialiser of a well-formed automaton into a closure over the in-ports'
-messages and the variables, each distinct term once per automaton and each
-bare name once, into a constant or an in-port or variable read.  Initial
+messages, a sequence in the order of ``rc.in_ports``, and the variables, each
+distinct term once per automaton and each bare name once, into a constant, a
+read of an in-port by its position or a read of a variable by its name.  Initial
 declarations become transitions out of the pre-start state :data:`PRE_START`.
 :meth:`LoweredAutomaton.enabled` is the one query for enabled transitions, in
 declaration order, of the candidates that an index built on the first visit to
-a state files under the value of one in-port.
+a state files under the value at one in-port's position.
 :meth:`LoweredAutomaton.apply_outputs` evaluates every output block.
 
 :mod:`maa.engine` runs this form; it imports the runtime values and
@@ -20,11 +21,12 @@ from __future__ import annotations
 import collections
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .resolution import ResolvedComponent, TypeRef
 from .syntax import (
     Automaton,
+    EBinary,
     ELit,
     ERef,
     EUnary,
@@ -97,8 +99,9 @@ def format_value(value: Slot) -> str:
 # Executable form of an automaton
 # ---------------------------------------------------------------------------
 
-# A guard expression or single value term, compiled: (inputs, variables) -> value
-Compiled = Callable[[dict[str, Slot], dict[str, Value]], Slot]
+# A guard expression or single value term, compiled: (inputs, variables) ->
+# value, where inputs holds one message or ABSENT per in-port, by position
+Compiled = Callable[[Sequence[Slot], dict[str, Value]], Slot]
 
 _OPERATORS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
               ">": operator.gt, ">=": operator.ge, "+": operator.add, "-": operator.sub,
@@ -111,11 +114,13 @@ class _Compiler:
     one once: equal AST nodes, whose equality is type-exact and ignores
     locations, share one closure, and so do equal guards, entries and blocks.
     Its memo, keyed by the nodes, lives for one :func:`lower` call; an
-    entry's target is resolved only when the entry is first compiled."""
+    entry's target is resolved only when the entry is first compiled.  An
+    in-port is read at its position in ``rc.in_ports``."""
 
     def __init__(self, rc: ResolvedComponent):
         self.rc = rc
         self.memo: dict[object, object] = {}
+        self.position = {port: k for k, port in enumerate(rc.in_ports)}
 
     def shared(self, key, build):
         found = self.memo.get(key)
@@ -125,8 +130,8 @@ class _Compiler:
 
     def term(self, term) -> Compiled:
         """A guard expression or single value term.  A bare name is read as
-        the name table says, chosen here once: an in-port's message, a
-        variable's value, or an enum literal's constant."""
+        the name table says, chosen here once: an in-port's message, read by
+        position, a variable's value, or an enum literal's constant."""
         return self.shared(term, lambda: self._build(term))
 
     def constant(self, term) -> Optional[Slot]:
@@ -148,15 +153,17 @@ class _Compiler:
         if kind is ERef:
             name = term.name
             if self.rc.kind(name) == "in":
-                return lambda inputs, variables: inputs[name]
+                k = self.position[name]
+                return lambda inputs, variables: inputs[k]
             return lambda inputs, variables: variables[name]
         if kind is EUnary:
             operand, function = self.term(term.operand), _UNARY[term.op]
             return lambda inputs, variables: function(operand(inputs, variables))
-        op, function, constant = term.op, _OPERATORS.get(term.op), self.constant(term.right)
-        name = term.left.name if type(term.left) is ERef else None
-        if function and constant is not None and self.rc.kind(name) == "in":  # port OP constant
-            return lambda inputs, variables: function(inputs[name], constant)
+        compared = self._compared(term)
+        if compared:
+            k, function, constant = compared
+            return lambda inputs, variables: function(inputs[k], constant)
+        op, function = term.op, _OPERATORS.get(term.op)
         left, right = self.term(term.left), self.term(term.right)
         if op == "&&":
             return lambda i, v: left(i, v) and right(i, v)
@@ -164,34 +171,50 @@ class _Compiler:
             return lambda i, v: left(i, v) or right(i, v)
         return lambda i, v: function(left(i, v), right(i, v))
 
+    def _compared(self, term) -> Optional[tuple]:
+        """(position, operator, constant) of a term ``port OP constant``, else None."""
+        left = term.left if type(term) is EBinary else None
+        if type(left) is ERef and self.rc.kind(left.name) == "in":
+            function, constant = _OPERATORS.get(term.op), self.constant(term.right)
+            if function and constant is not None:
+                return self.position[left.name], function, constant
+        return None
+
     def guard(self, expr: Expr, ports: frozenset[str]) -> Compiled:
-        """Whether a guard holds: false while an in-port it reads is absent."""
+        """Whether a guard holds: false while an in-port it reads is absent.
+        A guard ``port OP constant`` is one closure."""
         def build():
-            value, absent_when = self.term(expr), tuple(ports)
-            if len(absent_when) == 1:
-                [port] = absent_when
+            compared = self._compared(expr)
+            if compared:
+                k, function, constant = compared
                 return lambda inputs, variables: (
-                    inputs[port] is not ABSENT and value(inputs, variables))
+                    inputs[k] is not ABSENT and function(inputs[k], constant))
+            value, absent_when = self.term(expr), tuple(sorted([self.position[p] for p in ports]))
+            if len(absent_when) == 1:
+                [k] = absent_when
+                return lambda inputs, variables: (
+                    inputs[k] is not ABSENT and value(inputs, variables))
 
             def holds(inputs, variables):
-                for port in absent_when:
-                    if inputs[port] is ABSENT:
+                for k in absent_when:
+                    if inputs[k] is ABSENT:
                         return False
                 return value(inputs, variables)
             return holds
         return self.shared(("guard", expr), build)
 
-    def match(self, entry) -> tuple[Compiled, Optional[str], Optional[frozenset]]:
+    def match(self, entry) -> tuple[Compiled, Optional[int], Optional[frozenset]]:
         """Whether an input-block entry holds, an absent port satisfying only
-        ``--``; and for an entry of only constants on an in-port, that port
-        and those constants, which :meth:`LoweredAutomaton._index` reads."""
+        ``--``; and for an entry of only constants on an in-port, that port's
+        position and those constants, which :meth:`LoweredAutomaton._index`
+        reads."""
         def build():
             target = self.rc.target(entry).name
             constants = [self.constant(a) for a in entry.alternatives]
             if None not in constants and self.rc.kind(target) == "in":
-                admitted = frozenset(constants)  # one form per set, in whatever order
-                return self.shared(("in", target, admitted), lambda: (
-                    lambda inputs, variables: inputs[target] in admitted, target, admitted))
+                k, admitted = self.position[target], frozenset(constants)  # one form per set
+                return self.shared(("in", k, admitted), lambda: (
+                    lambda inputs, variables: inputs[k] in admitted, k, admitted))
             current_of = self.term(ERef(target, entry.at))
             values = [self.term(a) for a in entry.alternatives]
 
@@ -219,15 +242,15 @@ class _Compiler:
             return self.shared(("send", term), build)
         if kind is not ERef or self.rc.kind(term.name) != "in":
             return self.term(term)
-        name = term.name
-        message = f"forwarding absent message from port '{name}'"
+        k = self.position[term.name]
+        message = f"forwarding absent message from port '{term.name}'"
 
         def forwarded(inputs, variables):
-            value = inputs[name]
+            value = inputs[k]
             if value is ABSENT:
                 raise SimulationError(message)
             return value
-        return self.shared(("forward", name), lambda: forwarded)
+        return self.shared(("forward", k), lambda: forwarded)
 
     def entry(self, assignment) -> "LoweredEntry":
         def build():
@@ -238,7 +261,8 @@ class _Compiler:
 
     def inputs(self, block) -> tuple[tuple, dict]:
         """An input block's entries, and the constants that the first entry of
-        only constants on each in-port admits (reversed: the first one wins)."""
+        only constants on each in-port, by position, admits (reversed: the
+        first one wins)."""
         def build():
             matches = [self.match(entry) for entry in block or ()]
             return tuple([holds for holds, _, _ in matches]), {
@@ -277,7 +301,7 @@ class LoweredTransition(NamedTuple):
     guard: Optional[Compiled]
     reads: frozenset[str]
     matches: tuple[Compiled, ...]  # whether each input-block entry holds
-    keys: dict[str, frozenset]  # in-port -> the constants its entry admits, if only those
+    keys: dict[int, frozenset]  # in-port position -> the constants its entry admits, if only those
     assigns: tuple[LoweredEntry, ...]
     firsts: tuple[Compiled, ...]  # each entry's first alternative
 
@@ -289,16 +313,18 @@ class LoweredAutomaton:
     by_state: dict[str, list[LoweredTransition]]
     # variable -> its compiled initial value (None: its type's default) and type
     variables: dict[str, tuple[Optional[Compiled], TypeRef]]
+    positions: dict[str, int]  # in-port -> its position in the inputs
     # state, or (state, event port), -> what _index gives, on the first visit
     dispatch: dict[object, tuple] = field(default_factory=dict, repr=False)
 
-    def enabled(self, state: Optional[str], inputs: dict[str, Slot],
+    def enabled(self, state: Optional[str], inputs: Sequence[Slot],
                 variables: dict[str, Value],
                 event_port: Optional[str] = None) -> list[LoweredTransition]:
         """Enabled transitions out of ``state``, in declaration order;
-        ``inputs`` holds every in-port.  With ``event_port``, only transitions
-        that read exactly that port qualify (the event-driven profile).  Each
-        candidate that :meth:`_index` gives is tested in full."""
+        ``inputs`` holds every in-port, by position.  With ``event_port``,
+        only transitions that read exactly that port qualify (the
+        event-driven profile).  Each candidate that :meth:`_index` gives is
+        tested in full."""
         key = state if event_port is None else (state, event_port)
         port, buckets, rest = (self.dispatch.get(key)
                                or self.dispatch.setdefault(key, self._index(state, event_port)))
@@ -314,15 +340,17 @@ class LoweredAutomaton:
         return result
 
     def _index(self, state: Optional[str], event_port: Optional[str]) -> tuple:
-        """(port, buckets, rest): the candidates out of ``state`` for each
-        value of ``port`` (None: no index), and for any other value, each in
-        declaration order.  They read exactly ``event_port``, if given, and
-        are indexed on it; else on the in-port most of them match with
-        constants.  A transition without an entry of constants on that port
-        is in every list (pattern-match compilation: Maranget, 2008)."""
+        """(position, buckets, rest): the candidates out of ``state`` for each
+        value at the in-port ``position`` (None: no index), and for any other
+        value, each in declaration order.  They read exactly ``event_port``,
+        if given, and are indexed on it; else on the in-port most of them
+        match with constants.  A transition without an entry of constants on
+        that port is in every list (pattern-match compilation: Maranget,
+        2008)."""
         candidates, port = self.by_state.get(state, []), event_port
         if port is not None:
             candidates = [t for t in candidates if len(t.reads) == 1 and port in t.reads]
+            port = self.positions[port]
         else:
             counts = collections.Counter([p for t in candidates for p in t.keys])
             port = max(counts, key=counts.__getitem__, default=None)
@@ -332,7 +360,7 @@ class LoweredAutomaton:
                    for v in values}
         return port if buckets else None, buckets, rest
 
-    def apply_outputs(self, assigns: tuple, picks: tuple, inputs: dict[str, Slot],
+    def apply_outputs(self, assigns: tuple, picks: tuple, inputs: Sequence[Slot],
                       variables: dict[str, Value]) -> tuple[list[tuple[str, object]], dict[str, Value]]:
         """Evaluate an output block with one picked alternative per entry: the
         (out-port, value) pairs sent, in order, and the variables after, which
@@ -371,4 +399,4 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
                            for decl, target, output in starts]
     variables = {var.name: (None if var.initial is None else compiler.term(var.initial),
                             rc.binding(var.name)[1]) for var in rc.ast.variables}
-    return LoweredAutomaton(by_state, variables)
+    return LoweredAutomaton(by_state, variables, compiler.position)

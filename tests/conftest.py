@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from maa.checks import check
+from maa.engine import ABSENT
 from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit, TypeDeclUnit
@@ -69,6 +70,12 @@ def check_files(paths, profile, type_paths=()):
 def trace_key(trace) -> tuple:
     """A trace's records in their frozen, hashable form: equal for equal runs."""
     return tuple(r.freeze() for r in trace.records)
+
+
+def positional(rc, inputs: dict) -> list:
+    """The inputs that ``rc``'s lowered automaton reads, one per in-port in
+    declaration order, from ``{port: value}``; a port missing is absent."""
+    return [inputs.get(port, ABSENT) for port in rc.in_ports]
 
 
 def out_column(trace, port: str) -> list:

@@ -26,7 +26,7 @@ from maa.printer import pretty_print
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
-from conftest import CORPUS, FIXTURES, MODELS, check_files, parse_model, trace_key
+from conftest import CORPUS, FIXTURES, MODELS, check_files, parse_model, positional, trace_key
 from genmodels import perturbed_at, random_model, random_stimulus
 from test_checks import EXPECTED
 
@@ -198,7 +198,7 @@ def test_criterion_5_property_suite(follow_model):
             pre = trace.records[t - 2].states[""]
             post = trace.records[t - 1].states[""]
             inputs = trace.records[t - 1].inputs
-            options = behaviour.enabled(pre.state, inputs, pre.variables)
+            options = behaviour.enabled(pre.state, positional(rc, inputs), pre.variables)
             if not options:
                 assert post.state == pre.state and post.variables == pre.variables
                 assert all(v is ABSENT for v in trace.records[t].outputs.values())

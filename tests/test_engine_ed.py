@@ -23,7 +23,7 @@ from maa.parser import parse_component_file
 from maa.resolution import BOOLEAN, INTEGER, STRING, EnumType, resolve
 from maa.syntax import CompilationUnit
 
-from conftest import CORPUS, load_model
+from conftest import CORPUS, load_model, positional
 
 ARM = "robot.ArmControlCommand"
 LIGHT = "robot.LightCommand"
@@ -180,14 +180,14 @@ def sent_by(transitions):
 
 def test_index_keeps_declaration_order_among_the_transitions_that_react():
     from maa.engine import lower
-    behaviour = lower(interleaved().components["p.C"])
-    silent = {"op": ABSENT, "n": ABSENT}
-    enabled = behaviour.enabled("S", silent | {"op": op("B")}, {"last": op("B")}, "op")
+    rc = interleaved().components["p.C"]
+    behaviour = lower(rc)
+    enabled = behaviour.enabled("S", positional(rc, {"op": op("B")}), {"last": op("B")}, "op")
     assert sent_by(enabled) == [1, 2, 4, 5]
     port, buckets, rest = behaviour.dispatch["S", "op"]
-    assert port == "op" and set(buckets) == {op("A"), op("B")}
+    assert port == rc.in_ports.index("op") and set(buckets) == {op("A"), op("B")}
     assert sent_by(buckets[op("A")]) == [1, 2, 5] and sent_by(rest) == [2, 5]
-    assert sent_by(behaviour.enabled("S", silent | {"n": 1}, {"last": op("B")}, "n")) == [6]
+    assert sent_by(behaviour.enabled("S", positional(rc, {"n": 1}), {"last": op("B")}, "n")) == [6]
     assert behaviour.dispatch["S", "n"][:2] == (None, {})  # no entry of constants on n
 
 

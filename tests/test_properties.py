@@ -44,7 +44,7 @@ from maa.syntax import (
     SequenceValue,
 )
 
-from conftest import CORPUS, parse_model
+from conftest import CORPUS, parse_model, positional
 from genmodels import (
     TYPES,
     random_component_text,
@@ -250,7 +250,7 @@ def test_idle_completion_and_variable_preservation_random():
             pre = trace.records[t - 2].states[""]
             post = trace.records[t - 1].states[""]
             inputs = trace.records[t - 1].inputs
-            options = behaviour.enabled(pre.state, inputs, pre.variables)
+            options = behaviour.enabled(pre.state, positional(rc, inputs), pre.variables)
             if not options:
                 assert post.state == pre.state
                 assert post.variables == pre.variables
