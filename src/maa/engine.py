@@ -219,11 +219,14 @@ class EventTrace:
 # ---------------------------------------------------------------------------
 
 # A wire is the index, in the flat frame of one cycle's messages, of what a
-# port reads.  The frame holds the main component's in-ports, from index 0, in
-# declaration order, then one slot that is always absent, which every
-# unconnected port reads, then each instance's slots in plan order: one per
-# out-port that some wire reads, holding what the instance sent on it in the
-# previous cycle.  An out-port that no wire reads has no slot.
+# port reads.  A connector adds no delay, so a port reads the node at the end
+# of its chain of connectors: an atomic instance's out-port, an in-port of the
+# main component, or a port that nothing feeds.  The frame holds the main
+# component's in-ports, from index 0, in declaration order, then one slot that
+# is always absent, which every port that nothing feeds reads, then each
+# instance's slots in plan order: one per out-port at the end of some wire's
+# chain, holding what the instance sent on it in the previous cycle.  An
+# out-port that no wire reads has no slot.
 Wire = int
 
 
@@ -257,6 +260,8 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
     (see :func:`_refuse_lists`).  Each component's automaton is lowered
     once, however many instances it has.
     """
+    if type(main) is not str:
+        raise SetupError(f"a main component name is a str, not {main!r}")
     if main not in model.components:
         raise SetupError(f"unknown main component '{main}'")
     try:
@@ -271,7 +276,11 @@ def build_plan(model: ResolvedModel, main: str) -> SystemPlan:
 
 def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
     """The plan of a well-formed ``root``: its atomic instances, wired by
-    frame index."""
+    frame index (see ``Wire``).  A walk along connectors ends, since
+    resolution refuses every cycle of them, and only at a node that a wire
+    reads, since it refuses a connector into an atomic out-port or a main
+    in-port.  For an atomic main, ``("", port)`` is both the main's in-port
+    and its instance's."""
     instances: list[AtomicInstance] = []
     edges: dict[tuple[str, str], tuple[str, str]] = {}
     lowered: dict[str, LoweredAutomaton] = {}
@@ -285,12 +294,10 @@ def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
         rc, path, subst = stack.pop()
         if not rc.ast.composed:
             if len(rc.ast.automata) > 1:
-                raise SetupError(
-                    f"component '{rc.qname}' has several automata; "
-                    "simulation needs at most one")
-            if rc.qname not in lowered:
-                lowered[rc.qname] = lower(rc)
-            instances.append(AtomicInstance(path, rc, subst, lowered[rc.qname]))
+                raise SetupError(f"component '{rc.qname}' has several automata; "
+                                 "simulation needs at most one")
+            behaviour = lowered.get(rc.qname) or lowered.setdefault(rc.qname, lower(rc))
+            instances.append(AtomicInstance(path, rc, subst, behaviour))
             continue
         prefix = f"{path}." if path else ""
         for instance, sub in reversed(rc.subcomponents.items()):
@@ -303,39 +310,26 @@ def _flatten(model: ResolvedModel, root: ResolvedComponent) -> SystemPlan:
                         for ref in (conn.target, conn.source)]
             edges[dst] = src
 
-    position = {inst.path: k for k, inst in enumerate(instances)}
-    external = {port: k for k, port in enumerate(root.in_ports)}
-    absent = len(external)
-
-    def source(node: tuple[str, str]):
-        """What ``node`` reads, followed along connectors (resolution has
-        refused every cycle of them): an instance's out-port (its position in
-        the plan, the port), or the frame index of an external in-port or of
-        the absent slot."""
-        while True:
-            path, name = node
-            if (path in position and node not in edges
-                    and instances[position[path]].rc.kind(name) == "out"):
-                return position[path], name
-            if path == "" and root.kind(name) == "in":
-                return external[name]
-            if node not in edges:
-                return absent
+    def source(node: tuple[str, str]) -> tuple[str, str]:
+        """The node at the end of ``node``'s chain of connectors."""
+        while node in edges:
             node = edges[node]
+        return node
 
-    reads = [[source((inst.path, port)) for port in inst.rc.in_ports] for inst in instances]
-    reads.append([source(("", port)) for port in root.out_ports])
-    slotted = {node for wires in reads for node in wires if type(node) is tuple}
-    frame: dict[tuple, Wire] = {}
-    for k, inst in enumerate(instances):
+    ends = [[source((inst.path, port)) for port in inst.rc.in_ports] for inst in instances]
+    ends.append([source(("", port)) for port in root.out_ports])
+    read = {node for nodes in ends for node in nodes}
+    frame: dict[tuple[str, str], Wire] = {("", port): k for k, port in enumerate(root.in_ports)}
+    absent = len(frame)
+    for inst in instances:
         for port in inst.rc.out_ports:
-            if (k, port) in slotted:
+            if (inst.path, port) in read:
                 inst.slots[port] = len(inst.slots)
-                frame[k, port] = absent + 1 + len(frame)
+                frame[inst.path, port] = len(frame) + 1
         inst.silent = (ABSENT,) * len(inst.slots)
-    for inst, wires in zip(instances, reads):
-        inst.wires = [frame.get(node, node) for node in wires]
-    return SystemPlan(model, root, instances, [frame.get(node, node) for node in reads[-1]])
+    for inst, nodes in zip(instances, ends):
+        inst.wires = [frame.get(node, absent) for node in nodes]
+    return SystemPlan(model, root, instances, [frame.get(node, absent) for node in ends[-1]])
 
 
 def _refuse_lists(model: ResolvedModel) -> None:
@@ -707,11 +701,11 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     initial emissions), then one step per event as that event completes.  The
     main component's one instance reads the event's port, every other in-port
     absent, and only transitions that read exactly that port react to it.  An
-    event must be an :class:`Event`, and its value a message of its port's
-    type, never :data:`ABSENT`, or :class:`SetupError` refuses it; a failing
-    event raises :class:`SimulationError`, naming the event.  Either comes
-    after the steps before the event."""
-    rc = model.components.get(main)
+    event must be an :class:`Event` whose port is a ``str``, and its value a
+    message of its port's type, never :data:`ABSENT`, or :class:`SetupError`
+    refuses it; a failing event raises :class:`SimulationError`, naming the
+    event.  Either comes after the steps before the event."""
+    rc = model.components.get(main) if type(main) is str else None
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
@@ -723,6 +717,8 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     for index, event in enumerate(events, start=1):
         if not isinstance(event, Event):
             raise SetupError(f"a script item is an Event, not {event!r}")
+        if type(event.port) is not str:
+            raise SetupError(f"an event port is a str, not {event.port!r}")
         row = inputs({event.port: event.value})
         if event.value is ABSENT:
             raise SetupError(f"an event on in-port '{event.port}' of '{rc.qname}' "

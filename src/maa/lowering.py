@@ -159,10 +159,6 @@ class _Compiler:
         if kind is EUnary:
             operand, function = self.term(term.operand), _UNARY[term.op]
             return lambda inputs, variables: function(operand(inputs, variables))
-        compared = self._compared(term)
-        if compared:
-            k, function, constant = compared
-            return lambda inputs, variables: function(inputs[k], constant)
         op, function = term.op, _OPERATORS.get(term.op)
         left, right = self.term(term.left), self.term(term.right)
         if op == "&&":
@@ -171,29 +167,19 @@ class _Compiler:
             return lambda i, v: left(i, v) or right(i, v)
         return lambda i, v: function(left(i, v), right(i, v))
 
-    def _compared(self, term) -> Optional[tuple]:
-        """(position, operator, constant) of a term ``port OP constant``, else None."""
-        left = term.left if type(term) is EBinary else None
-        if type(left) is ERef and self.rc.kind(left.name) == "in":
-            function, constant = _OPERATORS.get(term.op), self.constant(term.right)
-            if function and constant is not None:
-                return self.position[left.name], function, constant
-        return None
-
     def guard(self, expr: Expr, ports: frozenset[str]) -> Compiled:
         """Whether a guard holds: false while an in-port it reads is absent.
-        A guard ``port OP constant`` is one closure."""
+        A guard ``port OP constant`` at its top is one closure; any other
+        tests each port it reads, then evaluates its term."""
         def build():
-            compared = self._compared(expr)
-            if compared:
-                k, function, constant = compared
-                return lambda inputs, variables: (
-                    inputs[k] is not ABSENT and function(inputs[k], constant))
+            left = expr.left if type(expr) is EBinary else None
+            if type(left) is ERef and self.rc.kind(left.name) == "in":
+                function, constant = _OPERATORS.get(expr.op), self.constant(expr.right)
+                if function and constant is not None:
+                    k = self.position[left.name]
+                    return lambda inputs, variables: (
+                        inputs[k] is not ABSENT and function(inputs[k], constant))
             value, absent_when = self.term(expr), tuple(sorted([self.position[p] for p in ports]))
-            if len(absent_when) == 1:
-                [k] = absent_when
-                return lambda inputs, variables: (
-                    inputs[k] is not ABSENT and value(inputs, variables))
 
             def holds(inputs, variables):
                 for k in absent_when:

@@ -953,6 +953,15 @@ def test_export_ir_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/ir.json", "No such file or directory"), ("", "Is a directory"),
+], ids=["missing directory", "directory"])
+def test_export_ir_refuses_an_out_it_cannot_write(capsys, tmp_path, where, reason):
+    target = str(tmp_path / where) if where else str(tmp_path)
+    code, out, err = run(capsys, "export-ir", *BUMP, "--out", target)
+    assert (code, out, err) == (2, "", f"error: cannot write '{target}': {reason}\n")
+
+
 def test_export_ir_stereotypes_included(capsys):
     code, out, _ = run(capsys, "export-ir",
                        str(MODELS / "reference" / "IntegerBuffer4.maa"))

@@ -1030,10 +1030,16 @@ def test_a_run_takes_any_positive_number_of_cycles():
     (lambda m: enumerate_ts(m, "F", 3, 1), "a stimulus is an iterable, not 3"),
     (lambda m: run_ed(m, "F", None), "a script is an iterable, not None"),
     (lambda m: run_ed(m, "F", [("i", 1)]), "a script item is an Event, not ('i', 1)"),
+    (lambda m: run_ed(m, "F", [Event([1], 2)]), "an event port is a str, not [1]"),
+    (lambda m: build_plan(m, ["F"]), "a main component name is a str, not ['F']"),
+    (lambda m: run_ts(m, ["F"], [], 1), "a main component name is a str, not ['F']"),
+    (lambda m: enumerate_ts(m, ["F"], [], 1), "a main component name is a str, not ['F']"),
+    (lambda m: run_ed(m, ["F"], []), "a main component name is a str, not ['F']"),
 ], ids=["float cycles", "bool cycles", "str cycles", "float bound", "str bound",
         "ts policy", "ed policy", "list seed", "None seed", "float seed", "bool seed",
         "ed None seed", "list row", "None stimulus", "str row", "int stimulus",
-        "None script", "tuple event"])
+        "None script", "tuple event", "list event port", "list main plan", "list main ts",
+        "list main enumerate", "list main ed"])
 def test_malformed_library_requests_are_refused(run, message):
     with pytest.raises(SetupError) as raised:
         run(small_model(FORWARDS_IN_CYCLE_2))
@@ -1418,13 +1424,32 @@ SLOTTED = [
 ]
 
 
-def test_a_plan_gives_each_read_out_port_one_slot_of_the_frame():
+# Top.i reaches Top.o through Mid and the connector-only Relay, nothing inside
+# Mid feeds Mid.u, and no wire reads m.a.y
+NESTED = [
+    "component A { port in Integer i, out Integer x, out Integer y; automaton {"
+    " state S; initial S; S [i > 0] / x = i, y = i; } }",
+    "component Relay { port in Integer i, out Integer o; connect i -> o; }",
+    "component Mid { port in Integer i, out Integer o, out Integer u, out Integer v;"
+    " component Relay r; component A a; connect i -> r.i; connect r.o -> o;"
+    " connect i -> a.i; connect a.x -> v; }",
+    "component Top { port in Integer j, in Integer i, out Integer o, out Integer u,"
+    " out Integer v; component Mid m; connect i -> m.i; connect m.o -> o;"
+    " connect m.u -> u; connect m.v -> v; }",
+]
+
+
+@pytest.mark.parametrize("texts, instances, wires", [
     # the frame: a, b, the absent slot, then p.x and q.z
-    plan = build_plan(units_model(*SLOTTED), "Top")
-    p, q = plan.instances
-    assert (p.wires, p.slots, p.silent) == ([1], {"x": 0}, (ABSENT,))
-    assert (q.wires, q.slots, q.silent) == ([3, 2], {"z": 0}, (ABSENT,))
-    assert plan.wires == [4, 0, 3, 2]
+    (SLOTTED, [("p", [1], {"x": 0}), ("q", [3, 2], {"z": 0})], [4, 0, 3, 2]),
+    # the frame: j, i, the absent slot, then m.a.x
+    (NESTED, [("m.a", [1], {"x": 0})], [1, 2, 3]),
+], ids=["one level", "two levels"])
+def test_a_plan_gives_each_read_out_port_one_slot_of_the_frame(texts, instances, wires):
+    plan = build_plan(units_model(*texts), "Top")
+    assert [(inst.path, inst.wires, inst.slots) for inst in plan.instances] == instances
+    assert [inst.silent for inst in plan.instances] == [(ABSENT,)] * len(instances)
+    assert plan.wires == wires
 
 
 def test_a_slotted_run_reads_each_port_from_its_slot():
