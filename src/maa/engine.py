@@ -29,9 +29,12 @@ runtime values (:data:`ABSENT`, :class:`EnumValue`, ``Value``, ``Slot``) and
 module imports them, so they are also ``maa.engine`` names.
 
 Nondeterminism (several enabled transitions, ``|`` alternatives, several
-initial states) is resolved by a :class:`Policy`; :func:`iter_enumerate_ts`
-and ``enumerate_ts`` instead expand every choice point and give the exact
-reachable trace set, serving as an oracle for the policy-driven engines.
+initial states) is resolved by a :class:`Policy`.  Under ``FirstDeclared``,
+first-match semantics, a step tests an instance's candidates only up to the
+first enabled one; ``Seeded`` sees every enabled transition, to draw among
+them.  :func:`iter_enumerate_ts` and ``enumerate_ts`` instead expand every
+choice point and give the exact reachable trace set, serving as an oracle
+for the policy-driven engines.
 They build the trace graph a cycle at a time, stepping each distinct joint
 state of a cycle once and freezing each state once, count its paths as they
 go, keep only the edges of the last cycle, and then walk it to stream the
@@ -106,13 +109,15 @@ class Seeded:
 Policy = Union[FirstDeclared, Seeded]
 
 
-def _policy_branches(policy: Policy):
+def _policy_branches(policy: Policy) -> tuple[Callable, bool]:
     """The one branch a policy takes among enabled transitions: a transition
     and one alternative per entry of its output block, the first of each or,
-    ``Seeded``, drawn where there are several.  A seed is an ``int`` that is
-    no ``bool``, so that a seeded run is reproducible."""
+    ``Seeded``, drawn where there are several; and whether only the first
+    enabled transition is ever taken, so that a step need not test the
+    transitions after it (``first``, decided once per run).  A seed is an
+    ``int`` that is no ``bool``, so that a seeded run is reproducible."""
     if isinstance(policy, FirstDeclared):
-        return lambda options: [(options[0], options[0].firsts)]
+        return _first_branch, True
     if not isinstance(policy, Seeded):
         raise SetupError(f"a policy is FirstDeclared() or Seeded(seed), not {policy!r}")
     if type(policy.seed) is not int:
@@ -125,7 +130,12 @@ def _policy_branches(policy: Policy):
     def branches(options: list) -> list[tuple]:
         chosen = pick(options)
         return [(chosen, [pick(a.alternatives) for a in chosen.assigns])]
-    return branches
+    return branches, False
+
+
+def _first_branch(options: list) -> list[tuple]:
+    """The first option with the first alternative of each output entry."""
+    return [(options[0], options[0].firsts)]
 
 
 def _every_branch(options: list) -> list[tuple]:
@@ -178,15 +188,15 @@ class CycleRecord:
 
 def _freeze_value(v: Value) -> tuple:
     """Type-exact, hashable and sortable form of a value: ``1`` and ``true``
-    differ, and values of different types order by type name."""
-    return (type(v).__name__, (v.enum, v.literal) if isinstance(v, EnumValue) else v)
+    differ, values of different types order by type name, and enum values by
+    enum, then literal, as the tuples they are."""
+    return (type(v).__name__, v)
 
 
 def _freeze_slot(v: Slot) -> tuple:
     """Sortable form of a slot; absence sorts before every value, and enum
     values of different enums differ."""
-    return () if v is ABSENT else (
-        type(v).__name__, (v.enum, v.literal) if isinstance(v, EnumValue) else str(v))
+    return () if v is ABSENT else (type(v).__name__, v if isinstance(v, EnumValue) else str(v))
 
 
 @dataclass
@@ -200,7 +210,7 @@ class Event:
     value: Value
 
 
-@dataclass
+@dataclass(slots=True)
 class EventStep:
     event: Optional[Event]  # None for the start of an :func:`iter_ed` run
     emissions: list[tuple[str, list[Value]]]
@@ -384,14 +394,15 @@ def _start(inst: AtomicInstance, model: ResolvedModel) -> ComponentState:
 
 
 def _successors(inst: AtomicInstance, cs: ComponentState, inputs: list[Slot], branches,
-                event_port: Optional[str] = None) -> list[tuple[ComponentState, list]]:
+                first: bool, event_port: Optional[str] = None) -> list[tuple[ComponentState, list]]:
     """Every (state, outputs) of one instance reading ``inputs``, by position,
     in ``cs``, one per branch of its enabled transitions that ``branches``
     admits; with none enabled, it completes idle: unchanged and silent.
+    With ``first``, only the first enabled transition is found.
     ``event_port`` selects the event-driven profile (see
     :meth:`LoweredAutomaton.enabled`)."""
     behaviour = inst.behaviour
-    options = behaviour.enabled(cs.state, inputs, cs.variables, event_port)
+    options = behaviour.enabled(cs.state, inputs, cs.variables, event_port, first)
     if not options:
         return [(cs, [])]
     successors = []
@@ -448,12 +459,12 @@ def _distinct(successors: list[tuple]) -> list[tuple]:
 _SENT = operator.itemgetter(1)  # of a (state, sent) pair
 
 
-def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
+def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches, first: bool,
           cycle: Optional[int]) -> tuple[dict[str, Slot], itertools.product]:
     """One global cycle: the outputs observed outside, and every distinct
-    successor joint state that ``branches`` admits.  :func:`_begin` starts a
-    run with a step out of :data:`PRE_START`, in cycle None, whose observed
-    outputs are unused.
+    successor joint state that ``branches`` admits (see :func:`_successors`
+    for ``first``).  :func:`_begin` starts a run with a step out of
+    :data:`PRE_START`, in cycle None, whose observed outputs are unused.
 
     Each instance reads what was sent in the previous cycle, from the frame
     its wires index, and fires one enabled transition, or completes idle:
@@ -466,7 +477,7 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
     per_instance = []
     try:
         for inst, (cs, _) in zip(plan.instances, state):
-            successors = _successors(inst, cs, list(map(read, inst.wires)), branches)
+            successors = _successors(inst, cs, list(map(read, inst.wires)), branches, first)
             if len(successors) == 1:
                 [(successor, outputs)] = successors
                 per_instance.append(((successor, _sent(inst, cs, outputs) if outputs
@@ -528,7 +539,8 @@ def _items(items: Iterable, what: str) -> Iterator:
         raise SetupError(f"a {what} is an iterable, not {items!r}") from None
 
 
-def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int, branches):
+def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int, branches,
+           first: bool):
     """Every joint state that ``branches`` admits out of :data:`PRE_START`,
     where each instance has sent nothing, and the (cycle, external input) of
     cycles 1 to ``n_cycles``, any positive ``int``: row k of ``stimulus`` is
@@ -541,7 +553,7 @@ def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int,
     rows = _items(stimulus, "stimulus")
     gate = _external(plan.model, plan.main, "stimulus", "stimulus column ")
     pre_start = tuple((_start(inst, plan.model), inst.silent) for inst in plan.instances)
-    _, starts = _step(plan, pre_start, gate({}), branches, None)
+    _, starts = _step(plan, pre_start, gate({}), branches, first, None)
     return starts, zip(range(1, n_cycles + 1),
                        map(gate, itertools.chain(rows, itertools.repeat({}))))
 
@@ -553,10 +565,10 @@ def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]]
     padded one per cycle, so memory does not grow with the run; a failing cycle
     raises :class:`SimulationError` after the records of the cycles before it."""
     plan = build_plan(model, main)
-    branches = _policy_branches(policy)
-    (state,), cycles = _begin(plan, stimulus, n_cycles, branches)
+    branches, first = _policy_branches(policy)
+    (state,), cycles = _begin(plan, stimulus, n_cycles, branches, first)
     for index, external in cycles:
-        observed, (state,) = _step(plan, state, external, branches, index)
+        observed, (state,) = _step(plan, state, external, branches, first, index)
         yield _record(plan, index, external, observed, state)
 
 
@@ -587,7 +599,7 @@ def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles
     of the child node in the next level, None in the last), sorted by frozen
     record.  Only edges are kept: a level's joint states are dropped once the
     next level is built.  See :func:`iter_enumerate_ts`."""
-    starts, cycles = _begin(plan, stimulus, n_cycles, _every_branch)
+    starts, cycles = _begin(plan, stimulus, n_cycles, _every_branch, False)
     # the root's joint states are drawn and stepped one at a time
     nodes: list = [map(lambda state: (_joint_key(state), state), starts)]
     counts = [1]  # the record prefixes that reach each node
@@ -604,7 +616,7 @@ def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles
                 fresh = successors is None
                 if fresh:
                     successors = fired[key] = []
-                    observed, items = _step(plan, state, external, _every_branch, index)
+                    observed, items = _step(plan, state, external, _every_branch, False, index)
                 for item in items:
                     if fresh:  # a joint successor; the last level, which none reads, has no child
                         record = _record(plan, index, external, observed, item)
@@ -709,10 +721,11 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
-    branches = _policy_branches(policy)
+    branches, first = _policy_branches(policy)
     events = _items(script, "script")
     inputs = _external(model, rc, "event", "")
-    [(cs, outputs)] = _successors(inst, _start(inst, model), [*inputs({}).values()], branches)
+    [(cs, outputs)] = _successors(inst, _start(inst, model), [*inputs({}).values()], branches,
+                                  first)
     yield EventStep(None, _emissions(outputs), cs)
     for index, event in enumerate(events, start=1):
         if not isinstance(event, Event):
@@ -724,7 +737,7 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
             raise SetupError(f"an event on in-port '{event.port}' of '{rc.qname}' "
                              "cannot carry '--'")
         try:
-            [(cs, outputs)] = _successors(inst, cs, [*row.values()], branches, event.port)
+            [(cs, outputs)] = _successors(inst, cs, [*row.values()], branches, first, event.port)
         except SimulationError as exc:
             raise SimulationError(exc.message, event=index) from None
         yield EventStep(event, _emissions(outputs), cs)

@@ -9,7 +9,8 @@ read of an in-port by its position or a read of a variable by its name.  Initial
 declarations become transitions out of the pre-start state :data:`PRE_START`.
 :meth:`LoweredAutomaton.enabled` is the one query for enabled transitions, in
 declaration order, of the candidates that an index built on the first visit to
-a state files under the value at one in-port's position.
+a state files under the value at one in-port's position; a first-match query
+tests them only up to the first enabled one.
 :meth:`LoweredAutomaton.apply_outputs` evaluates every output block.
 
 :mod:`maa.engine` runs this form; it imports the runtime values and
@@ -73,8 +74,11 @@ class _Absent:
 ABSENT = _Absent()
 
 
-@dataclass(frozen=True)
-class EnumValue:
+class EnumValue(NamedTuple):
+    """An enum literal as a value.  A tuple, so it hashes and compares in C,
+    by enum and literal: it never equals an int, a bool or a str, which are
+    the other values, and its ``str`` is the literal."""
+
     enum: str  # qualified enum name
     literal: str
 
@@ -220,11 +224,18 @@ class _Compiler:
         kind = type(term)
         if kind is SequenceValue:
             def build():
-                constants = [self.constant(e) for e in term.elements]
-                if None not in constants:  # a fresh copy each time it is sent
-                    return lambda inputs, variables: constants.copy()
-                elements = [self.message(e) for e in term.elements]
-                return lambda inputs, variables: [e(inputs, variables) for e in elements]
+                # a fresh copy of the constants each time it is sent, with
+                # only the other elements evaluated into it, in order
+                template = [self.constant(e) for e in term.elements]
+                elements = [(k, self.message(e)) for k, e in enumerate(term.elements)
+                            if template[k] is None]
+
+                def sent(inputs, variables):
+                    sequence = template.copy()
+                    for k, element in elements:
+                        sequence[k] = element(inputs, variables)
+                    return sequence
+                return sent
             return self.shared(("send", term), build)
         if kind is not ERef or self.rc.kind(term.name) != "in":
             return self.term(term)
@@ -304,13 +315,14 @@ class LoweredAutomaton:
     dispatch: dict[object, tuple] = field(default_factory=dict, repr=False)
 
     def enabled(self, state: Optional[str], inputs: Sequence[Slot],
-                variables: dict[str, Value],
-                event_port: Optional[str] = None) -> list[LoweredTransition]:
+                variables: dict[str, Value], event_port: Optional[str] = None,
+                first: bool = False) -> list[LoweredTransition]:
         """Enabled transitions out of ``state``, in declaration order;
         ``inputs`` holds every in-port, by position.  With ``event_port``,
         only transitions that read exactly that port qualify (the
-        event-driven profile).  Each candidate that :meth:`_index` gives is
-        tested in full."""
+        event-driven profile).  The candidates that :meth:`_index` gives are
+        tested in order, each in full; with ``first``, only up to the first
+        enabled one, which is all that is returned (first-match semantics)."""
         key = state if event_port is None else (state, event_port)
         port, buckets, rest = (self.dispatch.get(key)
                                or self.dispatch.setdefault(key, self._index(state, event_port)))
@@ -322,6 +334,8 @@ class LoweredAutomaton:
                 if not match(inputs, variables):
                     break
             else:
+                if first:
+                    return [t]
                 result.append(t)
         return result
 

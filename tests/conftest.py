@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from maa.checks import check
-from maa.engine import ABSENT
+from maa.engine import ABSENT, EnumValue
 from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit, TypeDeclUnit
@@ -76,6 +76,39 @@ def positional(rc, inputs: dict) -> list:
     """The inputs that ``rc``'s lowered automaton reads, one per in-port in
     declaration order, from ``{port: value}``; a port missing is absent."""
     return [inputs.get(port, ABSENT) for port in rc.in_ports]
+
+
+def workload_model(w):
+    """The resolved model of a generated benchmark workload."""
+    units = [parse_component_file(text, name) for name, text in w.models.items()]
+    tunits = [parse_types_file(text, name) for name, text in w.types.items()]
+    model, diags = resolve(units, tunits)
+    assert diags == [], [d.render() for d in diags]
+    return model
+
+
+def workload_value(w, port: str, v):
+    """The engine's value of a workload's generated cell: absent for None, and
+    an enum value on a port of an enum type."""
+    if v is None:
+        return ABSENT
+    return EnumValue(f"{workloads.PACKAGE}.{w.enums[port]}", v) if port in w.enums else v
+
+
+def python_calls(call) -> int:
+    """The Python-level calls that ``call()`` makes, counted with
+    ``sys.setprofile``."""
+    count, previous = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
 
 
 def out_column(trace, port: str) -> list:

@@ -21,6 +21,7 @@ from maa.engine import (
     SimulationError,
     build_plan,
     enumerate_ts,
+    format_value,
     iter_enumerate_ts,
     iter_ts,
     lower,
@@ -32,7 +33,15 @@ from maa.resolution import resolve
 from maa.syntax import CompilationUnit
 
 import genmodels
-from conftest import out_column, positional, trace_key, workloads
+from conftest import (
+    out_column,
+    positional,
+    python_calls,
+    trace_key,
+    workload_model,
+    workload_value,
+    workloads,
+)
 
 MOTOR = "bumperbot.types.MotorCmd"
 TIMER = "bumperbot.types.TimerCmd"
@@ -275,7 +284,9 @@ def test_policies_and_enumeration_see_every_enabled_transition_of_a_bucket():
 
 
 def test_one_cycle_evaluates_only_the_guards_of_the_indexed_bucket(monkeypatch):
-    # 100 transitions whose entries each admit 1 to 3 of 10 literals
+    # 100 transitions whose entries each admit 1 to 3 of 10 literals: a
+    # FirstDeclared run tests the bucket's guards up to the first enabled
+    # transition, and a Seeded run, which draws among them all, every one
     rng = random.Random(17)
     literals = [f"C{i}" for i in range(10)]
     admitted = [rng.sample(literals, rng.randint(1, 3)) for _ in range(100)]
@@ -300,12 +311,16 @@ def test_one_cycle_evaluates_only_the_guards_of_the_indexed_bucket(monkeypatch):
         return behaviour
 
     monkeypatch.setattr(engine, "lower", lower_counting)
-    value = EnumValue("w.Cmd", "C3")
-    trace = run_ts(model, "w.C", [{"x": 5, "c": value}, {"x": 5, "c": ABSENT}], 3)
+    stimulus = [{"x": 5, "c": EnumValue("w.Cmd", "C3")}, {"x": 5, "c": ABSENT}]
+    trace = run_ts(model, "w.C", stimulus, 3)
     bucket = [k for k, cs in enumerate(admitted) if "C3" in cs]
-    assert len(evaluated) == len(bucket) < 100  # the absent cycle evaluates none
     fired = next(k for k in bucket if 5 > k % 10)
     assert out_column(trace, "o") == [ABSENT, fired, ABSENT]
+    # the absent cycle evaluates none
+    assert len(evaluated) == bucket.index(fired) + 1 < len(bucket) < 100
+    evaluated.clear()
+    run_ts(model, "w.C", stimulus, 3, Seeded(0))
+    assert len(evaluated) == len(bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -1409,6 +1424,41 @@ def test_a_policy_run_makes_few_python_calls_per_instance_cycle():
             sys.setprofile(previous)
         return count
     assert (calls(40) - calls(20)) / (20 * w.instances) <= 8.0
+
+
+def test_a_policy_run_makes_few_python_calls_per_cycle_of_many_transitions():
+    # A FirstDeclared step tests candidates only up to the first enabled one,
+    # and enum values hash and compare in C: 25.75 Python-level calls per
+    # cycle when every candidate of the bucket was tested, 15.15 now
+    w = workloads.generate("wide_automaton", 1, "smoke")
+    model = workload_model(w)
+    stimulus = [{port: workload_value(w, port, v) for port, v in row.items()}
+                for row in w.stimulus]
+    run_ts(model, w.main, stimulus, w.cycles)  # check's findings stay on the model
+    half = w.cycles // 2
+    calls = [python_calls(lambda: run_ts(model, w.main, stimulus, n))
+             for n in (half, w.cycles)]
+    assert (calls[1] - calls[0]) / (w.cycles - half) <= 18.0
+
+
+def test_enum_values_are_type_exact_and_read_as_their_literal():
+    value = EnumValue("E", "A")
+    for other in ("A", 0, False, True, 1, EnumValue("F", "A"), EnumValue("E", "B")):
+        assert value != other and not value == other
+    assert {value, EnumValue("E", "A")} == {value} and len({value, "A", 0}) == 3
+    assert str(value) == "A" and format_value(value) == "A"
+    assert repr(value) == "EnumValue(enum='E', literal='A')"
+
+
+def test_enumerate_orders_enum_outputs_and_variables_by_literal():
+    # declared B before A: observed values and variables both sort by literal
+    model = small_model(
+        "package p; import p.types.*; component C { port out Cmd o; Cmd v;"
+        " automaton { state S, T; initial S; S -> T / v = B | A; T / o = B | A; } }",
+        ["package p.types; enum Cmd { B, A }"])
+    traces = enumerate_ts(model, "p.C", [], 3)
+    assert [(t.records[0].states[""].variables["v"].literal, str(t.records[2].outputs["o"]))
+            for t in traces] == [("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")]
 
 
 # p.x is read twice, p.y by nothing, and q.j and Top's out-port f are unconnected
