@@ -109,15 +109,14 @@ class Seeded:
 Policy = Union[FirstDeclared, Seeded]
 
 
-def _policy_branches(policy: Policy) -> tuple[Callable, bool]:
+def _policy_branches(policy: Policy) -> Callable:
     """The one branch a policy takes among enabled transitions: a transition
-    and one alternative per entry of its output block, the first of each or,
-    ``Seeded``, drawn where there are several; and whether only the first
-    enabled transition is ever taken, so that a step need not test the
-    transitions after it (``first``, decided once per run).  A seed is an
-    ``int`` that is no ``bool``, so that a seeded run is reproducible."""
+    and one alternative per entry of its output block, the first of each
+    (:func:`_first_branch`) or, ``Seeded``, drawn where there are several.  A
+    seed is an ``int`` that is no ``bool``, so that a seeded run is
+    reproducible."""
     if isinstance(policy, FirstDeclared):
-        return _first_branch, True
+        return _first_branch
     if not isinstance(policy, Seeded):
         raise SetupError(f"a policy is FirstDeclared() or Seeded(seed), not {policy!r}")
     if type(policy.seed) is not int:
@@ -130,11 +129,12 @@ def _policy_branches(policy: Policy) -> tuple[Callable, bool]:
     def branches(options: list) -> list[tuple]:
         chosen = pick(options)
         return [(chosen, [pick(a.alternatives) for a in chosen.assigns])]
-    return branches, False
+    return branches
 
 
 def _first_branch(options: list) -> list[tuple]:
-    """The first option with the first alternative of each output entry."""
+    """The first option with the first alternative of each output entry: a
+    step that takes it tests candidates only up to the first enabled one."""
     return [(options[0], options[0].firsts)]
 
 
@@ -394,15 +394,16 @@ def _start(inst: AtomicInstance, model: ResolvedModel) -> ComponentState:
 
 
 def _successors(inst: AtomicInstance, cs: ComponentState, inputs: list[Slot], branches,
-                first: bool, event_port: Optional[str] = None) -> list[tuple[ComponentState, list]]:
+                event_port: Optional[str] = None) -> list[tuple[ComponentState, list]]:
     """Every (state, outputs) of one instance reading ``inputs``, by position,
     in ``cs``, one per branch of its enabled transitions that ``branches``
     admits; with none enabled, it completes idle: unchanged and silent.
-    With ``first``, only the first enabled transition is found.
+    Under :func:`_first_branch`, only the first enabled transition is found.
     ``event_port`` selects the event-driven profile (see
     :meth:`LoweredAutomaton.enabled`)."""
     behaviour = inst.behaviour
-    options = behaviour.enabled(cs.state, inputs, cs.variables, event_port, first)
+    options = behaviour.enabled(cs.state, inputs, cs.variables, event_port,
+                                branches is _first_branch)
     if not options:
         return [(cs, [])]
     successors = []
@@ -459,11 +460,11 @@ def _distinct(successors: list[tuple]) -> list[tuple]:
 _SENT = operator.itemgetter(1)  # of a (state, sent) pair
 
 
-def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches, first: bool,
+def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches,
           cycle: Optional[int]) -> tuple[dict[str, Slot], itertools.product]:
     """One global cycle: the outputs observed outside, and every distinct
-    successor joint state that ``branches`` admits (see :func:`_successors`
-    for ``first``).  :func:`_begin` starts a run with a step out of
+    successor joint state that ``branches`` admits (see
+    :func:`_successors`).  :func:`_begin` starts a run with a step out of
     :data:`PRE_START`, in cycle None, whose observed outputs are unused.
 
     Each instance reads what was sent in the previous cycle, from the frame
@@ -477,7 +478,7 @@ def _step(plan: SystemPlan, state: tuple, external: dict[str, Slot], branches, f
     per_instance = []
     try:
         for inst, (cs, _) in zip(plan.instances, state):
-            successors = _successors(inst, cs, list(map(read, inst.wires)), branches, first)
+            successors = _successors(inst, cs, list(map(read, inst.wires)), branches)
             if len(successors) == 1:
                 [(successor, outputs)] = successors
                 per_instance.append(((successor, _sent(inst, cs, outputs) if outputs
@@ -505,26 +506,25 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
     of its port's type: an ``int`` that is no ``bool`` for Integer, a literal
     of the port's own enum, and nothing for a type parameter.  ``what`` and
     ``column`` name the row in refusals."""
-    tests = {}
+    accepted = {}  # in-port -> its Python type, or the values of its enum
     for port in rc.in_ports:
         declared = rc.binding(port)[1]
-        if isinstance(declared, EnumType):
-            enum = model.enums[declared.qname]
-            literals = {EnumValue(enum.qname, literal) for literal in enum.literals}
-            tests[port] = lambda value, literals=literals: (
-                type(value) is EnumValue and value in literals)
-        else:
-            python_type = PYTHON_TYPES.get(declared)
-            tests[port] = lambda value, python_type=python_type: type(value) is python_type
+        accepted[port] = frozenset([
+            EnumValue(declared.qname, literal) for literal in model.enums[declared.qname].literals
+        ]) if isinstance(declared, EnumType) else PYTHON_TYPES.get(declared)
     silent = dict.fromkeys(rc.in_ports, ABSENT)
 
     def inputs(row: dict[str, Slot]) -> dict[str, Slot]:
         if not isinstance(row, dict):
             raise SetupError(f"a {what} row is a dict of in-port values, not {row!r}")
         for port, value in row.items():
-            if port not in tests:
+            if port not in accepted:
                 raise SetupError(f"{column}'{port}' is not an in-port of '{rc.qname}'")
-            if value is not ABSENT and not tests[port](value):
+            expected = accepted[port]
+            # an EnumValue is hashed only once its enum and literal, [0] and [1], are str
+            if value is not ABSENT and type(value) is not expected and not (
+                    type(value) is EnumValue and type(expected) is frozenset
+                    and type(value[0]) is type(value[1]) is str and value in expected):
                 raise SetupError(f"{what} value {value!r} on in-port '{port}' of "
                                  f"'{rc.qname}' is no {rc.binding(port)[1]}")
         return {**silent, **row}
@@ -539,8 +539,7 @@ def _items(items: Iterable, what: str) -> Iterator:
         raise SetupError(f"a {what} is an iterable, not {items!r}") from None
 
 
-def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int, branches,
-           first: bool):
+def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int, branches):
     """Every joint state that ``branches`` admits out of :data:`PRE_START`,
     where each instance has sent nothing, and the (cycle, external input) of
     cycles 1 to ``n_cycles``, any positive ``int``: row k of ``stimulus`` is
@@ -553,7 +552,7 @@ def _begin(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles: int,
     rows = _items(stimulus, "stimulus")
     gate = _external(plan.model, plan.main, "stimulus", "stimulus column ")
     pre_start = tuple((_start(inst, plan.model), inst.silent) for inst in plan.instances)
-    _, starts = _step(plan, pre_start, gate({}), branches, first, None)
+    _, starts = _step(plan, pre_start, gate({}), branches, None)
     return starts, zip(range(1, n_cycles + 1),
                        map(gate, itertools.chain(rows, itertools.repeat({}))))
 
@@ -565,10 +564,10 @@ def iter_ts(model: ResolvedModel, main: str, stimulus: Iterable[dict[str, Slot]]
     padded one per cycle, so memory does not grow with the run; a failing cycle
     raises :class:`SimulationError` after the records of the cycles before it."""
     plan = build_plan(model, main)
-    branches, first = _policy_branches(policy)
-    (state,), cycles = _begin(plan, stimulus, n_cycles, branches, first)
+    branches = _policy_branches(policy)
+    (state,), cycles = _begin(plan, stimulus, n_cycles, branches)
     for index, external in cycles:
-        observed, (state,) = _step(plan, state, external, branches, first, index)
+        observed, (state,) = _step(plan, state, external, branches, index)
         yield _record(plan, index, external, observed, state)
 
 
@@ -599,7 +598,7 @@ def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles
     of the child node in the next level, None in the last), sorted by frozen
     record.  Only edges are kept: a level's joint states are dropped once the
     next level is built.  See :func:`iter_enumerate_ts`."""
-    starts, cycles = _begin(plan, stimulus, n_cycles, _every_branch, False)
+    starts, cycles = _begin(plan, stimulus, n_cycles, _every_branch)
     # the root's joint states are drawn and stepped one at a time
     nodes: list = [map(lambda state: (_joint_key(state), state), starts)]
     counts = [1]  # the record prefixes that reach each node
@@ -616,7 +615,7 @@ def _trace_graph(plan: SystemPlan, stimulus: Iterable[dict[str, Slot]], n_cycles
                 fresh = successors is None
                 if fresh:
                     successors = fired[key] = []
-                    observed, items = _step(plan, state, external, _every_branch, False, index)
+                    observed, items = _step(plan, state, external, _every_branch, index)
                 for item in items:
                     if fresh:  # a joint successor; the last level, which none reads, has no child
                         record = _record(plan, index, external, observed, item)
@@ -721,11 +720,10 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
     if rc is not None and rc.ast.composed:
         raise SetupError("event-driven simulation requires an atomic main component")
     [inst] = build_plan(model, main).instances
-    branches, first = _policy_branches(policy)
+    branches = _policy_branches(policy)
     events = _items(script, "script")
     inputs = _external(model, rc, "event", "")
-    [(cs, outputs)] = _successors(inst, _start(inst, model), [*inputs({}).values()], branches,
-                                  first)
+    [(cs, outputs)] = _successors(inst, _start(inst, model), [*inputs({}).values()], branches)
     yield EventStep(None, _emissions(outputs), cs)
     for index, event in enumerate(events, start=1):
         if not isinstance(event, Event):
@@ -737,7 +735,7 @@ def iter_ed(model: ResolvedModel, main: str, script: Iterable[Event],
             raise SetupError(f"an event on in-port '{event.port}' of '{rc.qname}' "
                              "cannot carry '--'")
         try:
-            [(cs, outputs)] = _successors(inst, cs, [*row.values()], branches, first, event.port)
+            [(cs, outputs)] = _successors(inst, cs, [*row.values()], branches, event.port)
         except SimulationError as exc:
             raise SimulationError(exc.message, event=index) from None
         yield EventStep(event, _emissions(outputs), cs)

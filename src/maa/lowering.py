@@ -310,7 +310,6 @@ class LoweredAutomaton:
     by_state: dict[str, list[LoweredTransition]]
     # variable -> its compiled initial value (None: its type's default) and type
     variables: dict[str, tuple[Optional[Compiled], TypeRef]]
-    positions: dict[str, int]  # in-port -> its position in the inputs
     # state, or (state, event port), -> what _index gives, on the first visit
     dispatch: dict[object, tuple] = field(default_factory=dict, repr=False)
 
@@ -340,25 +339,23 @@ class LoweredAutomaton:
         return result
 
     def _index(self, state: Optional[str], event_port: Optional[str]) -> tuple:
-        """(position, buckets, rest): the candidates out of ``state`` for each
-        value at the in-port ``position`` (None: no index), and for any other
-        value, each in declaration order.  They read exactly ``event_port``,
-        if given, and are indexed on it; else on the in-port most of them
-        match with constants.  A transition without an entry of constants on
-        that port is in every list (pattern-match compilation: Maranget,
-        2008)."""
-        candidates, port = self.by_state.get(state, []), event_port
-        if port is not None:
-            candidates = [t for t in candidates if len(t.reads) == 1 and port in t.reads]
-            port = self.positions[port]
-        else:
-            counts = collections.Counter([p for t in candidates for p in t.keys])
-            port = max(counts, key=counts.__getitem__, default=None)
+        """(position, buckets, rest): the candidates out of ``state``, those
+        that read exactly ``event_port`` if given, for each value at the
+        in-port ``position`` that most of them match with constants (None: no
+        index), and for any other value, each in declaration order.  A
+        transition without an entry of constants on that port is in every
+        list (pattern-match compilation: Maranget, 2008).  A candidate of an
+        event port can match only that port, so it is the one indexed."""
+        candidates = self.by_state.get(state, [])
+        if event_port is not None:
+            candidates = [t for t in candidates if t.reads == {event_port}]
+        counts = collections.Counter([p for t in candidates for p in t.keys])
+        port = max(counts, key=counts.__getitem__, default=None)
         rest = [t for t in candidates if port not in t.keys]
         values = dict.fromkeys([v for t in candidates for v in t.keys.get(port, ())])
         buckets = {v: [t for t in candidates if port not in t.keys or v in t.keys[port]]
                    for v in values}
-        return port if buckets else None, buckets, rest
+        return port, buckets, rest
 
     def apply_outputs(self, assigns: tuple, picks: tuple, inputs: Sequence[Slot],
                       variables: dict[str, Value]) -> tuple[list[tuple[str, object]], dict[str, Value]]:
@@ -399,4 +396,4 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
                            for decl, target, output in starts]
     variables = {var.name: (None if var.initial is None else compiler.term(var.initial),
                             rc.binding(var.name)[1]) for var in rc.ast.variables}
-    return LoweredAutomaton(by_state, variables, compiler.position)
+    return LoweredAutomaton(by_state, variables)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from maa import engine
 from maa.checks import check
 from maa.engine import ABSENT, EnumValue
+from maa.lowering import lower
 from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import resolve
 from maa.syntax import CompilationUnit, TypeDeclUnit
@@ -109,6 +111,27 @@ def python_calls(call) -> int:
     finally:
         sys.setprofile(previous)
     return count
+
+
+def counted_guards(monkeypatch, state: str) -> list:
+    """The inputs of each evaluation of a guard out of ``state``, in order,
+    in the runs made after this call, which lower their automata through
+    ``maa.engine.lower`` patched to record them."""
+    evaluated = []
+
+    def counting(guard):
+        def counted(inputs, variables):
+            evaluated.append(inputs)
+            return guard(inputs, variables)
+        return counted
+
+    def lower_counting(rc):
+        behaviour = lower(rc)
+        behaviour.by_state[state] = [t._replace(guard=counting(t.guard))
+                                     for t in behaviour.by_state[state]]
+        return behaviour
+    monkeypatch.setattr(engine, "lower", lower_counting)
+    return evaluated
 
 
 def out_column(trace, port: str) -> list:

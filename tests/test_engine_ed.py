@@ -19,12 +19,13 @@ from maa.engine import (
     iter_ed,
     run_ed,
 )
-from maa.parser import parse_component_file
+from maa.parser import parse_component_file, parse_types_file
 from maa.resolution import BOOLEAN, INTEGER, STRING, EnumType, resolve
 from maa.syntax import CompilationUnit
 
 from conftest import (
     CORPUS,
+    counted_guards,
     load_model,
     positional,
     python_calls,
@@ -45,10 +46,10 @@ def literals(values):
     return [v.literal for v in values]
 
 
-def small_model(text):
+def small_model(text, types=()):
     unit = parse_component_file(text, "m.maa")
     assert isinstance(unit, CompilationUnit), unit
-    model, diags = resolve([unit], [])
+    model, diags = resolve([unit], [parse_types_file(t, "t.types") for t in types])
     assert diags == [], [d.render() for d in diags]
     return model
 
@@ -175,11 +176,7 @@ def op(literal):
 
 
 def interleaved():
-    from maa.parser import parse_types_file
-    unit = parse_component_file(INTERLEAVED, "m.maa")
-    model, diags = resolve([unit], [parse_types_file(OPS, "t.types")])
-    assert diags == [], [d.render() for d in diags]
-    return model
+    return small_model(INTERLEAVED, [OPS])
 
 
 def sent_by(transitions):
@@ -212,6 +209,32 @@ def test_seeded_runs_see_every_transition_that_reacts():
     seen = {run_ed(model, "p.C", [Event("op", op("B"))], Seeded(seed)).steps[0].emissions[0][1][0]
             for seed in range(40)}
     assert seen == {1, 2, 4, 5}
+
+
+def test_an_event_tests_guards_up_to_the_transition_it_fires_only_under_first_declared(
+        monkeypatch):
+    # 60 transitions that react to c, each admitting 1 to 3 of 10 literals,
+    # the first 30 guarded against C3: a FirstDeclared event tests the bucket
+    # of C3 up to the first transition it fires, and a Seeded one, which
+    # draws among every enabled transition, the whole bucket
+    rng = random.Random(17)
+    literals = [f"C{i}" for i in range(10)]
+    admitted = [rng.sample(literals, rng.randint(1, 3)) for _ in range(60)]
+    transitions = " ".join(f"S [c != C{3 if k < 30 else 0}] {{c = {' | '.join(cs)}}} / o = {k};"
+                           for k, cs in enumerate(admitted))
+    model = small_model(
+        "package w; component C { port in Cmd c, out Integer o;"
+        f" automaton {{ state S; initial S; {transitions} }} }}",
+        [f"package w; enum Cmd {{ {', '.join(literals)} }}"])
+    evaluated = counted_guards(monkeypatch, "S")
+    script = [Event("c", EnumValue("w.Cmd", "C3"))]
+    bucket = [k for k, cs in enumerate(admitted) if "C3" in cs]
+    fired = next(k for k in bucket if k >= 30)
+    assert run_ed(model, "w.C", script).steps[0].emissions == [("o", [fired])]
+    assert 0 < len(evaluated) - 1 == bucket.index(fired) < len(bucket) - 1
+    evaluated.clear()
+    run_ed(model, "w.C", script, Seeded(0))
+    assert len(evaluated) == len(bucket)
 
 
 def _script_for(rc, model, rng, n):

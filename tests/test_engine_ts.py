@@ -34,6 +34,7 @@ from maa.syntax import CompilationUnit
 
 import genmodels
 from conftest import (
+    counted_guards,
     out_column,
     positional,
     python_calls,
@@ -286,7 +287,8 @@ def test_policies_and_enumeration_see_every_enabled_transition_of_a_bucket():
 def test_one_cycle_evaluates_only_the_guards_of_the_indexed_bucket(monkeypatch):
     # 100 transitions whose entries each admit 1 to 3 of 10 literals: a
     # FirstDeclared run tests the bucket's guards up to the first enabled
-    # transition, and a Seeded run, which draws among them all, every one
+    # transition, and a Seeded run, which draws among them all, and the
+    # enumerator, which follows them all, every one
     rng = random.Random(17)
     literals = [f"C{i}" for i in range(10)]
     admitted = [rng.sample(literals, rng.randint(1, 3)) for _ in range(100)]
@@ -296,21 +298,7 @@ def test_one_cycle_evaluates_only_the_guards_of_the_indexed_bucket(monkeypatch):
         "package w; component C { port in Integer x, in Cmd c, out Integer o;"
         f" automaton {{ state S; initial S; {transitions} }} }}",
         [f"package w; enum Cmd {{ {', '.join(literals)} }}"])
-    evaluated = []
-
-    def counting(guard, c):
-        def counted(inputs, variables):
-            evaluated.append(inputs[c])
-            return guard(inputs, variables)
-        return counted
-
-    def lower_counting(rc):
-        behaviour = lower(rc)
-        behaviour.by_state["S"] = [t._replace(guard=counting(t.guard, rc.in_ports.index("c")))
-                                   for t in behaviour.by_state["S"]]
-        return behaviour
-
-    monkeypatch.setattr(engine, "lower", lower_counting)
+    evaluated = counted_guards(monkeypatch, "S")
     stimulus = [{"x": 5, "c": EnumValue("w.Cmd", "C3")}, {"x": 5, "c": ABSENT}]
     trace = run_ts(model, "w.C", stimulus, 3)
     bucket = [k for k, cs in enumerate(admitted) if "C3" in cs]
@@ -318,9 +306,11 @@ def test_one_cycle_evaluates_only_the_guards_of_the_indexed_bucket(monkeypatch):
     assert out_column(trace, "o") == [ABSENT, fired, ABSENT]
     # the absent cycle evaluates none
     assert len(evaluated) == bucket.index(fired) + 1 < len(bucket) < 100
-    evaluated.clear()
-    run_ts(model, "w.C", stimulus, 3, Seeded(0))
-    assert len(evaluated) == len(bucket)
+    for run in (lambda: run_ts(model, "w.C", stimulus, 3, Seeded(0)),
+                lambda: enumerate_ts(model, "w.C", stimulus, 3)):
+        evaluated.clear()
+        run()
+        assert len(evaluated) == len(bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +681,9 @@ MISTYPED = {
     "unknown-literal": ("p.C", "e", EnumValue("p.types.E", "Z"), "p.types.E"),
     "type-parameter-int": ("G", "t", 1, "T"),
     "type-parameter-str": ("G", "t", "s", "T"),
+    # an enum value whose fields are no str cannot be hashed, nor a literal
+    "list-literal": ("p.C", "e", EnumValue("p.types.E", ["X"]), "p.types.E"),
+    "list-enum": ("p.C", "e", EnumValue(["p.types.E"], "X"), "p.types.E"),
 }
 
 
