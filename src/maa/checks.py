@@ -223,7 +223,7 @@ class _Checker:
             self.check_guard(trans.guard)
         for entry in (*(trans.input or ()), *(trans.output or ())):
             self.check_entry(entry)
-        _, ports = self.rc.ports_read(trans)
+        ports = self.rc.ports_read(trans)
         if len(ports) > 1:
             names = ", ".join(sorted(ports))
             message = f"transition reads more than one port ({names})"

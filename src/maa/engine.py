@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -503,9 +504,10 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
     partial row of ``rc``'s in-ports, a stimulus row or one event's ``{port:
     value}``, and returns every in-port's input, in declaration order, absent
     where the row has none.  A row must be a ``dict``, and a value a message
-    of its port's type: an ``int`` that is no ``bool`` for Integer, a literal
-    of the port's own enum, and nothing for a type parameter.  ``what`` and
-    ``column`` name the row in refusals."""
+    of its port's type: an ``int`` that is no ``bool`` for Integer, with no
+    more digits than ``sys.get_int_max_str_digits()`` lets it print (0: no
+    limit), a literal of the port's own enum, and nothing for a type
+    parameter.  ``what`` and ``column`` name the row in refusals."""
     accepted = {}  # in-port -> its Python type, or the values of its enum
     for port in rc.in_ports:
         declared = rc.binding(port)[1]
@@ -513,6 +515,9 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
             EnumValue(declared.qname, literal) for literal in model.enums[declared.qname].literals
         ]) if isinstance(declared, EnumType) else PYTHON_TYPES.get(declared)
     silent = dict.fromkeys(rc.in_ports, ABSENT)
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # Python < 3.10.7 has no limit: 0
+    # an int of at most ``bits`` bits has at most ``digits`` digits: log2(10) > 3.32
+    bits = 3.32 * digits if digits else float("inf")
 
     def inputs(row: dict[str, Slot]) -> dict[str, Slot]:
         if not isinstance(row, dict):
@@ -527,6 +532,10 @@ def _external(model: ResolvedModel, rc: ResolvedComponent, what: str,
                     and type(value[0]) is type(value[1]) is str and value in expected):
                 raise SetupError(f"{what} value {value!r} on in-port '{port}' of "
                                  f"'{rc.qname}' is no {rc.binding(port)[1]}")
+            if type(value) is int and value.bit_length() > bits and abs(value) >= 10 ** digits:
+                # not repr'd: printing it would raise
+                raise SetupError(f"{what} value on in-port '{port}' of '{rc.qname}' "
+                                 f"has more than {digits} digits")
         return {**silent, **row}
     return inputs
 

@@ -171,10 +171,11 @@ class _Compiler:
             return lambda i, v: left(i, v) or right(i, v)
         return lambda i, v: function(left(i, v), right(i, v))
 
-    def guard(self, expr: Expr, ports: frozenset[str]) -> Compiled:
+    def guard(self, expr: Expr) -> Compiled:
         """Whether a guard holds: false while an in-port it reads is absent.
         A guard ``port OP constant`` at its top is one closure; any other
-        tests each port it reads, then evaluates its term."""
+        tests each port it reads, which resolution names once per distinct
+        guard, then evaluates its term."""
         def build():
             left = expr.left if type(expr) is EBinary else None
             if type(left) is ERef and self.rc.kind(left.name) == "in":
@@ -183,7 +184,8 @@ class _Compiler:
                     k = self.position[left.name]
                     return lambda inputs, variables: (
                         inputs[k] is not ABSENT and function(inputs[k], constant))
-            value, absent_when = self.term(expr), tuple(sorted([self.position[p] for p in ports]))
+            value = self.term(expr)
+            absent_when = tuple(sorted([self.position[p] for p in self.rc.guard_ports(expr)]))
 
             def holds(inputs, variables):
                 for k in absent_when:
@@ -289,14 +291,14 @@ PRE_START = "<start>"  # the state before an instance starts, never a \w+ state 
 class LoweredTransition(NamedTuple):
     """A transition with its guard and entries compiled.  The guard is false
     while an in-port it reads is absent.  Under the event-driven profile a
-    transition reacts only to the one port it ``reads``.
+    transition reacts only to the one port it reads, which
+    :meth:`LoweredAutomaton._index` asks of resolution.
     An initial declaration is a guardless transition out of :data:`PRE_START`;
     a silent start has no ``transition``."""
 
     transition: Union[Transition, InitialDecl, None]
     target: Optional[str]
     guard: Optional[Compiled]
-    reads: frozenset[str]
     matches: tuple[Compiled, ...]  # whether each input-block entry holds
     keys: dict[int, frozenset]  # in-port position -> the constants its entry admits, if only those
     assigns: tuple[LoweredEntry, ...]
@@ -310,6 +312,7 @@ class LoweredAutomaton:
     by_state: dict[str, list[LoweredTransition]]
     # variable -> its compiled initial value (None: its type's default) and type
     variables: dict[str, tuple[Optional[Compiled], TypeRef]]
+    reads: Callable[[Transition], frozenset[str]]  # every in-port a transition reads
     # state, or (state, event port), -> what _index gives, on the first visit
     dispatch: dict[object, tuple] = field(default_factory=dict, repr=False)
 
@@ -344,11 +347,13 @@ class LoweredAutomaton:
         in-port ``position`` that most of them match with constants (None: no
         index), and for any other value, each in declaration order.  A
         transition without an entry of constants on that port is in every
-        list (pattern-match compilation: Maranget, 2008).  A candidate of an
-        event port can match only that port, so it is the one indexed."""
+        list (pattern-match compilation: Maranget, 2008).  Which candidates
+        read exactly ``event_port`` is asked of resolution here, once per
+        (state, event port) pair; such a candidate can match only that port,
+        so it is the one indexed."""
         candidates = self.by_state.get(state, [])
         if event_port is not None:
-            candidates = [t for t in candidates if t.reads == {event_port}]
+            candidates = [t for t in candidates if self.reads(t.transition) == {event_port}]
         counts = collections.Counter([p for t in candidates for p in t.keys])
         port = max(counts, key=counts.__getitem__, default=None)
         rest = [t for t in candidates if port not in t.keys]
@@ -384,16 +389,15 @@ def lower(rc: ResolvedComponent) -> LoweredAutomaton:
     compiler = _Compiler(rc)
     by_state: dict[str, list[LoweredTransition]] = {}
     for t in automaton.transitions:
-        guard_ports, reads = rc.ports_read(t)
-        guard = compiler.guard(t.guard.expr, guard_ports) if t.guard is not None else None
+        guard = compiler.guard(t.guard.expr) if t.guard is not None else None
         by_state.setdefault(t.source, []).append(LoweredTransition(
-            t, t.target, guard, reads, *compiler.inputs(t.input), *compiler.outputs(t.output)))
+            t, t.target, guard, *compiler.inputs(t.input), *compiler.outputs(t.output)))
     # without an initial declaration (warning C1), start silently in the first state
     starts = [(i, i.state, i.output) for i in automaton.initials] or [
         (None, automaton.states[0].name if automaton.states else None, None)]
-    by_state[PRE_START] = [LoweredTransition(decl, target, None, frozenset(), (), {},
+    by_state[PRE_START] = [LoweredTransition(decl, target, None, (), {},
                                              *compiler.outputs(output))
                            for decl, target, output in starts]
     variables = {var.name: (None if var.initial is None else compiler.term(var.initial),
                             rc.binding(var.name)[1]) for var in rc.ast.variables}
-    return LoweredAutomaton(by_state, variables)
+    return LoweredAutomaton(by_state, variables, rc.ports_read)

@@ -34,6 +34,7 @@ from .syntax import (
     ConnectorDecl,
     ELit,
     ERef,
+    Expr,
     Match,
     NoData,
     PortDecl,
@@ -119,10 +120,6 @@ class ResolvedComponent:
     # an unnamed input or output entry -> its target
     _targets: dict[Union[Match, Assignment], Inference] = field(
         default_factory=dict, repr=False, compare=False)
-    # id of a transition -> (it, ports_read's answer)
-    _reads: dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
-    # each distinct answer of ports_read -> itself, so that equal ones are one object
-    _read_sets: dict[tuple, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def binding(self, name: str):
         """What a bare name denotes in this component.
@@ -159,31 +156,23 @@ class ResolvedComponent:
             found = self._targets[entry] = infer_block_target(entry.alternatives, candidates, self)
         return found
 
-    def ports_read(self, trans: Transition) -> tuple[frozenset[str], frozenset[str]]:
-        """The in-ports a transition's guard reads, and all the in-ports it
-        reads: those and the ones its input block matches.
+    def guard_ports(self, expr: Expr) -> frozenset[str]:
+        """The in-ports a guard expression reads."""
+        return frozenset([ref.name for ref in expr_refs(expr) if self.kind(ref.name) == "in"])
+
+    def ports_read(self, trans: Transition) -> frozenset[str]:
+        """Every in-port a transition reads: those its guard reads and those
+        its input block matches.
 
         The event-driven profile allows one (rule S2ED), and a transition
-        reacts only to events on that port.  Computed once per transition,
-        since the checker and the engine both ask; equal answers are shared.
+        reacts only to events on that port.  Computed on each call: ``check``
+        asks once per transition, and under ``run_ed`` the dispatch index asks
+        for each candidate when it is first built for a (state, event port)
+        pair (see :meth:`maa.lowering.LoweredAutomaton._index`).
         """
-        found = self._reads.get(id(trans))
-        if found is None or found[0] is not trans:
-            answer = self._read_ports(trans)
-            found = self._reads[id(trans)] = (trans, self._read_sets.setdefault(answer, answer))
-        return found[1]
-
-    def _read_ports(self, trans: Transition) -> tuple[frozenset[str], frozenset[str]]:
-        guard: set[str] = set()
-        if trans.guard is not None:
-            guard = {ref.name for ref in expr_refs(trans.guard.expr)
-                     if self.kind(ref.name) == "in"}
-        reads = set(guard)
-        for match in trans.input or []:
-            name = self.target(match).name
-            if self.kind(name) == "in":
-                reads.add(name)
-        return frozenset(guard), frozenset(reads)
+        guard = self.guard_ports(trans.guard.expr) if trans.guard is not None else frozenset()
+        matched = {self.target(match).name for match in trans.input or ()}
+        return guard.union([name for name in matched if self.kind(name) == "in"])
 
 
 @dataclass

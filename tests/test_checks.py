@@ -384,20 +384,28 @@ def test_every_finding_is_built_once_by_the_first_check(monkeypatch):
     assert not any(hasattr(d, "__dict__") for d in every)
 
 
-def test_sim_ts_computes_the_ports_each_transition_reads_once(monkeypatch, tmp_path, capsys):
+def counted_ports_read(monkeypatch):
+    """How often ``ResolvedComponent.ports_read`` runs for each transition,
+    by id, in the calls made after this one."""
     from collections import Counter
 
-    from conftest import workloads
-    from maa.cli import main
     from maa.resolution import ResolvedComponent
     computed = Counter()
-    read_ports = ResolvedComponent._read_ports
+    ports_read = ResolvedComponent.ports_read
 
     def counting(self, trans):
         computed[id(trans)] += 1
-        return read_ports(self, trans)
+        return ports_read(self, trans)
 
-    monkeypatch.setattr(ResolvedComponent, "_read_ports", counting)
+    monkeypatch.setattr(ResolvedComponent, "ports_read", counting)
+    return computed
+
+
+def test_sim_ts_computes_the_ports_each_transition_reads_once(monkeypatch, tmp_path, capsys):
+    # in check: lowering asks only which ports each distinct guard reads
+    from conftest import workloads
+    from maa.cli import main
+    computed = counted_ports_read(monkeypatch)
     w = workloads.generate("wide_automaton", 1, "smoke")
     files = []
     for name, text in [*w.models.items(), *w.types.items()]:
@@ -407,6 +415,22 @@ def test_sim_ts_computes_the_ports_each_transition_reads_once(monkeypatch, tmp_p
     assert main(["sim-ts", *files, "--main", w.main, "--cycles", "5"]) == 0
     assert capsys.readouterr().out.count("\n") == 6  # a header and 5 cycles
     assert len(computed) == w.transitions and set(computed.values()) == {1}
+
+
+def test_run_ed_computes_the_ports_a_transition_reads_once_per_event_port(monkeypatch):
+    # once in check, and once for each (state, event port) index that holds
+    # the transition as a candidate, when a run first builds that index
+    from conftest import workload_model, workload_value, workloads
+    from maa.engine import Event, run_ed
+    w = workloads.generate("ed_script", 1, "smoke")
+    model = workload_model(w)
+    script = [Event(port, workload_value(w, port, v)) for port, v in w.script]
+    computed = counted_ports_read(monkeypatch)
+    run_ed(model, w.main, script)
+    in_ports = len(model.components[w.main].in_ports)
+    assert len(computed) == w.transitions
+    assert max(computed.values()) <= in_ports + 1
+    assert sum(computed.values()) > w.transitions  # the indexes asked too
 
 
 def test_each_name_of_an_entry_is_looked_up_once(monkeypatch):

@@ -140,17 +140,15 @@ def test_guard_negation_of_absent_is_still_false():
     assert is_enabled(rc, 0, {"a": 9}) is True
 
 
-def test_lowering_shares_equal_port_sets():
+def test_a_transition_reads_the_in_ports_of_its_guard_and_input_block():
     model = small_model(
         "component C { port in Integer a, in Integer b, out Integer o; automaton {"
         " state S, T; initial S; S [a > 0] b = 1 / o = 1; T [a < 0] b = 2 / o = 2;"
         " S [b > 0] / o = 3; } }")
     rc = model.components["C"]
-    lowered = lower(rc)
-    first, _ = lowered.by_state["S"]
-    (second,) = lowered.by_state["T"]
-    assert first.reads == {"a", "b"}
-    assert first.reads is second.reads
+    first, second, third = rc.ast.automata[0].transitions
+    assert rc.ports_read(first) == rc.ports_read(second) == {"a", "b"}
+    assert rc.ports_read(third) == {"b"}
 
 
 def test_lowering_compiles_each_distinct_guard_and_entry_once():
@@ -698,6 +696,29 @@ def test_mistyped_stimulus_and_event_values_are_refused(entry, main, port, value
         f"{what} value {value!r} on in-port '{port}' of '{main}' is no {declared}")
 
 
+# An Integer with more digits than Python prints (sys.get_int_max_str_digits,
+# 0 for no limit) is refused, without its repr, which would raise: a run would
+# fail where it prints or freezes the value.
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_an_integer_too_long_to_print_is_refused(entry):
+    model, main = typed_models()["p.C"], "p.C"
+    what = "event" if entry == "run_ed" else "stimulus"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for value in (10**640, -10**640):  # 641 digits
+            with pytest.raises(SetupError) as raised:
+                ENTRY_POINTS[entry](model, main, {"i": value})
+            assert str(raised.value) == (
+                f"{what} value on in-port 'i' of '{main}' has more than 640 digits")
+        for value in (10**640 - 1, 1 - 10**640):  # 640 digits
+            ENTRY_POINTS[entry](model, main, {"i": value})
+        sys.set_int_max_str_digits(0)
+        ENTRY_POINTS[entry](model, main, {"i": 10**5000})
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # An absent stimulus cell is no message; an event is one, so run_ed refuses
 # ABSENT (tests/test_engine_ed.py).
 @pytest.mark.parametrize("entry", [entry for entry in ENTRY_POINTS if entry != "run_ed"])
@@ -993,6 +1014,20 @@ def test_a_tree_built_with_lists_is_refused(where, message):
             run(model, "C", [], 1)
         assert str(raised.value) == (
             f"{at}: the {message} holds a list; the sequences of a parsed tree are tuples")
+
+
+def test_a_type_error_that_no_list_explains_propagates_unchanged(monkeypatch):
+    model = small_model(
+        "component C { port in Integer p, out Integer o; automaton { state S; initial S; } }")
+    error = TypeError("not from a list")
+
+    def flatten(model, root):
+        raise error
+    monkeypatch.setattr(engine, "_flatten", flatten)
+    for run in (run_ts, enumerate_ts):
+        with pytest.raises(TypeError) as raised:
+            run(model, "C", [], 1)
+        assert raised.value is error
 
 
 @pytest.mark.parametrize("run", [run_ts, enumerate_ts])

@@ -20,6 +20,7 @@ from maa.resolution import resolve
 from maa.syntax import (
     CompilationUnit,
     ELit,
+    ERef,
     NoData,
     SequenceValue,
     Transition,
@@ -131,6 +132,9 @@ def test_literals_of_different_types_differ():
     assert guard_and_value("1")[1] != guard_and_value("true")[1]
     assert ELit(1, None) != ELit(True, None)
     assert ELit(0, None) != ELit(False, None)
+    for other in (1, True, "1", ERef("x", None), NoData(None)):  # an ELit equals only an ELit
+        assert ELit(1, None) != other and not ELit(1, None) == other
+        assert ELit(1, None).__eq__(other) is NotImplemented
 
 
 def test_string_escapes():
